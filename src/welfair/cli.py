@@ -21,7 +21,14 @@ from . import __version__, centers, pipeline, svgchart
 from .errors import DataError, InternalInvariantError, WelfairError
 from .lp import brute_force_assignment, build_rawlsian_lp, build_utilitarian_lp, solve_lp
 from .metrics import additive_constants, pairwise_pow
-from .model import Instance, Params, apply_normalization, load_instance, normalization_factor
+from .model import (
+    LP_TOLERANCE,
+    Instance,
+    Params,
+    apply_normalization,
+    load_instance,
+    normalization_factor,
+)
 from .rounding import rawlsian_round, utilitarian_round
 
 _OBJECTIVES = ("rawlsian", "utilitarian")
@@ -43,7 +50,7 @@ class ExperimentConfig:
     restarts: int = 10
     seed: int = 0
     out_dir: str = "results"
-    lp_tolerance: float = 1e-7
+    lp_tolerance: float = LP_TOLERANCE
     solver: str = "auto"
     subsample: int | None = None
     normalize: bool = True
@@ -261,9 +268,28 @@ def plot_results(path: str, objective: str, lam: float, out_path: str) -> None:
         fh.write(svg)
 
 
+def _results_lp_tolerance(path: str) -> float:
+    """lp_tolerance of the run that wrote a results CSV, read from the
+    metadata.json beside it; the default when that file or field is absent."""
+    meta_path = os.path.join(os.path.dirname(os.path.abspath(path)), "metadata.json")
+    try:
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        return LP_TOLERANCE
+    except json.JSONDecodeError as e:
+        raise DataError(f"{meta_path} is not valid JSON: {e}") from None
+    tol = meta.get("config", {}).get("lp_tolerance")
+    return LP_TOLERANCE if tol is None else float(tol)
+
+
 def gap_report(path: str, soft: float = _SOFT_GAP) -> int:
-    """Print the per-run rounding gaps; exit status 3 on a hard violation."""
+    """Print the per-run rounding gaps; exit status 3 on a hard violation.
+
+    A run is HARD by the pipeline's rule: gap > bound + the run's lp_tolerance.
+    """
     rows = _read_results(path)
+    tol = _results_lp_tolerance(path)
     hard = 0
     soft_hits = 0
     print(f"{'objective':<12} {'k':>3} {'lambda':>7} {'gap':>13} {'bound':>13} flag")
@@ -274,7 +300,7 @@ def gap_report(path: str, soft: float = _SOFT_GAP) -> int:
         bound = float(row["bound"]) if row["bound"] else float("nan")
         flag = ""
         if not math.isnan(gap) and not math.isnan(bound):
-            if gap > bound + 1e-9:
+            if pipeline.exceeds_gap_bound(gap, bound, tol):
                 flag = "HARD"
                 hard += 1
             elif gap > soft:
@@ -286,7 +312,8 @@ def gap_report(path: str, soft: float = _SOFT_GAP) -> int:
         )
     print(
         f"runs: {sum(1 for r in rows if r['method'].endswith('Alg'))}, "
-        f"hard violations: {hard}, above soft threshold {soft:g}: {soft_hits}"
+        f"hard violations: {hard}, above soft threshold {soft:g}: {soft_hits}, "
+        f"lp tolerance {tol:g}"
     )
     return 3 if hard else 0
 

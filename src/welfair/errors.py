@@ -34,6 +34,16 @@ class NonNumericCellError(DataError):
         )
 
 
+class NonFiniteCellError(DataError):
+    def __init__(self, column: str, row: int, value: str):
+        self.column = column
+        self.row = row
+        self.value = value
+        super().__init__(
+            f"non-finite value {value!r} in column {column!r} at data row {row}"
+        )
+
+
 class SingleColorError(DataError):
     def __init__(self, column: str, color: str):
         self.column = column

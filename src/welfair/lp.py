@@ -24,6 +24,9 @@ _SNAP = 1e-12
 # auto backend: builtin handles small models, highs the desk-scale ones
 _AUTO_VARS = 2600
 _AUTO_ROWS = 900
+# x columns per point in HiGHS's first restricted LP; at n = 3000, k = 12
+# width 4 needed one round where width 3 needed two or three cold re-solves
+_CANDIDATES = 4
 
 
 @dataclass
@@ -355,55 +358,101 @@ class BuiltinSolver:
 
 
 class HighsSolver:
-    """scipy.optimize.linprog backend (HiGHS), for desk-scale models."""
+    """scipy.optimize.linprog backend (HiGHS), for desk-scale models.
+
+    Assignment models with k > _CANDIDATES centers are solved by column
+    generation: the first LP keeps only the x columns of each point's
+    _CANDIDATES nearest centers, and every excluded column whose reduced cost
+    under the LP's duals is below -tolerance joins before a re-solve. The
+    last round prices every excluded column at or above -tolerance, which
+    certifies its optimum as the full LP's.
+    """
 
     name = "highs"
 
     def solve(self, model: LPModel, tolerance: float) -> tuple[np.ndarray, float, str]:
         from scipy.optimize import linprog
 
-        eq = [row for row in model.rows if row.sense == "eq"]
-        le = [row for row in model.rows if row.sense == "le"]
+        A_eq, b_eq = _stack(model, "eq")
+        A_ub, b_ub = _stack(model, "le")
+        c = model.objective
+        bounds = np.column_stack([model.lower, model.upper])
+        options = {
+            "primal_feasibility_tolerance": tolerance,
+            "dual_feasibility_tolerance": tolerance,
+        }
+        keep = _initial_columns(model)
+        rounds = 0
+        while True:
+            rounds += 1
+            cols = np.flatnonzero(keep)
+            restricted = cols.size < model.num_vars
 
-        def stack(rows):
-            if not rows:
-                return None, None
-            cols = np.concatenate([row.cols for row in rows])
-            rws = np.concatenate(
-                [np.full(len(row.cols), ri) for ri, row in enumerate(rows)]
+            def kept(A):
+                return A[:, cols] if restricted and A is not None else A
+
+            res = linprog(
+                c[cols],
+                A_ub=kept(A_ub),
+                b_ub=b_ub,
+                A_eq=kept(A_eq),
+                b_eq=b_eq,
+                bounds=bounds[cols],
+                method="highs",
+                options=options,
             )
-            vals = np.concatenate([row.vals for row in rows])
-            A = sp.coo_matrix(
-                (vals, (rws, cols)), shape=(len(rows), model.num_vars)
-            ).tocsr()
-            b = np.array([row.rhs for row in rows])
-            return A, b
+            if res.status == 2:
+                raise LPInfeasibleError(res.message)
+            if res.status == 3:
+                raise LPUnboundedError(res.message)
+            if res.status != 0:
+                raise LPError(f"highs failed: {res.message}")
+            if not restricted:
+                break
+            rc = c.copy()
+            if A_eq is not None:
+                rc -= A_eq.T @ res.eqlin.marginals
+            if A_ub is not None:
+                rc -= A_ub.T @ res.ineqlin.marginals
+            enter = ~keep & (rc < -tolerance)
+            if not enter.any():
+                break
+            keep |= enter
+        x = np.zeros(model.num_vars)
+        x[cols] = res.x
+        return x, float(res.fun), f"highs:optimal:rounds={rounds}"
 
-        A_eq, b_eq = stack(eq)
-        A_ub, b_ub = stack(le)
-        bounds = [
+
+def _stack(model: LPModel, sense: str):
+    """CSC matrix and right-hand side of the model's rows of one sense."""
+    rows = [row for row in model.rows if row.sense == sense]
+    if not rows:
+        return None, None
+    A = sp.csc_matrix(
+        (
+            np.concatenate([row.vals for row in rows]),
             (
-                None if np.isneginf(lo) else lo,
-                None if np.isposinf(up) else up,
-            )
-            for lo, up in zip(model.lower, model.upper)
-        ]
-        res = linprog(
-            model.objective,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-        if res.status == 2:
-            raise LPInfeasibleError(res.message)
-        if res.status == 3:
-            raise LPUnboundedError(res.message)
-        if res.status != 0:
-            raise LPError(f"highs failed: {res.message}")
-        return np.asarray(res.x), float(res.fun), "highs:optimal"
+                np.repeat(np.arange(len(rows)), [len(row.cols) for row in rows]),
+                np.concatenate([row.cols for row in rows]),
+            ),
+        ),
+        shape=(len(rows), model.num_vars),
+    )
+    return A, np.array([row.rhs for row in rows])
+
+
+def _initial_columns(model: LPModel) -> np.ndarray:
+    """Column mask of the first LP: every non-x column, and the x columns of
+    each point's _CANDIDATES nearest centers (all of them when k is small)."""
+    keep = np.ones(model.num_vars, dtype=bool)
+    k = model.meta.get("k", 0)
+    if k <= _CANDIDATES:
+        return keep
+    n = model.meta["n"]
+    near = np.argpartition(model.meta["dist_pow"], _CANDIDATES - 1, axis=1)
+    keep[: k * n] = False
+    keep[near[:, :_CANDIDATES] * n + np.arange(n)[:, None]] = True
+    return keep
 
 
 def _pick_solver(model: LPModel, solver):

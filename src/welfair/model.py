@@ -9,8 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyCellError,
     MissingColumnError,
+    NonFiniteCellError,
     NonNumericCellError,
     NormalizationError,
     ParamError,
@@ -22,9 +24,10 @@ from .errors import (
 class Instance:
     """A clustering instance: points with a group label per point.
 
-    features: (n, d) float array.
-    colors: (n,) int array, values in [0, num_colors).
+    features: (n, d) float array, all finite.
+    colors: (n,) int array, values in [0, num_colors), every color present.
     color_names: name per color id, in first-appearance order of the source.
+    Data breaking these rules raises DataError.
     """
 
     features: np.ndarray
@@ -38,6 +41,23 @@ class Instance:
             raise ValueError("features must be a 2-d array")
         if self.colors.shape != (self.features.shape[0],):
             raise ValueError("colors must be a 1-d array aligned with features")
+        H = len(self.color_names)
+        bad = np.nonzero((self.colors < 0) | (self.colors >= H))[0]
+        if bad.size:
+            j = int(bad[0])
+            raise DataError(
+                f"point {j} has color id {self.colors[j]}, outside [0, {H}) "
+                f"for {H} color names"
+            )
+        empty = np.nonzero(np.bincount(self.colors, minlength=H) == 0)[0]
+        if empty.size:
+            raise DataError(f"color {self.color_names[empty[0]]!r} has no points")
+        bad = np.argwhere(~np.isfinite(self.features))
+        if bad.size:
+            j, c = (int(v) for v in bad[0])
+            raise DataError(
+                f"feature {c} of point {j} is {self.features[j, c]}, not finite"
+            )
 
     @property
     def n(self) -> int:
@@ -100,9 +120,12 @@ def load_instance(
                 if cell == "":
                     raise EmptyCellError(col, rownum)
                 try:
-                    vals.append(float(cell))
+                    val = float(cell)
                 except ValueError:
                     raise NonNumericCellError(col, rownum, cell) from None
+                if not math.isfinite(val):
+                    raise NonFiniteCellError(col, rownum, cell)
+                vals.append(val)
             gcell = (rec[group_column] or "").strip()
             if gcell == "":
                 raise EmptyCellError(group_column, rownum)
@@ -121,12 +144,17 @@ def load_instance(
     return Instance(np.asarray(rows, dtype=np.float64), colors, names)
 
 
+# default Params.lp_tolerance; gapreport falls back to it too
+LP_TOLERANCE = 1e-7
+
+
 @dataclass
 class Params:
     """Objective parameters: exponent p, tradeoff lambda, k, slack vectors.
 
     alpha[h] loosens the upper proportion bound for color h, beta[h] the lower
-    one. lp_tolerance is the solver's optimality tolerance.
+    one. lp_tolerance is the solver's feasibility tolerance and pricing
+    threshold, and the slack by which a rounding gap may exceed its bound.
     """
 
     k: int
@@ -134,7 +162,7 @@ class Params:
     p: int = 2
     alpha: np.ndarray = field(default_factory=lambda: np.zeros(0))
     beta: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    lp_tolerance: float = 1e-7
+    lp_tolerance: float = LP_TOLERANCE
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -148,7 +176,7 @@ class Params:
         lam: float,
         delta: float = 0.0,
         p: int = 2,
-        lp_tolerance: float = 1e-7,
+        lp_tolerance: float = LP_TOLERANCE,
     ) -> "Params":
         """Proportional slacks alpha_h = beta_h = delta * r_h."""
         r = instance.proportions

@@ -35,6 +35,11 @@ class RunResult:
         return self.report.R if self.method != "UtilitarianAlg" else self.report.U
 
 
+def exceeds_gap_bound(gap: float, bound: float, tolerance: float) -> bool:
+    """The rounding gap broke its additive bound by more than the LP tolerance."""
+    return gap > bound + tolerance
+
+
 def _lp_pipeline(
     instance: Instance,
     params: Params,
@@ -66,7 +71,7 @@ def _lp_pipeline(
     value = report.R if kind == "rawlsian" else report.U
     gap = value - frac.objective
     flags = []
-    if gap > bound + params.lp_tolerance:
+    if exceeds_gap_bound(gap, bound, params.lp_tolerance):
         flags.append("gap_bound_exceeded")
     return RunResult(
         method="RawlsianAlg" if kind == "rawlsian" else "UtilitarianAlg",

@@ -286,6 +286,40 @@ class TestGapReport:
         assert "HARD" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("lp_tolerance, code", [(1e-7, 0), (1e-9, 3)])
+    def test_uses_the_runs_lp_tolerance(self, tmp_path, lp_tolerance, code):
+        # gap - bound = 5e-8 lies between the two slacks: the pipeline at
+        # lp_tolerance 1e-7 does not flag it, so gapreport must not either
+        path = tmp_path / "results.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.DictWriter(
+                fh, fieldnames=["method", "objective", "k", "lambda", "gap", "bound"]
+            )
+            w.writeheader()
+            w.writerow(
+                {
+                    "method": "RawlsianAlg",
+                    "objective": "rawlsian",
+                    "k": 2,
+                    "lambda": 0.5,
+                    "gap": 0.10000005,
+                    "bound": 0.1,
+                }
+            )
+        (tmp_path / "metadata.json").write_text(
+            json.dumps({"config": {"lp_tolerance": lp_tolerance}})
+        )
+        assert gap_report(str(path)) == code
+
+    def test_default_lp_tolerance_without_metadata(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "method,objective,k,lambda,gap,bound\n"
+            "UtilitarianAlg,utilitarian,2,0.5,0.10000005,0.1\n"
+        )
+        assert gap_report(str(path)) == 0
+
+
 class TestOracleCheck:
     def test_passes(self, capsys):
         assert oracle_check(seed=0, count=2) == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from datagen import random_instance
 
+from welfair import lp as lp_mod
 from welfair.errors import BruteForceSizeError, LPInfeasibleError
 from welfair.lp import (
     HighsSolver,
@@ -188,6 +189,101 @@ class TestSolveLp:
 
         solve_lp(m, tolerance=1e-5, solver=Stub())
         assert calls == [1e-5]
+
+
+def _linprog_spy(monkeypatch):
+    """Record every scipy linprog call HighsSolver makes: (kwargs, result)."""
+    import scipy.optimize
+
+    real = scipy.optimize.linprog
+    calls = []
+
+    def spy(c, **kwargs):
+        res = real(c, **kwargs)
+        calls.append((dict(kwargs, c=c), res))
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    return calls
+
+
+def _reduced_costs(model, res):
+    """c - A^T y over every column of the full model, y the duals of res."""
+    rc = model.objective.copy()
+    for sense, duals in (("eq", res.eqlin.marginals), ("le", res.ineqlin.marginals)):
+        rows = [row for row in model.rows if row.sense == sense]
+        for row, y in zip(rows, duals):
+            np.add.at(rc, row.cols, -y * row.vals)
+    return rc
+
+
+def _all_columns(monkeypatch, model):
+    with monkeypatch.context() as mp:
+        mp.setattr(lp_mod, "_CANDIDATES", model.meta["k"])
+        return solve_lp(model, solver="highs")
+
+
+class TestHighsPricing:
+    """k > _CANDIDATES: HiGHS solves over each point's nearest centers and
+    prices the other columns in until none has negative reduced cost."""
+
+    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_value_matches_all_columns(self, monkeypatch, kind, seed):
+        inst, params, centers = _setup(
+            n=60, k=6, H=2 + seed % 2, lam=[0.2, 0.5, 0.8][seed], seed=seed
+        )
+        build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+        m = build(inst, params, centers)
+        calls = _linprog_spy(monkeypatch)
+        got = solve_lp(m, solver="highs")
+        assert len(calls[0][0]["c"]) < m.num_vars  # the restriction was used
+        want = _all_columns(monkeypatch, m)
+        assert got.solver_objective == pytest.approx(
+            want.solver_objective, abs=params.lp_tolerance
+        )
+
+    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
+    def test_one_candidate_prices_in_the_rest(self, monkeypatch, kind):
+        inst, params, centers = _setup(n=60, k=5, H=2, lam=0.2, seed=4)
+        build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+        m = build(inst, params, centers)
+        monkeypatch.setattr(lp_mod, "_CANDIDATES", 1)
+        calls = _linprog_spy(monkeypatch)
+        xvec, obj, status = HighsSolver().solve(m, params.lp_tolerance)
+        rounds = int(status.rsplit("rounds=", 1)[1])
+        assert rounds >= 2 and len(calls) == rounds
+        assert len(calls[0][0]["c"]) == m.num_vars - (m.meta["k"] - 1) * inst.n
+        want = _all_columns(monkeypatch, m)
+        assert obj == pytest.approx(want.solver_objective, abs=params.lp_tolerance)
+        # every column the last LP left out sits at zero; none of them (nor
+        # any other x column at zero) prices below -tolerance
+        rc = _reduced_costs(m, calls[-1][1])
+        at_zero = np.flatnonzero(xvec[: m.meta["layout"]["kn"]] == 0.0)
+        assert len(at_zero) >= m.num_vars - len(calls[-1][0]["c"])
+        assert rc[at_zero].min() >= -params.lp_tolerance
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_small_k_is_one_full_solve(self, monkeypatch, k):
+        inst, params, centers = _setup(n=40, k=k, H=2, lam=0.3, seed=2)
+        m = build_rawlsian_lp(inst, params, centers)
+        calls = _linprog_spy(monkeypatch)
+        xvec, _, status = HighsSolver().solve(m, params.lp_tolerance)
+        assert status == "highs:optimal:rounds=1"
+        assert len(calls) == 1 and len(calls[0][0]["c"]) == m.num_vars
+        assert xvec.shape == (m.num_vars,)
+
+    def test_tolerance_reaches_highs(self, monkeypatch):
+        inst, params, centers = _setup(n=30, k=6, H=2, seed=1)
+        m = build_utilitarian_lp(inst, params, centers)
+        calls = _linprog_spy(monkeypatch)
+        solve_lp(m, tolerance=1e-6, solver="highs")
+        assert calls
+        for kwargs, _ in calls:
+            assert kwargs["options"] == {
+                "primal_feasibility_tolerance": 1e-6,
+                "dual_feasibility_tolerance": 1e-6,
+            }
 
 
 class TestLambdaOneReductions:

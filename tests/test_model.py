@@ -6,8 +6,10 @@ import pytest
 from datagen import random_instance, separated_instance, write_csv
 
 from welfair.errors import (
+    DataError,
     EmptyCellError,
     MissingColumnError,
+    NonFiniteCellError,
     NonNumericCellError,
     NormalizationError,
     ParamError,
@@ -74,6 +76,13 @@ class TestLoadInstance:
             load_instance(path, ["x"], "g")
         assert ei.value.row == 2 and "hello" in str(ei.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        path = _write(tmp_path, f"x,g\n1,a\n{cell},b\n")
+        with pytest.raises(NonFiniteCellError) as ei:
+            load_instance(path, ["x"], "g")
+        assert ei.value.column == "x" and ei.value.row == 2
+
     def test_single_color_rejected(self, tmp_path):
         path = _write(tmp_path, "x,g\n1,a\n2,a\n3,a\n")
         with pytest.raises(SingleColorError):
@@ -109,6 +118,30 @@ class TestInstance:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Instance(np.zeros((3, 2)), [0, 1], ["a", "b"])
+
+    def test_color_id_out_of_range(self):
+        with pytest.raises(DataError, match="color id 5"):
+            Instance(np.zeros((3, 1)), [0, 1, 5], ["a", "b"])
+        with pytest.raises(DataError, match="color id -1"):
+            Instance(np.zeros((3, 1)), [0, -1, 1], ["a", "b"])
+
+    def test_declared_color_without_points(self):
+        with pytest.raises(DataError, match="'c' has no points"):
+            Instance(np.zeros((3, 1)), [0, 1, 0], ["a", "b", "c"])
+
+    def test_subsample_dropping_a_color(self):
+        colors = np.zeros(40, dtype=np.int64)
+        colors[-1] = 1
+        inst = Instance(np.arange(40.0)[:, None], colors, ["a", "b"])
+        with pytest.raises(DataError, match="'b' has no points"):
+            inst.subsample(5, seed=0)  # this draw misses the one "b"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features(self, bad):
+        X = np.zeros((3, 2))
+        X[1, 1] = bad
+        with pytest.raises(DataError, match="feature 1 of point 1"):
+            Instance(X, [0, 1, 0], ["a", "b"])
 
     def test_subsample_deterministic(self):
         inst = random_instance(50, 2, 3, seed=1)
