@@ -65,6 +65,33 @@ def _repair_empty(
         costs[j] = -np.inf
 
 
+def _bin_sums(
+    idx: np.ndarray, X: np.ndarray, size: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """(size, d) sums of the rows of X (times weights) falling in each bin."""
+    cols = X.T if weights is None else weights * X.T
+    return np.stack([np.bincount(idx, c, minlength=size) for c in cols], axis=1)
+
+
+def _cluster_group_stats(
+    X: np.ndarray, colors: np.ndarray, assign: np.ndarray, k: int, H: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-(cluster, group) point counts m (k, H), coordinate sums S (k, H, d),
+    means mu (k, H, d; zero where m = 0) and squared deviations from the mean
+    sse (k, H).
+
+    sse sums each point's squared distance to its own (cluster, group) mean
+    rather than using sum |x|^2 - m |mu|^2, which cancels badly.
+    """
+    idx = assign * H + colors
+    m = np.bincount(idx, minlength=k * H)
+    S = _bin_sums(idx, X, k * H)
+    mu = S / np.maximum(m, 1)[:, None]
+    sse = np.bincount(idx, ((X - mu[idx]) ** 2).sum(axis=1), minlength=k * H)
+    d = X.shape[1]
+    return m.reshape(k, H), S.reshape(k, H, d), mu.reshape(k, H, d), sse.reshape(k, H)
+
+
 def lloyd(
     instance: Instance,
     k: int,
@@ -89,8 +116,7 @@ def lloyd(
         assign = np.argmin(dist, axis=1)
         dsel = dist[np.arange(n), assign]
         cost = float((w * dsel).sum())
-        sizes = np.bincount(assign, minlength=k)
-        empties = [i for i in range(k) if sizes[i] == 0]
+        empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist()
         if empties:
             _repair_empty(centers, X, w * dsel, empties)
             prev_cost = math.inf
@@ -100,14 +126,37 @@ def lloyd(
         ):
             break
         prev_cost = cost
-        for i in range(k):
-            mask = assign == i
-            wi = w[mask]
-            centers[i] = (wi[:, None] * X[mask]).sum(axis=0) / wi.sum()
+        wsum = np.bincount(assign, w, minlength=k)
+        centers = _bin_sums(assign, X, k, w) / wsum[:, None]
     dist = _sqdist(X, centers)
     assign = np.argmin(dist, axis=1)
     score = float((w * dist[np.arange(n), assign]).sum())
     return CenterSet(centers, f"lloyd(seed={seed})", score)
+
+
+def _two_group_gamma(m_a, m_b, sse_a, sse_b, gap2, n_a, n_b) -> np.ndarray:
+    """gamma in [0, 1] minimizing max(fa, fb) on the segment
+    center = gamma * mu_a + (1 - gamma) * mu_b, elementwise over arrays.
+
+    Along the segment the two groups' average costs are the parabolas
+    fa = A (1 - gamma)^2 + a0 and fb = B gamma^2 + b0 with
+    A = m_a gap2 / n_a, B = m_b gap2 / n_b, a0 = sse_a / n_a, b0 = sse_b / n_b.
+    fa falls and fb rises on [0, 1], so the optimum is an endpoint when one
+    dominates the whole segment and their crossing otherwise. The crossing is
+    the root of (A - B) gamma^2 - 2 A gamma + c = 0, c = A + a0 - b0, written
+    without cancellation; it also covers A = B. Coincident means (gap2 = 0)
+    give gamma = 1.
+    """
+    A = m_a * gap2 / n_a
+    B = m_b * gap2 / n_b
+    a0 = sse_a / n_a
+    b0 = sse_b / n_b
+    c = A + a0 - b0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = c / (A + np.sqrt(A * A - (A - B) * c))
+    return np.where(
+        (gap2 <= 0.0) | (a0 >= B + b0), 1.0, np.where(b0 >= A + a0, 0.0, cross)
+    )
 
 
 def two_group_center(
@@ -115,80 +164,84 @@ def two_group_center(
     pts_b: np.ndarray,
     n_a: int,
     n_b: int,
-    tol: float = 1e-9,
 ) -> tuple[np.ndarray, float]:
     """Center minimizing max of the two per-group average costs within a cluster.
 
-    The optimum lies on the segment between the group means; along it each
-    group's cost is a convex parabola in gamma, so ternary search on the max
-    of the two finds it. Returns (center, gamma) with
-    center = gamma * mean_a + (1 - gamma) * mean_b.
+    The optimum lies on the segment between the group means. Along it each
+    group's cost is a convex parabola in gamma, one falling and one rising, so
+    the optimum is their crossing, or the endpoint where one group's cost
+    dominates the whole segment; it is computed in closed form. Returns
+    (center, gamma) with center = gamma * mean_a + (1 - gamma) * mean_b;
+    coincident means give (mean_a, 1.0).
     """
     mu_a = pts_a.mean(axis=0)
     mu_b = pts_b.mean(axis=0)
-    m_a, m_b = len(pts_a), len(pts_b)
     sse_a = float(((pts_a - mu_a) ** 2).sum())
     sse_b = float(((pts_b - mu_b) ** 2).sum())
     gap2 = float(((mu_a - mu_b) ** 2).sum())
-    if gap2 <= 0.0:
-        return mu_a.copy(), 1.0
-
-    def g(gamma: float) -> float:
-        fa = (m_a * (1.0 - gamma) ** 2 * gap2 + sse_a) / n_a
-        fb = (m_b * gamma ** 2 * gap2 + sse_b) / n_b
-        return max(fa, fb)
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if g(m1) <= g(m2):
-            hi = m2
-        else:
-            lo = m1
-    gamma = 0.5 * (lo + hi)
-    # snap to the boundary when the unconstrained crossing lies outside [0, 1]
-    if gamma < tol:
-        gamma = 0.0
-    elif gamma > 1.0 - tol:
-        gamma = 1.0
+    gamma = float(
+        _two_group_gamma(len(pts_a), len(pts_b), sse_a, sse_b, gap2, n_a, n_b)
+    )
     return gamma * mu_a + (1.0 - gamma) * mu_b, gamma
 
 
 def _mw_center(
-    pts: np.ndarray,
-    cols: np.ndarray,
+    m: np.ndarray,
+    S: np.ndarray,
+    sse: np.ndarray,
     counts: np.ndarray,
-    present: np.ndarray,
     iters: int = 40,
     eta: float = 0.5,
 ) -> np.ndarray:
-    # multiplicative-weights reweighting over the groups present in the
-    # cluster; heuristic, no guarantee
-    w = {int(h): 1.0 for h in present}
+    # multiplicative-weights reweighting over the groups present in one
+    # cluster, from its per-group counts m, coordinate sums S and squared
+    # deviations sse; heuristic, no guarantee
+    present = m > 0
+    m, S, sse, n = m[present], S[present], sse[present], counts[present]
+    mu = S / m[:, None]
+    w = np.ones(len(m))
     best_val = math.inf
-    best_c = pts.mean(axis=0)
+    best_c = S.sum(axis=0) / m.sum()
     for _ in range(iters):
-        pw = np.array([w[int(c)] / counts[int(c)] for c in cols])
-        c = (pw[:, None] * pts).sum(axis=0) / pw.sum()
-        costs = {}
-        for h in present:
-            h = int(h)
-            mask = cols == h
-            costs[h] = float(((pts[mask] - c) ** 2).sum()) / counts[h]
-        top = max(costs.values())
+        pw = w / n
+        c = (pw[:, None] * S).sum(axis=0) / (pw * m).sum()
+        costs = (sse + m * ((mu - c) ** 2).sum(axis=1)) / n
+        top = float(costs.max())
         if top < best_val:
             best_val = top
             best_c = c
         if top <= 0.0:
             break
-        for h in present:
-            h = int(h)
-            w[h] *= math.exp(eta * costs[h] / top)
-        scale = sum(w.values())
-        for h in present:
-            w[int(h)] /= scale
+        w = w * np.exp(eta * costs / top)
+        w /= w.sum()
     return best_c
+
+
+def _fair_update(
+    X: np.ndarray, colors: np.ndarray, counts: np.ndarray, assign: np.ndarray, k: int
+) -> np.ndarray:
+    """(k, d) min-max group-cost centers of the clusters of a full assignment.
+
+    A cluster holding one group moves to that group's mean; two groups use
+    the closed-form crossing, more the multiplicative-weights heuristic.
+    """
+    H = len(counts)
+    m, S, mu, sse = _cluster_group_stats(X, colors, assign, k, H)
+    if H == 2:
+        gap2 = ((mu[:, 0] - mu[:, 1]) ** 2).sum(axis=1)
+        gamma = _two_group_gamma(
+            m[:, 0], m[:, 1], sse[:, 0], sse[:, 1], gap2, counts[0], counts[1]
+        )
+        gamma = np.where(m[:, 0] == 0, 0.0, np.where(m[:, 1] == 0, 1.0, gamma))
+        return gamma[:, None] * mu[:, 0] + (1.0 - gamma)[:, None] * mu[:, 1]
+    centers = np.empty((k, X.shape[1]))
+    for i in range(k):
+        present = np.flatnonzero(m[i])
+        if len(present) == 1:
+            centers[i] = mu[i, present[0]]
+        else:
+            centers[i] = _mw_center(m[i], S[i], sse[i], counts)
+    return centers
 
 
 def socially_fair_centers(
@@ -199,9 +252,10 @@ def socially_fair_centers(
     tol: float = 1e-6,
 ) -> CenterSet:
     """Lloyd-style alternation whose center update minimizes the max per-group
-    average cost within each cluster (two groups: exact segment search; more:
-    multiplicative-weights heuristic). Score is max_h of per-group average
-    squared distance; the best iterate by that score is returned.
+    average cost within each cluster (two groups: exact closed-form crossing on
+    the segment between the group means; more: multiplicative-weights
+    heuristic). Score is max_h of per-group average squared distance; the best
+    iterate by that score is returned.
     """
     X = instance.features
     n = instance.n
@@ -229,8 +283,7 @@ def socially_fair_centers(
             abs(prev_score), 1e-30
         ):
             break
-        sizes = np.bincount(assign, minlength=k)
-        empties = [i for i in range(k) if sizes[i] == 0]
+        empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist()
         if empties:
             _repair_empty(centers, X, dsel, empties)
             prev_score = math.inf
@@ -238,20 +291,7 @@ def socially_fair_centers(
             continue
         prev_score = score
         prev_assign = assign
-        for i in range(k):
-            mask = assign == i
-            pts = X[mask]
-            cols = colors[mask]
-            present = np.unique(cols)
-            if len(present) == 1:
-                centers[i] = pts.mean(axis=0)
-            elif H == 2:
-                a, b = 0, 1
-                centers[i], _ = two_group_center(
-                    pts[cols == a], pts[cols == b], counts[a], counts[b]
-                )
-            else:
-                centers[i] = _mw_center(pts, cols, counts, present)
+        centers = _fair_update(X, colors, counts, assign, k)
     return CenterSet(best_centers, f"socially_fair(seed={seed})", best_score)
 
 

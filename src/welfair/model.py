@@ -154,7 +154,8 @@ class Params:
 
     alpha[h] loosens the upper proportion bound for color h, beta[h] the lower
     one. lp_tolerance is the solver's feasibility tolerance and pricing
-    threshold, and the slack by which a rounding gap may exceed its bound.
+    threshold, and the slack by which a rounding gap may exceed its bound; it
+    must be finite and at least 1e-10.
     """
 
     k: int
@@ -204,6 +205,13 @@ class Params:
             )
         if np.any(self.alpha < 0) or np.any(self.beta < 0):
             raise ParamError("alpha and beta must be nonnegative")
+        # HiGHS ignores feasibility tolerances below 1e-10 and keeps its
+        # default, while pricing and the gap rule would use the tiny value
+        if not (math.isfinite(self.lp_tolerance) and self.lp_tolerance >= 1e-10):
+            raise ParamError(
+                f"lp_tolerance must be finite and at least 1e-10, "
+                f"got {self.lp_tolerance}"
+            )
         r = instance.proportions
         bad = np.nonzero(r + self.alpha > 1.0 + 1e-12)[0]
         if bad.size:
@@ -275,7 +283,6 @@ def normalization_factor(
                 sum(dsel[instance.colors == h].sum() / counts[h]
                     for h in range(instance.num_colors))
             )
-        sol = Solution(cs.centers, assign)
         params0 = Params(
             k=k,
             lam=0.0,
@@ -283,13 +290,8 @@ def normalization_factor(
             alpha=np.zeros(instance.num_colors),
             beta=np.zeros(instance.num_colors),
         )
-        den = 0.0
-        sizes = np.bincount(assign, minlength=k)
-        for h in range(instance.num_colors):
-            vh = 0.0
-            for i in range(k):
-                vh += sizes[i] * _metrics.violation(instance, sol, params0, h, i)
-            den += vh / counts[h]
+        # U at lambda = 0 is sum_h V_h / n_h
+        den = _metrics.report_from_distances(instance, params0, dist, assign).U
         if den <= 0.0:
             raise NormalizationError(
                 k, "violation denominator is zero; instance is exactly balanced"

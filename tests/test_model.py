@@ -15,6 +15,8 @@ from welfair.errors import (
     ParamError,
     SingleColorError,
 )
+from welfair.centers import lloyd
+from welfair.metrics import pairwise_pow, violation
 from welfair.model import (
     Instance,
     Params,
@@ -214,6 +216,17 @@ class TestParams:
         with pytest.raises(ParamError):  # r_b - beta_b = -0.25 < 0
             params.validate(inst)
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-7, 1e-3])
+    def test_lp_tolerance_accepted(self, tiny_instance, tol):
+        params = Params.with_delta(tiny_instance, 2, 0.5, lp_tolerance=tol)
+        params.validate(tiny_instance)
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.0, -1e-7, float("nan"), float("inf")])
+    def test_lp_tolerance_rejected(self, tiny_instance, tol):
+        params = Params.with_delta(tiny_instance, 2, 0.5, lp_tolerance=tol)
+        with pytest.raises(ParamError, match="lp_tolerance"):
+            params.validate(tiny_instance)
+
 
 class TestSolution:
     def test_cluster_sizes_counts_empties(self):
@@ -228,6 +241,35 @@ class TestNormalization:
         f1 = normalization_factor(inst, [2, 3], mode="rawlsian", seed=0)
         f2 = normalization_factor(inst, [2, 3], mode="rawlsian", seed=0)
         assert f1 == f2 and f1 > 0
+
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    @pytest.mark.parametrize("mode", ["rawlsian", "utilitarian"])
+    def test_factor_matches_per_violation_formula(self, seed, mode):
+        # numerator / sum_h sum_i |C_i| Delta(h, i) / n_h, summed per
+        # cluster and color through metrics.violation, averaged over k
+        inst = random_instance(90, 2, 3, seed=seed)
+        counts = inst.counts
+        factors = []
+        for k in (2, 3, 5):
+            cs = lloyd(inst, k, np.ones(inst.n), seed=0)
+            dist = pairwise_pow(inst.features, cs.centers, 2)
+            assign = np.argmin(dist, axis=1)
+            dsel = dist[np.arange(inst.n), assign]
+            if mode == "rawlsian":
+                num = dsel.sum() / inst.n
+            else:
+                num = sum(dsel[inst.colors == h].sum() / counts[h] for h in range(3))
+            sol = Solution(cs.centers, assign)
+            params0 = Params(k=k, lam=0.0, alpha=np.zeros(3), beta=np.zeros(3))
+            sizes = np.bincount(assign, minlength=k)
+            den = sum(
+                sum(sizes[i] * violation(inst, sol, params0, h, i) for i in range(k))
+                / counts[h]
+                for h in range(3)
+            )
+            factors.append(num / den)
+        got = normalization_factor(inst, [2, 3, 5], mode=mode, seed=0)
+        assert got == pytest.approx(float(np.mean(factors)), rel=1e-12)
 
     def test_modes_differ_in_general(self):
         inst = random_instance(80, 2, 3, seed=7)
