@@ -3,9 +3,9 @@
 Clusters points carrying group labels under two welfare objectives: the
 min-max (worst-off group) objective and the sum-of-group-disutilities
 objective, where each group's disutility blends clustering cost with
-proportion violations. Provides center heuristics, an assignment LP with a
-built-in simplex solver, min-cost-flow rounding with additive guarantees, and
-an experiment harness with a CLI.
+proportion violations. Provides center heuristics, an assignment LP solved
+with HiGHS, min-cost-flow rounding with additive guarantees, and an
+experiment harness with a CLI.
 """
 
 from .centers import CenterSet, best_of_restarts, kmeanspp_init, lloyd, socially_fair_centers

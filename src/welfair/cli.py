@@ -13,12 +13,17 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__, centers, pipeline, svgchart
-from .errors import DataError, InternalInvariantError, WelfairError
+from .errors import (
+    DataError,
+    InternalInvariantError,
+    ParamError,
+    WelfairError,
+)
 from .lp import brute_force_assignment, build_rawlsian_lp, build_utilitarian_lp, solve_lp
 from .metrics import additive_constants, pairwise_pow
 from .model import (
@@ -33,6 +38,10 @@ from .rounding import rawlsian_round, utilitarian_round
 
 _OBJECTIVES = ("rawlsian", "utilitarian")
 _SOFT_GAP = 8e-3
+
+
+class UsageError(WelfairError):
+    pass
 
 
 @dataclass
@@ -51,7 +60,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "results"
     lp_tolerance: float = LP_TOLERANCE
-    solver: str = "auto"
     subsample: int | None = None
     normalize: bool = True
     workers: int = 1
@@ -59,7 +67,27 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise UsageError(f"config {path} is not valid JSON: {e}") from None
+        if not isinstance(raw, dict):
+            raise UsageError(
+                f"config {path} must hold a JSON object, got {type(raw).__name__}"
+            )
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(raw) - set(known))
+        if unknown:
+            raise UsageError(
+                f"config {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                f"known keys: {', '.join(known)}"
+            )
+        missing = [
+            name for name in ("data", "feature_columns", "group_column")
+            if name not in raw
+        ]
+        if missing:
+            raise UsageError(f"config {path}: missing key(s) {', '.join(missing)}")
         return cls(**raw)
 
     def to_json(self) -> str:
@@ -126,15 +154,15 @@ def _result_row(
 
 def run_experiment(config: ExperimentConfig) -> str:
     """Execute the configured sweep; returns the results CSV path."""
+    _check_run_params(config)
     instance = load_instance(config.data, config.feature_columns, config.group_column)
     if config.subsample:
         instance = instance.subsample(config.subsample, config.seed)
+    if max(config.k_range) > instance.n:
+        raise ParamError(f"k={max(config.k_range)} exceeds n={instance.n} points")
     objectives = (
         list(_OBJECTIVES) if config.objective == "both" else [config.objective]
     )
-    for obj in objectives:
-        if obj not in _OBJECTIVES:
-            raise ValueError(f"unknown objective {obj!r}")
     norm_factors: dict[str, float] = {}
     insts: dict[str, Instance] = {}
     for obj in objectives:
@@ -195,6 +223,22 @@ def run_experiment(config: ExperimentConfig) -> str:
     return out_csv
 
 
+def _check_run_params(config: ExperimentConfig) -> None:
+    """Reject sweep settings that would fail only deep inside the run."""
+    if config.objective not in _OBJECTIVES + ("both",):
+        raise ParamError(
+            "objective must be rawlsian, utilitarian or both, "
+            f"got {config.objective!r}"
+        )
+    if not config.k_range:
+        raise ParamError("k range is empty")
+    bad = [k for k in config.k_range if k < 1]
+    if bad:
+        raise ParamError(f"k must be at least 1, got {bad[0]}")
+    if config.restarts < 1:
+        raise ParamError(f"restarts must be at least 1, got {config.restarts}")
+
+
 def _run_one(task, config: ExperimentConfig) -> list[pipeline.RunResult]:
     obj, inst, k, lam, cache = task
     params = Params.with_delta(
@@ -208,7 +252,6 @@ def _run_one(task, config: ExperimentConfig) -> list[pipeline.RunResult]:
             params,
             seed=config.seed,
             restarts=config.restarts,
-            solver=config.solver,
             center_set=cache[our_method],
         )
     ]
@@ -339,7 +382,7 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
             build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
             rounder = rawlsian_round if kind == "rawlsian" else utilitarian_round
             model = build(inst, params, ctrs, dist)
-            frac = solve_lp(model, solver="builtin")
+            frac = solve_lp(model)
             _, best = brute_force_assignment(inst, params, ctrs, kind)
             bound = (1.0 - lam) * (c_r if kind == "rawlsian" else c_u)
             integral = rounder(frac.x, inst, params, dist)
@@ -361,14 +404,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_ints(text: str) -> list[int]:
-    if ":" in text:
-        a, b = text.split(":", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(x) for x in text.split(",") if x]
+    try:
+        if ":" in text:
+            a, b = text.split(":", 1)
+            return list(range(int(a), int(b) + 1))
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise UsageError(f"not an integer range or list: {text!r}") from None
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+    try:
+        return [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise UsageError(f"not a list of numbers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--out", help="output directory")
     run.add_argument("--lp-tol", type=float, dest="lp_tol")
-    run.add_argument("--solver", choices=["auto", "builtin", "highs"])
     run.add_argument("--subsample", type=int)
     run.add_argument("--no-normalize", action="store_true")
     run.add_argument("--workers", type=int)
@@ -454,8 +502,6 @@ def _config_from_args(args) -> ExperimentConfig:
         config.out_dir = args.out
     if args.lp_tol is not None:
         config.lp_tolerance = args.lp_tol
-    if args.solver:
-        config.solver = args.solver
     if args.subsample is not None:
         config.subsample = args.subsample
     if args.no_normalize:
@@ -467,10 +513,6 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _split_cols(text: str) -> list[str]:
     return [c.strip() for c in text.split(",") if c.strip()]
-
-
-class UsageError(WelfairError):
-    pass
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -491,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle-check":
             return oracle_check(args.seed, args.count)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as e:
+    except (UsageError, ParamError) as e:
         print(f"welfair: {e}", file=sys.stderr)
         return 1
     except (DataError, FileNotFoundError) as e:

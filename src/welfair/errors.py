@@ -80,10 +80,6 @@ class LPUnboundedError(LPError):
     pass
 
 
-class IterationLimitError(LPError):
-    pass
-
-
 class BruteForceSizeError(WelfairError):
     def __init__(self, k: int, n: int, limit: float):
         self.k = k

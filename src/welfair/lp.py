@@ -1,5 +1,5 @@
-"""Assignment LPs for the two welfare objectives, solvers, and a brute-force
-oracle for tiny instances."""
+"""Assignment LPs for the two welfare objectives, their HiGHS solve, and a
+brute-force oracle for tiny instances."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import simplex
 from .errors import (
     BruteForceSizeError,
     InternalInvariantError,
@@ -21,9 +20,6 @@ from .metrics import pairwise_pow
 from .model import Instance, Params
 
 _SNAP = 1e-12
-# auto backend: builtin handles small models, highs the desk-scale ones
-_AUTO_VARS = 2600
-_AUTO_ROWS = 900
 # x columns per point in HiGHS's first restricted LP; at n = 3000, k = 12
 # width 4 needed one round where width 3 needed two or three cold re-solves
 _CANDIDATES = 4
@@ -55,10 +51,8 @@ class LPModel:
         if idx < kn:
             return f"x_{idx // n}_{idx % n}"
         idx -= kn
-        for tag in ("t", "u", "o"):
-            if idx < k * H:
-                return f"{tag}_{idx // H}_{idx % H}"
-            idx -= k * H
+        if idx < k * H:
+            return f"t_{idx // H}_{idx % H}"
         return "z"
 
 
@@ -77,15 +71,10 @@ class FractionalSolution:
 
 def _layout(k: int, n: int, H: int, with_z: bool) -> dict:
     kn = k * n
-    base_t = kn
-    base_u = base_t + k * H
-    base_o = base_u + k * H
-    z = base_o + k * H
+    z = kn + k * H
     return {
         "kn": kn,
-        "t": base_t,
-        "u": base_u,
-        "o": base_o,
+        "t": kn,
         "z": z if with_z else -1,
         "num_vars": z + (1 if with_z else 0),
     }
@@ -106,7 +95,6 @@ def _build_common(instance: Instance, params: Params, centers, dist_pow, with_z)
     lower = np.zeros(nv)
     upper = np.full(nv, np.inf)
     upper[: lay["kn"]] = 1.0
-    lower[lay["u"]: lay["o"] + k * H] = -np.inf  # u and o are free
     if with_z:
         lower[lay["z"]] = -np.inf
     r = instance.proportions
@@ -117,59 +105,30 @@ def _build_common(instance: Instance, params: Params, centers, dist_pow, with_z)
         rows.append(
             Row(f"assign_{j}", np.arange(k) * n + j, np.ones(k), "eq", 1.0)
         )
-    for i in range(k):
-        xcols = i * n + allj
-        for h in range(H):
-            ish = colors == h
-            under = np.full(n, r[h] - params.beta[h])
-            under[ish] -= 1.0
-            rows.append(
-                Row(
-                    f"under_{i}_{h}",
-                    np.concatenate([xcols, [lay["u"] + i * H + h]]),
-                    np.concatenate([under, [-1.0]]),
-                    "eq",
-                    0.0,
+    # t_ih bounds the under- and over-representation of color h in cluster i:
+    # (r_h - beta_h) size_i - size_ih <= t_ih and
+    # size_ih - (r_h + alpha_h) size_i <= t_ih, written out in x
+    under = np.empty((H, n))
+    over = np.empty((H, n))
+    for h in range(H):
+        ish = colors == h
+        under[h] = r[h] - params.beta[h]
+        under[h, ish] -= 1.0
+        over[h] = -(r[h] + params.alpha[h])
+        over[h, ish] += 1.0
+    for tag, coef in (("under", under), ("over", over)):
+        for i in range(k):
+            xcols = i * n + allj
+            for h in range(H):
+                rows.append(
+                    Row(
+                        f"{tag}_{i}_{h}",
+                        np.concatenate([xcols, [lay["t"] + i * H + h]]),
+                        np.concatenate([coef[h], [-1.0]]),
+                        "le",
+                        0.0,
+                    )
                 )
-            )
-    for i in range(k):
-        xcols = i * n + allj
-        for h in range(H):
-            ish = colors == h
-            over = np.full(n, -(r[h] + params.alpha[h]))
-            over[ish] += 1.0
-            rows.append(
-                Row(
-                    f"over_{i}_{h}",
-                    np.concatenate([xcols, [lay["o"] + i * H + h]]),
-                    np.concatenate([over, [-1.0]]),
-                    "eq",
-                    0.0,
-                )
-            )
-    for i in range(k):
-        for h in range(H):
-            rows.append(
-                Row(
-                    f"ucap_{i}_{h}",
-                    np.array([lay["u"] + i * H + h, lay["t"] + i * H + h]),
-                    np.array([1.0, -1.0]),
-                    "le",
-                    0.0,
-                )
-            )
-    for i in range(k):
-        for h in range(H):
-            rows.append(
-                Row(
-                    f"ocap_{i}_{h}",
-                    np.array([lay["o"] + i * H + h, lay["t"] + i * H + h]),
-                    np.array([1.0, -1.0]),
-                    "le",
-                    0.0,
-                )
-            )
-    nearest = np.argmin(dist_pow, axis=1)
     meta = {
         "k": k,
         "n": n,
@@ -178,7 +137,6 @@ def _build_common(instance: Instance, params: Params, centers, dist_pow, with_z)
         "params": params,
         "instance": instance,
         "dist_pow": dist_pow,
-        "nearest": nearest,
         "centers": np.asarray(centers, dtype=np.float64),
     }
     return lay, lower, upper, rows, meta, dist_pow
@@ -242,123 +200,8 @@ def build_utilitarian_lp(
     return LPModel(lay["num_vars"], obj, rows, lower, upper, meta)
 
 
-def _to_standard(model: LPModel):
-    m = len(model.rows)
-    num_le = sum(1 for row in model.rows if row.sense == "le")
-    nv = model.num_vars
-    N = nv + num_le
-    cols = []
-    rws = []
-    vals = []
-    b = np.empty(m)
-    slack_of_row = np.full(m, -1, dtype=np.int64)
-    s = nv
-    for ri, row in enumerate(model.rows):
-        cols.append(row.cols)
-        rws.append(np.full(len(row.cols), ri))
-        vals.append(row.vals)
-        b[ri] = row.rhs
-        if row.sense == "le":
-            cols.append(np.array([s]))
-            rws.append(np.array([ri]))
-            vals.append(np.array([1.0]))
-            slack_of_row[ri] = s
-            s += 1
-        elif row.sense != "eq":
-            raise LPError(f"unknown row sense {row.sense!r}")
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rws), np.concatenate(cols))),
-        shape=(m, N),
-    ).tocsc()
-    c = np.concatenate([model.objective, np.zeros(num_le)])
-    lower = np.concatenate([model.lower, np.zeros(num_le)])
-    upper = np.concatenate([model.upper, np.full(num_le, np.inf)])
-    return A, b, c, lower, upper, slack_of_row
-
-
-def _crash_basis(model: LPModel, slack_of_row: np.ndarray) -> np.ndarray:
-    """Feasible starting basis from the nearest-center integral assignment."""
-    meta = model.meta
-    k, n, H = meta["k"], meta["n"], meta["H"]
-    lay = meta["layout"]
-    inst: Instance = meta["instance"]
-    params: Params = meta["params"]
-    nearest = meta["nearest"]
-    sizes = np.bincount(nearest, minlength=k).astype(np.float64)
-    size_h = np.zeros((k, H))
-    np.add.at(size_h, (nearest, inst.colors), 1.0)
-    r = inst.proportions
-    uval = (r - params.beta)[None, :] * sizes[:, None] - size_h
-    oval = size_h - (r + params.alpha)[None, :] * sizes[:, None]
-    tval = np.maximum(np.maximum(uval, oval), 0.0)
-    basis = np.empty(len(model.rows), dtype=np.int64)
-    ri = 0
-    for j in range(n):
-        basis[ri] = nearest[j] * n + j
-        ri += 1
-    for i in range(k):
-        for h in range(H):
-            basis[ri] = lay["u"] + i * H + h
-            ri += 1
-    for i in range(k):
-        for h in range(H):
-            basis[ri] = lay["o"] + i * H + h
-            ri += 1
-    ucap0 = ri
-    for i in range(k):
-        for h in range(H):
-            if tval[i, h] > 0.0 and uval[i, h] >= oval[i, h]:
-                basis[ri] = lay["t"] + i * H + h
-            else:
-                basis[ri] = slack_of_row[ri]
-            ri += 1
-    for i in range(k):
-        for h in range(H):
-            if tval[i, h] > 0.0 and uval[i, h] < oval[i, h]:
-                basis[ri] = lay["t"] + i * H + h
-            else:
-                basis[ri] = slack_of_row[ri]
-            ri += 1
-    del ucap0
-    if meta["kind"] == "rawlsian":
-        counts = inst.counts
-        dist_pow = meta["dist_pow"]
-        dsel = dist_pow[np.arange(n), nearest]
-        disu = np.empty(H)
-        for h in range(H):
-            disu[h] = (
-                params.lam * dsel[inst.colors == h].sum()
-                + (1.0 - params.lam) * tval[:, h].sum()
-            ) / counts[h]
-        h_star = int(np.argmax(disu))
-        for h in range(H):
-            basis[ri] = lay["z"] if h == h_star else slack_of_row[ri]
-            ri += 1
-    if ri != len(model.rows):
-        raise InternalInvariantError("crash basis row count mismatch")
-    return basis
-
-
-class BuiltinSolver:
-    """Own revised simplex; intended for small and medium models."""
-
-    name = "builtin"
-
-    def solve(self, model: LPModel, tolerance: float) -> tuple[np.ndarray, float, str]:
-        A, b, c, lower, upper, slack_of_row = _to_standard(model)
-        basis = _crash_basis(model, slack_of_row)
-        res = simplex.solve_standard(
-            A, b, c, lower, upper, basis=basis, tol=tolerance
-        )
-        return (
-            res.x[: model.num_vars],
-            res.objective,
-            f"builtin:optimal:iters={res.iterations}",
-        )
-
-
 class HighsSolver:
-    """scipy.optimize.linprog backend (HiGHS), for desk-scale models.
+    """scipy.optimize.linprog backend (HiGHS).
 
     Assignment models with k > _CANDIDATES centers are solved by column
     generation: the first LP keeps only the x columns of each point's
@@ -455,36 +298,27 @@ def _initial_columns(model: LPModel) -> np.ndarray:
     return keep
 
 
-def _pick_solver(model: LPModel, solver):
-    if solver is None or solver == "auto":
-        if model.num_vars <= _AUTO_VARS and len(model.rows) <= _AUTO_ROWS:
-            return BuiltinSolver()
-        return HighsSolver()
-    if solver == "builtin":
-        return BuiltinSolver()
-    if solver == "highs":
-        return HighsSolver()
-    if hasattr(solver, "solve"):
-        return solver
-    raise LPError(f"unknown solver {solver!r}")
-
-
 def solve_lp(
     model: LPModel,
     tolerance: float | None = None,
-    solver="auto",
+    solver=None,
 ) -> FractionalSolution:
-    """Solve the model and return a cleaned fractional assignment.
+    """Solve the model with HiGHS and return a cleaned fractional assignment.
 
-    x entries below 1e-12 are snapped to zero; u, o are recomputed from x by
-    their defining equalities and t = max(u, o, 0), so the reported variables
-    are mutually consistent. The reported objective is the direct evaluation
-    of the objective expression on those variables.
+    solver replaces HiGHS with any object that has a
+    solve(model, tolerance) -> (x, objective, status) method.
+    x entries below 1e-12 are snapped to zero; u, o are computed from x and
+    t = max(u, o, 0), so the reported variables are mutually consistent. The
+    reported objective is the direct evaluation of the objective expression
+    on those variables.
     """
     if tolerance is None:
         tolerance = model.meta["params"].lp_tolerance
-    backend = _pick_solver(model, solver)
-    xvec, raw_obj, status = backend.solve(model, tolerance)
+    if solver is None:
+        solver = HighsSolver()
+    elif not hasattr(solver, "solve"):
+        raise LPError(f"solver {solver!r} has no solve(model, tolerance) method")
+    xvec, raw_obj, status = solver.solve(model, tolerance)
     meta = model.meta
     k, n, H = meta["k"], meta["n"], meta["H"]
     inst: Instance = meta["instance"]
@@ -535,7 +369,11 @@ def fractional_objective(model: LPModel, x: np.ndarray, t: np.ndarray) -> float:
 
 
 def to_lp_text(model: LPModel) -> str:
-    """Textual export in the common LP interchange layout."""
+    """Textual export in the common LP interchange layout.
+
+    Variables: x_i_j (point j's share of center i, in [0, 1]), t_i_h (color
+    h's proportion violation in cluster i, >= 0) and, for the Rawlsian
+    model, the free z."""
     out = [f"\\ welfair {model.meta.get('kind', 'model')} assignment model"]
     out.append("Minimize")
     terms = [

@@ -45,7 +45,6 @@ def _lp_pipeline(
     params: Params,
     seed: int,
     restarts: int,
-    solver,
     kind: str,
     center_method: str,
     lp_builder,
@@ -60,7 +59,7 @@ def _lp_pipeline(
     t1 = time.perf_counter()
     dist_pow = pairwise_pow(instance.features, cs.centers, params.p)
     model = lp_builder(instance, params, cs.centers, dist_pow)
-    frac = lp_mod.solve_lp(model, solver=solver)
+    frac = lp_mod.solve_lp(model)
     t2 = time.perf_counter()
     integral = rounder(frac.x, instance, params, dist_pow)
     t3 = time.perf_counter()
@@ -99,7 +98,6 @@ def rawlsian_alg(
     params: Params,
     seed: int = 0,
     restarts: int = 10,
-    solver="auto",
     center_set: centers_mod.CenterSet | None = None,
 ) -> RunResult:
     """Socially-fair centers, min-max LP, per-color flow rounding."""
@@ -108,7 +106,6 @@ def rawlsian_alg(
         params,
         seed,
         restarts,
-        solver,
         "rawlsian",
         "socially_fair",
         lp_mod.build_rawlsian_lp,
@@ -122,7 +119,6 @@ def utilitarian_alg(
     params: Params,
     seed: int = 0,
     restarts: int = 10,
-    solver="auto",
     center_set: centers_mod.CenterSet | None = None,
 ) -> RunResult:
     """Weighted-Lloyd centers, sum LP, joint flow rounding."""
@@ -131,7 +127,6 @@ def utilitarian_alg(
         params,
         seed,
         restarts,
-        solver,
         "utilitarian",
         "weighted",
         lp_mod.build_utilitarian_lp,

@@ -145,11 +145,11 @@ def test_02_golden_two_coincident_blobs():
     base = evaluate_baseline(inst, params, "socially_fair", seed=0, restarts=3)
     assert abs(base.report.R - 0.5) <= 1e-12
 
-    res_r = rawlsian_alg(inst, params, seed=0, restarts=3, solver="auto")
+    res_r = rawlsian_alg(inst, params, seed=0, restarts=3)
     bound_r = 0.05 + (1.0 - lam) * c_r + 1e-6
     assert res_r.report.R <= bound_r
 
-    res_u = utilitarian_alg(inst, params, seed=0, restarts=3, solver="auto")
+    res_u = utilitarian_alg(inst, params, seed=0, restarts=3)
     bound_u = 0.1 + (1.0 - lam) * c_u + 1e-6
     assert res_u.report.U <= bound_u
 
@@ -181,7 +181,7 @@ def test_03_lp_rounding_sandwich_vs_brute_force():
             ("rawlsian", rawlsian_alg),
             ("utilitarian", utilitarian_alg),
         ):
-            res = alg(inst, params, seed=trial, restarts=2, solver="builtin")
+            res = alg(inst, params, seed=trial, restarts=2)
             _, brute_val = brute_force_assignment(
                 inst, params, res.solution.centers, objective
             )
@@ -348,7 +348,7 @@ def test_07_gap_sweep_desk_scale(adult_norm):
             cs = best_of_restarts(inst, k, method, restarts=3, seed=0)
             for lam in lambdas:
                 params = Params.with_delta(inst, k=k, lam=lam, delta=0.01, p=2)
-                res = alg(inst, params, center_set=cs, solver="auto")
+                res = alg(inst, params, center_set=cs)
                 assert res.gap <= res.gap_bound + params.lp_tolerance, (
                     f"{objective} k={k} lambda={lam}: gap {res.gap!r} above "
                     f"bound {res.gap_bound!r}"
@@ -381,7 +381,7 @@ def test_08_dominance_at_desk_scale(adult_norm):
         for k in range(4, 13):
             for seed in range(3):
                 params = Params.with_delta(inst, k=k, lam=0.5, delta=0.01, p=2)
-                ours = alg(inst, params, seed=seed, restarts=3, solver="auto")
+                ours = alg(inst, params, seed=seed, restarts=3)
                 results = [ours] + [
                     evaluate_baseline(inst, params, m, seed=seed, restarts=3)
                     for m in ("vanilla", "weighted", "socially_fair")
@@ -408,7 +408,7 @@ def test_09_end_to_end_runtime(adult_norm):
     inst = adult_norm["rawlsian"]
     params = Params.with_delta(inst, k=4, lam=0.5, delta=0.01, p=2)
     t0 = time.perf_counter()
-    res = rawlsian_alg(inst, params, seed=0, solver="auto")
+    res = rawlsian_alg(inst, params, seed=0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     assert not res.flags

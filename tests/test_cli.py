@@ -44,7 +44,6 @@ def finished_run(dataset, tmp_path_factory):
         lambdas=[0.3, 0.7],
         restarts=2,
         out_dir=str(out),
-        solver="builtin",
     )
     out_csv = run_experiment(config)
     return config, out_csv
@@ -85,6 +84,48 @@ class TestConfig:
         assert _parse_ints("4:6") == [4, 5, 6]
         assert _parse_ints("2,5,9") == [2, 5, 9]
         assert _parse_floats("0.1,0.5") == [0.1, 0.5]
+
+
+class TestConfigErrors:
+    """A bad config file exits 1 with a message naming the problem."""
+
+    def _run(self, tmp_path, text, capsys):
+        cpath = tmp_path / "config.json"
+        cpath.write_text(text, encoding="utf-8")
+        code = main(["run", "--config", str(cpath)])
+        return code, capsys.readouterr().err
+
+    def test_old_solver_key_named(self, tmp_path, capsys):
+        raw = {"data": "d.csv", "feature_columns": ["a"], "group_column": "g"}
+        raw["solver"] = "builtin"
+        code, err = self._run(tmp_path, json.dumps(raw), capsys)
+        assert code == 1
+        assert "unknown key(s) 'solver'" in err
+
+    def test_unknown_keys_all_named(self, tmp_path, capsys):
+        raw = {"data": "d.csv", "feature_columns": ["a"], "group_column": "g"}
+        raw.update(colour="x", kk=[2])
+        code, err = self._run(tmp_path, json.dumps(raw), capsys)
+        assert code == 1
+        assert "'colour', 'kk'" in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"data"', "null"])
+    def test_not_an_object(self, tmp_path, capsys, text):
+        code, err = self._run(tmp_path, text, capsys)
+        assert code == 1
+        assert "must hold a JSON object" in err
+
+    def test_malformed_json(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, '{"data": "d.csv",', capsys)
+        assert code == 1
+        assert "not valid JSON" in err
+
+    def test_missing_required_key(self, tmp_path, capsys):
+        code, err = self._run(
+            tmp_path, json.dumps({"data": "d.csv", "feature_columns": ["a"]}), capsys
+        )
+        assert code == 1
+        assert "missing key(s) group_column" in err
 
 
 class TestRunExperiment:
@@ -170,7 +211,6 @@ class TestRunExperiment:
                 lambdas=[0.5],
                 restarts=2,
                 out_dir=str(tmp_path / d),
-                solver="builtin",
             )
             out_csv = run_experiment(config)
             with open(out_csv, newline="") as fh:
@@ -194,7 +234,6 @@ class TestRunExperiment:
                 lambdas=[0.4, 0.8],
                 restarts=2,
                 out_dir=str(tmp_path / d),
-                solver="builtin",
                 workers=workers,
             )
             out_csv = run_experiment(config)
@@ -218,7 +257,6 @@ class TestRunExperiment:
             lambdas=[0.5],
             restarts=1,
             out_dir=str(tmp_path),
-            solver="builtin",
             subsample=30,
             normalize=False,
         )
@@ -340,7 +378,6 @@ class TestMain:
                 "--k", "2",
                 "--lambdas", "0.5",
                 "--restarts", "1",
-                "--solver", "builtin",
                 "--out", str(tmp_path),
             ]
         )
@@ -357,7 +394,6 @@ class TestMain:
             k_range=[2, 3],
             lambdas=[0.5],
             restarts=1,
-            solver="builtin",
             out_dir=str(tmp_path / "unused"),
         )
         cpath = tmp_path / "config.json"
@@ -403,6 +439,68 @@ class TestMain:
             ["run", "--data", str(p), "--features", "x", "--group", "g"]
         )
         assert code == 2
+
+    def test_bad_lambda_exits_one(self, dataset, tmp_path, capsys):
+        path, feats = dataset
+        code = main(
+            [
+                "run", "--data", path, "--features", ",".join(feats),
+                "--group", "group", "--objective", "rawlsian", "--k", "2",
+                "--lambdas", "1.5", "--restarts", "1", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "lambda must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "0"], "k must be at least 1, got 0"),
+            (["--k", "3,-1"], "k must be at least 1, got -1"),
+            (["--k", ","], "k range is empty"),
+            (["--k", "2:1"], "k range is empty"),
+            (["--restarts", "0"], "restarts must be at least 1, got 0"),
+            (["--k", "two"], "not an integer range or list: 'two'"),
+            (["--lambdas", "0.5,x"], "not a list of numbers: '0.5,x'"),
+        ],
+    )
+    def test_bad_run_params_exit_one_before_loading(self, flags, message, capsys):
+        # the data file does not exist: the parameters are rejected first
+        argv = ["run", "--data", "/nonexistent/nope.csv", "--features", "a"]
+        code = main(argv + ["--group", "g"] + flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_k_above_n_exits_one(self, dataset, tmp_path, capsys):
+        path, feats = dataset
+        code = main(
+            [
+                "run", "--data", path, "--features", ",".join(feats),
+                "--group", "group", "--k", "2,61", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "k=61 exceeds n=60 points" in capsys.readouterr().err
+
+    def test_unknown_objective_in_config_exits_one(self, tmp_path, capsys):
+        cpath = tmp_path / "config.json"
+        cpath.write_text(
+            json.dumps(
+                {
+                    "data": "/nonexistent/nope.csv",
+                    "feature_columns": ["a"],
+                    "group_column": "g",
+                    "objective": "fair",
+                }
+            )
+        )
+        assert main(["run", "--config", str(cpath)]) == 1
+        assert "objective must be" in capsys.readouterr().err
+
+    def test_parser_has_no_solver_flag(self):
+        with pytest.raises(SystemExit) as ei:
+            main(["run", "--solver", "highs"])
+        assert ei.value.code == 1
 
     def test_parser_help_lists_subcommands(self):
         ap = build_parser()

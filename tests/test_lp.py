@@ -4,13 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from datagen import random_instance
 
 from welfair import lp as lp_mod
-from welfair.errors import BruteForceSizeError, LPInfeasibleError
+from welfair.errors import BruteForceSizeError, LPError, LPInfeasibleError, ParamError
 from welfair.lp import (
     HighsSolver,
     LPModel,
@@ -22,8 +22,9 @@ from welfair.lp import (
     solve_lp,
     to_lp_text,
 )
-from welfair.metrics import group_costs, pairwise_pow
-from welfair.model import Params, Solution
+from welfair.metrics import additive_constants, group_costs, pairwise_pow
+from welfair.model import Instance, Params, Solution
+from welfair.rounding import _floor_ceil, rawlsian_round, utilitarian_round
 
 
 def _setup(n=14, k=2, H=2, lam=0.5, delta=0.1, seed=0):
@@ -39,17 +40,17 @@ class TestBuilders:
         inst, params, centers = _setup(n=10, k=3, H=2)
         m = build_rawlsian_lp(inst, params, centers)
         k, n, H = 3, 10, 2
-        assert m.num_vars == k * n + 3 * k * H + 1
-        # n assign + 2kH defining eq + 2kH caps + H disu
-        assert len(m.rows) == n + 4 * k * H + H
+        assert m.num_vars == k * n + k * H + 1
+        # n assign + kH under + kH over + H disu
+        assert len(m.rows) == n + 2 * k * H + H
         assert m.meta["kind"] == "rawlsian"
 
     def test_utilitarian_shape(self):
         inst, params, centers = _setup(n=10, k=3, H=2)
         m = build_utilitarian_lp(inst, params, centers)
         k, n, H = 3, 10, 2
-        assert m.num_vars == k * n + 3 * k * H
-        assert len(m.rows) == n + 4 * k * H
+        assert m.num_vars == k * n + k * H
+        assert len(m.rows) == n + 2 * k * H
         assert m.meta["kind"] == "utilitarian"
 
     def test_bounds(self):
@@ -58,9 +59,9 @@ class TestBuilders:
         lay = m.meta["layout"]
         kn = lay["kn"]
         assert np.all(m.lower[:kn] == 0) and np.all(m.upper[:kn] == 1)
-        t0, u0, o0, z = lay["t"], lay["u"], lay["o"], lay["z"]
-        assert np.all(m.lower[t0:u0] == 0)
-        assert np.all(np.isneginf(m.lower[u0 : o0 + (o0 - u0)]))
+        t0, z = lay["t"], lay["z"]
+        assert z == m.num_vars - 1
+        assert np.all(m.lower[t0:z] == 0) and np.all(np.isposinf(m.upper[t0:z]))
         assert np.isneginf(m.lower[z]) and np.isposinf(m.upper[z])
 
     def test_var_names_cover_layout(self):
@@ -70,7 +71,10 @@ class TestBuilders:
         assert names[0] == "x_0_0"
         assert names.count("z") == 1
         assert len(set(names)) == m.num_vars
-        assert "t_1_1" in names and "u_0_1" in names and "o_1_0" in names
+        assert "t_1_1" in names
+        assert names == [f"x_{i}_{j}" for i in range(2) for j in range(6)] + [
+            f"t_{i}_{h}" for i in range(2) for h in range(2)
+        ] + ["z"]
 
     def test_row_names_unique(self):
         inst, params, centers = _setup(n=6, k=2, H=2)
@@ -88,10 +92,39 @@ class TestBuilders:
         for ra, rb in zip(a.rows, b.rows):
             np.testing.assert_array_equal(ra.vals, rb.vals)
 
+    @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
+    def test_under_over_rows_bound_t(self, build):
+        # at t = 0 the under_i_h / over_i_h rows read the cluster's under- and
+        # over-representation; at t = max(u, o, 0) every one of them holds
+        inst, params, centers = _setup(n=12, k=3, H=3, delta=0.2, seed=5)
+        m = build(inst, params, centers)
+        k, n, H = params.k, inst.n, inst.num_colors
+        rng = np.random.default_rng(8)
+        x = rng.random((k, n))
+        x /= x.sum(axis=0)
+        sizes = x.sum(axis=1)
+        size_h = np.stack([x[:, inst.colors == h].sum(axis=1) for h in range(H)], 1)
+        r = inst.proportions
+        u = (r - params.beta)[None, :] * sizes[:, None] - size_h
+        o = size_h - (r + params.alpha)[None, :] * sizes[:, None]
+        v = np.zeros(m.num_vars)
+        v[: k * n] = x.ravel()
+        rows = {row.name: row for row in m.rows}
+        for i in range(k):
+            for h in range(H):
+                for tag, want in (("under", u[i, h]), ("over", o[i, h])):
+                    row = rows[f"{tag}_{i}_{h}"]
+                    assert row.sense == "le" and row.rhs == 0.0
+                    assert row.vals @ v[row.cols] == pytest.approx(want, abs=1e-12)
+        v[m.meta["layout"]["t"] : m.meta["layout"]["t"] + k * H] = np.maximum(
+            np.maximum(u, o), 0.0
+        ).ravel()
+        for row in m.rows:
+            if row.name.startswith(("under_", "over_")):
+                assert row.vals @ v[row.cols] <= 1e-12
+
     def test_center_count_mismatch(self):
         inst, params, centers = _setup(k=2)
-        from welfair.errors import LPError
-
         with pytest.raises(LPError):
             build_rawlsian_lp(inst, params, centers[:1])
 
@@ -129,7 +162,7 @@ class TestSolveLp:
         inst, params, centers = _setup(n=20, k=3, H=3, seed=3)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
-        frac = solve_lp(m, solver="builtin")
+        frac = solve_lp(m)
         assert frac.x.shape == (params.k, inst.n)
         assert np.all(frac.x >= 0.0) and np.all(frac.x <= 1.0)
         np.testing.assert_allclose(frac.x.sum(axis=0), 1.0, atol=1e-6)
@@ -140,22 +173,10 @@ class TestSolveLp:
         assert frac.objective == pytest.approx(frac.solver_objective, abs=1e-6)
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_builtin_matches_highs(self, kind, seed):
-        inst, params, centers = _setup(
-            n=18, k=3, H=2, lam=[0.2, 0.5, 0.8, 1.0][seed], seed=seed
-        )
-        build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
-        a = solve_lp(m, solver="builtin")
-        b = solve_lp(m, solver="highs")
-        assert a.objective == pytest.approx(b.objective, abs=1e-6)
-
-    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     def test_lp_lower_bounds_brute_force(self, kind):
         inst, params, centers = _setup(n=7, k=2, H=2, lam=0.4, seed=9)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        frac = solve_lp(build(inst, params, centers), solver="builtin")
+        frac = solve_lp(build(inst, params, centers))
         _, best = brute_force_assignment(inst, params, centers, kind)
         assert frac.objective <= best + 1e-7
 
@@ -190,6 +211,13 @@ class TestSolveLp:
         solve_lp(m, tolerance=1e-5, solver=Stub())
         assert calls == [1e-5]
 
+    @pytest.mark.parametrize("solver", ["highs", "builtin", "auto", 3])
+    def test_solver_without_solve_method_rejected(self, solver):
+        inst, params, centers = _setup(n=8, k=2, H=2)
+        m = build_utilitarian_lp(inst, params, centers)
+        with pytest.raises(LPError, match="no solve"):
+            solve_lp(m, solver=solver)
+
 
 def _linprog_spy(monkeypatch):
     """Record every scipy linprog call HighsSolver makes: (kwargs, result)."""
@@ -220,7 +248,7 @@ def _reduced_costs(model, res):
 def _all_columns(monkeypatch, model):
     with monkeypatch.context() as mp:
         mp.setattr(lp_mod, "_CANDIDATES", model.meta["k"])
-        return solve_lp(model, solver="highs")
+        return solve_lp(model)
 
 
 class TestHighsPricing:
@@ -236,7 +264,7 @@ class TestHighsPricing:
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         calls = _linprog_spy(monkeypatch)
-        got = solve_lp(m, solver="highs")
+        got = solve_lp(m)
         assert len(calls[0][0]["c"]) < m.num_vars  # the restriction was used
         want = _all_columns(monkeypatch, m)
         assert got.solver_objective == pytest.approx(
@@ -277,7 +305,7 @@ class TestHighsPricing:
         inst, params, centers = _setup(n=30, k=6, H=2, seed=1)
         m = build_utilitarian_lp(inst, params, centers)
         calls = _linprog_spy(monkeypatch)
-        solve_lp(m, tolerance=1e-6, solver="highs")
+        solve_lp(m, tolerance=1e-6)
         assert calls
         for kwargs, _ in calls:
             assert kwargs["options"] == {
@@ -293,7 +321,7 @@ class TestLambdaOneReductions:
     def test_utilitarian_reduces_to_weighted_nearest(self, seed):
         inst, params, centers = _setup(n=15, k=3, H=2, lam=1.0, seed=seed)
         m = build_utilitarian_lp(inst, params, centers)
-        frac = solve_lp(m, solver="builtin")
+        frac = solve_lp(m)
         dist = pairwise_pow(inst.features, centers, params.p)
         want = float(
             (dist.min(axis=1) / inst.counts[inst.colors]).sum()
@@ -306,7 +334,7 @@ class TestLambdaOneReductions:
         # routes every point to its nearest center
         inst, params, centers = _setup(n=15, k=3, H=2, lam=1.0, seed=seed + 10)
         m = build_rawlsian_lp(inst, params, centers)
-        frac = solve_lp(m, solver="builtin")
+        frac = solve_lp(m)
         dist = pairwise_pow(inst.features, centers, params.p)
         dmin = dist.min(axis=1)
         want = max(
@@ -325,6 +353,16 @@ class TestExport:
         assert " obj: +1 z" in text
         assert "assign_0:" in text and "disu_1:" in text
         assert " z free" in text
+
+    def test_only_z_is_free(self):
+        inst, params, centers = _setup(n=6, k=2, H=2)
+        for build, want in (
+            (build_rawlsian_lp, [" z free"]),
+            (build_utilitarian_lp, []),
+        ):
+            text = to_lp_text(build(inst, params, centers))
+            assert [ln for ln in text.splitlines() if ln.endswith(" free")] == want
+            assert " t_1_1 >= 0" in text
 
     def test_seventeen_digit_floats(self):
         inst, params, centers = _setup(n=6, k=2, H=2)
@@ -406,7 +444,7 @@ def test_solve_lp_property(seed, lam, delta):
     params = Params.with_delta(inst, k, lam, delta)
     centers = inst.features[rng.choice(n, size=k, replace=False)]
     m = build_utilitarian_lp(inst, params, centers)
-    frac = solve_lp(m, solver="builtin")
+    frac = solve_lp(m)
     # t is exactly the elementwise max of (u, o, 0)
     np.testing.assert_array_equal(
         frac.t, np.maximum(np.maximum(frac.u, frac.o), 0.0)
@@ -414,7 +452,50 @@ def test_solve_lp_property(seed, lam, delta):
     np.testing.assert_allclose(frac.x.sum(axis=0), 1.0, atol=1e-6)
     assert frac.objective >= -1e-12
     # nearest-center integral assignment upper-bounds the LP optimum
-    dist = m.meta["dist_pow"]
-    nearest = m.meta["nearest"]
+    nearest = np.argmin(m.meta["dist_pow"], axis=1)
     rep = group_costs(inst, Solution(centers, nearest), params)
     assert frac.objective <= rep.U + 1e-7
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    H=st.integers(2, 4),
+    n=st.integers(4, 8),
+    k=st.sampled_from([2, 3]),
+    p=st.sampled_from([1, 2]),
+    lam=st.floats(0.0, 1.0),
+    delta=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+    kind=st.sampled_from(["rawlsian", "utilitarian"]),
+)
+def test_lp_brute_rounding_sandwich_property(seed, H, n, k, p, lam, delta, kind):
+    # LP <= brute-force optimum <= rounded <= LP + (1 - lambda) C, and every
+    # rounded (cluster, color) mass within floor/ceil of the LP's
+    assume(H <= n)
+    rng = np.random.default_rng(seed)
+    colors = np.concatenate([np.arange(H), rng.integers(0, H, size=n - H)])
+    rng.shuffle(colors)
+    inst = Instance(rng.normal(size=(n, 2)), colors, [f"g{h}" for h in range(H)])
+    params = Params.with_delta(inst, k, lam, delta, p)
+    try:
+        params.validate(inst)
+    except ParamError:
+        assume(False)
+    centers = inst.features[rng.choice(n, size=k, replace=False)]
+    dist = pairwise_pow(inst.features, centers, p)
+    build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+    rounder = rawlsian_round if kind == "rawlsian" else utilitarian_round
+    frac = solve_lp(build(inst, params, centers, dist))
+    _, brute = brute_force_assignment(inst, params, centers, kind)
+    integral = rounder(frac.x, inst, params, dist)
+    c_r, c_u = additive_constants(inst, params)
+    bound = (1.0 - lam) * (c_r if kind == "rawlsian" else c_u)
+    tol = params.lp_tolerance
+    assert frac.objective <= brute + tol
+    assert brute <= integral.objective + 1e-12
+    assert integral.objective <= frac.objective + bound + tol
+    for h in range(H):
+        mass = frac.x[:, colors == h].sum(axis=1)
+        for i in range(k):
+            lo, hi = _floor_ceil(float(mass[i]))
+            assert lo <= integral.color_mass[i, h] <= hi

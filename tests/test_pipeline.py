@@ -27,7 +27,7 @@ class TestAlgorithms:
     def test_result_contract(self, alg, name):
         inst = _inst(seed=1)
         params = Params.with_delta(inst, 3, 0.5, 0.1)
-        res = alg(inst, params, seed=0, restarts=3, solver="builtin")
+        res = alg(inst, params, seed=0, restarts=3)
         assert res.method == name
         assert set(res.timings) == {"centers", "lp", "round", "total"}
         assert np.isfinite(res.lp_objective)
@@ -47,7 +47,7 @@ class TestAlgorithms:
         inst = _inst(n=24, H=2, seed=seed)
         params = Params.with_delta(inst, 3, lam, 0.05)
         for alg in (rawlsian_alg, utilitarian_alg):
-            res = alg(inst, params, seed=seed, restarts=2, solver="builtin")
+            res = alg(inst, params, seed=seed, restarts=2)
             assert res.gap <= res.gap_bound + params.lp_tolerance
             assert res.flags == []
 
@@ -56,7 +56,7 @@ class TestAlgorithms:
         inst = _inst(n=26, H=3, seed=3)
         params = Params.with_delta(inst, 3, 1.0, 0.1)
         for alg in (rawlsian_alg, utilitarian_alg):
-            res = alg(inst, params, seed=0, restarts=2, solver="builtin")
+            res = alg(inst, params, seed=0, restarts=2)
             assert res.gap_bound == 0.0
             assert res.gap <= params.lp_tolerance
             assert res.flags == []
@@ -64,16 +64,16 @@ class TestAlgorithms:
     def test_lp_objective_lower_bounds_value(self):
         inst = _inst(n=28, seed=9)
         params = Params.with_delta(inst, 3, 0.4, 0.1)
-        res = rawlsian_alg(inst, params, seed=0, restarts=2, solver="builtin")
+        res = rawlsian_alg(inst, params, seed=0, restarts=2)
         assert res.lp_objective <= res.report.R + params.lp_tolerance
 
     def test_center_set_passthrough(self):
         inst = _inst(seed=4)
         params = Params.with_delta(inst, 3, 0.5, 0.1)
         cs = best_of_restarts(inst, 3, "socially_fair", 3, 0)
-        a = rawlsian_alg(inst, params, seed=0, restarts=3, solver="builtin")
+        a = rawlsian_alg(inst, params, seed=0, restarts=3)
         b = rawlsian_alg(
-            inst, params, seed=0, restarts=3, solver="builtin", center_set=cs
+            inst, params, seed=0, restarts=3, center_set=cs
         )
         np.testing.assert_array_equal(a.solution.centers, b.solution.centers)
         np.testing.assert_array_equal(a.solution.assignment, b.solution.assignment)
@@ -82,8 +82,8 @@ class TestAlgorithms:
     def test_deterministic(self):
         inst = _inst(seed=6)
         params = Params.with_delta(inst, 2, 0.3, 0.05)
-        a = utilitarian_alg(inst, params, seed=1, restarts=2, solver="builtin")
-        b = utilitarian_alg(inst, params, seed=1, restarts=2, solver="builtin")
+        a = utilitarian_alg(inst, params, seed=1, restarts=2)
+        b = utilitarian_alg(inst, params, seed=1, restarts=2)
         np.testing.assert_array_equal(a.solution.assignment, b.solution.assignment)
         assert a.report.U == b.report.U
 
@@ -127,7 +127,7 @@ class TestDominance:
         inst = adult_like(n=120, seed=1)
         params = Params.with_delta(inst, 3, 0.5, 0.01)
         alg = rawlsian_alg if objective == "rawlsian" else utilitarian_alg
-        out = [alg(inst, params, seed=0, restarts=3, solver="builtin")]
+        out = [alg(inst, params, seed=0, restarts=3)]
         for m in ("vanilla", "weighted", "socially_fair"):
             out.append(evaluate_baseline(inst, params, m, seed=0, restarts=3))
         return out
