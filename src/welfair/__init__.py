@@ -60,8 +60,10 @@ from .rounding import (
     IntegralAssignment,
     build_rawlsian_networks,
     build_utilitarian_network,
+    Support,
     min_cost_flow,
     rawlsian_round,
+    split_support,
     utilitarian_round,
 )
 
@@ -86,6 +88,7 @@ __all__ = [
     "Params",
     "RunResult",
     "Solution",
+    "Support",
     "WelfairError",
     "additive_constants",
     "apply_normalization",
@@ -111,6 +114,7 @@ __all__ = [
     "socially_fair_centers",
     "socially_fair_cost",
     "solve_lp",
+    "split_support",
     "to_lp_text",
     "utilitarian_alg",
     "utilitarian_round",

@@ -19,8 +19,10 @@ import numpy as np
 
 from . import __version__, centers, pipeline, svgchart
 from .errors import (
+    CenterError,
     DataError,
     InternalInvariantError,
+    NormalizationError,
     ParamError,
     WelfairError,
 )
@@ -237,6 +239,9 @@ def _check_run_params(config: ExperimentConfig) -> None:
         raise ParamError(f"k must be at least 1, got {bad[0]}")
     if config.restarts < 1:
         raise ParamError(f"restarts must be at least 1, got {config.restarts}")
+    for lam in config.lambdas:
+        if not 0.0 <= lam <= 1.0:
+            raise ParamError(f"lambda must lie in [0, 1], got {lam}")
 
 
 def _run_one(task, config: ExperimentConfig) -> list[pipeline.RunResult]:
@@ -367,13 +372,17 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
     rng = np.random.default_rng(seed)
     failures = 0
     for trial in range(count):
+        H = int(rng.integers(2, 4))
+        k = int(rng.integers(2, 4))
+        # brute force enumerates k^n assignments; n <= 8 keeps 20 trials at a
+        # few seconds
         n = int(rng.integers(4, 9))
-        colors = np.array([j % 2 for j in range(n)], dtype=np.int64)
+        colors = np.arange(n, dtype=np.int64) % H
         X = rng.normal(size=(n, 2))
-        inst = Instance(X, colors, ["a", "b"])
+        inst = Instance(X, colors, [f"g{h}" for h in range(H)])
         lam = [0.3, 0.5, 0.7][trial % 3]
-        params = Params.with_delta(inst, 2, lam, 0.0, 2)
-        idx = rng.choice(n, size=2, replace=False)
+        params = Params.with_delta(inst, k, lam, 0.0, 2)
+        idx = rng.choice(n, size=k, replace=False)
         ctrs = X[np.sort(idx)]
         dist = pairwise_pow(X, ctrs, 2)
         c_r, c_u = additive_constants(inst, params)
@@ -390,7 +399,9 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
                 ok = False
             if integral.objective > best + bound + params.lp_tolerance:
                 ok = False
-        print(f"{'PASS' if ok else 'FAIL'} trial {trial}: n={n} lambda={lam}")
+        print(
+            f"{'PASS' if ok else 'FAIL'} trial {trial}: n={n} H={H} k={k} lambda={lam}"
+        )
         if not ok:
             failures += 1
     print(f"oracle-check: {count - failures}/{count} passed")
@@ -536,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ParamError) as e:
         print(f"welfair: {e}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, CenterError, NormalizationError, FileNotFoundError) as e:
         print(f"welfair: data error: {e}", file=sys.stderr)
         return 2
     except InternalInvariantError as e:

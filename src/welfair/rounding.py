@@ -1,15 +1,18 @@
 """Min-cost-flow rounding of fractional assignments.
 
-One network per color for the min-max objective (colors round independently);
-a single layered network for the sum objective. Node demands carry the floor
-of each fractional mass and slack arcs carry ceil - floor, so the integral
-masses stay inside [floor, ceil] exactly.
+A point whose LP column has a single positive entry can only go to that
+center, so it is fixed before any network is built (`split_support`); an LP
+vertex leaves few other points. The networks hold only those fractional
+points plus O(kH) nodes: one network per color for the min-max objective
+(colors round independently), a single layered network for the sum objective.
+Node demands carry the floor of each fractional mass, less the fixed points
+it already holds, and slack arcs carry ceil - floor, so the integral masses
+stay inside [floor, ceil] exactly; both rounders check that at the end.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +24,17 @@ from .model import Instance, Params
 _MASS_EPS = 1e-9
 
 
-def snap_mass(v: float, eps: float = _MASS_EPS) -> float:
-    """Treat a mass within eps of an integer as that integer."""
-    r = round(v)
-    return float(r) if abs(v - r) <= eps else float(v)
+def snap_mass(v, eps: float = _MASS_EPS):
+    """Treat a mass within eps of an integer as that integer (elementwise)."""
+    v = np.asarray(v, dtype=np.float64)
+    r = np.round(v)
+    return np.where(np.abs(v - r) <= eps, r, v)
 
 
-def _floor_ceil(v: float) -> tuple[int, int]:
+def _floor_ceil(v):
+    """Floor and ceil of a snapped mass, or of each mass in an array."""
     s = snap_mass(v)
-    return int(math.floor(s)), int(math.ceil(s))
+    return np.floor(s).astype(np.int64), np.ceil(s).astype(np.int64)
 
 
 @dataclass
@@ -82,64 +87,127 @@ class IntegralAssignment:
     flow_cost: float
 
 
+@dataclass
+class Support:
+    """An LP vertex split for rounding: the points it fixes, the fractional
+    rest, and the floor/ceil of every mass the rounding keeps."""
+
+    assignment: np.ndarray   # (n,) center of each fixed point, -1 if fractional
+    frac: np.ndarray         # ids of the fractional points, ascending
+    col_lo: np.ndarray       # (k, H) floor of each (cluster, color) mass
+    col_hi: np.ndarray       # (k, H) ceil of each (cluster, color) mass
+    col_rest: np.ndarray     # (k, H) col_lo minus the fixed points it holds
+    clu_lo: np.ndarray       # (k,) floor of each cluster size
+    clu_hi: np.ndarray       # (k,) ceil of each cluster size
+
+
+def split_support(xfrac: np.ndarray, instance: Instance) -> Support:
+    """Fix every point whose x column has exactly one positive entry.
+
+    Such a point has a single arc in any rounding network, so every feasible
+    flow sends it to that center; the networks then hold only the fractional
+    points, with the colcenter floors lowered by the fixed counts.
+    """
+    k = xfrac.shape[0]
+    H = instance.num_colors
+    colors = instance.colors
+    pos = xfrac > 0.0
+    is_fixed = np.count_nonzero(pos, axis=0) == 1
+    assignment = np.where(is_fixed, pos.argmax(axis=0), -1)
+    mass = np.stack([xfrac[:, colors == h].sum(axis=1) for h in range(H)], axis=1)
+    col_lo, col_hi = _floor_ceil(mass)
+    cells = assignment[is_fixed] * H + colors[is_fixed]
+    col_rest = col_lo - np.bincount(cells, minlength=k * H).reshape(k, H)
+    if np.any(col_rest < 0):
+        raise InternalInvariantError(
+            "fixed points exceed the floor of their (cluster, color) mass"
+        )
+    clu_lo, clu_hi = _floor_ceil(xfrac.sum(axis=1))
+    return Support(
+        assignment=assignment,
+        frac=np.nonzero(~is_fixed)[0],
+        col_lo=col_lo,
+        col_hi=col_hi,
+        col_rest=col_rest,
+        clu_lo=clu_lo,
+        clu_hi=clu_hi,
+    )
+
+
+def _network(
+    xfrac: np.ndarray,
+    instance: Instance,
+    dist_pow: np.ndarray,
+    pts: np.ndarray,
+    color_node: np.ndarray,
+    demand: np.ndarray,
+    slack: tuple[np.ndarray, np.ndarray, np.ndarray],
+    labels: list[tuple],
+) -> FlowNetwork:
+    """Nodes 0..len(pts)-1 are pts; one unit arc per positive x entry, in
+    (center, point) order, to node color_node[center, color], then the slack
+    arcs (tails, heads, caps) at zero cost."""
+    centers, local = np.nonzero(xfrac[:, pts] > 0.0)
+    glob = pts[local]
+    colors = instance.colors[glob]
+    tail, head, cap = slack
+    none = np.full(len(tail), -1, dtype=np.int64)
+    net = FlowNetwork(
+        num_nodes=len(demand),
+        demand=demand,
+        tail=np.concatenate([local, tail]),
+        head=np.concatenate([color_node[centers, colors], head]),
+        cap=np.concatenate([np.ones(len(local), dtype=np.int64), cap]),
+        cost=np.concatenate(
+            [dist_pow[glob, centers] / instance.counts[colors], np.zeros(len(tail))]
+        ),
+        node_labels=labels,
+        arc_point=np.concatenate([glob, none]),
+        arc_center=np.concatenate([centers, none]),
+    )
+    net.validate()
+    return net
+
+
 def build_rawlsian_networks(
     xfrac: np.ndarray,
     instance: Instance,
     params: Params,
     dist_pow: np.ndarray,
+    support: Support,
 ) -> list[FlowNetwork]:
-    """One independent rounding network per color, in color-id order."""
+    """One independent rounding network per color, in color-id order, over
+    that color's fractional points; support is split_support(xfrac, instance)."""
     k = xfrac.shape[0]
+    H = instance.num_colors
     nets = []
-    for h in range(instance.num_colors):
-        jh = np.nonzero(instance.colors == h)[0]
+    for h in range(H):
+        jh = support.frac[instance.colors[support.frac] == h]
         n_h = len(jh)
-        mass = xfrac[:, jh].sum(axis=1)
-        lo = np.empty(k, dtype=np.int64)
-        hi = np.empty(k, dtype=np.int64)
-        for i in range(k):
-            lo[i], hi[i] = _floor_ceil(mass[i])
         sink = n_h + k
-        demand = np.zeros(n_h + k + 1, dtype=np.int64)
-        demand[:n_h] = -1
-        demand[n_h: n_h + k] = lo
-        demand[sink] = n_h - int(lo.sum())
-        tails, heads, caps, costs, apt, act = [], [], [], [], [], []
-        nh_count = instance.counts[h]
-        for i in range(k):
-            for local, j in enumerate(jh):
-                if xfrac[i, j] > 0.0:
-                    tails.append(local)
-                    heads.append(n_h + i)
-                    caps.append(1)
-                    costs.append(dist_pow[j, i] / nh_count)
-                    apt.append(j)
-                    act.append(i)
-        for i in range(k):
-            tails.append(n_h + i)
-            heads.append(sink)
-            caps.append(int(hi[i] - lo[i]))
-            costs.append(0.0)
-            apt.append(-1)
-            act.append(-1)
+        lo = support.col_lo[:, h]
+        # the fixed points lower the colcenter floors only; the sink still
+        # takes the color's points above the full floors
+        demand = np.concatenate(
+            [
+                np.full(n_h, -1),
+                support.col_rest[:, h],
+                [instance.counts[h] - lo.sum()],
+            ]
+        ).astype(np.int64)
+        colcenter = n_h + np.arange(k)
         labels = (
             [("point", int(j)) for j in jh]
             + [("colcenter", i, h) for i in range(k)]
             + [("sink", h)]
         )
-        net = FlowNetwork(
-            num_nodes=sink + 1,
-            demand=demand,
-            tail=np.asarray(tails, dtype=np.int64),
-            head=np.asarray(heads, dtype=np.int64),
-            cap=np.asarray(caps, dtype=np.int64),
-            cost=np.asarray(costs, dtype=np.float64),
-            node_labels=labels,
-            arc_point=np.asarray(apt, dtype=np.int64),
-            arc_center=np.asarray(act, dtype=np.int64),
+        slack = (colcenter, np.full(k, sink), support.col_hi[:, h] - lo)
+        nets.append(
+            _network(
+                xfrac, instance, dist_pow, jh,
+                np.broadcast_to(colcenter[:, None], (k, H)), demand, slack, labels,
+            )
         )
-        net.validate()
-        nets.append(net)
     return nets
 
 
@@ -148,98 +216,58 @@ def build_utilitarian_network(
     instance: Instance,
     params: Params,
     dist_pow: np.ndarray,
+    support: Support,
 ) -> FlowNetwork:
-    """Single network: points -> per-color cluster nodes -> clusters -> sink."""
+    """Single network over the fractional points: points -> per-color cluster
+    nodes -> clusters -> sink; support is split_support(xfrac, instance)."""
     k = xfrac.shape[0]
-    n = instance.n
     H = instance.num_colors
-    colors = instance.colors
-    counts = instance.counts
-    col_lo = np.empty((k, H), dtype=np.int64)
-    col_hi = np.empty((k, H), dtype=np.int64)
-    for h in range(H):
-        jh = np.nonzero(colors == h)[0]
-        mass = xfrac[:, jh].sum(axis=1)
-        for i in range(k):
-            col_lo[i, h], col_hi[i, h] = _floor_ceil(mass[i])
-    clu_lo = np.empty(k, dtype=np.int64)
-    clu_hi = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        clu_lo[i], clu_hi[i] = _floor_ceil(float(xfrac[i, :].sum()))
+    col_lo, clu_lo = support.col_lo, support.clu_lo
     if np.any(clu_lo - col_lo.sum(axis=1) < 0):
         raise InternalInvariantError(
             "cluster floor below the sum of color floors; mass snapping drifted"
         )
-    base_cc = n
-    base_c = n + k * H
+    m = len(support.frac)
+    base_cc = m
+    base_c = m + k * H
     sink = base_c + k
-    demand = np.zeros(sink + 1, dtype=np.int64)
-    demand[:n] = -1
-    for i in range(k):
-        for h in range(H):
-            demand[base_cc + i * H + h] = col_lo[i, h]
-        demand[base_c + i] = clu_lo[i] - int(col_lo[i].sum())
-    demand[sink] = n - int(clu_lo.sum())
-    tails, heads, caps, costs, apt, act = [], [], [], [], [], []
-    for i in range(k):
-        nz = np.nonzero(xfrac[i] > 0.0)[0]
-        for j in nz:
-            h = colors[j]
-            tails.append(int(j))
-            heads.append(base_cc + i * H + int(h))
-            caps.append(1)
-            costs.append(dist_pow[j, i] / counts[h])
-            apt.append(int(j))
-            act.append(i)
-    for i in range(k):
-        for h in range(H):
-            tails.append(base_cc + i * H + h)
-            heads.append(base_c + i)
-            caps.append(int(col_hi[i, h] - col_lo[i, h]))
-            costs.append(0.0)
-            apt.append(-1)
-            act.append(-1)
-    for i in range(k):
-        tails.append(base_c + i)
-        heads.append(sink)
-        caps.append(int(clu_hi[i] - clu_lo[i]))
-        costs.append(0.0)
-        apt.append(-1)
-        act.append(-1)
+    # a fixed point counts toward both its colcenter's and its cluster's
+    # floor, so only the colcenter demands are lowered
+    demand = np.concatenate(
+        [
+            np.full(m, -1),
+            support.col_rest.ravel(),
+            clu_lo - col_lo.sum(axis=1),
+            [instance.n - clu_lo.sum()],
+        ]
+    ).astype(np.int64)
+    colcenter = base_cc + np.arange(k * H).reshape(k, H)
     labels = (
-        [("point", j) for j in range(n)]
+        [("point", int(j)) for j in support.frac]
         + [("colcenter", i, h) for i in range(k) for h in range(H)]
         + [("center", i) for i in range(k)]
         + [("sink",)]
     )
-    net = FlowNetwork(
-        num_nodes=sink + 1,
-        demand=demand,
-        tail=np.asarray(tails, dtype=np.int64),
-        head=np.asarray(heads, dtype=np.int64),
-        cap=np.asarray(caps, dtype=np.int64),
-        cost=np.asarray(costs, dtype=np.float64),
-        node_labels=labels,
-        arc_point=np.asarray(apt, dtype=np.int64),
-        arc_center=np.asarray(act, dtype=np.int64),
+    slack = (
+        np.concatenate([colcenter.ravel(), base_c + np.arange(k)]),
+        np.concatenate([base_c + np.repeat(np.arange(k), H), np.full(k, sink)]),
+        np.concatenate([(support.col_hi - col_lo).ravel(), support.clu_hi - clu_lo]),
     )
-    net.validate()
-    return net
+    return _network(
+        xfrac, instance, dist_pow, support.frac, colcenter, demand, slack, labels
+    )
 
 
 def min_cost_flow(net: FlowNetwork) -> FlowResult:
     """Successive shortest augmenting paths with node potentials.
 
-    Shortest-path ties resolve to the lowest node index. Supplies with a
-    single usable arc are routed up front; the resulting saturated point arcs
-    only admit residuals into dead-end nodes, which no useful path crosses,
-    so Dijkstra labels stay correct.
+    Shortest-path ties resolve to the lowest node index.
     """
     net.validate()
     V = net.num_nodes
     E = len(net.tail)
     flow = np.zeros(E, dtype=np.int64)
-    excess = (-net.demand).astype(np.int64).copy()
+    excess = (-net.demand).astype(np.int64)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
     for a in range(E):
         if net.cap[a] > 0:
@@ -249,17 +277,6 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     def residual(a: int, d: int) -> int:
         return int(net.cap[a] - flow[a]) if d > 0 else int(flow[a])
 
-    # route forced supplies (single usable arc) without path search
-    for v in range(V):
-        while excess[v] > 0:
-            usable = [(a, d) for a, d in adj[v] if d > 0 and residual(a, d) > 0]
-            if len(usable) != 1:
-                break
-            a, _ = usable[0]
-            q = min(int(excess[v]), residual(a, 1))
-            flow[a] += q
-            excess[v] -= q
-            excess[net.head[a]] += q
     pi = np.zeros(V)
     augmentations = 0
     while True:
@@ -341,39 +358,57 @@ def has_negative_cycle(net: FlowNetwork, flow: np.ndarray) -> bool:
 def _extract(
     nets: list[FlowNetwork],
     flows: list[np.ndarray],
+    assignment: np.ndarray,
     instance: Instance,
     params: Params,
     dist_pow: np.ndarray,
     kind: str,
 ) -> IntegralAssignment:
+    """Complete the fixed points' assignment (-1 elsewhere) from the unit
+    point arcs the flows use."""
     n = instance.n
     k = params.k
     H = instance.num_colors
-    assignment = np.full(n, -1, dtype=np.int64)
-    total_cost = 0.0
+    assignment = assignment.copy()
     for net, fl in zip(nets, flows):
         sel = np.nonzero((net.arc_point >= 0) & (fl == 1))[0]
         pts = net.arc_point[sel]
         if np.any(assignment[pts] >= 0):
             raise InternalInvariantError("point routed twice in rounding")
         assignment[pts] = net.arc_center[sel]
-        total_cost += float((fl * net.cost).sum())
     if np.any(assignment < 0):
         raise InternalInvariantError("point left unassigned by rounding")
     x = np.zeros((k, n))
     x[assignment, np.arange(n)] = 1.0
-    color_mass = np.zeros((k, H), dtype=np.int64)
-    np.add.at(color_mass, (assignment, instance.colors), 1)
+    color_mass = np.bincount(
+        assignment * H + instance.colors, minlength=k * H
+    ).reshape(k, H)
     report = report_from_distances(instance, params, dist_pow, assignment)
     objective = report.R if kind == "rawlsian" else report.U
+    flow_cost = float(
+        (dist_pow[np.arange(n), assignment] / instance.counts[instance.colors]).sum()
+    )
     return IntegralAssignment(
         assignment=assignment,
         x=x,
         color_mass=color_mass,
         cluster_sizes=np.bincount(assignment, minlength=k),
         objective=objective,
-        flow_cost=total_cost,
+        flow_cost=flow_cost,
     )
+
+
+def _check_within(
+    got: np.ndarray, lo: np.ndarray, hi: np.ndarray, what: str
+) -> None:
+    """Raise unless every rounded mass lies in the floor/ceil of the LP's."""
+    bad = np.argwhere((got < lo) | (got > hi))
+    if len(bad):
+        idx = tuple(int(v) for v in bad[0])
+        raise InternalInvariantError(
+            f"rounded {what} {idx} is {int(got[idx])}, outside "
+            f"[{int(lo[idx])}, {int(hi[idx])}] of the fractional mass"
+        )
 
 
 def rawlsian_round(
@@ -383,9 +418,16 @@ def rawlsian_round(
     dist_pow: np.ndarray,
 ) -> IntegralAssignment:
     """Round each color's fractional assignment independently."""
-    nets = build_rawlsian_networks(xfrac, instance, params, dist_pow)
+    support = split_support(xfrac, instance)
+    nets = build_rawlsian_networks(xfrac, instance, params, dist_pow, support)
     flows = [min_cost_flow(net).flow for net in nets]
-    return _extract(nets, flows, instance, params, dist_pow, "rawlsian")
+    out = _extract(
+        nets, flows, support.assignment, instance, params, dist_pow, "rawlsian"
+    )
+    _check_within(
+        out.color_mass, support.col_lo, support.col_hi, "(cluster, color) mass"
+    )
+    return out
 
 
 def utilitarian_round(
@@ -395,6 +437,14 @@ def utilitarian_round(
     dist_pow: np.ndarray,
 ) -> IntegralAssignment:
     """Round all colors jointly, preserving cluster sizes within floor/ceil."""
-    net = build_utilitarian_network(xfrac, instance, params, dist_pow)
+    support = split_support(xfrac, instance)
+    net = build_utilitarian_network(xfrac, instance, params, dist_pow, support)
     fl = min_cost_flow(net).flow
-    return _extract([net], [fl], instance, params, dist_pow, "utilitarian")
+    out = _extract(
+        [net], [fl], support.assignment, instance, params, dist_pow, "utilitarian"
+    )
+    _check_within(
+        out.color_mass, support.col_lo, support.col_hi, "(cluster, color) mass"
+    )
+    _check_within(out.cluster_sizes, support.clu_lo, support.clu_hi, "cluster size")
+    return out

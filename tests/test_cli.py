@@ -10,6 +10,7 @@ import pytest
 
 from datagen import random_instance, write_csv
 
+from welfair import centers
 from welfair.cli import (
     ExperimentConfig,
     _parse_floats,
@@ -451,6 +452,52 @@ class TestMain:
         )
         assert code == 1
         assert "lambda must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+    def test_bad_lambda_rejected_before_any_centers(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        path, feats = dataset
+        calls = []
+        real = centers.lloyd
+        monkeypatch.setattr(
+            centers, "lloyd", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        code = main(
+            [
+                "run", "--data", path, "--features", ",".join(feats),
+                "--group", "group", "--k", "2:6", "--lambdas", "0.5,-0.1",
+                "--restarts", "2", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "lambda must lie in [0, 1], got -0.1" in capsys.readouterr().err
+        assert calls == []
+
+    def test_too_few_distinct_points_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "same.csv"
+        p.write_text("x,g\n" + "".join(f"1.0,{g}\n" for g in "aabab"), encoding="utf-8")
+        code = main(
+            [
+                "run", "--data", str(p), "--features", "x", "--group", "g",
+                "--k", "2", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "distinct" in err
+
+    def test_exactly_balanced_instance_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "balanced.csv"
+        feats = write_csv(random_instance(30, 2, 2, seed=1), str(p))
+        code = main(
+            [
+                "run", "--data", str(p), "--features", ",".join(feats),
+                "--group", "group", "--k", "2:6", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "exactly balanced" in err
 
     @pytest.mark.parametrize(
         "flags, message",

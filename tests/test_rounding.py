@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_fractional_x
@@ -9,7 +13,8 @@ from datagen import random_instance
 
 from welfair.errors import FlowError, InfeasibleFlowError, InternalInvariantError
 from welfair.metrics import pairwise_pow
-from welfair.model import Params
+from welfair import rounding
+from welfair.model import Instance, Params
 from welfair.rounding import (
     FlowNetwork,
     _extract,
@@ -20,6 +25,7 @@ from welfair.rounding import (
     min_cost_flow,
     rawlsian_round,
     snap_mass,
+    split_support,
     utilitarian_round,
 )
 
@@ -80,18 +86,31 @@ class TestNetworkConstruction:
                 [0.5, 0.0, 1.0, 0.0, 0.0, 0.5],
             ]
         )
-        nets = build_rawlsian_networks(x, inst, params, dist)
+        nets = build_rawlsian_networks(x, inst, params, dist, split_support(x, inst))
         assert len(nets) == 2
-        net0 = nets[0]  # color 0: mass [1.5, 1.5] -> lo [1, 1]
-        assert net0.num_nodes == 3 + 2 + 1
-        assert net0.demand[:3].tolist() == [-1, -1, -1]
-        assert net0.demand[3:5].tolist() == [1, 1]
-        assert net0.demand[5] == 1  # 3 - 2
-        # slack arcs carry ceil - floor = 1
-        slack = net0.cap[net0.arc_point < 0]
-        assert slack.tolist() == [1, 1]
-        # only positive-mass point arcs exist: x[., j] > 0 count = 4
-        assert int((net0.arc_point >= 0).sum()) == 4
+        # color 0: mass [1.5, 1.5] -> floors [1, 1], ceils [2, 2]; points 1
+        # and 2 are fixed to centers 0 and 1, so only point 0 is a node and
+        # the colcenter floors drop to [0, 0]; the sink takes 3 - 2 = 1
+        net0 = nets[0]
+        assert net0.num_nodes == 1 + 2 + 1
+        assert net0.node_labels == [
+            ("point", 0), ("colcenter", 0, 0), ("colcenter", 1, 0), ("sink", 0)
+        ]
+        assert net0.demand.tolist() == [-1, 0, 0, 1]
+        assert net0.tail.tolist() == [0, 0, 1, 2]
+        assert net0.head.tolist() == [1, 2, 3, 3]
+        assert net0.cap.tolist() == [1, 1, 1, 1]
+        assert net0.arc_point.tolist() == [0, 0, -1, -1]
+        assert net0.arc_center.tolist() == [0, 1, -1, -1]
+        # color 1: mass [2.5, 0.5] -> floors [2, 0]; points 3 and 4 are fixed
+        # to center 0, leaving point 5 and floors [0, 0]; sink 3 - 2 = 1
+        net1 = nets[1]
+        assert net1.node_labels == [
+            ("point", 5), ("colcenter", 0, 1), ("colcenter", 1, 1), ("sink", 1)
+        ]
+        assert net1.demand.tolist() == [-1, 0, 0, 1]
+        assert net1.cap[net1.arc_point < 0].tolist() == [1, 1]
+        assert net1.arc_point.tolist() == [5, 5, -1, -1]
 
     def test_integral_mass_has_zero_slack_caps(self):
         inst = random_instance(6, 2, 2, seed=1)
@@ -101,7 +120,7 @@ class TestNetworkConstruction:
         x = np.zeros((2, 6))
         x[0, :3] = 1.0
         x[1, 3:] = 1.0
-        nets = build_rawlsian_networks(x, inst, params, dist)
+        nets = build_rawlsian_networks(x, inst, params, dist, split_support(x, inst))
         for net in nets:
             slack = net.cap[net.arc_point < 0]
             assert slack.tolist() == [0, 0]
@@ -120,22 +139,64 @@ class TestNetworkConstruction:
             ]
         )
         x = np.abs(x)
-        nets = build_rawlsian_networks(x, inst, params, dist)
+        nets = build_rawlsian_networks(x, inst, params, dist, split_support(x, inst))
+        # color 0: mass [2, eps] snaps to floors = ceils = [2, 0]; point 1 is
+        # fixed to center 0, so the one point node leaves floors [1, 0]
         net0 = nets[0]
-        assert net0.demand[2:4].tolist() == [2, 0]
+        assert net0.node_labels[0] == ("point", 0)
+        assert net0.demand.tolist() == [-1, 1, 0, 0]
         assert net0.cap[net0.arc_point < 0].tolist() == [0, 0]
 
     def test_utilitarian_layers(self):
-        inst, params, dist, x = _case(n=12, k=2, H=2, seed=3)
-        net = build_utilitarian_network(x, inst, params, dist)
+        # groups of 9 and 3 points, so the 1/n_h arc costs differ
+        inst, params, dist, x = _case(n=12, k=2, H=2, seed=4)
+        net = build_utilitarian_network(x, inst, params, dist, split_support(x, inst))
         n, k, H = 12, 2, 2
-        assert net.num_nodes == n + k * H + k + 1
-        assert int(net.demand.sum()) == 0
-        labels = net.node_labels
-        assert labels[0][0] == "point"
-        assert labels[n][0] == "colcenter"
-        assert labels[n + k * H][0] == "center"
-        assert labels[-1] == ("sink",)
+        # the expected layout, written out point by point
+        npos = [int((x[:, j] > 0).sum()) for j in range(n)]
+        frac = [j for j in range(n) if npos[j] > 1]
+        assert 0 < len(frac) < n
+        m = len(frac)
+        col_lo = np.zeros((k, H), dtype=np.int64)
+        col_hi = np.zeros((k, H), dtype=np.int64)
+        rest = np.zeros((k, H), dtype=np.int64)
+        for i in range(k):
+            for h in range(H):
+                mass = float(x[i, inst.colors == h].sum())
+                col_lo[i, h], col_hi[i, h] = _floor_ceil(mass)
+                fixed = sum(
+                    1 for j in range(n)
+                    if npos[j] == 1 and x[i, j] > 0 and inst.colors[j] == h
+                )
+                rest[i, h] = col_lo[i, h] - fixed
+        clu = [_floor_ceil(float(x[i].sum())) for i in range(k)]
+        assert net.num_nodes == m + k * H + k + 1
+        assert net.node_labels == (
+            [("point", j) for j in frac]
+            + [("colcenter", i, h) for i in range(k) for h in range(H)]
+            + [("center", i) for i in range(k)]
+            + [("sink",)]
+        )
+        assert net.demand.tolist() == (
+            [-1] * m
+            + [int(rest[i, h]) for i in range(k) for h in range(H)]
+            + [int(clu[i][0] - col_lo[i].sum()) for i in range(k)]
+            + [n - sum(int(lo) for lo, _ in clu)]
+        )
+        slack = net.arc_point < 0
+        assert net.tail[slack].tolist() == list(range(m, m + k * H + k))
+        assert net.cap[slack].tolist() == (
+            [int(col_hi[i, h] - col_lo[i, h]) for i in range(k) for h in range(H)]
+            + [int(hi - lo) for lo, hi in clu]
+        )
+        want = [(j, i) for i in range(k) for j in frac if x[i, j] > 0]
+        got = list(zip(net.arc_point[~slack].tolist(), net.arc_center[~slack].tolist()))
+        assert got == want
+        assert inst.counts.tolist() == [9, 3]
+        assert net.cost[~slack].tolist() == [
+            dist[j, i] / inst.counts[inst.colors[j]] for j, i in want
+        ]
+        assert net.cost[slack].tolist() == [0.0] * (k * H + k)
 
     def test_validate_rejects_imbalance(self):
         net = FlowNetwork(
@@ -169,7 +230,7 @@ class TestNetworkConstruction:
 
     def test_dump_format(self):
         inst, params, dist, x = _case(n=8, k=2, H=2, seed=4)
-        net = build_utilitarian_network(x, inst, params, dist)
+        net = build_utilitarian_network(x, inst, params, dist, split_support(x, inst))
         lines = net.dump().splitlines()
         assert lines[0] == f"nodes {net.num_nodes}"
         assert lines[1 + net.num_nodes] == f"arcs {len(net.tail)}"
@@ -210,23 +271,24 @@ class TestMinCostFlow:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_lp_value(self, seed):
         inst, params, dist, x = _case(n=16, k=3, H=2, seed=seed)
-        for net in build_rawlsian_networks(x, inst, params, dist):
+        support = split_support(x, inst)
+        for net in build_rawlsian_networks(x, inst, params, dist, support):
             res = min_cost_flow(net)
             assert res.cost == pytest.approx(_lp_flow_cost(net), abs=1e-8)
-        net = build_utilitarian_network(x, inst, params, dist)
+        net = build_utilitarian_network(x, inst, params, dist, support)
         res = min_cost_flow(net)
         assert res.cost == pytest.approx(_lp_flow_cost(net), abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_no_negative_residual_cycle(self, seed):
         inst, params, dist, x = _case(n=14, k=3, H=3, seed=100 + seed)
-        net = build_utilitarian_network(x, inst, params, dist)
+        net = build_utilitarian_network(x, inst, params, dist, split_support(x, inst))
         res = min_cost_flow(net)
         assert not has_negative_cycle(net, res.flow)
 
     def test_flow_conservation(self):
         inst, params, dist, x = _case(n=18, k=3, H=2, seed=12)
-        net = build_utilitarian_network(x, inst, params, dist)
+        net = build_utilitarian_network(x, inst, params, dist, split_support(x, inst))
         fl = min_cost_flow(net).flow
         inflow = np.zeros(net.num_nodes, dtype=np.int64)
         np.add.at(inflow, net.head, fl)
@@ -356,7 +418,121 @@ class TestRoundingBounds:
 class TestExtractGuards:
     def test_unassigned_point_detected(self):
         inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
-        nets = build_rawlsian_networks(x, inst, params, dist)
+        nets = build_rawlsian_networks(x, inst, params, dist, split_support(x, inst))
         zero_flows = [np.zeros(len(net.tail), dtype=np.int64) for net in nets]
-        with pytest.raises(InternalInvariantError):
-            _extract(nets, zero_flows, inst, params, dist, "rawlsian")
+        with pytest.raises(InternalInvariantError, match="unassigned"):
+            _extract(
+                nets, zero_flows, split_support(x, inst).assignment,
+                inst, params, dist, "rawlsian",
+            )
+
+    def test_fixed_point_routed_again_detected(self):
+        inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
+        nets = build_rawlsian_networks(x, inst, params, dist, split_support(x, inst))
+        flows = [min_cost_flow(net).flow for net in nets]
+        prefilled = split_support(x, inst).assignment
+        j = int(nets[0].arc_point[0])  # a fractional point
+        prefilled[j] = 0
+        with pytest.raises(InternalInvariantError, match="routed twice"):
+            _extract(nets, flows, prefilled, inst, params, dist, "rawlsian")
+
+    @pytest.mark.parametrize(
+        "rounder, share, what",
+        [
+            (rawlsian_round, 0.99, "(cluster, color) mass"),
+            (utilitarian_round, 0.99, "(cluster, color) mass"),
+            (utilitarian_round, 0.6, "cluster size"),
+        ],
+    )
+    def test_mass_outside_floor_ceil_raises(self, rounder, share, what, monkeypatch):
+        # networks built from other masses than the rounder's x: the flow is
+        # feasible, but what it rounds leaves x's floor/ceil. Under x every
+        # (cluster, color) mass is 1.5 (floor 1, ceil 2) and every cluster
+        # size 3; under the skewed x the cheap center 0 gets 3 points of
+        # each color at share 0.99, and 2 (size 4) at share 0.6
+        inst = random_instance(6, 2, 2, seed=1)
+        inst.colors[:] = [0, 0, 0, 1, 1, 1]
+        params = Params.with_delta(inst, 2, 0.5)
+        dist = np.zeros((6, 2))
+        dist[:, 1] = 1.0
+        x = np.full((2, 6), 0.5)
+        skewed = np.array([[share] * 6, [1.0 - share] * 6])
+        for name in ("build_rawlsian_networks", "build_utilitarian_network"):
+            build = getattr(rounding, name)
+            monkeypatch.setattr(
+                rounding,
+                name,
+                lambda _x, inst, params, dist, _s, _b=build: _b(
+                    skewed, inst, params, dist, split_support(skewed, inst)
+                ),
+            )
+        with pytest.raises(InternalInvariantError, match=re.escape(f"rounded {what}")):
+            rounder(x, inst, params, dist)
+
+
+def _transport_optimum(x, inst, dist, kind):
+    """Independent rounding optimum: the transportation LP over every point,
+    with an arc where x > 0 and each (cluster, color) mass, and for the joint
+    rounding each cluster size, within floor/ceil of its fractional mass. Its
+    constraint matrix is totally unimodular, so the optimum is integral."""
+    k, n = x.shape
+    arcs = [(i, j) for i in range(k) for j in range(n) if x[i, j] > 0]
+    cost = [dist[j, i] / inst.counts[inst.colors[j]] for i, j in arcs]
+    A_eq = np.zeros((n, len(arcs)))
+    for a, (_, j) in enumerate(arcs):
+        A_eq[j, a] = 1.0
+    groups = [
+        lambda i, j, h=h: inst.colors[j] == h for h in range(inst.num_colors)
+    ]
+    if kind == "utilitarian":
+        groups.append(lambda i, j: True)
+    A_ub, b_ub = [], []
+    for i in range(k):
+        for member in groups:
+            row = np.array(
+                [1.0 if ii == i and member(ii, j) else 0.0 for ii, j in arcs]
+            )
+            mass = sum(x[i, j] for j in range(n) if member(i, j))
+            lo, hi = _floor_ceil(float(mass))
+            A_ub += [row, -row]
+            b_ub += [float(hi), -float(lo)]
+    res = linprog(
+        cost, A_ub=np.array(A_ub), b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(n),
+        bounds=(0.0, 1.0), method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    H=st.integers(2, 4),
+    k=st.integers(2, 5),
+    n=st.integers(8, 24),
+    one_hot=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["rawlsian", "utilitarian"]),
+)
+def test_restricted_rounding_matches_transportation_lp(seed, H, k, n, one_hot, kind):
+    # rounding over the fractional support alone reaches the optimum of the
+    # rounding problem over all n points, and fixed points keep their center
+    rng = np.random.default_rng(seed)
+    # uneven group sizes, so the 1/n_h arc costs differ between colors
+    share = rng.dirichlet(np.ones(H))
+    colors = np.concatenate([np.arange(H), rng.choice(H, size=n - H, p=share)])
+    rng.shuffle(colors)
+    inst = Instance(rng.normal(size=(n, 2)), colors, [f"g{h}" for h in range(H)])
+    dist = rng.random((n, k))
+    x = random_fractional_x(k, n, rng)
+    hot = np.nonzero(rng.random(n) < one_hot)[0]
+    x[:, hot] = 0.0
+    x[rng.integers(0, k, size=len(hot)), hot] = 1.0
+    params = Params.with_delta(inst, k, 0.5)
+    rounder = rawlsian_round if kind == "rawlsian" else utilitarian_round
+    out = rounder(x, inst, params, dist)
+    single = (x > 0).sum(axis=0) == 1
+    np.testing.assert_array_equal(
+        out.assignment[single], np.argmax(x[:, single] > 0, axis=0)
+    )
+    got = float((dist[np.arange(n), out.assignment] / inst.counts[inst.colors]).sum())
+    assert got == pytest.approx(_transport_optimum(x, inst, dist, kind), abs=1e-9)
