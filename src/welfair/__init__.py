@@ -4,8 +4,8 @@ Clusters points carrying group labels under two welfare objectives: the
 min-max (worst-off group) objective and the sum-of-group-disutilities
 objective, where each group's disutility blends clustering cost with
 proportion violations. Provides center heuristics, an assignment LP solved
-with HiGHS, min-cost-flow rounding with additive guarantees, and an
-experiment harness with a CLI.
+with HiGHS, rounding of its fractional points by a transportation LP with
+additive guarantees, and an experiment harness with a CLI.
 """
 
 from .centers import CenterSet, best_of_restarts, kmeanspp_init, lloyd, socially_fair_centers
@@ -13,7 +13,6 @@ from .errors import (
     BruteForceSizeError,
     CenterError,
     DataError,
-    FlowError,
     InternalInvariantError,
     LPError,
     ParamError,
@@ -56,12 +55,8 @@ from .pipeline import (
     utilitarian_alg,
 )
 from .rounding import (
-    FlowNetwork,
     IntegralAssignment,
-    build_rawlsian_networks,
-    build_utilitarian_network,
     Support,
-    min_cost_flow,
     rawlsian_round,
     split_support,
     utilitarian_round,
@@ -75,8 +70,6 @@ __all__ = [
     "CenterSet",
     "DataError",
     "DominanceReport",
-    "FlowError",
-    "FlowNetwork",
     "FractionalSolution",
     "GroupReport",
     "Instance",
@@ -96,9 +89,7 @@ __all__ = [
     "best_of_restarts",
     "brute_force_assignment",
     "build_rawlsian_lp",
-    "build_rawlsian_networks",
     "build_utilitarian_lp",
-    "build_utilitarian_network",
     "distance_pow",
     "dominance_check",
     "evaluate_baseline",
@@ -106,7 +97,6 @@ __all__ = [
     "kmeanspp_init",
     "lloyd",
     "load_instance",
-    "min_cost_flow",
     "normalization_factor",
     "pairwise_pow",
     "rawlsian_alg",

@@ -89,13 +89,5 @@ class BruteForceSizeError(WelfairError):
         )
 
 
-class FlowError(WelfairError):
-    """Flow network construction or solve failure."""
-
-
-class InfeasibleFlowError(FlowError):
-    pass
-
-
 class InternalInvariantError(WelfairError):
     """An internal consistency check failed; indicates a bug, not bad input."""

@@ -23,6 +23,10 @@ _SNAP = 1e-12
 # x columns per point in HiGHS's first restricted LP; at n = 3000, k = 12
 # width 4 needed one round where width 3 needed two or three cold re-solves
 _CANDIDATES = 4
+# HiGHS's feasibility tolerances are at most this: at its default of 1e-7 an
+# x that breaks rows by up to 1e-7 can put the LP value above the integral
+# optimum
+_FEASIBILITY = 1e-9
 
 
 @dataclass
@@ -208,7 +212,8 @@ class HighsSolver:
     _CANDIDATES nearest centers, and every excluded column whose reduced cost
     under the LP's duals is below -tolerance joins before a re-solve. The
     last round prices every excluded column at or above -tolerance, which
-    certifies its optimum as the full LP's.
+    certifies its optimum as the full LP's. HiGHS's primal and dual
+    feasibility tolerances are min(tolerance, _FEASIBILITY).
     """
 
     name = "highs"
@@ -220,9 +225,10 @@ class HighsSolver:
         A_ub, b_ub = _stack(model, "le")
         c = model.objective
         bounds = np.column_stack([model.lower, model.upper])
+        feasibility = min(tolerance, _FEASIBILITY)
         options = {
-            "primal_feasibility_tolerance": tolerance,
-            "dual_feasibility_tolerance": tolerance,
+            "primal_feasibility_tolerance": feasibility,
+            "dual_feasibility_tolerance": feasibility,
         }
         keep = _initial_columns(model)
         rounds = 0

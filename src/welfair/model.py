@@ -153,9 +153,9 @@ class Params:
     """Objective parameters: exponent p, tradeoff lambda, k, slack vectors.
 
     alpha[h] loosens the upper proportion bound for color h, beta[h] the lower
-    one. lp_tolerance is the solver's feasibility tolerance and pricing
-    threshold, and the slack by which a rounding gap may exceed its bound; it
-    must be finite and at least 1e-10.
+    one. lp_tolerance is the LP's pricing threshold and the slack by which a
+    rounding gap may exceed its bound; HiGHS's feasibility tolerances are
+    min(lp_tolerance, 1e-9). It must be finite and at least 1e-10.
     """
 
     k: int

@@ -10,7 +10,12 @@ import numpy as np
 from . import centers as centers_mod
 from . import lp as lp_mod
 from . import rounding as rounding_mod
-from .metrics import GroupReport, additive_constants, group_costs, pairwise_pow
+from .metrics import (
+    GroupReport,
+    additive_constants,
+    pairwise_pow,
+    report_from_distances,
+)
 from .model import Instance, Params, Solution
 
 
@@ -64,7 +69,7 @@ def _lp_pipeline(
     integral = rounder(frac.x, instance, params, dist_pow)
     t3 = time.perf_counter()
     solution = Solution(cs.centers, integral.assignment, provenance=cs.provenance)
-    report = group_costs(instance, solution, params)
+    report = report_from_distances(instance, params, dist_pow, integral.assignment)
     c_r, c_u = additive_constants(instance, params)
     bound = (1.0 - params.lam) * (c_r if kind == "rawlsian" else c_u)
     value = report.R if kind == "rawlsian" else report.U
@@ -100,7 +105,7 @@ def rawlsian_alg(
     restarts: int = 10,
     center_set: centers_mod.CenterSet | None = None,
 ) -> RunResult:
-    """Socially-fair centers, min-max LP, per-color flow rounding."""
+    """Socially-fair centers, min-max LP, rounding of each (cluster, color) mass."""
     return _lp_pipeline(
         instance,
         params,
@@ -121,7 +126,7 @@ def utilitarian_alg(
     restarts: int = 10,
     center_set: centers_mod.CenterSet | None = None,
 ) -> RunResult:
-    """Weighted-Lloyd centers, sum LP, joint flow rounding."""
+    """Weighted-Lloyd centers, sum LP, rounding of the masses and cluster sizes."""
     return _lp_pipeline(
         instance,
         params,
@@ -158,7 +163,7 @@ def evaluate_baseline(
     assignment = np.argmin(dist, axis=1)
     t1 = time.perf_counter()
     solution = Solution(cs.centers, assignment, provenance=cs.provenance)
-    report = group_costs(instance, solution, params)
+    report = report_from_distances(instance, params, dist, assignment)
     return RunResult(
         method=method,
         params=params,

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from datagen import random_instance
@@ -302,16 +302,19 @@ class TestHighsPricing:
         assert xvec.shape == (m.num_vars,)
 
     def test_tolerance_reaches_highs(self, monkeypatch):
+        # HiGHS's feasibility tolerances are lp_tolerance capped at 1e-9
         inst, params, centers = _setup(n=30, k=6, H=2, seed=1)
         m = build_utilitarian_lp(inst, params, centers)
         calls = _linprog_spy(monkeypatch)
-        solve_lp(m, tolerance=1e-6)
-        assert calls
-        for kwargs, _ in calls:
-            assert kwargs["options"] == {
-                "primal_feasibility_tolerance": 1e-6,
-                "dual_feasibility_tolerance": 1e-6,
-            }
+        for tolerance, feasibility in ((1e-6, 1e-9), (5e-10, 5e-10)):
+            calls.clear()
+            solve_lp(m, tolerance=tolerance)
+            assert calls
+            for kwargs, _ in calls:
+                assert kwargs["options"] == {
+                    "primal_feasibility_tolerance": feasibility,
+                    "dual_feasibility_tolerance": feasibility,
+                }
 
 
 class TestLambdaOneReductions:
@@ -467,6 +470,11 @@ def test_solve_lp_property(seed, lam, delta):
     lam=st.floats(0.0, 1.0),
     delta=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
     kind=st.sampled_from(["rawlsian", "utilitarian"]),
+)
+# at HiGHS's default feasibility tolerance of 1e-7 this LP value exceeded the
+# brute-force optimum by 1.05e-7
+@example(
+    seed=2, H=2, n=6, k=2, p=2, lam=1.192092896e-07, delta=0.0, kind="utilitarian"
 )
 def test_lp_brute_rounding_sandwich_property(seed, H, n, k, p, lam, delta, kind):
     # LP <= brute-force optimum <= rounded <= LP + (1 - lambda) C, and every

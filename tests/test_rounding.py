@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -11,18 +14,12 @@ from scipy.optimize import linprog
 from conftest import random_fractional_x
 from datagen import random_instance
 
-from welfair.errors import FlowError, InfeasibleFlowError, InternalInvariantError
+from welfair.errors import InternalInvariantError
 from welfair.metrics import pairwise_pow
 from welfair import rounding
 from welfair.model import Instance, Params
 from welfair.rounding import (
-    FlowNetwork,
-    _extract,
     _floor_ceil,
-    build_rawlsian_networks,
-    build_utilitarian_network,
-    has_negative_cycle,
-    min_cost_flow,
     rawlsian_round,
     snap_mass,
     split_support,
@@ -40,23 +37,33 @@ def _case(n=20, k=3, H=2, seed=0, delta=0.1, lam=0.5):
     return inst, params, dist, x
 
 
-def _lp_flow_cost(net: FlowNetwork) -> float:
-    """Independent minimum-cost-flow value via the network LP (its constraint
-    matrix is totally unimodular, so the LP optimum is the integral one)."""
-    V, E = net.num_nodes, len(net.tail)
-    A = np.zeros((V, E))
-    for a in range(E):
-        A[net.head[a], a] += 1.0
-        A[net.tail[a], a] -= 1.0
-    res = linprog(
-        net.cost,
-        A_eq=A,
-        b_eq=net.demand.astype(float),
-        bounds=[(0.0, float(c)) for c in net.cap],
-        method="highs",
+def _milp_spy(monkeypatch):
+    """Record every rounding LP that reaches HiGHS as (c, A, lo, hi, result)."""
+    real = scipy.optimize.milp
+    calls = []
+
+    def spy(c, *, constraints, bounds, **kwargs):
+        assert (bounds.lb, bounds.ub) == (0.0, 1.0)
+        res = real(c, constraints=constraints, bounds=bounds, **kwargs)
+        calls.append(
+            (
+                np.asarray(c),
+                constraints.A.toarray(),
+                np.asarray(constraints.lb),
+                np.asarray(constraints.ub),
+                res,
+            )
+        )
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    return calls
+
+
+def _cost(inst, dist, assignment):
+    return float(
+        (dist[np.arange(inst.n), assignment] / inst.counts[inst.colors]).sum()
     )
-    assert res.status == 0, res.message
-    return float(res.fun)
 
 
 class TestSnapping:
@@ -75,7 +82,12 @@ class TestSnapping:
 
 
 class TestNetworkConstruction:
-    def test_rawlsian_hand_case(self):
+    """The rounding network runs from the fractional points to the
+    (cluster, color) cells, and for the sum objective on to the clusters;
+    these tests pin the LP over it that HiGHS gets: one variable per arc in
+    (center, point) order, then point rows, cell rows and cluster rows."""
+
+    def test_rawlsian_hand_case(self, monkeypatch):
         inst = random_instance(6, 2, 2, seed=1)
         inst.colors[:] = [0, 0, 0, 1, 1, 1]
         params = Params.with_delta(inst, 2, 0.5)
@@ -86,46 +98,52 @@ class TestNetworkConstruction:
                 [0.5, 0.0, 1.0, 0.0, 0.0, 0.5],
             ]
         )
-        nets = build_rawlsian_networks(x, inst, params, dist, split_support(x, inst))
-        assert len(nets) == 2
-        # color 0: mass [1.5, 1.5] -> floors [1, 1], ceils [2, 2]; points 1
-        # and 2 are fixed to centers 0 and 1, so only point 0 is a node and
-        # the colcenter floors drop to [0, 0]; the sink takes 3 - 2 = 1
-        net0 = nets[0]
-        assert net0.num_nodes == 1 + 2 + 1
-        assert net0.node_labels == [
-            ("point", 0), ("colcenter", 0, 0), ("colcenter", 1, 0), ("sink", 0)
+        calls = _milp_spy(monkeypatch)
+        rawlsian_round(x, inst, params, dist)
+        # one LP for both colors; only points 0 and 5 are fractional
+        assert len(calls) == 1
+        c, A, lo, hi, _ = calls[0]
+        # arcs (center 0, point 0), (0, 5), (1, 0), (1, 5); both colors hold
+        # 3 points
+        assert c.tolist() == [1 / 3] * 4
+        assert A.tolist() == [
+            [1, 0, 1, 0],   # point 0
+            [0, 1, 0, 1],   # point 5
+            [1, 0, 0, 0],   # cell (0, 0)
+            [0, 1, 0, 0],   # cell (0, 1)
+            [0, 0, 1, 0],   # cell (1, 0)
+            [0, 0, 0, 1],   # cell (1, 1)
         ]
-        assert net0.demand.tolist() == [-1, 0, 0, 1]
-        assert net0.tail.tolist() == [0, 0, 1, 2]
-        assert net0.head.tolist() == [1, 2, 3, 3]
-        assert net0.cap.tolist() == [1, 1, 1, 1]
-        assert net0.arc_point.tolist() == [0, 0, -1, -1]
-        assert net0.arc_center.tolist() == [0, 1, -1, -1]
-        # color 1: mass [2.5, 0.5] -> floors [2, 0]; points 3 and 4 are fixed
-        # to center 0, leaving point 5 and floors [0, 0]; sink 3 - 2 = 1
-        net1 = nets[1]
-        assert net1.node_labels == [
-            ("point", 5), ("colcenter", 0, 1), ("colcenter", 1, 1), ("sink", 1)
-        ]
-        assert net1.demand.tolist() == [-1, 0, 0, 1]
-        assert net1.cap[net1.arc_point < 0].tolist() == [1, 1]
-        assert net1.arc_point.tolist() == [5, 5, -1, -1]
+        # color 0: mass [1.5, 1.5] -> [1, 2] each, less the fixed points 1
+        # and 2; color 1: mass [2.5, 0.5] -> [2, 3] and [0, 1], less the
+        # fixed points 3 and 4 on center 0
+        assert lo.tolist() == [1, 1, 0, 0, 0, 0]
+        assert hi.tolist() == [1, 1, 1, 1, 1, 1]
 
-    def test_integral_mass_has_zero_slack_caps(self):
+    def test_integral_mass_has_zero_slack_caps(self, monkeypatch):
+        # points 0 and 1 are split, but every mass is integral: the cell
+        # rows leave the rounding no slack
         inst = random_instance(6, 2, 2, seed=1)
         inst.colors[:] = [0, 0, 0, 1, 1, 1]
         params = Params.with_delta(inst, 2, 0.5)
         dist = np.ones((6, 2))
-        x = np.zeros((2, 6))
-        x[0, :3] = 1.0
-        x[1, 3:] = 1.0
-        nets = build_rawlsian_networks(x, inst, params, dist, split_support(x, inst))
-        for net in nets:
-            slack = net.cap[net.arc_point < 0]
-            assert slack.tolist() == [0, 0]
+        x = np.array(
+            [
+                [0.5, 0.5, 1.0, 0.0, 0.0, 0.0],
+                [0.5, 0.5, 0.0, 1.0, 1.0, 1.0],
+            ]
+        )
+        calls = _milp_spy(monkeypatch)
+        for rounder in (rawlsian_round, utilitarian_round):
+            rounder(x, inst, params, dist)
+        for _, _, lo, hi, _ in calls:
+            assert lo.tolist() == hi.tolist()
+        # cells (0, 0) and (1, 0) each take one of the two split points;
+        # the utilitarian LP's cluster rows do the same
+        assert calls[0][2].tolist() == [1, 1, 1, 0, 1, 0]
+        assert calls[1][2].tolist() == [1, 1, 1, 0, 1, 0, 1, 1]
 
-    def test_near_integral_mass_snaps(self):
+    def test_near_integral_mass_snaps(self, monkeypatch):
         # masses a hair off integers must floor/ceil to the integer itself
         inst = random_instance(4, 2, 2, seed=2)
         inst.colors[:] = [0, 0, 1, 1]
@@ -139,191 +157,123 @@ class TestNetworkConstruction:
             ]
         )
         x = np.abs(x)
-        nets = build_rawlsian_networks(x, inst, params, dist, split_support(x, inst))
+        calls = _milp_spy(monkeypatch)
+        out = rawlsian_round(x, inst, params, dist)
         # color 0: mass [2, eps] snaps to floors = ceils = [2, 0]; point 1 is
-        # fixed to center 0, so the one point node leaves floors [1, 0]
-        net0 = nets[0]
-        assert net0.node_labels[0] == ("point", 0)
-        assert net0.demand.tolist() == [-1, 1, 0, 0]
-        assert net0.cap[net0.arc_point < 0].tolist() == [0, 0]
+        # fixed to center 0, so points 0, 2 and 3 are rounded with cells
+        # (0, 0) at exactly 1 and (1, 0) at exactly 0
+        _, _, lo, hi, _ = calls[0]
+        assert lo.tolist() == [1, 1, 1, 1, 1, 0, 1]
+        assert hi.tolist() == lo.tolist()
+        assert out.assignment[:2].tolist() == [0, 0]
 
-    def test_utilitarian_layers(self):
+    def test_utilitarian_layers(self, monkeypatch):
         # groups of 9 and 3 points, so the 1/n_h arc costs differ
         inst, params, dist, x = _case(n=12, k=2, H=2, seed=4)
-        net = build_utilitarian_network(x, inst, params, dist, split_support(x, inst))
+        calls = _milp_spy(monkeypatch)
+        utilitarian_round(x, inst, params, dist)
+        c, A, lo, hi, _ = calls[0]
         n, k, H = 12, 2, 2
         # the expected layout, written out point by point
         npos = [int((x[:, j] > 0).sum()) for j in range(n)]
         frac = [j for j in range(n) if npos[j] > 1]
         assert 0 < len(frac) < n
         m = len(frac)
-        col_lo = np.zeros((k, H), dtype=np.int64)
-        col_hi = np.zeros((k, H), dtype=np.int64)
-        rest = np.zeros((k, H), dtype=np.int64)
+        arcs = [(i, j) for i in range(k) for j in frac if x[i, j] > 0]
+        want = np.zeros((m + k * H + k, len(arcs)))
+        for a, (i, j) in enumerate(arcs):
+            want[frac.index(j), a] = 1
+            want[m + i * H + inst.colors[j], a] = 1
+            want[m + k * H + i, a] = 1
+        np.testing.assert_array_equal(A, want)
+        assert inst.counts.tolist() == [9, 3]
+        assert c.tolist() == [dist[j, i] / inst.counts[inst.colors[j]] for i, j in arcs]
+        cell_lo, cell_hi, clu_lo, clu_hi = [], [], [], []
         for i in range(k):
             for h in range(H):
                 mass = float(x[i, inst.colors == h].sum())
-                col_lo[i, h], col_hi[i, h] = _floor_ceil(mass)
                 fixed = sum(
                     1 for j in range(n)
                     if npos[j] == 1 and x[i, j] > 0 and inst.colors[j] == h
                 )
-                rest[i, h] = col_lo[i, h] - fixed
-        clu = [_floor_ceil(float(x[i].sum())) for i in range(k)]
-        assert net.num_nodes == m + k * H + k + 1
-        assert net.node_labels == (
-            [("point", j) for j in frac]
-            + [("colcenter", i, h) for i in range(k) for h in range(H)]
-            + [("center", i) for i in range(k)]
-            + [("sink",)]
-        )
-        assert net.demand.tolist() == (
-            [-1] * m
-            + [int(rest[i, h]) for i in range(k) for h in range(H)]
-            + [int(clu[i][0] - col_lo[i].sum()) for i in range(k)]
-            + [n - sum(int(lo) for lo, _ in clu)]
-        )
-        slack = net.arc_point < 0
-        assert net.tail[slack].tolist() == list(range(m, m + k * H + k))
-        assert net.cap[slack].tolist() == (
-            [int(col_hi[i, h] - col_lo[i, h]) for i in range(k) for h in range(H)]
-            + [int(hi - lo) for lo, hi in clu]
-        )
-        want = [(j, i) for i in range(k) for j in frac if x[i, j] > 0]
-        got = list(zip(net.arc_point[~slack].tolist(), net.arc_center[~slack].tolist()))
-        assert got == want
-        assert inst.counts.tolist() == [9, 3]
-        assert net.cost[~slack].tolist() == [
-            dist[j, i] / inst.counts[inst.colors[j]] for j, i in want
-        ]
-        assert net.cost[slack].tolist() == [0.0] * (k * H + k)
-
-    def test_validate_rejects_imbalance(self):
-        net = FlowNetwork(
-            num_nodes=2,
-            demand=np.array([-1, 2]),
-            tail=np.array([0]),
-            head=np.array([1]),
-            cap=np.array([1]),
-            cost=np.array([0.0]),
-            node_labels=[("a",), ("b",)],
-            arc_point=np.array([-1]),
-            arc_center=np.array([-1]),
-        )
-        with pytest.raises(FlowError):
-            net.validate()
-
-    def test_validate_rejects_big_cap(self):
-        net = FlowNetwork(
-            num_nodes=2,
-            demand=np.array([-1, 1]),
-            tail=np.array([0]),
-            head=np.array([1]),
-            cap=np.array([2]),
-            cost=np.array([0.0]),
-            node_labels=[("a",), ("b",)],
-            arc_point=np.array([-1]),
-            arc_center=np.array([-1]),
-        )
-        with pytest.raises(FlowError):
-            net.validate()
-
-    def test_dump_format(self):
-        inst, params, dist, x = _case(n=8, k=2, H=2, seed=4)
-        net = build_utilitarian_network(x, inst, params, dist, split_support(x, inst))
-        lines = net.dump().splitlines()
-        assert lines[0] == f"nodes {net.num_nodes}"
-        assert lines[1 + net.num_nodes] == f"arcs {len(net.tail)}"
-        first_arc = lines[2 + net.num_nodes].split()
-        assert len(first_arc) == 4
-        assert float(first_arc[3]) == net.cost[0]
+                cell_lo.append(int(_floor_ceil(mass)[0]) - fixed)
+                cell_hi.append(int(_floor_ceil(mass)[1]) - fixed)
+            fixed = sum(1 for j in range(n) if npos[j] == 1 and x[i, j] > 0)
+            clu_lo.append(int(_floor_ceil(float(x[i].sum()))[0]) - fixed)
+            clu_hi.append(int(_floor_ceil(float(x[i].sum()))[1]) - fixed)
+        assert lo.tolist() == [1] * m + cell_lo + clu_lo
+        assert hi.tolist() == [1] * m + cell_hi + clu_hi
 
 
 class TestMinCostFlow:
-    def test_hand_network_against_networkx(self):
-        nx = pytest.importorskip("networkx")
-        net = FlowNetwork(
-            num_nodes=4,
-            demand=np.array([-2, 0, 0, 2]),
-            tail=np.array([0, 0, 1, 2, 0]),
-            head=np.array([1, 2, 3, 3, 3]),
-            cap=np.array([1, 1, 1, 1, 1]),
-            cost=np.array([1.0, 3.0, 1.0, 1.0, 10.0]),
-            node_labels=[("v", i) for i in range(4)],
-            arc_point=np.full(5, -1),
-            arc_center=np.full(5, -1),
-        )
-        res = min_cost_flow(net)
-        assert res.cost == 6.0
-        g = nx.DiGraph()
-        for v in range(4):
-            g.add_node(v, demand=int(net.demand[v]))
-        for a in range(5):
-            g.add_edge(
-                int(net.tail[a]),
-                int(net.head[a]),
-                capacity=int(net.cap[a]),
-                weight=int(net.cost[a]),
-            )
-        want, _ = nx.network_simplex(g)
-        assert res.cost == want
+    """The rounding is a min-cost flow (transportation) problem; HiGHS must
+    return its integral optimum."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_lp_value(self, seed):
         inst, params, dist, x = _case(n=16, k=3, H=2, seed=seed)
-        support = split_support(x, inst)
-        for net in build_rawlsian_networks(x, inst, params, dist, support):
-            res = min_cost_flow(net)
-            assert res.cost == pytest.approx(_lp_flow_cost(net), abs=1e-8)
-        net = build_utilitarian_network(x, inst, params, dist, support)
-        res = min_cost_flow(net)
-        assert res.cost == pytest.approx(_lp_flow_cost(net), abs=1e-8)
+        for kind, rounder in (
+            ("rawlsian", rawlsian_round),
+            ("utilitarian", utilitarian_round),
+        ):
+            out = rounder(x, inst, params, dist)
+            assert _cost(inst, dist, out.assignment) == pytest.approx(
+                _transport_optimum(x, inst, dist, kind), abs=1e-9
+            )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_no_negative_residual_cycle(self, seed):
+        # an optimal flow has no negative residual cycle: no other rounding
+        # of the fractional points within the floor/ceil costs less
         inst, params, dist, x = _case(n=14, k=3, H=3, seed=100 + seed)
-        net = build_utilitarian_network(x, inst, params, dist, split_support(x, inst))
-        res = min_cost_flow(net)
-        assert not has_negative_cycle(net, res.flow)
+        rng = np.random.default_rng(seed)
+        hot = np.nonzero(rng.random(inst.n) < 0.6)[0]
+        x[:, hot] = 0.0
+        x[rng.integers(0, params.k, size=len(hot)), hot] = 1.0
+        out = utilitarian_round(x, inst, params, dist)
+        support = split_support(x, inst)
+        frac = support.frac
+        assert 0 < len(frac) <= 9
+        best = _cost(inst, dist, out.assignment)
+        a = support.assignment.copy()
+        for choice in itertools.product(*[np.nonzero(x[:, j])[0] for j in frac]):
+            a[frac] = choice
+            mass = np.zeros((params.k, inst.num_colors), dtype=np.int64)
+            np.add.at(mass, (a, inst.colors), 1)
+            size = mass.sum(axis=1)
+            if (
+                np.all((support.col_lo <= mass) & (mass <= support.col_hi))
+                and np.all((support.clu_lo <= size) & (size <= support.clu_hi))
+            ):
+                assert _cost(inst, dist, a) >= best - 1e-12
 
-    def test_flow_conservation(self):
+    def test_flow_conservation(self, monkeypatch):
+        # the vertex HiGHS returns is a 0/1 flow that meets every row
         inst, params, dist, x = _case(n=18, k=3, H=2, seed=12)
-        net = build_utilitarian_network(x, inst, params, dist, split_support(x, inst))
-        fl = min_cost_flow(net).flow
-        inflow = np.zeros(net.num_nodes, dtype=np.int64)
-        np.add.at(inflow, net.head, fl)
-        np.subtract.at(inflow, net.tail, fl)
-        np.testing.assert_array_equal(inflow, net.demand)
-        assert np.all(fl >= 0) and np.all(fl <= net.cap)
+        calls = _milp_spy(monkeypatch)
+        utilitarian_round(x, inst, params, dist)
+        _, A, lo, hi, res = calls[0]
+        y = np.round(res.x)
+        np.testing.assert_allclose(res.x, y, atol=1e-6)
+        assert set(y.tolist()) <= {0.0, 1.0}
+        flow = A @ y
+        assert np.all((lo <= flow) & (flow <= hi))
 
-    def test_infeasible_raises(self):
-        net = FlowNetwork(
-            num_nodes=2,
-            demand=np.array([-1, 1]),
-            tail=np.zeros(0, dtype=np.int64),
-            head=np.zeros(0, dtype=np.int64),
-            cap=np.zeros(0, dtype=np.int64),
-            cost=np.zeros(0),
-            node_labels=[("a",), ("b",)],
-            arc_point=np.zeros(0, dtype=np.int64),
-            arc_center=np.zeros(0, dtype=np.int64),
-        )
-        with pytest.raises(InfeasibleFlowError):
-            min_cost_flow(net)
+    def test_infeasible_raises(self, monkeypatch):
+        # every cell of color 0 asks for 2 of its 3 points
+        inst = random_instance(6, 2, 2, seed=1)
+        inst.colors[:] = [0, 0, 0, 1, 1, 1]
+        params = Params.with_delta(inst, 2, 0.5)
+        x = np.full((2, 6), 0.5)
 
-    def test_negative_cycle_detector_positive_case(self):
-        net = FlowNetwork(
-            num_nodes=2,
-            demand=np.array([0, 0]),
-            tail=np.array([0, 1]),
-            head=np.array([1, 0]),
-            cap=np.array([1, 1]),
-            cost=np.array([-1.0, 0.0]),
-            node_labels=[("a",), ("b",)],
-            arc_point=np.full(2, -1),
-            arc_center=np.full(2, -1),
-        )
-        assert has_negative_cycle(net, np.zeros(2, dtype=np.int64))
+        def tight(x, inst, _split=split_support):
+            support = _split(x, inst)
+            support.col_lo[:, 0] = support.col_hi[:, 0] = 2
+            return support
+
+        monkeypatch.setattr(rounding, "split_support", tight)
+        with pytest.raises(InternalInvariantError, match="rounding LP failed"):
+            rawlsian_round(x, inst, params, np.ones((6, 2)))
 
 
 class TestRoundingBounds:
@@ -416,25 +366,42 @@ class TestRoundingBounds:
 
 
 class TestExtractGuards:
-    def test_unassigned_point_detected(self):
+    def test_unassigned_point_detected(self, monkeypatch):
+        # a solve that rounds no fractional point leaves them at -1
         inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
-        nets = build_rawlsian_networks(x, inst, params, dist, split_support(x, inst))
-        zero_flows = [np.zeros(len(net.tail), dtype=np.int64) for net in nets]
+        assert np.any(split_support(x, inst).assignment < 0)
+        monkeypatch.setattr(
+            rounding,
+            "_solve_support",
+            lambda x, inst, dist, support, joint: support.assignment.copy(),
+        )
         with pytest.raises(InternalInvariantError, match="unassigned"):
-            _extract(
-                nets, zero_flows, split_support(x, inst).assignment,
-                inst, params, dist, "rawlsian",
-            )
+            rawlsian_round(x, inst, params, dist)
 
-    def test_fixed_point_routed_again_detected(self):
+    def test_solver_failure_detected(self, monkeypatch):
         inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
-        nets = build_rawlsian_networks(x, inst, params, dist, split_support(x, inst))
-        flows = [min_cost_flow(net).flow for net in nets]
-        prefilled = split_support(x, inst).assignment
-        j = int(nets[0].arc_point[0])  # a fractional point
-        prefilled[j] = 0
-        with pytest.raises(InternalInvariantError, match="routed twice"):
-            _extract(nets, flows, prefilled, inst, params, dist, "rawlsian")
+        monkeypatch.setattr(
+            scipy.optimize,
+            "milp",
+            lambda c, **kw: SimpleNamespace(status=1, message="time limit", x=None),
+        )
+        for rounder in (rawlsian_round, utilitarian_round):
+            with pytest.raises(InternalInvariantError, match="time limit"):
+                rounder(x, inst, params, dist)
+
+    def test_non_integral_vertex_detected(self, monkeypatch):
+        inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
+        real = scipy.optimize.milp
+
+        def halved(c, **kw):
+            res = real(c, **kw)
+            res.x[0] = 0.5
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "milp", halved)
+        for rounder in (rawlsian_round, utilitarian_round):
+            with pytest.raises(InternalInvariantError, match="integral"):
+                rounder(x, inst, params, dist)
 
     @pytest.mark.parametrize(
         "rounder, share, what",
@@ -445,11 +412,11 @@ class TestExtractGuards:
         ],
     )
     def test_mass_outside_floor_ceil_raises(self, rounder, share, what, monkeypatch):
-        # networks built from other masses than the rounder's x: the flow is
-        # feasible, but what it rounds leaves x's floor/ceil. Under x every
-        # (cluster, color) mass is 1.5 (floor 1, ceil 2) and every cluster
-        # size 3; under the skewed x the cheap center 0 gets 3 points of
-        # each color at share 0.99, and 2 (size 4) at share 0.6
+        # the rounding LP solved for other masses than the rounder's x: the
+        # LP is feasible, but what it rounds leaves x's floor/ceil. Under x
+        # every (cluster, color) mass is 1.5 (floor 1, ceil 2) and every
+        # cluster size 3; under the skewed x the cheap center 0 gets 3 points
+        # of each color at share 0.99, and 2 (size 4) at share 0.6
         inst = random_instance(6, 2, 2, seed=1)
         inst.colors[:] = [0, 0, 0, 1, 1, 1]
         params = Params.with_delta(inst, 2, 0.5)
@@ -457,15 +424,14 @@ class TestExtractGuards:
         dist[:, 1] = 1.0
         x = np.full((2, 6), 0.5)
         skewed = np.array([[share] * 6, [1.0 - share] * 6])
-        for name in ("build_rawlsian_networks", "build_utilitarian_network"):
-            build = getattr(rounding, name)
-            monkeypatch.setattr(
-                rounding,
-                name,
-                lambda _x, inst, params, dist, _s, _b=build: _b(
-                    skewed, inst, params, dist, split_support(skewed, inst)
-                ),
-            )
+        solve = rounding._solve_support
+        monkeypatch.setattr(
+            rounding,
+            "_solve_support",
+            lambda _x, inst, dist, _s, joint: solve(
+                skewed, inst, dist, split_support(skewed, inst), joint
+            ),
+        )
         with pytest.raises(InternalInvariantError, match=re.escape(f"rounded {what}")):
             rounder(x, inst, params, dist)
 
