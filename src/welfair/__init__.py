@@ -45,6 +45,7 @@ from .model import (
     apply_normalization,
     load_instance,
     normalization_factor,
+    normalization_factors,
 )
 from .pipeline import (
     DominanceReport,
@@ -98,6 +99,7 @@ __all__ = [
     "lloyd",
     "load_instance",
     "normalization_factor",
+    "normalization_factors",
     "pairwise_pow",
     "rawlsian_alg",
     "rawlsian_round",

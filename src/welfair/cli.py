@@ -34,7 +34,7 @@ from .model import (
     Params,
     apply_normalization,
     load_instance,
-    normalization_factor,
+    normalization_factors,
 )
 from .rounding import rawlsian_round, utilitarian_round
 
@@ -165,18 +165,19 @@ def run_experiment(config: ExperimentConfig) -> str:
     objectives = (
         list(_OBJECTIVES) if config.objective == "both" else [config.objective]
     )
-    norm_factors: dict[str, float] = {}
-    insts: dict[str, Instance] = {}
-    for obj in objectives:
-        if config.normalize:
-            f = normalization_factor(
-                instance, config.k_range, config.p, obj, config.seed
+    if config.normalize:
+        both = normalization_factors(instance, config.k_range, config.p, config.seed)
+        if 0.0 in both.values():
+            # zero vanilla cost at every k: each point sits on its center
+            raise NormalizationError(
+                config.k_range[0],
+                "vanilla k-means cost is zero; no distance scale to normalize by",
             )
-            norm_factors[obj] = f
-            insts[obj] = apply_normalization(instance, f)
-        else:
-            norm_factors[obj] = float("nan")
-            insts[obj] = instance
+        factors = {obj: both[obj] for obj in objectives}
+        insts = {obj: apply_normalization(instance, f) for obj, f in factors.items()}
+    else:
+        factors = dict.fromkeys(objectives, float("nan"))
+        insts = dict.fromkeys(objectives, instance)
     rows: list[dict] = []
     for obj in objectives:
         inst = insts[obj]
@@ -196,7 +197,7 @@ def run_experiment(config: ExperimentConfig) -> str:
         results = _run_tasks(tasks, config)
         for (obj_t, _inst, _k, _lam, _cache), group in zip(tasks, results):
             for res in group:
-                res.norm_factor = norm_factors[obj_t]
+                res.norm_factor = factors[obj_t]
                 rows.append(_result_row(res, obj_t, config))
     os.makedirs(config.out_dir, exist_ok=True)
     out_csv = os.path.join(config.out_dir, "results.csv")
@@ -214,7 +215,7 @@ def run_experiment(config: ExperimentConfig) -> str:
         "dim": instance.dim,
         "color_names": instance.color_names,
         "color_counts": [int(c) for c in instance.counts],
-        "norm_factors": {k: (None if math.isnan(v) else v) for k, v in norm_factors.items()},
+        "norm_factors": {k: (None if math.isnan(v) else v) for k, v in factors.items()},
         "dataset_sha256": digest,
         "columns": cols,
     }
@@ -373,10 +374,14 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
     failures = 0
     for trial in range(count):
         H = int(rng.integers(2, 4))
-        k = int(rng.integers(2, 4))
-        # brute force enumerates k^n assignments; n <= 8 keeps 20 trials at a
-        # few seconds
-        n = int(rng.integers(4, 9))
+        # every fourth trial has k = 5 > lp._CANDIDATES centers, so the LP is
+        # solved restricted and priced; brute force enumerates k^n
+        # assignments, and n <= 6 there (n <= 8 otherwise) keeps 20 trials
+        # at a few seconds
+        if trial % 4 == 3:
+            k, n = 5, int(rng.integers(5, 7))
+        else:
+            k, n = int(rng.integers(2, 4)), int(rng.integers(4, 9))
         colors = np.arange(n, dtype=np.int64) % H
         X = rng.normal(size=(n, 2))
         inst = Instance(X, colors, [f"g{h}" for h in range(H)])

@@ -3,7 +3,6 @@ brute-force oracle for tiny instances."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +19,16 @@ from .metrics import pairwise_pow
 from .model import Instance, Params
 
 _SNAP = 1e-12
-# x columns per point in HiGHS's first restricted LP; at n = 3000, k = 12
-# width 4 needed one round where width 3 needed two or three cold re-solves
+# x columns per point in HiGHS's first restricted LP, the eliminated nearest
+# one included; at n = 3000, k = 12 width 4 needed one round where width 3
+# needed two or three
 _CANDIDATES = 4
 # HiGHS's feasibility tolerances are at most this: at its default of 1e-7 an
 # x that breaks rows by up to 1e-7 can put the LP value above the integral
 # optimum
 _FEASIBILITY = 1e-9
+# assignments per array batch of brute_force_assignment
+_BRUTE_BATCH = 4096
 
 
 @dataclass
@@ -207,13 +209,24 @@ def build_utilitarian_lp(
 class HighsSolver:
     """scipy.optimize.linprog backend (HiGHS).
 
+    Assignment models are solved in each point's nearest-center frame: the
+    x column of point j's nearest center a(j) (ties to the lowest index) is
+    eliminated through j's assignment row, x[a(j), j] = 1 - sum over i != a(j)
+    of x[i, j]. Every other column of j loses the nearest column's objective
+    and row coefficients, the constants move into the right-hand sides and an
+    objective offset, and the assignment equality becomes the row
+    sum over i != a(j) of x[i, j] <= 1. HiGHS's all-zero start, with presolve
+    off, is then the nearest-center assignment, a few dozen dual-simplex
+    iterations from the optimum instead of about n. Models without
+    meta["dist_pow"] eliminate nothing.
+
     Assignment models with k > _CANDIDATES centers are solved by column
     generation: the first LP keeps only the x columns of each point's
-    _CANDIDATES nearest centers, and every excluded column whose reduced cost
-    under the LP's duals is below -tolerance joins before a re-solve. The
-    last round prices every excluded column at or above -tolerance, which
-    certifies its optimum as the full LP's. HiGHS's primal and dual
-    feasibility tolerances are min(tolerance, _FEASIBILITY).
+    _CANDIDATES nearest centers, and every other non-eliminated column whose
+    reduced cost under the LP's duals is below -tolerance joins before a
+    re-solve. The last round prices every excluded column at or above
+    -tolerance, which certifies its optimum as the full LP's. HiGHS's primal
+    and dual feasibility tolerances are min(tolerance, _FEASIBILITY).
     """
 
     name = "highs"
@@ -224,21 +237,36 @@ class HighsSolver:
         A_eq, b_eq = _stack(model, "eq")
         A_ub, b_ub = _stack(model, "le")
         c = model.objective
+        eliminated = _nearest_columns(model)
+        offset = 0.0
+        if eliminated.size:
+            # the eq rows are the assignment rows, row j holding x[a(j), j]
+            # with coefficient 1: substitute x[a(j), j] = 1 - (row j's others)
+            A_near = A_ub[:, eliminated]
+            A_ub = sp.vstack([A_ub - A_near @ A_eq, A_eq], format="csc")
+            b_ub = np.concatenate([b_ub - A_near @ b_eq, b_eq])
+            offset = float(c[eliminated] @ b_eq)
+            c = c - A_eq.T @ c[eliminated]
+            A_assign, b_assign = A_eq, b_eq
+            A_eq = b_eq = None
         bounds = np.column_stack([model.lower, model.upper])
         feasibility = min(tolerance, _FEASIBILITY)
         options = {
+            "presolve": False,
             "primal_feasibility_tolerance": feasibility,
             "dual_feasibility_tolerance": feasibility,
         }
-        keep = _initial_columns(model)
+        out = np.zeros(model.num_vars, dtype=bool)
+        out[eliminated] = True
+        keep = _initial_columns(model) & ~out
         rounds = 0
         while True:
             rounds += 1
             cols = np.flatnonzero(keep)
-            restricted = cols.size < model.num_vars
+            restricted = not (keep | out).all()
 
             def kept(A):
-                return A[:, cols] if restricted and A is not None else A
+                return None if A is None else A[:, cols]
 
             res = linprog(
                 c[cols],
@@ -263,13 +291,15 @@ class HighsSolver:
                 rc -= A_eq.T @ res.eqlin.marginals
             if A_ub is not None:
                 rc -= A_ub.T @ res.ineqlin.marginals
-            enter = ~keep & (rc < -tolerance)
+            enter = ~(keep | out) & (rc < -tolerance)
             if not enter.any():
                 break
             keep |= enter
         x = np.zeros(model.num_vars)
         x[cols] = res.x
-        return x, float(res.fun), f"highs:optimal:rounds={rounds}"
+        if eliminated.size:
+            x[eliminated] = b_assign - A_assign @ x
+        return x, float(res.fun) + offset, f"highs:optimal:rounds={rounds}"
 
 
 def _stack(model: LPModel, sense: str):
@@ -288,6 +318,15 @@ def _stack(model: LPModel, sense: str):
         shape=(len(rows), model.num_vars),
     )
     return A, np.array([row.rhs for row in rows])
+
+
+def _nearest_columns(model: LPModel) -> np.ndarray:
+    """x column of each point's nearest center, ties to the lowest index;
+    empty for models without meta["dist_pow"]."""
+    if "dist_pow" not in model.meta:
+        return np.empty(0, dtype=np.int64)
+    n = model.meta["n"]
+    return np.argmin(model.meta["dist_pow"], axis=1) * n + np.arange(n)
 
 
 def _initial_columns(model: LPModel) -> np.ndarray:
@@ -433,28 +472,30 @@ def brute_force_assignment(
     lam = params.lam
     H = instance.num_colors
     arange = np.arange(n)
+    in_color = (colors[:, None] == np.arange(H)).astype(np.float64)    # (n, H)
+    # assignment number m, written in base k with point 0's center as the
+    # most significant digit, is the m-th vector of the lexicographic order
+    place = k ** np.arange(n - 1, -1, -1)
+    total = k**n
     best_val = np.inf
     best_assign = None
-    for combo in itertools.product(range(k), repeat=n):
-        a = np.asarray(combo, dtype=np.int64)
-        dsel = dist_pow[arange, a]
-        sizes = np.bincount(a, minlength=k).astype(np.float64)
-        size_h = np.zeros((k, H))
-        np.add.at(size_h, (a, colors), 1.0)
-        nz = sizes > 0
-        frac = np.zeros((k, H))
-        frac[nz] = size_h[nz] / sizes[nz, None]
-        delta = np.zeros((k, H))
-        over = frac - (r + params.alpha)[None, :]
-        under = (r - params.beta)[None, :] - frac
-        delta[nz] = np.maximum(np.maximum(over, under), 0.0)[nz]
-        V = (sizes[:, None] * delta).sum(axis=0)
-        D = np.zeros(H)
-        np.add.at(D, colors, dsel)
+    for start in range(0, total, _BRUTE_BATCH):
+        a = (np.arange(start, min(start + _BRUTE_BATCH, total))[:, None] // place) % k
+        member = (a[:, :, None] == np.arange(k)).astype(np.float64)   # (B, n, k)
+        sizes = member.sum(axis=1)                                    # (B, k)
+        size_h = np.einsum("bnk,nh->bkh", member, in_color)           # (B, k, H)
+        nz = (sizes > 0)[:, :, None]
+        frac = np.where(nz, size_h / np.maximum(sizes, 1.0)[:, :, None], 0.0)
+        over = frac - (r + params.alpha)
+        under = (r - params.beta) - frac
+        delta = np.where(nz, np.maximum(np.maximum(over, under), 0.0), 0.0)
+        V = (sizes[:, :, None] * delta).sum(axis=1)                   # (B, H)
+        D = dist_pow[arange, a] @ in_color                            # (B, H)
         disu = (lam * D + (1.0 - lam) * V) / counts
-        val = float(disu.max()) if objective == "rawlsian" else float(disu.sum())
-        if val < best_val:
-            best_val = val
-            best_assign = a
+        vals = disu.max(axis=1) if objective == "rawlsian" else disu.sum(axis=1)
+        b = int(np.argmin(vals))
+        if vals[b] < best_val:
+            best_val = float(vals[b])
+            best_assign = a[b]
     assert best_assign is not None
     return best_assign, best_val

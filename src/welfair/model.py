@@ -38,9 +38,14 @@ class Instance:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.colors = np.asarray(self.colors, dtype=np.int64)
         if self.features.ndim != 2:
-            raise ValueError("features must be a 2-d array")
+            raise DataError(
+                f"features must be a 2-d array, got shape {self.features.shape}"
+            )
         if self.colors.shape != (self.features.shape[0],):
-            raise ValueError("colors must be a 1-d array aligned with features")
+            raise DataError(
+                f"features of shape {self.features.shape} need colors of shape "
+                f"({self.features.shape[0]},), got {self.colors.shape}"
+            )
         H = len(self.color_names)
         bad = np.nonzero((self.colors < 0) | (self.colors >= H))[0]
         if bad.size:
@@ -262,27 +267,31 @@ def normalization_factor(
     the numerator: "rawlsian" uses the overall mean of d^p, "utilitarian" the
     sum over colors of per-color average d^p.
     """
+    if mode not in ("rawlsian", "utilitarian"):
+        raise ValueError(f"unknown normalization mode {mode!r}")
+    return normalization_factors(instance, k_range, p, seed)[mode]
+
+
+def normalization_factors(
+    instance: Instance,
+    k_range: list[int],
+    p: int = 2,
+    seed: int = 0,
+) -> dict[str, float]:
+    """normalization_factor for both modes, from one vanilla k-means run per
+    k: {"rawlsian": ..., "utilitarian": ...}."""
     from . import centers as _centers
     from . import metrics as _metrics
 
-    if mode not in ("rawlsian", "utilitarian"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
     if not k_range:
         raise ValueError("k_range must be non-empty")
     counts = instance.counts
-    factors = []
+    factors: dict[str, list[float]] = {"rawlsian": [], "utilitarian": []}
     for k in k_range:
         cs = _centers.lloyd(instance, k, np.ones(instance.n), seed=seed)
         dist = _metrics.pairwise_pow(instance.features, cs.centers, p)
         assign = np.argmin(dist, axis=1)
         dsel = dist[np.arange(instance.n), assign]
-        if mode == "rawlsian":
-            num = float(dsel.sum()) / instance.n
-        else:
-            num = float(
-                sum(dsel[instance.colors == h].sum() / counts[h]
-                    for h in range(instance.num_colors))
-            )
         params0 = Params(
             k=k,
             lam=0.0,
@@ -296,8 +305,15 @@ def normalization_factor(
             raise NormalizationError(
                 k, "violation denominator is zero; instance is exactly balanced"
             )
-        factors.append(num / den)
-    return float(np.mean(factors))
+        factors["rawlsian"].append(float(dsel.sum()) / instance.n / den)
+        factors["utilitarian"].append(
+            float(
+                sum(dsel[instance.colors == h].sum() / counts[h]
+                    for h in range(instance.num_colors))
+            )
+            / den
+        )
+    return {mode: float(np.mean(f)) for mode, f in factors.items()}
 
 
 def apply_normalization(instance: Instance, factor: float) -> Instance:

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from datagen import random_instance, write_csv
+from datagen import random_instance, separated_instance, write_csv
 
 from welfair import centers
 from welfair.cli import (
@@ -22,6 +22,7 @@ from welfair.cli import (
     plot_results,
     run_experiment,
 )
+from welfair.model import load_instance, normalization_factor
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +247,42 @@ class TestRunExperiment:
             for key in ra:
                 if key not in skip:
                     assert ra[key] == rb[key], key
+
+    def test_normalization_runs_one_lloyd_per_k(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        # objective both: the two factors share one vanilla Lloyd run per k,
+        # so normalizing adds len(k_range) lloyd calls, and metadata records
+        # the per-mode factors
+        path, feats = dataset
+        calls = []
+        real = centers.lloyd
+        monkeypatch.setattr(
+            centers, "lloyd", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        counts = {}
+        for normalize in (False, True):
+            calls.clear()
+            out = tmp_path / f"n{int(normalize)}"
+            config = ExperimentConfig(
+                data=path,
+                feature_columns=feats,
+                group_column="group",
+                objective="both",
+                k_range=[2, 3, 4],
+                lambdas=[0.5],
+                restarts=1,
+                normalize=normalize,
+                out_dir=str(out),
+            )
+            run_experiment(config)
+            counts[normalize] = len(calls)
+        assert counts[True] - counts[False] == len(config.k_range)
+        meta = json.loads((tmp_path / "n1" / "metadata.json").read_text())
+        inst = load_instance(path, feats, "group")
+        for mode in ("rawlsian", "utilitarian"):
+            want = normalization_factor(inst, config.k_range, 2, mode, 0)
+            assert meta["norm_factors"][mode] == want
 
     def test_subsample_and_no_normalize(self, dataset, tmp_path):
         path, feats = dataset
@@ -498,6 +535,22 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "data error" in err and "exactly balanced" in err
+
+    def test_zero_normalization_factor_is_data_error(self, tmp_path, capsys):
+        # every point sits on one of two sites: vanilla k-means at k = 2 costs
+        # zero, so no normalization factor exists
+        p = tmp_path / "sites.csv"
+        feats = write_csv(separated_instance(40, theta=0.2, seed=0), str(p))
+        code = main(
+            [
+                "run", "--data", str(p), "--features", ",".join(feats),
+                "--group", "group", "--k", "2", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "cost is zero" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "flags, message",

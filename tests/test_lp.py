@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from datagen import random_instance
 
@@ -236,12 +237,26 @@ def _linprog_spy(monkeypatch):
 
 
 def _reduced_costs(model, res):
-    """c - A^T y over every column of the full model, y the duals of res."""
+    """c - A^T y over every column of the full model, y the model's own row
+    duals recovered from res, a solve in the nearest-center frame.
+
+    The frame LP's le rows are the model's le rows, in order, followed by one
+    row per point j, sum over i != a(j) of x[i, j] <= 1, with dual mu_j. The
+    le rows keep their duals; assignment row j's dual is the one that leaves
+    the eliminated column x[a(j), j] with reduced cost -mu_j >= 0."""
+    le = [row for row in model.rows if row.sense == "le"]
+    assign = [row for row in model.rows if row.sense == "eq"]
+    duals = res.ineqlin.marginals
+    assert len(duals) == len(le) + len(assign)
     rc = model.objective.copy()
-    for sense, duals in (("eq", res.eqlin.marginals), ("le", res.ineqlin.marginals)):
-        rows = [row for row in model.rows if row.sense == sense]
-        for row, y in zip(rows, duals):
-            np.add.at(rc, row.cols, -y * row.vals)
+    for row, y in zip(le, duals[: len(le)]):
+        np.add.at(rc, row.cols, -y * row.vals)
+    n = model.meta["n"]
+    near = np.argmin(model.meta["dist_pow"], axis=1) * n + np.arange(n)
+    mu = duals[len(le):]
+    for row, y in zip(assign, rc[near] + mu):
+        np.add.at(rc, row.cols, -y * row.vals)
+    np.testing.assert_allclose(rc[near], -mu, atol=1e-12)
     return rc
 
 
@@ -281,14 +296,17 @@ class TestHighsPricing:
         xvec, obj, status = HighsSolver().solve(m, params.lp_tolerance)
         rounds = int(status.rsplit("rounds=", 1)[1])
         assert rounds >= 2 and len(calls) == rounds
-        assert len(calls[0][0]["c"]) == m.num_vars - (m.meta["k"] - 1) * inst.n
+        # the one candidate per point is its nearest center, whose column the
+        # frame eliminates: the first LP holds no x column at all
+        assert len(calls[0][0]["c"]) == m.num_vars - m.meta["k"] * inst.n
         want = _all_columns(monkeypatch, m)
         assert obj == pytest.approx(want.solver_objective, abs=params.lp_tolerance)
-        # every column the last LP left out sits at zero; none of them (nor
-        # any other x column at zero) prices below -tolerance
+        # every non-eliminated column the last LP left out sits at zero; none
+        # of them (nor any other x column at zero) prices below -tolerance
+        # under the model's own duals
         rc = _reduced_costs(m, calls[-1][1])
         at_zero = np.flatnonzero(xvec[: m.meta["layout"]["kn"]] == 0.0)
-        assert len(at_zero) >= m.num_vars - len(calls[-1][0]["c"])
+        assert len(at_zero) >= m.num_vars - inst.n - len(calls[-1][0]["c"])
         assert rc[at_zero].min() >= -params.lp_tolerance
 
     @pytest.mark.parametrize("k", [2, 4])
@@ -298,7 +316,8 @@ class TestHighsPricing:
         calls = _linprog_spy(monkeypatch)
         xvec, _, status = HighsSolver().solve(m, params.lp_tolerance)
         assert status == "highs:optimal:rounds=1"
-        assert len(calls) == 1 and len(calls[0][0]["c"]) == m.num_vars
+        # every column but the n eliminated nearest-center ones
+        assert len(calls) == 1 and len(calls[0][0]["c"]) == m.num_vars - inst.n
         assert xvec.shape == (m.num_vars,)
 
     def test_tolerance_reaches_highs(self, monkeypatch):
@@ -312,6 +331,7 @@ class TestHighsPricing:
             assert calls
             for kwargs, _ in calls:
                 assert kwargs["options"] == {
+                    "presolve": False,
                     "primal_feasibility_tolerance": feasibility,
                     "dual_feasibility_tolerance": feasibility,
                 }
@@ -384,24 +404,29 @@ class TestExport:
 
 
 class TestBruteForce:
-    def test_matches_exhaustive_report_scan(self):
-        inst, params, centers = _setup(n=6, k=2, H=2, lam=0.6, seed=4)
-        for kind in ("rawlsian", "utilitarian"):
-            got_assign, got_val = brute_force_assignment(
-                inst, params, centers, kind
-            )
-            best_val = np.inf
-            best_assign = None
-            for assign in itertools.product(range(2), repeat=inst.n):
-                rep = group_costs(
-                    inst, Solution(centers, np.array(assign)), params
+    def test_matches_exhaustive_report_scan(self, monkeypatch):
+        # small batches put batch boundaries inside the enumeration
+        for n, k, H, seed, batch in (
+            (6, 2, 2, 4, 4096), (6, 2, 2, 4, 7), (6, 3, 3, 1, 10), (5, 5, 2, 2, 64)
+        ):
+            monkeypatch.setattr(lp_mod, "_BRUTE_BATCH", batch)
+            inst, params, centers = _setup(n=n, k=k, H=H, lam=0.6, seed=seed)
+            for kind in ("rawlsian", "utilitarian"):
+                got_assign, got_val = brute_force_assignment(
+                    inst, params, centers, kind
                 )
-                val = rep.R if kind == "rawlsian" else rep.U
-                if val < best_val - 1e-15:
-                    best_val = val
-                    best_assign = np.array(assign)
-            assert got_val == pytest.approx(best_val, abs=1e-12)
-            assert np.array_equal(got_assign, best_assign)
+                best_val = np.inf
+                best_assign = None
+                for assign in itertools.product(range(k), repeat=inst.n):
+                    rep = group_costs(
+                        inst, Solution(centers, np.array(assign)), params
+                    )
+                    val = rep.R if kind == "rawlsian" else rep.U
+                    if val < best_val - 1e-15:
+                        best_val = val
+                        best_assign = np.array(assign)
+                assert got_val == pytest.approx(best_val, abs=1e-12)
+                assert np.array_equal(got_assign, best_assign)
 
     def test_size_guard(self):
         inst, params, centers = _setup(n=14, k=2, H=2)
@@ -507,3 +532,56 @@ def test_lp_brute_rounding_sandwich_property(seed, H, n, k, p, lam, delta, kind)
         for i in range(k):
             lo, hi = _floor_ceil(float(mass[i]))
             assert lo <= integral.color_mass[i, h] <= hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    H=st.integers(2, 4),
+    k=st.integers(2, 6),
+    lam=st.floats(0.0, 1.0),
+    dup=st.booleans(),
+    kind=st.sampled_from(["rawlsian", "utilitarian"]),
+)
+def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
+    # HighsSolver's frame LP (nearest column eliminated, pricing for
+    # k > _CANDIDATES) has the value of the untransformed model, solved by
+    # HiGHS's interior-point method, and its x, rebuilt in the model's
+    # variables, meets every model row
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2 * H + k, 40))
+    inst = random_instance(n, 2, H, int(rng.integers(0, 10_000)))
+    delta = float(rng.choice([0.0, 0.05, 0.2]))
+    params = Params.with_delta(inst, k, lam, delta)
+    try:
+        params.validate(inst)
+    except ParamError:
+        assume(False)
+    centers = inst.features[rng.choice(n, size=k, replace=False)]
+    if dup:
+        # equal centers tie every point's distances to them
+        centers[rng.integers(1, k)] = centers[0]
+    build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+    m = build(inst, params, centers)
+    xvec, obj, _ = HighsSolver().solve(m, params.lp_tolerance)
+
+    A_eq, b_eq = lp_mod._stack(m, "eq")
+    A_ub, b_ub = lp_mod._stack(m, "le")
+    ref = linprog(
+        m.objective,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        bounds=np.column_stack([m.lower, m.upper]),
+        method="highs-ipm",
+    )
+    assert ref.status == 0, ref.message
+    assert obj == pytest.approx(ref.fun, abs=params.lp_tolerance)
+    assert float(m.objective @ xvec) == pytest.approx(obj, abs=1e-12)
+    np.testing.assert_allclose(A_eq @ xvec, b_eq, atol=1e-8)
+    assert (A_ub @ xvec - b_ub).max() <= 1e-8
+    assert (xvec >= m.lower - 1e-8).all() and (xvec <= m.upper + 1e-8).all()
+    np.testing.assert_allclose(
+        xvec[: k * n].reshape(k, n).sum(axis=0), 1.0, atol=1e-12
+    )

@@ -118,8 +118,12 @@ class TestInstance:
         assert inst.points_of(1).tolist() == [0, 2]
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match=r"\(3, 2\).*\(2,\)"):
             Instance(np.zeros((3, 2)), [0, 1], ["a", "b"])
+        with pytest.raises(DataError, match=r"2-d.*\(3,\)"):
+            Instance(np.zeros(3), [0, 1, 1], ["a", "b"])
+        with pytest.raises(DataError, match=r"\(3, 1\).*\(3, 1\)"):
+            Instance(np.zeros((3, 1)), [[0], [1], [1]], ["a", "b"])
 
     def test_color_id_out_of_range(self):
         with pytest.raises(DataError, match="color id 5"):
