@@ -240,6 +240,8 @@ def _check_run_params(config: ExperimentConfig) -> None:
         raise ParamError(f"k must be at least 1, got {bad[0]}")
     if config.restarts < 1:
         raise ParamError(f"restarts must be at least 1, got {config.restarts}")
+    if config.subsample is not None and config.subsample < 1:
+        raise ParamError(f"subsample must be at least 1, got {config.subsample}")
     for lam in config.lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ParamError(f"lambda must lie in [0, 1], got {lam}")

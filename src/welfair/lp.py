@@ -1,9 +1,9 @@
-"""Assignment LPs for the two welfare objectives, their HiGHS solve, and a
-brute-force oracle for tiny instances."""
+"""The welfair assignment LP of each welfare objective, its HiGHS solve, and
+a brute-force oracle for tiny instances."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,30 +33,68 @@ _BRUTE_BATCH = 4096
 
 @dataclass
 class Row:
+    """One coupling row of the assignment LP: vals . v[cols] <= 0."""
+
     name: str
     cols: np.ndarray
     vals: np.ndarray
-    sense: str          # "eq" or "le"
-    rhs: float
 
 
 @dataclass
 class LPModel:
-    """Sparse LP: min objective . v subject to rows, lower <= v <= upper."""
+    """The assignment LP of one welfare objective.
 
-    num_vars: int
+    Variables, in order: x_i_j, point j's share of center i in [0, 1], at
+    i * n + j; t_i_h >= 0, color h's proportion violation in cluster i, at
+    k * n + i * H + h; and, for the Rawlsian objective, the free z last. The
+    LP minimizes objective . v subject to every point's x column summing to 1
+    and every row in rows being <= 0. The assignment equalities are part of
+    the model's definition, so rows holds only the coupling rows:
+    under_i_h and over_i_h for every (cluster, color), then, for the
+    Rawlsian objective, disu_h for every color.
+    """
+
+    kind: str                   # "rawlsian" or "utilitarian"
+    instance: Instance
+    params: Params
+    dist_pow: np.ndarray        # (n, k) d(x_j, c_i)^p
     objective: np.ndarray
     rows: list[Row]
-    lower: np.ndarray
-    upper: np.ndarray
-    meta: dict = field(default_factory=dict)
+
+    @property
+    def k(self) -> int:
+        return self.params.k
+
+    @property
+    def n(self) -> int:
+        return self.instance.n
+
+    @property
+    def H(self) -> int:
+        return self.instance.num_colors
+
+    @property
+    def num_vars(self) -> int:
+        return self.k * (self.n + self.H) + (self.kind == "rawlsian")
+
+    @property
+    def lower(self) -> np.ndarray:
+        lower = np.zeros(self.num_vars)
+        if self.kind == "rawlsian":
+            lower[-1] = -np.inf
+        return lower
+
+    @property
+    def upper(self) -> np.ndarray:
+        upper = np.full(self.num_vars, np.inf)
+        upper[: self.k * self.n] = 1.0
+        return upper
 
     def var_name(self, idx: int) -> str:
-        k, n, H = self.meta["k"], self.meta["n"], self.meta["H"]
-        kn = k * n
-        if idx < kn:
+        k, n, H = self.k, self.n, self.H
+        if idx < k * n:
             return f"x_{idx // n}_{idx % n}"
-        idx -= kn
+        idx -= k * n
         if idx < k * H:
             return f"t_{idx // H}_{idx % H}"
         return "z"
@@ -75,77 +113,34 @@ class FractionalSolution:
     status: str
 
 
-def _layout(k: int, n: int, H: int, with_z: bool) -> dict:
-    kn = k * n
-    z = kn + k * H
-    return {
-        "kn": kn,
-        "t": kn,
-        "z": z if with_z else -1,
-        "num_vars": z + (1 if with_z else 0),
-    }
-
-
-def _build_common(instance: Instance, params: Params, centers, dist_pow, with_z):
+def _violation_rows(instance: Instance, params: Params, centers, dist_pow):
+    """Check the inputs; return the (n, k) d^p matrix and the under_i_h and
+    over_i_h rows, in that order."""
     params.validate(instance)
-    X = instance.features
-    n = instance.n
-    H = instance.num_colors
-    k = params.k
+    n, H, k = instance.n, instance.num_colors, params.k
     if centers.shape[0] != k:
         raise LPError(f"params.k={k} but {centers.shape[0]} centers given")
     if dist_pow is None:
-        dist_pow = pairwise_pow(X, centers, params.p)
-    lay = _layout(k, n, H, with_z)
-    nv = lay["num_vars"]
-    lower = np.zeros(nv)
-    upper = np.full(nv, np.inf)
-    upper[: lay["kn"]] = 1.0
-    if with_z:
-        lower[lay["z"]] = -np.inf
-    r = instance.proportions
-    colors = instance.colors
-    rows: list[Row] = []
-    allj = np.arange(n)
-    for j in range(n):
-        rows.append(
-            Row(f"assign_{j}", np.arange(k) * n + j, np.ones(k), "eq", 1.0)
-        )
+        dist_pow = pairwise_pow(instance.features, centers, params.p)
     # t_ih bounds the under- and over-representation of color h in cluster i:
     # (r_h - beta_h) size_i - size_ih <= t_ih and
     # size_ih - (r_h + alpha_h) size_i <= t_ih, written out in x
-    under = np.empty((H, n))
-    over = np.empty((H, n))
-    for h in range(H):
-        ish = colors == h
-        under[h] = r[h] - params.beta[h]
-        under[h, ish] -= 1.0
-        over[h] = -(r[h] + params.alpha[h])
-        over[h, ish] += 1.0
-    for tag, coef in (("under", under), ("over", over)):
-        for i in range(k):
-            xcols = i * n + allj
-            for h in range(H):
-                rows.append(
-                    Row(
-                        f"{tag}_{i}_{h}",
-                        np.concatenate([xcols, [lay["t"] + i * H + h]]),
-                        np.concatenate([coef[h], [-1.0]]),
-                        "le",
-                        0.0,
-                    )
-                )
-    meta = {
-        "k": k,
-        "n": n,
-        "H": H,
-        "layout": lay,
-        "params": params,
-        "instance": instance,
-        "dist_pow": dist_pow,
-        "centers": np.asarray(centers, dtype=np.float64),
-    }
-    return lay, lower, upper, rows, meta, dist_pow
+    r = instance.proportions
+    member = instance.colors == np.arange(H)[:, None]               # (H, n)
+    under = (r - params.beta)[:, None] - member
+    over = member - (r + params.alpha)[:, None]
+    allj = np.arange(n)
+    rows = [
+        Row(
+            f"{tag}_{i}_{h}",
+            np.concatenate([i * n + allj, [k * n + i * H + h]]),
+            np.concatenate([coef[h], [-1.0]]),
+        )
+        for tag, coef in (("under", under), ("over", over))
+        for i in range(k)
+        for h in range(H)
+    ]
+    return dist_pow, rows
 
 
 def build_rawlsian_lp(
@@ -155,31 +150,27 @@ def build_rawlsian_lp(
     dist_pow: np.ndarray | None = None,
 ) -> LPModel:
     """Min-max LP: z bounds every color's fractional disutility from above."""
-    lay, lower, upper, rows, meta, dist_pow = _build_common(
-        instance, params, centers, dist_pow, with_z=True
-    )
+    dist_pow, rows = _violation_rows(instance, params, centers, dist_pow)
     n, H, k = instance.n, instance.num_colors, params.k
     lam = params.lam
     counts = instance.counts
+    z = k * (n + H)
     for h in range(H):
         jh = np.nonzero(instance.colors == h)[0]
         xcols = (np.arange(k)[:, None] * n + jh[None, :]).ravel()
         xvals = (lam / counts[h]) * dist_pow[jh, :].T.ravel()
-        tcols = lay["t"] + np.arange(k) * H + h
+        tcols = k * n + np.arange(k) * H + h
         tvals = np.full(k, (1.0 - lam) / counts[h])
         rows.append(
             Row(
                 f"disu_{h}",
-                np.concatenate([xcols, tcols, [lay["z"]]]),
+                np.concatenate([xcols, tcols, [z]]),
                 np.concatenate([xvals, tvals, [-1.0]]),
-                "le",
-                0.0,
             )
         )
-    obj = np.zeros(lay["num_vars"])
-    obj[lay["z"]] = 1.0
-    meta["kind"] = "rawlsian"
-    return LPModel(lay["num_vars"], obj, rows, lower, upper, meta)
+    obj = np.zeros(z + 1)
+    obj[z] = 1.0
+    return LPModel("rawlsian", instance, params, dist_pow, obj, rows)
 
 
 def build_utilitarian_lp(
@@ -189,44 +180,40 @@ def build_utilitarian_lp(
     dist_pow: np.ndarray | None = None,
 ) -> LPModel:
     """Sum-of-disutilities LP: same constraints, objective in the costs."""
-    lay, lower, upper, rows, meta, dist_pow = _build_common(
-        instance, params, centers, dist_pow, with_z=False
-    )
+    dist_pow, rows = _violation_rows(instance, params, centers, dist_pow)
     n, H, k = instance.n, instance.num_colors, params.k
     lam = params.lam
     counts = instance.counts
-    obj = np.zeros(lay["num_vars"])
+    obj = np.zeros(k * (n + H))
     wcol = lam / counts[instance.colors]          # per-point weight
     for i in range(k):
         obj[i * n: (i + 1) * n] = wcol * dist_pow[:, i]
     for i in range(k):
         for h in range(H):
-            obj[lay["t"] + i * H + h] = (1.0 - lam) / counts[h]
-    meta["kind"] = "utilitarian"
-    return LPModel(lay["num_vars"], obj, rows, lower, upper, meta)
+            obj[k * n + i * H + h] = (1.0 - lam) / counts[h]
+    return LPModel("utilitarian", instance, params, dist_pow, obj, rows)
 
 
 class HighsSolver:
     """scipy.optimize.linprog backend (HiGHS).
 
-    Assignment models are solved in each point's nearest-center frame: the
-    x column of point j's nearest center a(j) (ties to the lowest index) is
-    eliminated through j's assignment row, x[a(j), j] = 1 - sum over i != a(j)
-    of x[i, j]. Every other column of j loses the nearest column's objective
-    and row coefficients, the constants move into the right-hand sides and an
-    objective offset, and the assignment equality becomes the row
+    The LP is solved in each point's nearest-center frame: the x column of
+    point j's nearest center a(j) (ties to the lowest index) is eliminated
+    through j's assignment equality, x[a(j), j] = 1 - sum over i != a(j) of
+    x[i, j]. Every other column of j loses the nearest column's objective
+    and row coefficients, the constants move into the right-hand sides and
+    an objective offset, and the assignment equality becomes the row
     sum over i != a(j) of x[i, j] <= 1. HiGHS's all-zero start, with presolve
     off, is then the nearest-center assignment, a few dozen dual-simplex
-    iterations from the optimum instead of about n. Models without
-    meta["dist_pow"] eliminate nothing.
+    iterations from the optimum instead of about n.
 
-    Assignment models with k > _CANDIDATES centers are solved by column
-    generation: the first LP keeps only the x columns of each point's
-    _CANDIDATES nearest centers, and every other non-eliminated column whose
-    reduced cost under the LP's duals is below -tolerance joins before a
-    re-solve. The last round prices every excluded column at or above
-    -tolerance, which certifies its optimum as the full LP's. HiGHS's primal
-    and dual feasibility tolerances are min(tolerance, _FEASIBILITY).
+    With k > _CANDIDATES centers the LP is solved by column generation: the
+    first LP keeps only the x columns of each point's _CANDIDATES nearest
+    centers, and every other non-eliminated column whose reduced cost under
+    the LP's duals is below -tolerance joins before a re-solve. The last
+    round prices every excluded column at or above -tolerance, which
+    certifies its optimum as the full LP's. HiGHS's primal and dual
+    feasibility tolerances are min(tolerance, _FEASIBILITY).
     """
 
     name = "highs"
@@ -234,21 +221,18 @@ class HighsSolver:
     def solve(self, model: LPModel, tolerance: float) -> tuple[np.ndarray, float, str]:
         from scipy.optimize import linprog
 
-        A_eq, b_eq = _stack(model, "eq")
-        A_ub, b_ub = _stack(model, "le")
-        c = model.objective
-        eliminated = _nearest_columns(model)
-        offset = 0.0
-        if eliminated.size:
-            # the eq rows are the assignment rows, row j holding x[a(j), j]
-            # with coefficient 1: substitute x[a(j), j] = 1 - (row j's others)
-            A_near = A_ub[:, eliminated]
-            A_ub = sp.vstack([A_ub - A_near @ A_eq, A_eq], format="csc")
-            b_ub = np.concatenate([b_ub - A_near @ b_eq, b_eq])
-            offset = float(c[eliminated] @ b_eq)
-            c = c - A_eq.T @ c[eliminated]
-            A_assign, b_assign = A_eq, b_eq
-            A_eq = b_eq = None
+        n = model.n
+        ones = np.ones(n)
+        assign = _assignment_operator(model)
+        near = np.argmin(model.dist_pow, axis=1) * n + np.arange(n)
+        # substitute x[a(j), j] = 1 - (j's other shares) into the rows <= 0
+        # and the objective; the assignment rows keep x[a(j), j] >= 0
+        A_rows = _stack(model)
+        A_near = A_rows[:, near]
+        A_ub = sp.vstack([A_rows - A_near @ assign, assign], format="csc")
+        b_ub = np.concatenate([np.zeros(len(model.rows)) - A_near @ ones, ones])
+        offset = float(model.objective[near] @ ones)
+        c = model.objective - assign.T @ model.objective[near]
         bounds = np.column_stack([model.lower, model.upper])
         feasibility = min(tolerance, _FEASIBILITY)
         options = {
@@ -257,23 +241,16 @@ class HighsSolver:
             "dual_feasibility_tolerance": feasibility,
         }
         out = np.zeros(model.num_vars, dtype=bool)
-        out[eliminated] = True
+        out[near] = True
         keep = _initial_columns(model) & ~out
         rounds = 0
         while True:
             rounds += 1
             cols = np.flatnonzero(keep)
-            restricted = not (keep | out).all()
-
-            def kept(A):
-                return None if A is None else A[:, cols]
-
             res = linprog(
                 c[cols],
-                A_ub=kept(A_ub),
+                A_ub=A_ub[:, cols],
                 b_ub=b_ub,
-                A_eq=kept(A_eq),
-                b_eq=b_eq,
                 bounds=bounds[cols],
                 method="highs",
                 options=options,
@@ -284,30 +261,23 @@ class HighsSolver:
                 raise LPUnboundedError(res.message)
             if res.status != 0:
                 raise LPError(f"highs failed: {res.message}")
-            if not restricted:
+            if (keep | out).all():
                 break
-            rc = c.copy()
-            if A_eq is not None:
-                rc -= A_eq.T @ res.eqlin.marginals
-            if A_ub is not None:
-                rc -= A_ub.T @ res.ineqlin.marginals
+            rc = c - A_ub.T @ res.ineqlin.marginals
             enter = ~(keep | out) & (rc < -tolerance)
             if not enter.any():
                 break
             keep |= enter
         x = np.zeros(model.num_vars)
         x[cols] = res.x
-        if eliminated.size:
-            x[eliminated] = b_assign - A_assign @ x
+        x[near] = 1.0 - assign @ x
         return x, float(res.fun) + offset, f"highs:optimal:rounds={rounds}"
 
 
-def _stack(model: LPModel, sense: str):
-    """CSC matrix and right-hand side of the model's rows of one sense."""
-    rows = [row for row in model.rows if row.sense == sense]
-    if not rows:
-        return None, None
-    A = sp.csc_matrix(
+def _stack(model: LPModel) -> sp.csc_matrix:
+    """CSC matrix of the model's rows."""
+    rows = model.rows
+    return sp.csc_matrix(
         (
             np.concatenate([row.vals for row in rows]),
             (
@@ -317,27 +287,28 @@ def _stack(model: LPModel, sense: str):
         ),
         shape=(len(rows), model.num_vars),
     )
-    return A, np.array([row.rhs for row in rows])
 
 
-def _nearest_columns(model: LPModel) -> np.ndarray:
-    """x column of each point's nearest center, ties to the lowest index;
-    empty for models without meta["dist_pow"]."""
-    if "dist_pow" not in model.meta:
-        return np.empty(0, dtype=np.int64)
-    n = model.meta["n"]
-    return np.argmin(model.meta["dist_pow"], axis=1) * n + np.arange(n)
+def _assignment_operator(model: LPModel) -> sp.csc_matrix:
+    """(n, num_vars) CSC matrix whose row j sums point j's x column, the
+    left-hand side of the assignment equalities: column i * n + j holds a 1
+    in row j, the t and z columns are empty."""
+    k, n = model.k, model.n
+    indptr = np.minimum(np.arange(model.num_vars + 1), k * n)
+    return sp.csc_matrix(
+        (np.ones(k * n), np.tile(np.arange(n), k), indptr),
+        shape=(n, model.num_vars),
+    )
 
 
 def _initial_columns(model: LPModel) -> np.ndarray:
     """Column mask of the first LP: every non-x column, and the x columns of
     each point's _CANDIDATES nearest centers (all of them when k is small)."""
     keep = np.ones(model.num_vars, dtype=bool)
-    k = model.meta.get("k", 0)
+    k, n = model.k, model.n
     if k <= _CANDIDATES:
         return keep
-    n = model.meta["n"]
-    near = np.argpartition(model.meta["dist_pow"], _CANDIDATES - 1, axis=1)
+    near = np.argpartition(model.dist_pow, _CANDIDATES - 1, axis=1)
     keep[: k * n] = False
     keep[near[:, :_CANDIDATES] * n + np.arange(n)[:, None]] = True
     return keep
@@ -358,16 +329,14 @@ def solve_lp(
     on those variables.
     """
     if tolerance is None:
-        tolerance = model.meta["params"].lp_tolerance
+        tolerance = model.params.lp_tolerance
     if solver is None:
         solver = HighsSolver()
     elif not hasattr(solver, "solve"):
         raise LPError(f"solver {solver!r} has no solve(model, tolerance) method")
     xvec, raw_obj, status = solver.solve(model, tolerance)
-    meta = model.meta
-    k, n, H = meta["k"], meta["n"], meta["H"]
-    inst: Instance = meta["instance"]
-    params: Params = meta["params"]
+    k, n, H = model.k, model.n, model.H
+    inst, params = model.instance, model.params
     x = np.asarray(xvec[: k * n], dtype=np.float64).reshape(k, n).copy()
     np.clip(x, 0.0, 1.0, out=x)
     x[x < _SNAP] = 0.0
@@ -396,19 +365,16 @@ def solve_lp(
 
 def fractional_objective(model: LPModel, x: np.ndarray, t: np.ndarray) -> float:
     """Evaluate the model's objective on a fractional assignment directly."""
-    meta = model.meta
-    inst: Instance = meta["instance"]
-    params: Params = meta["params"]
-    dist_pow = meta["dist_pow"]
+    inst, dist_pow = model.instance, model.dist_pow
     counts = inst.counts
-    H = meta["H"]
-    lam = params.lam
+    H = model.H
+    lam = model.params.lam
     disu = np.empty(H)
     for h in range(H):
         jh = inst.colors == h
         dcost = float((x[:, jh] * dist_pow[jh, :].T).sum())
         disu[h] = (lam * dcost + (1.0 - lam) * float(t[:, h].sum())) / counts[h]
-    if meta["kind"] == "rawlsian":
+    if model.kind == "rawlsian":
         return float(disu.max())
     return float(disu.sum())
 
@@ -418,8 +384,9 @@ def to_lp_text(model: LPModel) -> str:
 
     Variables: x_i_j (point j's share of center i, in [0, 1]), t_i_h (color
     h's proportion violation in cluster i, >= 0) and, for the Rawlsian
-    model, the free z."""
-    out = [f"\\ welfair {model.meta.get('kind', 'model')} assignment model"]
+    model, the free z. The implied assignment equalities are written out as
+    the rows assign_j, before the model's stored rows."""
+    out = [f"\\ welfair {model.kind} assignment model"]
     out.append("Minimize")
     terms = [
         f"{model.objective[j]:+.17g} {model.var_name(j)}"
@@ -427,15 +394,16 @@ def to_lp_text(model: LPModel) -> str:
     ]
     out.append(" obj: " + (" ".join(terms) if terms else "0"))
     out.append("Subject To")
+    for j in range(model.n):
+        parts = " ".join(f"+1 x_{i}_{j}" for i in range(model.k))
+        out.append(f" assign_{j}: {parts} = 1")
     for row in model.rows:
         parts = " ".join(
             f"{v:+.17g} {model.var_name(int(c))}" for c, v in zip(row.cols, row.vals)
         )
-        op = "=" if row.sense == "eq" else "<="
-        out.append(f" {row.name}: {parts} {op} {row.rhs:.17g}")
+        out.append(f" {row.name}: {parts} <= 0")
     out.append("Bounds")
-    for j in range(model.num_vars):
-        lo, up = model.lower[j], model.upper[j]
+    for j, (lo, up) in enumerate(zip(model.lower, model.upper)):
         name = model.var_name(j)
         if np.isneginf(lo) and np.isposinf(up):
             out.append(f" {name} free")

@@ -285,13 +285,10 @@ def normalization_factors(
 
     if not k_range:
         raise ValueError("k_range must be non-empty")
-    counts = instance.counts
     factors: dict[str, list[float]] = {"rawlsian": [], "utilitarian": []}
     for k in k_range:
         cs = _centers.lloyd(instance, k, np.ones(instance.n), seed=seed)
         dist = _metrics.pairwise_pow(instance.features, cs.centers, p)
-        assign = np.argmin(dist, axis=1)
-        dsel = dist[np.arange(instance.n), assign]
         params0 = Params(
             k=k,
             lam=0.0,
@@ -299,20 +296,17 @@ def normalization_factors(
             alpha=np.zeros(instance.num_colors),
             beta=np.zeros(instance.num_colors),
         )
+        rep = _metrics.report_from_distances(
+            instance, params0, dist, np.argmin(dist, axis=1)
+        )
         # U at lambda = 0 is sum_h V_h / n_h
-        den = _metrics.report_from_distances(instance, params0, dist, assign).U
+        den = rep.U
         if den <= 0.0:
             raise NormalizationError(
                 k, "violation denominator is zero; instance is exactly balanced"
             )
-        factors["rawlsian"].append(float(dsel.sum()) / instance.n / den)
-        factors["utilitarian"].append(
-            float(
-                sum(dsel[instance.colors == h].sum() / counts[h]
-                    for h in range(instance.num_colors))
-            )
-            / den
-        )
+        factors["rawlsian"].append(rep.cost / instance.n / den)
+        factors["utilitarian"].append(float((rep.D / instance.counts).sum()) / den)
     return {mode: float(np.mean(f)) for mode, f in factors.items()}
 
 

@@ -562,6 +562,8 @@ class TestMain:
             (["--restarts", "0"], "restarts must be at least 1, got 0"),
             (["--k", "two"], "not an integer range or list: 'two'"),
             (["--lambdas", "0.5,x"], "not a list of numbers: '0.5,x'"),
+            (["--subsample", "-5"], "subsample must be at least 1, got -5"),
+            (["--subsample", "0"], "subsample must be at least 1, got 0"),
         ],
     )
     def test_bad_run_params_exit_one_before_loading(self, flags, message, capsys):

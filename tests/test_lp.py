@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from scipy.optimize import linprog
 from datagen import random_instance
 
 from welfair import lp as lp_mod
-from welfair.errors import BruteForceSizeError, LPError, LPInfeasibleError, ParamError
+from welfair.errors import (
+    BruteForceSizeError,
+    LPError,
+    LPInfeasibleError,
+    LPUnboundedError,
+    ParamError,
+)
 from welfair.lp import (
     HighsSolver,
-    LPModel,
-    Row,
     brute_force_assignment,
     build_rawlsian_lp,
     build_utilitarian_lp,
@@ -42,25 +47,25 @@ class TestBuilders:
         m = build_rawlsian_lp(inst, params, centers)
         k, n, H = 3, 10, 2
         assert m.num_vars == k * n + k * H + 1
-        # n assign + kH under + kH over + H disu
-        assert len(m.rows) == n + 2 * k * H + H
-        assert m.meta["kind"] == "rawlsian"
+        # kH under + kH over + H disu; the n assignment rows are implied
+        assert len(m.rows) == 2 * k * H + H
+        assert (m.k, m.n, m.H) == (k, n, H)
+        assert m.kind == "rawlsian"
 
     def test_utilitarian_shape(self):
         inst, params, centers = _setup(n=10, k=3, H=2)
         m = build_utilitarian_lp(inst, params, centers)
         k, n, H = 3, 10, 2
         assert m.num_vars == k * n + k * H
-        assert len(m.rows) == n + 2 * k * H
-        assert m.meta["kind"] == "utilitarian"
+        assert len(m.rows) == 2 * k * H
+        assert m.kind == "utilitarian"
 
     def test_bounds(self):
         inst, params, centers = _setup()
         m = build_rawlsian_lp(inst, params, centers)
-        lay = m.meta["layout"]
-        kn = lay["kn"]
+        kn = t0 = params.k * inst.n
+        z = t0 + params.k * inst.num_colors
         assert np.all(m.lower[:kn] == 0) and np.all(m.upper[:kn] == 1)
-        t0, z = lay["t"], lay["z"]
         assert z == m.num_vars - 1
         assert np.all(m.lower[t0:z] == 0) and np.all(np.isposinf(m.upper[t0:z]))
         assert np.isneginf(m.lower[z]) and np.isposinf(m.upper[z])
@@ -115,9 +120,8 @@ class TestBuilders:
             for h in range(H):
                 for tag, want in (("under", u[i, h]), ("over", o[i, h])):
                     row = rows[f"{tag}_{i}_{h}"]
-                    assert row.sense == "le" and row.rhs == 0.0
                     assert row.vals @ v[row.cols] == pytest.approx(want, abs=1e-12)
-        v[m.meta["layout"]["t"] : m.meta["layout"]["t"] + k * H] = np.maximum(
+        v[k * n : k * n + k * H] = np.maximum(
             np.maximum(u, o), 0.0
         ).ravel()
         for row in m.rows:
@@ -240,29 +244,29 @@ def _reduced_costs(model, res):
     """c - A^T y over every column of the full model, y the model's own row
     duals recovered from res, a solve in the nearest-center frame.
 
-    The frame LP's le rows are the model's le rows, in order, followed by one
-    row per point j, sum over i != a(j) of x[i, j] <= 1, with dual mu_j. The
-    le rows keep their duals; assignment row j's dual is the one that leaves
-    the eliminated column x[a(j), j] with reduced cost -mu_j >= 0."""
-    le = [row for row in model.rows if row.sense == "le"]
-    assign = [row for row in model.rows if row.sense == "eq"]
+    The frame LP's rows are the model's rows, in order, followed by one row
+    per point j, sum over i != a(j) of x[i, j] <= 1, with dual mu_j. The
+    model's rows keep their duals; point j's assignment equality gets the
+    dual that leaves the eliminated column x[a(j), j] with reduced cost
+    -mu_j >= 0."""
+    rows = model.rows
     duals = res.ineqlin.marginals
-    assert len(duals) == len(le) + len(assign)
+    assert len(duals) == len(rows) + model.n
     rc = model.objective.copy()
-    for row, y in zip(le, duals[: len(le)]):
+    for row, y in zip(rows, duals[: len(rows)]):
         np.add.at(rc, row.cols, -y * row.vals)
-    n = model.meta["n"]
-    near = np.argmin(model.meta["dist_pow"], axis=1) * n + np.arange(n)
-    mu = duals[len(le):]
-    for row, y in zip(assign, rc[near] + mu):
-        np.add.at(rc, row.cols, -y * row.vals)
+    k, n = model.k, model.n
+    near = np.argmin(model.dist_pow, axis=1) * n + np.arange(n)
+    mu = duals[len(rows):]
+    # assignment equality j holds x[i, j] for every i, at column i * n + j
+    rc[: k * n] -= np.tile(rc[near] + mu, k)
     np.testing.assert_allclose(rc[near], -mu, atol=1e-12)
     return rc
 
 
 def _all_columns(monkeypatch, model):
     with monkeypatch.context() as mp:
-        mp.setattr(lp_mod, "_CANDIDATES", model.meta["k"])
+        mp.setattr(lp_mod, "_CANDIDATES", model.k)
         return solve_lp(model)
 
 
@@ -298,14 +302,14 @@ class TestHighsPricing:
         assert rounds >= 2 and len(calls) == rounds
         # the one candidate per point is its nearest center, whose column the
         # frame eliminates: the first LP holds no x column at all
-        assert len(calls[0][0]["c"]) == m.num_vars - m.meta["k"] * inst.n
+        assert len(calls[0][0]["c"]) == m.num_vars - m.k * inst.n
         want = _all_columns(monkeypatch, m)
         assert obj == pytest.approx(want.solver_objective, abs=params.lp_tolerance)
         # every non-eliminated column the last LP left out sits at zero; none
         # of them (nor any other x column at zero) prices below -tolerance
         # under the model's own duals
         rc = _reduced_costs(m, calls[-1][1])
-        at_zero = np.flatnonzero(xvec[: m.meta["layout"]["kn"]] == 0.0)
+        at_zero = np.flatnonzero(xvec[: m.k * m.n] == 0.0)
         assert len(at_zero) >= m.num_vars - inst.n - len(calls[-1][0]["c"])
         assert rc[at_zero].min() >= -params.lp_tolerance
 
@@ -367,6 +371,90 @@ class TestLambdaOneReductions:
         assert frac.objective == pytest.approx(want, abs=1e-9)
 
 
+# to_lp_text of _golden_models(), byte for byte; the assign_j rows come
+# first although the model only implies them
+_GOLDEN_RAWLSIAN = r"""\ welfair rawlsian assignment model
+Minimize
+ obj: +1 z
+Subject To
+ assign_0: +1 x_0_0 +1 x_1_0 = 1
+ assign_1: +1 x_0_1 +1 x_1_1 = 1
+ assign_2: +1 x_0_2 +1 x_1_2 = 1
+ assign_3: +1 x_0_3 +1 x_1_3 = 1
+ under_0_0: -0.55000000000000004 x_0_0 +0.45000000000000001 x_0_1 -0.55000000000000004 x_0_2 +0.45000000000000001 x_0_3 -1 t_0_0 <= 0
+ under_0_1: +0.45000000000000001 x_0_0 -0.55000000000000004 x_0_1 +0.45000000000000001 x_0_2 -0.55000000000000004 x_0_3 -1 t_0_1 <= 0
+ under_1_0: -0.55000000000000004 x_1_0 +0.45000000000000001 x_1_1 -0.55000000000000004 x_1_2 +0.45000000000000001 x_1_3 -1 t_1_0 <= 0
+ under_1_1: +0.45000000000000001 x_1_0 -0.55000000000000004 x_1_1 +0.45000000000000001 x_1_2 -0.55000000000000004 x_1_3 -1 t_1_1 <= 0
+ over_0_0: +0.44999999999999996 x_0_0 -0.55000000000000004 x_0_1 +0.44999999999999996 x_0_2 -0.55000000000000004 x_0_3 -1 t_0_0 <= 0
+ over_0_1: -0.55000000000000004 x_0_0 +0.44999999999999996 x_0_1 -0.55000000000000004 x_0_2 +0.44999999999999996 x_0_3 -1 t_0_1 <= 0
+ over_1_0: +0.44999999999999996 x_1_0 -0.55000000000000004 x_1_1 +0.44999999999999996 x_1_2 -0.55000000000000004 x_1_3 -1 t_1_0 <= 0
+ over_1_1: -0.55000000000000004 x_1_0 +0.44999999999999996 x_1_1 -0.55000000000000004 x_1_2 +0.44999999999999996 x_1_3 -1 t_1_1 <= 0
+ disu_0: +0.037499999999999999 x_0_0 +0.33749999999999997 x_0_2 +0.75 x_1_0 +0.75 x_1_2 +0.34999999999999998 t_0_0 +0.34999999999999998 t_1_0 -1 z <= 0
+ disu_1: +0.1875 x_0_1 +1.3875 x_0_3 +0.29999999999999999 x_1_1 +0.14999999999999999 x_1_3 +0.34999999999999998 t_0_1 +0.34999999999999998 t_1_1 -1 z <= 0
+Bounds
+ 0 <= x_0_0 <= 1
+ 0 <= x_0_1 <= 1
+ 0 <= x_0_2 <= 1
+ 0 <= x_0_3 <= 1
+ 0 <= x_1_0 <= 1
+ 0 <= x_1_1 <= 1
+ 0 <= x_1_2 <= 1
+ 0 <= x_1_3 <= 1
+ t_0_0 >= 0
+ t_0_1 >= 0
+ t_1_0 >= 0
+ t_1_1 >= 0
+ z free
+End
+"""
+
+_GOLDEN_UTILITARIAN = r"""\ welfair utilitarian assignment model
+Minimize
+ obj: +0.037499999999999999 x_0_0 +0.1875 x_0_1 +0.33749999999999997 x_0_2 +1.3875 x_0_3 +0.75 x_1_0 +0.29999999999999999 x_1_1 +0.75 x_1_2 +0.14999999999999999 x_1_3 +0.34999999999999998 t_0_0 +0.34999999999999998 t_0_1 +0.34999999999999998 t_1_0 +0.34999999999999998 t_1_1
+Subject To
+ assign_0: +1 x_0_0 +1 x_1_0 = 1
+ assign_1: +1 x_0_1 +1 x_1_1 = 1
+ assign_2: +1 x_0_2 +1 x_1_2 = 1
+ assign_3: +1 x_0_3 +1 x_1_3 = 1
+ under_0_0: -0.55000000000000004 x_0_0 +0.45000000000000001 x_0_1 -0.55000000000000004 x_0_2 +0.45000000000000001 x_0_3 -1 t_0_0 <= 0
+ under_0_1: +0.45000000000000001 x_0_0 -0.55000000000000004 x_0_1 +0.45000000000000001 x_0_2 -0.55000000000000004 x_0_3 -1 t_0_1 <= 0
+ under_1_0: -0.55000000000000004 x_1_0 +0.45000000000000001 x_1_1 -0.55000000000000004 x_1_2 +0.45000000000000001 x_1_3 -1 t_1_0 <= 0
+ under_1_1: +0.45000000000000001 x_1_0 -0.55000000000000004 x_1_1 +0.45000000000000001 x_1_2 -0.55000000000000004 x_1_3 -1 t_1_1 <= 0
+ over_0_0: +0.44999999999999996 x_0_0 -0.55000000000000004 x_0_1 +0.44999999999999996 x_0_2 -0.55000000000000004 x_0_3 -1 t_0_0 <= 0
+ over_0_1: -0.55000000000000004 x_0_0 +0.44999999999999996 x_0_1 -0.55000000000000004 x_0_2 +0.44999999999999996 x_0_3 -1 t_0_1 <= 0
+ over_1_0: +0.44999999999999996 x_1_0 -0.55000000000000004 x_1_1 +0.44999999999999996 x_1_2 -0.55000000000000004 x_1_3 -1 t_1_0 <= 0
+ over_1_1: -0.55000000000000004 x_1_0 +0.44999999999999996 x_1_1 -0.55000000000000004 x_1_2 +0.44999999999999996 x_1_3 -1 t_1_1 <= 0
+Bounds
+ 0 <= x_0_0 <= 1
+ 0 <= x_0_1 <= 1
+ 0 <= x_0_2 <= 1
+ 0 <= x_0_3 <= 1
+ 0 <= x_1_0 <= 1
+ 0 <= x_1_1 <= 1
+ 0 <= x_1_2 <= 1
+ 0 <= x_1_3 <= 1
+ t_0_0 >= 0
+ t_0_1 >= 0
+ t_1_0 >= 0
+ t_1_1 >= 0
+End
+"""
+
+
+def _golden_models():
+    inst = Instance(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]),
+        np.array([0, 1, 0, 1]),
+        ["a", "b"],
+    )
+    params = Params.with_delta(inst, 2, 0.3, 0.1)
+    centers = np.array([[0.0, 0.5], [2.0, 1.0]])
+    return (
+        build_rawlsian_lp(inst, params, centers),
+        build_utilitarian_lp(inst, params, centers),
+    )
+
+
 class TestExport:
     def test_sections_and_shape(self):
         inst, params, centers = _setup(n=6, k=2, H=2)
@@ -401,6 +489,11 @@ class TestExport:
         a = to_lp_text(build_rawlsian_lp(inst, params, centers))
         b = to_lp_text(build_rawlsian_lp(inst, params, centers))
         assert a == b
+
+    def test_golden_text(self):
+        rawlsian, utilitarian = _golden_models()
+        assert to_lp_text(rawlsian) == _GOLDEN_RAWLSIAN
+        assert to_lp_text(utilitarian) == _GOLDEN_UTILITARIAN
 
 
 class TestBruteForce:
@@ -439,20 +532,32 @@ class TestBruteForce:
             brute_force_assignment(inst, params, centers, "minimax")
 
 
-class TestInfeasibleDetection:
-    def test_highs_raises_on_contradiction(self):
-        model = LPModel(
-            num_vars=1,
-            objective=np.zeros(1),
-            rows=[
-                Row("a", np.array([0]), np.array([1.0]), "eq", 2.0),
-            ],
-            lower=np.zeros(1),
-            upper=np.ones(1),
-            meta={"params": Params(k=1, lam=0.5)},
-        )
-        with pytest.raises(LPInfeasibleError):
-            HighsSolver().solve(model, 1e-7)
+class TestHighsStatus:
+    """A failed HiGHS solve reaches the caller as the LPError its linprog
+    status names: 2 infeasible, 3 unbounded, any other non-zero generic."""
+
+    @pytest.mark.parametrize(
+        "status, error",
+        [(2, LPInfeasibleError), (3, LPUnboundedError), (1, LPError), (4, LPError)],
+        ids=["infeasible", "unbounded", "iteration_limit", "numerical"],
+    )
+    @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
+    def test_status_raises(self, monkeypatch, build, status, error):
+        import scipy.optimize
+
+        inst, params, centers = _setup(n=8, k=2, H=2)
+        m = build(inst, params, centers)
+        calls = []
+
+        def failing(c, **kwargs):
+            calls.append(c)
+            return SimpleNamespace(status=status, message=f"status {status}")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        with pytest.raises(error, match=f"status {status}") as info:
+            HighsSolver().solve(m, params.lp_tolerance)
+        assert info.type is error
+        assert len(calls) == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -480,7 +585,7 @@ def test_solve_lp_property(seed, lam, delta):
     np.testing.assert_allclose(frac.x.sum(axis=0), 1.0, atol=1e-6)
     assert frac.objective >= -1e-12
     # nearest-center integral assignment upper-bounds the LP optimum
-    nearest = np.argmin(m.meta["dist_pow"], axis=1)
+    nearest = np.argmin(m.dist_pow, axis=1)
     rep = group_costs(inst, Solution(centers, nearest), params)
     assert frac.objective <= rep.U + 1e-7
 
@@ -565,8 +670,15 @@ def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
     m = build(inst, params, centers)
     xvec, obj, _ = HighsSolver().solve(m, params.lp_tolerance)
 
-    A_eq, b_eq = lp_mod._stack(m, "eq")
-    A_ub, b_ub = lp_mod._stack(m, "le")
+    # the model written out densely: its rows <= 0 and every point's x column
+    # summing to 1
+    A_ub = np.zeros((len(m.rows), m.num_vars))
+    for r, row in enumerate(m.rows):
+        A_ub[r, row.cols] = row.vals
+    b_ub = np.zeros(len(m.rows))
+    A_eq = np.zeros((n, m.num_vars))
+    A_eq[:, : k * n] = np.tile(np.eye(n), k)
+    b_eq = np.ones(n)
     ref = linprog(
         m.objective,
         A_ub=A_ub,
