@@ -12,6 +12,8 @@ import json
 import math
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -90,10 +92,30 @@ class ExperimentConfig:
         ]
         if missing:
             raise UsageError(f"config {path}: missing key(s) {', '.join(missing)}")
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if f.name in raw and not _has_type(raw[f.name], hints[f.name]):
+                raise UsageError(
+                    f"config {path}: {f.name!r} must be {f.type}, "
+                    f"got {json.dumps(raw[f.name])}"
+                )
         return cls(**raw)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
+def _has_type(value, tp) -> bool:
+    """value, read from JSON, fits the annotation tp: an int is a float, a
+    bool is neither."""
+    args = typing.get_args(tp)
+    if isinstance(tp, types.UnionType):
+        return any(_has_type(value, t) for t in args)
+    if typing.get_origin(tp) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
 
 
 def _fmt(v: float) -> str:
@@ -162,6 +184,11 @@ def run_experiment(config: ExperimentConfig) -> str:
         instance = instance.subsample(config.subsample, config.seed)
     if max(config.k_range) > instance.n:
         raise ParamError(f"k={max(config.k_range)} exceeds n={instance.n} points")
+    for k in config.k_range:
+        for lam in config.lambdas:
+            Params.with_delta(
+                instance, k, lam, config.delta, config.p, config.lp_tolerance
+            ).validate(instance)
     objectives = (
         list(_OBJECTIVES) if config.objective == "both" else [config.objective]
     )
@@ -242,6 +269,8 @@ def _check_run_params(config: ExperimentConfig) -> None:
         raise ParamError(f"restarts must be at least 1, got {config.restarts}")
     if config.subsample is not None and config.subsample < 1:
         raise ParamError(f"subsample must be at least 1, got {config.subsample}")
+    if not config.lambdas:
+        raise ParamError("lambda list is empty")
     for lam in config.lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ParamError(f"lambda must lie in [0, 1], got {lam}")

@@ -15,7 +15,7 @@ from .errors import (
     LPInfeasibleError,
     LPUnboundedError,
 )
-from .metrics import pairwise_pow
+from .metrics import color_masses, disutilities, pairwise_pow
 from .model import Instance, Params
 
 _SNAP = 1e-12
@@ -102,12 +102,9 @@ class LPModel:
 
 @dataclass
 class FractionalSolution:
-    """Cleaned LP optimum: x (k, n) plus the induced t, u, o and objective."""
+    """Cleaned LP optimum: x (k, n) and the objective evaluated on it."""
 
     x: np.ndarray
-    t: np.ndarray
-    u: np.ndarray
-    o: np.ndarray
     objective: float
     solver_objective: float
     status: str
@@ -323,10 +320,9 @@ def solve_lp(
 
     solver replaces HiGHS with any object that has a
     solve(model, tolerance) -> (x, objective, status) method.
-    x entries below 1e-12 are snapped to zero; u, o are computed from x and
-    t = max(u, o, 0), so the reported variables are mutually consistent. The
-    reported objective is the direct evaluation of the objective expression
-    on those variables.
+    x entries below 1e-12 are snapped to zero. The reported objective is the
+    welfare evaluation of that x (`metrics.disutilities` on its fractional
+    masses), in which each t_ih takes its least feasible value.
     """
     if tolerance is None:
         tolerance = model.params.lp_tolerance
@@ -335,48 +331,21 @@ def solve_lp(
     elif not hasattr(solver, "solve"):
         raise LPError(f"solver {solver!r} has no solve(model, tolerance) method")
     xvec, raw_obj, status = solver.solve(model, tolerance)
-    k, n, H = model.k, model.n, model.H
-    inst, params = model.instance, model.params
+    k, n, inst = model.k, model.n, model.instance
     x = np.asarray(xvec[: k * n], dtype=np.float64).reshape(k, n).copy()
     np.clip(x, 0.0, 1.0, out=x)
     x[x < _SNAP] = 0.0
     col = np.abs(x.sum(axis=0) - 1.0).max(initial=0.0)
     if col > 1e-5:
         raise InternalInvariantError(f"assignment column sum off by {col:g}")
-    sizes = x.sum(axis=1)
-    size_h = np.zeros((k, H))
-    for h in range(H):
-        size_h[:, h] = x[:, inst.colors == h].sum(axis=1)
-    r = inst.proportions
-    u = (r - params.beta)[None, :] * sizes[:, None] - size_h
-    o = size_h - (r + params.alpha)[None, :] * sizes[:, None]
-    t = np.maximum(np.maximum(u, o), 0.0)
-    obj = fractional_objective(model, x, t)
+    D = color_masses((x * model.dist_pow.T).sum(axis=0), inst)
+    _, _, disu = disutilities(inst, model.params, color_masses(x, inst), D)
     return FractionalSolution(
         x=x,
-        t=t,
-        u=u,
-        o=o,
-        objective=obj,
+        objective=float(disu.max() if model.kind == "rawlsian" else disu.sum()),
         solver_objective=raw_obj,
         status=status,
     )
-
-
-def fractional_objective(model: LPModel, x: np.ndarray, t: np.ndarray) -> float:
-    """Evaluate the model's objective on a fractional assignment directly."""
-    inst, dist_pow = model.instance, model.dist_pow
-    counts = inst.counts
-    H = model.H
-    lam = model.params.lam
-    disu = np.empty(H)
-    for h in range(H):
-        jh = inst.colors == h
-        dcost = float((x[:, jh] * dist_pow[jh, :].T).sum())
-        disu[h] = (lam * dcost + (1.0 - lam) * float(t[:, h].sum())) / counts[h]
-    if model.kind == "rawlsian":
-        return float(disu.max())
-    return float(disu.sum())
 
 
 def to_lp_text(model: LPModel) -> str:
@@ -434,13 +403,7 @@ def brute_force_assignment(
     if float(k) ** n > limit:
         raise BruteForceSizeError(k, n, limit)
     dist_pow = pairwise_pow(instance.features, centers, params.p)
-    colors = instance.colors
-    counts = instance.counts
-    r = instance.proportions
-    lam = params.lam
-    H = instance.num_colors
     arange = np.arange(n)
-    in_color = (colors[:, None] == np.arange(H)).astype(np.float64)    # (n, H)
     # assignment number m, written in base k with point 0's center as the
     # most significant digit, is the m-th vector of the lexicographic order
     place = k ** np.arange(n - 1, -1, -1)
@@ -449,17 +412,10 @@ def brute_force_assignment(
     best_assign = None
     for start in range(0, total, _BRUTE_BATCH):
         a = (np.arange(start, min(start + _BRUTE_BATCH, total))[:, None] // place) % k
-        member = (a[:, :, None] == np.arange(k)).astype(np.float64)   # (B, n, k)
-        sizes = member.sum(axis=1)                                    # (B, k)
-        size_h = np.einsum("bnk,nh->bkh", member, in_color)           # (B, k, H)
-        nz = (sizes > 0)[:, :, None]
-        frac = np.where(nz, size_h / np.maximum(sizes, 1.0)[:, :, None], 0.0)
-        over = frac - (r + params.alpha)
-        under = (r - params.beta) - frac
-        delta = np.where(nz, np.maximum(np.maximum(over, under), 0.0), 0.0)
-        V = (sizes[:, :, None] * delta).sum(axis=1)                   # (B, H)
-        D = dist_pow[arange, a] @ in_color                            # (B, H)
-        disu = (lam * D + (1.0 - lam) * V) / counts
+        member = a[:, None, :] == np.arange(k)[:, None]               # (B, k, n)
+        mass = color_masses(member, instance)                         # (B, k, H)
+        D = color_masses(dist_pow[arange, a], instance)               # (B, H)
+        _, _, disu = disutilities(instance, params, mass, D)
         vals = disu.max(axis=1) if objective == "rawlsian" else disu.sum(axis=1)
         b = int(np.argmin(vals))
         if vals[b] < best_val:

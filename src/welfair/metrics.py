@@ -63,6 +63,31 @@ def violation(
     return max(over, under, 0.0)
 
 
+def color_masses(x: np.ndarray, instance: Instance) -> np.ndarray:
+    """Per-color sums over the last axis of x, (..., n) -> (..., H): the
+    (cluster, color) masses of a (k, n) assignment."""
+    member = instance.colors[:, None] == np.arange(instance.num_colors)
+    return x @ member.astype(np.float64)
+
+
+def disutilities(
+    instance: Instance, params: Params, mass: np.ndarray, D: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Violations t (..., k, H), V and disu (..., H) of the (cluster, color)
+    masses (..., k, H) and per-color d^p sums D (..., H); leading axes
+    broadcast. t_ih = max(mass_ih - (r_h + alpha_h) size_i,
+    (r_h - beta_h) size_i - mass_ih, 0) is |C_i| * Delta(h, i), 0 for an empty
+    cluster; V_h = sum_i t_ih and disu_h = (lam D_h + (1 - lam) V_h) / n_h."""
+    r = instance.proportions
+    size = mass.sum(axis=-1, keepdims=True)
+    over = mass - (r + params.alpha) * size
+    under = (r - params.beta) * size - mass
+    t = np.maximum(np.maximum(over, under), 0.0)
+    V = t.sum(axis=-2)
+    disu = (params.lam * D + (1.0 - params.lam) * V) / instance.counts
+    return t, V, disu
+
+
 @dataclass
 class GroupReport:
     """Per-color cost decomposition of one solution."""
@@ -84,26 +109,13 @@ def report_from_distances(
     assignment: np.ndarray,
 ) -> GroupReport:
     """GroupReport from a precomputed (n, k) d^p matrix and an assignment."""
-    n = instance.n
-    H = instance.num_colors
-    k = dist_pow.shape[1]
-    counts = instance.counts
-    r = instance.proportions
-    dsel = dist_pow[np.arange(n), assignment]
-    D = np.zeros(H)
-    np.add.at(D, instance.colors, dsel)
-    sizes = np.bincount(assignment, minlength=k).astype(np.float64)
-    size_h = np.zeros((k, H))
-    np.add.at(size_h, (assignment, instance.colors), 1.0)
-    delta = np.zeros((k, H))
-    nz = sizes > 0
-    frac = np.zeros((k, H))
-    frac[nz] = size_h[nz] / sizes[nz, None]
-    over = frac - (r + params.alpha)[None, :]
-    under = (r - params.beta)[None, :] - frac
-    delta[nz] = np.maximum(np.maximum(over, under), 0.0)[nz]
-    V = (sizes[:, None] * delta).sum(axis=0)
-    disu = (params.lam * D + (1.0 - params.lam) * V) / counts
+    k, H, colors = dist_pow.shape[1], instance.num_colors, instance.colors
+    dsel = dist_pow[np.arange(instance.n), assignment]
+    D = np.bincount(colors, weights=dsel, minlength=H)
+    mass = np.bincount(assignment * H + colors, minlength=k * H).reshape(k, H)
+    t, V, disu = disutilities(instance, params, mass, D)
+    sizes = mass.sum(axis=1, keepdims=True)
+    delta = np.divide(t, sizes, out=np.zeros_like(t), where=sizes > 0)
     return GroupReport(
         color_names=list(instance.color_names),
         D=D,

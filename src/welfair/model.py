@@ -289,13 +289,7 @@ def normalization_factors(
     for k in k_range:
         cs = _centers.lloyd(instance, k, np.ones(instance.n), seed=seed)
         dist = _metrics.pairwise_pow(instance.features, cs.centers, p)
-        params0 = Params(
-            k=k,
-            lam=0.0,
-            p=p,
-            alpha=np.zeros(instance.num_colors),
-            beta=np.zeros(instance.num_colors),
-        )
+        params0 = Params.with_delta(instance, k, 0.0, p=p)
         rep = _metrics.report_from_distances(
             instance, params0, dist, np.argmin(dist, axis=1)
         )

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InternalInvariantError
-from .metrics import report_from_distances
+from .metrics import color_masses, report_from_distances
 from .model import Instance, Params
 
 _MASS_EPS = 1e-9
@@ -63,12 +63,9 @@ class Support:
 def split_support(xfrac: np.ndarray, instance: Instance) -> Support:
     """Fix every point whose x column has exactly one positive entry: the
     rounding LP has a single variable for it, which its row sets to 1."""
-    H = instance.num_colors
-    colors = instance.colors
     pos = xfrac > 0.0
     is_fixed = np.count_nonzero(pos, axis=0) == 1
-    mass = np.stack([xfrac[:, colors == h].sum(axis=1) for h in range(H)], axis=1)
-    col_lo, col_hi = _floor_ceil(mass)
+    col_lo, col_hi = _floor_ceil(color_masses(xfrac, instance))
     clu_lo, clu_hi = _floor_ceil(xfrac.sum(axis=1))
     return Support(
         assignment=np.where(is_fixed, pos.argmax(axis=0), -1),

@@ -122,6 +122,35 @@ class TestConfigErrors:
         assert code == 1
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("lambdas", 0.5, "list[float]"),
+            ("k_range", [2.5], "list[int]"),
+            ("feature_columns", "f0", "list[str]"),
+            ("restarts", True, "int"),
+            ("delta", "0.1", "float"),
+            ("normalize", 1, "bool"),
+            ("subsample", [30], "int | None"),
+        ],
+    )
+    def test_wrong_value_type_named(self, tmp_path, capsys, key, value, expected):
+        raw = {"data": "/nonexistent/nope.csv", "feature_columns": ["a"]}
+        raw.update(group_column="g")
+        raw[key] = value
+        code, err = self._run(tmp_path, json.dumps(raw), capsys)
+        assert code == 1
+        assert f"{key!r} must be {expected}, got {json.dumps(value)}" in err
+        assert "Traceback" not in err
+
+    def test_ints_are_numbers(self, tmp_path):
+        raw = {"data": "d.csv", "feature_columns": ["a"], "group_column": "g"}
+        raw.update(lambdas=[0, 1], delta=0, lp_tolerance=1, subsample=None)
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(raw), encoding="utf-8")
+        config = ExperimentConfig.from_json(str(cpath))
+        assert config.lambdas == [0, 1] and config.delta == 0
+
     def test_missing_required_key(self, tmp_path, capsys):
         code, err = self._run(
             tmp_path, json.dumps({"data": "d.csv", "feature_columns": ["a"]}), capsys
@@ -302,9 +331,10 @@ class TestRunExperiment:
         with open(out_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["norm_factor"] == "" for r in rows)
-        meta = json.load(
-            open(out_csv.replace("results.csv", "metadata.json"), encoding="utf-8")
-        )
+        with open(
+            out_csv.replace("results.csv", "metadata.json"), encoding="utf-8"
+        ) as fh:
+            meta = json.load(fh)
         assert meta["norm_factors"]["rawlsian"] is None
 
 
@@ -564,6 +594,7 @@ class TestMain:
             (["--lambdas", "0.5,x"], "not a list of numbers: '0.5,x'"),
             (["--subsample", "-5"], "subsample must be at least 1, got -5"),
             (["--subsample", "0"], "subsample must be at least 1, got 0"),
+            (["--lambdas", ","], "lambda list is empty"),
         ],
     )
     def test_bad_run_params_exit_one_before_loading(self, flags, message, capsys):
@@ -572,6 +603,35 @@ class TestMain:
         code = main(argv + ["--group", "g"] + flags)
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--delta", "-0.1"], {}, "alpha and beta must be nonnegative"),
+            (["--delta", "5"], {}, "r_h + alpha_h > 1"),
+            (["--lp-tol", "0"], {}, "lp_tolerance must be finite"),
+            ([], {"p": 3}, "p must be 1 or 2, got 3"),
+        ],
+    )
+    def test_bad_params_exit_one_before_centers(
+        self, dataset, tmp_path, capsys, monkeypatch, flags, config, message
+    ):
+        # the data loads, but no Lloyd run starts before the parameters fail
+        path, feats = dataset
+        calls = []
+        lloyd = centers.lloyd
+        monkeypatch.setattr(
+            centers, "lloyd", lambda *a, **kw: calls.append(a) or lloyd(*a, **kw)
+        )
+        raw = {"data": path, "feature_columns": feats, "group_column": "group"}
+        raw.update(config)
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["run", "--config", str(cpath), "--k", "2:6", "--restarts", "2"]
+        argv += ["--lambdas", "0.5", "--out", str(tmp_path / "o")]
+        assert main(argv + flags) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
 
     def test_k_above_n_exits_one(self, dataset, tmp_path, capsys):
         path, feats = dataset

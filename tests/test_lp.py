@@ -24,7 +24,6 @@ from welfair.lp import (
     brute_force_assignment,
     build_rawlsian_lp,
     build_utilitarian_lp,
-    fractional_objective,
     solve_lp,
     to_lp_text,
 )
@@ -135,7 +134,7 @@ class TestBuilders:
 
 
 class TestObjectiveEncoding:
-    """The LP objective and the integral metrics must agree at one-hot x."""
+    """The LP's own encoding and the integral metrics agree at one-hot x."""
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     @pytest.mark.parametrize("seed", range(5))
@@ -155,10 +154,17 @@ class TestObjectiveEncoding:
         u = (r - params.beta)[None, :] * sizes[:, None] - size_h
         o = size_h - (r + params.alpha)[None, :] * sizes[:, None]
         t = np.maximum(np.maximum(u, o), 0.0)
-        got = fractional_objective(m, x, t)
+        # z = 0, so each Rawlsian disu_h row evaluates to disu_h itself
+        v = np.concatenate([x.ravel(), t.ravel(), [0.0] * (kind == "rawlsian")])
         rep = group_costs(inst, Solution(centers, assign), params)
-        want = rep.R if kind == "rawlsian" else rep.U
-        assert got == pytest.approx(want, abs=1e-12)
+        if kind == "utilitarian":
+            assert m.objective @ v == pytest.approx(rep.U, abs=1e-12)
+        else:
+            rows = {row.name: row for row in m.rows}
+            for h in range(inst.num_colors):
+                row = rows[f"disu_{h}"]
+                got = row.vals @ v[row.cols]
+                assert got == pytest.approx(rep.disu[h], abs=1e-12)
 
 
 class TestSolveLp:
@@ -171,9 +177,6 @@ class TestSolveLp:
         assert frac.x.shape == (params.k, inst.n)
         assert np.all(frac.x >= 0.0) and np.all(frac.x <= 1.0)
         np.testing.assert_allclose(frac.x.sum(axis=0), 1.0, atol=1e-6)
-        np.testing.assert_allclose(
-            frac.t, np.maximum(np.maximum(frac.u, frac.o), 0.0), atol=0
-        )
         # solver objective and direct evaluation agree
         assert frac.objective == pytest.approx(frac.solver_objective, abs=1e-6)
 
@@ -578,10 +581,6 @@ def test_solve_lp_property(seed, lam, delta):
     centers = inst.features[rng.choice(n, size=k, replace=False)]
     m = build_utilitarian_lp(inst, params, centers)
     frac = solve_lp(m)
-    # t is exactly the elementwise max of (u, o, 0)
-    np.testing.assert_array_equal(
-        frac.t, np.maximum(np.maximum(frac.u, frac.o), 0.0)
-    )
     np.testing.assert_allclose(frac.x.sum(axis=0), 1.0, atol=1e-6)
     assert frac.objective >= -1e-12
     # nearest-center integral assignment upper-bounds the LP optimum

@@ -11,6 +11,7 @@ from welfair.errors import ParamError
 from welfair.metrics import (
     additive_constants,
     approx_constants,
+    disutilities,
     distance_pow,
     group_costs,
     pairwise_pow,
@@ -190,6 +191,33 @@ class TestGroupReport:
         assert rep.R == pytest.approx(disu.max())
         assert rep.U == pytest.approx(disu.sum())
         assert rep.cost == pytest.approx(rep.D.sum())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        lam=st.floats(0.0, 1.0),
+        k=st.integers(1, 6),
+        up=st.floats(0.0, 0.5),
+        down=st.floats(0.0, 0.5),
+    )
+    def test_disutilities_batch_matches_oracle(self, seed, lam, k, up, down):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(12, 2, int(rng.integers(2, 4)), seed)
+        r = inst.proportions
+        params = Params(k=k, lam=lam, alpha=up * r, beta=down * r)
+        dist = rng.random((inst.n, k))
+        batch = rng.integers(0, k, size=(6, inst.n))
+        batch[0] = 0  # every cluster but the first is empty
+        batch[1] = rng.integers(0, (k + 1) // 2, size=inst.n)
+        mass = np.zeros((len(batch), k, inst.num_colors))
+        for b, assignment in enumerate(batch):
+            np.add.at(mass[b], (assignment, inst.colors), 1.0)
+        want = [_report_oracle(inst, params, dist, a) for a in batch]
+        D, V, disu = (np.stack(col) for col in zip(*want))
+        t, got_V, got_disu = disutilities(inst, params, mass, D)
+        assert t.shape == mass.shape
+        np.testing.assert_allclose(got_V, V, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_disu, disu, rtol=0, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 6))
