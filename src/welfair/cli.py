@@ -182,8 +182,6 @@ def run_experiment(config: ExperimentConfig) -> str:
     instance = load_instance(config.data, config.feature_columns, config.group_column)
     if config.subsample:
         instance = instance.subsample(config.subsample, config.seed)
-    if max(config.k_range) > instance.n:
-        raise ParamError(f"k={max(config.k_range)} exceeds n={instance.n} points")
     for k in config.k_range:
         for lam in config.lambdas:
             Params.with_delta(

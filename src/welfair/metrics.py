@@ -77,11 +77,13 @@ def disutilities(
     masses (..., k, H) and per-color d^p sums D (..., H); leading axes
     broadcast. t_ih = max(mass_ih - (r_h + alpha_h) size_i,
     (r_h - beta_h) size_i - mass_ih, 0) is |C_i| * Delta(h, i), 0 for an empty
-    cluster; V_h = sum_i t_ih and disu_h = (lam D_h + (1 - lam) V_h) / n_h."""
-    r = instance.proportions
+    cluster; V_h = sum_i t_ih and disu_h = (lam D_h + (1 - lam) V_h) / n_h.
+    r_h size_i is formed as size_i n_h / n, so an exactly proportional
+    integral cluster gives t = 0 at alpha = beta = 0 for any r_h."""
     size = mass.sum(axis=-1, keepdims=True)
-    over = mass - (r + params.alpha) * size
-    under = (r - params.beta) * size - mass
+    rs = size * instance.counts / instance.n
+    over = mass - rs - params.alpha * size
+    under = rs - params.beta * size - mass
     t = np.maximum(np.maximum(over, under), 0.0)
     V = t.sum(axis=-2)
     disu = (params.lam * D + (1.0 - params.lam) * V) / instance.counts

@@ -642,7 +642,7 @@ class TestMain:
             ]
         )
         assert code == 1
-        assert "k=61 exceeds n=60 points" in capsys.readouterr().err
+        assert "k=61 must lie in [1, n=60]" in capsys.readouterr().err
 
     def test_unknown_objective_in_config_exits_one(self, tmp_path, capsys):
         cpath = tmp_path / "config.json"

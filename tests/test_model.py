@@ -304,6 +304,15 @@ class TestNormalization:
         with pytest.raises(NormalizationError):
             normalization_factor(inst, [2])
 
+    def test_single_cluster_non_dyadic_proportion_raises(self):
+        # at k = 1 the one cluster holds every point, so it is exactly
+        # proportional; r = 0.57 is not exact in binary, and the violation
+        # must still come out 0 rather than a rounding residue
+        rng = np.random.default_rng(0)
+        inst = Instance(rng.normal(size=(100, 2)), [0] * 57 + [1] * 43, ["a", "b"])
+        with pytest.raises(NormalizationError):
+            normalization_factor(inst, [1])
+
     def test_zero_distance_geometry_gives_zero_factor(self):
         # every point sits exactly on a site: vanilla cost 0, factor 0, and
         # apply_normalization refuses it
