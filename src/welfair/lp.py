@@ -19,10 +19,15 @@ from .metrics import color_masses, disutilities, pairwise_pow
 from .model import Instance, Params
 
 _SNAP = 1e-12
-# x columns per point in HiGHS's first restricted LP, the eliminated nearest
-# one included; at n = 3000, k = 12 width 4 needed one round where width 3
-# needed two or three
+# x columns per point that HiGHS's first restricted LP may keep, the
+# eliminated nearest one included; at n = 3000, k = 12 width 4 needed one
+# round where width 3 needed two or three
 _CANDIDATES = 4
+# share of each (nearest center, color) class whose cheapest columns at each
+# other center the first restricted LP keeps; at k = 12, 0.1 and 0.15 needed
+# a second or third round at n = 3000, and 0.25 and 0.35 kept more columns
+# and took longer at n = 20,000 and 50,000
+_CLASS_SHARE = 0.2
 # HiGHS's feasibility tolerances are at most this: at its default of 1e-7 an
 # x that breaks rows by up to 1e-7 can put the LP value above the integral
 # optimum
@@ -194,23 +199,22 @@ def build_utilitarian_lp(
 class HighsSolver:
     """scipy.optimize.linprog backend (HiGHS).
 
-    The LP is solved in each point's nearest-center frame: the x column of
-    point j's nearest center a(j) (ties to the lowest index) is eliminated
-    through j's assignment equality, x[a(j), j] = 1 - sum over i != a(j) of
-    x[i, j]. Every other column of j loses the nearest column's objective
-    and row coefficients, the constants move into the right-hand sides and
-    an objective offset, and the assignment equality becomes the row
-    sum over i != a(j) of x[i, j] <= 1. HiGHS's all-zero start, with presolve
-    off, is then the nearest-center assignment, a few dozen dual-simplex
-    iterations from the optimum instead of about n.
+    The LP is solved in each point's nearest-center frame (`_Frame`), where
+    HiGHS's all-zero start, with presolve off, is the nearest-center
+    assignment, a few dozen dual-simplex iterations from the optimum instead
+    of about n.
 
-    With k > _CANDIDATES centers the LP is solved by column generation: the
-    first LP keeps only the x columns of each point's _CANDIDATES nearest
-    centers, and every other non-eliminated column whose reduced cost under
-    the LP's duals is below -tolerance joins before a re-solve. The last
-    round prices every excluded column at or above -tolerance, which
-    certifies its optimum as the full LP's. HiGHS's primal and dual
-    feasibility tolerances are min(tolerance, _FEASIBILITY).
+    With k > _CANDIDATES centers the LP is solved by column generation.
+    Within a class (a(j), color of j) the frame columns at a center i differ
+    only in their cost delta_ij, so the LP moves the cheap end of each
+    (a, h, i) class first. The first LP keeps the columns of each point's
+    _CANDIDATES nearest centers that rank in the cheapest
+    ceil(_CLASS_SHARE * |class (a, h)|) of their (a, h, i) class; every
+    other column whose reduced cost under the LP's duals is below -tolerance
+    joins before a re-solve. The last round prices every left-out column at
+    or above -tolerance, which certifies its optimum as the full LP's.
+    HiGHS's primal and dual feasibility tolerances are
+    min(tolerance, _FEASIBILITY).
     """
 
     name = "highs"
@@ -218,37 +222,24 @@ class HighsSolver:
     def solve(self, model: LPModel, tolerance: float) -> tuple[np.ndarray, float, str]:
         from scipy.optimize import linprog
 
-        n = model.n
-        ones = np.ones(n)
-        assign = _assignment_operator(model)
-        near = np.argmin(model.dist_pow, axis=1) * n + np.arange(n)
-        # substitute x[a(j), j] = 1 - (j's other shares) into the rows <= 0
-        # and the objective; the assignment rows keep x[a(j), j] >= 0
-        A_rows = _stack(model)
-        A_near = A_rows[:, near]
-        A_ub = sp.vstack([A_rows - A_near @ assign, assign], format="csc")
-        b_ub = np.concatenate([np.zeros(len(model.rows)) - A_near @ ones, ones])
-        offset = float(model.objective[near] @ ones)
-        c = model.objective - assign.T @ model.objective[near]
-        bounds = np.column_stack([model.lower, model.upper])
+        frame = _Frame(model)
         feasibility = min(tolerance, _FEASIBILITY)
         options = {
             "presolve": False,
             "primal_feasibility_tolerance": feasibility,
             "dual_feasibility_tolerance": feasibility,
         }
-        out = np.zeros(model.num_vars, dtype=bool)
-        out[near] = True
-        keep = _initial_columns(model) & ~out
+        keep = _initial_columns(model, frame)
+        left = frame.columns & ~keep
         rounds = 0
         while True:
             rounds += 1
-            cols = np.flatnonzero(keep)
+            c, A_ub, bounds = frame.restrict(keep)
             res = linprog(
-                c[cols],
-                A_ub=A_ub[:, cols],
-                b_ub=b_ub,
-                bounds=bounds[cols],
+                c,
+                A_ub=A_ub,
+                b_ub=frame.b_ub,
+                bounds=bounds,
                 method="highs",
                 options=options,
             )
@@ -258,57 +249,167 @@ class HighsSolver:
                 raise LPUnboundedError(res.message)
             if res.status != 0:
                 raise LPError(f"highs failed: {res.message}")
-            if (keep | out).all():
+            if not left.any():
                 break
-            rc = c - A_ub.T @ res.ineqlin.marginals
-            enter = ~(keep | out) & (rc < -tolerance)
+            enter = left & (frame.reduced_costs(res.ineqlin.marginals) < -tolerance)
             if not enter.any():
                 break
             keep |= enter
-        x = np.zeros(model.num_vars)
-        x[cols] = res.x
-        x[near] = 1.0 - assign @ x
-        return x, float(res.fun) + offset, f"highs:optimal:rounds={rounds}"
+            left &= ~enter
+        nx = np.count_nonzero(keep)
+        x = np.zeros((model.k, model.n))
+        x[keep] = res.x[:nx]
+        x[frame.near, np.arange(model.n)] = 1.0 - x.sum(axis=0)
+        return (
+            np.concatenate([x.ravel(), res.x[nx:]]),
+            float(res.fun) + frame.offset,
+            f"highs:optimal:rounds={rounds}",
+        )
 
 
-def _stack(model: LPModel) -> sp.csc_matrix:
-    """CSC matrix of the model's rows."""
-    rows = model.rows
-    return sp.csc_matrix(
-        (
-            np.concatenate([row.vals for row in rows]),
-            (
-                np.repeat(np.arange(len(rows)), [len(row.cols) for row in rows]),
-                np.concatenate([row.cols for row in rows]),
-            ),
-        ),
-        shape=(len(rows), model.num_vars),
-    )
+class _Frame:
+    """The assignment LP in the nearest-center frame, written from arrays.
+
+    The x column of point j's nearest center a(j) (ties to the lowest index)
+    is eliminated through j's assignment equality, x[a(j), j] = 1 - sum over
+    i != a(j) of x[i, j]. The frame's rows are the model's rows, in order,
+    then j's assignment equality as the row sum over i != a(j) of
+    x[i, j] <= 1. Its column x[i, j] (i != a(j), j of color h) has the
+    coefficients under[g, h] in under_i_g and -under[g, h] in under_a(j)_g,
+    the same with over in the over rows, delta_ij in the Rawlsian disu_h and
+    1 in j's row, and the cost cost[i, j] - cost[a(j), j], where
+    delta_ij = lam / n_h * (d^p(j, i) - d^p(j, a(j))). The t and z columns
+    are the model's; the constants move into b_ub and an objective offset.
+    """
+
+    def __init__(self, model: LPModel):
+        inst, params = model.instance, model.params
+        k, n, H = model.k, model.n, model.H
+        self.k, self.n, self.H = k, n, H
+        self.rawlsian = model.kind == "rawlsian"
+        self.num_rows = len(model.rows)
+        self.colors = inst.colors
+        self.near = np.argmin(model.dist_pow, axis=1)
+        points = np.arange(n)
+        self.columns = np.ones((k, n), dtype=bool)
+        self.columns[self.near, points] = False
+        # [g, h]: coefficient of a color-h point's share in row under_i_g /
+        # over_i_g of its cluster i
+        r = inst.proportions
+        eye = np.eye(H)
+        self.under = (r - params.beta)[:, None] - eye
+        self.over = eye - (r + params.alpha)[:, None]
+        # lam / n_h * d^p(j, i): the disu_h coefficient of x[i, j] (Rawlsian)
+        share = (params.lam / inst.counts[self.colors]) * model.dist_pow.T
+        self.delta = share - share[self.near, points]
+        cost = model.objective[: k * n].reshape(k, n)
+        self.cost = cost - cost[self.near, points]
+        self.offset = float(cost[self.near, points].sum())
+        # minus the rows' coefficients of the eliminated columns, summed in
+        # point order
+        b_rows = [
+            np.column_stack(
+                [
+                    np.bincount(self.near, weights=coef[g, self.colors], minlength=k)
+                    for g in range(H)
+                ]
+            ).ravel()
+            for coef in (self.under, self.over)
+        ]
+        if self.rawlsian:
+            b_rows.append(
+                np.bincount(self.colors, weights=share[self.near, points], minlength=H)
+            )
+        self.b_ub = np.concatenate([-np.concatenate(b_rows), np.ones(n)])
+        # the t and z columns: costs, bounds and CSC parts
+        self.tail_cost = model.objective[k * n:]
+        self.tail_bounds = np.column_stack([model.lower, model.upper])[k * n:]
+        t = np.arange(k * H)
+        t_rows = [t, k * H + t]
+        t_vals = [np.full(k * H, -1.0), np.full(k * H, -1.0)]
+        if self.rawlsian:
+            t_rows.append(2 * k * H + t % H)
+            t_vals.append(np.tile((1.0 - params.lam) / inst.counts, k))
+        self.tail = _compress(np.column_stack(t_rows), np.column_stack(t_vals))
+        if self.rawlsian:
+            z = ([H], 2 * k * H + np.arange(H), np.full(H, -1.0))
+            self.tail = [np.concatenate(pair) for pair in zip(self.tail, z)]
+
+    def restrict(self, keep: np.ndarray):
+        """Costs, CSC matrix and bounds of the frame LP over the x columns in
+        keep ((k, n), in column order i * n + j) and the t and z columns."""
+        k, H = self.k, self.H
+        i, j = np.nonzero(keep)
+        a, h = self.near[j], self.colors[j]
+        # each column's rows ascending: the lower-numbered cluster's block of
+        # under rows first, with sign +1 if that cluster is i
+        lo, hi = np.minimum(i, a)[:, None], np.maximum(i, a)[:, None]
+        sign = np.where(i < a, 1.0, -1.0)[:, None]
+        under, over = self.under[:, h].T, self.over[:, h].T
+        g = np.arange(H)
+        rows = [lo * H + g, hi * H + g, k * H + lo * H + g, k * H + hi * H + g]
+        vals = [sign * under, -sign * under, sign * over, -sign * over]
+        if self.rawlsian:
+            rows.append(2 * k * H + h[:, None])
+            vals.append(self.delta[i, j][:, None])
+        rows.append(self.num_rows + j[:, None])
+        vals.append(np.ones((len(j), 1)))
+        parts = zip(_compress(np.hstack(rows), np.hstack(vals)), self.tail)
+        counts, indices, data = (np.concatenate(pair) for pair in parts)
+        A_ub = sp.csc_matrix(
+            (data, indices, np.concatenate([[0], np.cumsum(counts)])),
+            shape=(len(self.b_ub), len(counts)),
+        )
+        c = np.concatenate([self.cost[i, j], self.tail_cost])
+        bounds = np.concatenate(
+            [np.tile([0.0, 1.0], (len(j), 1)), self.tail_bounds]
+        )
+        return c, A_ub, bounds
+
+    def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
+        """(k, n) reduced costs of every x column of the frame LP, in closed
+        form from the duals of its rows."""
+        k, H = self.k, self.H
+        # [i, h]: dual price of a color-h share's under/over coefficients in
+        # cluster i
+        G = duals[: k * H].reshape(k, H) @ self.under
+        G += duals[k * H: 2 * k * H].reshape(k, H) @ self.over
+        h = self.colors
+        rc = self.cost - G[:, h] + (G[self.near, h] - duals[self.num_rows:])
+        if self.rawlsian:
+            rc -= duals[2 * k * H: 2 * k * H + H][h] * self.delta
+        return rc
 
 
-def _assignment_operator(model: LPModel) -> sp.csc_matrix:
-    """(n, num_vars) CSC matrix whose row j sums point j's x column, the
-    left-hand side of the assignment equalities: column i * n + j holds a 1
-    in row j, the t and z columns are empty."""
-    k, n = model.k, model.n
-    indptr = np.minimum(np.arange(model.num_vars + 1), k * n)
-    return sp.csc_matrix(
-        (np.ones(k * n), np.tile(np.arange(n), k), indptr),
-        shape=(n, model.num_vars),
-    )
+def _compress(rows: np.ndarray, vals: np.ndarray):
+    """Per-column entry counts, row indices and values of the nonzero
+    entries of columns given as (columns, width) arrays."""
+    nonzero = vals != 0
+    return np.count_nonzero(nonzero, axis=1), rows[nonzero], vals[nonzero]
 
 
-def _initial_columns(model: LPModel) -> np.ndarray:
-    """Column mask of the first LP: every non-x column, and the x columns of
-    each point's _CANDIDATES nearest centers (all of them when k is small)."""
-    keep = np.ones(model.num_vars, dtype=bool)
-    k, n = model.k, model.n
+def _initial_columns(model: LPModel, frame: _Frame) -> np.ndarray:
+    """(k, n) x-column mask of the first LP: every frame column when k is
+    small, else the columns of each point's _CANDIDATES nearest centers that
+    rank in the cheapest ceil(_CLASS_SHARE * |class|) of their (a, h, i)
+    class by delta."""
+    k, n, H = frame.k, frame.n, frame.H
+    keep = frame.columns.copy()
     if k <= _CANDIDATES:
         return keep
-    near = np.argpartition(model.dist_pow, _CANDIDATES - 1, axis=1)
-    keep[: k * n] = False
-    keep[near[:, :_CANDIDATES] * n + np.arange(n)[:, None]] = True
-    return keep
+    top = np.zeros((k, n), dtype=bool)
+    nearest = np.argpartition(model.dist_pow, _CANDIDATES - 1, axis=1)
+    top[nearest[:, :_CANDIDATES].T, np.arange(n)] = True
+    cls = frame.near * H + frame.colors
+    size = np.bincount(cls, minlength=k * H)
+    # each center's points by (class, delta), ties in point order, and each
+    # point's rank within its class
+    order = np.lexsort((frame.delta, np.broadcast_to(cls, (k, n))), axis=-1)
+    rank = np.empty((k, n), dtype=np.int64)
+    sorted_cls = np.sort(cls)
+    within = np.arange(n) - (np.cumsum(size) - size)[sorted_cls]
+    np.put_along_axis(rank, order, np.broadcast_to(within, (k, n)), axis=1)
+    return keep & top & (rank < np.ceil(_CLASS_SHARE * size[cls]))
 
 
 def solve_lp(

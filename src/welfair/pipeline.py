@@ -69,7 +69,7 @@ def _lp_pipeline(
     integral = rounder(frac.x, instance, params, dist_pow)
     t3 = time.perf_counter()
     solution = Solution(cs.centers, integral.assignment, provenance=cs.provenance)
-    report = report_from_distances(instance, params, dist_pow, integral.assignment)
+    report = integral.report
     c_r, c_u = additive_constants(instance, params)
     bound = (1.0 - params.lam) * (c_r if kind == "rawlsian" else c_u)
     value = report.R if kind == "rawlsian" else report.U

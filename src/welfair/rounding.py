@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InternalInvariantError
-from .metrics import color_masses, report_from_distances
+from .metrics import GroupReport, color_masses, report_from_distances
 from .model import Instance, Params
 
 _MASS_EPS = 1e-9
@@ -45,6 +45,7 @@ class IntegralAssignment:
     color_mass: np.ndarray
     cluster_sizes: np.ndarray
     objective: float
+    report: GroupReport      # the welfare report of assignment
 
 
 @dataclass
@@ -148,8 +149,8 @@ def _extract(
     dist_pow: np.ndarray,
     kind: str,
 ) -> IntegralAssignment:
-    """Masses and objective of a rounded assignment (-1 marks a point the
-    rounding left out)."""
+    """Masses, report and objective of a rounded assignment (-1 marks a point
+    the rounding left out)."""
     k = params.k
     H = instance.num_colors
     if np.any(assignment < 0):
@@ -163,6 +164,7 @@ def _extract(
         color_mass=color_mass,
         cluster_sizes=np.bincount(assignment, minlength=k),
         objective=report.R if kind == "rawlsian" else report.U,
+        report=report,
     )
 
 

@@ -51,6 +51,26 @@ class TestAlgorithms:
             assert res.gap <= res.gap_bound + params.lp_tolerance
             assert res.flags == []
 
+    @pytest.mark.parametrize("alg", [rawlsian_alg, utilitarian_alg])
+    def test_one_report_per_call(self, monkeypatch, alg):
+        # the pipeline reports the rounder's report instead of building it
+        # again from the same distances and assignment
+        from welfair import metrics, pipeline, rounding
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[3])
+            return metrics.report_from_distances(*args, **kwargs)
+
+        monkeypatch.setattr(rounding, "report_from_distances", spy)
+        monkeypatch.setattr(pipeline, "report_from_distances", spy)
+        inst = _inst(seed=2)
+        params = Params.with_delta(inst, 3, 0.5, 0.1)
+        res = alg(inst, params, seed=0, restarts=2)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], res.solution.assignment)
+
     def test_lambda_one_gap_vanishes(self):
         # at lam = 1 the additive bound is 0: rounding must be lossless
         inst = _inst(n=26, H=3, seed=3)
