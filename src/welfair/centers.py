@@ -3,44 +3,64 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import CenterError
+from .errors import CenterError, ParamError
 from .model import Instance
 
 
 @dataclass
 class CenterSet:
+    """Centers with the score that chose them.
+
+    restart_scores and restart_iterations hold each restart's score and its
+    number of assignment passes; a single run is one restart.
+    """
+
     centers: np.ndarray
     provenance: str
     score: float
     restart_scores: list[float] | None = None
+    restart_iterations: list[int] | None = None
 
 
-def _sqdist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    return cdist(X, C, "sqeuclidean")
+def _check_weights(w: np.ndarray, n: int) -> None:
+    if w.shape != (n,):
+        raise ParamError(f"weights have shape {w.shape}; need one per point, ({n},)")
+    bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))
+    if len(bad):
+        j = int(bad[0])
+        raise ParamError(
+            f"weight of point {j} is {float(w[j])!r}; weights must be finite "
+            "and nonnegative"
+        )
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if not 0.0 < total < math.inf:
+        raise ParamError(f"weights sum to {total!r}; need a positive finite total")
 
 
 def kmeanspp_init(
     instance: Instance, k: int, weights: np.ndarray, seed: int
 ) -> np.ndarray:
-    """D^2-weighted seeding scaled by point weights; returns (k, d) centers."""
+    """D^2-weighted seeding scaled by point weights; returns (k, d) centers.
+
+    Raises ParamError for weights that are not one finite, nonnegative value
+    per point with a positive total, naming the first bad point.
+    """
     X = instance.features
     n = instance.n
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError("weights must have one entry per point")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive total")
+    _check_weights(w, n)
     if k > n:
         raise CenterError(f"k={k} exceeds n={n}")
     rng = np.random.default_rng(seed)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.choice(n, p=w / w.sum())
-    d2 = _sqdist(X, X[chosen[0]][None, :])[:, 0]
+    d2 = cdist(X[chosen[:1]], X, "sqeuclidean")[0]
     for t in range(1, k):
         prob = w * d2
         total = prob.sum()
@@ -49,8 +69,16 @@ def kmeanspp_init(
                 f"k={k} exceeds the number of distinct candidate points"
             )
         chosen[t] = rng.choice(n, p=prob / total)
-        d2 = np.minimum(d2, _sqdist(X, X[chosen[t]][None, :])[:, 0])
+        d2 = np.minimum(d2, cdist(X[chosen[t : t + 1]], X, "sqeuclidean")[0])
     return X[chosen].copy()
+
+
+def _assign(centers: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest center (ties to the lowest index) and its squared
+    distance to it, from one (k, n) distance matrix."""
+    dist = cdist(centers, X, "sqeuclidean")
+    assign = dist.argmin(axis=0)
+    return assign, dist[assign, np.arange(X.shape[0])]
 
 
 def _repair_empty(
@@ -66,26 +94,34 @@ def _repair_empty(
 
 
 def _bin_sums(
-    idx: np.ndarray, X: np.ndarray, size: int, weights: np.ndarray | None = None
+    idx: np.ndarray, Xt: np.ndarray, size: int, weights: np.ndarray | None = None
 ) -> np.ndarray:
-    """(size, d) sums of the rows of X (times weights) falling in each bin."""
-    cols = X.T if weights is None else weights * X.T
+    """(size, d) sums of the points (times weights) falling in each bin, from
+    the (d, n) features Xt."""
+    cols = Xt if weights is None else weights * Xt
     return np.stack([np.bincount(idx, c, minlength=size) for c in cols], axis=1)
 
 
 def _cluster_group_stats(
-    X: np.ndarray, colors: np.ndarray, assign: np.ndarray, k: int, H: int
+    X: np.ndarray,
+    Xt: np.ndarray,
+    colors: np.ndarray,
+    assign: np.ndarray,
+    k: int,
+    H: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-(cluster, group) point counts m (k, H), coordinate sums S (k, H, d),
     means mu (k, H, d; zero where m = 0) and squared deviations from the mean
-    sse (k, H).
+    sse (k, H), from the features X (n, d) and their (d, n) copy Xt.
 
     sse sums each point's squared distance to its own (cluster, group) mean
-    rather than using sum |x|^2 - m |mu|^2, which cancels badly.
+    rather than using sum |x|^2 - m |mu|^2, which cancels badly. Each point's
+    term is summed along its row of X: numpy sums a contiguous row pairwise,
+    and a sum down the columns of Xt would differ in the last bits for d >= 8.
     """
     idx = assign * H + colors
     m = np.bincount(idx, minlength=k * H)
-    S = _bin_sums(idx, X, k * H)
+    S = _bin_sums(idx, Xt, k * H)
     mu = S / np.maximum(m, 1)[:, None]
     sse = np.bincount(idx, ((X - mu[idx]) ** 2).sum(axis=1), minlength=k * H)
     d = X.shape[1]
@@ -103,35 +139,45 @@ def lloyd(
     """Weighted Lloyd iteration from a k-means++ start.
 
     Alternates nearest-center assignment (ties to the lowest center index)
-    with weighted-centroid updates until the relative cost improvement drops
-    below tol or max_iters is reached. Score is the weighted cost at p=2.
+    with weighted-centroid updates. It stops when the relative cost
+    improvement drops to tol or below, or at a fixed point: an assignment
+    equal to the previous one, whose centroids are the current centers, so
+    every further pass would repeat this one. Score is the weighted cost at
+    p=2 of the returned centers; after max_iters updates one more assignment
+    pass scores them.
     """
     X = instance.features
-    n = instance.n
+    Xt = np.ascontiguousarray(X.T)
     w = np.asarray(weights, dtype=np.float64)
     centers = kmeanspp_init(instance, k, w, seed)
     prev_cost = math.inf
+    prev_assign = None
+    passes = 0
     for _ in range(max_iters):
-        dist = _sqdist(X, centers)
-        assign = np.argmin(dist, axis=1)
-        dsel = dist[np.arange(n), assign]
+        passes += 1
+        assign, dsel = _assign(centers, X)
         cost = float((w * dsel).sum())
         empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist()
         if empties:
             _repair_empty(centers, X, w * dsel, empties)
             prev_cost = math.inf
+            prev_assign = None
             continue
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
         if math.isfinite(prev_cost) and prev_cost - cost <= tol * max(
             prev_cost, 1e-30
         ):
             break
         prev_cost = cost
+        prev_assign = assign
         wsum = np.bincount(assign, w, minlength=k)
-        centers = _bin_sums(assign, X, k, w) / wsum[:, None]
-    dist = _sqdist(X, centers)
-    assign = np.argmin(dist, axis=1)
-    score = float((w * dist[np.arange(n), assign]).sum())
-    return CenterSet(centers, f"lloyd(seed={seed})", score)
+        centers = _bin_sums(assign, Xt, k, w) / wsum[:, None]
+    else:
+        passes += 1
+        _, dsel = _assign(centers, X)
+        cost = float((w * dsel).sum())
+    return CenterSet(centers, f"lloyd(seed={seed})", cost, [cost], [passes])
 
 
 def _two_group_gamma(m_a, m_b, sse_a, sse_b, gap2, n_a, n_b) -> np.ndarray:
@@ -218,15 +264,21 @@ def _mw_center(
 
 
 def _fair_update(
-    X: np.ndarray, colors: np.ndarray, counts: np.ndarray, assign: np.ndarray, k: int
+    X: np.ndarray,
+    Xt: np.ndarray,
+    colors: np.ndarray,
+    counts: np.ndarray,
+    assign: np.ndarray,
+    k: int,
 ) -> np.ndarray:
-    """(k, d) min-max group-cost centers of the clusters of a full assignment.
+    """(k, d) min-max group-cost centers of the clusters of a full assignment,
+    from the features X (n, d) and their (d, n) copy Xt.
 
     A cluster holding one group moves to that group's mean; two groups use
     the closed-form crossing, more the multiplicative-weights heuristic.
     """
     H = len(counts)
-    m, S, mu, sse = _cluster_group_stats(X, colors, assign, k, H)
+    m, S, mu, sse = _cluster_group_stats(X, Xt, colors, assign, k, H)
     if H == 2:
         gap2 = ((mu[:, 0] - mu[:, 1]) ** 2).sum(axis=1)
         gamma = _two_group_gamma(
@@ -256,24 +308,31 @@ def socially_fair_centers(
     the segment between the group means; more: multiplicative-weights
     heuristic). Score is max_h of per-group average squared distance; the best
     iterate by that score is returned.
+
+    It stops when the score changes by at most tol relative, at a fixed point
+    (an assignment equal to the previous one), or at its first repeated state:
+    a center state (the k-means++ start, an update or a repair of empty
+    clusters) equal to one seen before. The next state depends only on the
+    current one, so from a repeated state on the iterates cycle through
+    states already scored, and the strict best-score test keeps the iterate
+    it already has: the result equals that of a run to max_iters.
     """
     X = instance.features
-    n = instance.n
-    H = instance.num_colors
+    Xt = np.ascontiguousarray(X.T)
     counts = instance.counts
     colors = instance.colors
-    centers = kmeanspp_init(instance, k, np.ones(n), seed)
+    masks = [colors == h for h in range(instance.num_colors)]
+    centers = kmeanspp_init(instance, k, np.ones(instance.n), seed)
+    seen = {centers.tobytes()}
     best_score = math.inf
     best_centers = centers.copy()
     prev_score = math.inf
     prev_assign = None
+    passes = 0
     for _ in range(max_iters):
-        dist = _sqdist(X, centers)
-        assign = np.argmin(dist, axis=1)
-        dsel = dist[np.arange(n), assign]
-        score = max(
-            float(dsel[colors == h].sum()) / counts[h] for h in range(H)
-        )
+        passes += 1
+        assign, dsel = _assign(centers, X)
+        score = max(float(dsel[mask].sum()) / counts[h] for h, mask in enumerate(masks))
         if score < best_score:
             best_score = score
             best_centers = centers.copy()
@@ -288,11 +347,17 @@ def socially_fair_centers(
             _repair_empty(centers, X, dsel, empties)
             prev_score = math.inf
             prev_assign = None
-            continue
-        prev_score = score
-        prev_assign = assign
-        centers = _fair_update(X, colors, counts, assign, k)
-    return CenterSet(best_centers, f"socially_fair(seed={seed})", best_score)
+        else:
+            prev_score = score
+            prev_assign = assign
+            centers = _fair_update(X, Xt, colors, counts, assign, k)
+        state = centers.tobytes()
+        if state in seen:
+            break
+        seen.add(state)
+    return CenterSet(
+        best_centers, f"socially_fair(seed={seed})", best_score, [best_score], [passes]
+    )
 
 
 _METHODS = ("vanilla", "weighted", "socially_fair")
@@ -309,11 +374,12 @@ def best_of_restarts(
 ) -> CenterSet:
     """Run `method` with seeds seed .. seed+restarts-1, keep the best score."""
     if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+        raise ParamError(f"method must be one of {_METHODS}, got {method!r}")
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise ParamError(f"restarts must be at least 1, got {restarts}")
     best: CenterSet | None = None
     scores: list[float] = []
+    iterations: list[int] = []
     for s in range(seed, seed + restarts):
         if method == "vanilla":
             cs = lloyd(instance, k, np.ones(instance.n), s, max_iters, tol)
@@ -323,6 +389,7 @@ def best_of_restarts(
         else:
             cs = socially_fair_centers(instance, k, s, max_iters, tol)
         scores.append(cs.score)
+        iterations += cs.restart_iterations
         if best is None or cs.score < best.score:
             best = cs
     assert best is not None
@@ -331,4 +398,5 @@ def best_of_restarts(
         f"{method}(restarts={restarts},seed={seed})",
         best.score,
         restart_scores=scores,
+        restart_iterations=iterations,
     )

@@ -402,14 +402,15 @@ def _initial_columns(model: LPModel, frame: _Frame) -> np.ndarray:
     top[nearest[:, :_CANDIDATES].T, np.arange(n)] = True
     cls = frame.near * H + frame.colors
     size = np.bincount(cls, minlength=k * H)
-    # each center's points by (class, delta), ties in point order, and each
-    # point's rank within its class
-    order = np.lexsort((frame.delta, np.broadcast_to(cls, (k, n))), axis=-1)
-    rank = np.empty((k, n), dtype=np.int64)
-    sorted_cls = np.sort(cls)
-    within = np.arange(n) - (np.cumsum(size) - size)[sorted_cls]
-    np.put_along_axis(rank, order, np.broadcast_to(within, (k, n)), axis=1)
-    return keep & top & (rank < np.ceil(_CLASS_SHARE * size[cls]))
+    prefix = np.zeros((k, n), dtype=bool)
+    rows = np.arange(k)[:, None]
+    # each class's points in point order, sorted stably by delta at every
+    # center, so ties stay in point order
+    for members in np.split(np.argsort(cls, kind="stable"), np.cumsum(size)[:-1]):
+        first = np.argsort(frame.delta[:, members], axis=1, kind="stable")
+        cut = int(np.ceil(_CLASS_SHARE * len(members)))
+        prefix[rows, members[first[:, :cut]]] = True
+    return keep & top & prefix
 
 
 def solve_lp(

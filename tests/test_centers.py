@@ -4,19 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from datagen import random_instance
+from datagen import adult_like, random_instance
 
+from welfair import centers as centers_mod
 from welfair.centers import (
     _fair_update,
+    _mw_center,
     _repair_empty,
+    _two_group_gamma,
     best_of_restarts,
     kmeanspp_init,
     lloyd,
     socially_fair_centers,
     two_group_center,
 )
-from welfair.errors import CenterError
+from welfair.errors import CenterError, ParamError
 from welfair.metrics import pairwise_pow
 from welfair.model import Instance
 
@@ -55,12 +59,23 @@ class TestKmeansppInit:
 
     def test_weight_validation(self, tiny_instance):
         n = tiny_instance.n
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match=r"shape \(11,\)"):
             kmeanspp_init(tiny_instance, 2, np.ones(n - 1), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="point 0 is -1.0"):
             kmeanspp_init(tiny_instance, 2, -np.ones(n), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="sum to 0.0"):
             kmeanspp_init(tiny_instance, 2, np.zeros(n), 0)
+        for bad in (math.nan, math.inf, -math.inf):
+            w = np.ones(n)
+            w[[4, 7]] = bad
+            # lloyd validates through kmeanspp_init, before any numpy call
+            # can warn or raise on the bad value
+            for run in (kmeanspp_init, lloyd):
+                with pytest.raises(ParamError, match=f"point 4 is {bad!r}"):
+                    run(tiny_instance, 2, w, 0)
+        w = np.full(n, 1e308)
+        with pytest.raises(ParamError, match="sum to inf"):
+            kmeanspp_init(tiny_instance, 2, w, 0)
 
 
 class TestLloyd:
@@ -246,7 +261,7 @@ class TestFairUpdate:
         rng = np.random.default_rng(seed)
         X, colors, assign = _mixed_clusters(rng, 2)
         counts = np.bincount(colors, minlength=2)
-        got = _fair_update(X, colors, counts, assign, 8)
+        got = _fair_update(X, np.ascontiguousarray(X.T), colors, counts, assign, 8)
         for i in range(8):
             a = X[(assign == i) & (colors == 0)]
             b = X[(assign == i) & (colors == 1)]
@@ -265,7 +280,7 @@ class TestFairUpdate:
         rng = np.random.default_rng(seed)
         X, colors, assign = _mixed_clusters(rng, 3)
         counts = np.bincount(colors, minlength=3)
-        got = _fair_update(X, colors, counts, assign, 8)
+        got = _fair_update(X, np.ascontiguousarray(X.T), colors, counts, assign, 8)
 
         def top(pts, cols, c):
             return max(
@@ -345,9 +360,242 @@ class TestBestOfRestarts:
         assert b.score <= a.score + 1e-12
 
     def test_bad_method(self, small_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="'fancy'"):
             best_of_restarts(small_instance, 2, "fancy", 1, 0)
 
     def test_bad_restarts(self, small_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="got 0"):
             best_of_restarts(small_instance, 2, "vanilla", 0, 0)
+
+
+# -- references: the center loops as they were before they stopped at fixed
+# points and repeated states and read a (d, n) copy of the features; each
+# also returns its number of assignment passes
+
+
+def _ref_kmeanspp(X, k, w, seed):
+    n = len(X)
+    rng = np.random.default_rng(seed)
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.choice(n, p=w / w.sum())
+    d2 = cdist(X, X[chosen[0]][None, :], "sqeuclidean")[:, 0]
+    for t in range(1, k):
+        prob = w * d2
+        chosen[t] = rng.choice(n, p=prob / prob.sum())
+        d2 = np.minimum(d2, cdist(X, X[chosen[t]][None, :], "sqeuclidean")[:, 0])
+    return X[chosen].copy()
+
+
+def _ref_bin_sums(idx, X, size, weights=None):
+    cols = X.T if weights is None else weights * X.T
+    return np.stack([np.bincount(idx, c, minlength=size) for c in cols], axis=1)
+
+
+def _ref_fair_update(X, colors, counts, assign, k):
+    H = len(counts)
+    idx = assign * H + colors
+    m = np.bincount(idx, minlength=k * H)
+    S = _ref_bin_sums(idx, X, k * H)
+    mu = S / np.maximum(m, 1)[:, None]
+    sse = np.bincount(idx, ((X - mu[idx]) ** 2).sum(axis=1), minlength=k * H)
+    d = X.shape[1]
+    m, S = m.reshape(k, H), S.reshape(k, H, d)
+    mu, sse = mu.reshape(k, H, d), sse.reshape(k, H)
+    if H == 2:
+        gap2 = ((mu[:, 0] - mu[:, 1]) ** 2).sum(axis=1)
+        gamma = _two_group_gamma(
+            m[:, 0], m[:, 1], sse[:, 0], sse[:, 1], gap2, counts[0], counts[1]
+        )
+        gamma = np.where(m[:, 0] == 0, 0.0, np.where(m[:, 1] == 0, 1.0, gamma))
+        return gamma[:, None] * mu[:, 0] + (1.0 - gamma)[:, None] * mu[:, 1]
+    centers = np.empty((k, d))
+    for i in range(k):
+        present = np.flatnonzero(m[i])
+        if len(present) == 1:
+            centers[i] = mu[i, present[0]]
+        else:
+            centers[i] = _mw_center(m[i], S[i], sse[i], counts)
+    return centers
+
+
+def _ref_lloyd(inst, k, w, seed, max_iters=100, tol=1e-6):
+    X, n = inst.features, inst.n
+    centers = _ref_kmeanspp(X, k, w, seed)
+    prev_cost = math.inf
+    passes = 0
+    for _ in range(max_iters):
+        passes += 1
+        dist = cdist(X, centers, "sqeuclidean")
+        assign = np.argmin(dist, axis=1)
+        dsel = dist[np.arange(n), assign]
+        cost = float((w * dsel).sum())
+        empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist()
+        if empties:
+            _repair_empty(centers, X, w * dsel, empties)
+            prev_cost = math.inf
+            continue
+        if math.isfinite(prev_cost) and prev_cost - cost <= tol * max(
+            prev_cost, 1e-30
+        ):
+            break
+        prev_cost = cost
+        wsum = np.bincount(assign, w, minlength=k)
+        centers = _ref_bin_sums(assign, X, k, w) / wsum[:, None]
+    passes += 1
+    dist = cdist(X, centers, "sqeuclidean")
+    assign = np.argmin(dist, axis=1)
+    return centers, float((w * dist[np.arange(n), assign]).sum()), passes
+
+
+def _ref_socially_fair(inst, k, seed, max_iters=100, tol=1e-6):
+    X, n, H = inst.features, inst.n, inst.num_colors
+    counts, colors = inst.counts, inst.colors
+    centers = _ref_kmeanspp(X, k, np.ones(n), seed)
+    best_score = math.inf
+    best_centers = centers.copy()
+    prev_score = math.inf
+    prev_assign = None
+    passes = 0
+    for _ in range(max_iters):
+        passes += 1
+        dist = cdist(X, centers, "sqeuclidean")
+        assign = np.argmin(dist, axis=1)
+        dsel = dist[np.arange(n), assign]
+        score = max(float(dsel[colors == h].sum()) / counts[h] for h in range(H))
+        if score < best_score:
+            best_score = score
+            best_centers = centers.copy()
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        if math.isfinite(prev_score) and abs(prev_score - score) <= tol * max(
+            abs(prev_score), 1e-30
+        ):
+            break
+        empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist()
+        if empties:
+            _repair_empty(centers, X, dsel, empties)
+            prev_score = math.inf
+            prev_assign = None
+            continue
+        prev_score = score
+        prev_assign = assign
+        centers = _ref_fair_update(X, colors, counts, assign, k)
+    return best_centers, best_score, passes
+
+
+def _corpus_instance(seed):
+    """A random instance with H = 2 or 3, d from 1 to 9, and every third one
+    built from a few points repeated many times."""
+    rng = np.random.default_rng(seed)
+    H = 2 + seed % 2
+    d = (1, 2, 5, 9)[seed % 4]
+    n = int(rng.integers(40, 160))
+    X = rng.normal(size=(n, d)) * rng.random(d) * 4 + rng.integers(0, 4, size=(n, 1))
+    if seed % 3 == 0:
+        base = rng.normal(size=(14, d))
+        X = base[rng.integers(0, len(base), size=n)]
+    colors = rng.integers(0, H, size=n)
+    colors[:H] = np.arange(H)
+    return Instance(X, colors, [f"g{h}" for h in range(H)])
+
+
+# two instances whose runs from seed 0 empty a cluster and repair it
+_REPAIR_LLOYD = Instance(
+    np.array(
+        [
+            [0.7, 6.8], [9.2, 8.6], [6.2, 1.1], [8.3, 8.3], [1.0, 9.8],
+            [0.7, 6.8], [9.2, 8.6],
+        ]
+    ),
+    [0, 1, 1, 1, 0, 1, 1],
+    ["a", "b"],
+)
+_REPAIR_SOCIAL = Instance(
+    np.array(
+        [
+            [1.9, 8.2], [7.5, 5.4], [4.1, 0.7], [2.7, 9.8], [2.4, 1.2], [1.4, 9.8],
+            [1.3, 0.3], [9.7, 2.5], [1.9, 8.2], [7.5, 5.4], [4.1, 0.7], [2.7, 9.8],
+        ]
+    ),
+    [0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1],
+    ["a", "b"],
+)
+
+
+def _assert_lloyd_matches(inst, k, w, seed, max_iters=100, tol=1e-6):
+    cs = lloyd(inst, k, w, seed, max_iters, tol)
+    centers, score, passes = _ref_lloyd(inst, k, w, seed, max_iters, tol)
+    assert np.array_equal(cs.centers, centers)
+    assert cs.score == score
+    assert cs.restart_scores == [cs.score]
+    assert 1 <= cs.restart_iterations[0] <= passes
+    return cs, passes
+
+
+def _assert_social_matches(inst, k, seed, max_iters=100, tol=1e-6):
+    cs = socially_fair_centers(inst, k, seed, max_iters, tol)
+    centers, score, passes = _ref_socially_fair(inst, k, seed, max_iters, tol)
+    assert np.array_equal(cs.centers, centers)
+    assert cs.score == score
+    assert 1 <= cs.restart_iterations[0] <= passes
+    return cs, passes
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("seed", range(22))
+    def test_random_instances(self, seed):
+        inst = _corpus_instance(seed)
+        k = 2 + seed % 11
+        max_iters = (100, 100, 100, 3, 1)[seed % 5]
+        for w in (np.ones(inst.n), 1.0 / inst.counts[inst.colors]):
+            _assert_lloyd_matches(inst, k, w, seed, max_iters)
+        _assert_social_matches(inst, k, seed, max_iters)
+
+    def test_repaired_empty_clusters(self, monkeypatch):
+        calls = []
+
+        def spy(centers, X, cost, empties):
+            calls.append(list(empties))
+            _repair_empty(centers, X, cost, empties)
+
+        monkeypatch.setattr(centers_mod, "_repair_empty", spy)
+        _assert_lloyd_matches(_REPAIR_LLOYD, 3, np.ones(_REPAIR_LLOYD.n), 0)
+        assert calls
+        calls.clear()
+        _assert_social_matches(_REPAIR_SOCIAL, 4, 0)
+        assert calls
+
+    def test_cycle_stops_at_first_repeated_state(self):
+        # the reference cycles through center states until max_iters
+        inst = adult_like(60, seed=0)
+        cs, passes = _assert_social_matches(inst, 4, 2)
+        assert passes == 100
+        # the update after pass 12 repeats the one after pass 10: a 2-cycle
+        assert cs.restart_iterations == [12]
+
+    def test_lloyd_stops_at_fixed_point(self):
+        # the reference takes one more update, which repeats the centers, and
+        # one more assignment pass to score them
+        inst = random_instance(60, 3, 3, seed=0)
+        for tol in (1e-6, 0.0):
+            cs, passes = _assert_lloyd_matches(inst, 3, np.ones(inst.n), 0, tol=tol)
+            assert cs.restart_iterations[0] == passes - 2
+
+    @pytest.mark.parametrize("method", ["vanilla", "weighted", "socially_fair"])
+    def test_best_of_restarts(self, small_instance, method):
+        inst = small_instance
+        got = best_of_restarts(inst, 4, method, 3, seed=5)
+        refs = []
+        for s in range(5, 8):
+            if method == "socially_fair":
+                refs.append(_ref_socially_fair(inst, 4, s))
+            else:
+                w = np.ones(inst.n)
+                if method == "weighted":
+                    w = 1.0 / inst.counts[inst.colors]
+                refs.append(_ref_lloyd(inst, 4, w, s))
+        assert got.restart_scores == [score for _, score, _ in refs]
+        assert len(got.restart_iterations) == 3
+        assert all(1 <= it <= p for it, (_, _, p) in zip(got.restart_iterations, refs))
+        best = min(range(3), key=lambda r: refs[r][1])
+        assert np.array_equal(got.centers, refs[best][0]) and got.score == refs[best][1]

@@ -370,6 +370,21 @@ class TestHighsPricing:
         assert 0 < want.sum() < inst.n * (lp_mod._CANDIDATES - 1)
         assert len(calls[0][0]["c"]) == want.sum() + m.num_vars - m.k * m.n
 
+    @pytest.mark.parametrize("H", [2, 3])
+    def test_class_prefix_ties_in_point_order(self, H):
+        # every point four times over: a class holds runs of equal delta, and
+        # the prefix cut falls inside them
+        base = random_instance(20, 2, H, seed=H)
+        inst = Instance(
+            np.tile(base.features, (4, 1)), np.tile(base.colors, 4), base.color_names
+        )
+        params = Params.with_delta(inst, 7, 0.5, 0.1)
+        centers = inst.features[np.random.default_rng(H).choice(20, 7, replace=False)]
+        m = build_rawlsian_lp(inst, params, centers)
+        np.testing.assert_array_equal(
+            lp_mod._initial_columns(m, lp_mod._Frame(m)), _class_prefix(m)
+        )
+
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     @pytest.mark.parametrize("H", [2, 3])
     def test_one_column_per_class_prices_in_the_rest(self, monkeypatch, kind, H):
