@@ -403,11 +403,11 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
     failures = 0
     for trial in range(count):
         H = int(rng.integers(2, 4))
-        # every fourth trial has k = 5 > lp._CANDIDATES centers, so the first
-        # LP leaves out at least each point's farthest column (the class
-        # prefix may cut more) and pricing runs; brute force enumerates k^n
-        # assignments, and n <= 6 there (n <= 8 otherwise) keeps 20 trials
-        # at a few seconds
+        # every LP is priced from the class prefix; every fourth trial has
+        # k = 5 > lp._CANDIDATES centers, so the first LP also leaves out each
+        # point's farthest column; brute force enumerates k^n assignments,
+        # and n <= 6 there (n <= 8 otherwise) keeps 20 trials at a few
+        # seconds
         if trial % 4 == 3:
             k, n = 5, int(rng.integers(5, 7))
         else:

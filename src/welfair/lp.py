@@ -204,14 +204,16 @@ class HighsSolver:
     assignment, a few dozen dual-simplex iterations from the optimum instead
     of about n.
 
-    With k > _CANDIDATES centers the LP is solved by column generation.
-    Within a class (a(j), color of j) the frame columns at a center i differ
-    only in their cost delta_ij, so the LP moves the cheap end of each
-    (a, h, i) class first. The first LP keeps the columns of each point's
-    _CANDIDATES nearest centers that rank in the cheapest
-    ceil(_CLASS_SHARE * |class (a, h)|) of their (a, h, i) class; every
-    other column whose reduced cost under the LP's duals is below -tolerance
-    joins before a re-solve. The last round prices every left-out column at
+    The LP is solved by column generation. Within a class (a(j), color of
+    j) the frame columns at a center i differ only in their cost delta_ij,
+    so the LP moves the cheap end of each (a, h, i) class first. The first
+    LP keeps the columns of each point's min(k, _CANDIDATES) nearest centers
+    that rank in the cheapest ceil(_CLASS_SHARE * |class (a, h)|) of their
+    (a, h, i) class; every other column whose reduced cost under the LP's
+    duals is below -tolerance joins before a re-solve. Each restricted LP
+    holds point j's row only when j has at least 2 kept columns: with fewer
+    the row is implied by the bounds x <= 1, its dual 0 is optimal, and
+    pricing reads 0 for it. The last round prices every left-out column at
     or above -tolerance, which certifies its optimum as the full LP's.
     HiGHS's primal and dual feasibility tolerances are
     min(tolerance, _FEASIBILITY).
@@ -234,11 +236,11 @@ class HighsSolver:
         rounds = 0
         while True:
             rounds += 1
-            c, A_ub, bounds = frame.restrict(keep)
+            c, A_ub, b_ub, bounds, row_ids = frame.restrict(keep)
             res = linprog(
                 c,
                 A_ub=A_ub,
-                b_ub=frame.b_ub,
+                b_ub=b_ub,
                 bounds=bounds,
                 method="highs",
                 options=options,
@@ -251,7 +253,9 @@ class HighsSolver:
                 raise LPError(f"highs failed: {res.message}")
             if not left.any():
                 break
-            enter = left & (frame.reduced_costs(res.ineqlin.marginals) < -tolerance)
+            duals = np.zeros(len(frame.b_ub))
+            duals[row_ids] = res.ineqlin.marginals
+            enter = left & (frame.reduced_costs(duals) < -tolerance)
             if not enter.any():
                 break
             keep |= enter
@@ -274,12 +278,14 @@ class _Frame:
     is eliminated through j's assignment equality, x[a(j), j] = 1 - sum over
     i != a(j) of x[i, j]. The frame's rows are the model's rows, in order,
     then j's assignment equality as the row sum over i != a(j) of
-    x[i, j] <= 1. Its column x[i, j] (i != a(j), j of color h) has the
-    coefficients under[g, h] in under_i_g and -under[g, h] in under_a(j)_g,
-    the same with over in the over rows, delta_ij in the Rawlsian disu_h and
-    1 in j's row, and the cost cost[i, j] - cost[a(j), j], where
-    delta_ij = lam / n_h * (d^p(j, i) - d^p(j, a(j))). The t and z columns
-    are the model's; the constants move into b_ub and an objective offset.
+    x[i, j] <= 1, point by point. Its column x[i, j] (i != a(j), j of color
+    h) has the coefficients under[g, h] in under_i_g and -under[g, h] in
+    under_a(j)_g, the same with over in the over rows, delta_ij in the
+    Rawlsian disu_h and 1 in j's row, and the cost cost[i, j] -
+    cost[a(j), j], where delta_ij = lam / n_h * (d^p(j, i) - d^p(j, a(j))).
+    The t and z columns are the model's; the constants move into b_ub and an
+    objective offset. A restricted LP (`restrict`) holds point j's row only
+    when at least 2 of j's columns are kept.
     """
 
     def __init__(self, model: LPModel):
@@ -336,9 +342,12 @@ class _Frame:
             self.tail = [np.concatenate(pair) for pair in zip(self.tail, z)]
 
     def restrict(self, keep: np.ndarray):
-        """Costs, CSC matrix and bounds of the frame LP over the x columns in
-        keep ((k, n), in column order i * n + j) and the t and z columns."""
-        k, H = self.k, self.H
+        """Costs, CSC matrix, right-hand sides and bounds of the frame LP
+        over the x columns in keep ((k, n), in column order i * n + j) and
+        the t and z columns, and the ids of the frame rows it holds: the
+        model's rows and the rows of the points with at least 2 kept x
+        columns, in order."""
+        k, n, H = self.k, self.n, self.H
         i, j = np.nonzero(keep)
         a, h = self.near[j], self.colors[j]
         # each column's rows ascending: the lower-numbered cluster's block of
@@ -352,23 +361,30 @@ class _Frame:
         if self.rawlsian:
             rows.append(2 * k * H + h[:, None])
             vals.append(self.delta[i, j][:, None])
-        rows.append(self.num_rows + j[:, None])
-        vals.append(np.ones((len(j), 1)))
+        # a point with one kept column has the row x <= 1, its bound, and
+        # one with none has 0 <= 1: their zero entries are compressed away
+        shared = np.bincount(j, minlength=n) >= 2
+        rows.append(self.num_rows + np.cumsum(shared)[j, None] - 1)
+        vals.append(shared[j, None].astype(float))
         parts = zip(_compress(np.hstack(rows), np.hstack(vals)), self.tail)
         counts, indices, data = (np.concatenate(pair) for pair in parts)
+        row_ids = np.concatenate(
+            [np.arange(self.num_rows), self.num_rows + np.flatnonzero(shared)]
+        )
         A_ub = sp.csc_matrix(
             (data, indices, np.concatenate([[0], np.cumsum(counts)])),
-            shape=(len(self.b_ub), len(counts)),
+            shape=(len(row_ids), len(counts)),
         )
         c = np.concatenate([self.cost[i, j], self.tail_cost])
         bounds = np.concatenate(
             [np.tile([0.0, 1.0], (len(j), 1)), self.tail_bounds]
         )
-        return c, A_ub, bounds
+        return c, A_ub, self.b_ub[row_ids], bounds, row_ids
 
     def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
         """(k, n) reduced costs of every x column of the frame LP, in closed
-        form from the duals of its rows."""
+        form from the duals of all its rows, 0 for a row a restricted LP
+        left out."""
         k, H = self.k, self.H
         # [i, h]: dual price of a color-h share's under/over coefficients in
         # cluster i
@@ -389,17 +405,14 @@ def _compress(rows: np.ndarray, vals: np.ndarray):
 
 
 def _initial_columns(model: LPModel, frame: _Frame) -> np.ndarray:
-    """(k, n) x-column mask of the first LP: every frame column when k is
-    small, else the columns of each point's _CANDIDATES nearest centers that
-    rank in the cheapest ceil(_CLASS_SHARE * |class|) of their (a, h, i)
-    class by delta."""
+    """(k, n) x-column mask of the first LP: the frame columns of each
+    point's min(k, _CANDIDATES) nearest centers that rank in the cheapest
+    ceil(_CLASS_SHARE * |class|) of their (a, h, i) class by delta."""
     k, n, H = frame.k, frame.n, frame.H
-    keep = frame.columns.copy()
-    if k <= _CANDIDATES:
-        return keep
+    width = min(k, _CANDIDATES)
     top = np.zeros((k, n), dtype=bool)
-    nearest = np.argpartition(model.dist_pow, _CANDIDATES - 1, axis=1)
-    top[nearest[:, :_CANDIDATES].T, np.arange(n)] = True
+    nearest = np.argpartition(model.dist_pow, width - 1, axis=1)
+    top[nearest[:, :width].T, np.arange(n)] = True
     cls = frame.near * H + frame.colors
     size = np.bincount(cls, minlength=k * H)
     prefix = np.zeros((k, n), dtype=bool)
@@ -410,7 +423,7 @@ def _initial_columns(model: LPModel, frame: _Frame) -> np.ndarray:
         first = np.argsort(frame.delta[:, members], axis=1, kind="stable")
         cut = int(np.ceil(_CLASS_SHARE * len(members)))
         prefix[rows, members[first[:, :cut]]] = True
-    return keep & top & prefix
+    return frame.columns & top & prefix
 
 
 def solve_lp(

@@ -263,33 +263,54 @@ def _reference(model):
 
 
 def _linprog_spy(monkeypatch):
-    """Record every scipy linprog call HighsSolver makes: (kwargs, result)."""
+    """Record every scipy linprog call HighsSolver makes: (kwargs, result),
+    the kwargs holding, as keep, the (k, n) x-column mask that
+    `_Frame.restrict` was given for the call."""
     import scipy.optimize
 
-    real = scipy.optimize.linprog
-    calls = []
+    real, restrict = scipy.optimize.linprog, lp_mod._Frame.restrict
+    calls, keeps = [], []
+
+    def restrict_spy(frame, keep):
+        keeps.append(keep.copy())
+        return restrict(frame, keep)
 
     def spy(c, **kwargs):
         res = real(c, **kwargs)
-        calls.append((dict(kwargs, c=c), res))
+        calls.append((dict(kwargs, c=c, keep=keeps.pop()), res))
         return res
 
+    monkeypatch.setattr(lp_mod._Frame, "restrict", restrict_spy)
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
     return calls
 
 
-def _reduced_costs(model, res):
+def _frame_duals(model, kwargs, res):
+    """The duals of every frame row from one restricted LP: the model's rows'
+    own, then point j's row dual if j has at least 2 kept x columns, and 0
+    for the rows of the others, which the LP leaves out."""
+    R = len(model.rows)
+    marginals = res.ineqlin.marginals
+    shared = np.flatnonzero(kwargs["keep"].sum(axis=0) >= 2)
+    assert len(marginals) == R + len(shared)
+    duals = np.zeros(R + model.n)
+    duals[:R] = marginals[:R]
+    duals[R + shared] = marginals[R:]
+    return duals
+
+
+def _reduced_costs(model, kwargs, res):
     """c - A^T y over every column of the full model, y the model's own row
     duals recovered from res, a solve in the nearest-center frame.
 
-    The frame LP's rows are the model's rows, in order, followed by one row
-    per point j, sum over i != a(j) of x[i, j] <= 1, with dual mu_j. The
-    model's rows keep their duals; point j's assignment equality gets the
-    dual that leaves the eliminated column x[a(j), j] with reduced cost
-    -mu_j >= 0."""
+    The frame's rows are the model's rows, in order, followed by one row per
+    point j, sum over i != a(j) of x[i, j] <= 1, with dual mu_j (0 for a row
+    the restricted LP left out). The model's rows keep their duals; point
+    j's assignment equality gets the dual that leaves the eliminated column
+    x[a(j), j] with reduced cost -mu_j >= 0. At a frame column x[i, j] this
+    is c - A^T y of the full frame matrix."""
     rows = model.rows
-    duals = res.ineqlin.marginals
-    assert len(duals) == len(rows) + model.n
+    duals = _frame_duals(model, kwargs, res)
     rc = model.objective.copy()
     for row, y in zip(rows, duals[: len(rows)]):
         np.add.at(rc, row.cols, -y * row.vals)
@@ -305,26 +326,39 @@ def _reduced_costs(model, res):
 def _all_columns(monkeypatch, model):
     with monkeypatch.context() as mp:
         mp.setattr(lp_mod, "_CANDIDATES", model.k)
+        mp.setattr(lp_mod, "_CLASS_SHARE", 1.0)
         return solve_lp(model)
 
 
+def _pricing_spy(monkeypatch):
+    """Record every `_Frame.reduced_costs` call: (duals, reduced costs)."""
+    real = lp_mod._Frame.reduced_costs
+    calls = []
+
+    def spy(frame, duals):
+        rc = real(frame, duals)
+        calls.append((duals.copy(), rc))
+        return rc
+
+    monkeypatch.setattr(lp_mod._Frame, "reduced_costs", spy)
+    return calls
+
+
 def _x_columns(model, kwargs):
-    """(k, n) mask of the x columns of one frame LP call, read from its
-    matrix: column x[i, j] has a 1 in point j's row and entries in the
-    under/over rows of clusters i and a(j) only."""
-    k, n, H = model.k, model.n, model.H
+    """(k, n) mask of the x columns of one frame LP call: the keep mask
+    `_Frame.restrict` was given, checked against the call's matrix, whose
+    first columns are those x columns in order i * n + j, column x[i, j]
+    with entries in the under/over rows of clusters i and a(j) only."""
+    k, H = model.k, model.H
+    keep = kwargs["keep"]
     A = kwargs["A_ub"].tocsc()
-    R = len(model.rows)
     near = np.argmin(model.dist_pow, axis=1)
-    got = np.zeros((k, n), dtype=bool)
-    for col in range(A.shape[1]):
+    xi, xj = np.nonzero(keep)
+    assert A.shape[1] == len(xi) + model.num_vars - k * model.n
+    for col, (i, j) in enumerate(zip(xi, xj)):
         rows = A.indices[A.indptr[col]: A.indptr[col + 1]]
-        if not (rows >= R).any():
-            continue  # a t or z column
-        j = rows[rows >= R][0] - R
-        (i,) = set((rows[rows < 2 * k * H] % (k * H)) // H) - {near[j]}
-        got[i, j] = True
-    return got
+        assert set((rows[rows < 2 * k * H] % (k * H)) // H) - {near[j]} == {i}
+    return keep
 
 
 def _class_prefix(model):
@@ -352,23 +386,30 @@ def _class_prefix(model):
 
 
 class TestHighsPricing:
-    """k > _CANDIDATES: HiGHS solves over each point's nearest centers, cut
-    to the cheap end of each (nearest center, color) class, and prices the
-    other columns in until none has negative reduced cost."""
+    """HiGHS solves over each point's min(k, _CANDIDATES) nearest centers,
+    cut to the cheap end of each (nearest center, color) class, and prices
+    the other columns in until none has negative reduced cost."""
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
-    @pytest.mark.parametrize("H", [2, 3])
-    def test_first_lp_is_the_class_prefix(self, monkeypatch, kind, H):
-        inst, params, centers = _setup(n=80, k=7, H=H, lam=0.5, seed=H)
+    @pytest.mark.parametrize(
+        "H, k", [(2, 7), (3, 7), (2, 2), (2, 4)], ids=["2", "3", "2-k2", "2-k4"]
+    )
+    def test_first_lp_is_the_class_prefix(self, monkeypatch, kind, H, k):
+        # at k <= _CANDIDATES the top-k cut keeps every column and only the
+        # class prefix restricts the first LP
+        inst, params, centers = _setup(n=80, k=k, H=H, lam=0.5, seed=H)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         calls = _linprog_spy(monkeypatch)
-        HighsSolver().solve(m, params.lp_tolerance)
+        xvec, obj, _ = HighsSolver().solve(m, params.lp_tolerance)
         got, want = _x_columns(m, calls[0][0]), _class_prefix(m)
         np.testing.assert_array_equal(got, want)
-        # the prefix cuts the top-_CANDIDATES columns: the first LP has fewer
-        assert 0 < want.sum() < inst.n * (lp_mod._CANDIDATES - 1)
+        # the prefix cuts the top columns: the first LP has fewer
+        assert 0 < want.sum() < inst.n * (min(k, lp_mod._CANDIDATES) - 1)
         assert len(calls[0][0]["c"]) == want.sum() + m.num_vars - m.k * m.n
+        assert xvec.shape == (m.num_vars,)
+        want = _all_columns(monkeypatch, m)
+        assert obj == pytest.approx(want.solver_objective, abs=params.lp_tolerance)
 
     @pytest.mark.parametrize("H", [2, 3])
     def test_class_prefix_ties_in_point_order(self, H):
@@ -409,7 +450,7 @@ class TestHighsPricing:
         frame_columns = np.ones((m.k, m.n), dtype=bool)
         frame_columns[near, np.arange(m.n)] = False
         for (kwargs, res), (after, _) in zip(calls, calls[1:]):
-            rc = _reduced_costs(m, res)[: m.k * m.n].reshape(m.k, m.n)
+            rc = _reduced_costs(m, kwargs, res)[: m.k * m.n].reshape(m.k, m.n)
             enter = frame_columns & (rc < -params.lp_tolerance)
             np.testing.assert_array_equal(
                 _x_columns(m, after), _x_columns(m, kwargs) | enter
@@ -418,7 +459,7 @@ class TestHighsPricing:
         assert obj == pytest.approx(ref.fun, abs=params.lp_tolerance)
         # no x column at zero, the ones the last LP left out among them,
         # prices below -tolerance under the model's own duals
-        rc = _reduced_costs(m, calls[-1][1])
+        rc = _reduced_costs(m, *calls[-1])
         at_zero = np.flatnonzero(xvec[: m.k * m.n] == 0.0)
         assert len(at_zero) >= m.num_vars - inst.n - len(calls[-1][0]["c"])
         assert rc[at_zero].min() >= -params.lp_tolerance
@@ -426,21 +467,56 @@ class TestHighsPricing:
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     @pytest.mark.parametrize("H", [2, 3])
     def test_closed_form_reduced_costs(self, monkeypatch, kind, H):
-        # the frame's closed-form pricing equals c - A^T y over the model's
-        # own rows at every frame column, in every round
+        # the frame's closed-form pricing of the duals the solve hands it
+        # equals c - A^T y over the model's own rows at every frame column,
+        # in every round
         inst, params, centers = _setup(n=60, k=6, H=H, lam=0.4, seed=7)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
         calls = _linprog_spy(monkeypatch)
+        priced = _pricing_spy(monkeypatch)
         HighsSolver().solve(m, params.lp_tolerance)
-        frame = lp_mod._Frame(m)
-        for _, res in calls:
-            want = _reduced_costs(m, res)[: m.k * m.n].reshape(m.k, m.n)
-            got = frame.reduced_costs(res.ineqlin.marginals)
+        assert len(priced) == len(calls) >= 2
+        columns = lp_mod._Frame(m).columns
+        for (kwargs, res), (duals, got) in zip(calls, priced):
+            np.testing.assert_array_equal(duals, _frame_duals(m, kwargs, res))
+            want = _reduced_costs(m, kwargs, res)[: m.k * m.n].reshape(m.k, m.n)
             np.testing.assert_allclose(
-                got[frame.columns], want[frame.columns], rtol=0, atol=1e-12
+                got[columns], want[columns], rtol=0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_rows_match_the_columns(self, monkeypatch, kind, k):
+        # every restricted LP holds the model's rows, then point j's row,
+        # with a 1 at each of j's kept x columns and right-hand side 1,
+        # exactly for the points j with at least 2 kept x columns, in order
+        inst, params, centers = _setup(n=60, k=k, H=2, lam=0.4, seed=7)
+        build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+        m = build(inst, params, centers)
+        monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
+        calls = _linprog_spy(monkeypatch)
+        HighsSolver().solve(m, params.lp_tolerance)
+        R = len(m.rows)
+        b_rows = lp_mod._Frame(m).b_ub[:R]
+        widths = set()
+        for kwargs, _ in calls:
+            keep = _x_columns(m, kwargs)
+            xi, xj = np.nonzero(keep)
+            per_point = keep.sum(axis=0)
+            widths |= set(per_point.tolist())
+            shared = np.flatnonzero(per_point >= 2)
+            want = np.zeros((len(shared), kwargs["A_ub"].shape[1]))
+            for r, j in enumerate(shared):
+                want[r, np.flatnonzero(xj == j)] = 1.0
+            A = kwargs["A_ub"].toarray()
+            assert A.shape[0] == R + len(shared)
+            np.testing.assert_array_equal(A[R:], want)
+            np.testing.assert_array_equal(kwargs["b_ub"][:R], b_rows)
+            np.testing.assert_array_equal(kwargs["b_ub"][R:], 1.0)
+        # the calls held points of no, one and (k > 2) several kept columns
+        assert {0, 1} <= widths and (k == 2 or max(widths) >= 2)
 
     def test_all_columns_switches_off_both_restrictions(self, monkeypatch):
         inst, params, centers = _setup(n=60, k=6, H=2, lam=0.2, seed=4)
@@ -486,21 +562,10 @@ class TestHighsPricing:
         # every non-eliminated column the last LP left out sits at zero; none
         # of them (nor any other x column at zero) prices below -tolerance
         # under the model's own duals
-        rc = _reduced_costs(m, calls[-1][1])
+        rc = _reduced_costs(m, *calls[-1])
         at_zero = np.flatnonzero(xvec[: m.k * m.n] == 0.0)
         assert len(at_zero) >= m.num_vars - inst.n - len(calls[-1][0]["c"])
         assert rc[at_zero].min() >= -params.lp_tolerance
-
-    @pytest.mark.parametrize("k", [2, 4])
-    def test_small_k_is_one_full_solve(self, monkeypatch, k):
-        inst, params, centers = _setup(n=40, k=k, H=2, lam=0.3, seed=2)
-        m = build_rawlsian_lp(inst, params, centers)
-        calls = _linprog_spy(monkeypatch)
-        xvec, _, status = HighsSolver().solve(m, params.lp_tolerance)
-        assert status == "highs:optimal:rounds=1"
-        # every column but the n eliminated nearest-center ones
-        assert len(calls) == 1 and len(calls[0][0]["c"]) == m.num_vars - inst.n
-        assert xvec.shape == (m.num_vars,)
 
     def test_tolerance_reaches_highs(self, monkeypatch):
         # HiGHS's feasibility tolerances are lp_tolerance capped at 1e-9
@@ -829,7 +894,7 @@ def test_lp_brute_rounding_sandwich_property(seed, H, n, k, p, lam, delta, kind)
 @example(seed=3, H=3, k=3, lam=5.960464477539063e-08, dup=False, kind="rawlsian")
 def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
     # HighsSolver's frame LP (nearest column eliminated, class prefix and
-    # pricing for k > _CANDIDATES) has the value of the untransformed model,
+    # pricing) has the value of the untransformed model,
     # solved by HiGHS's interior-point method at tight tolerances, and its
     # x, rebuilt in the model's variables, meets every model row
     rng = np.random.default_rng(seed)
