@@ -15,7 +15,7 @@ import sys
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .errors import (
     ParamError,
     WelfairError,
 )
-from .lp import brute_force_assignment, build_rawlsian_lp, build_utilitarian_lp, solve_lp
-from .metrics import additive_constants, pairwise_pow
+from .lp import brute_force_assignment
 from .model import (
     LP_TOLERANCE,
     Instance,
@@ -38,7 +37,6 @@ from .model import (
     load_instance,
     normalization_factors,
 )
-from .rounding import rawlsian_round, utilitarian_round
 
 _OBJECTIVES = ("rawlsian", "utilitarian")
 _SOFT_GAP = 8e-3
@@ -126,28 +124,13 @@ def _fmt(v: float) -> str:
     return str(v)
 
 
-def _result_columns(color_names: list[str]) -> list[str]:
-    cols = ["method", "objective", "k", "lambda", "delta", "p", "seed", "R", "U"]
-    cols += [f"disu_{c}" for c in color_names]
-    cols += [f"D_{c}" for c in color_names]
-    cols += [f"V_{c}" for c in color_names]
-    cols += [
-        "lp_objective",
-        "gap",
-        "bound",
-        "time_centers_s",
-        "time_lp_s",
-        "time_round_s",
-        "time_total_s",
-        "flags",
-        "norm_factor",
-    ]
-    return cols
-
-
 def _result_row(
-    res: pipeline.RunResult, objective: str, config: ExperimentConfig
+    res: pipeline.RunResult,
+    objective: str,
+    config: ExperimentConfig,
+    norm_factor: float,
 ) -> dict:
+    """One results.csv row; its keys, in order, are the file's columns."""
     rep = res.report
     row = {
         "method": res.method,
@@ -159,6 +142,11 @@ def _result_row(
         "seed": res.seed,
         "R": _fmt(rep.R),
         "U": _fmt(rep.U),
+    }
+    for prefix, values in (("disu", rep.disu), ("D", rep.D), ("V", rep.V)):
+        for name, v in zip(rep.color_names, values):
+            row[f"{prefix}_{name}"] = _fmt(float(v))
+    row |= {
         "lp_objective": _fmt(res.lp_objective),
         "gap": _fmt(res.gap),
         "bound": _fmt(res.gap_bound),
@@ -167,12 +155,8 @@ def _result_row(
         "time_round_s": _fmt(res.timings.get("round", 0.0)),
         "time_total_s": _fmt(res.timings.get("total", 0.0)),
         "flags": ";".join(res.flags),
-        "norm_factor": _fmt(res.norm_factor),
+        "norm_factor": _fmt(norm_factor),
     }
-    for idx, name in enumerate(rep.color_names):
-        row[f"disu_{name}"] = _fmt(float(rep.disu[idx]))
-        row[f"D_{name}"] = _fmt(float(rep.D[idx]))
-        row[f"V_{name}"] = _fmt(float(rep.V[idx]))
     return row
 
 
@@ -206,27 +190,22 @@ def run_experiment(config: ExperimentConfig) -> str:
     rows: list[dict] = []
     for obj in objectives:
         inst = insts[obj]
-        our_method = "socially_fair" if obj == "rawlsian" else "weighted"
-        center_cache: dict[str, centers.CenterSet] = {}
         tasks = []
         for k in config.k_range:
-            center_cache.clear()
-            for method in (our_method, "vanilla", "weighted", "socially_fair"):
-                if method not in center_cache:
-                    center_cache[method] = centers.best_of_restarts(
-                        inst, k, method, config.restarts, config.seed
-                    )
-            cache = dict(center_cache)
-            for lam in config.lambdas:
-                tasks.append((obj, inst, k, lam, cache))
-        results = _run_tasks(tasks, config)
-        for (obj_t, _inst, _k, _lam, _cache), group in zip(tasks, results):
-            for res in group:
-                res.norm_factor = factors[obj_t]
-                rows.append(_result_row(res, obj_t, config))
+            # our method's centers are one of these: socially fair for the
+            # Rawlsian objective, weighted for the Utilitarian one
+            cache = {
+                method: centers.best_of_restarts(
+                    inst, k, method, config.restarts, config.seed
+                )
+                for method in ("vanilla", "weighted", "socially_fair")
+            }
+            tasks += [(obj, inst, k, lam, cache) for lam in config.lambdas]
+        for group in _run_tasks(tasks, config):
+            rows += [_result_row(res, obj, config, factors[obj]) for res in group]
     os.makedirs(config.out_dir, exist_ok=True)
     out_csv = os.path.join(config.out_dir, "results.csv")
-    cols = _result_columns(instance.color_names)
+    cols = list(rows[0])
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=cols)
         writer.writeheader()
@@ -290,7 +269,7 @@ def _run_one(task, config: ExperimentConfig) -> list[pipeline.RunResult]:
             center_set=cache[our_method],
         )
     ]
-    for method in ("vanilla", "weighted", "socially_fair"):
+    for method, center_set in cache.items():
         out.append(
             pipeline.evaluate_baseline(
                 inst,
@@ -298,7 +277,7 @@ def _run_one(task, config: ExperimentConfig) -> list[pipeline.RunResult]:
                 method,
                 seed=config.seed,
                 restarts=config.restarts,
-                center_set=cache[method],
+                center_set=center_set,
             )
         )
     return out
@@ -397,8 +376,10 @@ def gap_report(path: str, soft: float = _SOFT_GAP) -> int:
 
 
 def oracle_check(seed: int = 0, count: int = 10) -> int:
-    """Tiny random instances: LP lower-bounds brute force; rounding obeys its
-    additive bound. Prints one line per check."""
+    """Tiny random instances, each run through rawlsian_alg and
+    utilitarian_alg on drawn centers: the LP value lower-bounds brute force
+    and the rounded value obeys the additive bound. Prints one line per
+    check."""
     rng = np.random.default_rng(seed)
     failures = 0
     for trial in range(count):
@@ -418,22 +399,16 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
         lam = [0.3, 0.5, 0.7][trial % 3]
         params = Params.with_delta(inst, k, lam, 0.0, 2)
         idx = rng.choice(n, size=k, replace=False)
-        ctrs = X[np.sort(idx)]
-        dist = pairwise_pow(X, ctrs, 2)
-        c_r, c_u = additive_constants(inst, params)
+        drawn = centers.CenterSet(X[np.sort(idx)], "oracle-check", float("nan"))
         ok = True
-        for kind in _OBJECTIVES:
-            build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-            rounder = rawlsian_round if kind == "rawlsian" else utilitarian_round
-            model = build(inst, params, ctrs, dist)
-            frac = solve_lp(model)
-            _, best = brute_force_assignment(inst, params, ctrs, kind)
-            bound = (1.0 - lam) * (c_r if kind == "rawlsian" else c_u)
-            integral = rounder(frac.x, inst, params, dist)
-            if frac.objective > best + params.lp_tolerance:
-                ok = False
-            if integral.objective > best + bound + params.lp_tolerance:
-                ok = False
+        for kind, alg in zip(
+            _OBJECTIVES, (pipeline.rawlsian_alg, pipeline.utilitarian_alg)
+        ):
+            res = alg(inst, params, center_set=drawn)
+            _, best = brute_force_assignment(inst, params, drawn.centers, kind)
+            tol = params.lp_tolerance
+            ok &= res.lp_objective <= best + tol
+            ok &= res.objective_value <= best + res.gap_bound + tol
         print(
             f"{'PASS' if ok else 'FAIL'} trial {trial}: n={n} H={H} k={k} lambda={lam}"
         )
@@ -471,21 +446,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment sweep", parents=[])
+    # each dest but config's is the ExperimentConfig field the flag sets
     run.add_argument("--config", help="JSON config file; flags override its fields")
     run.add_argument("--data", help="CSV dataset path")
-    run.add_argument("--features", help="comma-separated feature columns")
-    run.add_argument("--group", help="group (color) column")
+    run.add_argument(
+        "--features", dest="feature_columns", help="comma-separated feature columns"
+    )
+    run.add_argument("--group", dest="group_column", help="group (color) column")
     run.add_argument("--objective", choices=["rawlsian", "utilitarian", "both"])
-    run.add_argument("--k", help="k range, e.g. 4:15 or 4,6,8")
+    run.add_argument("--k", dest="k_range", help="k range, e.g. 4:15 or 4,6,8")
     run.add_argument("--lambdas", help="comma-separated lambda values")
     run.add_argument("--delta", type=float)
     run.add_argument("--p", type=int, choices=[1, 2])
     run.add_argument("--restarts", type=int)
     run.add_argument("--seed", type=int)
-    run.add_argument("--out", help="output directory")
-    run.add_argument("--lp-tol", type=float, dest="lp_tol")
+    run.add_argument("--out", dest="out_dir", help="output directory")
+    run.add_argument("--lp-tol", type=float, dest="lp_tolerance")
     run.add_argument("--subsample", type=int)
-    run.add_argument("--no-normalize", action="store_true")
+    run.add_argument(
+        "--no-normalize", dest="normalize", action="store_false", default=None
+    )
     run.add_argument("--workers", type=int)
 
     plot = sub.add_parser("plot", help="render an objective-vs-k SVG chart")
@@ -505,56 +485,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
+    """Each given flag laid over its own field of the --config file, or of
+    the defaults; an empty string counts as not given."""
+    config = ExperimentConfig.from_json(args.config) if args.config else None
+    if config is None:
         missing = [
             flag
-            for flag, val in (
-                ("--data", args.data),
-                ("--features", args.features),
-                ("--group", args.group),
+            for flag, name in (
+                ("--data", "data"),
+                ("--features", "feature_columns"),
+                ("--group", "group_column"),
             )
-            if not val
+            if not getattr(args, name)
         ]
         if missing:
             raise UsageError(f"missing {', '.join(missing)} (or --config)")
-        config = ExperimentConfig(
-            data=args.data,
-            feature_columns=_split_cols(args.features),
-            group_column=args.group,
-        )
-    if args.data:
-        config.data = args.data
-    if args.features:
-        config.feature_columns = _split_cols(args.features)
-    if args.group:
-        config.group_column = args.group
-    if args.objective:
-        config.objective = args.objective
-    if args.k:
-        config.k_range = _parse_ints(args.k)
-    if args.lambdas:
-        config.lambdas = _parse_floats(args.lambdas)
-    if args.delta is not None:
-        config.delta = args.delta
-    if args.p is not None:
-        config.p = args.p
-    if args.restarts is not None:
-        config.restarts = args.restarts
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out:
-        config.out_dir = args.out
-    if args.lp_tol is not None:
-        config.lp_tolerance = args.lp_tol
-    if args.subsample is not None:
-        config.subsample = args.subsample
-    if args.no_normalize:
-        config.normalize = False
-    if args.workers is not None:
-        config.workers = args.workers
-    return config
+    parsers = {
+        "feature_columns": _split_cols,
+        "k_range": _parse_ints,
+        "lambdas": _parse_floats,
+    }
+    given = {}
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name)
+        if value not in (None, ""):
+            parse = parsers.get(f.name)
+            given[f.name] = parse(value) if parse else value
+    if config is None:
+        return ExperimentConfig(**given)
+    return replace(config, **given)
 
 
 def _split_cols(text: str) -> list[str]:

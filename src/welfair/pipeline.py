@@ -32,7 +32,6 @@ class RunResult:
     gap_bound: float = float("nan")
     timings: dict = field(default_factory=dict)
     flags: list[str] = field(default_factory=list)
-    norm_factor: float = float("nan")
     lp_status: str = ""
 
     @property

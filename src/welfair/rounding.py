@@ -142,32 +142,6 @@ def _solve_support(
     return assignment
 
 
-def _extract(
-    assignment: np.ndarray,
-    instance: Instance,
-    params: Params,
-    dist_pow: np.ndarray,
-    kind: str,
-) -> IntegralAssignment:
-    """Masses, report and objective of a rounded assignment (-1 marks a point
-    the rounding left out)."""
-    k = params.k
-    H = instance.num_colors
-    if np.any(assignment < 0):
-        raise InternalInvariantError("point left unassigned by rounding")
-    color_mass = np.bincount(
-        assignment * H + instance.colors, minlength=k * H
-    ).reshape(k, H)
-    report = report_from_distances(instance, params, dist_pow, assignment)
-    return IntegralAssignment(
-        assignment=assignment,
-        color_mass=color_mass,
-        cluster_sizes=np.bincount(assignment, minlength=k),
-        objective=report.R if kind == "rawlsian" else report.U,
-        report=report,
-    )
-
-
 def _check_within(
     got: np.ndarray, lo: np.ndarray, hi: np.ndarray, what: str
 ) -> None:
@@ -181,6 +155,38 @@ def _check_within(
         )
 
 
+def _round(
+    xfrac: np.ndarray,
+    instance: Instance,
+    params: Params,
+    dist_pow: np.ndarray,
+    joint: bool,
+) -> IntegralAssignment:
+    """Split, solve the rounding LP, then check the masses of the result;
+    joint adds the cluster-size rows and their check."""
+    support = split_support(xfrac, instance)
+    assignment = _solve_support(xfrac, instance, dist_pow, support, joint)
+    if np.any(assignment < 0):
+        raise InternalInvariantError("point left unassigned by rounding")
+    k = params.k
+    H = instance.num_colors
+    color_mass = np.bincount(
+        assignment * H + instance.colors, minlength=k * H
+    ).reshape(k, H)
+    cluster_sizes = np.bincount(assignment, minlength=k)
+    _check_within(color_mass, support.col_lo, support.col_hi, "(cluster, color) mass")
+    if joint:
+        _check_within(cluster_sizes, support.clu_lo, support.clu_hi, "cluster size")
+    report = report_from_distances(instance, params, dist_pow, assignment)
+    return IntegralAssignment(
+        assignment=assignment,
+        color_mass=color_mass,
+        cluster_sizes=cluster_sizes,
+        objective=report.U if joint else report.R,
+        report=report,
+    )
+
+
 def rawlsian_round(
     xfrac: np.ndarray,
     instance: Instance,
@@ -189,13 +195,7 @@ def rawlsian_round(
 ) -> IntegralAssignment:
     """Round keeping each (cluster, color) mass; the colors share no row, so
     one LP rounds each of them optimally."""
-    support = split_support(xfrac, instance)
-    assignment = _solve_support(xfrac, instance, dist_pow, support, joint=False)
-    out = _extract(assignment, instance, params, dist_pow, "rawlsian")
-    _check_within(
-        out.color_mass, support.col_lo, support.col_hi, "(cluster, color) mass"
-    )
-    return out
+    return _round(xfrac, instance, params, dist_pow, joint=False)
 
 
 def utilitarian_round(
@@ -205,11 +205,4 @@ def utilitarian_round(
     dist_pow: np.ndarray,
 ) -> IntegralAssignment:
     """Round all colors jointly, preserving cluster sizes within floor/ceil."""
-    support = split_support(xfrac, instance)
-    assignment = _solve_support(xfrac, instance, dist_pow, support, joint=True)
-    out = _extract(assignment, instance, params, dist_pow, "utilitarian")
-    _check_within(
-        out.color_mass, support.col_lo, support.col_hi, "(cluster, color) mass"
-    )
-    _check_within(out.cluster_sizes, support.clu_lo, support.clu_hi, "cluster size")
-    return out
+    return _round(xfrac, instance, params, dist_pow, joint=True)

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from datagen import random_instance, separated_instance, write_csv
 
-from welfair import centers
+from welfair import centers, cli, pipeline
 from welfair.cli import (
     ExperimentConfig,
     _parse_floats,
@@ -157,6 +160,89 @@ class TestConfigErrors:
         )
         assert code == 1
         assert "missing key(s) group_column" in err
+
+
+# one flag per ExperimentConfig field: its argv, the field, the value it sets,
+# none of them the field's default
+_FLAGS = [
+    (["--data", "d.csv"], "data", "d.csv"),
+    (["--features", "a, b"], "feature_columns", ["a", "b"]),
+    (["--group", "g"], "group_column", "g"),
+    (["--objective", "utilitarian"], "objective", "utilitarian"),
+    (["--k", "3:5"], "k_range", [3, 4, 5]),
+    (["--lambdas", "0.25,0.75"], "lambdas", [0.25, 0.75]),
+    (["--delta", "0.05"], "delta", 0.05),
+    (["--p", "1"], "p", 1),
+    (["--restarts", "3"], "restarts", 3),
+    (["--seed", "7"], "seed", 7),
+    (["--out", "o"], "out_dir", "o"),
+    (["--lp-tol", "1e-6"], "lp_tolerance", 1e-6),
+    (["--subsample", "50"], "subsample", 50),
+    (["--no-normalize"], "normalize", False),
+    (["--workers", "2"], "workers", 2),
+]
+
+
+def _run_config(argv, monkeypatch) -> ExperimentConfig:
+    """The config `welfair run` builds from argv, without running it."""
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda c: seen.append(c) or "x")
+    assert main(["run"] + argv) == 0
+    return seen[0]
+
+
+class TestFlags:
+    """Each run flag sets the ExperimentConfig field its dest names."""
+
+    def test_each_field_has_exactly_one_flag(self):
+        ap = build_parser()
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        dests = Counter(
+            a.dest
+            for a in sub.choices["run"]._actions
+            if a.option_strings and a.dest not in ("help", "config")
+        )
+        assert dests == Counter(f.name for f in fields(ExperimentConfig))
+        assert {name for _, name, _ in _FLAGS} == set(dests)
+
+    def test_every_flag_sets_its_field(self, monkeypatch):
+        argv = [arg for flag, _, _ in _FLAGS for arg in flag]
+        want = ExperimentConfig(**{name: value for _, name, value in _FLAGS})
+        defaults = ExperimentConfig(data="", feature_columns=[], group_column="")
+        for _, name, value in _FLAGS:
+            assert getattr(defaults, name) != value, name
+        assert _run_config(argv, monkeypatch) == want
+
+    _BASE = ExperimentConfig(data="base.csv", feature_columns=["x"], group_column="h")
+
+    @pytest.fixture
+    def config_file(self, tmp_path):
+        cpath = tmp_path / "config.json"
+        cpath.write_text(self._BASE.to_json(), encoding="utf-8")
+        return str(cpath)
+
+    @pytest.mark.parametrize("flag, name, value", _FLAGS, ids=[n for _, n, _ in _FLAGS])
+    def test_flag_overrides_only_its_field(
+        self, config_file, monkeypatch, flag, name, value
+    ):
+        got = _run_config(["--config", config_file] + flag, monkeypatch)
+        assert got == replace(self._BASE, **{name: value})
+
+    def test_empty_flag_keeps_the_config_field(self, config_file, monkeypatch):
+        argv = ["--config", config_file, "--data", "", "--k", "", "--out", ""]
+        assert _run_config(argv, monkeypatch) == self._BASE
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--data", "", "--features", "a", "--group", "g"], "missing --data "),
+            (["--data", "d.csv", "--features", "a", "--group", ""], "missing --group "),
+            (["--features", "a", "--k", "two"], "missing --data, --group "),
+        ],
+    )
+    def test_empty_required_flag_is_missing(self, capsys, argv, message):
+        assert main(["run"] + argv) == 1
+        assert f"welfair: {message}(or --config)" in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -313,6 +399,33 @@ class TestRunExperiment:
             want = normalization_factor(inst, config.k_range, 2, mode, 0)
             assert meta["norm_factors"][mode] == want
 
+    def test_one_center_set_per_method_and_k(self, dataset, tmp_path, monkeypatch):
+        # our method's centers are one of the three baselines', so each
+        # objective computes 3 center sets per k, each method once
+        path, feats = dataset
+        calls = []
+        real = centers.best_of_restarts
+
+        def spy(inst, k, method, *a):
+            calls.append((k, method))
+            return real(inst, k, method, *a)
+
+        monkeypatch.setattr(centers, "best_of_restarts", spy)
+        config = ExperimentConfig(
+            data=path,
+            feature_columns=feats,
+            group_column="group",
+            objective="both",
+            k_range=[2, 3],
+            lambdas=[0.4, 0.8],
+            restarts=1,
+            out_dir=str(tmp_path),
+        )
+        run_experiment(config)
+        per_k = {(k, m) for k in config.k_range for m in pipeline._BASELINES}
+        assert len(calls) == 2 * 3 * len(config.k_range)
+        assert Counter(calls) == Counter({key: 2 for key in per_k})
+
     def test_subsample_and_no_normalize(self, dataset, tmp_path):
         path, feats = dataset
         config = ExperimentConfig(
@@ -431,6 +544,27 @@ class TestOracleCheck:
         assert oracle_check(seed=0, count=2) == 0
         out = capsys.readouterr().out
         assert "2/2 passed" in out
+
+
+    def test_runs_the_pipeline_on_drawn_centers(self, monkeypatch, capsys):
+        calls = {"rawlsian_alg": [], "utilitarian_alg": []}
+        for name, seen in calls.items():
+            real = getattr(pipeline, name)
+
+            def spy(inst, params, *a, _real=real, _seen=seen, **kw):
+                _seen.append((inst, params, kw["center_set"]))
+                return _real(inst, params, *a, **kw)
+
+            monkeypatch.setattr(pipeline, name, spy)
+        assert oracle_check(seed=1, count=4) == 0
+        assert [len(seen) for seen in calls.values()] == [4, 4]
+        for (inst, params, drawn), (_, _, other) in zip(*calls.values()):
+            assert other is drawn
+            assert drawn.centers.shape == (params.k, inst.dim)
+            # each center is a distinct point of the instance
+            hits = (drawn.centers[:, None, :] == inst.features[None]).all(axis=2)
+            assert (hits.sum(axis=1) >= 1).all()
+            assert len(np.unique(drawn.centers, axis=0)) == params.k
 
 
 class TestMain:
