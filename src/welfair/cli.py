@@ -192,8 +192,8 @@ def run_experiment(config: ExperimentConfig) -> str:
         inst = insts[obj]
         tasks = []
         for k in config.k_range:
-            # our method's centers are one of these: socially fair for the
-            # Rawlsian objective, weighted for the Utilitarian one
+            # our method's centers, pipeline.CENTER_METHODS[obj], are one of
+            # these
             cache = {
                 method: centers.best_of_restarts(
                     inst, k, method, config.restarts, config.seed
@@ -259,14 +259,13 @@ def _run_one(task, config: ExperimentConfig) -> list[pipeline.RunResult]:
         inst, k, lam, config.delta, config.p, config.lp_tolerance
     )
     alg = pipeline.rawlsian_alg if obj == "rawlsian" else pipeline.utilitarian_alg
-    our_method = "socially_fair" if obj == "rawlsian" else "weighted"
     out = [
         alg(
             inst,
             params,
             seed=config.seed,
             restarts=config.restarts,
-            center_set=cache[our_method],
+            center_set=cache[pipeline.CENTER_METHODS[obj]],
         )
     ]
     for method, center_set in cache.items():
@@ -380,6 +379,8 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
     utilitarian_alg on drawn centers: the LP value lower-bounds brute force
     and the rounded value obeys the additive bound. Prints one line per
     check."""
+    if count < 1:
+        raise UsageError(f"--count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     failures = 0
     for trial in range(count):

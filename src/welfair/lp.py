@@ -57,12 +57,22 @@ class LPModel:
     the model's definition, so rows holds only the coupling rows:
     under_i_h and over_i_h for every (cluster, color), then, for the
     Rawlsian objective, disu_h for every color.
+
+    The builder forms the coefficient tables once; rows, objective and
+    HiGHS's frame (`_Frame`) all read them. x[i, j] (j of color h) has
+    under[g, h] in under_i_g, over[g, h] in over_i_g, share[i, j] in disu_h
+    and share[i, j] as its Utilitarian cost; t_i_h has t_cost[h] in disu_h
+    and as its Utilitarian cost.
     """
 
     kind: str                   # "rawlsian" or "utilitarian"
     instance: Instance
     params: Params
     dist_pow: np.ndarray        # (n, k) d(x_j, c_i)^p
+    share: np.ndarray           # (k, n) lam / n_h * d^p(x_j, c_i), j of color h
+    under: np.ndarray           # (H, H) [g, h]: r_g - beta_g - [g = h]
+    over: np.ndarray            # (H, H) [g, h]: [g = h] - r_g - alpha_g
+    t_cost: np.ndarray          # (H,) (1 - lam) / n_h
     objective: np.ndarray
     rows: list[Row]
 
@@ -115,34 +125,52 @@ class FractionalSolution:
     status: str
 
 
-def _violation_rows(instance: Instance, params: Params, centers, dist_pow):
-    """Check the inputs; return the (n, k) d^p matrix and the under_i_h and
-    over_i_h rows, in that order."""
+def _build(kind: str, instance: Instance, params: Params, centers, dist_pow) -> LPModel:
+    """Check the inputs, form the coefficient tables, and write the rows and
+    objective of the LP of kind from them."""
     params.validate(instance)
     n, H, k = instance.n, instance.num_colors, params.k
     if centers.shape[0] != k:
         raise LPError(f"params.k={k} but {centers.shape[0]} centers given")
     if dist_pow is None:
         dist_pow = pairwise_pow(instance.features, centers, params.p)
+    colors, counts, lam = instance.colors, instance.counts, params.lam
     # t_ih bounds the under- and over-representation of color h in cluster i:
     # (r_h - beta_h) size_i - size_ih <= t_ih and
     # size_ih - (r_h + alpha_h) size_i <= t_ih, written out in x
-    r = instance.proportions
-    member = instance.colors == np.arange(H)[:, None]               # (H, n)
-    under = (r - params.beta)[:, None] - member
-    over = member - (r + params.alpha)[:, None]
+    r, eye = instance.proportions, np.eye(H)
+    under = (r - params.beta)[:, None] - eye
+    over = eye - (r + params.alpha)[:, None]
+    share = (lam / counts[colors]) * dist_pow.T
+    t_cost = (1.0 - lam) / counts
     allj = np.arange(n)
     rows = [
         Row(
-            f"{tag}_{i}_{h}",
-            np.concatenate([i * n + allj, [k * n + i * H + h]]),
-            np.concatenate([coef[h], [-1.0]]),
+            f"{tag}_{i}_{g}",
+            np.concatenate([i * n + allj, [k * n + i * H + g]]),
+            np.concatenate([coef[g], [-1.0]]),
         )
-        for tag, coef in (("under", under), ("over", over))
+        for tag, coef in (("under", under[:, colors]), ("over", over[:, colors]))
         for i in range(k)
-        for h in range(H)
+        for g in range(H)
     ]
-    return dist_pow, rows
+    z = k * (n + H)
+    if kind == "rawlsian":
+        # z bounds every color's fractional disutility from above
+        clusters = np.arange(k)
+        for h in range(H):
+            jh = np.flatnonzero(colors == h)
+            xcols = (clusters[:, None] * n + jh).ravel()
+            cols = [xcols, k * n + clusters * H + h, [z]]
+            vals = [share[:, jh].ravel(), np.full(k, t_cost[h]), [-1.0]]
+            rows.append(Row(f"disu_{h}", np.concatenate(cols), np.concatenate(vals)))
+        objective = np.zeros(z + 1)
+        objective[z] = 1.0
+    else:
+        objective = np.concatenate([share.ravel(), np.tile(t_cost, k)])
+    return LPModel(
+        kind, instance, params, dist_pow, share, under, over, t_cost, objective, rows
+    )
 
 
 def build_rawlsian_lp(
@@ -152,27 +180,7 @@ def build_rawlsian_lp(
     dist_pow: np.ndarray | None = None,
 ) -> LPModel:
     """Min-max LP: z bounds every color's fractional disutility from above."""
-    dist_pow, rows = _violation_rows(instance, params, centers, dist_pow)
-    n, H, k = instance.n, instance.num_colors, params.k
-    lam = params.lam
-    counts = instance.counts
-    z = k * (n + H)
-    for h in range(H):
-        jh = np.nonzero(instance.colors == h)[0]
-        xcols = (np.arange(k)[:, None] * n + jh[None, :]).ravel()
-        xvals = (lam / counts[h]) * dist_pow[jh, :].T.ravel()
-        tcols = k * n + np.arange(k) * H + h
-        tvals = np.full(k, (1.0 - lam) / counts[h])
-        rows.append(
-            Row(
-                f"disu_{h}",
-                np.concatenate([xcols, tcols, [z]]),
-                np.concatenate([xvals, tvals, [-1.0]]),
-            )
-        )
-    obj = np.zeros(z + 1)
-    obj[z] = 1.0
-    return LPModel("rawlsian", instance, params, dist_pow, obj, rows)
+    return _build("rawlsian", instance, params, centers, dist_pow)
 
 
 def build_utilitarian_lp(
@@ -182,18 +190,7 @@ def build_utilitarian_lp(
     dist_pow: np.ndarray | None = None,
 ) -> LPModel:
     """Sum-of-disutilities LP: same constraints, objective in the costs."""
-    dist_pow, rows = _violation_rows(instance, params, centers, dist_pow)
-    n, H, k = instance.n, instance.num_colors, params.k
-    lam = params.lam
-    counts = instance.counts
-    obj = np.zeros(k * (n + H))
-    wcol = lam / counts[instance.colors]          # per-point weight
-    for i in range(k):
-        obj[i * n: (i + 1) * n] = wcol * dist_pow[:, i]
-    for i in range(k):
-        for h in range(H):
-            obj[k * n + i * H + h] = (1.0 - lam) / counts[h]
-    return LPModel("utilitarian", instance, params, dist_pow, obj, rows)
+    return _build("utilitarian", instance, params, centers, dist_pow)
 
 
 class HighsSolver:
@@ -282,31 +279,24 @@ class _Frame:
     h) has the coefficients under[g, h] in under_i_g and -under[g, h] in
     under_a(j)_g, the same with over in the over rows, delta_ij in the
     Rawlsian disu_h and 1 in j's row, and the cost cost[i, j] -
-    cost[a(j), j], where delta_ij = lam / n_h * (d^p(j, i) - d^p(j, a(j))).
+    cost[a(j), j], where delta_ij = share[i, j] - share[a(j), j].
     The t and z columns are the model's; the constants move into b_ub and an
     objective offset. A restricted LP (`restrict`) holds point j's row only
     when at least 2 of j's columns are kept.
     """
 
     def __init__(self, model: LPModel):
-        inst, params = model.instance, model.params
         k, n, H = model.k, model.n, model.H
         self.k, self.n, self.H = k, n, H
         self.rawlsian = model.kind == "rawlsian"
         self.num_rows = len(model.rows)
-        self.colors = inst.colors
+        self.colors = model.instance.colors
         self.near = np.argmin(model.dist_pow, axis=1)
         points = np.arange(n)
         self.columns = np.ones((k, n), dtype=bool)
         self.columns[self.near, points] = False
-        # [g, h]: coefficient of a color-h point's share in row under_i_g /
-        # over_i_g of its cluster i
-        r = inst.proportions
-        eye = np.eye(H)
-        self.under = (r - params.beta)[:, None] - eye
-        self.over = eye - (r + params.alpha)[:, None]
-        # lam / n_h * d^p(j, i): the disu_h coefficient of x[i, j] (Rawlsian)
-        share = (params.lam / inst.counts[self.colors]) * model.dist_pow.T
+        self.under, self.over = model.under, model.over
+        share = model.share
         self.delta = share - share[self.near, points]
         cost = model.objective[: k * n].reshape(k, n)
         self.cost = cost - cost[self.near, points]
@@ -335,7 +325,7 @@ class _Frame:
         t_vals = [np.full(k * H, -1.0), np.full(k * H, -1.0)]
         if self.rawlsian:
             t_rows.append(2 * k * H + t % H)
-            t_vals.append(np.tile((1.0 - params.lam) / inst.counts, k))
+            t_vals.append(np.tile(model.t_cost, k))
         self.tail = _compress(np.column_stack(t_rows), np.column_stack(t_vals))
         if self.rawlsian:
             z = ([H], 2 * k * H + np.arange(H), np.full(H, -1.0))

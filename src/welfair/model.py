@@ -24,7 +24,7 @@ from .errors import (
 class Instance:
     """A clustering instance: points with a group label per point.
 
-    features: (n, d) float array, all finite.
+    features: (n, d) float array, d >= 1, all finite.
     colors: (n,) int array, values in [0, num_colors), every color present.
     color_names: name per color id, in first-appearance order of the source.
     Data breaking these rules raises DataError.
@@ -40,6 +40,10 @@ class Instance:
         if self.features.ndim != 2:
             raise DataError(
                 f"features must be a 2-d array, got shape {self.features.shape}"
+            )
+        if self.features.shape[1] == 0:
+            raise DataError(
+                "features have no columns; an instance needs at least one feature"
             )
         if self.colors.shape != (self.features.shape[0],):
             raise DataError(

@@ -44,40 +44,45 @@ def exceeds_gap_bound(gap: float, bound: float, tolerance: float) -> bool:
     return gap > bound + tolerance
 
 
+# the center heuristic each objective's algorithm starts from
+CENTER_METHODS = {"rawlsian": "socially_fair", "utilitarian": "weighted"}
+
+
 def _lp_pipeline(
     instance: Instance,
     params: Params,
     seed: int,
     restarts: int,
     kind: str,
-    center_method: str,
-    lp_builder,
-    rounder,
-    center_set: centers_mod.CenterSet | None = None,
+    center_set: centers_mod.CenterSet | None,
 ) -> RunResult:
+    """Centers, the LP of kind, its rounding and the gap check. The builder,
+    the solve and the rounder are looked up on their modules at call time."""
     params.validate(instance)
+    rawlsian = kind == "rawlsian"
     t0 = time.perf_counter()
     cs = center_set or centers_mod.best_of_restarts(
-        instance, params.k, center_method, restarts, seed
+        instance, params.k, CENTER_METHODS[kind], restarts, seed
     )
     t1 = time.perf_counter()
     dist_pow = pairwise_pow(instance.features, cs.centers, params.p)
-    model = lp_builder(instance, params, cs.centers, dist_pow)
-    frac = lp_mod.solve_lp(model)
+    build = lp_mod.build_rawlsian_lp if rawlsian else lp_mod.build_utilitarian_lp
+    frac = lp_mod.solve_lp(build(instance, params, cs.centers, dist_pow))
     t2 = time.perf_counter()
+    rounder = rounding_mod.rawlsian_round if rawlsian else rounding_mod.utilitarian_round
     integral = rounder(frac.x, instance, params, dist_pow)
     t3 = time.perf_counter()
     solution = Solution(cs.centers, integral.assignment, provenance=cs.provenance)
     report = integral.report
     c_r, c_u = additive_constants(instance, params)
-    bound = (1.0 - params.lam) * (c_r if kind == "rawlsian" else c_u)
-    value = report.R if kind == "rawlsian" else report.U
+    bound = (1.0 - params.lam) * (c_r if rawlsian else c_u)
+    value = report.R if rawlsian else report.U
     gap = value - frac.objective
     flags = []
     if exceeds_gap_bound(gap, bound, params.lp_tolerance):
         flags.append("gap_bound_exceeded")
     return RunResult(
-        method="RawlsianAlg" if kind == "rawlsian" else "UtilitarianAlg",
+        method="RawlsianAlg" if rawlsian else "UtilitarianAlg",
         params=params,
         seed=seed,
         center_provenance=cs.provenance,
@@ -105,17 +110,7 @@ def rawlsian_alg(
     center_set: centers_mod.CenterSet | None = None,
 ) -> RunResult:
     """Socially-fair centers, min-max LP, rounding of each (cluster, color) mass."""
-    return _lp_pipeline(
-        instance,
-        params,
-        seed,
-        restarts,
-        "rawlsian",
-        "socially_fair",
-        lp_mod.build_rawlsian_lp,
-        rounding_mod.rawlsian_round,
-        center_set=center_set,
-    )
+    return _lp_pipeline(instance, params, seed, restarts, "rawlsian", center_set)
 
 
 def utilitarian_alg(
@@ -126,17 +121,7 @@ def utilitarian_alg(
     center_set: centers_mod.CenterSet | None = None,
 ) -> RunResult:
     """Weighted-Lloyd centers, sum LP, rounding of the masses and cluster sizes."""
-    return _lp_pipeline(
-        instance,
-        params,
-        seed,
-        restarts,
-        "utilitarian",
-        "weighted",
-        lp_mod.build_utilitarian_lp,
-        rounding_mod.utilitarian_round,
-        center_set=center_set,
-    )
+    return _lp_pipeline(instance, params, seed, restarts, "utilitarian", center_set)
 
 
 _BASELINES = ("vanilla", "weighted", "socially_fair")

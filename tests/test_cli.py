@@ -546,6 +546,13 @@ class TestOracleCheck:
         assert "2/2 passed" in out
 
 
+    @pytest.mark.parametrize("count", [-1, 0])
+    def test_count_below_one_is_usage_error(self, count, capsys):
+        assert main(["oracle-check", "--count", str(count)]) == 1
+        captured = capsys.readouterr()
+        assert f"--count must be at least 1, got {count}" in captured.err
+        assert "passed" not in captured.out
+
     def test_runs_the_pipeline_on_drawn_centers(self, monkeypatch, capsys):
         calls = {"rawlsian_alg": [], "utilitarian_alg": []}
         for name, seen in calls.items():
@@ -641,6 +648,28 @@ class TestMain:
             ["run", "--data", str(p), "--features", "x", "--group", "g"]
         )
         assert code == 2
+
+    def test_empty_features_flag_is_data_error(self, dataset, tmp_path, capsys):
+        code = main(
+            [
+                "run", "--data", dataset[0], "--features", ",", "--group", "group",
+                "--k", "2", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "features have no columns" in err and "distinct" not in err
+
+    def test_empty_feature_list_in_config_is_data_error(
+        self, dataset, tmp_path, capsys
+    ):
+        raw = {"data": dataset[0], "feature_columns": [], "group_column": "group"}
+        raw.update(k_range=[2], out_dir=str(tmp_path / "o"))
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(cpath)]) == 2
+        err = capsys.readouterr().err
+        assert "features have no columns" in err and "distinct" not in err
 
     def test_bad_lambda_exits_one(self, dataset, tmp_path, capsys):
         path, feats = dataset

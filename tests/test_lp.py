@@ -134,6 +134,71 @@ class TestBuilders:
             build_rawlsian_lp(inst, params, centers[:1])
 
 
+class TestCoefficientTables:
+    """The model's tables hold the LP's coefficients, and its rows and
+    objective are written from them."""
+
+    @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
+    def test_tables_reproduce_rows_and_objective(self, build):
+        inst, params, centers = _setup(n=13, k=3, H=3, lam=0.35, delta=0.2, seed=4)
+        m = build(inst, params, centers)
+        k, n, H = params.k, inst.n, inst.num_colors
+        colors, counts, r = inst.colors, inst.counts, inst.proportions
+        dist = pairwise_pow(inst.features, centers, params.p)
+        np.testing.assert_allclose(
+            m.share, params.lam / counts[colors] * dist.T, rtol=1e-15
+        )
+        eye = np.eye(H)
+        np.testing.assert_allclose(m.under, (r - params.beta)[:, None] - eye)
+        np.testing.assert_allclose(m.over, eye - (r + params.alpha)[:, None])
+        np.testing.assert_allclose(m.t_cost, (1 - params.lam) / counts, rtol=1e-15)
+        rows = {row.name: row for row in m.rows}
+        for i in range(k):
+            for g in range(H):
+                for tag, table in (("under", m.under), ("over", m.over)):
+                    row = rows[f"{tag}_{i}_{g}"]
+                    np.testing.assert_array_equal(
+                        row.cols, np.r_[i * n + np.arange(n), k * n + i * H + g]
+                    )
+                    np.testing.assert_array_equal(
+                        row.vals, np.r_[table[g, colors], -1.0]
+                    )
+        if m.kind == "rawlsian":
+            for h in range(H):
+                dense = np.zeros(m.num_vars)
+                row = rows[f"disu_{h}"]
+                dense[row.cols] = row.vals
+                np.testing.assert_array_equal(
+                    dense[: k * n].reshape(k, n),
+                    np.where(colors == h, m.share, 0.0),
+                )
+                t = dense[k * n : -1].reshape(k, H)
+                np.testing.assert_array_equal(t[:, h], m.t_cost[h])
+                assert not np.delete(t, h, axis=1).any()
+                assert dense[-1] == -1.0
+        else:
+            np.testing.assert_array_equal(
+                m.objective, np.r_[m.share.ravel(), np.tile(m.t_cost, k)]
+            )
+
+    def test_distances_through_the_module_global(self, monkeypatch):
+        # tracers wrap welfair.lp.pairwise_pow; each build without dist_pow
+        # computes the distances once, through it
+        inst, params, centers = _setup(n=9, k=2, H=2)
+        calls = []
+        real = lp_mod.pairwise_pow
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lp_mod, "pairwise_pow", spy)
+        for build in (lp_mod.build_rawlsian_lp, lp_mod.build_utilitarian_lp):
+            m = build(inst, params, centers)
+            np.testing.assert_array_equal(m.dist_pow, real(*calls[-1]))
+        assert len(calls) == 2
+
+
 class TestObjectiveEncoding:
     """The LP's own encoding and the integral metrics agree at one-hot x."""
 

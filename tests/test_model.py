@@ -90,6 +90,11 @@ class TestLoadInstance:
         with pytest.raises(SingleColorError):
             load_instance(path, ["x"], "g")
 
+    def test_no_feature_columns_rejected(self, tmp_path):
+        path = _write(tmp_path, "x,g\n1,a\n2,b\n")
+        with pytest.raises(DataError, match="features have no columns"):
+            load_instance(path, [], "g")
+
     def test_whitespace_stripped(self, tmp_path):
         path = _write(tmp_path, "x,g\n 1.5 , a \n2,b\n")
         inst = load_instance(path, ["x"], "g")
@@ -124,6 +129,10 @@ class TestInstance:
             Instance(np.zeros(3), [0, 1, 1], ["a", "b"])
         with pytest.raises(DataError, match=r"\(3, 1\).*\(3, 1\)"):
             Instance(np.zeros((3, 1)), [[0], [1], [1]], ["a", "b"])
+
+    def test_no_feature_columns(self):
+        with pytest.raises(DataError, match="features have no columns"):
+            Instance(np.zeros((3, 0)), [0, 1, 0], ["a", "b"])
 
     def test_color_id_out_of_range(self):
         with pytest.raises(DataError, match="color id 5"):

@@ -71,6 +71,32 @@ class TestAlgorithms:
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], res.solution.assignment)
 
+    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
+    def test_stages_looked_up_on_their_modules(self, monkeypatch, kind):
+        # tracers wrap these module attributes: each call must reach its own
+        # builder, solve_lp and rounder once, through them
+        from welfair import lp, pipeline, rounding
+
+        calls = []
+        for module, name in [
+            (lp, "build_rawlsian_lp"),
+            (lp, "build_utilitarian_lp"),
+            (lp, "solve_lp"),
+            (rounding, "rawlsian_round"),
+            (rounding, "utilitarian_round"),
+        ]:
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        inst = _inst(seed=3)
+        params = Params.with_delta(inst, 3, 0.5, 0.1)
+        getattr(pipeline, f"{kind}_alg")(inst, params, seed=0, restarts=1)
+        assert calls == [f"build_{kind}_lp", "solve_lp", f"{kind}_round"]
+
     def test_lambda_one_gap_vanishes(self):
         # at lam = 1 the additive bound is 0: rounding must be lossless
         inst = _inst(n=26, H=3, seed=3)
