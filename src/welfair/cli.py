@@ -187,19 +187,25 @@ def run_experiment(config: ExperimentConfig) -> str:
     else:
         factors = dict.fromkeys(objectives, float("nan"))
         insts = dict.fromkeys(objectives, instance)
+    # each k's center sets, computed once on the first objective's instance;
+    # our method's centers, pipeline.CENTER_METHODS[obj], are one of them
+    first = objectives[0]
+    center_sets = {
+        k: {
+            method: centers.best_of_restarts(
+                insts[first], k, method, config.restarts, config.seed
+            )
+            for method in ("vanilla", "weighted", "socially_fair")
+        }
+        for k in config.k_range
+    }
     rows: list[dict] = []
     for obj in objectives:
         inst = insts[obj]
+        ratio = factors[first] / factors[obj] if config.normalize else 1.0
         tasks = []
         for k in config.k_range:
-            # our method's centers, pipeline.CENTER_METHODS[obj], are one of
-            # these
-            cache = {
-                method: centers.best_of_restarts(
-                    inst, k, method, config.restarts, config.seed
-                )
-                for method in ("vanilla", "weighted", "socially_fair")
-            }
+            cache = {m: _rescaled(cs, ratio) for m, cs in center_sets[k].items()}
             tasks += [(obj, inst, k, lam, cache) for lam in config.lambdas]
         for group in _run_tasks(tasks, config):
             rows += [_result_row(res, obj, config, factors[obj]) for res in group]
@@ -228,6 +234,21 @@ def run_experiment(config: ExperimentConfig) -> str:
     ) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
     return out_csv
+
+
+def _rescaled(cs: centers.CenterSet, ratio: float) -> centers.CenterSet:
+    """The center set the heuristics return on the same points with every
+    squared distance times ratio: they are scale-equivariant, so its centers
+    are cs's times sqrt(ratio), and its scores, squared Euclidean costs,
+    are cs's times ratio. A ratio of 1 returns cs itself."""
+    if ratio == 1.0:
+        return cs
+    return replace(
+        cs,
+        centers=cs.centers * math.sqrt(ratio),
+        score=cs.score * ratio,
+        restart_scores=[s * ratio for s in cs.restart_scores],
+    )
 
 
 def _check_run_params(config: ExperimentConfig) -> None:

@@ -4,6 +4,7 @@ a brute-force oracle for tiny instances."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,11 +59,11 @@ class LPModel:
     under_i_h and over_i_h for every (cluster, color), then, for the
     Rawlsian objective, disu_h for every color.
 
-    The builder forms the coefficient tables once; rows, objective and
-    HiGHS's frame (`_Frame`) all read them. x[i, j] (j of color h) has
-    under[g, h] in under_i_g, over[g, h] in over_i_g, share[i, j] in disu_h
-    and share[i, j] as its Utilitarian cost; t_i_h has t_cost[h] in disu_h
-    and as its Utilitarian cost.
+    The builder forms the coefficient tables once; the objective and HiGHS's
+    frame (`_Frame`) read them, and rows is written from them when first
+    read. x[i, j] (j of color h) has under[g, h] in under_i_g, over[g, h] in
+    over_i_g, share[i, j] in disu_h and share[i, j] as its Utilitarian cost;
+    t_i_h has t_cost[h] in disu_h and as its Utilitarian cost.
     """
 
     kind: str                   # "rawlsian" or "utilitarian"
@@ -74,7 +75,6 @@ class LPModel:
     over: np.ndarray            # (H, H) [g, h]: [g = h] - r_g - alpha_g
     t_cost: np.ndarray          # (H,) (1 - lam) / n_h
     objective: np.ndarray
-    rows: list[Row]
 
     @property
     def k(self) -> int:
@@ -87,6 +87,44 @@ class LPModel:
     @property
     def H(self) -> int:
         return self.instance.num_colors
+
+    @property
+    def num_rows(self) -> int:
+        """len(rows), without writing them."""
+        return 2 * self.k * self.H + self.H * (self.kind == "rawlsian")
+
+    @cached_property
+    def rows(self) -> list[Row]:
+        """The coupling rows; the solve reads the tables instead."""
+        k, n, H = self.k, self.n, self.H
+        colors = self.instance.colors
+        allj = np.arange(n)
+        rows = [
+            Row(
+                f"{tag}_{i}_{g}",
+                np.concatenate([i * n + allj, [k * n + i * H + g]]),
+                np.concatenate([coef[g], [-1.0]]),
+            )
+            for tag, coef in (
+                ("under", self.under[:, colors]),
+                ("over", self.over[:, colors]),
+            )
+            for i in range(k)
+            for g in range(H)
+        ]
+        if self.kind == "rawlsian":
+            # z bounds every color's fractional disutility from above
+            z = k * (n + H)
+            clusters = np.arange(k)
+            for h in range(H):
+                jh = np.flatnonzero(colors == h)
+                xcols = (clusters[:, None] * n + jh).ravel()
+                cols = [xcols, k * n + clusters * H + h, [z]]
+                vals = [self.share[:, jh].ravel(), np.full(k, self.t_cost[h]), [-1.0]]
+                rows.append(
+                    Row(f"disu_{h}", np.concatenate(cols), np.concatenate(vals))
+                )
+        return rows
 
     @property
     def num_vars(self) -> int:
@@ -126,7 +164,7 @@ class FractionalSolution:
 
 
 def _build(kind: str, instance: Instance, params: Params, centers, dist_pow) -> LPModel:
-    """Check the inputs, form the coefficient tables, and write the rows and
+    """Check the inputs, form the coefficient tables, and write the
     objective of the LP of kind from them."""
     params.validate(instance)
     n, H, k = instance.n, instance.num_colors, params.k
@@ -143,33 +181,13 @@ def _build(kind: str, instance: Instance, params: Params, centers, dist_pow) -> 
     over = eye - (r + params.alpha)[:, None]
     share = (lam / counts[colors]) * dist_pow.T
     t_cost = (1.0 - lam) / counts
-    allj = np.arange(n)
-    rows = [
-        Row(
-            f"{tag}_{i}_{g}",
-            np.concatenate([i * n + allj, [k * n + i * H + g]]),
-            np.concatenate([coef[g], [-1.0]]),
-        )
-        for tag, coef in (("under", under[:, colors]), ("over", over[:, colors]))
-        for i in range(k)
-        for g in range(H)
-    ]
-    z = k * (n + H)
     if kind == "rawlsian":
-        # z bounds every color's fractional disutility from above
-        clusters = np.arange(k)
-        for h in range(H):
-            jh = np.flatnonzero(colors == h)
-            xcols = (clusters[:, None] * n + jh).ravel()
-            cols = [xcols, k * n + clusters * H + h, [z]]
-            vals = [share[:, jh].ravel(), np.full(k, t_cost[h]), [-1.0]]
-            rows.append(Row(f"disu_{h}", np.concatenate(cols), np.concatenate(vals)))
-        objective = np.zeros(z + 1)
-        objective[z] = 1.0
+        objective = np.zeros(k * (n + H) + 1)
+        objective[-1] = 1.0
     else:
         objective = np.concatenate([share.ravel(), np.tile(t_cost, k)])
     return LPModel(
-        kind, instance, params, dist_pow, share, under, over, t_cost, objective, rows
+        kind, instance, params, dist_pow, share, under, over, t_cost, objective
     )
 
 
@@ -289,7 +307,7 @@ class _Frame:
         k, n, H = model.k, model.n, model.H
         self.k, self.n, self.H = k, n, H
         self.rawlsian = model.kind == "rawlsian"
-        self.num_rows = len(model.rows)
+        self.num_rows = model.num_rows
         self.colors = model.instance.colors
         self.near = np.argmin(model.dist_pow, axis=1)
         points = np.arange(n)

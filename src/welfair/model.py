@@ -140,6 +140,8 @@ def load_instance(
                 raise EmptyCellError(group_column, rownum)
             rows.append(vals)
             groups.append(gcell)
+    if not groups:
+        raise DataError(f"{csv_path} has a header but no data rows")
     names: list[str] = []
     ids = {}
     colors = np.empty(len(groups), dtype=np.int64)
@@ -149,7 +151,7 @@ def load_instance(
             names.append(g)
         colors[j] = ids[g]
     if len(names) < 2:
-        raise SingleColorError(group_column, names[0] if names else "")
+        raise SingleColorError(group_column, names[0])
     return Instance(np.asarray(rows, dtype=np.float64), colors, names)
 
 

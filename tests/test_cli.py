@@ -25,7 +25,7 @@ from welfair.cli import (
     plot_results,
     run_experiment,
 )
-from welfair.model import load_instance, normalization_factor
+from welfair.model import apply_normalization, load_instance, normalization_factor
 
 
 @pytest.fixture(scope="module")
@@ -400,8 +400,9 @@ class TestRunExperiment:
             assert meta["norm_factors"][mode] == want
 
     def test_one_center_set_per_method_and_k(self, dataset, tmp_path, monkeypatch):
-        # our method's centers are one of the three baselines', so each
-        # objective computes 3 center sets per k, each method once
+        # our method's centers are one of the three baselines', and the second
+        # objective rescales the first's, so a sweep computes 3 center sets
+        # per k, each method once
         path, feats = dataset
         calls = []
         real = centers.best_of_restarts
@@ -423,8 +424,100 @@ class TestRunExperiment:
         )
         run_experiment(config)
         per_k = {(k, m) for k in config.k_range for m in pipeline._BASELINES}
-        assert len(calls) == 2 * 3 * len(config.k_range)
-        assert Counter(calls) == Counter({key: 2 for key in per_k})
+        assert len(calls) == 3 * len(config.k_range)
+        assert Counter(calls) == Counter({key: 1 for key in per_k})
+
+    @pytest.fixture(scope="class")
+    def sweeps(self, dataset, tmp_path_factory):
+        """results.csv rows of each objective setting, normalized or not."""
+        path, feats = dataset
+        out = {}
+        for normalize in (True, False):
+            for objective in ("both", "rawlsian", "utilitarian"):
+                config = ExperimentConfig(
+                    data=path,
+                    feature_columns=feats,
+                    group_column="group",
+                    objective=objective,
+                    k_range=[2, 3],
+                    lambdas=[0.3, 0.7],
+                    restarts=2,
+                    normalize=normalize,
+                    out_dir=str(tmp_path_factory.mktemp(objective)),
+                )
+                with open(run_experiment(config), newline="") as fh:
+                    out[normalize, objective] = list(csv.DictReader(fh))
+        return out
+
+    @staticmethod
+    def _untimed(rows, objective):
+        return [
+            {key: v for key, v in row.items() if not key.startswith("time_")}
+            for row in rows
+            if row["objective"] == objective
+        ]
+
+    def test_both_rawlsian_rows_equal_a_rawlsian_run(self, sweeps):
+        # the first objective's center sets are the ones a rawlsian-only run
+        # computes
+        both = self._untimed(sweeps[True, "both"], "rawlsian")
+        assert both == self._untimed(sweeps[True, "rawlsian"], "rawlsian")
+        assert len(both) == 2 * 2 * 4
+
+    def test_both_utilitarian_rows_match_a_utilitarian_run(self, sweeps):
+        # the rescaled center sets equal the ones computed on the utilitarian
+        # instance up to rounding
+        both = self._untimed(sweeps[True, "both"], "utilitarian")
+        alone = self._untimed(sweeps[True, "utilitarian"], "utilitarian")
+        assert len(both) == len(alone) == 2 * 2 * 4
+        relative = {"R", "U", "lp_objective"}
+        for rb, ra in zip(both, alone):
+            assert rb.keys() == ra.keys()
+            for key in rb:
+                if (rb[key] == "") != (ra[key] == ""):
+                    pytest.fail(f"{key}: {rb[key]!r} against {ra[key]!r}")
+                if rb[key] == "":
+                    continue
+                if key in relative or key.startswith(("disu_", "D_")):
+                    assert float(rb[key]) == pytest.approx(
+                        float(ra[key]), rel=1e-12, abs=0.0
+                    ), key
+                elif key == "gap":
+                    assert float(rb[key]) == pytest.approx(
+                        float(ra[key]), rel=0.0, abs=1e-12
+                    )
+                else:
+                    assert rb[key] == ra[key], key
+
+    def test_unnormalized_both_rows_equal_single_objective_runs(self, sweeps):
+        # without normalization every objective shares one instance, so the
+        # center sets are reused as they are
+        for objective in ("rawlsian", "utilitarian"):
+            assert self._untimed(sweeps[False, "both"], objective) == (
+                self._untimed(sweeps[False, objective], objective)
+            )
+
+    def test_rescaled_center_set(self, dataset):
+        # a center set computed at one scale, rescaled, is the one computed
+        # at the other; ratio 1 returns the same object
+        path, feats = dataset
+        inst = load_instance(path, feats, "group")
+        ratio = 3.7
+        scaled = apply_normalization(inst, 1.0 / ratio)
+        for method in pipeline._BASELINES:
+            cs = centers.best_of_restarts(inst, 3, method, 3, 5)
+            before = cs.centers.copy()
+            want = centers.best_of_restarts(scaled, 3, method, 3, 5)
+            got = cli._rescaled(cs, ratio)
+            np.testing.assert_array_equal(cs.centers, before)
+            np.testing.assert_allclose(got.centers, want.centers, rtol=1e-12)
+            assert got.score == pytest.approx(want.score, rel=1e-12)
+            np.testing.assert_allclose(
+                got.restart_scores, want.restart_scores, rtol=1e-12
+            )
+            assert got.restart_iterations == want.restart_iterations
+            assert got.provenance == cs.provenance == want.provenance
+            assert cli._rescaled(cs, 1.0) is cs
 
     def test_subsample_and_no_normalize(self, dataset, tmp_path):
         path, feats = dataset
@@ -648,6 +741,16 @@ class TestMain:
             ["run", "--data", str(p), "--features", "x", "--group", "g"]
         )
         assert code == 2
+
+    def test_csv_without_data_rows_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "header.csv"
+        p.write_text("x,g\n", encoding="utf-8")
+        code = main(
+            ["run", "--data", str(p), "--features", "x", "--group", "g"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no data rows" in err and str(p) in err
 
     def test_empty_features_flag_is_data_error(self, dataset, tmp_path, capsys):
         code = main(

@@ -60,6 +60,18 @@ class TestBuilders:
         assert len(m.rows) == 2 * k * H
         assert m.kind == "utilitarian"
 
+    @pytest.mark.parametrize("H", [2, 3])
+    @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
+    def test_rows_written_on_first_read(self, build, H):
+        # the solve needs only the row count; the rows are written from the
+        # tables when something reads them
+        inst, params, centers = _setup(n=12, k=3, H=H)
+        m = build(inst, params, centers)
+        solve_lp(m)
+        assert "rows" not in vars(m)
+        assert m.num_rows == len(m.rows)
+        assert m.rows is m.rows
+
     def test_bounds(self):
         inst, params, centers = _setup()
         m = build_rawlsian_lp(inst, params, centers)

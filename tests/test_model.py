@@ -90,6 +90,14 @@ class TestLoadInstance:
         with pytest.raises(SingleColorError):
             load_instance(path, ["x"], "g")
 
+    @pytest.mark.parametrize("text", ["x,g\n", "x,g"])
+    def test_header_without_data_rows(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError, match="no data rows") as ei:
+            load_instance(path, ["x"], "g")
+        assert not isinstance(ei.value, SingleColorError)
+        assert path in str(ei.value)
+
     def test_no_feature_columns_rejected(self, tmp_path):
         path = _write(tmp_path, "x,g\n1,a\n2,b\n")
         with pytest.raises(DataError, match="features have no columns"):
