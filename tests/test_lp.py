@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -267,7 +268,9 @@ class TestSolveLp:
         assert frac.objective <= best + 1e-7
 
     def test_custom_solver_object(self):
+        # the solver gets the model's Params.lp_tolerance, here not the default
         inst, params, centers = _setup(n=8, k=2, H=2)
+        params = replace(params, lp_tolerance=1e-5)
         m = build_utilitarian_lp(inst, params, centers)
         calls = []
 
@@ -279,23 +282,8 @@ class TestSolveLp:
                 return HighsSolver().solve(model, tolerance)
 
         frac = solve_lp(m, solver=Stub())
-        assert calls == [params.lp_tolerance]
-        assert np.isfinite(frac.objective)
-
-    def test_tolerance_override(self):
-        inst, params, centers = _setup(n=8, k=2, H=2)
-        m = build_utilitarian_lp(inst, params, centers)
-        calls = []
-
-        class Stub:
-            name = "stub"
-
-            def solve(self, model, tolerance):
-                calls.append(tolerance)
-                return HighsSolver().solve(model, tolerance)
-
-        solve_lp(m, tolerance=1e-5, solver=Stub())
         assert calls == [1e-5]
+        assert np.isfinite(frac.objective)
 
     @pytest.mark.parametrize("solver", ["highs", "builtin", "auto", 3])
     def test_solver_without_solve_method_rejected(self, solver):
@@ -647,11 +635,12 @@ class TestHighsPricing:
     def test_tolerance_reaches_highs(self, monkeypatch):
         # HiGHS's feasibility tolerances are lp_tolerance capped at 1e-9
         inst, params, centers = _setup(n=30, k=6, H=2, seed=1)
-        m = build_utilitarian_lp(inst, params, centers)
         calls = _linprog_spy(monkeypatch)
         for tolerance, feasibility in ((1e-6, 1e-9), (5e-10, 5e-10)):
+            tuned = replace(params, lp_tolerance=tolerance)
+            tuned.validate(inst)
             calls.clear()
-            solve_lp(m, tolerance=tolerance)
+            solve_lp(build_utilitarian_lp(inst, tuned, centers))
             assert calls
             for kwargs, _ in calls:
                 assert kwargs["options"] == {

@@ -5,44 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datagen import random_instance
+from datagen import random_instance, violation
 
-from welfair.errors import ParamError
 from welfair.metrics import (
     additive_constants,
-    approx_constants,
     disutilities,
-    distance_pow,
     group_costs,
     pairwise_pow,
     report_from_distances,
     socially_fair_cost,
-    violation,
     weighted_cost,
 )
 from welfair.model import Instance, Params, Solution
 
 
 class TestDistancePow:
+    """d(a, b)^p of a single pair, through pairwise_pow."""
+
     def test_euclidean_p2(self):
-        assert distance_pow(np.array([0.0, 0.0]), np.array([3.0, 4.0]), 2) == 25.0
+        assert pairwise_pow(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]), 2) == 25.0
 
     def test_euclidean_p1(self):
-        assert distance_pow(np.array([0.0, 0.0]), np.array([3.0, 4.0]), 1) == 5.0
-
-    def test_hamming_counts_coordinates(self):
-        a = np.array([1.0, 0.0, 1.0, 1.0])
-        b = np.array([1.0, 1.0, 0.0, 1.0])
-        assert distance_pow(a, b, 1, metric="hamming") == 2.0
-        assert distance_pow(a, b, 2, metric="hamming") == 4.0
+        assert pairwise_pow(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]), 1) == 5.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            distance_pow(np.zeros(2), np.zeros(3), 2)
-
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            distance_pow(np.zeros(2), np.zeros(2), 2, metric="cosine")
+            pairwise_pow(np.zeros((1, 2)), np.zeros((1, 3)), 2)
 
 
 class TestPairwisePow:
@@ -52,27 +40,8 @@ class TestPairwisePow:
         X = rng.normal(size=(7, 3))
         C = rng.normal(size=(4, 3))
         got = pairwise_pow(X, C, p)
-        want = np.array(
-            [[distance_pow(x, c, p) for c in C] for x in X]
-        )
+        want = np.array([[np.linalg.norm(x - c) ** p for c in C] for x in X])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_hamming_matches_scalar_routine(self, p):
-        rng = np.random.default_rng(1)
-        X = (rng.random((6, 5)) < 0.5).astype(float)
-        C = (rng.random((3, 5)) < 0.5).astype(float)
-        got = pairwise_pow(X, C, p, metric="hamming")
-        want = np.array(
-            [[distance_pow(x, c, p, metric="hamming") for c in C] for x in X]
-        )
-        np.testing.assert_array_equal(got, want)
-
-    def test_hamming_values_are_integral(self):
-        rng = np.random.default_rng(2)
-        X = (rng.random((10, 8)) < 0.5).astype(float)
-        d = pairwise_pow(X, X[:3], 1, metric="hamming")
-        np.testing.assert_array_equal(d, np.rint(d))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -86,43 +55,44 @@ def _six_point_instance():
 
 class TestViolation:
     # r = [2/3, 1/3]; assignment [0,0,0, 1,1,1]: cluster 0 pure color a,
-    # cluster 1 one a and two b.
+    # cluster 1 one a and two b. delta[i, h] is color h's violation in
+    # cluster i.
+
+    @staticmethod
+    def _delta(params, assignment):
+        inst = _six_point_instance()
+        dist = np.zeros((inst.n, params.k))
+        return report_from_distances(inst, params, dist, np.asarray(assignment)).delta
 
     def test_zero_slack_values(self):
-        inst = _six_point_instance()
-        sol = Solution(np.zeros((2, 1)), [0, 0, 0, 1, 1, 1])
         params = Params(k=2, lam=0.5, alpha=np.zeros(2), beta=np.zeros(2))
-        assert violation(inst, sol, params, 0, 0) == pytest.approx(1 / 3)
-        assert violation(inst, sol, params, 1, 0) == pytest.approx(1 / 3)
-        assert violation(inst, sol, params, 0, 1) == pytest.approx(1 / 3)
-        assert violation(inst, sol, params, 1, 1) == pytest.approx(1 / 3)
+        delta = self._delta(params, [0, 0, 0, 1, 1, 1])
+        assert delta[0, 0] == pytest.approx(1 / 3)
+        assert delta[0, 1] == pytest.approx(1 / 3)
+        assert delta[1, 0] == pytest.approx(1 / 3)
+        assert delta[1, 1] == pytest.approx(1 / 3)
 
     def test_slack_absorbs_violation(self):
-        inst = _six_point_instance()
-        sol = Solution(np.zeros((2, 1)), [0, 0, 0, 1, 1, 1])
         params = Params(
             k=2, lam=0.5, alpha=np.full(2, 1 / 3), beta=np.full(2, 1 / 3)
         )
+        delta = self._delta(params, [0, 0, 0, 1, 1, 1])
         for h in range(2):
             for i in range(2):
-                assert violation(inst, sol, params, h, i) == 0.0
+                assert delta[i, h] == 0.0
 
     def test_empty_cluster_is_zero(self):
-        inst = _six_point_instance()
-        sol = Solution(np.zeros((2, 1)), [0, 0, 0, 0, 0, 0])
         params = Params(k=2, lam=0.5, alpha=np.zeros(2), beta=np.zeros(2))
-        assert violation(inst, sol, params, 0, 1) == 0.0
-        assert violation(inst, sol, params, 1, 1) == 0.0
+        delta = self._delta(params, [0, 0, 0, 0, 0, 0])
+        assert delta[1, 0] == 0.0
+        assert delta[1, 1] == 0.0
 
     def test_one_sided(self):
         # only the under side binds when beta is zero but alpha is large
-        inst = _six_point_instance()
-        sol = Solution(np.zeros((2, 1)), [0, 0, 0, 1, 1, 1])
         params = Params(k=2, lam=0.5, alpha=np.full(2, 0.33), beta=np.zeros(2))
-        assert violation(inst, sol, params, 1, 0) == pytest.approx(1 / 3)
-        assert violation(inst, sol, params, 0, 0) == pytest.approx(
-            1 / 3 - 0.33
-        )
+        delta = self._delta(params, [0, 0, 0, 1, 1, 1])
+        assert delta[0, 1] == pytest.approx(1 / 3)
+        assert delta[0, 0] == pytest.approx(1 / 3 - 0.33)
 
 
 def _report_oracle(instance, params, dist, assignment):
@@ -275,12 +245,6 @@ class TestAggregateCosts:
 
 
 class TestConstants:
-    def test_approx_constants(self):
-        assert approx_constants(1) == (2.0, 1.0)
-        assert approx_constants(2) == (6.0, 4.0)
-        with pytest.raises(ParamError):
-            approx_constants(3)
-
     def test_additive_constants_hand_computed(self):
         inst = Instance(np.zeros((5, 1)), [0, 0, 0, 1, 1], ["a", "b"])
         params = Params.with_delta(inst, 2, 0.5)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from datagen import random_instance, separated_instance, write_csv
+from datagen import random_instance, separated_instance, violation, write_csv
 
 from welfair.errors import (
     DataError,
@@ -16,7 +16,7 @@ from welfair.errors import (
     SingleColorError,
 )
 from welfair.centers import lloyd
-from welfair.metrics import pairwise_pow, violation
+from welfair.metrics import pairwise_pow
 from welfair.model import (
     Instance,
     Params,
@@ -126,10 +126,6 @@ class TestInstance:
         assert inst.counts.tolist() == [3, 2]
         np.testing.assert_allclose(inst.proportions, [0.6, 0.4])
 
-    def test_points_of(self):
-        inst = Instance(np.zeros((4, 1)), [1, 0, 1, 0], ["a", "b"])
-        assert inst.points_of(1).tolist() == [0, 2]
-
     def test_shape_mismatch(self):
         with pytest.raises(DataError, match=r"\(3, 2\).*\(2,\)"):
             Instance(np.zeros((3, 2)), [0, 1], ["a", "b"])
@@ -221,6 +217,15 @@ class TestParams:
         with pytest.raises(ParamError):
             params.validate(tiny_instance)
 
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_slack_names_the_color(self, tiny_instance, side, value):
+        slack = {"alpha": np.zeros(2), "beta": np.zeros(2)}
+        slack[side][1] = value
+        params = Params(k=2, lam=0.5, **slack)
+        with pytest.raises(ParamError, match="must be finite.*'g1'"):
+            params.validate(tiny_instance)
+
     def test_upper_slack_capped_at_one(self):
         inst = Instance(np.zeros((4, 1)), [0, 0, 0, 1], ["a", "b"])
         params = Params(
@@ -249,13 +254,6 @@ class TestParams:
             params.validate(tiny_instance)
 
 
-class TestSolution:
-    def test_cluster_sizes_counts_empties(self):
-        sol = Solution(np.zeros((3, 2)), [0, 0, 2, 2, 2])
-        assert sol.k == 3
-        assert sol.cluster_sizes().tolist() == [2, 0, 3]
-
-
 class TestNormalization:
     def test_factor_positive_and_deterministic(self):
         inst = random_instance(80, 2, 2, seed=2)
@@ -267,7 +265,7 @@ class TestNormalization:
     @pytest.mark.parametrize("mode", ["rawlsian", "utilitarian"])
     def test_factor_matches_per_violation_formula(self, seed, mode):
         # numerator / sum_h sum_i |C_i| Delta(h, i) / n_h, summed per
-        # cluster and color through metrics.violation, averaged over k
+        # cluster and color through datagen.violation, averaged over k
         inst = random_instance(90, 2, 3, seed=seed)
         counts = inst.counts
         factors = []
