@@ -75,10 +75,12 @@ def kmeanspp_init(
 
 def _assign(centers: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each point's nearest center (ties to the lowest index) and its squared
-    distance to it, from one (k, n) distance matrix."""
+    distance to it, from one (k, n) distance matrix. The first index of each
+    column's minimum equals argmin(axis=0), which copies the matrix to scan
+    it by rows."""
     dist = cdist(centers, X, "sqeuclidean")
-    assign = dist.argmin(axis=0)
-    return assign, dist[assign, np.arange(X.shape[0])]
+    dsel = dist.min(axis=0)
+    return (dist == dsel).argmax(axis=0), dsel
 
 
 def _repair_empty(
@@ -102,53 +104,26 @@ def _bin_sums(
     return np.stack([np.bincount(idx, c, minlength=size) for c in cols], axis=1)
 
 
-def _cluster_group_stats(
-    X: np.ndarray,
-    Xt: np.ndarray,
-    colors: np.ndarray,
-    assign: np.ndarray,
-    k: int,
-    H: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(cluster, group) point counts m (k, H), coordinate sums S (k, H, d),
-    means mu (k, H, d; zero where m = 0) and squared deviations from the mean
-    sse (k, H), from the features X (n, d) and their (d, n) copy Xt.
-
-    sse sums each point's squared distance to its own (cluster, group) mean
-    rather than using sum |x|^2 - m |mu|^2, which cancels badly. Each point's
-    term is summed along its row of X: numpy sums a contiguous row pairwise,
-    and a sum down the columns of Xt would differ in the last bits for d >= 8.
-    """
-    idx = assign * H + colors
-    m = np.bincount(idx, minlength=k * H)
-    S = _bin_sums(idx, Xt, k * H)
-    mu = S / np.maximum(m, 1)[:, None]
-    sse = np.bincount(idx, ((X - mu[idx]) ** 2).sum(axis=1), minlength=k * H)
-    d = X.shape[1]
-    return m.reshape(k, H), S.reshape(k, H, d), mu.reshape(k, H, d), sse.reshape(k, H)
-
-
-def lloyd(
+def _alternate(
     instance: Instance,
     k: int,
-    weights: np.ndarray,
+    w: np.ndarray,
     seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-) -> CenterSet:
-    """Weighted Lloyd iteration from a k-means++ start.
-
-    Alternates nearest-center assignment (ties to the lowest center index)
-    with weighted-centroid updates. It stops when the relative cost
-    improvement drops to tol or below, or at a fixed point: an assignment
-    equal to the previous one, whose centroids are the current centers, so
-    every further pass would repeat this one. Score is the weighted cost at
-    p=2 of the returned centers; after max_iters updates one more assignment
-    pass scores them.
+    update,
+    score,
+    max_iters: int,
+    tol: float,
+) -> tuple[np.ndarray, float, int]:
+    """Lloyd's loop from a k-means++ start drawn with point weights w: each
+    pass assigns points to their nearest center (ties to the lowest index),
+    scores that with score(dsel) from the squared distances and moves the
+    centers to update(assign), or reseeds empty clusters (_repair_empty on
+    w * dsel). It stops when the score improves by at most tol relative, or
+    at a fixed point (an assignment equal to the previous one, whose update
+    gives the current centers again). Returns the centers, their score and
+    the number of passes; after max_iters updates one more pass scores them.
     """
     X = instance.features
-    Xt = np.ascontiguousarray(X.T)
-    w = np.asarray(weights, dtype=np.float64)
     centers = kmeanspp_init(instance, k, w, seed)
     prev_cost = math.inf
     prev_assign = None
@@ -156,7 +131,7 @@ def lloyd(
     for _ in range(max_iters):
         passes += 1
         assign, dsel = _assign(centers, X)
-        cost = float((w * dsel).sum())
+        cost = score(dsel)
         empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist()
         if empties:
             _repair_empty(centers, X, w * dsel, empties)
@@ -171,96 +146,46 @@ def lloyd(
             break
         prev_cost = cost
         prev_assign = assign
-        wsum = np.bincount(assign, w, minlength=k)
-        centers = _bin_sums(assign, Xt, k, w) / wsum[:, None]
+        centers = update(assign)
     else:
         passes += 1
         _, dsel = _assign(centers, X)
-        cost = float((w * dsel).sum())
+        cost = score(dsel)
+    return centers, cost, passes
+
+
+def lloyd(
+    instance: Instance,
+    k: int,
+    weights: np.ndarray,
+    seed: int,
+    max_iters: int = 100,
+    tol: float = 1e-6,
+) -> CenterSet:
+    """Weighted Lloyd iteration (_alternate) from a k-means++ start: each
+    center moves to the weighted centroid of its points. Score is the
+    weighted cost at p=2 of the returned centers."""
+    Xt = np.ascontiguousarray(instance.features.T)
+    w = np.asarray(weights, dtype=np.float64)
+
+    def update(assign):
+        wsum = np.bincount(assign, w, minlength=k)
+        return _bin_sums(assign, Xt, k, w) / wsum[:, None]
+
+    def score(dsel):
+        return float((w * dsel).sum())
+
+    centers, cost, passes = _alternate(
+        instance, k, w, seed, update, score, max_iters, tol
+    )
     return CenterSet(centers, f"lloyd(seed={seed})", cost, [cost], [passes])
 
 
-def _two_group_gamma(m_a, m_b, sse_a, sse_b, gap2, n_a, n_b) -> np.ndarray:
-    """gamma in [0, 1] minimizing max(fa, fb) on the segment
-    center = gamma * mu_a + (1 - gamma) * mu_b, elementwise over arrays.
-
-    Along the segment the two groups' average costs are the parabolas
-    fa = A (1 - gamma)^2 + a0 and fb = B gamma^2 + b0 with
-    A = m_a gap2 / n_a, B = m_b gap2 / n_b, a0 = sse_a / n_a, b0 = sse_b / n_b.
-    fa falls and fb rises on [0, 1], so the optimum is an endpoint when one
-    dominates the whole segment and their crossing otherwise. The crossing is
-    the root of (A - B) gamma^2 - 2 A gamma + c = 0, c = A + a0 - b0, written
-    without cancellation; it also covers A = B. Coincident means (gap2 = 0)
-    give gamma = 1.
-    """
-    A = m_a * gap2 / n_a
-    B = m_b * gap2 / n_b
-    a0 = sse_a / n_a
-    b0 = sse_b / n_b
-    c = A + a0 - b0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = c / (A + np.sqrt(A * A - (A - B) * c))
-    return np.where(
-        (gap2 <= 0.0) | (a0 >= B + b0), 1.0, np.where(b0 >= A + a0, 0.0, cross)
-    )
-
-
-def two_group_center(
-    pts_a: np.ndarray,
-    pts_b: np.ndarray,
-    n_a: int,
-    n_b: int,
-) -> tuple[np.ndarray, float]:
-    """Center minimizing max of the two per-group average costs within a cluster.
-
-    The optimum lies on the segment between the group means. Along it each
-    group's cost is a convex parabola in gamma, one falling and one rising, so
-    the optimum is their crossing, or the endpoint where one group's cost
-    dominates the whole segment; it is computed in closed form. Returns
-    (center, gamma) with center = gamma * mean_a + (1 - gamma) * mean_b;
-    coincident means give (mean_a, 1.0).
-    """
-    mu_a = pts_a.mean(axis=0)
-    mu_b = pts_b.mean(axis=0)
-    sse_a = float(((pts_a - mu_a) ** 2).sum())
-    sse_b = float(((pts_b - mu_b) ** 2).sum())
-    gap2 = float(((mu_a - mu_b) ** 2).sum())
-    gamma = float(
-        _two_group_gamma(len(pts_a), len(pts_b), sse_a, sse_b, gap2, n_a, n_b)
-    )
-    return gamma * mu_a + (1.0 - gamma) * mu_b, gamma
-
-
-def _mw_center(
-    m: np.ndarray,
-    S: np.ndarray,
-    sse: np.ndarray,
-    counts: np.ndarray,
-    iters: int = 40,
-    eta: float = 0.5,
-) -> np.ndarray:
-    # multiplicative-weights reweighting over the groups present in one
-    # cluster, from its per-group counts m, coordinate sums S and squared
-    # deviations sse; heuristic, no guarantee
-    present = m > 0
-    m, S, sse, n = m[present], S[present], sse[present], counts[present]
-    mu = S / m[:, None]
-    w = np.ones(len(m))
-    best_val = math.inf
-    best_c = S.sum(axis=0) / m.sum()
-    for _ in range(iters):
-        pw = w / n
-        c = (pw[:, None] * S).sum(axis=0) / (pw * m).sum()
-        costs = (sse + m * ((mu - c) ** 2).sum(axis=1)) / n
-        top = float(costs.max())
-        if top < best_val:
-            best_val = top
-            best_c = c
-        if top <= 0.0:
-            break
-        w = w * np.exp(eta * costs / top)
-        w /= w.sum()
-    return best_c
+# the socially-fair center step stops at this relative duality gap; the caps
+# bound its line searches and the Newton steps of each
+_GAP = 1e-12
+_MAX_SEARCHES = 100
+_MAX_NEWTON = 60
 
 
 def _fair_update(
@@ -271,29 +196,114 @@ def _fair_update(
     assign: np.ndarray,
     k: int,
 ) -> np.ndarray:
-    """(k, d) min-max group-cost centers of the clusters of a full assignment,
-    from the features X (n, d) and their (d, n) copy Xt.
+    """(k, d) centers minimizing the max group cost max_h f_h of a full
+    assignment, from the features X (n, d) and their (d, n) copy Xt.
 
-    A cluster holding one group moves to that group's mean; two groups use
-    the closed-form crossing, more the multiplicative-weights heuristic.
+    f_h(C) = sum_i (sse_ih + m_ih |c_i - mu_ih|^2) / n_h, from the count m_ih,
+    mean mu_ih and squared deviations sse_ih of group h in cluster i, is
+    convex: the min-max is the max over the H-simplex of the concave dual
+    g(w) = min_C w . f(C) (Ghadiri, Samadi and Vempala, FAccT 2021). For
+    fixed w, center i is the mean of its points with group h weighted by
+    w_h / n_h (the plain mean where these are all 0); g's gradient is f there
+    and its Hessian -2 sum_i B_i B_i^T / tot_i, with B_ih = (m_ih / n_h)
+    (mu_ih - c_i) and tot_i = sum_h w_h m_ih / n_h. From uniform weights each
+    search moves w to the maximum of g along a direction delta: Newton's on
+    the face of the weighted groups and the costliest one, if that face has
+    three or more groups and it ascends into the simplex, else weight from
+    the cheapest weighted group to the costliest. It stops at a duality gap
+    max f - w . f of at most _GAP * max f. Where the optimal weights are 0 on
+    every group of a cluster holding two or more groups, that cluster's plain
+    mean need not be optimal, and the gap can stay open for _MAX_SEARCHES.
     """
     H = len(counts)
-    m, S, mu, sse = _cluster_group_stats(X, Xt, colors, assign, k, H)
-    if H == 2:
-        gap2 = ((mu[:, 0] - mu[:, 1]) ** 2).sum(axis=1)
-        gamma = _two_group_gamma(
-            m[:, 0], m[:, 1], sse[:, 0], sse[:, 1], gap2, counts[0], counts[1]
+    idx = assign * H + colors
+    m = np.bincount(idx, minlength=k * H)
+    mu = _bin_sums(idx, Xt, k * H) / np.maximum(m, 1)[:, None]
+    # each point's squared distance to its own (cluster, group) mean: the
+    # sum of |x|^2 - m |mu|^2 would cancel badly
+    dev = X - mu.take(idx, axis=0)
+    sse = np.einsum("jd,jd->j", dev, dev)
+    spread = np.bincount(colors, sse, minlength=H) / counts  # sum_i sse_ih / n_h
+    m, mu = m.reshape(k, H), mu.reshape(k, H, -1)
+    share = m / counts  # m_ih / n_h
+    plain = np.einsum("ih,ihd->id", m, mu) / m.sum(axis=1)[:, None]
+
+    def solve(w):
+        # the centers for weights w, the offsets mu - c (taken directly: a
+        # Gram expansion cancels badly), f and each cluster's total weight
+        tot = share @ w
+        c = np.divide(
+            np.einsum("ih,ihd->id", w * share, mu),
+            tot[:, None],
+            out=plain.copy(),
+            where=tot[:, None] > 0.0,
         )
-        gamma = np.where(m[:, 0] == 0, 0.0, np.where(m[:, 1] == 0, 1.0, gamma))
-        return gamma[:, None] * mu[:, 0] + (1.0 - gamma)[:, None] * mu[:, 1]
-    centers = np.empty((k, X.shape[1]))
-    for i in range(k):
-        present = np.flatnonzero(m[i])
-        if len(present) == 1:
-            centers[i] = mu[i, present[0]]
-        else:
-            centers[i] = _mw_center(m[i], S[i], sse[i], counts)
-    return centers
+        diff = mu - c[:, None]
+        f = spread + (share * np.einsum("ihd,ihd->ih", diff, diff)).sum(axis=0)
+        return c, diff, f, tot
+
+    w = np.full(len(counts), 1.0 / len(counts))
+    c, diff, f, tot = solve(w)
+    for _ in range(_MAX_SEARCHES):
+        top = float(f.max())
+        if top - float(w @ f) <= _GAP * top:
+            break
+        a = int(f.argmax())
+        B = share[:, :, None] * diff
+        inv = np.divide(1.0, tot, out=np.zeros(k), where=tot > 0.0)
+        delta = np.zeros(len(w))
+        delta[a] = 1.0
+        delta[int(np.where(w > 0.0, f, np.inf).argmin())] = -1.0
+        face = np.flatnonzero((w > 0.0) | (delta > 0.0)) if len(w) > 2 else []
+        if len(face) > 2:
+            # max f . x + x^T Hessian x / 2 over the face with sum x = 0
+            kkt = np.ones((len(face) + 1, len(face) + 1))
+            kkt[-1, -1] = 0.0
+            Bf = B[:, face]
+            kkt[:-1, :-1] = 2.0 * np.einsum("ihd,igd,i->hg", Bf, Bf, inv)
+            x = np.zeros(len(w))
+            rhs = np.append(f[face], 0.0)
+            x[face] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
+            x[face] -= x[face].mean()  # stay on the simplex
+            if x @ f > 0.0 and not (x[w <= 0.0] < 0.0).any():
+                delta = x / np.abs(x).max()
+        ratio = np.divide(w, -delta, out=np.full(len(w), np.inf), where=delta < 0.0)
+        edge = int(ratio.argmin())
+        v = np.einsum("h,ihd->id", delta, B)
+        vv = np.einsum("id,id->i", v, v)
+        rate = share @ delta
+        # Newton's method on the slope delta . f from t = 0, kept inside a
+        # bracket by bisection, to its root or the simplex's edge. With
+        # u_i = tot_i + t rate_i, rate_i = sum_h delta_h m_ih / n_h and
+        # v_i = sum_h delta_h B_ih, the slope at t is
+        # delta . f - sum_i |v_i|^2 t (tot_i + u_i) / u_i^2 and its derivative
+        # -2 sum_i |v_i|^2 tot_i^2 / u_i^3
+        slope = start = float(delta @ f)
+        t, lo, hi, hi_known = 0.0, 0.0, float(ratio[edge]), False
+        for _ in range(_MAX_NEWTON):
+            if abs(slope) <= _GAP * top or (slope > 0.0 and t == hi):
+                break
+            if slope > 0.0:
+                lo = t
+            else:
+                hi, hi_known = t, True
+            curv = 2.0 * float(vv @ (tot**2 * inv**3))
+            nxt = t + slope / curv if curv > 0.0 else math.inf
+            if nxt >= hi and not hi_known:
+                nxt = hi
+            elif not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if nxt == t:
+                break
+            t = nxt
+            u = tot + t * rate
+            inv = np.divide(1.0, u, out=np.zeros(k), where=u > 0.0)
+            slope = start - float(vv @ (t * (tot + u) * inv**2))
+        w = np.maximum(w + t * delta, 0.0)
+        if t == ratio[edge]:
+            w[edge] = 0.0  # w + t * delta leaves rounding error there
+        c, diff, f, tot = solve(w)
+    return c
 
 
 def socially_fair_centers(
@@ -303,61 +313,27 @@ def socially_fair_centers(
     max_iters: int = 100,
     tol: float = 1e-6,
 ) -> CenterSet:
-    """Lloyd-style alternation whose center update minimizes the max per-group
-    average cost within each cluster (two groups: exact closed-form crossing on
-    the segment between the group means; more: multiplicative-weights
-    heuristic). Score is max_h of per-group average squared distance; the best
-    iterate by that score is returned.
-
-    It stops when the score changes by at most tol relative, at a fixed point
-    (an assignment equal to the previous one), or at its first repeated state:
-    a center state (the k-means++ start, an update or a repair of empty
-    clusters) equal to one seen before. The next state depends only on the
-    current one, so from a repeated state on the iterates cycle through
-    states already scored, and the strict best-score test keeps the iterate
-    it already has: the result equals that of a run to max_iters.
+    """Lloyd's loop (_alternate) from an unweighted k-means++ start whose
+    update minimizes the max per-group average cost of the assignment
+    exactly (_fair_update). Score is the max per-group average squared
+    distance to the nearest center. Reassignment and the repair of empty
+    clusters never raise a group's cost, so the score never increases by
+    more than the update's relative duality gap, _GAP.
     """
     X = instance.features
     Xt = np.ascontiguousarray(X.T)
-    counts = instance.counts
-    colors = instance.colors
-    masks = [colors == h for h in range(instance.num_colors)]
-    centers = kmeanspp_init(instance, k, np.ones(instance.n), seed)
-    seen = {centers.tobytes()}
-    best_score = math.inf
-    best_centers = centers.copy()
-    prev_score = math.inf
-    prev_assign = None
-    passes = 0
-    for _ in range(max_iters):
-        passes += 1
-        assign, dsel = _assign(centers, X)
-        score = max(float(dsel[mask].sum()) / counts[h] for h, mask in enumerate(masks))
-        if score < best_score:
-            best_score = score
-            best_centers = centers.copy()
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        if math.isfinite(prev_score) and abs(prev_score - score) <= tol * max(
-            abs(prev_score), 1e-30
-        ):
-            break
-        empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist()
-        if empties:
-            _repair_empty(centers, X, dsel, empties)
-            prev_score = math.inf
-            prev_assign = None
-        else:
-            prev_score = score
-            prev_assign = assign
-            centers = _fair_update(X, Xt, colors, counts, assign, k)
-        state = centers.tobytes()
-        if state in seen:
-            break
-        seen.add(state)
-    return CenterSet(
-        best_centers, f"socially_fair(seed={seed})", best_score, [best_score], [passes]
+    counts, colors, H = instance.counts, instance.colors, instance.num_colors
+
+    def update(assign):
+        return _fair_update(X, Xt, colors, counts, assign, k)
+
+    def score(dsel):
+        return float((np.bincount(colors, dsel, minlength=H) / counts).max())
+
+    centers, cost, passes = _alternate(
+        instance, k, np.ones(instance.n), seed, update, score, max_iters, tol
     )
+    return CenterSet(centers, f"socially_fair(seed={seed})", cost, [cost], [passes])
 
 
 _METHODS = ("vanilla", "weighted", "socially_fair")

@@ -332,18 +332,29 @@ def _read_results(path: str, columns: tuple[str, ...]) -> list[dict]:
         return list(reader)
 
 
+def _number(text, where: str, kind=float):
+    """text as a number; a DataError naming where it was read otherwise."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise DataError(f"{where} is {text!r}, not a number") from None
+
+
 def plot_results(path: str, objective: str, lam: float, out_path: str) -> None:
     if not math.isfinite(lam):
         raise UsageError(f"lambda must be finite, got {lam}")
     ycol = "R" if objective == "rawlsian" else "U"
     rows = _read_results(path, ("method", "objective", "k", "lambda", ycol))
     series: dict[str, dict[int, float]] = {}
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
         if row["objective"] != objective:
             continue
-        if abs(float(row["lambda"]) - lam) > 1e-9:
+        where = f"{path} line {line}, column"
+        if abs(_number(row["lambda"], f"{where} 'lambda'") - lam) > 1e-9:
             continue
-        series.setdefault(row["method"], {})[int(row["k"])] = float(row[ycol])
+        k = _number(row["k"], f"{where} 'k'", int)
+        y = _number(row[ycol], f"{where} {ycol!r}")
+        series.setdefault(row["method"], {})[k] = y
     if not series:
         raise DataError(
             f"no rows for objective={objective} lambda={lam:g} in {path}"
@@ -374,7 +385,9 @@ def _results_lp_tolerance(path: str) -> float:
     except json.JSONDecodeError as e:
         raise DataError(f"{meta_path} is not valid JSON: {e}") from None
     tol = meta.get("config", {}).get("lp_tolerance")
-    return LP_TOLERANCE if tol is None else float(tol)
+    if tol is None:
+        return LP_TOLERANCE
+    return _number(tol, f"{meta_path} field config.lp_tolerance")
 
 
 def gap_report(path: str, soft: float = _SOFT_GAP) -> int:
@@ -389,11 +402,13 @@ def gap_report(path: str, soft: float = _SOFT_GAP) -> int:
     hard = 0
     soft_hits = 0
     print(f"{'objective':<12} {'k':>3} {'lambda':>7} {'gap':>13} {'bound':>13} flag")
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
         if row["method"] not in ("RawlsianAlg", "UtilitarianAlg"):
             continue
-        gap = float(row["gap"]) if row["gap"] else float("nan")
-        bound = float(row["bound"]) if row["bound"] else float("nan")
+        where = f"{path} line {line}, column"
+        gap = _number(row["gap"] or "nan", f"{where} 'gap'")
+        bound = _number(row["bound"] or "nan", f"{where} 'bound'")
+        lam = _number(row["lambda"], f"{where} 'lambda'")
         flag = ""
         if not math.isnan(gap) and not math.isnan(bound):
             if pipeline.exceeds_gap_bound(gap, bound, tol):
@@ -403,7 +418,7 @@ def gap_report(path: str, soft: float = _SOFT_GAP) -> int:
                 flag = "soft"
                 soft_hits += 1
         print(
-            f"{row['objective']:<12} {row['k']:>3} {float(row['lambda']):>7.2f} "
+            f"{row['objective']:<12} {row['k']:>3} {lam:>7.2f} "
             f"{gap:>13.6g} {bound:>13.6g} {flag}"
         )
     print(

@@ -4,21 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
-from datagen import adult_like, random_instance
+from datagen import adult_like, census_like, random_instance
 
 from welfair import centers as centers_mod
 from welfair.centers import (
     _fair_update,
-    _mw_center,
     _repair_empty,
-    _two_group_gamma,
     best_of_restarts,
     kmeanspp_init,
     lloyd,
     socially_fair_centers,
-    two_group_center,
 )
 from welfair.errors import CenterError, ParamError
 from welfair.metrics import pairwise_pow
@@ -151,11 +149,36 @@ class TestRepairEmpty:
         assert centers[1, 0] == 5.0 and centers[2, 0] == 2.0
 
 
+def _group_costs(X, colors, assign, counts, centers):
+    """Each group's average squared distance to its points' assigned centers."""
+    d2 = ((X - centers[assign]) ** 2).sum(axis=1)
+    return np.bincount(colors, d2, minlength=len(counts)) / counts
+
+
+def _one_cluster_center(a, b, n_a, n_b):
+    """The fair step's center of one cluster holding the points a of group 0
+    and b of group 1, with group sizes n_a and n_b, and its position gamma on
+    the segment gamma * mean(a) + (1 - gamma) * mean(b) (nan where the two
+    means coincide)."""
+    X = np.vstack([a, b])
+    colors = np.repeat([0, 1], [len(a), len(b)])
+    c = _fair_update(
+        X, np.ascontiguousarray(X.T), colors, np.array([n_a, n_b]),
+        np.zeros(len(X), dtype=np.int64), 1,
+    )[0]
+    gap = a.mean(axis=0) - b.mean(axis=0)
+    gamma = float((c - b.mean(axis=0)) @ gap / (gap @ gap)) if gap.any() else math.nan
+    return c, gamma
+
+
 class TestTwoGroupCenter:
+    # with one cluster the step minimizes max(fa, fb) of that cluster alone,
+    # whose optimum lies on the segment between the two group means
+
     def test_symmetric_midpoint(self):
         a = np.array([[-1.0]])
         b = np.array([[1.0]])
-        c, gamma = two_group_center(a, b, 1, 1)
+        c, gamma = _one_cluster_center(a, b, 1, 1)
         assert c[0] == pytest.approx(0.0, abs=1e-8)
         assert gamma == pytest.approx(0.5, abs=1e-8)
 
@@ -163,16 +186,15 @@ class TestTwoGroupCenter:
         # fa = (1 - g)^2, fb = 4 g^2 crosses at g = 1/3
         a = np.array([[-1.0]])
         b = np.array([[1.0]])
-        c, gamma = two_group_center(a, b, 4, 1)
+        c, gamma = _one_cluster_center(a, b, 4, 1)
         assert gamma == pytest.approx(1 / 3, abs=1e-8)
         assert c[0] == pytest.approx(1 / 3, abs=1e-8)
 
     def test_coincident_means(self):
         a = np.array([[2.0, 3.0], [4.0, 5.0]])
         b = np.array([[3.0, 4.0]])
-        c, gamma = two_group_center(a, b, 2, 1)
+        c, _ = _one_cluster_center(a, b, 2, 1)
         np.testing.assert_allclose(c, [3.0, 4.0])
-        assert gamma == 1.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_beats_grid_search(self, seed):
@@ -180,7 +202,7 @@ class TestTwoGroupCenter:
         a = rng.normal(size=(rng.integers(2, 8), 3))
         b = rng.normal(size=(rng.integers(2, 8), 3)) + rng.normal(size=3)
         n_a, n_b = int(rng.integers(5, 20)), int(rng.integers(5, 20))
-        c, _ = two_group_center(a, b, n_a, n_b)
+        c, _ = _one_cluster_center(a, b, n_a, n_b)
 
         def val(center):
             fa = float(((a - center) ** 2).sum()) / n_a
@@ -201,7 +223,7 @@ class TestTwoGroupCrossing:
         a = rng.normal(size=(rng.integers(2, 8), 3))
         b = rng.normal(size=(rng.integers(2, 8), 3)) + 3.0
         n_a, n_b = int(rng.integers(8, 20)), int(rng.integers(8, 20))
-        c, gamma = two_group_center(a, b, n_a, n_b)
+        c, gamma = _one_cluster_center(a, b, n_a, n_b)
         assert 0.0 < gamma < 1.0
         fa = float(((a - c) ** 2).sum()) / n_a
         fb = float(((b - c) ** 2).sum()) / n_b
@@ -228,80 +250,65 @@ def _mixed_clusters(rng, H, k=8, per=12, d=3):
     return X, colors, assign
 
 
-def _mw_reference(pts, cols, counts, present, iters=40, eta=0.5):
-    # per-point multiplicative-weights center, the reference for the
-    # statistics-based update
-    w = {int(h): 1.0 for h in present}
-    best_val = math.inf
-    best_c = pts.mean(axis=0)
-    for _ in range(iters):
-        pw = np.array([w[int(c)] / counts[int(c)] for c in cols])
-        c = (pw[:, None] * pts).sum(axis=0) / pw.sum()
-        costs = {}
-        for h in present:
-            h = int(h)
-            costs[h] = float(((pts[cols == h] - c) ** 2).sum()) / counts[h]
-        top = max(costs.values())
-        if top < best_val:
-            best_val = top
-            best_c = c
-        if top <= 0.0:
-            break
-        for h in present:
-            w[int(h)] *= math.exp(eta * costs[int(h)] / top)
-        scale = sum(w.values())
-        for h in present:
-            w[int(h)] /= scale
-    return best_c
+def _idle_group_clusters(rng, H, k=6, per=12, d=3):
+    """Like _mixed_clusters, but group H - 1 is large and sits tightly
+    around the other groups' cluster means, so its cost stays below the
+    others' and its optimal weight is 0; the last cluster holds it alone."""
+    X, colors, assign = _mixed_clusters(rng, H - 1, k, per, d)
+    means = np.array([X[assign == i].mean(axis=0) for i in range(k)])
+    extra = np.repeat(np.arange(k), 4 * per)
+    X = np.vstack([X, means[extra] + rng.normal(size=(len(extra), d)) * 0.01])
+    colors = np.concatenate([colors, np.full(len(extra), H - 1)])
+    assign = np.concatenate([assign, extra])
+    colors[assign == k - 1] = H - 1
+    return X, colors, assign
+
+
+def _epigraph_reference(X, colors, assign, counts, k):
+    """min z s.t. f_h(C) <= z for every group h, by SLSQP from the cluster
+    means; returns the optimal max_h f_h."""
+    d = X.shape[1]
+    start = np.array([X[assign == i].mean(axis=0) for i in range(k)])
+
+    def slack(v):
+        return v[-1] - _group_costs(X, colors, assign, counts, v[:-1].reshape(k, d))
+
+    z0 = _group_costs(X, colors, assign, counts, start).max()
+    res = minimize(
+        lambda v: v[-1],
+        np.append(start.ravel(), z0),
+        jac=lambda v: np.eye(len(v))[-1],
+        constraints=[{"type": "ineq", "fun": slack}],
+        method="SLSQP",
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    assert res.success, res.message
+    return _group_costs(X, colors, assign, counts, res.x[:-1].reshape(k, d)).max()
 
 
 class TestFairUpdate:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_two_groups_match_two_group_center(self, seed):
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("draw", ["mixed", "idle"])
+    @pytest.mark.parametrize("H", [2, 3, 4])
+    def test_matches_epigraph_reference(self, H, draw, seed):
         rng = np.random.default_rng(seed)
-        X, colors, assign = _mixed_clusters(rng, 2)
-        counts = np.bincount(colors, minlength=2)
-        got = _fair_update(X, np.ascontiguousarray(X.T), colors, counts, assign, 8)
-        for i in range(8):
-            a = X[(assign == i) & (colors == 0)]
-            b = X[(assign == i) & (colors == 1)]
-            if len(a) == 0 or len(b) == 0:
-                want = X[assign == i].mean(axis=0)
-            else:
-                want, _ = two_group_center(a, b, counts[0], counts[1])
-            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-12)
-        # the coincident-means cluster sits on the shared mean
-        np.testing.assert_allclose(
-            got[2], X[assign == 2].mean(axis=0), rtol=1e-12, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_three_groups_match_per_point_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        X, colors, assign = _mixed_clusters(rng, 3)
-        counts = np.bincount(colors, minlength=3)
-        got = _fair_update(X, np.ascontiguousarray(X.T), colors, counts, assign, 8)
-
-        def top(pts, cols, c):
-            return max(
-                float(((pts[cols == h] - c) ** 2).sum()) / counts[h]
-                for h in np.unique(cols)
-            )
-
-        for i in range(8):
-            pts, cols = X[assign == i], colors[assign == i]
-            present = np.unique(cols)
-            if len(present) == 1:
-                want = pts.mean(axis=0)
-            else:
-                want = _mw_reference(pts, cols, counts, present)
-            # late iterates can tie in max cost to rounding, and the best
-            # iterate is then picked by the last bits: compare the value it
-            # attains tightly and the center itself loosely
-            assert top(pts, cols, got[i]) == pytest.approx(
-                top(pts, cols, want), rel=1e-12
-            )
-            np.testing.assert_allclose(got[i], want, rtol=1e-7, atol=1e-7)
+        make = _mixed_clusters if draw == "mixed" else _idle_group_clusters
+        X, colors, assign = make(rng, H)
+        k = int(assign.max()) + 1
+        counts = np.bincount(colors, minlength=H)
+        got = _fair_update(X, np.ascontiguousarray(X.T), colors, counts, assign, k)
+        costs = _group_costs(X, colors, assign, counts, got)
+        want = _epigraph_reference(X, colors, assign, counts, k)
+        assert costs.max() == pytest.approx(want, rel=1e-9)
+        # a cluster holding one group sits on that group's mean
+        for i in range(k):
+            if len(np.unique(colors[assign == i])) == 1:
+                np.testing.assert_allclose(
+                    got[i], X[assign == i].mean(axis=0), rtol=1e-9, atol=1e-9
+                )
+        if draw == "idle":
+            # the idle group's cost is below the optimum, so its weight is 0
+            assert costs[H - 1] < 0.5 * want
 
 
 class TestSociallyFairCenters:
@@ -341,6 +348,27 @@ class TestSociallyFairCenters:
         van = best_of_restarts(inst, 2, "vanilla", 5, 0)
         assert max_group_cost(fair.centers) <= max_group_cost(van.centers) + 1e-9
 
+    @pytest.mark.parametrize(
+        "inst, k",
+        [
+            (adult_like(300, seed=0), 6),
+            (census_like(300, 3, seed=1), 5),
+            (random_instance(120, 3, 4, seed=2), 4),
+            (census_like(200, 3, seed=3), 8),
+        ],
+        ids=["adult", "census", "four-groups", "census-k8"],
+    )
+    def test_score_never_increases(self, inst, k):
+        # the step is exact and reassignment and repair never raise a
+        # group's cost, so running longer never scores worse
+        for seed in range(3):
+            scores = [
+                socially_fair_centers(inst, k, seed, max_iters=t).score
+                for t in range(1, 11)
+            ]
+            for before, after in zip(scores, scores[1:]):
+                assert after <= before * (1 + 1e-12)
+
 
 class TestBestOfRestarts:
     def test_tracks_all_scores(self, small_instance):
@@ -368,9 +396,9 @@ class TestBestOfRestarts:
             best_of_restarts(small_instance, 2, "vanilla", 0, 0)
 
 
-# -- references: the center loops as they were before they stopped at fixed
-# points and repeated states and read a (d, n) copy of the features; each
-# also returns its number of assignment passes
+# -- references: Lloyd's loop as it was before it stopped at fixed points and
+# read a (d, n) copy of the features; it also returns its number of
+# assignment passes
 
 
 def _ref_kmeanspp(X, k, w, seed):
@@ -389,33 +417,6 @@ def _ref_kmeanspp(X, k, w, seed):
 def _ref_bin_sums(idx, X, size, weights=None):
     cols = X.T if weights is None else weights * X.T
     return np.stack([np.bincount(idx, c, minlength=size) for c in cols], axis=1)
-
-
-def _ref_fair_update(X, colors, counts, assign, k):
-    H = len(counts)
-    idx = assign * H + colors
-    m = np.bincount(idx, minlength=k * H)
-    S = _ref_bin_sums(idx, X, k * H)
-    mu = S / np.maximum(m, 1)[:, None]
-    sse = np.bincount(idx, ((X - mu[idx]) ** 2).sum(axis=1), minlength=k * H)
-    d = X.shape[1]
-    m, S = m.reshape(k, H), S.reshape(k, H, d)
-    mu, sse = mu.reshape(k, H, d), sse.reshape(k, H)
-    if H == 2:
-        gap2 = ((mu[:, 0] - mu[:, 1]) ** 2).sum(axis=1)
-        gamma = _two_group_gamma(
-            m[:, 0], m[:, 1], sse[:, 0], sse[:, 1], gap2, counts[0], counts[1]
-        )
-        gamma = np.where(m[:, 0] == 0, 0.0, np.where(m[:, 1] == 0, 1.0, gamma))
-        return gamma[:, None] * mu[:, 0] + (1.0 - gamma)[:, None] * mu[:, 1]
-    centers = np.empty((k, d))
-    for i in range(k):
-        present = np.flatnonzero(m[i])
-        if len(present) == 1:
-            centers[i] = mu[i, present[0]]
-        else:
-            centers[i] = _mw_center(m[i], S[i], sse[i], counts)
-    return centers
 
 
 def _ref_lloyd(inst, k, w, seed, max_iters=100, tol=1e-6):
@@ -445,42 +446,6 @@ def _ref_lloyd(inst, k, w, seed, max_iters=100, tol=1e-6):
     dist = cdist(X, centers, "sqeuclidean")
     assign = np.argmin(dist, axis=1)
     return centers, float((w * dist[np.arange(n), assign]).sum()), passes
-
-
-def _ref_socially_fair(inst, k, seed, max_iters=100, tol=1e-6):
-    X, n, H = inst.features, inst.n, inst.num_colors
-    counts, colors = inst.counts, inst.colors
-    centers = _ref_kmeanspp(X, k, np.ones(n), seed)
-    best_score = math.inf
-    best_centers = centers.copy()
-    prev_score = math.inf
-    prev_assign = None
-    passes = 0
-    for _ in range(max_iters):
-        passes += 1
-        dist = cdist(X, centers, "sqeuclidean")
-        assign = np.argmin(dist, axis=1)
-        dsel = dist[np.arange(n), assign]
-        score = max(float(dsel[colors == h].sum()) / counts[h] for h in range(H))
-        if score < best_score:
-            best_score = score
-            best_centers = centers.copy()
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        if math.isfinite(prev_score) and abs(prev_score - score) <= tol * max(
-            abs(prev_score), 1e-30
-        ):
-            break
-        empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist()
-        if empties:
-            _repair_empty(centers, X, dsel, empties)
-            prev_score = math.inf
-            prev_assign = None
-            continue
-        prev_score = score
-        prev_assign = assign
-        centers = _ref_fair_update(X, colors, counts, assign, k)
-    return best_centers, best_score, passes
 
 
 def _corpus_instance(seed):
@@ -532,15 +497,6 @@ def _assert_lloyd_matches(inst, k, w, seed, max_iters=100, tol=1e-6):
     return cs, passes
 
 
-def _assert_social_matches(inst, k, seed, max_iters=100, tol=1e-6):
-    cs = socially_fair_centers(inst, k, seed, max_iters, tol)
-    centers, score, passes = _ref_socially_fair(inst, k, seed, max_iters, tol)
-    assert np.array_equal(cs.centers, centers)
-    assert cs.score == score
-    assert 1 <= cs.restart_iterations[0] <= passes
-    return cs, passes
-
-
 class TestMatchesReference:
     @pytest.mark.parametrize("seed", range(22))
     def test_random_instances(self, seed):
@@ -549,7 +505,6 @@ class TestMatchesReference:
         max_iters = (100, 100, 100, 3, 1)[seed % 5]
         for w in (np.ones(inst.n), 1.0 / inst.counts[inst.colors]):
             _assert_lloyd_matches(inst, k, w, seed, max_iters)
-        _assert_social_matches(inst, k, seed, max_iters)
 
     def test_repaired_empty_clusters(self, monkeypatch):
         calls = []
@@ -562,16 +517,13 @@ class TestMatchesReference:
         _assert_lloyd_matches(_REPAIR_LLOYD, 3, np.ones(_REPAIR_LLOYD.n), 0)
         assert calls
         calls.clear()
-        _assert_social_matches(_REPAIR_SOCIAL, 4, 0)
+        cs = socially_fair_centers(_REPAIR_SOCIAL, 4, 0)
         assert calls
-
-    def test_cycle_stops_at_first_repeated_state(self):
-        # the reference cycles through center states until max_iters
-        inst = adult_like(60, seed=0)
-        cs, passes = _assert_social_matches(inst, 4, 2)
-        assert passes == 100
-        # the update after pass 12 repeats the one after pass 10: a 2-cycle
-        assert cs.restart_iterations == [12]
+        # the repaired run still scores the centers it returns
+        X, colors = _REPAIR_SOCIAL.features, _REPAIR_SOCIAL.colors
+        dsel = cdist(X, cs.centers, "sqeuclidean").min(axis=1)
+        want = (np.bincount(colors, dsel) / _REPAIR_SOCIAL.counts).max()
+        assert cs.score == pytest.approx(want, rel=1e-12)
 
     def test_lloyd_stops_at_fixed_point(self):
         # the reference takes one more update, which repeats the centers, and
@@ -588,7 +540,9 @@ class TestMatchesReference:
         refs = []
         for s in range(5, 8):
             if method == "socially_fair":
-                refs.append(_ref_socially_fair(inst, 4, s))
+                # no reference loop: each restart is one run
+                cs = socially_fair_centers(inst, 4, s)
+                refs.append((cs.centers, cs.score, cs.restart_iterations[0]))
             else:
                 w = np.ones(inst.n)
                 if method == "weighted":

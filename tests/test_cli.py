@@ -562,6 +562,20 @@ class TestPlot:
         with pytest.raises(DataError):
             plot_results(out_csv, "rawlsian", 0.99, str(tmp_path / "x.svg"))
 
+    def test_non_numeric_cell_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "method,objective,k,lambda,R\n"
+            "RawlsianAlg,rawlsian,2,0.5,1.5\n"
+            "vanilla,rawlsian,two,0.5,1.5\n"
+        )
+        out = tmp_path / "c.svg"
+        argv = ["plot", "--results", str(path), "--objective", "rawlsian"]
+        assert main(argv + ["--lam", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} line 3, column 'k' is 'two', not a number" in err
+        assert not out.exists()
+
 
 class TestGapReport:
     def test_clean_results_pass(self, finished_run, capsys):
@@ -630,6 +644,32 @@ class TestGapReport:
             "UtilitarianAlg,utilitarian,2,0.5,0.10000005,0.1\n"
         )
         assert gap_report(str(path)) == 0
+
+    def test_non_numeric_cell_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "method,objective,k,lambda,gap,bound\n"
+            "UtilitarianAlg,utilitarian,2,0.5,0.1,0.1\n"
+            "RawlsianAlg,rawlsian,2,x,0.1,0.1\n"
+        )
+        assert main(["gapreport", "--results", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} line 3, column 'lambda' is 'x', not a number" in err
+        assert "Traceback" not in err
+
+    def test_non_numeric_lp_tolerance_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "method,objective,k,lambda,gap,bound\n"
+            "UtilitarianAlg,utilitarian,2,0.5,0.1,0.1\n"
+        )
+        (tmp_path / "metadata.json").write_text(
+            json.dumps({"config": {"lp_tolerance": "abc"}})
+        )
+        assert main(["gapreport", "--results", str(path)]) == 2
+        err = capsys.readouterr().err
+        meta = tmp_path / "metadata.json"
+        assert f"{meta} field config.lp_tolerance is 'abc', not a number" in err
 
 
 class TestOracleCheck:
