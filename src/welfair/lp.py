@@ -7,15 +7,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import (
-    BruteForceSizeError,
-    InternalInvariantError,
-    LPError,
-    LPInfeasibleError,
-    LPUnboundedError,
-)
+from . import _highs
+from .errors import BruteForceSizeError, InternalInvariantError, LPError
 from .metrics import color_masses, disutilities, pairwise_pow
 from .model import Instance, Params
 
@@ -212,7 +206,7 @@ def build_utilitarian_lp(
 
 
 class HighsSolver:
-    """scipy.optimize.linprog backend (HiGHS).
+    """HiGHS's dual simplex, called through `_highs`.
 
     The LP is solved in each point's nearest-center frame (`_Frame`), where
     HiGHS's all-zero start, with presolve off, is the nearest-center
@@ -231,45 +225,28 @@ class HighsSolver:
     pricing reads 0 for it. The last round prices every left-out column at
     or above -tolerance, which certifies its optimum as the full LP's.
     HiGHS's primal and dual feasibility tolerances are
-    min(tolerance, _FEASIBILITY).
+    min(tolerance, _FEASIBILITY). The status reads
+    highs:optimal:iterations=N:rounds=R, N the simplex iterations summed
+    over the R rounds.
     """
 
     name = "highs"
 
     def solve(self, model: LPModel, tolerance: float) -> tuple[np.ndarray, float, str]:
-        from scipy.optimize import linprog
-
         frame = _Frame(model)
         feasibility = min(tolerance, _FEASIBILITY)
-        options = {
-            "presolve": False,
-            "primal_feasibility_tolerance": feasibility,
-            "dual_feasibility_tolerance": feasibility,
-        }
         keep = _initial_columns(model, frame)
         left = frame.columns & ~keep
-        rounds = 0
+        rounds = iterations = 0
         while True:
             rounds += 1
-            c, A_ub, b_ub, bounds, row_ids = frame.restrict(keep)
-            res = linprog(
-                c,
-                A_ub=A_ub,
-                b_ub=b_ub,
-                bounds=bounds,
-                method="highs",
-                options=options,
-            )
-            if res.status == 2:
-                raise LPInfeasibleError(res.message)
-            if res.status == 3:
-                raise LPUnboundedError(res.message)
-            if res.status != 0:
-                raise LPError(f"highs failed: {res.message}")
+            lp, row_ids = frame.restrict(keep)
+            res = _highs.solve(lp, feasibility)
+            iterations += res.iterations
             if not left.any():
                 break
             duals = np.zeros(len(frame.b_ub))
-            duals[row_ids] = res.ineqlin.marginals
+            duals[row_ids] = res.row_dual
             enter = left & (frame.reduced_costs(duals) < -tolerance)
             if not enter.any():
                 break
@@ -281,8 +258,8 @@ class HighsSolver:
         x[frame.near, np.arange(model.n)] = 1.0 - x.sum(axis=0)
         return (
             np.concatenate([x.ravel(), res.x[nx:]]),
-            float(res.fun) + frame.offset,
-            f"highs:optimal:rounds={rounds}",
+            float(res.objective) + frame.offset,
+            f"highs:optimal:iterations={iterations}:rounds={rounds}",
         )
 
 
@@ -337,7 +314,8 @@ class _Frame:
         self.b_ub = np.concatenate([-np.concatenate(b_rows), np.ones(n)])
         # the t and z columns: costs, bounds and CSC parts
         self.tail_cost = model.objective[k * n:]
-        self.tail_bounds = np.column_stack([model.lower, model.upper])[k * n:]
+        self.tail_lower = model.lower[k * n:]
+        self.tail_upper = model.upper[k * n:]
         t = np.arange(k * H)
         t_rows = [t, k * H + t]
         t_vals = [np.full(k * H, -1.0), np.full(k * H, -1.0)]
@@ -349,12 +327,11 @@ class _Frame:
             z = ([H], 2 * k * H + np.arange(H), np.full(H, -1.0))
             self.tail = [np.concatenate(pair) for pair in zip(self.tail, z)]
 
-    def restrict(self, keep: np.ndarray):
-        """Costs, CSC matrix, right-hand sides and bounds of the frame LP
-        over the x columns in keep ((k, n), in column order i * n + j) and
-        the t and z columns, and the ids of the frame rows it holds: the
-        model's rows and the rows of the points with at least 2 kept x
-        columns, in order."""
+    def restrict(self, keep: np.ndarray) -> tuple[_highs.LP, np.ndarray]:
+        """The frame LP over the x columns in keep ((k, n), in column order
+        i * n + j) and the t and z columns, and the ids of the frame rows it
+        holds: the model's rows and the rows of the points with at least 2
+        kept x columns, in order."""
         k, n, H = self.k, self.n, self.H
         i, j = np.nonzero(keep)
         a, h = self.near[j], self.colors[j]
@@ -379,15 +356,17 @@ class _Frame:
         row_ids = np.concatenate(
             [np.arange(self.num_rows), self.num_rows + np.flatnonzero(shared)]
         )
-        A_ub = sp.csc_matrix(
-            (data, indices, np.concatenate([[0], np.cumsum(counts)])),
-            shape=(len(row_ids), len(counts)),
+        lp = _highs.LP(
+            cost=np.concatenate([self.cost[i, j], self.tail_cost]),
+            start=np.concatenate([[0], np.cumsum(counts)]),
+            index=indices,
+            value=data,
+            col_lower=np.concatenate([np.zeros(len(j)), self.tail_lower]),
+            col_upper=np.concatenate([np.ones(len(j)), self.tail_upper]),
+            row_lower=np.full(len(row_ids), -np.inf),
+            row_upper=self.b_ub[row_ids],
         )
-        c = np.concatenate([self.cost[i, j], self.tail_cost])
-        bounds = np.concatenate(
-            [np.tile([0.0, 1.0], (len(j), 1)), self.tail_bounds]
-        )
-        return c, A_ub, self.b_ub[row_ids], bounds, row_ids
+        return lp, row_ids
 
     def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
         """(k, n) reduced costs of every x column of the frame LP, in closed

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import InternalInvariantError
+from . import _highs
+from .errors import InternalInvariantError, LPError
 from .metrics import GroupReport, color_masses, report_from_distances
 from .model import Instance, Params
 
@@ -87,8 +87,6 @@ def _solve_support(
 ) -> np.ndarray:
     """Assignment of every point: the fixed ones from support, the fractional
     ones from the rounding LP, with cluster-size rows when joint."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     assignment = support.assignment.copy()
     m = len(support.frac)
     if m == 0:
@@ -114,24 +112,21 @@ def _solve_support(
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     # each variable's rows, ascending: one CSC column per variable
     rows = np.stack(rows, axis=1)
-    A = sp.csc_matrix(
-        (
-            np.ones(rows.size),
-            rows.ravel(),
-            np.arange(0, rows.size + 1, rows.shape[1]),
-        ),
-        shape=(len(lo), len(pts)),
-    )
-    res = milp(
-        dist_pow[pts, centers] / instance.counts[colors],
-        constraints=LinearConstraint(A, lo, hi),
-        bounds=Bounds(0.0, 1.0),
-        # HiGHS's presolve ended some of these LPs with model status Unknown
-        options={"presolve": False},
+    lp = _highs.LP(
+        cost=dist_pow[pts, centers] / instance.counts[colors],
+        start=np.arange(0, rows.size + 1, rows.shape[1]),
+        index=rows.ravel(),
+        value=np.ones(rows.size),
+        col_lower=np.zeros(len(pts)),
+        col_upper=np.ones(len(pts)),
+        row_lower=lo,
+        row_upper=hi,
     )
     # x itself satisfies every row, so the LP cannot be infeasible
-    if res.status != 0:
-        raise InternalInvariantError(f"rounding LP failed: {res.message}")
+    try:
+        res = _highs.solve(lp)
+    except LPError as exc:
+        raise InternalInvariantError(f"rounding LP failed: {exc}") from exc
     off = np.abs(res.x - np.round(res.x)).max()
     if off > _INTEGRAL_EPS:
         raise InternalInvariantError(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,3 +37,40 @@ def random_fractional_x(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
     x = np.where(keep, x, 0.0)
     x /= x.sum(axis=0, keepdims=True)
     return x
+
+
+def fake_highs(monkeypatch, status=None, edit=None):
+    """Put a subclass of HiGHS in `_highs._Highs`'s place and return what it
+    records: every options object passed, every model passed (the
+    `passModel` arguments) and the number of runs. status, if given, is
+    reported as the model status after the real run; edit, if given, is
+    called with each solution and the model's arguments before the solution
+    is read."""
+    from welfair import _highs
+
+    record = SimpleNamespace(options=[], models=[], runs=0)
+
+    class Fake(_highs._Highs):
+        def passOptions(self, options):
+            record.options.append(options)
+            return super().passOptions(options)
+
+        def passModel(self, *args):
+            record.models.append(args)
+            return super().passModel(*args)
+
+        def run(self):
+            record.runs += 1
+            return super().run()
+
+        def getModelStatus(self):
+            return super().getModelStatus() if status is None else status
+
+        def getSolution(self):
+            solution = super().getSolution()
+            if edit is not None:
+                edit(solution, record.models[-1])
+            return solution
+
+    monkeypatch.setattr(_highs, "_Highs", Fake)
+    return record

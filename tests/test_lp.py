@@ -3,16 +3,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse as sp
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
+from conftest import fake_highs
 from datagen import random_instance
 
+from welfair import _highs
 from welfair import lp as lp_mod
 from welfair.errors import (
     BruteForceSizeError,
@@ -327,36 +330,41 @@ def _reference(model):
     return A_ub, A_eq, ref
 
 
-def _linprog_spy(monkeypatch):
-    """Record every scipy linprog call HighsSolver makes: (kwargs, result),
-    the kwargs holding, as keep, the (k, n) x-column mask that
-    `_Frame.restrict` was given for the call."""
-    import scipy.optimize
-
-    real, restrict = scipy.optimize.linprog, lp_mod._Frame.restrict
+def _solve_spy(monkeypatch):
+    """Record every `_highs.solve` call HighsSolver makes: (call, solution),
+    the call holding the frame LP's costs as c, its matrix as the sparse
+    A_ub, its right-hand sides as b_ub and, as keep, the (k, n) x-column
+    mask that `_Frame.restrict` was given."""
+    real, restrict = _highs.solve, lp_mod._Frame.restrict
     calls, keeps = [], []
 
     def restrict_spy(frame, keep):
         keeps.append(keep.copy())
         return restrict(frame, keep)
 
-    def spy(c, **kwargs):
-        res = real(c, **kwargs)
-        calls.append((dict(kwargs, c=c, keep=keeps.pop()), res))
+    def spy(lp, feasibility=None):
+        res = real(lp, feasibility)
+        # every frame row is an upper bound
+        assert np.all(lp.row_lower == -np.inf)
+        A_ub = sp.csc_matrix(
+            (lp.value, lp.index, lp.start), shape=(len(lp.row_upper), len(lp.cost))
+        )
+        call = dict(c=lp.cost, A_ub=A_ub, b_ub=lp.row_upper, keep=keeps.pop())
+        calls.append((call, res))
         return res
 
     monkeypatch.setattr(lp_mod._Frame, "restrict", restrict_spy)
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    monkeypatch.setattr(_highs, "solve", spy)
     return calls
 
 
-def _frame_duals(model, kwargs, res):
+def _frame_duals(model, call, res):
     """The duals of every frame row from one restricted LP: the model's rows'
     own, then point j's row dual if j has at least 2 kept x columns, and 0
     for the rows of the others, which the LP leaves out."""
     R = len(model.rows)
-    marginals = res.ineqlin.marginals
-    shared = np.flatnonzero(kwargs["keep"].sum(axis=0) >= 2)
+    marginals = res.row_dual
+    shared = np.flatnonzero(call["keep"].sum(axis=0) >= 2)
     assert len(marginals) == R + len(shared)
     duals = np.zeros(R + model.n)
     duals[:R] = marginals[:R]
@@ -364,7 +372,7 @@ def _frame_duals(model, kwargs, res):
     return duals
 
 
-def _reduced_costs(model, kwargs, res):
+def _reduced_costs(model, call, res):
     """c - A^T y over every column of the full model, y the model's own row
     duals recovered from res, a solve in the nearest-center frame.
 
@@ -375,7 +383,7 @@ def _reduced_costs(model, kwargs, res):
     x[a(j), j] with reduced cost -mu_j >= 0. At a frame column x[i, j] this
     is c - A^T y of the full frame matrix."""
     rows = model.rows
-    duals = _frame_duals(model, kwargs, res)
+    duals = _frame_duals(model, call, res)
     rc = model.objective.copy()
     for row, y in zip(rows, duals[: len(rows)]):
         np.add.at(rc, row.cols, -y * row.vals)
@@ -409,14 +417,14 @@ def _pricing_spy(monkeypatch):
     return calls
 
 
-def _x_columns(model, kwargs):
+def _x_columns(model, call):
     """(k, n) mask of the x columns of one frame LP call: the keep mask
     `_Frame.restrict` was given, checked against the call's matrix, whose
     first columns are those x columns in order i * n + j, column x[i, j]
     with entries in the under/over rows of clusters i and a(j) only."""
     k, H = model.k, model.H
-    keep = kwargs["keep"]
-    A = kwargs["A_ub"].tocsc()
+    keep = call["keep"]
+    A = call["A_ub"].tocsc()
     near = np.argmin(model.dist_pow, axis=1)
     xi, xj = np.nonzero(keep)
     assert A.shape[1] == len(xi) + model.num_vars - k * model.n
@@ -465,7 +473,7 @@ class TestHighsPricing:
         inst, params, centers = _setup(n=80, k=k, H=H, lam=0.5, seed=H)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
-        calls = _linprog_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         xvec, obj, _ = HighsSolver().solve(m, params.lp_tolerance)
         got, want = _x_columns(m, calls[0][0]), _class_prefix(m)
         np.testing.assert_array_equal(got, want)
@@ -499,7 +507,7 @@ class TestHighsPricing:
         m = build(inst, params, centers)
         # ceil(share * |class|) = 1: each (a, h, i) class keeps one column
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
-        calls = _linprog_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         xvec, obj, status = HighsSolver().solve(m, params.lp_tolerance)
         rounds = int(status.rsplit("rounds=", 1)[1])
         assert rounds >= 2 and len(calls) == rounds
@@ -514,11 +522,11 @@ class TestHighsPricing:
         # -tolerance under the model's own duals
         frame_columns = np.ones((m.k, m.n), dtype=bool)
         frame_columns[near, np.arange(m.n)] = False
-        for (kwargs, res), (after, _) in zip(calls, calls[1:]):
-            rc = _reduced_costs(m, kwargs, res)[: m.k * m.n].reshape(m.k, m.n)
+        for (call, res), (after, _) in zip(calls, calls[1:]):
+            rc = _reduced_costs(m, call, res)[: m.k * m.n].reshape(m.k, m.n)
             enter = frame_columns & (rc < -params.lp_tolerance)
             np.testing.assert_array_equal(
-                _x_columns(m, after), _x_columns(m, kwargs) | enter
+                _x_columns(m, after), _x_columns(m, call) | enter
             )
         _, _, ref = _reference(m)
         assert obj == pytest.approx(ref.fun, abs=params.lp_tolerance)
@@ -539,14 +547,14 @@ class TestHighsPricing:
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
-        calls = _linprog_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         priced = _pricing_spy(monkeypatch)
         HighsSolver().solve(m, params.lp_tolerance)
         assert len(priced) == len(calls) >= 2
         columns = lp_mod._Frame(m).columns
-        for (kwargs, res), (duals, got) in zip(calls, priced):
-            np.testing.assert_array_equal(duals, _frame_duals(m, kwargs, res))
-            want = _reduced_costs(m, kwargs, res)[: m.k * m.n].reshape(m.k, m.n)
+        for (call, res), (duals, got) in zip(calls, priced):
+            np.testing.assert_array_equal(duals, _frame_duals(m, call, res))
+            want = _reduced_costs(m, call, res)[: m.k * m.n].reshape(m.k, m.n)
             np.testing.assert_allclose(
                 got[columns], want[columns], rtol=0, atol=1e-12
             )
@@ -561,25 +569,25 @@ class TestHighsPricing:
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
-        calls = _linprog_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         HighsSolver().solve(m, params.lp_tolerance)
         R = len(m.rows)
         b_rows = lp_mod._Frame(m).b_ub[:R]
         widths = set()
-        for kwargs, _ in calls:
-            keep = _x_columns(m, kwargs)
+        for call, _ in calls:
+            keep = _x_columns(m, call)
             xi, xj = np.nonzero(keep)
             per_point = keep.sum(axis=0)
             widths |= set(per_point.tolist())
             shared = np.flatnonzero(per_point >= 2)
-            want = np.zeros((len(shared), kwargs["A_ub"].shape[1]))
+            want = np.zeros((len(shared), call["A_ub"].shape[1]))
             for r, j in enumerate(shared):
                 want[r, np.flatnonzero(xj == j)] = 1.0
-            A = kwargs["A_ub"].toarray()
+            A = call["A_ub"].toarray()
             assert A.shape[0] == R + len(shared)
             np.testing.assert_array_equal(A[R:], want)
-            np.testing.assert_array_equal(kwargs["b_ub"][:R], b_rows)
-            np.testing.assert_array_equal(kwargs["b_ub"][R:], 1.0)
+            np.testing.assert_array_equal(call["b_ub"][:R], b_rows)
+            np.testing.assert_array_equal(call["b_ub"][R:], 1.0)
         # the calls held points of no, one and (k > 2) several kept columns
         assert {0, 1} <= widths and (k == 2 or max(widths) >= 2)
 
@@ -587,7 +595,7 @@ class TestHighsPricing:
         inst, params, centers = _setup(n=60, k=6, H=2, lam=0.2, seed=4)
         m = build_utilitarian_lp(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
-        calls = _linprog_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         _all_columns(monkeypatch, m)
         # one solve over every column but the n eliminated nearest ones
         assert len(calls) == 1
@@ -601,7 +609,7 @@ class TestHighsPricing:
         )
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
-        calls = _linprog_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         got = solve_lp(m)
         assert len(calls[0][0]["c"]) < m.num_vars  # the restriction was used
         want = _all_columns(monkeypatch, m)
@@ -615,7 +623,7 @@ class TestHighsPricing:
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CANDIDATES", 1)
-        calls = _linprog_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         xvec, obj, status = HighsSolver().solve(m, params.lp_tolerance)
         rounds = int(status.rsplit("rounds=", 1)[1])
         assert rounds >= 2 and len(calls) == rounds
@@ -633,21 +641,36 @@ class TestHighsPricing:
         assert rc[at_zero].min() >= -params.lp_tolerance
 
     def test_tolerance_reaches_highs(self, monkeypatch):
-        # HiGHS's feasibility tolerances are lp_tolerance capped at 1e-9
+        # HiGHS's feasibility tolerances are lp_tolerance capped at 1e-9,
+        # with presolve off and the dual simplex
         inst, params, centers = _setup(n=30, k=6, H=2, seed=1)
-        calls = _linprog_spy(monkeypatch)
+        record = fake_highs(monkeypatch)
         for tolerance, feasibility in ((1e-6, 1e-9), (5e-10, 5e-10)):
             tuned = replace(params, lp_tolerance=tolerance)
             tuned.validate(inst)
-            calls.clear()
+            record.options.clear()
             solve_lp(build_utilitarian_lp(inst, tuned, centers))
-            assert calls
-            for kwargs, _ in calls:
-                assert kwargs["options"] == {
-                    "presolve": False,
-                    "primal_feasibility_tolerance": feasibility,
-                    "dual_feasibility_tolerance": feasibility,
-                }
+            assert record.options
+            for options in record.options:
+                assert options.presolve == "off"
+                assert options.simplex_strategy == _highs._DUAL_SIMPLEX
+                assert not options.output_flag and not options.log_to_console
+                assert options.primal_feasibility_tolerance == feasibility
+                assert options.dual_feasibility_tolerance == feasibility
+
+    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
+    def test_status_counts_iterations(self, monkeypatch, kind):
+        # the status sums HiGHS's simplex iterations over the rounds
+        inst, params, centers = _setup(n=60, k=6, H=2, lam=0.2, seed=4)
+        build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+        m = build(inst, params, centers)
+        calls = _solve_spy(monkeypatch)
+        _, _, status = HighsSolver().solve(m, params.lp_tolerance)
+        head, rounds = status.rsplit(":rounds=", 1)
+        iterations = int(head.rsplit("iterations=", 1)[1])
+        assert head.startswith("highs:optimal:")
+        assert int(rounds) == len(calls)
+        assert iterations == sum(res.iterations for _, res in calls) > 0
 
 
 class TestLambdaOneReductions:
@@ -842,31 +865,105 @@ class TestBruteForce:
 
 
 class TestHighsStatus:
-    """A failed HiGHS solve reaches the caller as the LPError its linprog
-    status names: 2 infeasible, 3 unbounded, any other non-zero generic."""
+    """A failed HiGHS solve reaches the caller as the LPError its model
+    status names: infeasible or a model error LPInfeasibleError, unbounded
+    LPUnboundedError, any other status but optimal LPError."""
 
     @pytest.mark.parametrize(
         "status, error",
-        [(2, LPInfeasibleError), (3, LPUnboundedError), (1, LPError), (4, LPError)],
-        ids=["infeasible", "unbounded", "iteration_limit", "numerical"],
+        [
+            (HighsModelStatus.kInfeasible, LPInfeasibleError),
+            (HighsModelStatus.kUnbounded, LPUnboundedError),
+            (HighsModelStatus.kIterationLimit, LPError),
+            (HighsModelStatus.kSolveError, LPError),
+            (HighsModelStatus.kModelError, LPInfeasibleError),
+        ],
+        ids=["infeasible", "unbounded", "iteration_limit", "numerical", "model_error"],
     )
     @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
     def test_status_raises(self, monkeypatch, build, status, error):
-        import scipy.optimize
-
         inst, params, centers = _setup(n=8, k=2, H=2)
         m = build(inst, params, centers)
-        calls = []
-
-        def failing(c, **kwargs):
-            calls.append(c)
-            return SimpleNamespace(status=status, message=f"status {status}")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing)
-        with pytest.raises(error, match=f"status {status}") as info:
+        record = fake_highs(monkeypatch, status=status)
+        name = _highs._Highs().modelStatusToString(status)
+        with pytest.raises(error, match=f"model status {name}$") as info:
             HighsSolver().solve(m, params.lp_tolerance)
         assert info.type is error
-        assert len(calls) == 1
+        assert record.runs == 1
+
+    @pytest.mark.parametrize(
+        "broken, raises",
+        [("nan", True), ("bound", True), ("row", True), ("row_within", False)],
+    )
+    @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
+    def test_post_solve_check(self, monkeypatch, build, broken, raises):
+        # an optimum with a NaN, or a bound or a row broken by more than
+        # linprog's sqrt(1e-9) * 10, raises; a row broken by less does not
+        inst, params, centers = _setup(n=20, k=3, H=2, seed=2)
+        m = build(inst, params, centers)
+
+        def edit(solution, model):
+            x, rows = np.array(solution.col_value), np.array(solution.row_value)
+            row_upper = model[10]  # passModel's row_upper argument
+            if broken == "nan":
+                x[0] = np.nan
+            elif broken == "bound":
+                x[0] = 1.0 + 2 * _highs._CHECK_TOL
+            else:
+                slack = 2.0 if broken == "row" else 0.5
+                rows[0] = row_upper[0] + slack * _highs._CHECK_TOL
+            solution.col_value, solution.row_value = x, rows
+
+        record = fake_highs(monkeypatch, edit=edit)
+        if raises:
+            with pytest.raises(LPError, match="breaks a bound or a row") as info:
+                HighsSolver().solve(m, params.lp_tolerance)
+            assert info.type is LPError
+            assert record.runs == 1
+        else:
+            HighsSolver().solve(m, params.lp_tolerance)
+
+
+class TestHighsAdapter:
+    def test_core_names_import(self):
+        # `_highs` reaches into scipy's private HiGHS bindings; a scipy
+        # release that moves or renames them must fail here
+        from scipy.optimize._highspy._core import (  # noqa: F401
+            HighsModelStatus,
+            HighsOptions,
+            HighsStatus,
+            MatrixFormat,
+            ObjSense,
+            _Highs,
+            simplex_constants,
+        )
+
+        assert simplex_constants.SimplexStrategy.kSimplexStrategyDual is not None
+        solution = _Highs().getSolution()
+        for field in ("col_value", "row_value", "row_dual"):
+            assert hasattr(solution, field)
+        info = _Highs().getInfo()
+        for field in ("objective_function_value", "simplex_iteration_count"):
+            assert hasattr(info, field)
+
+    def test_small_lp(self):
+        # min -x0 - 2 x1 subject to x0 + x1 <= 1.5, 0 <= x <= 1: the array
+        # overload of passModel, the solution and the row duals
+        lp = _highs.LP(
+            cost=np.array([-1.0, -2.0]),
+            start=np.array([0, 1, 2]),
+            index=np.array([0, 0]),
+            value=np.array([1.0, 1.0]),
+            col_lower=np.zeros(2),
+            col_upper=np.ones(2),
+            row_lower=np.array([-np.inf]),
+            row_upper=np.array([1.5]),
+        )
+        res = _highs.solve(lp)
+        np.testing.assert_allclose(res.x, [0.5, 1.0])
+        np.testing.assert_allclose(res.row_dual, [-1.0])
+        assert res.objective == pytest.approx(-2.5)
+        assert res.iterations > 0
 
 
 @settings(max_examples=20, deadline=None)

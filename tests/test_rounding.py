@@ -2,18 +2,19 @@ from __future__ import annotations
 
 import itertools
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse as sp
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
-from conftest import random_fractional_x
+from conftest import fake_highs, random_fractional_x
 from datagen import random_instance
 
+from welfair import _highs
 from welfair.errors import InternalInvariantError
 from welfair.metrics import pairwise_pow
 from welfair import rounding
@@ -37,26 +38,22 @@ def _case(n=20, k=3, H=2, seed=0, delta=0.1, lam=0.5):
     return inst, params, dist, x
 
 
-def _milp_spy(monkeypatch):
+def _solve_spy(monkeypatch):
     """Record every rounding LP that reaches HiGHS as (c, A, lo, hi, result)."""
-    real = scipy.optimize.milp
+    real = _highs.solve
     calls = []
 
-    def spy(c, *, constraints, bounds, **kwargs):
-        assert (bounds.lb, bounds.ub) == (0.0, 1.0)
-        res = real(c, constraints=constraints, bounds=bounds, **kwargs)
-        calls.append(
-            (
-                np.asarray(c),
-                constraints.A.toarray(),
-                np.asarray(constraints.lb),
-                np.asarray(constraints.ub),
-                res,
-            )
+    def spy(lp, feasibility=None):
+        assert feasibility is None
+        assert np.all(lp.col_lower == 0.0) and np.all(lp.col_upper == 1.0)
+        res = real(lp, feasibility)
+        A = sp.csc_matrix(
+            (lp.value, lp.index, lp.start), shape=(len(lp.row_upper), len(lp.cost))
         )
+        calls.append((lp.cost, A.toarray(), lp.row_lower, lp.row_upper, res))
         return res
 
-    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    monkeypatch.setattr(_highs, "solve", spy)
     return calls
 
 
@@ -98,7 +95,7 @@ class TestNetworkConstruction:
                 [0.5, 0.0, 1.0, 0.0, 0.0, 0.5],
             ]
         )
-        calls = _milp_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         rawlsian_round(x, inst, params, dist)
         # one LP for both colors; only points 0 and 5 are fractional
         assert len(calls) == 1
@@ -133,7 +130,7 @@ class TestNetworkConstruction:
                 [0.5, 0.5, 0.0, 1.0, 1.0, 1.0],
             ]
         )
-        calls = _milp_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         for rounder in (rawlsian_round, utilitarian_round):
             rounder(x, inst, params, dist)
         for _, _, lo, hi, _ in calls:
@@ -157,7 +154,7 @@ class TestNetworkConstruction:
             ]
         )
         x = np.abs(x)
-        calls = _milp_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         out = rawlsian_round(x, inst, params, dist)
         # color 0: mass [2, eps] snaps to floors = ceils = [2, 0]; point 1 is
         # fixed to center 0, so points 0, 2 and 3 are rounded with cells
@@ -170,7 +167,7 @@ class TestNetworkConstruction:
     def test_utilitarian_layers(self, monkeypatch):
         # groups of 9 and 3 points, so the 1/n_h arc costs differ
         inst, params, dist, x = _case(n=12, k=2, H=2, seed=4)
-        calls = _milp_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         utilitarian_round(x, inst, params, dist)
         c, A, lo, hi, _ = calls[0]
         n, k, H = 12, 2, 2
@@ -250,7 +247,7 @@ class TestMinCostFlow:
     def test_flow_conservation(self, monkeypatch):
         # the vertex HiGHS returns is a 0/1 flow that meets every row
         inst, params, dist, x = _case(n=18, k=3, H=2, seed=12)
-        calls = _milp_spy(monkeypatch)
+        calls = _solve_spy(monkeypatch)
         utilitarian_round(x, inst, params, dist)
         _, A, lo, hi, res = calls[0]
         y = np.round(res.x)
@@ -380,25 +377,21 @@ class TestExtractGuards:
 
     def test_solver_failure_detected(self, monkeypatch):
         inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
-        monkeypatch.setattr(
-            scipy.optimize,
-            "milp",
-            lambda c, **kw: SimpleNamespace(status=1, message="time limit", x=None),
-        )
+        fake_highs(monkeypatch, status=HighsModelStatus.kTimeLimit)
         for rounder in (rawlsian_round, utilitarian_round):
-            with pytest.raises(InternalInvariantError, match="time limit"):
+            with pytest.raises(InternalInvariantError, match="Time limit"):
                 rounder(x, inst, params, dist)
 
     def test_non_integral_vertex_detected(self, monkeypatch):
         inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
-        real = scipy.optimize.milp
+        real = _highs.solve
 
-        def halved(c, **kw):
-            res = real(c, **kw)
+        def halved(lp, feasibility=None):
+            res = real(lp, feasibility)
             res.x[0] = 0.5
             return res
 
-        monkeypatch.setattr(scipy.optimize, "milp", halved)
+        monkeypatch.setattr(_highs, "solve", halved)
         for rounder in (rawlsian_round, utilitarian_round):
             with pytest.raises(InternalInvariantError, match="integral"):
                 rounder(x, inst, params, dist)
