@@ -336,21 +336,16 @@ def socially_fair_centers(
     return CenterSet(centers, f"socially_fair(seed={seed})", cost, [cost], [passes])
 
 
-_METHODS = ("vanilla", "weighted", "socially_fair")
+# the center heuristics, in the order a sweep reports their baselines
+METHODS = ("vanilla", "weighted", "socially_fair")
 
 
 def best_of_restarts(
-    instance: Instance,
-    k: int,
-    method: str,
-    restarts: int,
-    seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
+    instance: Instance, k: int, method: str, restarts: int, seed: int
 ) -> CenterSet:
     """Run `method` with seeds seed .. seed+restarts-1, keep the best score."""
-    if method not in _METHODS:
-        raise ParamError(f"method must be one of {_METHODS}, got {method!r}")
+    if method not in METHODS:
+        raise ParamError(f"method must be one of {METHODS}, got {method!r}")
     if restarts < 1:
         raise ParamError(f"restarts must be at least 1, got {restarts}")
     best: CenterSet | None = None
@@ -358,12 +353,11 @@ def best_of_restarts(
     iterations: list[int] = []
     for s in range(seed, seed + restarts):
         if method == "vanilla":
-            cs = lloyd(instance, k, np.ones(instance.n), s, max_iters, tol)
+            cs = lloyd(instance, k, np.ones(instance.n), s)
         elif method == "weighted":
-            w = 1.0 / instance.counts[instance.colors]
-            cs = lloyd(instance, k, w, s, max_iters, tol)
+            cs = lloyd(instance, k, 1.0 / instance.counts[instance.colors], s)
         else:
-            cs = socially_fair_centers(instance, k, s, max_iters, tol)
+            cs = socially_fair_centers(instance, k, s)
         scores.append(cs.score)
         iterations += cs.restart_iterations
         if best is None or cs.score < best.score:

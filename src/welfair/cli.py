@@ -38,7 +38,7 @@ from .model import (
     normalization_factors,
 )
 
-_OBJECTIVES = ("rawlsian", "utilitarian")
+_OBJECTIVES = tuple(pipeline.CENTER_METHODS)
 _SOFT_GAP = 8e-3
 
 
@@ -195,7 +195,7 @@ def run_experiment(config: ExperimentConfig) -> str:
             method: centers.best_of_restarts(
                 insts[first], k, method, config.restarts, config.seed
             )
-            for method in ("vanilla", "weighted", "socially_fair")
+            for method in centers.METHODS
         }
         for k in config.k_range
     }
@@ -321,7 +321,8 @@ def _run_tasks(tasks, config: ExperimentConfig):
 
 def _read_results(path: str, columns: tuple[str, ...]) -> list[dict]:
     """The rows of a results CSV; DataError if it lacks one of columns."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or [])]
         if missing:
@@ -509,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--features", dest="feature_columns", help="comma-separated feature columns"
     )
     run.add_argument("--group", dest="group_column", help="group (color) column")
-    run.add_argument("--objective", choices=["rawlsian", "utilitarian", "both"])
+    run.add_argument("--objective", choices=[*_OBJECTIVES, "both"])
     run.add_argument("--k", dest="k_range", help="k range, e.g. 4:15 or 4,6,8")
     run.add_argument("--lambdas", help="comma-separated lambda values")
     run.add_argument("--delta", type=float)

@@ -223,16 +223,15 @@ class HighsSolver:
     holds point j's row only when j has at least 2 kept columns: with fewer
     the row is implied by the bounds x <= 1, its dual 0 is optimal, and
     pricing reads 0 for it. The last round prices every left-out column at
-    or above -tolerance, which certifies its optimum as the full LP's.
-    HiGHS's primal and dual feasibility tolerances are
-    min(tolerance, _FEASIBILITY). The status reads
-    highs:optimal:iterations=N:rounds=R, N the simplex iterations summed
-    over the R rounds.
+    or above -tolerance, which certifies its optimum as the full LP's;
+    tolerance is model.params.lp_tolerance. HiGHS's primal and dual
+    feasibility tolerances are min(tolerance, _FEASIBILITY). The status
+    reads highs:optimal:iterations=N:rounds=R, N the simplex iterations
+    summed over the R rounds.
     """
 
-    name = "highs"
-
-    def solve(self, model: LPModel, tolerance: float) -> tuple[np.ndarray, float, str]:
+    def solve(self, model: LPModel) -> tuple[np.ndarray, float, str]:
+        tolerance = model.params.lp_tolerance
         frame = _Frame(model)
         feasibility = min(tolerance, _FEASIBILITY)
         keep = _initial_columns(model, frame)
@@ -413,21 +412,15 @@ def _initial_columns(model: LPModel, frame: _Frame) -> np.ndarray:
     return frame.columns & top & prefix
 
 
-def solve_lp(model: LPModel, solver=None) -> FractionalSolution:
-    """Solve the model with HiGHS and return a cleaned fractional assignment.
+def solve_lp(model: LPModel) -> FractionalSolution:
+    """Solve the model with HiGHS (`HighsSolver`, at the tolerance
+    model.params.lp_tolerance) and return a cleaned fractional assignment.
 
-    The solver's tolerance is model.params.lp_tolerance. solver replaces
-    HiGHS with any object that has a
-    solve(model, tolerance) -> (x, objective, status) method.
     x entries below 1e-12 are snapped to zero. The reported objective is the
     welfare evaluation of that x (`metrics.disutilities` on its fractional
     masses), in which each t_ih takes its least feasible value.
     """
-    if solver is None:
-        solver = HighsSolver()
-    elif not hasattr(solver, "solve"):
-        raise LPError(f"solver {solver!r} has no solve(model, tolerance) method")
-    xvec, raw_obj, status = solver.solve(model, model.params.lp_tolerance)
+    xvec, raw_obj, status = HighsSolver().solve(model)
     k, n, inst = model.k, model.n, model.instance
     x = np.asarray(xvec[: k * n], dtype=np.float64).reshape(k, n).copy()
     np.clip(x, 0.0, 1.0, out=x)

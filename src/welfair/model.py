@@ -105,13 +105,13 @@ class Instance:
 def load_instance(
     csv_path: str, feature_columns: list[str], group_column: str
 ) -> Instance:
-    """Read a UTF-8 CSV with a header row into an Instance.
+    """Read a UTF-8 CSV (BOM or not) with a header row into an Instance.
 
     Feature cells must parse as floats with '.' decimal separator; any empty
     selected cell rejects the row's load with an error naming column and row.
     Color ids follow first appearance order of the group column.
     """
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+    with open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in list(feature_columns) + [group_column]:

@@ -10,6 +10,7 @@ import numpy as np
 from . import centers as centers_mod
 from . import lp as lp_mod
 from . import rounding as rounding_mod
+from .errors import ParamError
 from .metrics import (
     GroupReport,
     additive_constants,
@@ -24,7 +25,6 @@ class RunResult:
     method: str
     params: Params
     seed: int
-    center_provenance: str
     solution: Solution
     report: GroupReport
     lp_objective: float = float("nan")
@@ -48,6 +48,27 @@ def exceeds_gap_bound(gap: float, bound: float, tolerance: float) -> bool:
 CENTER_METHODS = {"rawlsian": "socially_fair", "utilitarian": "weighted"}
 
 
+def _center_set(
+    instance: Instance,
+    params: Params,
+    method: str,
+    seed: int,
+    restarts: int,
+    center_set: centers_mod.CenterSet | None,
+) -> centers_mod.CenterSet:
+    """center_set, or the best of restarts of method (looked up on `centers`
+    at call time), after params.validate; ParamError unless it holds k
+    centers in the instance's dimension."""
+    params.validate(instance)
+    cs = center_set or centers_mod.best_of_restarts(
+        instance, params.k, method, restarts, seed
+    )
+    shape, want = np.shape(cs.centers), (params.k, instance.dim)
+    if shape != want:
+        raise ParamError(f"center set has shape {shape}; need (k, dim) = {want}")
+    return cs
+
+
 def _lp_pipeline(
     instance: Instance,
     params: Params,
@@ -58,12 +79,9 @@ def _lp_pipeline(
 ) -> RunResult:
     """Centers, the LP of kind, its rounding and the gap check. The builder,
     the solve and the rounder are looked up on their modules at call time."""
-    params.validate(instance)
     rawlsian = kind == "rawlsian"
     t0 = time.perf_counter()
-    cs = center_set or centers_mod.best_of_restarts(
-        instance, params.k, CENTER_METHODS[kind], restarts, seed
-    )
+    cs = _center_set(instance, params, CENTER_METHODS[kind], seed, restarts, center_set)
     t1 = time.perf_counter()
     dist_pow = pairwise_pow(instance.features, cs.centers, params.p)
     build = lp_mod.build_rawlsian_lp if rawlsian else lp_mod.build_utilitarian_lp
@@ -85,7 +103,6 @@ def _lp_pipeline(
         method="RawlsianAlg" if rawlsian else "UtilitarianAlg",
         params=params,
         seed=seed,
-        center_provenance=cs.provenance,
         solution=solution,
         report=report,
         lp_objective=frac.objective,
@@ -124,9 +141,6 @@ def utilitarian_alg(
     return _lp_pipeline(instance, params, seed, restarts, "utilitarian", center_set)
 
 
-_BASELINES = ("vanilla", "weighted", "socially_fair")
-
-
 def evaluate_baseline(
     instance: Instance,
     params: Params,
@@ -136,13 +150,10 @@ def evaluate_baseline(
     center_set: centers_mod.CenterSet | None = None,
 ) -> RunResult:
     """Cluster with a center heuristic and nearest assignment, then report."""
-    if method not in _BASELINES:
-        raise ValueError(f"method must be one of {_BASELINES}, got {method!r}")
-    params.validate(instance)
+    if method not in centers_mod.METHODS:
+        raise ParamError(f"method must be one of {centers_mod.METHODS}, got {method!r}")
     t0 = time.perf_counter()
-    cs = center_set or centers_mod.best_of_restarts(
-        instance, params.k, method, restarts, seed
-    )
+    cs = _center_set(instance, params, method, seed, restarts, center_set)
     dist = pairwise_pow(instance.features, cs.centers, params.p)
     assignment = np.argmin(dist, axis=1)
     t1 = time.perf_counter()
@@ -152,7 +163,6 @@ def evaluate_baseline(
         method=method,
         params=params,
         seed=seed,
-        center_provenance=cs.provenance,
         solution=solution,
         report=report,
         timings={"centers": t1 - t0, "lp": 0.0, "round": 0.0, "total": t1 - t0},
@@ -169,7 +179,7 @@ class DominanceReport:
 
 def dominance_check(results: list[RunResult], objective: str) -> DominanceReport:
     """Compare our method's objective value against every baseline's."""
-    if objective not in ("rawlsian", "utilitarian"):
+    if objective not in CENTER_METHODS:
         raise ValueError(f"unknown objective {objective!r}")
     ours_name = "RawlsianAlg" if objective == "rawlsian" else "UtilitarianAlg"
 

@@ -26,11 +26,11 @@ _MASS_EPS = 1e-9
 _INTEGRAL_EPS = 1e-6
 
 
-def snap_mass(v, eps: float = _MASS_EPS):
-    """Treat a mass within eps of an integer as that integer (elementwise)."""
+def snap_mass(v):
+    """A mass within _MASS_EPS of an integer as that integer (elementwise)."""
     v = np.asarray(v, dtype=np.float64)
     r = np.round(v)
-    return np.where(np.abs(v - r) <= eps, r, v)
+    return np.where(np.abs(v - r) <= _MASS_EPS, r, v)
 
 
 def _floor_ceil(v):
@@ -44,7 +44,6 @@ class IntegralAssignment:
     assignment: np.ndarray
     color_mass: np.ndarray
     cluster_sizes: np.ndarray
-    objective: float
     report: GroupReport      # the welfare report of assignment
 
 
@@ -177,7 +176,6 @@ def _round(
         assignment=assignment,
         color_mass=color_mass,
         cluster_sizes=cluster_sizes,
-        objective=report.U if joint else report.R,
         report=report,
     )
 

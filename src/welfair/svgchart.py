@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import html
 import math
 
+_WIDTH, _HEIGHT = 720, 440  # pixels
 _PALETTE = [
     "#1f77b4",
     "#d62728",
@@ -42,13 +44,11 @@ def line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 720,
-    height: int = 440,
 ) -> str:
     """Render labelled (x, y) polylines with axes, ticks and a legend."""
     ml, mr, mt, mb = 64, 150, 36, 48
-    pw = width - ml - mr
-    ph = height - mt - mb
+    pw = _WIDTH - ml - mr
+    ph = _HEIGHT - mt - mb
     xs = [x for _, sx, _ in series for x in sx]
     ys = [y for _, _, sy in series for y in sy if math.isfinite(y)]
     if not xs or not ys:
@@ -70,11 +70,11 @@ def line_chart(
         return mt + ph * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{ml + pw / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{html.escape(title)}</text>',
     ]
     axis = 'stroke="#333" stroke-width="1"'
     out.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" {axis}/>')
@@ -101,13 +101,13 @@ def line_chart(
             f'font-family="sans-serif" font-size="11">{t:g}</text>'
         )
     out.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+        f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{html.escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{html.escape(ylabel)}</text>'
     )
     for idx, (label, sx, sy) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -134,7 +134,7 @@ def line_chart(
         )
         out.append(
             f'<text x="{lx + 26}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{html.escape(label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -423,7 +423,7 @@ class TestRunExperiment:
             out_dir=str(tmp_path),
         )
         run_experiment(config)
-        per_k = {(k, m) for k in config.k_range for m in pipeline._BASELINES}
+        per_k = {(k, m) for k in config.k_range for m in centers.METHODS}
         assert len(calls) == 3 * len(config.k_range)
         assert Counter(calls) == Counter({key: 1 for key in per_k})
 
@@ -504,7 +504,7 @@ class TestRunExperiment:
         inst = load_instance(path, feats, "group")
         ratio = 3.7
         scaled = apply_normalization(inst, 1.0 / ratio)
-        for method in pipeline._BASELINES:
+        for method in centers.METHODS:
             cs = centers.best_of_restarts(inst, 3, method, 3, 5)
             before = cs.centers.copy()
             want = centers.best_of_restarts(scaled, 3, method, 3, 5)
@@ -554,6 +554,33 @@ class TestPlot:
         body = out.read_text(encoding="utf-8")
         assert "RawlsianAlg" in body and "vanilla" in body
         assert "polyline" in body
+
+    def test_labels_are_escaped(self, tmp_path):
+        # method names come from the results file and may hold markup
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "method,objective,k,lambda,R\n"
+            "A&B <x>,rawlsian,2,0.5,1.5\n"
+            "A&B <x>,rawlsian,3,0.5,1.25\n"
+        )
+        out = tmp_path / "c.svg"
+        plot_results(str(path), "rawlsian", 0.5, str(out))
+        texts = [el.text for el in ET.parse(out).iter() if el.tag.endswith("text")]
+        assert "A&B <x>" in texts
+
+    def test_results_with_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "method,objective,k,lambda,R\n"
+            "RawlsianAlg,rawlsian,2,0.5,1.5\n"
+            "vanilla,rawlsian,2,0.5,1.75\n",
+            encoding="utf-8-sig",
+        )
+        out = tmp_path / "c.svg"
+        plot_results(str(path), "rawlsian", 0.5, str(out))
+        texts = [el.text for el in ET.parse(out).iter() if el.tag.endswith("text")]
+        assert "RawlsianAlg" in texts and "vanilla" in texts
 
     def test_missing_slice_raises_data_error(self, finished_run, tmp_path):
         from welfair.errors import DataError

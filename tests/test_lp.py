@@ -270,31 +270,6 @@ class TestSolveLp:
         _, best = brute_force_assignment(inst, params, centers, kind)
         assert frac.objective <= best + 1e-7
 
-    def test_custom_solver_object(self):
-        # the solver gets the model's Params.lp_tolerance, here not the default
-        inst, params, centers = _setup(n=8, k=2, H=2)
-        params = replace(params, lp_tolerance=1e-5)
-        m = build_utilitarian_lp(inst, params, centers)
-        calls = []
-
-        class Stub:
-            name = "stub"
-
-            def solve(self, model, tolerance):
-                calls.append(tolerance)
-                return HighsSolver().solve(model, tolerance)
-
-        frac = solve_lp(m, solver=Stub())
-        assert calls == [1e-5]
-        assert np.isfinite(frac.objective)
-
-    @pytest.mark.parametrize("solver", ["highs", "builtin", "auto", 3])
-    def test_solver_without_solve_method_rejected(self, solver):
-        inst, params, centers = _setup(n=8, k=2, H=2)
-        m = build_utilitarian_lp(inst, params, centers)
-        with pytest.raises(LPError, match="no solve"):
-            solve_lp(m, solver=solver)
-
 
 # HiGHS tolerances of the untransformed reference LPs: at 1e-10 feasibility
 # the interior-point method ended 7 of 300 random property cases with model
@@ -474,7 +449,7 @@ class TestHighsPricing:
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         calls = _solve_spy(monkeypatch)
-        xvec, obj, _ = HighsSolver().solve(m, params.lp_tolerance)
+        xvec, obj, _ = HighsSolver().solve(m)
         got, want = _x_columns(m, calls[0][0]), _class_prefix(m)
         np.testing.assert_array_equal(got, want)
         # the prefix cuts the top columns: the first LP has fewer
@@ -508,7 +483,7 @@ class TestHighsPricing:
         # ceil(share * |class|) = 1: each (a, h, i) class keeps one column
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
         calls = _solve_spy(monkeypatch)
-        xvec, obj, status = HighsSolver().solve(m, params.lp_tolerance)
+        xvec, obj, status = HighsSolver().solve(m)
         rounds = int(status.rsplit("rounds=", 1)[1])
         assert rounds >= 2 and len(calls) == rounds
         first = _x_columns(m, calls[0][0])
@@ -549,7 +524,7 @@ class TestHighsPricing:
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
         calls = _solve_spy(monkeypatch)
         priced = _pricing_spy(monkeypatch)
-        HighsSolver().solve(m, params.lp_tolerance)
+        HighsSolver().solve(m)
         assert len(priced) == len(calls) >= 2
         columns = lp_mod._Frame(m).columns
         for (call, res), (duals, got) in zip(calls, priced):
@@ -570,7 +545,7 @@ class TestHighsPricing:
         m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
         calls = _solve_spy(monkeypatch)
-        HighsSolver().solve(m, params.lp_tolerance)
+        HighsSolver().solve(m)
         R = len(m.rows)
         b_rows = lp_mod._Frame(m).b_ub[:R]
         widths = set()
@@ -617,14 +592,26 @@ class TestHighsPricing:
             want.solver_objective, abs=params.lp_tolerance
         )
 
-    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
-    def test_one_candidate_prices_in_the_rest(self, monkeypatch, kind):
+    # pricing enters the columns below -lp_tolerance, the default or a
+    # looser one
+    @pytest.mark.parametrize(
+        "kind,tolerance",
+        [
+            pytest.param("rawlsian", None, id="rawlsian"),
+            pytest.param("utilitarian", None, id="utilitarian"),
+            pytest.param("rawlsian", 1e-5, id="rawlsian-tolerance=1e-05"),
+            pytest.param("utilitarian", 1e-5, id="utilitarian-tolerance=1e-05"),
+        ],
+    )
+    def test_one_candidate_prices_in_the_rest(self, monkeypatch, kind, tolerance):
         inst, params, centers = _setup(n=60, k=5, H=2, lam=0.2, seed=4)
+        if tolerance is not None:
+            params = replace(params, lp_tolerance=tolerance)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CANDIDATES", 1)
         calls = _solve_spy(monkeypatch)
-        xvec, obj, status = HighsSolver().solve(m, params.lp_tolerance)
+        xvec, obj, status = HighsSolver().solve(m)
         rounds = int(status.rsplit("rounds=", 1)[1])
         assert rounds >= 2 and len(calls) == rounds
         # the one candidate per point is its nearest center, whose column the
@@ -665,7 +652,7 @@ class TestHighsPricing:
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         calls = _solve_spy(monkeypatch)
-        _, _, status = HighsSolver().solve(m, params.lp_tolerance)
+        _, _, status = HighsSolver().solve(m)
         head, rounds = status.rsplit(":rounds=", 1)
         iterations = int(head.rsplit("iterations=", 1)[1])
         assert head.startswith("highs:optimal:")
@@ -887,7 +874,7 @@ class TestHighsStatus:
         record = fake_highs(monkeypatch, status=status)
         name = _highs._Highs().modelStatusToString(status)
         with pytest.raises(error, match=f"model status {name}$") as info:
-            HighsSolver().solve(m, params.lp_tolerance)
+            HighsSolver().solve(m)
         assert info.type is error
         assert record.runs == 1
 
@@ -917,11 +904,11 @@ class TestHighsStatus:
         record = fake_highs(monkeypatch, edit=edit)
         if raises:
             with pytest.raises(LPError, match="breaks a bound or a row") as info:
-                HighsSolver().solve(m, params.lp_tolerance)
+                HighsSolver().solve(m)
             assert info.type is LPError
             assert record.runs == 1
         else:
-            HighsSolver().solve(m, params.lp_tolerance)
+            HighsSolver().solve(m)
 
 
 class TestHighsAdapter:
@@ -1030,10 +1017,11 @@ def test_lp_brute_rounding_sandwich_property(seed, H, n, k, p, lam, delta, kind)
     integral = rounder(frac.x, inst, params, dist)
     c_r, c_u = additive_constants(inst, params)
     bound = (1.0 - lam) * (c_r if kind == "rawlsian" else c_u)
+    value = integral.report.R if kind == "rawlsian" else integral.report.U
     tol = params.lp_tolerance
     assert frac.objective <= brute + tol
-    assert brute <= integral.objective + 1e-12
-    assert integral.objective <= frac.objective + bound + tol
+    assert brute <= value + 1e-12
+    assert value <= frac.objective + bound + tol
     for h in range(H):
         mass = frac.x[:, colors == h].sum(axis=1)
         for i in range(k):
@@ -1075,7 +1063,7 @@ def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
         centers[rng.integers(1, k)] = centers[0]
     build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
     m = build(inst, params, centers)
-    xvec, obj, _ = HighsSolver().solve(m, params.lp_tolerance)
+    xvec, obj, _ = HighsSolver().solve(m)
 
     A_ub, A_eq, ref = _reference(m)
     assert obj == pytest.approx(ref.fun, abs=params.lp_tolerance)

@@ -109,6 +109,14 @@ class TestLoadInstance:
         assert inst.features[0, 0] == 1.5
         assert inst.color_names == ["a", "b"]
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        path = tmp_path / "data.csv"
+        path.write_text("x,g\n1.5,a\n2,b\n", encoding="utf-8-sig")
+        inst = load_instance(str(path), ["x"], "g")
+        np.testing.assert_array_equal(inst.features[:, 0], [1.5, 2.0])
+        assert inst.color_names == ["a", "b"]
+
     def test_roundtrip_via_writer(self, tmp_path):
         inst = random_instance(40, 3, 2, seed=9)
         feats = write_csv(inst, str(tmp_path / "rt.csv"))

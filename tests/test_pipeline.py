@@ -5,7 +5,8 @@ import pytest
 
 from datagen import adult_like, random_instance
 
-from welfair.centers import best_of_restarts
+from welfair.centers import CenterSet, best_of_restarts
+from welfair.errors import ParamError
 from welfair.metrics import group_costs, pairwise_pow
 from welfair.model import Params
 from welfair.pipeline import (
@@ -39,7 +40,7 @@ class TestAlgorithms:
         rep = group_costs(inst, res.solution, params)
         assert rep.R == pytest.approx(res.report.R)
         assert res.objective_value == pytest.approx(value)
-        assert "restarts=3" in res.center_provenance
+        assert "restarts=3" in res.solution.provenance
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
@@ -157,7 +158,7 @@ class TestBaselines:
     def test_bad_method(self):
         inst = _inst()
         params = Params.with_delta(inst, 2, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="method must be one of"):
             evaluate_baseline(inst, params, "kmedoids")
 
     def test_center_set_passthrough(self):
@@ -166,6 +167,29 @@ class TestBaselines:
         cs = best_of_restarts(inst, 2, "weighted", 2, 0)
         res = evaluate_baseline(inst, params, "weighted", center_set=cs)
         np.testing.assert_array_equal(res.solution.centers, cs.centers)
+
+
+class TestCenterSetShape:
+    """Every run checks that its center set holds k centers in the
+    instance's dimension before it uses them."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            rawlsian_alg,
+            utilitarian_alg,
+            lambda inst, params, **kw: evaluate_baseline(inst, params, "vanilla", **kw),
+        ],
+        ids=["rawlsian_alg", "utilitarian_alg", "evaluate_baseline"],
+    )
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 3)], ids=["k+1", "dim+1"])
+    def test_wrong_shape_rejected(self, run, shape):
+        inst = _inst(seed=8)
+        params = Params.with_delta(inst, 3, 0.5, 0.1)
+        rng = np.random.default_rng(0)
+        cs = CenterSet(rng.normal(size=shape), "given", float("nan"))
+        with pytest.raises(ParamError, match=r"\(k, dim\) = \(3, 2\)"):
+            run(inst, params, center_set=cs)
 
 
 class TestDominance:
