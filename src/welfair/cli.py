@@ -68,7 +68,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which json.load rejects
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as e:

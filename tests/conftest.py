@@ -41,8 +41,10 @@ def random_fractional_x(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def fake_highs(monkeypatch, status=None, edit=None):
     """Put a subclass of HiGHS in `_highs._Highs`'s place and return what it
-    records: every options object passed, every model passed (the
-    `passModel` arguments) and the number of runs. status, if given, is
+    records: the options in force at each run, every model passed (the
+    `passModel` arguments) and the number of runs. The thread's cached
+    solver is cleared for the test and restored after it, so the next solve
+    makes a fake and no fake outlives the test. status, if given, is
     reported as the model status after the real run; edit, if given, is
     called with each solution and the model's arguments before the solution
     is read."""
@@ -51,16 +53,13 @@ def fake_highs(monkeypatch, status=None, edit=None):
     record = SimpleNamespace(options=[], models=[], runs=0)
 
     class Fake(_highs._Highs):
-        def passOptions(self, options):
-            record.options.append(options)
-            return super().passOptions(options)
-
         def passModel(self, *args):
             record.models.append(args)
             return super().passModel(*args)
 
         def run(self):
             record.runs += 1
+            record.options.append(self.getOptions())
             return super().run()
 
         def getModelStatus(self):
@@ -73,4 +72,5 @@ def fake_highs(monkeypatch, status=None, edit=None):
             return solution
 
     monkeypatch.setattr(_highs, "_Highs", Fake)
+    monkeypatch.setattr(_highs._local, "highs", None, raising=False)
     return record

@@ -76,6 +76,16 @@ class TestConfig:
         p.write_text(config.to_json(), encoding="utf-8")
         assert ExperimentConfig.from_json(str(p)) == config
 
+    def test_from_json_file_with_byte_order_mark(self, tmp_path):
+        # editors on Windows can save JSON with a byte-order mark
+        config = ExperimentConfig(
+            data="d.csv", feature_columns=["a"], group_column="g"
+        )
+        p = tmp_path / "config.json"
+        p.write_text(config.to_json(), encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert ExperimentConfig.from_json(str(p)) == config
+
     def test_defaults(self):
         config = ExperimentConfig(
             data="d.csv", feature_columns=["a"], group_column="g"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse as sp
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._highspy._core import HighsModelStatus, HighsOptions
 
 from conftest import fake_highs
 from datagen import random_instance
@@ -906,9 +907,65 @@ class TestHighsStatus:
             with pytest.raises(LPError, match="breaks a bound or a row") as info:
                 HighsSolver().solve(m)
             assert info.type is LPError
-            assert record.runs == 1
+            assert record.runs == 2
         else:
             HighsSolver().solve(m)
+        # every edit breaks the feasibility tolerance, so the first LP is
+        # solved again with scaling off, and the scaling is restored after
+        scaling = _highs._DEFAULTS.simplex_scale_strategy
+        assert [o.simplex_scale_strategy for o in record.options[:2]] == [scaling, 0]
+        assert _highs._solver().getOptions().simplex_scale_strategy == scaling
+
+
+def _small_lp():
+    """min -x0 - 2 x1 subject to x0 + x1 <= 1.5, 0 <= x <= 1."""
+    return _highs.LP(
+        cost=np.array([-1.0, -2.0]),
+        start=np.array([0, 1, 2]),
+        index=np.array([0, 0]),
+        value=np.array([1.0, 1.0]),
+        col_lower=np.zeros(2),
+        col_upper=np.ones(2),
+        row_lower=np.array([-np.inf]),
+        row_upper=np.array([1.5]),
+    )
+
+
+def _unbounded_lp():
+    """min -x0 subject to x0 >= 0 and one free row."""
+    return _highs.LP(
+        cost=np.array([-1.0]),
+        start=np.array([0, 1]),
+        index=np.array([0]),
+        value=np.array([1.0]),
+        col_lower=np.zeros(1),
+        col_upper=np.array([np.inf]),
+        row_lower=np.array([-np.inf]),
+        row_upper=np.array([np.inf]),
+    )
+
+
+def _pipeline_lps(monkeypatch):
+    """Every (LP, feasibility) that `_highs.solve` gets from the assignment
+    LPs and the roundings of both objectives on one small instance."""
+    real = _highs.solve
+    calls = []
+
+    def spy(lp, feasibility=None):
+        calls.append((lp, feasibility))
+        return real(lp, feasibility)
+
+    monkeypatch.setattr(_highs, "solve", spy)
+    inst, params, centers = _setup(n=60, k=4, H=2, lam=0.3, seed=4)
+    dist = pairwise_pow(inst.features, centers, params.p)
+    for build, rounder in (
+        (build_rawlsian_lp, rawlsian_round),
+        (build_utilitarian_lp, utilitarian_round),
+    ):
+        frac = solve_lp(build(inst, params, centers, dist))
+        rounder(frac.x, inst, params, dist)
+    monkeypatch.setattr(_highs, "solve", real)
+    return calls
 
 
 class TestHighsAdapter:
@@ -924,8 +981,16 @@ class TestHighsAdapter:
             _Highs,
             simplex_constants,
         )
+        from scipy.sparse._sparsetools import csc_matvec
 
+        y = np.zeros(1)
+        # y += A x for the CSC matrix [1 1] and x = (1, 1)
+        start, index = np.array([0, 1, 2]), np.array([0, 0])
+        csc_matvec(1, 2, start, index, np.ones(2), np.ones(2), y)
+        assert y[0] == 2.0
         assert simplex_constants.SimplexStrategy.kSimplexStrategyDual is not None
+        for method in ("clearModel", "clearSolver", "setOptionValue", "getOptions"):
+            assert callable(getattr(_Highs, method, None)), method
         solution = _Highs().getSolution()
         for field in ("col_value", "row_value", "row_dual"):
             assert hasattr(solution, field)
@@ -934,23 +999,73 @@ class TestHighsAdapter:
             assert hasattr(info, field)
 
     def test_small_lp(self):
-        # min -x0 - 2 x1 subject to x0 + x1 <= 1.5, 0 <= x <= 1: the array
-        # overload of passModel, the solution and the row duals
-        lp = _highs.LP(
-            cost=np.array([-1.0, -2.0]),
-            start=np.array([0, 1, 2]),
-            index=np.array([0, 0]),
-            value=np.array([1.0, 1.0]),
-            col_lower=np.zeros(2),
-            col_upper=np.ones(2),
-            row_lower=np.array([-np.inf]),
-            row_upper=np.array([1.5]),
-        )
-        res = _highs.solve(lp)
+        # the array overload of passModel, the solution and the row duals
+        res = _highs.solve(_small_lp())
         np.testing.assert_allclose(res.x, [0.5, 1.0])
         np.testing.assert_allclose(res.row_dual, [-1.0])
         assert res.objective == pytest.approx(-2.5)
         assert res.iterations > 0
+
+    def test_shared_solver_matches_a_fresh_one(self, monkeypatch):
+        # the thread's solver clears each model with its basis, so a solve
+        # after other solves, one of them raised, is the fresh object's
+        calls = _pipeline_lps(monkeypatch)
+        assert {f for _, f in calls} == {None, 1e-9}
+        fresh = []
+        for lp, feasibility in calls:
+            monkeypatch.setattr(_highs._local, "highs", None, raising=False)
+            fresh.append(_highs.solve(lp, feasibility))
+        for (lp, feasibility), want in reversed(list(zip(calls, fresh))):
+            with pytest.raises(LPUnboundedError):
+                _highs.solve(_unbounded_lp(), 1e-9)
+            got = _highs.solve(lp, feasibility)
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.row_dual, want.row_dual)
+            assert got.objective == want.objective
+            assert got.iterations == want.iterations
+
+    def test_rounding_lp_runs_at_default_tolerances(self, monkeypatch):
+        # an LP solved without a feasibility tolerance after one solved with
+        # 1e-9 runs at HiGHS's defaults, not at the earlier LP's
+        calls = _pipeline_lps(monkeypatch)
+        assignment = next(call for call in calls if call[1] is not None)
+        rounding = next(call for call in calls if call[1] is None)
+        record = fake_highs(monkeypatch)
+        _highs.solve(*assignment)
+        _highs.solve(*rounding)
+        default = HighsOptions()
+        assigned, rounded = record.options
+        for name in _highs._TOLERANCES:
+            assert getattr(assigned, name) == 1e-9
+            assert getattr(rounded, name) == getattr(default, name) != 1e-9
+
+    def test_one_solver_per_thread(self):
+        # each thread makes its own solver once and solves on it
+        seen = {}
+
+        def work(name):
+            solver = _highs._solver()
+            seen[name] = (solver, _highs.solve(_small_lp()), _highs._solver())
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        (a, res_a, a_again), (b, res_b, b_again) = seen[0], seen[1]
+        assert a is a_again and b is b_again
+        assert a is not b and _highs._solver() not in (a, b)
+        np.testing.assert_array_equal(res_a.x, res_b.x)
+
+    def test_solve_prints_nothing(self, monkeypatch, capfd):
+        # the solver is made here, so its options are the ones passed once
+        monkeypatch.setattr(_highs._local, "highs", None, raising=False)
+        for lp, feasibility in [(_small_lp(), None), (_small_lp(), 1e-9)]:
+            _highs.solve(lp, feasibility)
+        with pytest.raises(LPUnboundedError):
+            _highs.solve(_unbounded_lp())
+        assert capfd.readouterr() == ("", "")
 
 
 @settings(max_examples=20, deadline=None)
@@ -1043,6 +1158,10 @@ def test_lp_brute_rounding_sandwich_property(seed, H, n, k, p, lam, delta, kind)
 # dual feasibility tolerance
 @example(seed=998, H=2, k=2, lam=1e-06, dup=False, kind="utilitarian")
 @example(seed=3, H=3, k=3, lam=5.960464477539063e-08, dup=False, kind="rawlsian")
+# HiGHS reported this frame LP optimal with model rows broken by 1.87e-7,
+# feasibility being measured on its scaled model; the unscaled re-solve
+# breaks them by under 1e-9
+@example(seed=619720325, H=3, k=5, lam=1e-09, dup=True, kind="rawlsian")
 def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
     # HighsSolver's frame LP (nearest column eliminated, class prefix and
     # pricing) has the value of the untransformed model,
