@@ -983,9 +983,8 @@ class TestHighsAdapter:
         )
         from scipy.sparse._sparsetools import csc_matvec
 
-        y = np.zeros(1)
         # y += A x for the CSC matrix [1 1] and x = (1, 1)
-        start, index = np.array([0, 1, 2]), np.array([0, 0])
+        start, index, y = np.array([0, 1, 2]), np.array([0, 0]), np.zeros(1)
         csc_matvec(1, 2, start, index, np.ones(2), np.ones(2), y)
         assert y[0] == 2.0
         assert simplex_constants.SimplexStrategy.kSimplexStrategyDual is not None
