@@ -15,11 +15,12 @@ basis and the results are those of a fresh object. An idle solver keeps
 the capacity of the largest LP it solved (3.4 MB of resident memory after
 an n = 3000 assignment LP).
 
-HiGHS measures feasibility on its scaled model, and its row values agree
-with that model, so an optimum can break a row of the LP as given by more
-than the feasibility tolerance. Where a feasibility tolerance is given,
-`A x` is computed here too, and an optimum that breaks the LP by more than
-the tolerance is solved once more, from scratch and unscaled.
+Both LPs, the assignment LP and the rounding LP, run down one path: one
+feasibility tolerance, `min(tolerance, _FEASIBILITY)`, and one check of x
+and of `A x`, computed here in the LP's own scale, because HiGHS measures
+feasibility on its scaled model and its row values agree with that model.
+An optimum that breaks the LP by more than the feasibility tolerance is
+solved once more, from scratch and unscaled.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ from .errors import LPError, LPInfeasibleError, LPUnboundedError
 # linprog's post-solve check: x and every row within their limits to
 # sqrt(1e-9) * 10
 _CHECK_TOL = np.sqrt(1e-9) * 10
+# HiGHS's feasibility tolerances are at most this: at its default of 1e-7 an
+# x that breaks rows by up to 1e-7 can put the LP value above the integral
+# optimum
+_FEASIBILITY = 1e-9
 _DUAL_SIMPLEX = int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 _DEFAULTS = HighsOptions()
 _TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
@@ -76,25 +81,25 @@ class Solution:
     iterations: int          # simplex iterations
 
 
-def solve(lp: LP, feasibility: float | None = None) -> Solution:
+def solve(lp: LP, tolerance: float) -> Solution:
     """Solve lp by HiGHS's dual simplex with presolve off and no output.
 
     Presolve would move the assignment LP off its all-zero start (see
     `lp._Frame`), and it ended some rounding LPs with model status Unknown.
-    feasibility, if given, is both of HiGHS's feasibility tolerances (else
-    HiGHS's defaults, 1e-7), and an optimum whose x, or A x, breaks a bound
-    or a row by more than it is solved again with scaling off (iterations
-    then counts both runs). An infeasible or malformed model raises
-    LPInfeasibleError, an unbounded one LPUnboundedError, and any other
-    status but optimal LPError; so does an optimum with a NaN or one that
-    breaks a bound or a row by more than _CHECK_TOL.
+    Both of HiGHS's feasibility tolerances are min(tolerance, _FEASIBILITY),
+    and an optimum whose x, or A x, breaks a bound or a row of lp by more
+    than that is solved again with scaling off (iterations then counts both
+    runs). An infeasible or malformed model raises LPInfeasibleError, an
+    unbounded one LPUnboundedError, and any other status but optimal
+    LPError; so does an optimum with a NaN or one that breaks a bound or a
+    row by more than _CHECK_TOL.
     """
+    feasibility = min(tolerance, _FEASIBILITY)
     highs = _solver()
     highs.clearModel()
     for name in _TOLERANCES:
-        value = getattr(_DEFAULTS, name) if feasibility is None else feasibility
-        if highs.setOptionValue(name, value) == HighsStatus.kError:
-            raise LPError(f"HiGHS rejected {name} = {value:g}")
+        if highs.setOptionValue(name, feasibility) == HighsStatus.kError:
+            raise LPError(f"HiGHS rejected {name} = {feasibility:g}")
     num_col, num_row = len(lp.cost), len(lp.row_upper)
     # this overload reads num_col entries of the starts and of the
     # integrality, which must be given: 0 is a continuous column
@@ -117,18 +122,18 @@ def solve(lp: LP, feasibility: float | None = None) -> Solution:
     )
     if passed == HighsStatus.kError:
         _raise_for(highs, HighsModelStatus.kModelError)
-    res, breaks = _run(highs, lp, feasibility is not None)
-    if feasibility is not None and not all(b <= feasibility for b in breaks):
+    res, excess = _run(highs, lp)
+    # a NaN fails every comparison
+    if not excess <= feasibility:
         iterations = res.iterations
         highs.clearSolver()
         highs.setOptionValue(_SCALING, 0)
         try:
-            res, breaks = _run(highs, lp, True)
+            res, excess = _run(highs, lp)
         finally:
             highs.setOptionValue(_SCALING, _DEFAULTS.simplex_scale_strategy)
         res.iterations += iterations
-    # a NaN fails every comparison
-    if not (all(b <= _CHECK_TOL for b in breaks) and res.objective == res.objective):
+    if not (excess <= _CHECK_TOL and res.objective == res.objective):
         raise LPError(
             "HiGHS's optimum breaks a bound or a row by more than "
             f"{_CHECK_TOL:.2e}, or holds a NaN"
@@ -152,35 +157,30 @@ def _solver() -> _Highs:
     return highs
 
 
-def _run(highs: _Highs, lp: LP, model_rows: bool) -> tuple[Solution, list[float]]:
+def _run(highs: _Highs, lp: LP) -> tuple[Solution, float]:
     """Run HiGHS on the model it holds. Return the optimum and the most by
-    which its x breaks a bound of lp and its row values a row; with
-    model_rows, also the most by which A x, computed here in lp's own scale,
-    breaks a row."""
+    which its x breaks a bound of lp or A x, computed here in lp's own
+    scale, a row."""
     highs.run()
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         _raise_for(highs, status)
-    solution, info = highs.getSolution(), highs.getInfo()
+    solution = highs.getSolution()
     # the solution's vectors arrive as lists; a dtype spares numpy a scan
     x = np.array(solution.col_value, dtype=np.float64)
-    rows = np.array(solution.row_value, dtype=np.float64)
-    breaks = [
+    ax = np.zeros(len(lp.row_upper))
+    csc_matvec(len(ax), len(x), lp.start, lp.index, lp.value, x, ax)
+    excess = np.maximum(
         _excess(lp.col_lower, x, lp.col_upper),
-        _excess(lp.row_lower, rows, lp.row_upper),
-    ]
-    if model_rows:
-        # HiGHS's row values agree with its scaled model, not always with lp
-        ax = np.zeros(len(rows))
-        csc_matvec(len(rows), len(x), lp.start, lp.index, lp.value, x, ax)
-        breaks.append(_excess(lp.row_lower, ax, lp.row_upper))
+        _excess(lp.row_lower, ax, lp.row_upper),
+    )
     res = Solution(
         x,
         np.array(solution.row_dual, dtype=np.float64),
-        info.objective_function_value,
-        info.simplex_iteration_count,
+        highs.getObjectiveValue(),
+        highs.getInfoValue("simplex_iteration_count")[1],
     )
-    return res, breaks
+    return res, excess
 
 
 def _excess(lower: np.ndarray, value: np.ndarray, upper: np.ndarray) -> float:

@@ -599,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ParamError) as e:
         print(f"welfair: {e}", file=sys.stderr)
         return 1
-    except (DataError, CenterError, NormalizationError, FileNotFoundError) as e:
+    except (DataError, CenterError, NormalizationError, OSError) as e:
         print(f"welfair: data error: {e}", file=sys.stderr)
         return 2
     except InternalInvariantError as e:

@@ -23,10 +23,6 @@ _CANDIDATES = 4
 # a second or third round at n = 3000, and 0.25 and 0.35 kept more columns
 # and took longer at n = 20,000 and 50,000
 _CLASS_SHARE = 0.2
-# HiGHS's feasibility tolerances are at most this: at its default of 1e-7 an
-# x that breaks rows by up to 1e-7 can put the LP value above the integral
-# optimum
-_FEASIBILITY = 1e-9
 # assignments per array batch of brute_force_assignment
 _BRUTE_BATCH = 4096
 
@@ -224,8 +220,8 @@ class HighsSolver:
     the row is implied by the bounds x <= 1, its dual 0 is optimal, and
     pricing reads 0 for it. The last round prices every left-out column at
     or above -tolerance, which certifies its optimum as the full LP's;
-    tolerance is model.params.lp_tolerance. HiGHS's primal and dual
-    feasibility tolerances are min(tolerance, _FEASIBILITY). The status
+    tolerance is model.params.lp_tolerance; `_highs.solve` makes it HiGHS's
+    feasibility tolerance and row check, as for the rounding LP. The status
     reads highs:optimal:iterations=N:rounds=R, N the simplex iterations
     summed over the R rounds.
     """
@@ -233,14 +229,13 @@ class HighsSolver:
     def solve(self, model: LPModel) -> tuple[np.ndarray, float, str]:
         tolerance = model.params.lp_tolerance
         frame = _Frame(model)
-        feasibility = min(tolerance, _FEASIBILITY)
         keep = _initial_columns(model, frame)
         left = frame.columns & ~keep
         rounds = iterations = 0
         while True:
             rounds += 1
             lp, row_ids = frame.restrict(keep)
-            res = _highs.solve(lp, feasibility)
+            res = _highs.solve(lp, tolerance)
             iterations += res.iterations
             if not left.any():
                 break

@@ -161,9 +161,10 @@ class Params:
     """Objective parameters: exponent p, tradeoff lambda, k, slack vectors.
 
     alpha[h] loosens the upper proportion bound for color h, beta[h] the lower
-    one; both must be finite and nonnegative. lp_tolerance is the LP's pricing threshold and the slack by which a
-    rounding gap may exceed its bound; HiGHS's feasibility tolerances are
-    min(lp_tolerance, 1e-9). It must be finite and at least 1e-10.
+    one; both must be finite and nonnegative. lp_tolerance is the LP's
+    pricing threshold, the slack by which a rounding gap may exceed its
+    bound, and what sets HiGHS's feasibility tolerance for both LPs (see
+    `_highs.solve`). It must be finite and at least 1e-10.
     """
 
     k: int

@@ -83,9 +83,10 @@ def _solve_support(
     dist_pow: np.ndarray,
     support: Support,
     joint: bool,
+    tolerance: float,
 ) -> np.ndarray:
     """Assignment of every point: the fixed ones from support, the fractional
-    ones from the rounding LP, with cluster-size rows when joint."""
+    ones from the rounding LP at tolerance, with cluster-size rows when joint."""
     assignment = support.assignment.copy()
     m = len(support.frac)
     if m == 0:
@@ -123,7 +124,7 @@ def _solve_support(
     )
     # x itself satisfies every row, so the LP cannot be infeasible
     try:
-        res = _highs.solve(lp)
+        res = _highs.solve(lp, tolerance)
     except LPError as exc:
         raise InternalInvariantError(f"rounding LP failed: {exc}") from exc
     off = np.abs(res.x - np.round(res.x)).max()
@@ -159,7 +160,9 @@ def _round(
     """Split, solve the rounding LP, then check the masses of the result;
     joint adds the cluster-size rows and their check."""
     support = split_support(xfrac, instance)
-    assignment = _solve_support(xfrac, instance, dist_pow, support, joint)
+    assignment = _solve_support(
+        xfrac, instance, dist_pow, support, joint, params.lp_tolerance
+    )
     if np.any(assignment < 0):
         raise InternalInvariantError("point left unassigned by rounding")
     k = params.k

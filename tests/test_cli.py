@@ -811,6 +811,27 @@ class TestMain:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["results_dir", "data_dir", "out_file"])
+    def test_os_error_is_data_error(self, case, dataset, tmp_path, capsys):
+        # a directory where a file is read, or a file where the output
+        # directory goes, exits 2 naming the path instead of a traceback
+        path, feats = dataset
+        out_file = tmp_path / "taken"
+        out_file.write_text("", encoding="utf-8")
+        run = [
+            "run", "--data", path, "--features", ",".join(feats),
+            "--group", "group", "--objective", "rawlsian", "--k", "2",
+            "--lambdas", "0.5", "--restarts", "1", "--out", str(tmp_path / "o"),
+        ]
+        argv, named = {
+            "results_dir": (["gapreport", "--results", str(tmp_path)], tmp_path),
+            "data_dir": (run[:2] + [str(tmp_path)] + run[3:], tmp_path),
+            "out_file": (run[:-1] + [str(out_file)], out_file),
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(named) in err
+
     def test_bad_csv_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "one.csv"
         p.write_text("x,g\n1,a\n2,a\n", encoding="utf-8")

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse as sp
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsModelStatus, HighsOptions
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from conftest import fake_highs
 from datagen import random_instance
@@ -318,8 +318,8 @@ def _solve_spy(monkeypatch):
         keeps.append(keep.copy())
         return restrict(frame, keep)
 
-    def spy(lp, feasibility=None):
-        res = real(lp, feasibility)
+    def spy(lp, tolerance):
+        res = real(lp, tolerance)
         # every frame row is an upper bound
         assert np.all(lp.row_lower == -np.inf)
         A_ub = sp.csc_matrix(
@@ -629,16 +629,20 @@ class TestHighsPricing:
         assert rc[at_zero].min() >= -params.lp_tolerance
 
     def test_tolerance_reaches_highs(self, monkeypatch):
-        # HiGHS's feasibility tolerances are lp_tolerance capped at 1e-9,
-        # with presolve off and the dual simplex
-        inst, params, centers = _setup(n=30, k=6, H=2, seed=1)
+        # HiGHS's feasibility tolerances are lp_tolerance capped at 1e-9 for
+        # the assignment LP and its rounding LP alike, with presolve off and
+        # the dual simplex
+        inst, params, centers = _setup(n=60, k=4, H=2, lam=0.3, seed=4)
+        dist = pairwise_pow(inst.features, centers, params.p)
         record = fake_highs(monkeypatch)
         for tolerance, feasibility in ((1e-6, 1e-9), (5e-10, 5e-10)):
             tuned = replace(params, lp_tolerance=tolerance)
             tuned.validate(inst)
             record.options.clear()
-            solve_lp(build_utilitarian_lp(inst, tuned, centers))
-            assert record.options
+            frac = solve_lp(build_rawlsian_lp(inst, tuned, centers, dist))
+            assignment_runs = len(record.options)
+            rawlsian_round(frac.x, inst, tuned, dist)
+            assert 0 < assignment_runs < len(record.options)
             for options in record.options:
                 assert options.presolve == "off"
                 assert options.simplex_strategy == _highs._DUAL_SIMPLEX
@@ -891,16 +895,15 @@ class TestHighsStatus:
         m = build(inst, params, centers)
 
         def edit(solution, model):
-            x, rows = np.array(solution.col_value), np.array(solution.row_value)
-            row_upper = model[10]  # passModel's row_upper argument
+            x = np.array(solution.col_value)
             if broken == "nan":
                 x[0] = np.nan
             elif broken == "bound":
                 x[0] = 1.0 + 2 * _highs._CHECK_TOL
             else:
                 slack = 2.0 if broken == "row" else 0.5
-                rows[0] = row_upper[0] + slack * _highs._CHECK_TOL
-            solution.col_value, solution.row_value = x, rows
+                x = _break_row(x, model, slack * _highs._CHECK_TOL)
+            solution.col_value = x
 
         record = fake_highs(monkeypatch, edit=edit)
         if raises:
@@ -915,6 +918,26 @@ class TestHighsStatus:
         scaling = _highs._DEFAULTS.simplex_scale_strategy
         assert [o.simplex_scale_strategy for o in record.options[:2]] == [scaling, 0]
         assert _highs._solver().getOptions().simplex_scale_strategy == scaling
+
+
+def _break_row(x, model, excess):
+    """x with one column moved within its bounds so that A x, in the LP's
+    own scale, breaks one row by excess and no row by more; model holds
+    the `passModel` arguments."""
+    num_col, num_row, nnz = model[:3]
+    col_lower, col_upper, row_upper = model[7], model[8], model[10]
+    start = np.append(model[11], nnz)
+    A = sp.csc_matrix((model[13], model[12], start), shape=(num_row, num_col))
+    slack = row_upper - A @ x
+    for v in range(num_col):
+        col = A[:, [v]]
+        for r, a in zip(col.indices, col.data):
+            moved = x.copy()
+            moved[v] += (slack[r] + excess) / a
+            worst = (A @ moved - row_upper).max()
+            if col_lower[v] <= moved[v] <= col_upper[v] and np.isclose(worst, excess):
+                return moved
+    raise AssertionError("no column breaks a row within its bounds")
 
 
 def _small_lp():
@@ -946,14 +969,14 @@ def _unbounded_lp():
 
 
 def _pipeline_lps(monkeypatch):
-    """Every (LP, feasibility) that `_highs.solve` gets from the assignment
+    """Every (LP, tolerance) that `_highs.solve` gets from the assignment
     LPs and the roundings of both objectives on one small instance."""
     real = _highs.solve
     calls = []
 
-    def spy(lp, feasibility=None):
-        calls.append((lp, feasibility))
-        return real(lp, feasibility)
+    def spy(lp, tolerance):
+        calls.append((lp, tolerance))
+        return real(lp, tolerance)
 
     monkeypatch.setattr(_highs, "solve", spy)
     inst, params, centers = _setup(n=60, k=4, H=2, lam=0.3, seed=4)
@@ -988,18 +1011,25 @@ class TestHighsAdapter:
         csc_matvec(1, 2, start, index, np.ones(2), np.ones(2), y)
         assert y[0] == 2.0
         assert simplex_constants.SimplexStrategy.kSimplexStrategyDual is not None
-        for method in ("clearModel", "clearSolver", "setOptionValue", "getOptions"):
+        for method in (
+            "clearModel",
+            "clearSolver",
+            "setOptionValue",
+            "getOptions",
+            "getObjectiveValue",
+            "getInfoValue",
+        ):
             assert callable(getattr(_Highs, method, None)), method
         solution = _Highs().getSolution()
-        for field in ("col_value", "row_value", "row_dual"):
+        for field in ("col_value", "row_dual"):
             assert hasattr(solution, field)
-        info = _Highs().getInfo()
-        for field in ("objective_function_value", "simplex_iteration_count"):
-            assert hasattr(info, field)
+        # getInfoValue returns (status, value)
+        _, iterations = _Highs().getInfoValue("simplex_iteration_count")
+        assert isinstance(iterations, int)
 
     def test_small_lp(self):
         # the array overload of passModel, the solution and the row duals
-        res = _highs.solve(_small_lp())
+        res = _highs.solve(_small_lp(), 1e-9)
         np.testing.assert_allclose(res.x, [0.5, 1.0])
         np.testing.assert_allclose(res.row_dual, [-1.0])
         assert res.objective == pytest.approx(-2.5)
@@ -1009,34 +1039,21 @@ class TestHighsAdapter:
         # the thread's solver clears each model with its basis, so a solve
         # after other solves, one of them raised, is the fresh object's
         calls = _pipeline_lps(monkeypatch)
-        assert {f for _, f in calls} == {None, 1e-9}
+        # the frame LP's rows are all upper bounds, the rounding LP's not
+        kinds = {bool(np.isfinite(lp.row_lower).any()) for lp, _ in calls}
+        assert kinds == {False, True}
         fresh = []
-        for lp, feasibility in calls:
+        for lp, tolerance in calls:
             monkeypatch.setattr(_highs._local, "highs", None, raising=False)
-            fresh.append(_highs.solve(lp, feasibility))
-        for (lp, feasibility), want in reversed(list(zip(calls, fresh))):
+            fresh.append(_highs.solve(lp, tolerance))
+        for (lp, tolerance), want in reversed(list(zip(calls, fresh))):
             with pytest.raises(LPUnboundedError):
                 _highs.solve(_unbounded_lp(), 1e-9)
-            got = _highs.solve(lp, feasibility)
+            got = _highs.solve(lp, tolerance)
             assert np.array_equal(got.x, want.x)
             assert np.array_equal(got.row_dual, want.row_dual)
             assert got.objective == want.objective
             assert got.iterations == want.iterations
-
-    def test_rounding_lp_runs_at_default_tolerances(self, monkeypatch):
-        # an LP solved without a feasibility tolerance after one solved with
-        # 1e-9 runs at HiGHS's defaults, not at the earlier LP's
-        calls = _pipeline_lps(monkeypatch)
-        assignment = next(call for call in calls if call[1] is not None)
-        rounding = next(call for call in calls if call[1] is None)
-        record = fake_highs(monkeypatch)
-        _highs.solve(*assignment)
-        _highs.solve(*rounding)
-        default = HighsOptions()
-        assigned, rounded = record.options
-        for name in _highs._TOLERANCES:
-            assert getattr(assigned, name) == 1e-9
-            assert getattr(rounded, name) == getattr(default, name) != 1e-9
 
     def test_one_solver_per_thread(self):
         # each thread makes its own solver once and solves on it
@@ -1044,7 +1061,7 @@ class TestHighsAdapter:
 
         def work(name):
             solver = _highs._solver()
-            seen[name] = (solver, _highs.solve(_small_lp()), _highs._solver())
+            seen[name] = (solver, _highs.solve(_small_lp(), 1e-9), _highs._solver())
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
         for thread in threads:
@@ -1060,10 +1077,10 @@ class TestHighsAdapter:
     def test_solve_prints_nothing(self, monkeypatch, capfd):
         # the solver is made here, so its options are the ones passed once
         monkeypatch.setattr(_highs._local, "highs", None, raising=False)
-        for lp, feasibility in [(_small_lp(), None), (_small_lp(), 1e-9)]:
-            _highs.solve(lp, feasibility)
+        for tolerance in (1e-7, 5e-10):
+            _highs.solve(_small_lp(), tolerance)
         with pytest.raises(LPUnboundedError):
-            _highs.solve(_unbounded_lp())
+            _highs.solve(_unbounded_lp(), 1e-9)
         assert capfd.readouterr() == ("", "")
 
 

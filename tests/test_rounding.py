@@ -43,10 +43,9 @@ def _solve_spy(monkeypatch):
     real = _highs.solve
     calls = []
 
-    def spy(lp, feasibility=None):
-        assert feasibility is None
+    def spy(lp, tolerance):
         assert np.all(lp.col_lower == 0.0) and np.all(lp.col_upper == 1.0)
-        res = real(lp, feasibility)
+        res = real(lp, tolerance)
         A = sp.csc_matrix(
             (lp.value, lp.index, lp.start), shape=(len(lp.row_upper), len(lp.cost))
         )
@@ -256,6 +255,41 @@ class TestMinCostFlow:
         flow = A @ y
         assert np.all((lo <= flow) & (flow <= hi))
 
+    def test_broken_mass_row_is_solved_again_unscaled(self, monkeypatch):
+        # every (cluster, color) mass is 1.5, so each color's 3 points go 1
+        # and 2 to the centers, and the cell of 1 sits at its floor. Moving
+        # 1e-7 of its point to the other center keeps x within its bounds
+        # and the point's row, but breaks that cell's mass row in the LP's
+        # own scale by more than the feasibility tolerance: HiGHS solves
+        # again with scaling off, and the scaling is restored after
+        inst = random_instance(6, 2, 2, seed=1)
+        inst.colors[:] = [0, 0, 0, 1, 1, 1]
+        params = Params.with_delta(inst, 2, 0.5)
+        dist = np.zeros((6, 2))
+        dist[:, 1] = 1.0
+        x = np.full((2, 6), 0.5)
+
+        def edit(solution, model):
+            y = np.array(solution.col_value)
+            # passModel's row_lower, starts and row indices; every column
+            # holds its point's row, then its mass row
+            row_lower, start, index = model[9], model[11], model[12]
+            point, mass_row = index[start], index[start + 1]
+            on = np.round(y)
+            mass = np.bincount(mass_row, weights=on, minlength=len(row_lower))
+            v = np.flatnonzero((on == 1) & (mass[mass_row] == row_lower[mass_row]))[0]
+            w = np.flatnonzero((point == point[v]) & (np.arange(len(y)) != v))[0]
+            y[v] -= 1e-7
+            y[w] += 1e-7
+            solution.col_value = y
+
+        record = fake_highs(monkeypatch, edit=edit)
+        ra = rawlsian_round(x, inst, params, dist)
+        assert sorted(ra.color_mass[:, 0]) == sorted(ra.color_mass[:, 1]) == [1, 2]
+        scaling = _highs._DEFAULTS.simplex_scale_strategy
+        assert [o.simplex_scale_strategy for o in record.options] == [scaling, 0]
+        assert _highs._solver().getOptions().simplex_scale_strategy == scaling
+
     def test_infeasible_raises(self, monkeypatch):
         # every cell of color 0 asks for 2 of its 3 points
         inst = random_instance(6, 2, 2, seed=1)
@@ -371,7 +405,7 @@ class TestExtractGuards:
         monkeypatch.setattr(
             rounding,
             "_solve_support",
-            lambda x, inst, dist, support, joint: support.assignment.copy(),
+            lambda x, inst, dist, support, joint, tolerance: support.assignment.copy(),
         )
         with pytest.raises(InternalInvariantError, match="unassigned"):
             rawlsian_round(x, inst, params, dist)
@@ -387,8 +421,8 @@ class TestExtractGuards:
         inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
         real = _highs.solve
 
-        def halved(lp, feasibility=None):
-            res = real(lp, feasibility)
+        def halved(lp, tolerance):
+            res = real(lp, tolerance)
             res.x[0] = 0.5
             return res
 
@@ -422,8 +456,8 @@ class TestExtractGuards:
         monkeypatch.setattr(
             rounding,
             "_solve_support",
-            lambda _x, inst, dist, _s, joint: solve(
-                skewed, inst, dist, split_support(skewed, inst), joint
+            lambda _x, inst, dist, _s, joint, tolerance: solve(
+                skewed, inst, dist, split_support(skewed, inst), joint, tolerance
             ),
         )
         with pytest.raises(InternalInvariantError, match=re.escape(f"rounded {what}")):
