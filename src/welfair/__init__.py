@@ -25,7 +25,6 @@ from .lp import (
     build_rawlsian_lp,
     build_utilitarian_lp,
     solve_lp,
-    to_lp_text,
 )
 from .metrics import (
     GroupReport,
@@ -102,7 +101,6 @@ __all__ = [
     "socially_fair_cost",
     "solve_lp",
     "split_support",
-    "to_lp_text",
     "utilitarian_alg",
     "utilitarian_round",
     "weighted_cost",

@@ -48,9 +48,12 @@ def kmeanspp_init(
 ) -> np.ndarray:
     """D^2-weighted seeding scaled by point weights; returns (k, d) centers.
 
-    Raises ParamError for weights that are not one finite, nonnegative value
-    per point with a positive total, naming the first bad point.
+    Raises ParamError for a negative seed, and for weights that are not one
+    finite, nonnegative value per point with a positive total, naming the
+    first bad point.
     """
+    if seed < 0:
+        raise ParamError(f"seed must be at least 0, got {seed}")
     X = instance.features
     n = instance.n
     w = np.asarray(weights, dtype=np.float64)
@@ -104,31 +107,30 @@ def _bin_sums(
     return np.stack([np.bincount(idx, c, minlength=size) for c in cols], axis=1)
 
 
+# Lloyd's loop stops after _MAX_ITERS center updates, or once the score
+# improves by at most _TOL relative
+_MAX_ITERS = 100
+_TOL = 1e-6
+
+
 def _alternate(
-    instance: Instance,
-    k: int,
-    w: np.ndarray,
-    seed: int,
-    update,
-    score,
-    max_iters: int,
-    tol: float,
+    instance: Instance, k: int, w: np.ndarray, seed: int, update, score
 ) -> tuple[np.ndarray, float, int]:
     """Lloyd's loop from a k-means++ start drawn with point weights w: each
     pass assigns points to their nearest center (ties to the lowest index),
     scores that with score(dsel) from the squared distances and moves the
     centers to update(assign), or reseeds empty clusters (_repair_empty on
-    w * dsel). It stops when the score improves by at most tol relative, or
+    w * dsel). It stops when the score improves by at most _TOL relative, or
     at a fixed point (an assignment equal to the previous one, whose update
     gives the current centers again). Returns the centers, their score and
-    the number of passes; after max_iters updates one more pass scores them.
+    the number of passes; after _MAX_ITERS updates one more pass scores them.
     """
     X = instance.features
     centers = kmeanspp_init(instance, k, w, seed)
     prev_cost = math.inf
     prev_assign = None
     passes = 0
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         passes += 1
         assign, dsel = _assign(centers, X)
         cost = score(dsel)
@@ -140,7 +142,7 @@ def _alternate(
             continue
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
-        if math.isfinite(prev_cost) and prev_cost - cost <= tol * max(
+        if math.isfinite(prev_cost) and prev_cost - cost <= _TOL * max(
             prev_cost, 1e-30
         ):
             break
@@ -154,14 +156,7 @@ def _alternate(
     return centers, cost, passes
 
 
-def lloyd(
-    instance: Instance,
-    k: int,
-    weights: np.ndarray,
-    seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-) -> CenterSet:
+def lloyd(instance: Instance, k: int, weights: np.ndarray, seed: int) -> CenterSet:
     """Weighted Lloyd iteration (_alternate) from a k-means++ start: each
     center moves to the weighted centroid of its points. Score is the
     weighted cost at p=2 of the returned centers."""
@@ -175,9 +170,7 @@ def lloyd(
     def score(dsel):
         return float((w * dsel).sum())
 
-    centers, cost, passes = _alternate(
-        instance, k, w, seed, update, score, max_iters, tol
-    )
+    centers, cost, passes = _alternate(instance, k, w, seed, update, score)
     return CenterSet(centers, f"lloyd(seed={seed})", cost, [cost], [passes])
 
 
@@ -306,13 +299,7 @@ def _fair_update(
     return c
 
 
-def socially_fair_centers(
-    instance: Instance,
-    k: int,
-    seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-) -> CenterSet:
+def socially_fair_centers(instance: Instance, k: int, seed: int) -> CenterSet:
     """Lloyd's loop (_alternate) from an unweighted k-means++ start whose
     update minimizes the max per-group average cost of the assignment
     exactly (_fair_update). Score is the max per-group average squared
@@ -331,7 +318,7 @@ def socially_fair_centers(
         return float((np.bincount(colors, dsel, minlength=H) / counts).max())
 
     centers, cost, passes = _alternate(
-        instance, k, np.ones(instance.n), seed, update, score, max_iters, tol
+        instance, k, np.ones(instance.n), seed, update, score
     )
     return CenterSet(centers, f"socially_fair(seed={seed})", cost, [cost], [passes])
 

@@ -172,6 +172,8 @@ def run_experiment(config: ExperimentConfig) -> str:
             Params.with_delta(
                 instance, k, lam, config.delta, config.p, config.lp_tolerance
             ).validate(instance)
+    # made before the sweep, so an --out that names a file fails first
+    os.makedirs(config.out_dir, exist_ok=True)
     objectives = (
         list(_OBJECTIVES) if config.objective == "both" else [config.objective]
     )
@@ -210,7 +212,6 @@ def run_experiment(config: ExperimentConfig) -> str:
             tasks += [(obj, inst, k, lam, cache) for lam in config.lambdas]
         for group in _run_tasks(tasks, config):
             rows += [_result_row(res, obj, config, factors[obj]) for res in group]
-    os.makedirs(config.out_dir, exist_ok=True)
     out_csv = os.path.join(config.out_dir, "results.csv")
     cols = list(rows[0])
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
@@ -266,6 +267,8 @@ def _check_run_params(config: ExperimentConfig) -> None:
         raise ParamError(f"k must be at least 1, got {bad[0]}")
     if config.restarts < 1:
         raise ParamError(f"restarts must be at least 1, got {config.restarts}")
+    if config.seed < 0:
+        raise ParamError(f"seed must be at least 0, got {config.seed}")
     if config.subsample is not None and config.subsample < 1:
         raise ParamError(f"subsample must be at least 1, got {config.subsample}")
     if not math.isfinite(config.delta):
@@ -438,6 +441,8 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
     check."""
     if count < 1:
         raise UsageError(f"--count must be at least 1, got {count}")
+    if seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     failures = 0
     for trial in range(count):

@@ -23,8 +23,10 @@ _CANDIDATES = 4
 # a second or third round at n = 3000, and 0.25 and 0.35 kept more columns
 # and took longer at n = 20,000 and 50,000
 _CLASS_SHARE = 0.2
-# assignments per array batch of brute_force_assignment
+# assignments per array batch of brute_force_assignment, and the most
+# assignments (k^n) it enumerates
 _BRUTE_BATCH = 4096
+_BRUTE_LIMIT = 1e7
 
 
 @dataclass
@@ -132,15 +134,6 @@ class LPModel:
         upper = np.full(self.num_vars, np.inf)
         upper[: self.k * self.n] = 1.0
         return upper
-
-    def var_name(self, idx: int) -> str:
-        k, n, H = self.k, self.n, self.H
-        if idx < k * n:
-            return f"x_{idx // n}_{idx % n}"
-        idx -= k * n
-        if idx < k * H:
-            return f"t_{idx // H}_{idx % H}"
-        return "z"
 
 
 @dataclass
@@ -433,50 +426,14 @@ def solve_lp(model: LPModel) -> FractionalSolution:
     )
 
 
-def to_lp_text(model: LPModel) -> str:
-    """Textual export in the common LP interchange layout.
-
-    Variables: x_i_j (point j's share of center i, in [0, 1]), t_i_h (color
-    h's proportion violation in cluster i, >= 0) and, for the Rawlsian
-    model, the free z. The implied assignment equalities are written out as
-    the rows assign_j, before the model's stored rows."""
-    out = [f"\\ welfair {model.kind} assignment model"]
-    out.append("Minimize")
-    terms = [
-        f"{model.objective[j]:+.17g} {model.var_name(j)}"
-        for j in np.nonzero(model.objective)[0]
-    ]
-    out.append(" obj: " + (" ".join(terms) if terms else "0"))
-    out.append("Subject To")
-    for j in range(model.n):
-        parts = " ".join(f"+1 x_{i}_{j}" for i in range(model.k))
-        out.append(f" assign_{j}: {parts} = 1")
-    for row in model.rows:
-        parts = " ".join(
-            f"{v:+.17g} {model.var_name(int(c))}" for c, v in zip(row.cols, row.vals)
-        )
-        out.append(f" {row.name}: {parts} <= 0")
-    out.append("Bounds")
-    for j, (lo, up) in enumerate(zip(model.lower, model.upper)):
-        name = model.var_name(j)
-        if np.isneginf(lo) and np.isposinf(up):
-            out.append(f" {name} free")
-        elif np.isposinf(up):
-            out.append(f" {name} >= {lo:.17g}")
-        else:
-            out.append(f" {lo:.17g} <= {name} <= {up:.17g}")
-    out.append("End")
-    return "\n".join(out) + "\n"
-
-
 def brute_force_assignment(
     instance: Instance,
     params: Params,
     centers: np.ndarray,
     objective: str = "rawlsian",
-    limit: float = 1e7,
 ) -> tuple[np.ndarray, float]:
-    """Exact optimum over all k^n integral assignments (guarded).
+    """Exact optimum over all k^n integral assignments; BruteForceSizeError
+    above _BRUTE_LIMIT of them.
 
     Ties resolve to the lexicographically smallest assignment vector.
     """
@@ -485,8 +442,8 @@ def brute_force_assignment(
         raise ValueError(f"unknown objective {objective!r}")
     n = instance.n
     k = params.k
-    if float(k) ** n > limit:
-        raise BruteForceSizeError(k, n, limit)
+    if float(k) ** n > _BRUTE_LIMIT:
+        raise BruteForceSizeError(k, n, _BRUTE_LIMIT)
     dist_pow = pairwise_pow(instance.features, centers, params.p)
     arange = np.arange(n)
     # assignment number m, written in base k with point 0's center as the

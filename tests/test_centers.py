@@ -20,7 +20,7 @@ from welfair.centers import (
 )
 from welfair.errors import CenterError, ParamError
 from welfair.metrics import pairwise_pow
-from welfair.model import Instance
+from welfair.model import Instance, normalization_factors
 
 
 class TestKmeansppInit:
@@ -75,6 +75,23 @@ class TestKmeansppInit:
         with pytest.raises(ParamError, match="sum to inf"):
             kmeanspp_init(tiny_instance, 2, w, 0)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda inst: kmeanspp_init(inst, 2, np.ones(inst.n), -1),
+            lambda inst: lloyd(inst, 2, np.ones(inst.n), -1),
+            lambda inst: socially_fair_centers(inst, 2, -1),
+            lambda inst: best_of_restarts(inst, 2, "weighted", 3, -1),
+            lambda inst: normalization_factors(inst, [2, 3], 2, -1),
+        ],
+        ids=["kmeanspp_init", "lloyd", "socially_fair", "restarts", "normalization"],
+    )
+    def test_negative_seed(self, tiny_instance, run):
+        # numpy's generator rejects it with a bare ValueError; every start
+        # is drawn through kmeanspp_init, which names it
+        with pytest.raises(ParamError, match="seed must be at least 0, got -1"):
+            run(tiny_instance)
+
 
 class TestLloyd:
     def test_two_blob_optimum(self):
@@ -115,9 +132,10 @@ class TestLloyd:
 
 class TestLloydUpdate:
     @pytest.mark.parametrize("seed", range(4))
-    def test_one_step_is_masked_weighted_mean(self, small_instance, seed):
+    def test_one_step_is_masked_weighted_mean(self, small_instance, seed, monkeypatch):
         # one iteration assigns to the k-means++ start and moves every
         # center to the weighted mean of its points
+        monkeypatch.setattr(centers_mod, "_MAX_ITERS", 1)
         X = small_instance.features
         w = np.random.default_rng(seed).random(small_instance.n) + 0.1
         start = kmeanspp_init(small_instance, 4, w, seed)
@@ -129,7 +147,7 @@ class TestLloydUpdate:
                 for i in range(4)
             ]
         )
-        got = lloyd(small_instance, 4, w, seed, max_iters=1).centers
+        got = lloyd(small_instance, 4, w, seed).centers
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -358,14 +376,14 @@ class TestSociallyFairCenters:
         ],
         ids=["adult", "census", "four-groups", "census-k8"],
     )
-    def test_score_never_increases(self, inst, k):
+    def test_score_never_increases(self, inst, k, monkeypatch):
         # the step is exact and reassignment and repair never raise a
         # group's cost, so running longer never scores worse
         for seed in range(3):
-            scores = [
-                socially_fair_centers(inst, k, seed, max_iters=t).score
-                for t in range(1, 11)
-            ]
+            scores = []
+            for t in range(1, 11):
+                monkeypatch.setattr(centers_mod, "_MAX_ITERS", t)
+                scores.append(socially_fair_centers(inst, k, seed).score)
             for before, after in zip(scores, scores[1:]):
                 assert after <= before * (1 + 1e-12)
 
@@ -487,8 +505,10 @@ _REPAIR_SOCIAL = Instance(
 )
 
 
-def _assert_lloyd_matches(inst, k, w, seed, max_iters=100, tol=1e-6):
-    cs = lloyd(inst, k, w, seed, max_iters, tol)
+def _assert_lloyd_matches(monkeypatch, inst, k, w, seed, max_iters=100, tol=1e-6):
+    monkeypatch.setattr(centers_mod, "_MAX_ITERS", max_iters)
+    monkeypatch.setattr(centers_mod, "_TOL", tol)
+    cs = lloyd(inst, k, w, seed)
     centers, score, passes = _ref_lloyd(inst, k, w, seed, max_iters, tol)
     assert np.array_equal(cs.centers, centers)
     assert cs.score == score
@@ -499,12 +519,12 @@ def _assert_lloyd_matches(inst, k, w, seed, max_iters=100, tol=1e-6):
 
 class TestMatchesReference:
     @pytest.mark.parametrize("seed", range(22))
-    def test_random_instances(self, seed):
+    def test_random_instances(self, seed, monkeypatch):
         inst = _corpus_instance(seed)
         k = 2 + seed % 11
         max_iters = (100, 100, 100, 3, 1)[seed % 5]
         for w in (np.ones(inst.n), 1.0 / inst.counts[inst.colors]):
-            _assert_lloyd_matches(inst, k, w, seed, max_iters)
+            _assert_lloyd_matches(monkeypatch, inst, k, w, seed, max_iters)
 
     def test_repaired_empty_clusters(self, monkeypatch):
         calls = []
@@ -514,7 +534,8 @@ class TestMatchesReference:
             _repair_empty(centers, X, cost, empties)
 
         monkeypatch.setattr(centers_mod, "_repair_empty", spy)
-        _assert_lloyd_matches(_REPAIR_LLOYD, 3, np.ones(_REPAIR_LLOYD.n), 0)
+        ones = np.ones(_REPAIR_LLOYD.n)
+        _assert_lloyd_matches(monkeypatch, _REPAIR_LLOYD, 3, ones, 0)
         assert calls
         calls.clear()
         cs = socially_fair_centers(_REPAIR_SOCIAL, 4, 0)
@@ -525,12 +546,14 @@ class TestMatchesReference:
         want = (np.bincount(colors, dsel) / _REPAIR_SOCIAL.counts).max()
         assert cs.score == pytest.approx(want, rel=1e-12)
 
-    def test_lloyd_stops_at_fixed_point(self):
+    def test_lloyd_stops_at_fixed_point(self, monkeypatch):
         # the reference takes one more update, which repeats the centers, and
         # one more assignment pass to score them
         inst = random_instance(60, 3, 3, seed=0)
         for tol in (1e-6, 0.0):
-            cs, passes = _assert_lloyd_matches(inst, 3, np.ones(inst.n), 0, tol=tol)
+            cs, passes = _assert_lloyd_matches(
+                monkeypatch, inst, 3, np.ones(inst.n), 0, tol=tol
+            )
             assert cs.restart_iterations[0] == passes - 2
 
     @pytest.mark.parametrize("method", ["vanilla", "weighted", "socially_fair"])

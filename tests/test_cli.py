@@ -812,9 +812,17 @@ class TestMain:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["results_dir", "data_dir", "out_file"])
-    def test_os_error_is_data_error(self, case, dataset, tmp_path, capsys):
+    def test_os_error_is_data_error(
+        self, case, dataset, tmp_path, capsys, monkeypatch
+    ):
         # a directory where a file is read, or a file where the output
-        # directory goes, exits 2 naming the path instead of a traceback
+        # directory goes, exits 2 naming the path instead of a traceback,
+        # before the sweep normalizes or computes any centers
+        def sweep(*a, **kw):
+            pytest.fail("the sweep started")
+
+        monkeypatch.setattr(cli, "normalization_factors", sweep)
+        monkeypatch.setattr(centers, "best_of_restarts", sweep)
         path, feats = dataset
         out_file = tmp_path / "taken"
         out_file.write_text("", encoding="utf-8")
@@ -831,6 +839,24 @@ class TestMain:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "data error" in err and str(named) in err
+
+    @pytest.mark.parametrize("how", ["flag", "config", "oracle-check"])
+    def test_negative_seed_exits_one(self, how, dataset, tmp_path, capsys):
+        # numpy's generator would reject it deep inside the run
+        path, feats = dataset
+        raw = {"data": path, "feature_columns": feats, "group_column": "group"}
+        raw.update(k_range=[2], lambdas=[0.5], restarts=1)
+        raw.update(out_dir=str(tmp_path / "o"), seed=-1 if how == "config" else 0)
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(raw), encoding="utf-8")
+        argv = {
+            "flag": ["run", "--config", str(cpath), "--seed", "-1"],
+            "config": ["run", "--config", str(cpath)],
+            "oracle-check": ["oracle-check", "--seed", "-1", "--count", "1"],
+        }[how]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "seed must be at least 0, got -1" in err and "Traceback" not in err
 
     def test_bad_csv_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "one.csv"

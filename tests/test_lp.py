@@ -31,7 +31,6 @@ from welfair.lp import (
     build_rawlsian_lp,
     build_utilitarian_lp,
     solve_lp,
-    to_lp_text,
 )
 from welfair.metrics import additive_constants, group_costs, pairwise_pow
 from welfair.model import Instance, Params, Solution
@@ -86,18 +85,6 @@ class TestBuilders:
         assert z == m.num_vars - 1
         assert np.all(m.lower[t0:z] == 0) and np.all(np.isposinf(m.upper[t0:z]))
         assert np.isneginf(m.lower[z]) and np.isposinf(m.upper[z])
-
-    def test_var_names_cover_layout(self):
-        inst, params, centers = _setup(n=6, k=2, H=2)
-        m = build_rawlsian_lp(inst, params, centers)
-        names = [m.var_name(j) for j in range(m.num_vars)]
-        assert names[0] == "x_0_0"
-        assert names.count("z") == 1
-        assert len(set(names)) == m.num_vars
-        assert "t_1_1" in names
-        assert names == [f"x_{i}_{j}" for i in range(2) for j in range(6)] + [
-            f"t_{i}_{h}" for i in range(2) for h in range(2)
-        ] + ["z"]
 
     def test_row_names_unique(self):
         inst, params, centers = _setup(n=6, k=2, H=2)
@@ -695,74 +682,43 @@ class TestLambdaOneReductions:
         assert frac.objective == pytest.approx(want, abs=1e-9)
 
 
-# to_lp_text of _golden_models(), byte for byte; the assign_j rows come
-# first although the model only implies them
-_GOLDEN_RAWLSIAN = r"""\ welfair rawlsian assignment model
-Minimize
- obj: +1 z
-Subject To
- assign_0: +1 x_0_0 +1 x_1_0 = 1
- assign_1: +1 x_0_1 +1 x_1_1 = 1
- assign_2: +1 x_0_2 +1 x_1_2 = 1
- assign_3: +1 x_0_3 +1 x_1_3 = 1
- under_0_0: -0.55000000000000004 x_0_0 +0.45000000000000001 x_0_1 -0.55000000000000004 x_0_2 +0.45000000000000001 x_0_3 -1 t_0_0 <= 0
- under_0_1: +0.45000000000000001 x_0_0 -0.55000000000000004 x_0_1 +0.45000000000000001 x_0_2 -0.55000000000000004 x_0_3 -1 t_0_1 <= 0
- under_1_0: -0.55000000000000004 x_1_0 +0.45000000000000001 x_1_1 -0.55000000000000004 x_1_2 +0.45000000000000001 x_1_3 -1 t_1_0 <= 0
- under_1_1: +0.45000000000000001 x_1_0 -0.55000000000000004 x_1_1 +0.45000000000000001 x_1_2 -0.55000000000000004 x_1_3 -1 t_1_1 <= 0
- over_0_0: +0.44999999999999996 x_0_0 -0.55000000000000004 x_0_1 +0.44999999999999996 x_0_2 -0.55000000000000004 x_0_3 -1 t_0_0 <= 0
- over_0_1: -0.55000000000000004 x_0_0 +0.44999999999999996 x_0_1 -0.55000000000000004 x_0_2 +0.44999999999999996 x_0_3 -1 t_0_1 <= 0
- over_1_0: +0.44999999999999996 x_1_0 -0.55000000000000004 x_1_1 +0.44999999999999996 x_1_2 -0.55000000000000004 x_1_3 -1 t_1_0 <= 0
- over_1_1: -0.55000000000000004 x_1_0 +0.44999999999999996 x_1_1 -0.55000000000000004 x_1_2 +0.44999999999999996 x_1_3 -1 t_1_1 <= 0
- disu_0: +0.037499999999999999 x_0_0 +0.33749999999999997 x_0_2 +0.75 x_1_0 +0.75 x_1_2 +0.34999999999999998 t_0_0 +0.34999999999999998 t_1_0 -1 z <= 0
- disu_1: +0.1875 x_0_1 +1.3875 x_0_3 +0.29999999999999999 x_1_1 +0.14999999999999999 x_1_3 +0.34999999999999998 t_0_1 +0.34999999999999998 t_1_1 -1 z <= 0
-Bounds
- 0 <= x_0_0 <= 1
- 0 <= x_0_1 <= 1
- 0 <= x_0_2 <= 1
- 0 <= x_0_3 <= 1
- 0 <= x_1_0 <= 1
- 0 <= x_1_1 <= 1
- 0 <= x_1_2 <= 1
- 0 <= x_1_3 <= 1
- t_0_0 >= 0
- t_0_1 >= 0
- t_1_0 >= 0
- t_1_1 >= 0
- z free
-End
-"""
-
-_GOLDEN_UTILITARIAN = r"""\ welfair utilitarian assignment model
-Minimize
- obj: +0.037499999999999999 x_0_0 +0.1875 x_0_1 +0.33749999999999997 x_0_2 +1.3875 x_0_3 +0.75 x_1_0 +0.29999999999999999 x_1_1 +0.75 x_1_2 +0.14999999999999999 x_1_3 +0.34999999999999998 t_0_0 +0.34999999999999998 t_0_1 +0.34999999999999998 t_1_0 +0.34999999999999998 t_1_1
-Subject To
- assign_0: +1 x_0_0 +1 x_1_0 = 1
- assign_1: +1 x_0_1 +1 x_1_1 = 1
- assign_2: +1 x_0_2 +1 x_1_2 = 1
- assign_3: +1 x_0_3 +1 x_1_3 = 1
- under_0_0: -0.55000000000000004 x_0_0 +0.45000000000000001 x_0_1 -0.55000000000000004 x_0_2 +0.45000000000000001 x_0_3 -1 t_0_0 <= 0
- under_0_1: +0.45000000000000001 x_0_0 -0.55000000000000004 x_0_1 +0.45000000000000001 x_0_2 -0.55000000000000004 x_0_3 -1 t_0_1 <= 0
- under_1_0: -0.55000000000000004 x_1_0 +0.45000000000000001 x_1_1 -0.55000000000000004 x_1_2 +0.45000000000000001 x_1_3 -1 t_1_0 <= 0
- under_1_1: +0.45000000000000001 x_1_0 -0.55000000000000004 x_1_1 +0.45000000000000001 x_1_2 -0.55000000000000004 x_1_3 -1 t_1_1 <= 0
- over_0_0: +0.44999999999999996 x_0_0 -0.55000000000000004 x_0_1 +0.44999999999999996 x_0_2 -0.55000000000000004 x_0_3 -1 t_0_0 <= 0
- over_0_1: -0.55000000000000004 x_0_0 +0.44999999999999996 x_0_1 -0.55000000000000004 x_0_2 +0.44999999999999996 x_0_3 -1 t_0_1 <= 0
- over_1_0: +0.44999999999999996 x_1_0 -0.55000000000000004 x_1_1 +0.44999999999999996 x_1_2 -0.55000000000000004 x_1_3 -1 t_1_0 <= 0
- over_1_1: -0.55000000000000004 x_1_0 +0.44999999999999996 x_1_1 -0.55000000000000004 x_1_2 +0.44999999999999996 x_1_3 -1 t_1_1 <= 0
-Bounds
- 0 <= x_0_0 <= 1
- 0 <= x_0_1 <= 1
- 0 <= x_0_2 <= 1
- 0 <= x_0_3 <= 1
- 0 <= x_1_0 <= 1
- 0 <= x_1_1 <= 1
- 0 <= x_1_2 <= 1
- 0 <= x_1_3 <= 1
- t_0_0 >= 0
- t_0_1 >= 0
- t_1_0 >= 0
- t_1_1 >= 0
-End
-"""
+# _golden_models()' LPs entry for entry. x_i_j is column i * 4 + j, t_i_h
+# column 8 + i * 2 + h and z column 12; the values are those of the
+# 17-digit LP text the models were once exported as. Coupling coefficients:
+# _L = under[h, h] = over[g, h] (g != h), _R = under[g, h] (g != h),
+# _O = over[h, h]; _T is t_cost[h], (1 - lam) / n_h
+_L, _R, _O = -0.55000000000000004, 0.45000000000000001, 0.44999999999999996
+_T = 0.34999999999999998
+_GOLDEN_COUPLING = [
+    ("under_0_0", [0, 1, 2, 3, 8], [_L, _R, _L, _R, -1.0]),
+    ("under_0_1", [0, 1, 2, 3, 9], [_R, _L, _R, _L, -1.0]),
+    ("under_1_0", [4, 5, 6, 7, 10], [_L, _R, _L, _R, -1.0]),
+    ("under_1_1", [4, 5, 6, 7, 11], [_R, _L, _R, _L, -1.0]),
+    ("over_0_0", [0, 1, 2, 3, 8], [_O, _L, _O, _L, -1.0]),
+    ("over_0_1", [0, 1, 2, 3, 9], [_L, _O, _L, _O, -1.0]),
+    ("over_1_0", [4, 5, 6, 7, 10], [_O, _L, _O, _L, -1.0]),
+    ("over_1_1", [4, 5, 6, 7, 11], [_L, _O, _L, _O, -1.0]),
+]
+# share[i, j] = lam / n_h * d^2(x_j, c_i), at column i * 4 + j
+_SHARE = [
+    0.037499999999999999, 0.1875, 0.33749999999999997, 1.3875,
+    0.75, 0.29999999999999999, 0.75, 0.14999999999999999,
+]
+_GOLDEN_RAWLSIAN = {
+    "rows": _GOLDEN_COUPLING + [
+        ("disu_0", [0, 2, 4, 6, 8, 10, 12], [*_SHARE[0::2], _T, _T, -1.0]),
+        ("disu_1", [1, 3, 5, 7, 9, 11, 12], [*_SHARE[1::2], _T, _T, -1.0]),
+    ],
+    "objective": [0.0] * 12 + [1.0],
+    "lower": [0.0] * 12 + [-math.inf],
+    "upper": [1.0] * 8 + [math.inf] * 5,
+}
+_GOLDEN_UTILITARIAN = {
+    "rows": _GOLDEN_COUPLING,
+    "objective": _SHARE + [_T] * 4,
+    "lower": [0.0] * 12,
+    "upper": [1.0] * 8 + [math.inf] * 4,
+}
 
 
 def _golden_models():
@@ -779,45 +735,16 @@ def _golden_models():
     )
 
 
-class TestExport:
-    def test_sections_and_shape(self):
-        inst, params, centers = _setup(n=6, k=2, H=2)
-        text = to_lp_text(build_rawlsian_lp(inst, params, centers))
-        for section in ("Minimize", "Subject To", "Bounds", "End"):
-            assert section in text
-        assert " obj: +1 z" in text
-        assert "assign_0:" in text and "disu_1:" in text
-        assert " z free" in text
-
-    def test_only_z_is_free(self):
-        inst, params, centers = _setup(n=6, k=2, H=2)
-        for build, want in (
-            (build_rawlsian_lp, [" z free"]),
-            (build_utilitarian_lp, []),
+class TestGolden:
+    def test_golden_models(self):
+        # every row coefficient, objective entry and bound, exactly
+        for model, golden in zip(
+            _golden_models(), (_GOLDEN_RAWLSIAN, _GOLDEN_UTILITARIAN)
         ):
-            text = to_lp_text(build(inst, params, centers))
-            assert [ln for ln in text.splitlines() if ln.endswith(" free")] == want
-            assert " t_1_1 >= 0" in text
-
-    def test_seventeen_digit_floats(self):
-        inst, params, centers = _setup(n=6, k=2, H=2)
-        m = build_utilitarian_lp(inst, params, centers)
-        text = to_lp_text(m)
-        # a representative coefficient round-trips exactly through the text
-        coeff = m.objective[np.nonzero(m.objective)[0][0]]
-        assert f"{coeff:+.17g}" in text
-        assert float(f"{coeff:.17g}") == coeff
-
-    def test_deterministic(self):
-        inst, params, centers = _setup(n=6, k=2, H=2)
-        a = to_lp_text(build_rawlsian_lp(inst, params, centers))
-        b = to_lp_text(build_rawlsian_lp(inst, params, centers))
-        assert a == b
-
-    def test_golden_text(self):
-        rawlsian, utilitarian = _golden_models()
-        assert to_lp_text(rawlsian) == _GOLDEN_RAWLSIAN
-        assert to_lp_text(utilitarian) == _GOLDEN_UTILITARIAN
+            rows = [(r.name, r.cols.tolist(), r.vals.tolist()) for r in model.rows]
+            assert rows == golden["rows"]
+            for name in ("objective", "lower", "upper"):
+                assert getattr(model, name).tolist() == golden[name], name
 
 
 class TestBruteForce:
@@ -845,10 +772,11 @@ class TestBruteForce:
                 assert got_val == pytest.approx(best_val, abs=1e-12)
                 assert np.array_equal(got_assign, best_assign)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(lp_mod, "_BRUTE_LIMIT", 100)
         inst, params, centers = _setup(n=14, k=2, H=2)
         with pytest.raises(BruteForceSizeError):
-            brute_force_assignment(inst, params, centers, "rawlsian", limit=100)
+            brute_force_assignment(inst, params, centers, "rawlsian")
 
     def test_unknown_objective(self):
         inst, params, centers = _setup(n=5, k=2, H=2)
