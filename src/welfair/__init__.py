@@ -31,8 +31,6 @@ from .metrics import (
     additive_constants,
     group_costs,
     pairwise_pow,
-    socially_fair_cost,
-    weighted_cost,
 )
 from .model import (
     Instance,
@@ -98,10 +96,8 @@ __all__ = [
     "rawlsian_alg",
     "rawlsian_round",
     "socially_fair_centers",
-    "socially_fair_cost",
     "solve_lp",
     "split_support",
     "utilitarian_alg",
     "utilitarian_round",
-    "weighted_cost",
 ]

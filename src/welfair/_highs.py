@@ -21,6 +21,11 @@ and of `A x`, computed here in the LP's own scale, because HiGHS measures
 feasibility on its scaled model and its row values agree with that model.
 An optimum that breaks the LP by more than the feasibility tolerance is
 solved once more, from scratch and unscaled.
+
+Both LPs are feasible and bounded by construction (the nearest assignment
+and the fractional x are feasible points), so every failure raises one
+`LPError`, an `InternalInvariantError`, whose message names HiGHS's model
+status.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from scipy.optimize._highspy._core import (
 )
 from scipy.sparse._sparsetools import csc_matvec
 
-from .errors import LPError, LPInfeasibleError, LPUnboundedError
+from .errors import LPError
 
 # linprog's post-solve check: x and every row within their limits to
 # sqrt(1e-9) * 10
@@ -89,10 +94,9 @@ def solve(lp: LP, tolerance: float) -> Solution:
     Both of HiGHS's feasibility tolerances are min(tolerance, _FEASIBILITY),
     and an optimum whose x, or A x, breaks a bound or a row of lp by more
     than that is solved again with scaling off (iterations then counts both
-    runs). An infeasible or malformed model raises LPInfeasibleError, an
-    unbounded one LPUnboundedError, and any other status but optimal
-    LPError; so does an optimum with a NaN or one that breaks a bound or a
-    row by more than _CHECK_TOL.
+    runs). Any model status but optimal raises LPError, and so does an
+    optimum with a NaN or one that breaks a bound or a row by more than
+    _CHECK_TOL.
     """
     feasibility = min(tolerance, _FEASIBILITY)
     highs = _solver()
@@ -190,9 +194,4 @@ def _excess(lower: np.ndarray, value: np.ndarray, upper: np.ndarray) -> float:
 
 
 def _raise_for(highs: _Highs, status: HighsModelStatus) -> NoReturn:
-    message = f"HiGHS model status {highs.modelStatusToString(status)}"
-    if status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
-        raise LPInfeasibleError(message)
-    if status == HighsModelStatus.kUnbounded:
-        raise LPUnboundedError(message)
-    raise LPError(message)
+    raise LPError(f"HiGHS model status {highs.modelStatusToString(status)}")

@@ -1,6 +1,7 @@
 """Command line interface: run experiments, plot, report gaps, self-check.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 invariant violation.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 invariant violation
+(a failed LP solve among them).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .model import (
     Instance,
     Params,
     apply_normalization,
+    check_lp_tolerance,
     load_instance,
     normalization_factors,
 )
@@ -186,7 +188,10 @@ def run_experiment(config: ExperimentConfig) -> str:
                 "vanilla k-means cost is zero; no distance scale to normalize by",
             )
         factors = {obj: both[obj] for obj in objectives}
-        insts = {obj: apply_normalization(instance, f) for obj, f in factors.items()}
+        insts = {
+            obj: apply_normalization(instance, f, config.p)
+            for obj, f in factors.items()
+        }
     else:
         factors = dict.fromkeys(objectives, float("nan"))
         insts = dict.fromkeys(objectives, instance)
@@ -208,7 +213,9 @@ def run_experiment(config: ExperimentConfig) -> str:
         ratio = factors[first] / factors[obj] if config.normalize else 1.0
         tasks = []
         for k in config.k_range:
-            cache = {m: _rescaled(cs, ratio) for m, cs in center_sets[k].items()}
+            cache = {
+                m: _rescaled(cs, ratio, config.p) for m, cs in center_sets[k].items()
+            }
             tasks += [(obj, inst, k, lam, cache) for lam in config.lambdas]
         for group in _run_tasks(tasks, config):
             rows += [_result_row(res, obj, config, factors[obj]) for res in group]
@@ -238,18 +245,20 @@ def run_experiment(config: ExperimentConfig) -> str:
     return out_csv
 
 
-def _rescaled(cs: centers.CenterSet, ratio: float) -> centers.CenterSet:
+def _rescaled(cs: centers.CenterSet, ratio: float, p: int) -> centers.CenterSet:
     """The center set the heuristics return on the same points with every
-    squared distance times ratio: they are scale-equivariant, so its centers
-    are cs's times sqrt(ratio), and its scores, squared Euclidean costs,
-    are cs's times ratio. A ratio of 1 returns cs itself."""
+    d^p times ratio: they are scale-equivariant, so its centers are cs's
+    times ratio^(1/p), the ratio of the coordinates, and its scores, squared
+    Euclidean costs, are cs's times that ratio squared. A ratio of 1 returns
+    cs itself."""
     if ratio == 1.0:
         return cs
+    scale, square = (math.sqrt(ratio), ratio) if p == 2 else (ratio, ratio * ratio)
     return replace(
         cs,
-        centers=cs.centers * math.sqrt(ratio),
-        score=cs.score * ratio,
-        restart_scores=[s * ratio for s in cs.restart_scores],
+        centers=cs.centers * scale,
+        score=cs.score * square,
+        restart_scores=[s * square for s in cs.restart_scores],
     )
 
 
@@ -380,7 +389,9 @@ def plot_results(path: str, objective: str, lam: float, out_path: str) -> None:
 
 def _results_lp_tolerance(path: str) -> float:
     """lp_tolerance of the run that wrote a results CSV, read from the
-    metadata.json beside it; the default when that file or field is absent."""
+    metadata.json beside it; the default when that file or field is absent.
+    DataError unless the file holds an object, its config is an object and
+    the field is a number that `Params.validate` accepts."""
     meta_path = os.path.join(os.path.dirname(os.path.abspath(path)), "metadata.json")
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
@@ -389,10 +400,20 @@ def _results_lp_tolerance(path: str) -> float:
         return LP_TOLERANCE
     except json.JSONDecodeError as e:
         raise DataError(f"{meta_path} is not valid JSON: {e}") from None
-    tol = meta.get("config", {}).get("lp_tolerance")
+    config = meta.get("config", {}) if isinstance(meta, dict) else None
+    if not isinstance(config, dict):
+        raise DataError(f"{meta_path} must hold a JSON object with an object config")
+    tol = config.get("lp_tolerance")
     if tol is None:
         return LP_TOLERANCE
-    return _number(tol, f"{meta_path} field config.lp_tolerance")
+    where = f"{meta_path} field config.lp_tolerance"
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise DataError(f"{where} is {tol!r}, not a number")
+    try:
+        check_lp_tolerance(tol)
+    except ParamError as e:
+        raise DataError(f"{where}: {e}") from None
+    return float(tol)
 
 
 def gap_report(path: str, soft: float = _SOFT_GAP) -> int:

@@ -68,18 +68,6 @@ class CenterError(WelfairError):
     """Center selection cannot proceed (e.g. fewer distinct points than k)."""
 
 
-class LPError(WelfairError):
-    """LP construction or solve failure."""
-
-
-class LPInfeasibleError(LPError):
-    pass
-
-
-class LPUnboundedError(LPError):
-    pass
-
-
 class BruteForceSizeError(WelfairError):
     def __init__(self, k: int, n: int, limit: float):
         self.k = k
@@ -91,3 +79,8 @@ class BruteForceSizeError(WelfairError):
 
 class InternalInvariantError(WelfairError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+class LPError(InternalInvariantError):
+    """A HiGHS solve failed. Both LPs are feasible and bounded by
+    construction, so this is a program or solver fault, not bad input."""

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _highs
-from .errors import BruteForceSizeError, InternalInvariantError, LPError
+from .errors import BruteForceSizeError, InternalInvariantError
 from .metrics import color_masses, disutilities, pairwise_pow
 from .model import Instance, Params
 
@@ -143,16 +143,14 @@ class FractionalSolution:
     x: np.ndarray
     objective: float
     solver_objective: float
-    status: str
 
 
 def _build(kind: str, instance: Instance, params: Params, centers, dist_pow) -> LPModel:
     """Check the inputs, form the coefficient tables, and write the
     objective of the LP of kind from them."""
     params.validate(instance)
+    params.check_centers(instance, centers)
     n, H, k = instance.n, instance.num_colors, params.k
-    if centers.shape[0] != k:
-        raise LPError(f"params.k={k} but {centers.shape[0]} centers given")
     if dist_pow is None:
         dist_pow = pairwise_pow(instance.features, centers, params.p)
     colors, counts, lam = instance.colors, instance.counts, params.lam
@@ -214,12 +212,12 @@ class HighsSolver:
     pricing reads 0 for it. The last round prices every left-out column at
     or above -tolerance, which certifies its optimum as the full LP's;
     tolerance is model.params.lp_tolerance; `_highs.solve` makes it HiGHS's
-    feasibility tolerance and row check, as for the rounding LP. The status
-    reads highs:optimal:iterations=N:rounds=R, N the simplex iterations
-    summed over the R rounds.
+    feasibility tolerance and row check, as for the rounding LP. solve
+    returns the LP's variables, its value, and the simplex iterations summed
+    over the pricing rounds and the number of rounds.
     """
 
-    def solve(self, model: LPModel) -> tuple[np.ndarray, float, str]:
+    def solve(self, model: LPModel) -> tuple[np.ndarray, float, int, int]:
         tolerance = model.params.lp_tolerance
         frame = _Frame(model)
         keep = _initial_columns(model, frame)
@@ -246,7 +244,8 @@ class HighsSolver:
         return (
             np.concatenate([x.ravel(), res.x[nx:]]),
             float(res.objective) + frame.offset,
-            f"highs:optimal:iterations={iterations}:rounds={rounds}",
+            iterations,
+            rounds,
         )
 
 
@@ -408,7 +407,7 @@ def solve_lp(model: LPModel) -> FractionalSolution:
     welfare evaluation of that x (`metrics.disutilities` on its fractional
     masses), in which each t_ih takes its least feasible value.
     """
-    xvec, raw_obj, status = HighsSolver().solve(model)
+    xvec, raw_obj, _, _ = HighsSolver().solve(model)
     k, n, inst = model.k, model.n, model.instance
     x = np.asarray(xvec[: k * n], dtype=np.float64).reshape(k, n).copy()
     np.clip(x, 0.0, 1.0, out=x)
@@ -422,7 +421,6 @@ def solve_lp(model: LPModel) -> FractionalSolution:
         x=x,
         objective=float(disu.max() if model.kind == "rawlsian" else disu.sum()),
         solver_objective=raw_obj,
-        status=status,
     )
 
 
@@ -438,6 +436,7 @@ def brute_force_assignment(
     Ties resolve to the lexicographically smallest assignment vector.
     """
     params.validate(instance)
+    params.check_centers(instance, centers)
     if objective not in ("rawlsian", "utilitarian"):
         raise ValueError(f"unknown objective {objective!r}")
     n = instance.n

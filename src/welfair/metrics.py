@@ -96,36 +96,6 @@ def group_costs(instance: Instance, solution: Solution, params: Params) -> Group
     return report_from_distances(instance, params, dist, solution.assignment)
 
 
-def socially_fair_cost(instance: Instance, solution: Solution, p: int = 2) -> float:
-    """max over colors of the per-color average clustering cost."""
-    dist = pairwise_pow(instance.features, solution.centers, p)
-    dsel = dist[np.arange(instance.n), solution.assignment]
-    counts = instance.counts
-    return float(
-        max(
-            dsel[instance.colors == h].sum() / counts[h]
-            for h in range(instance.num_colors)
-        )
-    )
-
-
-def weighted_cost(
-    instance: Instance,
-    solution: Solution,
-    p: int = 2,
-    weights: np.ndarray | None = None,
-) -> float:
-    """Sum of w_j * d(x_j, center)^p; uniform weights when none given."""
-    dist = pairwise_pow(instance.features, solution.centers, p)
-    dsel = dist[np.arange(instance.n), solution.assignment]
-    if weights is None:
-        return float(dsel.sum())
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (instance.n,):
-        raise ValueError("weights must have one entry per point")
-    return float((weights * dsel).sum())
-
-
 def additive_constants(instance: Instance, params: Params) -> tuple[float, float]:
     """(C_R, C_U) additive rounding terms for this instance and k."""
     r = instance.proportions

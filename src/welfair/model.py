@@ -92,6 +92,8 @@ class Instance:
 
     def subsample(self, size: int, seed: int) -> "Instance":
         """Uniform subsample without replacement, keeping color ids stable."""
+        if seed < 0:
+            raise ParamError(f"seed must be at least 0, got {seed}")
         if size >= self.n:
             return self
         rng = np.random.default_rng(seed)
@@ -164,7 +166,9 @@ class Params:
     one; both must be finite and nonnegative. lp_tolerance is the LP's
     pricing threshold, the slack by which a rounding gap may exceed its
     bound, and what sets HiGHS's feasibility tolerance for both LPs (see
-    `_highs.solve`). It must be finite and at least 1e-10.
+    `_highs.solve`). It must be finite and at least 1e-10. `validate`
+    checks these rules against an instance, and `check_centers` a center
+    array: k finite centers in the instance's dimension.
     """
 
     k: int
@@ -221,13 +225,7 @@ class Params:
             )
         if np.any(self.alpha < 0) or np.any(self.beta < 0):
             raise ParamError("alpha and beta must be nonnegative")
-        # HiGHS ignores feasibility tolerances below 1e-10 and keeps its
-        # default, while pricing and the gap rule would use the tiny value
-        if not (math.isfinite(self.lp_tolerance) and self.lp_tolerance >= 1e-10):
-            raise ParamError(
-                f"lp_tolerance must be finite and at least 1e-10, "
-                f"got {self.lp_tolerance}"
-            )
+        check_lp_tolerance(self.lp_tolerance)
         r = instance.proportions
         bad = np.nonzero(r + self.alpha > 1.0 + 1e-12)[0]
         if bad.size:
@@ -241,6 +239,32 @@ class Params:
             raise ParamError(
                 f"r_h - beta_h < 0 for color {instance.color_names[h]!r}"
             )
+
+    def check_centers(self, instance: Instance, centers: np.ndarray) -> None:
+        """ParamError unless centers holds k finite centers in the
+        instance's dimension."""
+        centers = np.asarray(centers, dtype=np.float64)
+        want = (self.k, instance.dim)
+        if centers.shape != want:
+            raise ParamError(
+                f"centers have shape {centers.shape}; need (k, dim) = {want}"
+            )
+        bad = np.argwhere(~np.isfinite(centers))
+        if bad.size:
+            i, c = (int(v) for v in bad[0])
+            raise ParamError(
+                f"coordinate {c} of center {i} is {centers[i, c]}, not finite"
+            )
+
+
+def check_lp_tolerance(tolerance: float) -> None:
+    """ParamError unless tolerance is finite and at least 1e-10: HiGHS
+    ignores feasibility tolerances below that and keeps its default, while
+    pricing and the gap rule would use the tiny value."""
+    if not (math.isfinite(tolerance) and tolerance >= 1e-10):
+        raise ParamError(
+            f"lp_tolerance must be finite and at least 1e-10, got {tolerance}"
+        )
 
 
 @dataclass
@@ -308,12 +332,12 @@ def normalization_factors(
     return {mode: float(np.mean(f)) for mode, f in factors.items()}
 
 
-def apply_normalization(instance: Instance, factor: float) -> Instance:
-    """Divide coordinates by sqrt(factor) so squared distances divide by it."""
+def apply_normalization(instance: Instance, factor: float, p: int = 2) -> Instance:
+    """Divide coordinates by factor^(1/p), so that every d^p divides by factor."""
     if not (factor > 0.0) or not math.isfinite(factor):
         raise ValueError(f"normalization factor must be positive finite, got {factor}")
     return Instance(
-        instance.features / math.sqrt(factor),
+        instance.features / (math.sqrt(factor) if p == 2 else factor ** (1.0 / p)),
         instance.colors.copy(),
         list(instance.color_names),
     )

@@ -32,7 +32,6 @@ class RunResult:
     gap_bound: float = float("nan")
     timings: dict = field(default_factory=dict)
     flags: list[str] = field(default_factory=list)
-    lp_status: str = ""
 
     @property
     def objective_value(self) -> float:
@@ -56,17 +55,13 @@ def _center_set(
     restarts: int,
     center_set: centers_mod.CenterSet | None,
 ) -> centers_mod.CenterSet:
-    """center_set, or the best of restarts of method (looked up on `centers`
-    at call time), after params.validate; ParamError unless it holds k
-    centers in the instance's dimension."""
+    """center_set, after params.check_centers, or the best of restarts of
+    method (looked up on `centers` at call time); params.validate first."""
     params.validate(instance)
-    cs = center_set or centers_mod.best_of_restarts(
-        instance, params.k, method, restarts, seed
-    )
-    shape, want = np.shape(cs.centers), (params.k, instance.dim)
-    if shape != want:
-        raise ParamError(f"center set has shape {shape}; need (k, dim) = {want}")
-    return cs
+    if center_set is None:
+        return centers_mod.best_of_restarts(instance, params.k, method, restarts, seed)
+    params.check_centers(instance, center_set.centers)
+    return center_set
 
 
 def _lp_pipeline(
@@ -115,7 +110,6 @@ def _lp_pipeline(
             "total": t3 - t0,
         },
         flags=flags,
-        lp_status=frac.status,
     )
 
 

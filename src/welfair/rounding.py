@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _highs
-from .errors import InternalInvariantError, LPError
+from .errors import InternalInvariantError
 from .metrics import GroupReport, color_masses, report_from_distances
 from .model import Instance, Params
 
@@ -122,11 +122,9 @@ def _solve_support(
         row_lower=lo,
         row_upper=hi,
     )
-    # x itself satisfies every row, so the LP cannot be infeasible
-    try:
-        res = _highs.solve(lp, tolerance)
-    except LPError as exc:
-        raise InternalInvariantError(f"rounding LP failed: {exc}") from exc
+    # x itself satisfies every row, so a failed solve is an LPError, an
+    # InternalInvariantError
+    res = _highs.solve(lp, tolerance)
     off = np.abs(res.x - np.round(res.x)).max()
     if off > _INTEGRAL_EPS:
         raise InternalInvariantError(

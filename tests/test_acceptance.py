@@ -20,8 +20,6 @@ from welfair.metrics import (
     group_costs,
     pairwise_pow,
     report_from_distances,
-    socially_fair_cost,
-    weighted_cost,
 )
 from welfair.model import (
     Instance,
@@ -313,8 +311,9 @@ def test_05_violation_bound_zero_slack():
 
 
 def test_06_lambda_one_matches_plain_objectives():
-    # At lambda=1 the max disutility is exactly the socially fair cost and the
-    # summed disutility is exactly the 1/n_h weighted clustering cost.
+    # At lambda=1 the max disutility is exactly the socially fair cost, the
+    # largest per-group average d^p, and the summed disutility is exactly the
+    # 1/n_h weighted clustering cost.
     rng = np.random.default_rng(9)
     for trial in range(20):
         n = int(rng.integers(30, 120))
@@ -327,8 +326,9 @@ def test_06_lambda_one_matches_plain_objectives():
         sol = Solution(cs.centers, np.argmin(dist, axis=1))
         params = Params(k=k, lam=1.0, p=p, alpha=np.zeros(H), beta=np.zeros(H))
         rep = group_costs(inst, sol, params)
-        sf = socially_fair_cost(inst, sol, p)
-        wc = weighted_cost(inst, sol, p, weights=1.0 / inst.counts[inst.colors])
+        dsel = dist[np.arange(n), sol.assignment]
+        sf = max(dsel[inst.colors == h].mean() for h in range(H))
+        wc = float((dsel / inst.counts[inst.colors]).sum())
         assert abs(rep.R - sf) <= 1e-9 * max(1.0, abs(sf))
         assert abs(rep.U - wc) <= 1e-9 * max(1.0, abs(wc))
     _announce("lambda-one-reduction", "20 instances, R==socially-fair, U==weighted")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -13,7 +14,7 @@ import pytest
 
 from datagen import random_instance, separated_instance, write_csv
 
-from welfair import centers, cli, pipeline
+from welfair import _highs, centers, cli, pipeline
 from welfair.cli import (
     ExperimentConfig,
     _parse_floats,
@@ -25,6 +26,7 @@ from welfair.cli import (
     plot_results,
     run_experiment,
 )
+from welfair.errors import LPError
 from welfair.model import apply_normalization, load_instance, normalization_factor
 
 
@@ -509,16 +511,17 @@ class TestRunExperiment:
 
     def test_rescaled_center_set(self, dataset):
         # a center set computed at one scale, rescaled, is the one computed
-        # at the other; ratio 1 returns the same object
+        # on the data whose d^p are ratio times as large, at p = 1 and 2;
+        # ratio 1 returns the same object
         path, feats = dataset
         inst = load_instance(path, feats, "group")
         ratio = 3.7
-        scaled = apply_normalization(inst, 1.0 / ratio)
-        for method in centers.METHODS:
+        for p, method in itertools.product((1, 2), centers.METHODS):
+            scaled = apply_normalization(inst, 1.0 / ratio, p)
             cs = centers.best_of_restarts(inst, 3, method, 3, 5)
             before = cs.centers.copy()
             want = centers.best_of_restarts(scaled, 3, method, 3, 5)
-            got = cli._rescaled(cs, ratio)
+            got = cli._rescaled(cs, ratio, p)
             np.testing.assert_array_equal(cs.centers, before)
             np.testing.assert_allclose(got.centers, want.centers, rtol=1e-12)
             assert got.score == pytest.approx(want.score, rel=1e-12)
@@ -527,7 +530,7 @@ class TestRunExperiment:
             )
             assert got.restart_iterations == want.restart_iterations
             assert got.provenance == cs.provenance == want.provenance
-            assert cli._rescaled(cs, 1.0) is cs
+            assert cli._rescaled(cs, 1.0, p) is cs
 
     def test_subsample_and_no_normalize(self, dataset, tmp_path):
         path, feats = dataset
@@ -709,6 +712,37 @@ class TestGapReport:
         assert f"{meta} field config.lp_tolerance is 'abc', not a number" in err
 
 
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ([1, 2], "must hold a JSON object with an object config"),
+            ({"config": [1]}, "must hold a JSON object with an object config"),
+            ({"config": {"lp_tolerance": True}}, "is True, not a number"),
+            (
+                {"config": {"lp_tolerance": float("nan")}},
+                "lp_tolerance must be finite and at least 1e-10, got nan",
+            ),
+            (
+                {"config": {"lp_tolerance": 1e-12}},
+                "lp_tolerance must be finite and at least 1e-10, got 1e-12",
+            ),
+        ],
+        ids=["list", "config-list", "bool", "nan", "tiny"],
+    )
+    def test_bad_metadata_is_data_error(self, tmp_path, capsys, meta, message):
+        # a NaN tolerance would make gap > bound + tol false for every run
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "method,objective,k,lambda,gap,bound\n"
+            "UtilitarianAlg,utilitarian,2,0.5,1.0,0.1\n"
+        )
+        (tmp_path / "metadata.json").write_text(json.dumps(meta))
+        assert main(["gapreport", "--results", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {tmp_path / 'metadata.json'}" in err and message in err
+        assert "Traceback" not in err
+
+
 class TestOracleCheck:
     def test_passes(self, capsys):
         assert oracle_check(seed=0, count=2) == 0
@@ -857,6 +891,25 @@ class TestMain:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "seed must be at least 0, got -1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("objective", ["rawlsian", "utilitarian"])
+    def test_lp_failure_exits_three(
+        self, objective, dataset, tmp_path, monkeypatch, capsys
+    ):
+        # both LPs are feasible by construction, so a failed HiGHS solve is
+        # an invariant violation, reported without a traceback
+        def fail(lp, tolerance):
+            raise LPError("HiGHS model status Solve error")
+
+        monkeypatch.setattr(_highs, "solve", fail)
+        path, feats = dataset
+        argv = ["run", "--data", path, "--features", ",".join(feats)]
+        argv += ["--group", "group", "--objective", objective, "--k", "2"]
+        argv += ["--lambdas", "0.5", "--restarts", "1", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "invariant violation: HiGHS model status Solve error" in err
+        assert "Traceback" not in err
 
     def test_bad_csv_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "one.csv"

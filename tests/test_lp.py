@@ -20,9 +20,8 @@ from welfair import _highs
 from welfair import lp as lp_mod
 from welfair.errors import (
     BruteForceSizeError,
+    InternalInvariantError,
     LPError,
-    LPInfeasibleError,
-    LPUnboundedError,
     ParamError,
 )
 from welfair.lp import (
@@ -134,7 +133,7 @@ class TestBuilders:
 
     def test_center_count_mismatch(self):
         inst, params, centers = _setup(k=2)
-        with pytest.raises(LPError):
+        with pytest.raises(ParamError, match=r"need \(k, dim\) = \(2, 2\)"):
             build_rawlsian_lp(inst, params, centers[:1])
 
 
@@ -437,7 +436,7 @@ class TestHighsPricing:
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         calls = _solve_spy(monkeypatch)
-        xvec, obj, _ = HighsSolver().solve(m)
+        xvec, obj, _, _ = HighsSolver().solve(m)
         got, want = _x_columns(m, calls[0][0]), _class_prefix(m)
         np.testing.assert_array_equal(got, want)
         # the prefix cuts the top columns: the first LP has fewer
@@ -471,8 +470,7 @@ class TestHighsPricing:
         # ceil(share * |class|) = 1: each (a, h, i) class keeps one column
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
         calls = _solve_spy(monkeypatch)
-        xvec, obj, status = HighsSolver().solve(m)
-        rounds = int(status.rsplit("rounds=", 1)[1])
+        xvec, obj, _, rounds = HighsSolver().solve(m)
         assert rounds >= 2 and len(calls) == rounds
         first = _x_columns(m, calls[0][0])
         near = np.argmin(m.dist_pow, axis=1)
@@ -599,8 +597,7 @@ class TestHighsPricing:
         m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CANDIDATES", 1)
         calls = _solve_spy(monkeypatch)
-        xvec, obj, status = HighsSolver().solve(m)
-        rounds = int(status.rsplit("rounds=", 1)[1])
+        xvec, obj, _, rounds = HighsSolver().solve(m)
         assert rounds >= 2 and len(calls) == rounds
         # the one candidate per point is its nearest center, whose column the
         # frame eliminates: the first LP holds no x column at all
@@ -639,16 +636,15 @@ class TestHighsPricing:
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     def test_status_counts_iterations(self, monkeypatch, kind):
-        # the status sums HiGHS's simplex iterations over the rounds
+        # the solve returns HiGHS's simplex iterations summed over the rounds
+        # and the number of rounds
         inst, params, centers = _setup(n=60, k=6, H=2, lam=0.2, seed=4)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         calls = _solve_spy(monkeypatch)
-        _, _, status = HighsSolver().solve(m)
-        head, rounds = status.rsplit(":rounds=", 1)
-        iterations = int(head.rsplit("iterations=", 1)[1])
-        assert head.startswith("highs:optimal:")
-        assert int(rounds) == len(calls)
+        _, _, iterations, rounds = HighsSolver().solve(m)
+        assert type(iterations) is int and type(rounds) is int
+        assert rounds == len(calls)
         assert iterations == sum(res.iterations for _, res in calls) > 0
 
 
@@ -783,32 +779,41 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_assignment(inst, params, centers, "minimax")
 
+    @pytest.mark.parametrize(
+        "run", [brute_force_assignment, build_rawlsian_lp, build_utilitarian_lp]
+    )
+    def test_non_finite_centers(self, run):
+        inst, params, centers = _setup(n=5, k=2, H=2)
+        centers[1, 1] = np.nan
+        with pytest.raises(ParamError, match="coordinate 1 of center 1 is nan"):
+            run(inst, params, centers)
+
 
 class TestHighsStatus:
-    """A failed HiGHS solve reaches the caller as the LPError its model
-    status names: infeasible or a model error LPInfeasibleError, unbounded
-    LPUnboundedError, any other status but optimal LPError."""
+    """A failed HiGHS solve reaches the caller as one LPError, an
+    InternalInvariantError, whose message names the model status."""
 
     @pytest.mark.parametrize(
-        "status, error",
+        "status",
         [
-            (HighsModelStatus.kInfeasible, LPInfeasibleError),
-            (HighsModelStatus.kUnbounded, LPUnboundedError),
-            (HighsModelStatus.kIterationLimit, LPError),
-            (HighsModelStatus.kSolveError, LPError),
-            (HighsModelStatus.kModelError, LPInfeasibleError),
+            HighsModelStatus.kInfeasible,
+            HighsModelStatus.kUnbounded,
+            HighsModelStatus.kIterationLimit,
+            HighsModelStatus.kSolveError,
+            HighsModelStatus.kModelError,
         ],
         ids=["infeasible", "unbounded", "iteration_limit", "numerical", "model_error"],
     )
     @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
-    def test_status_raises(self, monkeypatch, build, status, error):
+    def test_status_raises(self, monkeypatch, build, status):
         inst, params, centers = _setup(n=8, k=2, H=2)
         m = build(inst, params, centers)
         record = fake_highs(monkeypatch, status=status)
         name = _highs._Highs().modelStatusToString(status)
-        with pytest.raises(error, match=f"model status {name}$") as info:
+        with pytest.raises(LPError, match=f"model status {name}$") as info:
             HighsSolver().solve(m)
-        assert info.type is error
+        assert info.type is LPError
+        assert isinstance(info.value, InternalInvariantError)
         assert record.runs == 1
 
     @pytest.mark.parametrize(
@@ -975,7 +980,7 @@ class TestHighsAdapter:
             monkeypatch.setattr(_highs._local, "highs", None, raising=False)
             fresh.append(_highs.solve(lp, tolerance))
         for (lp, tolerance), want in reversed(list(zip(calls, fresh))):
-            with pytest.raises(LPUnboundedError):
+            with pytest.raises(LPError):
                 _highs.solve(_unbounded_lp(), 1e-9)
             got = _highs.solve(lp, tolerance)
             assert np.array_equal(got.x, want.x)
@@ -1007,7 +1012,7 @@ class TestHighsAdapter:
         monkeypatch.setattr(_highs._local, "highs", None, raising=False)
         for tolerance in (1e-7, 5e-10):
             _highs.solve(_small_lp(), tolerance)
-        with pytest.raises(LPUnboundedError):
+        with pytest.raises(LPError):
             _highs.solve(_unbounded_lp(), 1e-9)
         assert capfd.readouterr() == ("", "")
 
@@ -1126,7 +1131,7 @@ def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
         centers[rng.integers(1, k)] = centers[0]
     build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
     m = build(inst, params, centers)
-    xvec, obj, _ = HighsSolver().solve(m)
+    xvec, obj, _, _ = HighsSolver().solve(m)
 
     A_ub, A_eq, ref = _reference(m)
     assert obj == pytest.approx(ref.fun, abs=params.lp_tolerance)

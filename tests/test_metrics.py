@@ -13,8 +13,6 @@ from welfair.metrics import (
     group_costs,
     pairwise_pow,
     report_from_distances,
-    socially_fair_cost,
-    weighted_cost,
 )
 from welfair.model import Instance, Params, Solution
 
@@ -214,34 +212,14 @@ class TestGroupReport:
 
 class TestAggregateCosts:
     def test_socially_fair_cost(self):
+        # at lambda = 1, R is the socially fair cost: the largest per-color
+        # average d^p
         X = np.array([[0.0], [1.0], [4.0], [9.0]])
         inst = Instance(X, [0, 0, 1, 1], ["a", "b"])
         sol = Solution(np.array([[0.0]]), [0, 0, 0, 0])
+        params = Params(k=1, lam=1.0, alpha=np.zeros(2), beta=np.zeros(2))
         # color a: (0 + 1)/2 = 0.5; color b: (16 + 81)/2 = 48.5
-        assert socially_fair_cost(inst, sol, p=2) == pytest.approx(48.5)
-
-    def test_weighted_cost_uniform_equals_cost(self, small_instance):
-        rng = np.random.default_rng(5)
-        k = 3
-        sol = Solution(
-            rng.normal(size=(k, small_instance.dim)),
-            rng.integers(0, k, size=small_instance.n),
-        )
-        params = Params.with_delta(small_instance, k, 0.5)
-        rep = group_costs(small_instance, sol, params)
-        assert weighted_cost(small_instance, sol, p=2) == pytest.approx(rep.cost)
-
-    def test_weighted_cost_with_weights(self):
-        X = np.array([[0.0], [2.0]])
-        inst = Instance(X, [0, 1], ["a", "b"])
-        sol = Solution(np.array([[0.0]]), [0, 0])
-        w = np.array([10.0, 0.5])
-        assert weighted_cost(inst, sol, p=2, weights=w) == pytest.approx(2.0)
-
-    def test_weighted_cost_shape_check(self, tiny_instance):
-        sol = Solution(np.zeros((1, tiny_instance.dim)), np.zeros(tiny_instance.n))
-        with pytest.raises(ValueError):
-            weighted_cost(tiny_instance, sol, weights=np.ones(3))
+        assert group_costs(inst, sol, params).R == pytest.approx(48.5)
 
 
 class TestConstants:

@@ -3,7 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from datagen import random_instance, separated_instance, violation, write_csv
+from datagen import (
+    adult_like,
+    random_instance,
+    separated_instance,
+    violation,
+    write_csv,
+)
 
 from welfair.errors import (
     DataError,
@@ -24,6 +30,7 @@ from welfair.model import (
     apply_normalization,
     load_instance,
     normalization_factor,
+    normalization_factors,
 )
 
 
@@ -183,6 +190,13 @@ class TestInstance:
         assert inst.subsample(10, seed=0) is inst
         assert inst.subsample(99, seed=0) is inst
 
+    @pytest.mark.parametrize("size", [10, 30])
+    def test_subsample_negative_seed(self, size):
+        # numpy's generator would raise a bare ValueError
+        inst = random_instance(20, 2, 2, seed=0)
+        with pytest.raises(ParamError, match="seed must be at least 0, got -1"):
+            inst.subsample(size, -1)
+
 
 class TestParams:
     def test_with_delta_sets_proportional_slack(self):
@@ -312,6 +326,17 @@ class TestNormalization:
         d0 = np.sum((inst.features[0] - inst.features[1]) ** 2)
         d1 = np.sum((scaled.features[0] - scaled.features[1]) ** 2)
         assert d1 == pytest.approx(d0 / 4.0)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_normalized_data_has_factor_one(self, p):
+        # apply_normalization divides every d^p by the factor, so the
+        # factor recomputed on the normalized data is 1
+        inst = adult_like(300, seed=3)
+        ks = [4, 8]
+        for mode, f in normalization_factors(inst, ks, p).items():
+            scaled = apply_normalization(inst, f, p)
+            again = normalization_factor(scaled, ks, p, mode)
+            assert again == pytest.approx(1.0, rel=1e-9), mode
 
     def test_apply_rejects_bad_factor(self, tiny_instance):
         with pytest.raises(ValueError):

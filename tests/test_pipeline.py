@@ -170,10 +170,10 @@ class TestBaselines:
 
 
 class TestCenterSetShape:
-    """Every run checks that its center set holds k centers in the
+    """Every run checks that its center set holds k finite centers in the
     instance's dimension before it uses them."""
 
-    @pytest.mark.parametrize(
+    _each_run = pytest.mark.parametrize(
         "run",
         [
             rawlsian_alg,
@@ -182,6 +182,8 @@ class TestCenterSetShape:
         ],
         ids=["rawlsian_alg", "utilitarian_alg", "evaluate_baseline"],
     )
+
+    @_each_run
     @pytest.mark.parametrize("shape", [(4, 2), (3, 3)], ids=["k+1", "dim+1"])
     def test_wrong_shape_rejected(self, run, shape):
         inst = _inst(seed=8)
@@ -189,6 +191,17 @@ class TestCenterSetShape:
         rng = np.random.default_rng(0)
         cs = CenterSet(rng.normal(size=shape), "given", float("nan"))
         with pytest.raises(ParamError, match=r"\(k, dim\) = \(3, 2\)"):
+            run(inst, params, center_set=cs)
+
+    @_each_run
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, run, bad):
+        inst = _inst(seed=8)
+        params = Params.with_delta(inst, 3, 0.5, 0.1)
+        ctrs = np.random.default_rng(0).normal(size=(3, 2))
+        ctrs[1, 0] = bad
+        cs = CenterSet(ctrs, "given", float("nan"))
+        with pytest.raises(ParamError, match=f"coordinate 0 of center 1 is {bad}"):
             run(inst, params, center_set=cs)
 
 

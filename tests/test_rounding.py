@@ -303,7 +303,7 @@ class TestMinCostFlow:
             return support
 
         monkeypatch.setattr(rounding, "split_support", tight)
-        with pytest.raises(InternalInvariantError, match="rounding LP failed"):
+        with pytest.raises(InternalInvariantError, match="model status Infeasible"):
             rawlsian_round(x, inst, params, np.ones((6, 2)))
 
 
