@@ -18,6 +18,7 @@ class CenterSet:
 
     restart_scores and restart_iterations hold each restart's score and its
     number of assignment passes; a single run is one restart.
+    best_of_restarts keeps its first restart's centers as first_centers.
     """
 
     centers: np.ndarray
@@ -25,6 +26,7 @@ class CenterSet:
     score: float
     restart_scores: list[float] | None = None
     restart_iterations: list[int] | None = None
+    first_centers: np.ndarray | None = None
 
 
 def _check_weights(w: np.ndarray, n: int) -> None:
@@ -330,30 +332,27 @@ METHODS = ("vanilla", "weighted", "socially_fair")
 def best_of_restarts(
     instance: Instance, k: int, method: str, restarts: int, seed: int
 ) -> CenterSet:
-    """Run `method` with seeds seed .. seed+restarts-1, keep the best score."""
+    """Run `method` with seeds seed .. seed+restarts-1, keep the best score;
+    first_centers are the centers of the restart at seed itself."""
     if method not in METHODS:
         raise ParamError(f"method must be one of {METHODS}, got {method!r}")
     if restarts < 1:
         raise ParamError(f"restarts must be at least 1, got {restarts}")
-    best: CenterSet | None = None
-    scores: list[float] = []
-    iterations: list[int] = []
+    runs = []
     for s in range(seed, seed + restarts):
         if method == "vanilla":
-            cs = lloyd(instance, k, np.ones(instance.n), s)
+            runs.append(lloyd(instance, k, np.ones(instance.n), s))
         elif method == "weighted":
-            cs = lloyd(instance, k, 1.0 / instance.counts[instance.colors], s)
+            runs.append(lloyd(instance, k, 1.0 / instance.counts[instance.colors], s))
         else:
-            cs = socially_fair_centers(instance, k, s)
-        scores.append(cs.score)
-        iterations += cs.restart_iterations
-        if best is None or cs.score < best.score:
-            best = cs
-    assert best is not None
+            runs.append(socially_fair_centers(instance, k, s))
+    # the first of equal scores wins
+    best = min(runs, key=lambda cs: cs.score)
     return CenterSet(
         best.centers,
         f"{method}(restarts={restarts},seed={seed})",
         best.score,
-        restart_scores=scores,
-        restart_iterations=iterations,
+        restart_scores=[cs.score for cs in runs],
+        restart_iterations=[i for cs in runs for i in cs.restart_iterations],
+        first_centers=runs[0].centers,
     )

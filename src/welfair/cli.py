@@ -102,9 +102,6 @@ class ExperimentConfig:
                 )
         return cls(**raw)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 def _has_type(value, tp) -> bool:
     """value, read from JSON, fits the annotation tp: an int is a float, a
@@ -179,8 +176,19 @@ def run_experiment(config: ExperimentConfig) -> str:
     objectives = (
         list(_OBJECTIVES) if config.objective == "both" else [config.objective]
     )
+    # each k's center sets, computed once on the raw data; our method's
+    # centers, pipeline.CENTER_METHODS[obj], are one of them. The vanilla
+    # sets' first restarts give the factors, so a zero one fails first
+    def center_set(k, method):
+        return centers.best_of_restarts(
+            instance, k, method, config.restarts, config.seed
+        )
+
+    vanilla = {k: center_set(k, "vanilla") for k in config.k_range}
     if config.normalize:
-        both = normalization_factors(instance, config.k_range, config.p, config.seed)
+        both = normalization_factors(
+            instance, [vanilla[k].first_centers for k in config.k_range], config.p
+        )
         if 0.0 in both.values():
             # zero vanilla cost at every k: each point sits on its center
             raise NormalizationError(
@@ -195,22 +203,15 @@ def run_experiment(config: ExperimentConfig) -> str:
     else:
         factors = dict.fromkeys(objectives, float("nan"))
         insts = dict.fromkeys(objectives, instance)
-    # each k's center sets, computed once on the first objective's instance;
-    # our method's centers, pipeline.CENTER_METHODS[obj], are one of them
-    first = objectives[0]
     center_sets = {
-        k: {
-            method: centers.best_of_restarts(
-                insts[first], k, method, config.restarts, config.seed
-            )
-            for method in centers.METHODS
-        }
+        k: {"vanilla": vanilla[k]} | {m: center_set(k, m) for m in centers.METHODS[1:]}
         for k in config.k_range
     }
     rows: list[dict] = []
     for obj in objectives:
         inst = insts[obj]
-        ratio = factors[first] / factors[obj] if config.normalize else 1.0
+        # every d^p of inst is the raw one divided by the factor
+        ratio = 1.0 / factors[obj] if config.normalize else 1.0
         tasks = []
         for k in config.k_range:
             cache = {
@@ -247,10 +248,10 @@ def run_experiment(config: ExperimentConfig) -> str:
 
 def _rescaled(cs: centers.CenterSet, ratio: float, p: int) -> centers.CenterSet:
     """The center set the heuristics return on the same points with every
-    d^p times ratio: they are scale-equivariant, so its centers are cs's
-    times ratio^(1/p), the ratio of the coordinates, and its scores, squared
-    Euclidean costs, are cs's times that ratio squared. A ratio of 1 returns
-    cs itself."""
+    d^p times ratio: they are scale-equivariant, so its centers and first
+    centers are cs's times ratio^(1/p), the ratio of the coordinates, and its
+    scores, squared Euclidean costs, are cs's times that ratio squared. A
+    ratio of 1 returns cs itself."""
     if ratio == 1.0:
         return cs
     scale, square = (math.sqrt(ratio), ratio) if p == 2 else (ratio, ratio * ratio)
@@ -259,6 +260,7 @@ def _rescaled(cs: centers.CenterSet, ratio: float, p: int) -> centers.CenterSet:
         centers=cs.centers * scale,
         score=cs.score * square,
         restart_scores=[s * square for s in cs.restart_scores],
+        first_centers=cs.first_centers * scale,
     )
 
 

@@ -142,7 +142,6 @@ class FractionalSolution:
 
     x: np.ndarray
     objective: float
-    solver_objective: float
 
 
 def _build(kind: str, instance: Instance, params: Params, centers, dist_pow) -> LPModel:
@@ -407,7 +406,7 @@ def solve_lp(model: LPModel) -> FractionalSolution:
     welfare evaluation of that x (`metrics.disutilities` on its fractional
     masses), in which each t_ih takes its least feasible value.
     """
-    xvec, raw_obj, _, _ = HighsSolver().solve(model)
+    xvec = HighsSolver().solve(model)[0]
     k, n, inst = model.k, model.n, model.instance
     x = np.asarray(xvec[: k * n], dtype=np.float64).reshape(k, n).copy()
     np.clip(x, 0.0, 1.0, out=x)
@@ -417,11 +416,8 @@ def solve_lp(model: LPModel) -> FractionalSolution:
         raise InternalInvariantError(f"assignment column sum off by {col:g}")
     D = color_masses((x * model.dist_pow.T).sum(axis=0), inst)
     _, _, disu = disutilities(inst, model.params, color_masses(x, inst), D)
-    return FractionalSolution(
-        x=x,
-        objective=float(disu.max() if model.kind == "rawlsian" else disu.sum()),
-        solver_objective=raw_obj,
-    )
+    value = disu.max() if model.kind == "rawlsian" else disu.sum()
+    return FractionalSolution(x, float(value))
 
 
 def brute_force_assignment(

@@ -287,36 +287,37 @@ def normalization_factor(
     mode: str = "rawlsian",
     seed: int = 0,
 ) -> float:
-    """Scale factor balancing distance and violation terms.
+    """normalization_factors[mode] from one vanilla k-means run per k of
+    k_range, lloyd(instance, k, ones, seed)."""
+    from .centers import lloyd
 
-    For each k, one vanilla k-means run (fixed seed) gives an assignment;
-    the factor for that k is distance numerator / violation denominator with
-    alpha = beta = 0, and the result is the mean over k_range. mode selects
-    the numerator: "rawlsian" uses the overall mean of d^p, "utilitarian" the
-    sum over colors of per-color average d^p.
-    """
     if mode not in ("rawlsian", "utilitarian"):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    return normalization_factors(instance, k_range, p, seed)[mode]
+    vanilla = [lloyd(instance, k, np.ones(instance.n), seed).centers for k in k_range]
+    return normalization_factors(instance, vanilla, p)[mode]
 
 
 def normalization_factors(
-    instance: Instance,
-    k_range: list[int],
-    p: int = 2,
-    seed: int = 0,
+    instance: Instance, centers_by_k: list[np.ndarray], p: int = 2
 ) -> dict[str, float]:
-    """normalization_factor for both modes, from one vanilla k-means run per
-    k: {"rawlsian": ..., "utilitarian": ...}."""
-    from . import centers as _centers
+    """Scale factors balancing distance and violation terms, for both modes:
+    {"rawlsian": ..., "utilitarian": ...}.
+
+    centers_by_k holds one vanilla k-means center set (k, dim) per k, and
+    each point goes to its nearest center. The factor for that k is
+    distance numerator / violation denominator with alpha = beta = 0, and
+    the result is the mean over the sets. The numerator of "rawlsian" is
+    the overall mean of d^p, that of "utilitarian" the sum over colors of
+    per-color average d^p.
+    """
     from . import metrics as _metrics
 
-    if not k_range:
-        raise ValueError("k_range must be non-empty")
+    if not centers_by_k:
+        raise ValueError("need the vanilla centers of at least one k")
     factors: dict[str, list[float]] = {"rawlsian": [], "utilitarian": []}
-    for k in k_range:
-        cs = _centers.lloyd(instance, k, np.ones(instance.n), seed=seed)
-        dist = _metrics.pairwise_pow(instance.features, cs.centers, p)
+    for centers in centers_by_k:
+        k = len(centers)
+        dist = _metrics.pairwise_pow(instance.features, centers, p)
         params0 = Params.with_delta(instance, k, 0.0, p=p)
         rep = _metrics.report_from_distances(
             instance, params0, dist, np.argmin(dist, axis=1)

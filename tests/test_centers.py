@@ -20,7 +20,7 @@ from welfair.centers import (
 )
 from welfair.errors import CenterError, ParamError
 from welfair.metrics import pairwise_pow
-from welfair.model import Instance, normalization_factors
+from welfair.model import Instance, normalization_factor
 
 
 class TestKmeansppInit:
@@ -82,7 +82,7 @@ class TestKmeansppInit:
             lambda inst: lloyd(inst, 2, np.ones(inst.n), -1),
             lambda inst: socially_fair_centers(inst, 2, -1),
             lambda inst: best_of_restarts(inst, 2, "weighted", 3, -1),
-            lambda inst: normalization_factors(inst, [2, 3], 2, -1),
+            lambda inst: normalization_factor(inst, [2, 3], 2, "rawlsian", -1),
         ],
         ids=["kmeanspp_init", "lloyd", "socially_fair", "restarts", "normalization"],
     )
@@ -404,6 +404,19 @@ class TestBestOfRestarts:
         a = best_of_restarts(small_instance, 4, "vanilla", 2, seed=0)
         b = best_of_restarts(small_instance, 4, "vanilla", 6, seed=0)
         assert b.score <= a.score + 1e-12
+
+    @pytest.mark.parametrize("method", centers_mod.METHODS)
+    def test_first_centers_are_the_first_restart(self, small_instance, method):
+        # the restart at seed itself is the single run of its heuristic
+        inst = small_instance
+        single = {
+            "vanilla": lambda: lloyd(inst, 3, np.ones(inst.n), 7),
+            "weighted": lambda: lloyd(inst, 3, 1.0 / inst.counts[inst.colors], 7),
+            "socially_fair": lambda: socially_fair_centers(inst, 3, 7),
+        }[method]()
+        cs = best_of_restarts(inst, 3, method, 4, seed=7)
+        np.testing.assert_array_equal(cs.first_centers, single.centers)
+        assert cs.restart_scores[0] == single.score
 
     def test_bad_method(self, small_instance):
         with pytest.raises(ParamError, match="'fancy'"):

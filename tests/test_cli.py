@@ -7,7 +7,7 @@ import itertools
 import json
 import xml.etree.ElementTree as ET
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -66,8 +66,7 @@ class TestConfig:
             lambdas=[0.5],
             workers=2,
         )
-        text = config.to_json()
-        back = json.loads(text)
+        back = json.loads(json.dumps(asdict(config)))
         assert ExperimentConfig(**back) == config
 
     def test_from_json_file(self, tmp_path):
@@ -75,7 +74,7 @@ class TestConfig:
             data="d.csv", feature_columns=["a"], group_column="g"
         )
         p = tmp_path / "config.json"
-        p.write_text(config.to_json(), encoding="utf-8")
+        p.write_text(json.dumps(asdict(config)), encoding="utf-8")
         assert ExperimentConfig.from_json(str(p)) == config
 
     def test_from_json_file_with_byte_order_mark(self, tmp_path):
@@ -84,7 +83,7 @@ class TestConfig:
             data="d.csv", feature_columns=["a"], group_column="g"
         )
         p = tmp_path / "config.json"
-        p.write_text(config.to_json(), encoding="utf-8-sig")
+        p.write_text(json.dumps(asdict(config)), encoding="utf-8-sig")
         assert p.read_bytes().startswith(b"\xef\xbb\xbf")
         assert ExperimentConfig.from_json(str(p)) == config
 
@@ -230,7 +229,7 @@ class TestFlags:
     @pytest.fixture
     def config_file(self, tmp_path):
         cpath = tmp_path / "config.json"
-        cpath.write_text(self._BASE.to_json(), encoding="utf-8")
+        cpath.write_text(json.dumps(asdict(self._BASE)), encoding="utf-8")
         return str(cpath)
 
     @pytest.mark.parametrize("flag, name, value", _FLAGS, ids=[n for _, n, _ in _FLAGS])
@@ -379,8 +378,8 @@ class TestRunExperiment:
         self, dataset, tmp_path, monkeypatch
     ):
         # objective both: the two factors share one vanilla Lloyd run per k,
-        # so normalizing adds len(k_range) lloyd calls, and metadata records
-        # the per-mode factors
+        # the first restart of its vanilla center set, so normalizing adds
+        # no lloyd call, and metadata records the per-mode factors
         path, feats = dataset
         calls = []
         real = centers.lloyd
@@ -404,7 +403,8 @@ class TestRunExperiment:
             )
             run_experiment(config)
             counts[normalize] = len(calls)
-        assert counts[True] - counts[False] == len(config.k_range)
+        # one restart each of vanilla and weighted Lloyd per k
+        assert counts[True] == counts[False] == 2 * len(config.k_range)
         meta = json.loads((tmp_path / "n1" / "metadata.json").read_text())
         inst = load_instance(path, feats, "group")
         for mode in ("rawlsian", "utilitarian"):
@@ -412,9 +412,9 @@ class TestRunExperiment:
             assert meta["norm_factors"][mode] == want
 
     def test_one_center_set_per_method_and_k(self, dataset, tmp_path, monkeypatch):
-        # our method's centers are one of the three baselines', and the second
-        # objective rescales the first's, so a sweep computes 3 center sets
-        # per k, each method once
+        # our method's centers are one of the three baselines', and each
+        # objective rescales the sets computed on the raw data, so a sweep
+        # computes 3 center sets per k, each method once
         path, feats = dataset
         calls = []
         real = centers.best_of_restarts
@@ -469,45 +469,15 @@ class TestRunExperiment:
             if row["objective"] == objective
         ]
 
-    def test_both_rawlsian_rows_equal_a_rawlsian_run(self, sweeps):
-        # the first objective's center sets are the ones a rawlsian-only run
-        # computes
-        both = self._untimed(sweeps[True, "both"], "rawlsian")
-        assert both == self._untimed(sweeps[True, "rawlsian"], "rawlsian")
-        assert len(both) == 2 * 2 * 4
-
-    def test_both_utilitarian_rows_match_a_utilitarian_run(self, sweeps):
-        # the rescaled center sets equal the ones computed on the utilitarian
-        # instance up to rounding
-        both = self._untimed(sweeps[True, "both"], "utilitarian")
-        alone = self._untimed(sweeps[True, "utilitarian"], "utilitarian")
-        assert len(both) == len(alone) == 2 * 2 * 4
-        relative = {"R", "U", "lp_objective"}
-        for rb, ra in zip(both, alone):
-            assert rb.keys() == ra.keys()
-            for key in rb:
-                if (rb[key] == "") != (ra[key] == ""):
-                    pytest.fail(f"{key}: {rb[key]!r} against {ra[key]!r}")
-                if rb[key] == "":
-                    continue
-                if key in relative or key.startswith(("disu_", "D_")):
-                    assert float(rb[key]) == pytest.approx(
-                        float(ra[key]), rel=1e-12, abs=0.0
-                    ), key
-                elif key == "gap":
-                    assert float(rb[key]) == pytest.approx(
-                        float(ra[key]), rel=0.0, abs=1e-12
-                    )
-                else:
-                    assert rb[key] == ra[key], key
-
-    def test_unnormalized_both_rows_equal_single_objective_runs(self, sweeps):
-        # without normalization every objective shares one instance, so the
-        # center sets are reused as they are
-        for objective in ("rawlsian", "utilitarian"):
-            assert self._untimed(sweeps[False, "both"], objective) == (
-                self._untimed(sweeps[False, objective], objective)
-            )
+    def test_both_rows_equal_single_objective_runs(self, sweeps):
+        # every objective rescales the center sets computed on the raw data,
+        # so a both-objectives run's rows are each single-objective run's
+        for normalize, objective in itertools.product(
+            (True, False), ("rawlsian", "utilitarian")
+        ):
+            both = self._untimed(sweeps[normalize, "both"], objective)
+            assert len(both) == 2 * 2 * 4
+            assert both == self._untimed(sweeps[normalize, objective], objective)
 
     def test_rescaled_center_set(self, dataset):
         # a center set computed at one scale, rescaled, is the one computed
@@ -524,6 +494,9 @@ class TestRunExperiment:
             got = cli._rescaled(cs, ratio, p)
             np.testing.assert_array_equal(cs.centers, before)
             np.testing.assert_allclose(got.centers, want.centers, rtol=1e-12)
+            np.testing.assert_allclose(
+                got.first_centers, want.first_centers, rtol=1e-12
+            )
             assert got.score == pytest.approx(want.score, rel=1e-12)
             np.testing.assert_allclose(
                 got.restart_scores, want.restart_scores, rtol=1e-12
@@ -810,7 +783,7 @@ class TestMain:
             out_dir=str(tmp_path / "unused"),
         )
         cpath = tmp_path / "config.json"
-        cpath.write_text(config.to_json(), encoding="utf-8")
+        cpath.write_text(json.dumps(asdict(config)), encoding="utf-8")
         code = main(
             ["run", "--config", str(cpath), "--k", "2", "--out", str(tmp_path / "o")]
         )

@@ -247,7 +247,7 @@ class TestSolveLp:
         assert np.all(frac.x >= 0.0) and np.all(frac.x <= 1.0)
         np.testing.assert_allclose(frac.x.sum(axis=0), 1.0, atol=1e-6)
         # solver objective and direct evaluation agree
-        assert frac.objective == pytest.approx(frac.solver_objective, abs=1e-6)
+        assert frac.objective == pytest.approx(HighsSolver().solve(m)[1], abs=1e-6)
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     def test_lp_lower_bounds_brute_force(self, kind):
@@ -359,10 +359,11 @@ def _reduced_costs(model, call, res):
 
 
 def _all_columns(monkeypatch, model):
+    """The LP value HiGHS reaches with every column in the first LP."""
     with monkeypatch.context() as mp:
         mp.setattr(lp_mod, "_CANDIDATES", model.k)
         mp.setattr(lp_mod, "_CLASS_SHARE", 1.0)
-        return solve_lp(model)
+        return HighsSolver().solve(model)[1]
 
 
 def _pricing_spy(monkeypatch):
@@ -444,7 +445,7 @@ class TestHighsPricing:
         assert len(calls[0][0]["c"]) == want.sum() + m.num_vars - m.k * m.n
         assert xvec.shape == (m.num_vars,)
         want = _all_columns(monkeypatch, m)
-        assert obj == pytest.approx(want.solver_objective, abs=params.lp_tolerance)
+        assert obj == pytest.approx(want, abs=params.lp_tolerance)
 
     @pytest.mark.parametrize("H", [2, 3])
     def test_class_prefix_ties_in_point_order(self, H):
@@ -571,12 +572,10 @@ class TestHighsPricing:
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
         calls = _solve_spy(monkeypatch)
-        got = solve_lp(m)
+        got = HighsSolver().solve(m)[1]
         assert len(calls[0][0]["c"]) < m.num_vars  # the restriction was used
         want = _all_columns(monkeypatch, m)
-        assert got.solver_objective == pytest.approx(
-            want.solver_objective, abs=params.lp_tolerance
-        )
+        assert got == pytest.approx(want, abs=params.lp_tolerance)
 
     # pricing enters the columns below -lp_tolerance, the default or a
     # looser one
@@ -603,7 +602,7 @@ class TestHighsPricing:
         # frame eliminates: the first LP holds no x column at all
         assert len(calls[0][0]["c"]) == m.num_vars - m.k * inst.n
         want = _all_columns(monkeypatch, m)
-        assert obj == pytest.approx(want.solver_objective, abs=params.lp_tolerance)
+        assert obj == pytest.approx(want, abs=params.lp_tolerance)
         # every non-eliminated column the last LP left out sits at zero; none
         # of them (nor any other x column at zero) prices below -tolerance
         # under the model's own duals

@@ -21,7 +21,7 @@ from welfair.errors import (
     ParamError,
     SingleColorError,
 )
-from welfair.centers import lloyd
+from welfair.centers import best_of_restarts, lloyd
 from welfair.metrics import pairwise_pow
 from welfair.model import (
     Instance,
@@ -333,10 +333,22 @@ class TestNormalization:
         # factor recomputed on the normalized data is 1
         inst = adult_like(300, seed=3)
         ks = [4, 8]
-        for mode, f in normalization_factors(inst, ks, p).items():
+        vanilla = [lloyd(inst, k, np.ones(inst.n), 0).centers for k in ks]
+        for mode, f in normalization_factors(inst, vanilla, p).items():
             scaled = apply_normalization(inst, f, p)
             again = normalization_factor(scaled, ks, p, mode)
             assert again == pytest.approx(1.0, rel=1e-9), mode
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_factors_from_first_vanilla_restarts(self, p):
+        # the sweep reads its factors off each k's vanilla center set; its
+        # first restart is normalization_factor's own Lloyd run
+        inst = adult_like(300, seed=5)
+        ks = [3, 4, 6]
+        first = [best_of_restarts(inst, k, "vanilla", 3, 2).first_centers for k in ks]
+        got = normalization_factors(inst, first, p)
+        for mode in ("rawlsian", "utilitarian"):
+            assert got[mode] == normalization_factor(inst, ks, p, mode, 2)
 
     def test_apply_rejects_bad_factor(self, tiny_instance):
         with pytest.raises(ValueError):
