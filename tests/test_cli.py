@@ -469,15 +469,27 @@ class TestRunExperiment:
             if row["objective"] == objective
         ]
 
-    def test_both_rows_equal_single_objective_runs(self, sweeps):
-        # every objective rescales the center sets computed on the raw data,
-        # so a both-objectives run's rows are each single-objective run's
-        for normalize, objective in itertools.product(
-            (True, False), ("rawlsian", "utilitarian")
-        ):
-            both = self._untimed(sweeps[normalize, "both"], objective)
+    def test_both_rawlsian_rows_equal_a_rawlsian_run(self, sweeps):
+        # the rawlsian objective rescales the center sets computed on the raw
+        # data, as a rawlsian-only run does
+        both = self._untimed(sweeps[True, "both"], "rawlsian")
+        assert both == self._untimed(sweeps[True, "rawlsian"], "rawlsian")
+        assert len(both) == 2 * 2 * 4
+
+    def test_both_utilitarian_rows_match_a_utilitarian_run(self, sweeps):
+        # the utilitarian objective rescales the same raw center sets, so its
+        # rows equal a utilitarian-only run's exactly
+        both = self._untimed(sweeps[True, "both"], "utilitarian")
+        assert both == self._untimed(sweeps[True, "utilitarian"], "utilitarian")
+        assert len(both) == 2 * 2 * 4
+
+    def test_unnormalized_both_rows_equal_single_objective_runs(self, sweeps):
+        # without normalization every objective shares one instance, so the
+        # center sets are reused as they are
+        for objective in ("rawlsian", "utilitarian"):
+            both = self._untimed(sweeps[False, "both"], objective)
             assert len(both) == 2 * 2 * 4
-            assert both == self._untimed(sweeps[normalize, objective], objective)
+            assert both == self._untimed(sweeps[False, objective], objective)
 
     def test_rescaled_center_set(self, dataset):
         # a center set computed at one scale, rescaled, is the one computed
