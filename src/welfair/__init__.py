@@ -9,15 +9,7 @@ additive guarantees, and an experiment harness with a CLI.
 """
 
 from .centers import CenterSet, best_of_restarts, kmeanspp_init, lloyd, socially_fair_centers
-from .errors import (
-    BruteForceSizeError,
-    CenterError,
-    DataError,
-    InternalInvariantError,
-    LPError,
-    ParamError,
-    WelfairError,
-)
+from .errors import DataError, InternalInvariantError, ParamError, WelfairError
 from .lp import (
     FractionalSolution,
     LPModel,
@@ -60,8 +52,6 @@ from .rounding import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BruteForceSizeError",
-    "CenterError",
     "CenterSet",
     "DataError",
     "DominanceReport",
@@ -70,7 +60,6 @@ __all__ = [
     "Instance",
     "IntegralAssignment",
     "InternalInvariantError",
-    "LPError",
     "LPModel",
     "ParamError",
     "Params",

@@ -23,9 +23,8 @@ An optimum that breaks the LP by more than the feasibility tolerance is
 solved once more, from scratch and unscaled.
 
 Both LPs are feasible and bounded by construction (the nearest assignment
-and the fractional x are feasible points), so every failure raises one
-`LPError`, an `InternalInvariantError`, whose message names HiGHS's model
-status.
+and the fractional x are feasible points), so every failure raises an
+`InternalInvariantError`; a failed run's message names HiGHS's model status.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from scipy.optimize._highspy._core import (
 )
 from scipy.sparse._sparsetools import csc_matvec
 
-from .errors import LPError
+from .errors import InternalInvariantError
 
 # linprog's post-solve check: x and every row within their limits to
 # sqrt(1e-9) * 10
@@ -94,16 +93,18 @@ def solve(lp: LP, tolerance: float) -> Solution:
     Both of HiGHS's feasibility tolerances are min(tolerance, _FEASIBILITY),
     and an optimum whose x, or A x, breaks a bound or a row of lp by more
     than that is solved again with scaling off (iterations then counts both
-    runs). Any model status but optimal raises LPError, and so does an
-    optimum with a NaN or one that breaks a bound or a row by more than
-    _CHECK_TOL.
+    runs). Any model status but optimal raises InternalInvariantError, and
+    so does an optimum with a NaN or one that breaks a bound or a row by more
+    than _CHECK_TOL.
     """
     feasibility = min(tolerance, _FEASIBILITY)
     highs = _solver()
     highs.clearModel()
     for name in _TOLERANCES:
         if highs.setOptionValue(name, feasibility) == HighsStatus.kError:
-            raise LPError(f"HiGHS rejected {name} = {feasibility:g}")
+            raise InternalInvariantError(
+                f"HiGHS rejected {name} = {feasibility:g}"
+            )
     num_col, num_row = len(lp.cost), len(lp.row_upper)
     # this overload reads num_col entries of the starts and of the
     # integrality, which must be given: 0 is a continuous column
@@ -138,7 +139,7 @@ def solve(lp: LP, tolerance: float) -> Solution:
             highs.setOptionValue(_SCALING, _DEFAULTS.simplex_scale_strategy)
         res.iterations += iterations
     if not (excess <= _CHECK_TOL and res.objective == res.objective):
-        raise LPError(
+        raise InternalInvariantError(
             "HiGHS's optimum breaks a bound or a row by more than "
             f"{_CHECK_TOL:.2e}, or holds a NaN"
         )
@@ -156,7 +157,7 @@ def _solver() -> _Highs:
         options.log_to_console = False
         highs = _Highs()
         if highs.passOptions(options) == HighsStatus.kError:
-            raise LPError("HiGHS rejected its options")
+            raise InternalInvariantError("HiGHS rejected its options")
         _local.highs = highs
     return highs
 
@@ -194,4 +195,6 @@ def _excess(lower: np.ndarray, value: np.ndarray, upper: np.ndarray) -> float:
 
 
 def _raise_for(highs: _Highs, status: HighsModelStatus) -> NoReturn:
-    raise LPError(f"HiGHS model status {highs.modelStatusToString(status)}")
+    raise InternalInvariantError(
+        f"HiGHS model status {highs.modelStatusToString(status)}"
+    )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import CenterError, ParamError
+from .errors import DataError, ParamError
 from .model import Instance
 
 
@@ -61,7 +61,7 @@ def kmeanspp_init(
     w = np.asarray(weights, dtype=np.float64)
     _check_weights(w, n)
     if k > n:
-        raise CenterError(f"k={k} exceeds n={n}")
+        raise ParamError(f"k={k} exceeds n={n}")
     rng = np.random.default_rng(seed)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.choice(n, p=w / w.sum())
@@ -70,9 +70,7 @@ def kmeanspp_init(
         prob = w * d2
         total = prob.sum()
         if total <= 0.0:
-            raise CenterError(
-                f"k={k} exceeds the number of distinct candidate points"
-            )
+            raise DataError(f"k={k} exceeds the number of distinct candidate points")
         chosen[t] = rng.choice(n, p=prob / total)
         d2 = np.minimum(d2, cdist(X[chosen[t : t + 1]], X, "sqeuclidean")[0])
     return X[chosen].copy()

@@ -1,7 +1,8 @@
 """Command line interface: run experiments, plot, report gaps, self-check.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 invariant violation
-(a failed LP solve among them).
+Exit codes: 0 success, 1 a ParamError (a bad option or parameter), 2 a
+DataError or OSError (unusable input), 3 an InternalInvariantError (a bug, a
+failed LP solve among them).
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__, centers, pipeline, svgchart
-from .errors import (
-    CenterError,
-    DataError,
-    InternalInvariantError,
-    NormalizationError,
-    ParamError,
-    WelfairError,
-)
+from .errors import DataError, InternalInvariantError, ParamError
 from .lp import brute_force_assignment
 from .model import (
     LP_TOLERANCE,
@@ -42,10 +36,6 @@ from .model import (
 
 _OBJECTIVES = tuple(pipeline.CENTER_METHODS)
 _SOFT_GAP = 8e-3
-
-
-class UsageError(WelfairError):
-    pass
 
 
 @dataclass
@@ -75,15 +65,15 @@ class ExperimentConfig:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as e:
-                raise UsageError(f"config {path} is not valid JSON: {e}") from None
+                raise ParamError(f"config {path} is not valid JSON: {e}") from None
         if not isinstance(raw, dict):
-            raise UsageError(
+            raise ParamError(
                 f"config {path} must hold a JSON object, got {type(raw).__name__}"
             )
         known = [f.name for f in fields(cls)]
         unknown = sorted(set(raw) - set(known))
         if unknown:
-            raise UsageError(
+            raise ParamError(
                 f"config {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
                 f"known keys: {', '.join(known)}"
             )
@@ -92,11 +82,11 @@ class ExperimentConfig:
             if name not in raw
         ]
         if missing:
-            raise UsageError(f"config {path}: missing key(s) {', '.join(missing)}")
+            raise ParamError(f"config {path}: missing key(s) {', '.join(missing)}")
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
             if f.name in raw and not _has_type(raw[f.name], hints[f.name]):
-                raise UsageError(
+                raise ParamError(
                     f"config {path}: {f.name!r} must be {f.type}, "
                     f"got {json.dumps(raw[f.name])}"
                 )
@@ -191,9 +181,8 @@ def run_experiment(config: ExperimentConfig) -> str:
         )
         if 0.0 in both.values():
             # zero vanilla cost at every k: each point sits on its center
-            raise NormalizationError(
-                config.k_range[0],
-                "vanilla k-means cost is zero; no distance scale to normalize by",
+            raise DataError(
+                "vanilla k-means cost is zero; no distance scale to normalize by"
             )
         factors = {obj: both[obj] for obj in objectives}
         insts = {
@@ -294,6 +283,11 @@ def _check_run_params(config: ExperimentConfig) -> None:
     for lam in config.lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ParamError(f"lambda must lie in [0, 1], got {lam}")
+    # a repeated value would run its cells twice and write each row twice
+    for name, values in (("k", config.k_range), ("lambda", config.lambdas)):
+        repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeat is not None:
+            raise ParamError(f"{name} {repeat} appears more than once in the sweep")
 
 
 def _run_one(task, config: ExperimentConfig) -> list[pipeline.RunResult]:
@@ -358,7 +352,7 @@ def _number(text, where: str, kind=float):
 
 def plot_results(path: str, objective: str, lam: float, out_path: str) -> None:
     if not math.isfinite(lam):
-        raise UsageError(f"lambda must be finite, got {lam}")
+        raise ParamError(f"lambda must be finite, got {lam}")
     ycol = "R" if objective == "rawlsian" else "U"
     rows = _read_results(path, ("method", "objective", "k", "lambda", ycol))
     series: dict[str, dict[int, float]] = {}
@@ -431,7 +425,7 @@ def gap_report(path: str, soft: float = _SOFT_GAP) -> int:
     soft_hits = 0
     print(f"{'objective':<12} {'k':>3} {'lambda':>7} {'gap':>13} {'bound':>13} flag")
     for line, row in enumerate(rows, start=2):
-        if row["method"] not in ("RawlsianAlg", "UtilitarianAlg"):
+        if row["method"] not in pipeline.ALGORITHMS.values():
             continue
         where = f"{path} line {line}, column"
         gap = _number(row["gap"] or "nan", f"{where} 'gap'")
@@ -463,9 +457,9 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
     and the rounded value obeys the additive bound. Prints one line per
     check."""
     if count < 1:
-        raise UsageError(f"--count must be at least 1, got {count}")
+        raise ParamError(f"--count must be at least 1, got {count}")
     if seed < 0:
-        raise UsageError(f"--seed must be at least 0, got {seed}")
+        raise ParamError(f"--seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     failures = 0
     for trial in range(count):
@@ -517,14 +511,14 @@ def _parse_ints(text: str) -> list[int]:
             return list(range(int(a), int(b) + 1))
         return [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise UsageError(f"not an integer range or list: {text!r}") from None
+        raise ParamError(f"not an integer range or list: {text!r}") from None
 
 
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x]
     except ValueError:
-        raise UsageError(f"not a list of numbers: {text!r}") from None
+        raise ParamError(f"not a list of numbers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,7 +579,7 @@ def _config_from_args(args) -> ExperimentConfig:
             if not getattr(args, name)
         ]
         if missing:
-            raise UsageError(f"missing {', '.join(missing)} (or --config)")
+            raise ParamError(f"missing {', '.join(missing)} (or --config)")
     parsers = {
         "feature_columns": _split_cols,
         "k_range": _parse_ints,
@@ -623,11 +617,11 @@ def main(argv: list[str] | None = None) -> int:
             return gap_report(args.results, args.soft)
         if args.command == "oracle-check":
             return oracle_check(args.seed, args.count)
-        raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ParamError) as e:
+        raise ParamError(f"unknown command {args.command!r}")
+    except ParamError as e:
         print(f"welfair: {e}", file=sys.stderr)
         return 1
-    except (DataError, CenterError, NormalizationError, OSError) as e:
+    except (DataError, OSError) as e:
         print(f"welfair: data error: {e}", file=sys.stderr)
         return 2
     except InternalInvariantError as e:

@@ -1,4 +1,5 @@
-"""Error types shared across the package."""
+"""Error types shared across the package: one class per way a run can fail,
+each with its own `welfair` exit code."""
 
 from __future__ import annotations
 
@@ -7,80 +8,15 @@ class WelfairError(Exception):
     """Base class for all package errors."""
 
 
-class DataError(WelfairError):
-    """A problem with input data (file, columns, cells)."""
-
-
-class MissingColumnError(DataError):
-    def __init__(self, column: str):
-        self.column = column
-        super().__init__(f"column {column!r} not found in header")
-
-
-class EmptyCellError(DataError):
-    def __init__(self, column: str, row: int):
-        self.column = column
-        self.row = row
-        super().__init__(f"empty cell in column {column!r} at data row {row}")
-
-
-class NonNumericCellError(DataError):
-    def __init__(self, column: str, row: int, value: str):
-        self.column = column
-        self.row = row
-        self.value = value
-        super().__init__(
-            f"non-numeric value {value!r} in column {column!r} at data row {row}"
-        )
-
-
-class NonFiniteCellError(DataError):
-    def __init__(self, column: str, row: int, value: str):
-        self.column = column
-        self.row = row
-        self.value = value
-        super().__init__(
-            f"non-finite value {value!r} in column {column!r} at data row {row}"
-        )
-
-
-class SingleColorError(DataError):
-    def __init__(self, column: str, color: str):
-        self.column = column
-        self.color = color
-        super().__init__(
-            f"group column {column!r} holds a single distinct value {color!r}; "
-            "need at least two groups"
-        )
-
-
 class ParamError(WelfairError):
-    """Parameters violate their invariants for the given instance."""
+    """A parameter or option violates its invariants (exit code 1)."""
 
 
-class NormalizationError(WelfairError):
-    def __init__(self, k: int, message: str):
-        self.k = k
-        super().__init__(f"k={k}: {message}")
-
-
-class CenterError(WelfairError):
-    """Center selection cannot proceed (e.g. fewer distinct points than k)."""
-
-
-class BruteForceSizeError(WelfairError):
-    def __init__(self, k: int, n: int, limit: float):
-        self.k = k
-        self.n = n
-        super().__init__(
-            f"k^n = {k}^{n} exceeds the enumeration guard ({limit:g})"
-        )
+class DataError(WelfairError):
+    """The input data cannot be used: a file, a column, a cell, or data that
+    leaves nothing to normalize or seed by (exit code 2)."""
 
 
 class InternalInvariantError(WelfairError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
-
-
-class LPError(InternalInvariantError):
-    """A HiGHS solve failed. Both LPs are feasible and bounded by
-    construction, so this is a program or solver fault, not bad input."""
+    """An internal consistency check failed, a failed HiGHS solve among them;
+    indicates a bug, not bad input (exit code 3)."""

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _highs
-from .errors import BruteForceSizeError, InternalInvariantError
+from .errors import InternalInvariantError, ParamError
 from .metrics import color_masses, disutilities, pairwise_pow
 from .model import Instance, Params
 
@@ -426,19 +426,21 @@ def brute_force_assignment(
     centers: np.ndarray,
     objective: str = "rawlsian",
 ) -> tuple[np.ndarray, float]:
-    """Exact optimum over all k^n integral assignments; BruteForceSizeError
-    above _BRUTE_LIMIT of them.
+    """Exact optimum over all k^n integral assignments; ParamError above
+    _BRUTE_LIMIT of them.
 
     Ties resolve to the lexicographically smallest assignment vector.
     """
     params.validate(instance)
     params.check_centers(instance, centers)
     if objective not in ("rawlsian", "utilitarian"):
-        raise ValueError(f"unknown objective {objective!r}")
+        raise ParamError(f"unknown objective {objective!r}")
     n = instance.n
     k = params.k
     if float(k) ** n > _BRUTE_LIMIT:
-        raise BruteForceSizeError(k, n, _BRUTE_LIMIT)
+        raise ParamError(
+            f"k^n = {k}^{n} exceeds the enumeration guard ({_BRUTE_LIMIT:g})"
+        )
     dist_pow = pairwise_pow(instance.features, centers, params.p)
     arange = np.arange(n)
     # assignment number m, written in base k with point 0's center as the

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .errors import ParamError
 from .model import Instance, Params, Solution
 
 
@@ -15,7 +16,7 @@ def pairwise_pow(X: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     if X.shape[1] != C.shape[1]:
-        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {C.shape[1]}")
+        raise ParamError(f"dimension mismatch: {X.shape[1]} vs {C.shape[1]}")
     if p == 2:
         d = cdist(X, C, "sqeuclidean")
     else:

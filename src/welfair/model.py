@@ -8,16 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    EmptyCellError,
-    MissingColumnError,
-    NonFiniteCellError,
-    NonNumericCellError,
-    NormalizationError,
-    ParamError,
-    SingleColorError,
-)
+from .errors import DataError, ParamError
 
 
 @dataclass
@@ -100,7 +91,7 @@ class Instance:
         idx = np.sort(rng.choice(self.n, size=size, replace=False))
         sub = Instance(self.features[idx], self.colors[idx], list(self.color_names))
         if len(np.unique(sub.colors)) < 2:
-            raise SingleColorError("<subsample>", sub.color_names[int(sub.colors[0])])
+            raise _single_color("<subsample>", sub.color_names[int(sub.colors[0])])
         return sub
 
 
@@ -118,7 +109,7 @@ def load_instance(
         header = reader.fieldnames or []
         for col in list(feature_columns) + [group_column]:
             if col not in header:
-                raise MissingColumnError(col)
+                raise DataError(f"column {col!r} not found in header")
         rows = []
         groups = []
         for rownum, rec in enumerate(reader, start=1):
@@ -126,17 +117,19 @@ def load_instance(
             for col in feature_columns:
                 cell = (rec[col] or "").strip()
                 if cell == "":
-                    raise EmptyCellError(col, rownum)
+                    raise DataError(f"empty cell {_at(col, rownum)}")
                 try:
                     val = float(cell)
                 except ValueError:
-                    raise NonNumericCellError(col, rownum, cell) from None
+                    raise DataError(
+                        f"non-numeric value {cell!r} {_at(col, rownum)}"
+                    ) from None
                 if not math.isfinite(val):
-                    raise NonFiniteCellError(col, rownum, cell)
+                    raise DataError(f"non-finite value {cell!r} {_at(col, rownum)}")
                 vals.append(val)
             gcell = (rec[group_column] or "").strip()
             if gcell == "":
-                raise EmptyCellError(group_column, rownum)
+                raise DataError(f"empty cell {_at(group_column, rownum)}")
             rows.append(vals)
             groups.append(gcell)
     if not groups:
@@ -150,8 +143,19 @@ def load_instance(
             names.append(g)
         colors[j] = ids[g]
     if len(names) < 2:
-        raise SingleColorError(group_column, names[0])
+        raise _single_color(group_column, names[0])
     return Instance(np.asarray(rows, dtype=np.float64), colors, names)
+
+
+def _at(column: str, row: int) -> str:
+    return f"in column {column!r} at data row {row}"
+
+
+def _single_color(column: str, color: str) -> DataError:
+    return DataError(
+        f"group column {column!r} holds a single distinct value {color!r}; "
+        "need at least two groups"
+    )
 
 
 # default Params.lp_tolerance; gapreport falls back to it too
@@ -292,7 +296,7 @@ def normalization_factor(
     from .centers import lloyd
 
     if mode not in ("rawlsian", "utilitarian"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
+        raise ParamError(f"unknown normalization mode {mode!r}")
     vanilla = [lloyd(instance, k, np.ones(instance.n), seed).centers for k in k_range]
     return normalization_factors(instance, vanilla, p)[mode]
 
@@ -313,7 +317,7 @@ def normalization_factors(
     from . import metrics as _metrics
 
     if not centers_by_k:
-        raise ValueError("need the vanilla centers of at least one k")
+        raise ParamError("need the vanilla centers of at least one k")
     factors: dict[str, list[float]] = {"rawlsian": [], "utilitarian": []}
     for centers in centers_by_k:
         k = len(centers)
@@ -325,8 +329,8 @@ def normalization_factors(
         # U at lambda = 0 is sum_h V_h / n_h
         den = rep.U
         if den <= 0.0:
-            raise NormalizationError(
-                k, "violation denominator is zero; instance is exactly balanced"
+            raise DataError(
+                f"k={k}: violation denominator is zero; instance is exactly balanced"
             )
         factors["rawlsian"].append(rep.cost / instance.n / den)
         factors["utilitarian"].append(float((rep.D / instance.counts).sum()) / den)
@@ -336,7 +340,7 @@ def normalization_factors(
 def apply_normalization(instance: Instance, factor: float, p: int = 2) -> Instance:
     """Divide coordinates by factor^(1/p), so that every d^p divides by factor."""
     if not (factor > 0.0) or not math.isfinite(factor):
-        raise ValueError(f"normalization factor must be positive finite, got {factor}")
+        raise ParamError(f"normalization factor must be positive finite, got {factor}")
     return Instance(
         instance.features / (math.sqrt(factor) if p == 2 else factor ** (1.0 / p)),
         instance.colors.copy(),

@@ -35,7 +35,13 @@ class RunResult:
 
     @property
     def objective_value(self) -> float:
-        return self.report.R if self.method != "UtilitarianAlg" else self.report.U
+        """The score of the objective the method optimizes: R for
+        RawlsianAlg, U for UtilitarianAlg, NaN for a baseline, which
+        optimizes none."""
+        for objective, method in ALGORITHMS.items():
+            if self.method == method:
+                return score(self.report, objective)
+        return float("nan")
 
 
 def exceeds_gap_bound(gap: float, bound: float, tolerance: float) -> bool:
@@ -45,6 +51,14 @@ def exceeds_gap_bound(gap: float, bound: float, tolerance: float) -> bool:
 
 # the center heuristic each objective's algorithm starts from
 CENTER_METHODS = {"rawlsian": "socially_fair", "utilitarian": "weighted"}
+# the method name of each objective's algorithm
+ALGORITHMS = {"rawlsian": "RawlsianAlg", "utilitarian": "UtilitarianAlg"}
+
+
+def score(report: GroupReport, objective: str) -> float:
+    """The value objective scores report by: R, the worst group's
+    disutility, for rawlsian; U, their sum, for utilitarian."""
+    return report.R if objective == "rawlsian" else report.U
 
 
 def _center_set(
@@ -89,13 +103,12 @@ def _lp_pipeline(
     report = integral.report
     c_r, c_u = additive_constants(instance, params)
     bound = (1.0 - params.lam) * (c_r if rawlsian else c_u)
-    value = report.R if rawlsian else report.U
-    gap = value - frac.objective
+    gap = score(report, kind) - frac.objective
     flags = []
     if exceeds_gap_bound(gap, bound, params.lp_tolerance):
         flags.append("gap_bound_exceeded")
     return RunResult(
-        method="RawlsianAlg" if rawlsian else "UtilitarianAlg",
+        method=ALGORITHMS[kind],
         params=params,
         seed=seed,
         solution=solution,
@@ -173,20 +186,16 @@ class DominanceReport:
 
 def dominance_check(results: list[RunResult], objective: str) -> DominanceReport:
     """Compare our method's objective value against every baseline's."""
-    if objective not in CENTER_METHODS:
-        raise ValueError(f"unknown objective {objective!r}")
-    ours_name = "RawlsianAlg" if objective == "rawlsian" else "UtilitarianAlg"
-
-    def value(res: RunResult) -> float:
-        return res.report.R if objective == "rawlsian" else res.report.U
-
+    if objective not in ALGORITHMS:
+        raise ParamError(f"unknown objective {objective!r}")
+    ours_name = ALGORITHMS[objective]
     ours = [r for r in results if r.method == ours_name]
     if len(ours) != 1:
-        raise ValueError(f"need exactly one {ours_name} result, got {len(ours)}")
-    rows = [(r.method, value(r)) for r in results]
-    ours_val = value(ours[0])
+        raise ParamError(f"need exactly one {ours_name} result, got {len(ours)}")
+    rows = [(r.method, score(r.report, objective)) for r in results]
+    ours_val = score(ours[0].report, objective)
     dominated = {
-        r.method: bool(ours_val <= value(r))
+        r.method: bool(ours_val <= score(r.report, objective))
         for r in results
         if r.method != ours_name
     }

@@ -122,7 +122,7 @@ def _solve_support(
         row_lower=lo,
         row_upper=hi,
     )
-    # x itself satisfies every row, so a failed solve is an LPError, an
+    # x itself satisfies every row, so a failed solve is an
     # InternalInvariantError
     res = _highs.solve(lp, tolerance)
     off = np.abs(res.x - np.round(res.x)).max()

@@ -18,7 +18,7 @@ from welfair.centers import (
     lloyd,
     socially_fair_centers,
 )
-from welfair.errors import CenterError, ParamError
+from welfair.errors import DataError, ParamError
 from welfair.metrics import pairwise_pow
 from welfair.model import Instance, normalization_factor
 
@@ -45,14 +45,17 @@ class TestKmeansppInit:
             assert C[0, 0] != 0.0
 
     def test_k_exceeds_n(self, tiny_instance):
-        with pytest.raises(CenterError):
-            kmeanspp_init(tiny_instance, tiny_instance.n + 1, np.ones(tiny_instance.n), 0)
+        n = tiny_instance.n
+        with pytest.raises(ParamError, match=f"^k={n + 1} exceeds n={n}$"):
+            kmeanspp_init(tiny_instance, n + 1, np.ones(n), 0)
 
     def test_k_exceeds_distinct_points(self):
         X = np.zeros((5, 2))
         X[0] = [1.0, 1.0]
         inst = Instance(X, [0, 1, 0, 1, 0], ["a", "b"])
-        with pytest.raises(CenterError):
+        with pytest.raises(
+            DataError, match="^k=3 exceeds the number of distinct candidate points$"
+        ):
             kmeanspp_init(inst, 3, np.ones(5), seed=0)
 
     def test_weight_validation(self, tiny_instance):

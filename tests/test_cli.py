@@ -26,7 +26,7 @@ from welfair.cli import (
     plot_results,
     run_experiment,
 )
-from welfair.errors import LPError
+from welfair.errors import DataError, InternalInvariantError, ParamError
 from welfair.model import apply_normalization, load_instance, normalization_factor
 
 
@@ -859,6 +859,46 @@ class TestMain:
         err = capsys.readouterr().err
         assert "data error" in err and str(named) in err
 
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (ParamError, 1, "welfair: "),
+            (DataError, 2, "welfair: data error: "),
+            (InternalInvariantError, 3, "welfair: invariant violation: "),
+            (OSError, 2, "welfair: data error: "),
+        ],
+    )
+    def test_exit_code_per_error_class(
+        self, error, code, prefix, monkeypatch, capsys
+    ):
+        # each error class has one exit code and one line on stderr
+        def fail(config):
+            raise error("the message")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        argv = ["run", "--data", "d.csv", "--features", "a", "--group", "g"]
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", f"{prefix}the message\n")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "3,2,3", "--lambdas", "0.5"], "k 3 appears more"),
+            (["--k", "3", "--lambdas", "0.5,0.1,0.5"], "lambda 0.5 appears more"),
+        ],
+    )
+    def test_repeated_sweep_value_exits_one(
+        self, flags, message, dataset, tmp_path, capsys
+    ):
+        # a repeat would run its cells twice and write their rows twice
+        path, feats = dataset
+        argv = ["run", "--data", path, "--features", ",".join(feats)]
+        argv += ["--group", "group", "--restarts", "1", "--out", str(tmp_path / "o")]
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "results.csv").exists()
+
     @pytest.mark.parametrize("how", ["flag", "config", "oracle-check"])
     def test_negative_seed_exits_one(self, how, dataset, tmp_path, capsys):
         # numpy's generator would reject it deep inside the run
@@ -884,7 +924,7 @@ class TestMain:
         # both LPs are feasible by construction, so a failed HiGHS solve is
         # an invariant violation, reported without a traceback
         def fail(lp, tolerance):
-            raise LPError("HiGHS model status Solve error")
+            raise InternalInvariantError("HiGHS model status Solve error")
 
         monkeypatch.setattr(_highs, "solve", fail)
         path, feats = dataset

@@ -18,12 +18,7 @@ from datagen import random_instance
 
 from welfair import _highs
 from welfair import lp as lp_mod
-from welfair.errors import (
-    BruteForceSizeError,
-    InternalInvariantError,
-    LPError,
-    ParamError,
-)
+from welfair.errors import InternalInvariantError, ParamError
 from welfair.lp import (
     HighsSolver,
     brute_force_assignment,
@@ -770,12 +765,14 @@ class TestBruteForce:
     def test_size_guard(self, monkeypatch):
         monkeypatch.setattr(lp_mod, "_BRUTE_LIMIT", 100)
         inst, params, centers = _setup(n=14, k=2, H=2)
-        with pytest.raises(BruteForceSizeError):
+        with pytest.raises(
+            ParamError, match=r"^k\^n = 2\^14 exceeds the enumeration guard \(100\)$"
+        ):
             brute_force_assignment(inst, params, centers, "rawlsian")
 
     def test_unknown_objective(self):
         inst, params, centers = _setup(n=5, k=2, H=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="unknown objective 'minimax'"):
             brute_force_assignment(inst, params, centers, "minimax")
 
     @pytest.mark.parametrize(
@@ -789,8 +786,8 @@ class TestBruteForce:
 
 
 class TestHighsStatus:
-    """A failed HiGHS solve reaches the caller as one LPError, an
-    InternalInvariantError, whose message names the model status."""
+    """A failed HiGHS solve reaches the caller as an InternalInvariantError
+    whose message names the model status."""
 
     @pytest.mark.parametrize(
         "status",
@@ -809,10 +806,11 @@ class TestHighsStatus:
         m = build(inst, params, centers)
         record = fake_highs(monkeypatch, status=status)
         name = _highs._Highs().modelStatusToString(status)
-        with pytest.raises(LPError, match=f"model status {name}$") as info:
+        with pytest.raises(
+            InternalInvariantError, match=f"model status {name}$"
+        ) as info:
             HighsSolver().solve(m)
-        assert info.type is LPError
-        assert isinstance(info.value, InternalInvariantError)
+        assert info.type is InternalInvariantError
         assert record.runs == 1
 
     @pytest.mark.parametrize(
@@ -839,9 +837,11 @@ class TestHighsStatus:
 
         record = fake_highs(monkeypatch, edit=edit)
         if raises:
-            with pytest.raises(LPError, match="breaks a bound or a row") as info:
+            with pytest.raises(
+                InternalInvariantError, match="breaks a bound or a row"
+            ) as info:
                 HighsSolver().solve(m)
-            assert info.type is LPError
+            assert info.type is InternalInvariantError
             assert record.runs == 2
         else:
             HighsSolver().solve(m)
@@ -979,7 +979,7 @@ class TestHighsAdapter:
             monkeypatch.setattr(_highs._local, "highs", None, raising=False)
             fresh.append(_highs.solve(lp, tolerance))
         for (lp, tolerance), want in reversed(list(zip(calls, fresh))):
-            with pytest.raises(LPError):
+            with pytest.raises(InternalInvariantError):
                 _highs.solve(_unbounded_lp(), 1e-9)
             got = _highs.solve(lp, tolerance)
             assert np.array_equal(got.x, want.x)
@@ -1011,7 +1011,7 @@ class TestHighsAdapter:
         monkeypatch.setattr(_highs._local, "highs", None, raising=False)
         for tolerance in (1e-7, 5e-10):
             _highs.solve(_small_lp(), tolerance)
-        with pytest.raises(LPError):
+        with pytest.raises(InternalInvariantError):
             _highs.solve(_unbounded_lp(), 1e-9)
         assert capfd.readouterr() == ("", "")
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from datagen import random_instance, violation
 
+from welfair.errors import ParamError
 from welfair.metrics import (
     additive_constants,
     disutilities,
@@ -27,7 +28,7 @@ class TestDistancePow:
         assert pairwise_pow(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]), 1) == 5.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="dimension mismatch: 2 vs 3"):
             pairwise_pow(np.zeros((1, 2)), np.zeros((1, 3)), 2)
 
 
@@ -42,7 +43,7 @@ class TestPairwisePow:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="dimension mismatch: 2 vs 3"):
             pairwise_pow(np.zeros((3, 2)), np.zeros((2, 3)), 2)
 
 

@@ -11,16 +11,7 @@ from datagen import (
     write_csv,
 )
 
-from welfair.errors import (
-    DataError,
-    EmptyCellError,
-    MissingColumnError,
-    NonFiniteCellError,
-    NonNumericCellError,
-    NormalizationError,
-    ParamError,
-    SingleColorError,
-)
+from welfair.errors import DataError, ParamError
 from welfair.centers import best_of_restarts, lloyd
 from welfair.metrics import pairwise_pow
 from welfair.model import (
@@ -58,43 +49,52 @@ class TestLoadInstance:
 
     def test_missing_column(self, tmp_path):
         path = _write(tmp_path, "x,g\n1,a\n2,b\n")
-        with pytest.raises(MissingColumnError) as ei:
+        with pytest.raises(DataError, match="^column 'y' not found in header$"):
             load_instance(path, ["x", "y"], "g")
-        assert "y" in str(ei.value)
 
     def test_missing_group_column(self, tmp_path):
         path = _write(tmp_path, "x,g\n1,a\n")
-        with pytest.raises(MissingColumnError):
+        with pytest.raises(DataError, match="^column 'sex' not found in header$"):
             load_instance(path, ["x"], "sex")
 
     def test_empty_cell_names_column_and_row(self, tmp_path):
         path = _write(tmp_path, "x,y,g\n1,2,a\n3,,b\n")
-        with pytest.raises(EmptyCellError) as ei:
+        with pytest.raises(
+            DataError, match="^empty cell in column 'y' at data row 2$"
+        ):
             load_instance(path, ["x", "y"], "g")
-        assert ei.value.column == "y" and ei.value.row == 2
 
     def test_empty_group_cell(self, tmp_path):
         path = _write(tmp_path, "x,g\n1,a\n2, \n")
-        with pytest.raises(EmptyCellError) as ei:
+        with pytest.raises(
+            DataError, match="^empty cell in column 'g' at data row 2$"
+        ):
             load_instance(path, ["x"], "g")
-        assert ei.value.column == "g" and ei.value.row == 2
 
     def test_non_numeric_cell(self, tmp_path):
         path = _write(tmp_path, "x,g\n1,a\nhello,b\n")
-        with pytest.raises(NonNumericCellError) as ei:
+        with pytest.raises(
+            DataError,
+            match="^non-numeric value 'hello' in column 'x' at data row 2$",
+        ):
             load_instance(path, ["x"], "g")
-        assert ei.value.row == 2 and "hello" in str(ei.value)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell(self, tmp_path, cell):
         path = _write(tmp_path, f"x,g\n1,a\n{cell},b\n")
-        with pytest.raises(NonFiniteCellError) as ei:
+        with pytest.raises(
+            DataError,
+            match=f"^non-finite value '{cell}' in column 'x' at data row 2$",
+        ):
             load_instance(path, ["x"], "g")
-        assert ei.value.column == "x" and ei.value.row == 2
 
     def test_single_color_rejected(self, tmp_path):
         path = _write(tmp_path, "x,g\n1,a\n2,a\n3,a\n")
-        with pytest.raises(SingleColorError):
+        with pytest.raises(
+            DataError,
+            match="^group column 'g' holds a single distinct value 'a'; "
+            "need at least two groups$",
+        ):
             load_instance(path, ["x"], "g")
 
     @pytest.mark.parametrize("text", ["x,g\n", "x,g"])
@@ -102,7 +102,7 @@ class TestLoadInstance:
         path = _write(tmp_path, text)
         with pytest.raises(DataError, match="no data rows") as ei:
             load_instance(path, ["x"], "g")
-        assert not isinstance(ei.value, SingleColorError)
+        assert "single distinct value" not in str(ei.value)
         assert path in str(ei.value)
 
     def test_no_feature_columns_rejected(self, tmp_path):
@@ -351,9 +351,9 @@ class TestNormalization:
             assert got[mode] == normalization_factor(inst, ks, p, mode, 2)
 
     def test_apply_rejects_bad_factor(self, tiny_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError):
             apply_normalization(tiny_instance, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError):
             apply_normalization(tiny_instance, float("nan"))
 
     def test_balanced_instance_raises(self):
@@ -361,7 +361,7 @@ class TestNormalization:
         # ends up exactly proportional, so the violation denominator is zero
         X = np.array([[0.0], [0.0], [10.0], [10.0]])
         inst = Instance(X, [0, 1, 0, 1], ["a", "b"])
-        with pytest.raises(NormalizationError):
+        with pytest.raises(DataError, match="^k=2: violation denominator is zero"):
             normalization_factor(inst, [2])
 
     def test_single_cluster_non_dyadic_proportion_raises(self):
@@ -370,7 +370,7 @@ class TestNormalization:
         # must still come out 0 rather than a rounding residue
         rng = np.random.default_rng(0)
         inst = Instance(rng.normal(size=(100, 2)), [0] * 57 + [1] * 43, ["a", "b"])
-        with pytest.raises(NormalizationError):
+        with pytest.raises(DataError, match="^k=1: violation denominator is zero"):
             normalization_factor(inst, [1])
 
     def test_zero_distance_geometry_gives_zero_factor(self):
@@ -379,9 +379,9 @@ class TestNormalization:
         inst = separated_instance(40, theta=0.2, seed=0)
         f = normalization_factor(inst, [2])
         assert f == 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError):
             apply_normalization(inst, f)
 
     def test_empty_k_range_rejected(self, tiny_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError):
             normalization_factor(tiny_instance, [])

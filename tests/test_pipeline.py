@@ -155,6 +155,16 @@ class TestBaselines:
             assert res.method == method
             assert np.isfinite(res.report.R)
 
+    def test_objective_value_is_nan(self):
+        # a baseline optimizes no objective, so it has no value of its own
+        # to report; its R and U stay on its report
+        inst = _inst(seed=5)
+        params = Params.with_delta(inst, 2, 0.5, 0.1)
+        for method in ("vanilla", "weighted", "socially_fair"):
+            res = evaluate_baseline(inst, params, method, restarts=2)
+            assert np.isnan(res.objective_value)
+            assert np.isfinite(res.report.R) and np.isfinite(res.report.U)
+
     def test_bad_method(self):
         inst = _inst()
         params = Params.with_delta(inst, 2, 0.5)
@@ -233,11 +243,11 @@ class TestDominance:
 
     def test_requires_exactly_one_ours(self):
         results = self._results("rawlsian")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="got 0"):
             dominance_check(results[1:], "rawlsian")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="got 2"):
             dominance_check(results + results[:1], "rawlsian")
 
     def test_bad_objective(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="unknown objective 'maximin'"):
             dominance_check([], "maximin")
