@@ -50,9 +50,9 @@ def kmeanspp_init(
 ) -> np.ndarray:
     """D^2-weighted seeding scaled by point weights; returns (k, d) centers.
 
-    Raises ParamError for a negative seed, and for weights that are not one
-    finite, nonnegative value per point with a positive total, naming the
-    first bad point.
+    Raises ParamError for a negative seed, for k outside [1, n], and for
+    weights that are not one finite, nonnegative value per point with a
+    positive total, naming the first bad point.
     """
     if seed < 0:
         raise ParamError(f"seed must be at least 0, got {seed}")
@@ -60,6 +60,8 @@ def kmeanspp_init(
     n = instance.n
     w = np.asarray(weights, dtype=np.float64)
     _check_weights(w, n)
+    if k < 1:
+        raise ParamError(f"k must be at least 1, got {k}")
     if k > n:
         raise ParamError(f"k={k} exceeds n={n}")
     rng = np.random.default_rng(seed)

@@ -29,7 +29,6 @@ from .model import (
     Instance,
     Params,
     apply_normalization,
-    check_lp_tolerance,
     load_instance,
     normalization_factors,
 )
@@ -370,7 +369,8 @@ def plot_results(path: str, objective: str, lam: float, out_path: str) -> None:
             f"no rows for objective={objective} lambda={lam:g} in {path}"
         )
     data = []
-    for method in sorted(series, key=lambda m: (not m.endswith("Alg"), m)):
+    algorithms = pipeline.ALGORITHMS.values()
+    for method in sorted(series, key=lambda m: (m not in algorithms, m)):
         ks = sorted(series[method])
         data.append((method, [float(k) for k in ks], [series[method][k] for k in ks]))
     svg = svgchart.line_chart(
@@ -383,70 +383,49 @@ def plot_results(path: str, objective: str, lam: float, out_path: str) -> None:
         fh.write(svg)
 
 
-def _results_lp_tolerance(path: str) -> float:
-    """lp_tolerance of the run that wrote a results CSV, read from the
-    metadata.json beside it; the default when that file or field is absent.
-    DataError unless the file holds an object, its config is an object and
-    the field is a number that `Params.validate` accepts."""
-    meta_path = os.path.join(os.path.dirname(os.path.abspath(path)), "metadata.json")
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        return LP_TOLERANCE
-    except json.JSONDecodeError as e:
-        raise DataError(f"{meta_path} is not valid JSON: {e}") from None
-    config = meta.get("config", {}) if isinstance(meta, dict) else None
-    if not isinstance(config, dict):
-        raise DataError(f"{meta_path} must hold a JSON object with an object config")
-    tol = config.get("lp_tolerance")
-    if tol is None:
-        return LP_TOLERANCE
-    where = f"{meta_path} field config.lp_tolerance"
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise DataError(f"{where} is {tol!r}, not a number")
-    try:
-        check_lp_tolerance(tol)
-    except ParamError as e:
-        raise DataError(f"{where}: {e}") from None
-    return float(tol)
-
-
-def gap_report(path: str, soft: float = _SOFT_GAP) -> int:
+def gap_report(path: str) -> int:
     """Print the per-run rounding gaps; exit status 3 on a hard violation.
 
-    A run is HARD by the pipeline's rule: gap > bound + the run's lp_tolerance.
+    A run is HARD when its flags cell, `;`-separated, holds the pipeline's
+    GAP_FLAG: the verdict the run recorded, not one made again here. An
+    empty cell is clean; any other cell is a DataError.
     """
     rows = _read_results(
-        path, ("method", "objective", "k", "lambda", "gap", "bound")
+        path, ("method", "objective", "k", "lambda", "gap", "bound", "flags")
     )
-    tol = _results_lp_tolerance(path)
+    algorithms = pipeline.ALGORITHMS.values()
     hard = 0
     soft_hits = 0
+    runs = 0
     print(f"{'objective':<12} {'k':>3} {'lambda':>7} {'gap':>13} {'bound':>13} flag")
     for line, row in enumerate(rows, start=2):
-        if row["method"] not in pipeline.ALGORITHMS.values():
+        if row["method"] not in algorithms:
             continue
+        runs += 1
         where = f"{path} line {line}, column"
         gap = _number(row["gap"] or "nan", f"{where} 'gap'")
         bound = _number(row["bound"] or "nan", f"{where} 'bound'")
         lam = _number(row["lambda"], f"{where} 'lambda'")
+        flags = row["flags"].split(";") if row["flags"] else []
+        if any(f != pipeline.GAP_FLAG for f in flags):
+            raise DataError(
+                f"{where} 'flags' is {row['flags']!r}, not empty or "
+                f"{pipeline.GAP_FLAG!r}"
+            )
         flag = ""
-        if not math.isnan(gap) and not math.isnan(bound):
-            if pipeline.exceeds_gap_bound(gap, bound, tol):
-                flag = "HARD"
-                hard += 1
-            elif gap > soft:
-                flag = "soft"
-                soft_hits += 1
+        if flags:
+            flag = "HARD"
+            hard += 1
+        elif gap > _SOFT_GAP:
+            flag = "soft"
+            soft_hits += 1
         print(
             f"{row['objective']:<12} {row['k']:>3} {lam:>7.2f} "
             f"{gap:>13.6g} {bound:>13.6g} {flag}"
         )
     print(
-        f"runs: {sum(1 for r in rows if r['method'].endswith('Alg'))}, "
-        f"hard violations: {hard}, above soft threshold {soft:g}: {soft_hits}, "
-        f"lp tolerance {tol:g}"
+        f"runs: {runs}, hard violations: {hard}, "
+        f"above soft threshold {_SOFT_GAP:g}: {soft_hits}"
     )
     return 3 if hard else 0
 
@@ -556,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     gap = sub.add_parser("gapreport", help="tabulate rounding gaps from results")
     gap.add_argument("--results", required=True)
-    gap.add_argument("--soft", type=float, default=_SOFT_GAP)
 
     oc = sub.add_parser("oracle-check", help="brute-force spot check on tiny instances")
     oc.add_argument("--seed", type=int, default=0)
@@ -614,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.out}")
             return 0
         if args.command == "gapreport":
-            return gap_report(args.results, args.soft)
+            return gap_report(args.results)
         if args.command == "oracle-check":
             return oracle_check(args.seed, args.count)
         raise ParamError(f"unknown command {args.command!r}")

@@ -158,7 +158,7 @@ def _single_color(column: str, color: str) -> DataError:
     )
 
 
-# default Params.lp_tolerance; gapreport falls back to it too
+# default Params.lp_tolerance
 LP_TOLERANCE = 1e-7
 
 
@@ -166,6 +166,7 @@ LP_TOLERANCE = 1e-7
 class Params:
     """Objective parameters: exponent p, tradeoff lambda, k, slack vectors.
 
+    k must be an integer (a bool is not one; numpy integers are) in [1, n].
     alpha[h] loosens the upper proportion bound for color h, beta[h] the lower
     one; both must be finite and nonnegative. lp_tolerance is the LP's
     pricing threshold, the slack by which a rounding gap may exceed its
@@ -213,6 +214,8 @@ class Params:
             raise ParamError(f"p must be 1 or 2, got {self.p}")
         if not (0.0 <= self.lam <= 1.0):
             raise ParamError(f"lambda must lie in [0, 1], got {self.lam}")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ParamError(f"k must be an integer, got {self.k!r}")
         if not (1 <= self.k <= instance.n):
             raise ParamError(f"k={self.k} must lie in [1, n={instance.n}]")
         if self.alpha.shape != (H,) or self.beta.shape != (H,):
@@ -229,7 +232,13 @@ class Params:
             )
         if np.any(self.alpha < 0) or np.any(self.beta < 0):
             raise ParamError("alpha and beta must be nonnegative")
-        check_lp_tolerance(self.lp_tolerance)
+        # HiGHS ignores feasibility tolerances below 1e-10 and keeps its
+        # default, while pricing and the gap rule would use the tiny value
+        tol = self.lp_tolerance
+        if not (math.isfinite(tol) and tol >= 1e-10):
+            raise ParamError(
+                f"lp_tolerance must be finite and at least 1e-10, got {tol}"
+            )
         r = instance.proportions
         bad = np.nonzero(r + self.alpha > 1.0 + 1e-12)[0]
         if bad.size:
@@ -259,16 +268,6 @@ class Params:
             raise ParamError(
                 f"coordinate {c} of center {i} is {centers[i, c]}, not finite"
             )
-
-
-def check_lp_tolerance(tolerance: float) -> None:
-    """ParamError unless tolerance is finite and at least 1e-10: HiGHS
-    ignores feasibility tolerances below that and keeps its default, while
-    pricing and the gap rule would use the tiny value."""
-    if not (math.isfinite(tolerance) and tolerance >= 1e-10):
-        raise ParamError(
-            f"lp_tolerance must be finite and at least 1e-10, got {tolerance}"
-        )
 
 
 @dataclass

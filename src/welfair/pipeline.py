@@ -44,15 +44,13 @@ class RunResult:
         return float("nan")
 
 
-def exceeds_gap_bound(gap: float, bound: float, tolerance: float) -> bool:
-    """The rounding gap broke its additive bound by more than the LP tolerance."""
-    return gap > bound + tolerance
-
-
 # the center heuristic each objective's algorithm starts from
 CENTER_METHODS = {"rawlsian": "socially_fair", "utilitarian": "weighted"}
 # the method name of each objective's algorithm
 ALGORITHMS = {"rawlsian": "RawlsianAlg", "utilitarian": "UtilitarianAlg"}
+# the flag of a run whose rounding gap broke its additive bound by more than
+# the LP tolerance; results.csv's flags column is the one record of it
+GAP_FLAG = "gap_bound_exceeded"
 
 
 def score(report: GroupReport, objective: str) -> float:
@@ -104,9 +102,7 @@ def _lp_pipeline(
     c_r, c_u = additive_constants(instance, params)
     bound = (1.0 - params.lam) * (c_r if rawlsian else c_u)
     gap = score(report, kind) - frac.objective
-    flags = []
-    if exceeds_gap_bound(gap, bound, params.lp_tolerance):
-        flags.append("gap_bound_exceeded")
+    flags = [GAP_FLAG] if gap > bound + params.lp_tolerance else []
     return RunResult(
         method=ALGORITHMS[kind],
         params=params,

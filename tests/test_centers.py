@@ -49,6 +49,24 @@ class TestKmeansppInit:
         with pytest.raises(ParamError, match=f"^k={n + 1} exceeds n={n}$"):
             kmeanspp_init(tiny_instance, n + 1, np.ones(n), 0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda inst, k: kmeanspp_init(inst, k, np.ones(inst.n), 0),
+            lambda inst, k: lloyd(inst, k, np.ones(inst.n), 0),
+            lambda inst, k: socially_fair_centers(inst, k, 0),
+            lambda inst, k: best_of_restarts(inst, k, "weighted", 3, 0),
+            lambda inst, k: normalization_factor(inst, [k]),
+        ],
+        ids=["kmeanspp_init", "lloyd", "socially_fair", "restarts", "normalization"],
+    )
+    def test_k_below_one(self, tiny_instance, run, k):
+        # numpy used to fail with a bare IndexError (k = 0) or ValueError
+        # (k = -1); every start is drawn through kmeanspp_init, which names it
+        with pytest.raises(ParamError, match=f"^k must be at least 1, got {k}$"):
+            run(tiny_instance, k)
+
     def test_k_exceeds_distinct_points(self):
         X = np.zeros((5, 2))
         X[0] = [1.0, 1.0]

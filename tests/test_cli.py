@@ -616,7 +616,7 @@ class TestGapReport:
                 fh,
                 fieldnames=[
                     "method", "objective", "k", "lambda", "R", "U",
-                    "lp_objective", "gap", "bound",
+                    "lp_objective", "gap", "bound", "flags",
                 ],
             )
             w.writeheader()
@@ -631,100 +631,68 @@ class TestGapReport:
                     "lp_objective": 0.0,
                     "gap": 1.0,
                     "bound": 0.1,
+                    "flags": pipeline.GAP_FLAG,
                 }
             )
         assert gap_report(str(path)) == 3
         assert "HARD" in capsys.readouterr().out
 
 
-    @pytest.mark.parametrize("lp_tolerance, code", [(1e-7, 0), (1e-9, 3)])
-    def test_uses_the_runs_lp_tolerance(self, tmp_path, lp_tolerance, code):
-        # gap - bound = 5e-8 lies between the two slacks: the pipeline at
-        # lp_tolerance 1e-7 does not flag it, so gapreport must not either
-        path = tmp_path / "results.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(
-                fh, fieldnames=["method", "objective", "k", "lambda", "gap", "bound"]
-            )
-            w.writeheader()
-            w.writerow(
-                {
-                    "method": "RawlsianAlg",
-                    "objective": "rawlsian",
-                    "k": 2,
-                    "lambda": 0.5,
-                    "gap": 0.10000005,
-                    "bound": 0.1,
-                }
-            )
-        (tmp_path / "metadata.json").write_text(
-            json.dumps({"config": {"lp_tolerance": lp_tolerance}})
-        )
-        assert gap_report(str(path)) == code
-
-    def test_default_lp_tolerance_without_metadata(self, tmp_path):
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            None,
+            '{"config": {"lp_tolerance": 1e-05}}',
+            '{"config": {"lp_tolerance": 1e-09}}',
+            "not json",
+        ],
+        ids=["no-metadata", "tol-1e-5", "tol-1e-9", "not-json"],
+    )
+    @pytest.mark.parametrize(
+        "flags, code", [("", 0), ("gap_bound_exceeded", 3)], ids=["clean", "flagged"]
+    )
+    def test_verdict_is_the_flags_column(self, tmp_path, capsys, flags, code, meta):
+        # gap - bound = 5e-6: a --lp-tol 1e-5 run leaves it unflagged and a
+        # 1e-9 run flags it, so only the run's own flags cell can tell; a
+        # metadata.json beside the CSV is not read
         path = tmp_path / "results.csv"
         path.write_text(
-            "method,objective,k,lambda,gap,bound\n"
-            "UtilitarianAlg,utilitarian,2,0.5,0.10000005,0.1\n"
+            "method,objective,k,lambda,gap,bound,flags\n"
+            f"RawlsianAlg,rawlsian,2,0.5,0.100005,0.1,{flags}\n"
         )
-        assert gap_report(str(path)) == 0
+        if meta is not None:
+            (tmp_path / "metadata.json").write_text(meta)
+        assert gap_report(str(path)) == code
+        out = capsys.readouterr().out
+        assert ("HARD" in out) == bool(flags)
+        assert f"runs: 1, hard violations: {int(bool(flags))}," in out
+
+    @pytest.mark.parametrize("flags", ["oops", "gap_bound_exceeded;oops", ";"])
+    def test_unknown_flags_cell_is_data_error(self, tmp_path, capsys, flags):
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "method,objective,k,lambda,gap,bound,flags\n"
+            "UtilitarianAlg,utilitarian,2,0.5,0.1,0.1,\n"
+            f"RawlsianAlg,rawlsian,2,0.5,0.1,0.1,{flags}\n"
+        )
+        assert main(["gapreport", "--results", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"{path} line 3, column 'flags' is {flags!r}, not empty or "
+            "'gap_bound_exceeded'"
+        ) in err
+        assert "Traceback" not in err
 
     def test_non_numeric_cell_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
         path.write_text(
-            "method,objective,k,lambda,gap,bound\n"
-            "UtilitarianAlg,utilitarian,2,0.5,0.1,0.1\n"
-            "RawlsianAlg,rawlsian,2,x,0.1,0.1\n"
+            "method,objective,k,lambda,gap,bound,flags\n"
+            "UtilitarianAlg,utilitarian,2,0.5,0.1,0.1,\n"
+            "RawlsianAlg,rawlsian,2,x,0.1,0.1,\n"
         )
         assert main(["gapreport", "--results", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path} line 3, column 'lambda' is 'x', not a number" in err
-        assert "Traceback" not in err
-
-    def test_non_numeric_lp_tolerance_is_data_error(self, tmp_path, capsys):
-        path = tmp_path / "results.csv"
-        path.write_text(
-            "method,objective,k,lambda,gap,bound\n"
-            "UtilitarianAlg,utilitarian,2,0.5,0.1,0.1\n"
-        )
-        (tmp_path / "metadata.json").write_text(
-            json.dumps({"config": {"lp_tolerance": "abc"}})
-        )
-        assert main(["gapreport", "--results", str(path)]) == 2
-        err = capsys.readouterr().err
-        meta = tmp_path / "metadata.json"
-        assert f"{meta} field config.lp_tolerance is 'abc', not a number" in err
-
-
-    @pytest.mark.parametrize(
-        "meta, message",
-        [
-            ([1, 2], "must hold a JSON object with an object config"),
-            ({"config": [1]}, "must hold a JSON object with an object config"),
-            ({"config": {"lp_tolerance": True}}, "is True, not a number"),
-            (
-                {"config": {"lp_tolerance": float("nan")}},
-                "lp_tolerance must be finite and at least 1e-10, got nan",
-            ),
-            (
-                {"config": {"lp_tolerance": 1e-12}},
-                "lp_tolerance must be finite and at least 1e-10, got 1e-12",
-            ),
-        ],
-        ids=["list", "config-list", "bool", "nan", "tiny"],
-    )
-    def test_bad_metadata_is_data_error(self, tmp_path, capsys, meta, message):
-        # a NaN tolerance would make gap > bound + tol false for every run
-        path = tmp_path / "results.csv"
-        path.write_text(
-            "method,objective,k,lambda,gap,bound\n"
-            "UtilitarianAlg,utilitarian,2,0.5,1.0,0.1\n"
-        )
-        (tmp_path / "metadata.json").write_text(json.dumps(meta))
-        assert main(["gapreport", "--results", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"data error: {tmp_path / 'metadata.json'}" in err and message in err
         assert "Traceback" not in err
 
 

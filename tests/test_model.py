@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from datagen import (
 from welfair.errors import DataError, ParamError
 from welfair.centers import best_of_restarts, lloyd
 from welfair.metrics import pairwise_pow
+from welfair.pipeline import rawlsian_alg
 from welfair.model import (
     Instance,
     Params,
@@ -207,6 +210,7 @@ class TestParams:
 
     def test_validate_accepts_good(self, tiny_instance):
         Params.with_delta(tiny_instance, 3, 0.5, 0.1).validate(tiny_instance)
+        Params.with_delta(tiny_instance, np.int64(3), 0.5).validate(tiny_instance)
 
     @pytest.mark.parametrize("p", [0, 3, -1])
     def test_bad_p(self, tiny_instance, p):
@@ -226,6 +230,20 @@ class TestParams:
         params = Params.with_delta(tiny_instance, k, 0.5)
         with pytest.raises(ParamError):
             params.validate(tiny_instance)
+
+    @pytest.mark.parametrize(
+        "k", [2.5, 2.0, True, np.True_, "2"],
+        ids=["float", "whole-float", "bool", "numpy-bool", "str"],
+    )
+    def test_k_must_be_an_integer(self, tiny_instance, k):
+        # each used to pass validation, or fail it with a bare TypeError,
+        # and die inside numpy
+        params = Params.with_delta(tiny_instance, k, 0.5)
+        message = re.escape(f"k must be an integer, got {k!r}")
+        with pytest.raises(ParamError, match=message):
+            params.validate(tiny_instance)
+        with pytest.raises(ParamError, match=message):
+            rawlsian_alg(tiny_instance, params)
 
     def test_alpha_shape_checked(self, tiny_instance):
         params = Params(k=2, lam=0.5, alpha=np.zeros(5), beta=np.zeros(2))
