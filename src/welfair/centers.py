@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, ParamError
-from .model import Instance
+from .model import Instance, check_k_is_integer
 
 
 @dataclass
@@ -50,9 +50,10 @@ def kmeanspp_init(
 ) -> np.ndarray:
     """D^2-weighted seeding scaled by point weights; returns (k, d) centers.
 
-    Raises ParamError for a negative seed, for k outside [1, n], and for
-    weights that are not one finite, nonnegative value per point with a
-    positive total, naming the first bad point.
+    Raises ParamError for a negative seed, for a k that is not an integer
+    in [1, n] (`model.check_k_is_integer`), and for weights that are not
+    one finite, nonnegative value per point with a positive total, naming
+    the first bad point.
     """
     if seed < 0:
         raise ParamError(f"seed must be at least 0, got {seed}")
@@ -60,6 +61,7 @@ def kmeanspp_init(
     n = instance.n
     w = np.asarray(weights, dtype=np.float64)
     _check_weights(w, n)
+    check_k_is_integer(k)
     if k < 1:
         raise ParamError(f"k must be at least 1, got {k}")
     if k > n:

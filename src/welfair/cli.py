@@ -34,7 +34,6 @@ from .model import (
 )
 
 _OBJECTIVES = tuple(pipeline.CENTER_METHODS)
-_SOFT_GAP = 8e-3
 
 
 @dataclass
@@ -395,7 +394,6 @@ def gap_report(path: str) -> int:
     )
     algorithms = pipeline.ALGORITHMS.values()
     hard = 0
-    soft_hits = 0
     runs = 0
     print(f"{'objective':<12} {'k':>3} {'lambda':>7} {'gap':>13} {'bound':>13} flag")
     for line, row in enumerate(rows, start=2):
@@ -412,21 +410,12 @@ def gap_report(path: str) -> int:
                 f"{where} 'flags' is {row['flags']!r}, not empty or "
                 f"{pipeline.GAP_FLAG!r}"
             )
-        flag = ""
-        if flags:
-            flag = "HARD"
-            hard += 1
-        elif gap > _SOFT_GAP:
-            flag = "soft"
-            soft_hits += 1
+        hard += bool(flags)
         print(
             f"{row['objective']:<12} {row['k']:>3} {lam:>7.2f} "
-            f"{gap:>13.6g} {bound:>13.6g} {flag}"
+            f"{gap:>13.6g} {bound:>13.6g} {'HARD' if flags else ''}"
         )
-    print(
-        f"runs: {runs}, hard violations: {hard}, "
-        f"above soft threshold {_SOFT_GAP:g}: {soft_hits}"
-    )
+    print(f"runs: {runs}, hard violations: {hard}")
     return 3 if hard else 0
 
 

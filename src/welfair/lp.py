@@ -204,19 +204,24 @@ class HighsSolver:
     so the LP moves the cheap end of each (a, h, i) class first. The first
     LP keeps the columns of each point's min(k, _CANDIDATES) nearest centers
     that rank in the cheapest ceil(_CLASS_SHARE * |class (a, h)|) of their
-    (a, h, i) class; every other column whose reduced cost under the LP's
-    duals is below -tolerance joins before a re-solve. Each restricted LP
-    holds point j's row only when j has at least 2 kept columns: with fewer
-    the row is implied by the bounds x <= 1, its dual 0 is optimal, and
-    pricing reads 0 for it. The last round prices every left-out column at
-    or above -tolerance, which certifies its optimum as the full LP's;
-    tolerance is model.params.lp_tolerance; `_highs.solve` makes it HiGHS's
-    feasibility tolerance and row check, as for the rounding LP. solve
-    returns the LP's variables, its value, and the simplex iterations summed
-    over the pricing rounds and the number of rounds.
+    (a, h, i) class. Each restricted LP holds point j's row only when j has
+    at least 2 kept columns: with fewer the row is implied by the bounds
+    x <= 1, its dual 0 is optimal, and pricing reads 0 for it.
+
+    After each round the restricted LP's duals give a Lagrangian lower
+    bound on the full LP's optimum (`_Frame.lagrangian_bound`). Pricing
+    stops when the restricted optimum is within tolerance of that bound, so
+    the value returned is at most tolerance above the full LP's optimum
+    however many left-out columns price slightly below 0. Otherwise the
+    left-out columns whose reduced cost is below -tolerance join, or, when
+    there are none, those below 0, and HiGHS solves again. tolerance is
+    model.params.lp_tolerance; `_highs.solve` makes it HiGHS's feasibility
+    tolerance and row check, as for the rounding LP. solve returns the LP's
+    variables, its value, the simplex iterations summed over the pricing
+    rounds, the number of rounds, and the last round's lower bound.
     """
 
-    def solve(self, model: LPModel) -> tuple[np.ndarray, float, int, int]:
+    def solve(self, model: LPModel) -> tuple[np.ndarray, float, int, int, float]:
         tolerance = model.params.lp_tolerance
         frame = _Frame(model)
         keep = _initial_columns(model, frame)
@@ -227,11 +232,15 @@ class HighsSolver:
             lp, row_ids = frame.restrict(keep)
             res = _highs.solve(lp, tolerance)
             iterations += res.iterations
-            if not left.any():
-                break
             duals = np.zeros(len(frame.b_ub))
             duals[row_ids] = res.row_dual
-            enter = left & (frame.reduced_costs(duals) < -tolerance)
+            rc = frame.reduced_costs(duals)
+            bound = frame.lagrangian_bound(duals, rc)
+            if res.objective + frame.offset - bound <= tolerance:
+                break
+            enter = left & (rc < -tolerance)
+            if not enter.any():
+                enter = left & (rc < 0)
             if not enter.any():
                 break
             keep |= enter
@@ -245,6 +254,7 @@ class HighsSolver:
             float(res.objective) + frame.offset,
             iterations,
             rounds,
+            bound,
         )
 
 
@@ -367,6 +377,18 @@ class _Frame:
         if self.rawlsian:
             rc -= duals[2 * k * H: 2 * k * H + H][h] * self.delta
         return rc
+
+    def lagrangian_bound(self, duals: np.ndarray, rc: np.ndarray) -> float:
+        """A lower bound on the frame LP's optimum from the duals of a
+        restricted LP and the reduced costs rc they give (Lubbecke &
+        Desrosiers, Oper. Res. 53(6), 2005): the model's rows are relaxed
+        with their duals and each point's row is kept, so point j adds the
+        least of 0 and its columns' costs with its own row dual added back.
+        The t and z columns, held by every restricted LP, add 0: at its
+        optimum their reduced costs are at least 0, and 0 for the free z."""
+        R = self.num_rows
+        own = (rc + duals[R:]).min(axis=0, where=self.columns, initial=0.0)
+        return float(self.offset + duals[:R] @ self.b_ub[:R] + own.sum())
 
 
 def _compress(rows: np.ndarray, vals: np.ndarray):

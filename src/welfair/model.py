@@ -162,14 +162,22 @@ def _single_color(column: str, color: str) -> DataError:
 LP_TOLERANCE = 1e-7
 
 
+def check_k_is_integer(k) -> None:
+    """ParamError unless k is an integer: a bool is not one; numpy integers
+    are. `Params.validate` and `centers.kmeanspp_init` both apply it."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ParamError(f"k must be an integer, got {k!r}")
+
+
 @dataclass
 class Params:
     """Objective parameters: exponent p, tradeoff lambda, k, slack vectors.
 
     k must be an integer (a bool is not one; numpy integers are) in [1, n].
     alpha[h] loosens the upper proportion bound for color h, beta[h] the lower
-    one; both must be finite and nonnegative. lp_tolerance is the LP's
-    pricing threshold, the slack by which a rounding gap may exceed its
+    one; both must be finite and nonnegative. lp_tolerance is how far the
+    LP value may lie above its Lagrangian lower bound when pricing stops
+    (see `lp.HighsSolver`), the slack by which a rounding gap may exceed its
     bound, and what sets HiGHS's feasibility tolerance for both LPs (see
     `_highs.solve`). It must be finite and at least 1e-10. `validate`
     checks these rules against an instance, and `check_centers` a center
@@ -214,8 +222,7 @@ class Params:
             raise ParamError(f"p must be 1 or 2, got {self.p}")
         if not (0.0 <= self.lam <= 1.0):
             raise ParamError(f"lambda must lie in [0, 1], got {self.lam}")
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ParamError(f"k must be an integer, got {self.k!r}")
+        check_k_is_integer(self.k)
         if not (1 <= self.k <= instance.n):
             raise ParamError(f"k={self.k} must lie in [1, n={instance.n}]")
         if self.alpha.shape != (H,) or self.beta.shape != (H,):

@@ -67,6 +67,23 @@ class TestKmeansppInit:
         with pytest.raises(ParamError, match=f"^k must be at least 1, got {k}$"):
             run(tiny_instance, k)
 
+    @pytest.mark.parametrize("k", [2.5, True, 3.0])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda inst, k: lloyd(inst, k, np.ones(inst.n), 0),
+            lambda inst, k: best_of_restarts(inst, k, "vanilla", 1, 0),
+            lambda inst, k: best_of_restarts(inst, k, "socially_fair", 1, 0),
+        ],
+        ids=["lloyd", "vanilla", "socially_fair"],
+    )
+    def test_k_must_be_an_integer(self, tiny_instance, run, k):
+        # numpy used to fail with a bare TypeError; kmeanspp_init applies
+        # Params.validate's rule, under which numpy integers pass
+        with pytest.raises(ParamError, match=rf"^k must be an integer, got {k!r}$"):
+            run(tiny_instance, k)
+        assert run(tiny_instance, np.int64(2)).centers.shape == (2, 2)
+
     def test_k_exceeds_distinct_points(self):
         X = np.zeros((5, 2))
         X[0] = [1.0, 1.0]

@@ -607,7 +607,8 @@ class TestGapReport:
         _, out_csv = finished_run
         assert gap_report(out_csv) == 0
         out = capsys.readouterr().out
-        assert "hard violations: 0" in out
+        assert out.endswith(", hard violations: 0\n")
+        assert "soft" not in out
 
     def test_hard_violation_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -664,8 +665,9 @@ class TestGapReport:
             (tmp_path / "metadata.json").write_text(meta)
         assert gap_report(str(path)) == code
         out = capsys.readouterr().out
-        assert ("HARD" in out) == bool(flags)
-        assert f"runs: 1, hard violations: {int(bool(flags))}," in out
+        # the gap, 0.100005, is what the run flagged or not: no other label
+        assert ("HARD" in out) == bool(flags) and "soft" not in out
+        assert out.endswith(f"\nruns: 1, hard violations: {int(bool(flags))}\n")
 
     @pytest.mark.parametrize("flags", ["oops", "gap_bound_exceeded;oops", ";"])
     def test_unknown_flags_cell_is_data_error(self, tmp_path, capsys, flags):
