@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, ParamError
-from .model import Instance, check_k_is_integer
+from .model import Instance, check_k
 
 
 @dataclass
@@ -19,6 +19,8 @@ class CenterSet:
     restart_scores and restart_iterations hold each restart's score and its
     number of assignment passes; a single run is one restart.
     best_of_restarts keeps its first restart's centers as first_centers.
+    A set given to a run may carry a NaN score: the run reads only its
+    centers and provenance.
     """
 
     centers: np.ndarray
@@ -51,7 +53,7 @@ def kmeanspp_init(
     """D^2-weighted seeding scaled by point weights; returns (k, d) centers.
 
     Raises ParamError for a negative seed, for a k that is not an integer
-    in [1, n] (`model.check_k_is_integer`), and for weights that are not
+    in [1, n] (`model.check_k`), and for weights that are not
     one finite, nonnegative value per point with a positive total, naming
     the first bad point.
     """
@@ -61,11 +63,7 @@ def kmeanspp_init(
     n = instance.n
     w = np.asarray(weights, dtype=np.float64)
     _check_weights(w, n)
-    check_k_is_integer(k)
-    if k < 1:
-        raise ParamError(f"k must be at least 1, got {k}")
-    if k > n:
-        raise ParamError(f"k={k} exceeds n={n}")
+    check_k(k, n)
     rng = np.random.default_rng(seed)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.choice(n, p=w / w.sum())

@@ -177,36 +177,36 @@ def run_experiment(config: ExperimentConfig) -> str:
         both = normalization_factors(
             instance, [vanilla[k].first_centers for k in config.k_range], config.p
         )
-        if 0.0 in both.values():
-            # zero vanilla cost at every k: each point sits on its center
-            raise DataError(
-                "vanilla k-means cost is zero; no distance scale to normalize by"
-            )
         factors = {obj: both[obj] for obj in objectives}
-        insts = {
-            obj: apply_normalization(instance, f, config.p)
-            for obj, f in factors.items()
-        }
     else:
         factors = dict.fromkeys(objectives, float("nan"))
-        insts = dict.fromkeys(objectives, instance)
     center_sets = {
         k: {"vanilla": vanilla[k]} | {m: center_set(k, m) for m in centers.METHODS[1:]}
         for k in config.k_range
     }
     rows: list[dict] = []
-    for obj in objectives:
-        inst = insts[obj]
-        # every d^p of inst is the raw one divided by the factor
-        ratio = 1.0 / factors[obj] if config.normalize else 1.0
-        tasks = []
-        for k in config.k_range:
-            cache = {
-                m: _rescaled(cs, ratio, config.p) for m, cs in center_sets[k].items()
+    for obj, f in factors.items():
+        inst, sets = instance, center_sets
+        if config.normalize:
+            # every d^p of inst is the raw one divided by f, and the
+            # heuristics are scale-equivariant, so its center sets are the raw
+            # ones times f^(-1/p); a run reads only centers and provenance
+            inst = apply_normalization(instance, f, config.p)
+            scale = math.sqrt(1.0 / f) if config.p == 2 else 1.0 / f
+            sets = {
+                k: {
+                    m: centers.CenterSet(cs.centers * scale, cs.provenance, math.nan)
+                    for m, cs in by_method.items()
+                }
+                for k, by_method in center_sets.items()
             }
-            tasks += [(obj, inst, k, lam, cache) for lam in config.lambdas]
+        tasks = [
+            (obj, inst, k, lam, sets[k])
+            for k in config.k_range
+            for lam in config.lambdas
+        ]
         for group in _run_tasks(tasks, config):
-            rows += [_result_row(res, obj, config, factors[obj]) for res in group]
+            rows += [_result_row(res, obj, config, f) for res in group]
     out_csv = os.path.join(config.out_dir, "results.csv")
     cols = list(rows[0])
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
@@ -233,24 +233,6 @@ def run_experiment(config: ExperimentConfig) -> str:
     return out_csv
 
 
-def _rescaled(cs: centers.CenterSet, ratio: float, p: int) -> centers.CenterSet:
-    """The center set the heuristics return on the same points with every
-    d^p times ratio: they are scale-equivariant, so its centers and first
-    centers are cs's times ratio^(1/p), the ratio of the coordinates, and its
-    scores, squared Euclidean costs, are cs's times that ratio squared. A
-    ratio of 1 returns cs itself."""
-    if ratio == 1.0:
-        return cs
-    scale, square = (math.sqrt(ratio), ratio) if p == 2 else (ratio, ratio * ratio)
-    return replace(
-        cs,
-        centers=cs.centers * scale,
-        score=cs.score * square,
-        restart_scores=[s * square for s in cs.restart_scores],
-        first_centers=cs.first_centers * scale,
-    )
-
-
 def _check_run_params(config: ExperimentConfig) -> None:
     """Reject sweep settings that would fail only deep inside the run."""
     if config.objective not in _OBJECTIVES + ("both",):
@@ -265,6 +247,8 @@ def _check_run_params(config: ExperimentConfig) -> None:
         raise ParamError(f"k must be at least 1, got {bad[0]}")
     if config.restarts < 1:
         raise ParamError(f"restarts must be at least 1, got {config.restarts}")
+    if config.workers < 1:
+        raise ParamError(f"workers must be at least 1, got {config.workers}")
     if config.seed < 0:
         raise ParamError(f"seed must be at least 0, got {config.seed}")
     if config.subsample is not None and config.subsample < 1:

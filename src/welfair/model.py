@@ -162,11 +162,14 @@ def _single_color(column: str, color: str) -> DataError:
 LP_TOLERANCE = 1e-7
 
 
-def check_k_is_integer(k) -> None:
-    """ParamError unless k is an integer: a bool is not one; numpy integers
-    are. `Params.validate` and `centers.kmeanspp_init` both apply it."""
+def check_k(k, n: int) -> None:
+    """ParamError unless k is an integer in [1, n]: a bool is not one; numpy
+    integers are. `Params.validate` and `centers.kmeanspp_init` both apply
+    it."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ParamError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= n:
+        raise ParamError(f"k={k} must lie in [1, n={n}]")
 
 
 @dataclass
@@ -222,9 +225,7 @@ class Params:
             raise ParamError(f"p must be 1 or 2, got {self.p}")
         if not (0.0 <= self.lam <= 1.0):
             raise ParamError(f"lambda must lie in [0, 1], got {self.lam}")
-        check_k_is_integer(self.k)
-        if not (1 <= self.k <= instance.n):
-            raise ParamError(f"k={self.k} must lie in [1, n={instance.n}]")
+        check_k(self.k, instance.n)
         if self.alpha.shape != (H,) or self.beta.shape != (H,):
             raise ParamError(
                 f"alpha/beta must have one entry per color ({H}), "
@@ -318,7 +319,8 @@ def normalization_factors(
     distance numerator / violation denominator with alpha = beta = 0, and
     the result is the mean over the sets. The numerator of "rawlsian" is
     the overall mean of d^p, that of "utilitarian" the sum over colors of
-    per-color average d^p.
+    per-color average d^p. A mean of 0, every point on its center at every
+    k, leaves no distance scale and raises DataError.
     """
     from . import metrics as _metrics
 
@@ -340,7 +342,12 @@ def normalization_factors(
             )
         factors["rawlsian"].append(rep.cost / instance.n / den)
         factors["utilitarian"].append(float((rep.D / instance.counts).sum()) / den)
-    return {mode: float(np.mean(f)) for mode, f in factors.items()}
+    means = {mode: float(np.mean(f)) for mode, f in factors.items()}
+    if 0.0 in means.values():
+        raise DataError(
+            "vanilla k-means cost is zero; no distance scale to normalize by"
+        )
+    return means
 
 
 def apply_normalization(instance: Instance, factor: float, p: int = 2) -> Instance:

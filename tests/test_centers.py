@@ -46,7 +46,7 @@ class TestKmeansppInit:
 
     def test_k_exceeds_n(self, tiny_instance):
         n = tiny_instance.n
-        with pytest.raises(ParamError, match=f"^k={n + 1} exceeds n={n}$"):
+        with pytest.raises(ParamError, match=rf"^k={n + 1} must lie in \[1, n={n}\]$"):
             kmeanspp_init(tiny_instance, n + 1, np.ones(n), 0)
 
     @pytest.mark.parametrize("k", [0, -1])
@@ -64,7 +64,9 @@ class TestKmeansppInit:
     def test_k_below_one(self, tiny_instance, run, k):
         # numpy used to fail with a bare IndexError (k = 0) or ValueError
         # (k = -1); every start is drawn through kmeanspp_init, which names it
-        with pytest.raises(ParamError, match=f"^k must be at least 1, got {k}$"):
+        # with Params.validate's message
+        n = tiny_instance.n
+        with pytest.raises(ParamError, match=rf"^k={k} must lie in \[1, n={n}\]$"):
             run(tiny_instance, k)
 
     @pytest.mark.parametrize("k", [2.5, True, 3.0])
@@ -606,6 +608,20 @@ class TestMatchesReference:
                 monkeypatch, inst, 3, np.ones(inst.n), 0, tol=tol
             )
             assert cs.restart_iterations[0] == passes - 2
+
+    def test_lloyd_stops_at_relative_tolerance(self, monkeypatch):
+        # here the score improves by at most _TOL relative while points still
+        # move: the loop stops before the fixed point it reaches at tol 0, and
+        # the reference, which stops by the same rule, takes only its scoring
+        # pass more
+        inst = adult_like(10000, seed=11)
+        ones = np.ones(inst.n)
+        cs, passes = _assert_lloyd_matches(monkeypatch, inst, 4, ones, 0)
+        assert cs.restart_iterations[0] == passes - 1
+        fixed, passes = _assert_lloyd_matches(monkeypatch, inst, 4, ones, 0, tol=0.0)
+        assert fixed.restart_iterations[0] == passes - 2
+        assert cs.restart_iterations[0] < fixed.restart_iterations[0]
+        assert fixed.score <= cs.score
 
     @pytest.mark.parametrize("method", ["vanilla", "weighted", "socially_fair"])
     def test_best_of_restarts(self, small_instance, method):

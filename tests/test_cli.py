@@ -3,7 +3,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -491,31 +490,44 @@ class TestRunExperiment:
             assert len(both) == 2 * 2 * 4
             assert both == self._untimed(sweeps[False, objective], objective)
 
-    def test_rescaled_center_set(self, dataset):
-        # a center set computed at one scale, rescaled, is the one computed
-        # on the data whose d^p are ratio times as large, at p = 1 and 2;
-        # ratio 1 returns the same object
+    def test_rescaled_center_set(self, dataset, tmp_path, monkeypatch):
+        # each objective's center sets, rescaled from the raw ones, are those
+        # computed on its normalized data, at p = 1 and 2, in what a run reads
+        # of them: the centers and the provenance
         path, feats = dataset
         inst = load_instance(path, feats, "group")
-        ratio = 3.7
-        for p, method in itertools.product((1, 2), centers.METHODS):
-            scaled = apply_normalization(inst, 1.0 / ratio, p)
-            cs = centers.best_of_restarts(inst, 3, method, 3, 5)
-            before = cs.centers.copy()
-            want = centers.best_of_restarts(scaled, 3, method, 3, 5)
-            got = cli._rescaled(cs, ratio, p)
-            np.testing.assert_array_equal(cs.centers, before)
-            np.testing.assert_allclose(got.centers, want.centers, rtol=1e-12)
-            np.testing.assert_allclose(
-                got.first_centers, want.first_centers, rtol=1e-12
+        given = []
+        real = pipeline.evaluate_baseline
+
+        def spy(inst, params, method, **kw):
+            given.append((method, kw["center_set"]))
+            return real(inst, params, method, **kw)
+
+        monkeypatch.setattr(pipeline, "evaluate_baseline", spy)
+        for p in (1, 2):
+            given.clear()
+            out = tmp_path / f"p{p}"
+            config = ExperimentConfig(
+                data=path,
+                feature_columns=feats,
+                group_column="group",
+                k_range=[3],
+                lambdas=[0.5],
+                p=p,
+                restarts=3,
+                seed=5,
+                out_dir=str(out),
             )
-            assert got.score == pytest.approx(want.score, rel=1e-12)
-            np.testing.assert_allclose(
-                got.restart_scores, want.restart_scores, rtol=1e-12
-            )
-            assert got.restart_iterations == want.restart_iterations
-            assert got.provenance == cs.provenance == want.provenance
-            assert cli._rescaled(cs, 1.0, p) is cs
+            run_experiment(config)
+            factors = json.loads((out / "metadata.json").read_text())["norm_factors"]
+            # one cell per objective, each with its baselines in METHODS order
+            assert [m for m, _ in given] == list(centers.METHODS) * 2
+            objectives = ["rawlsian"] * 3 + ["utilitarian"] * 3
+            for obj, (method, got) in zip(objectives, given):
+                scaled = apply_normalization(inst, factors[obj], p)
+                want = centers.best_of_restarts(scaled, 3, method, 3, 5)
+                np.testing.assert_allclose(got.centers, want.centers, rtol=1e-12)
+                assert got.provenance == want.provenance
 
     def test_subsample_and_no_normalize(self, dataset, tmp_path):
         path, feats = dataset
@@ -1036,6 +1048,8 @@ class TestMain:
             (["--delta", "nan"], "delta must be finite, got nan"),
             (["--delta", "inf"], "delta must be finite, got inf"),
             (["--delta", "-0.1"], "delta must be at least 0, got -0.1"),
+            (["--workers", "0"], "workers must be at least 1, got 0"),
+            (["--workers", "-3"], "workers must be at least 1, got -3"),
         ],
     )
     def test_bad_run_params_exit_one_before_loading(self, flags, message, capsys):

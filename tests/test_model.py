@@ -180,6 +180,13 @@ class TestInstance:
         with pytest.raises(DataError, match="feature 1 of point 1"):
             Instance(X, [0, 1, 0], ["a", "b"])
 
+    def test_subsample_of_one_group(self):
+        # an Instance may hold one color; a subsample of it is no clustering
+        # instance for welfair, as a one-group CSV is not
+        inst = Instance(np.arange(10.0)[:, None], np.zeros(10), ["a"])
+        with pytest.raises(DataError, match="single distinct value 'a'"):
+            inst.subsample(5, seed=0)
+
     def test_subsample_deterministic(self):
         inst = random_instance(50, 2, 3, seed=1)
         a = inst.subsample(20, seed=4)
@@ -392,13 +399,35 @@ class TestNormalization:
             normalization_factor(inst, [1])
 
     def test_zero_distance_geometry_gives_zero_factor(self):
-        # every point sits exactly on a site: vanilla cost 0, factor 0, and
-        # apply_normalization refuses it
+        # every point sits exactly on a site: vanilla cost 0 at the only k,
+        # so no factor exists; both entry points name it as a data fault
         inst = separated_instance(40, theta=0.2, seed=0)
-        f = normalization_factor(inst, [2])
-        assert f == 0.0
-        with pytest.raises(ParamError):
-            apply_normalization(inst, f)
+        message = "^vanilla k-means cost is zero; no distance scale to normalize by$"
+        with pytest.raises(DataError, match=message):
+            normalization_factor(inst, [2])
+        vanilla = lloyd(inst, 2, np.ones(inst.n), 0).centers
+        with pytest.raises(DataError, match=message):
+            normalization_factors(inst, [vanilla])
+
+    def test_zero_cost_at_one_k_still_normalizes(self):
+        # three sites: vanilla k-means costs 75 at k = 2 and 0 at k = 3; the
+        # factors are means over k, so only a zero mean is rejected
+        X = np.repeat([[0.0, 0.0], [5.0, 0.0], [0.0, 7.0]], 6, axis=0)
+        colors = [0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1]
+        inst = Instance(X, colors, ["a", "b"])
+        runs = [best_of_restarts(inst, k, "vanilla", 1, 0) for k in (2, 3)]
+        assert [cs.score for cs in runs] == [75.0, 0.0]
+        got = normalization_factors(inst, [cs.first_centers for cs in runs])
+        assert got == {
+            "rawlsian": 13.368055555555559,
+            "utilitarian": 27.08333333333334,
+        }
+        for mode, f in got.items():
+            assert normalization_factor(inst, [2, 3], mode=mode) == f
+
+    def test_unknown_mode_rejected(self, tiny_instance):
+        with pytest.raises(ParamError, match="^unknown normalization mode 'both'$"):
+            normalization_factor(tiny_instance, [2], mode="both")
 
     def test_empty_k_range_rejected(self, tiny_instance):
         with pytest.raises(ParamError):
