@@ -18,12 +18,7 @@ from .lp import (
     build_utilitarian_lp,
     solve_lp,
 )
-from .metrics import (
-    GroupReport,
-    additive_constants,
-    group_costs,
-    pairwise_pow,
-)
+from .metrics import GroupReport, additive_constants, pairwise_pow
 from .model import (
     Instance,
     Params,
@@ -75,7 +70,6 @@ __all__ = [
     "build_utilitarian_lp",
     "dominance_check",
     "evaluate_baseline",
-    "group_costs",
     "kmeanspp_init",
     "lloyd",
     "load_instance",

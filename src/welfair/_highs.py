@@ -7,18 +7,18 @@ small LPs of a sweep that cost more than HiGHS's own solve. Here the model
 goes to HiGHS as arrays, and the solution is checked as `linprog` checks it.
 
 Each thread keeps one HiGHS object, made on its first solve with the fixed
-options (presolve off, the dual simplex, no output) passed once; building
-and freeing one per solve cost more than HiGHS's own `run()` on the small
-LPs of a sweep. Every solve clears the previous model, with its basis and
-solution, before it passes its own, so no solve starts from another's
-basis and the results are those of a fresh object. An idle solver keeps
-the capacity of the largest LP it solved (3.4 MB of resident memory after
-an n = 3000 assignment LP).
+options (presolve off, the dual simplex, both feasibility tolerances at
+_FEASIBILITY, no output) passed once; building and freeing one per solve
+cost more than HiGHS's own `run()` on the small LPs of a sweep. Every solve
+clears the previous model, with its basis and solution, before it passes
+its own, so no solve starts from another's basis and the results are those
+of a fresh object. An idle solver keeps the capacity of the largest LP it
+solved (3.4 MB of resident memory after an n = 3000 assignment LP).
 
 Both LPs, the assignment LP and the rounding LP, run down one path: one
-feasibility tolerance, `min(tolerance, _FEASIBILITY)`, and one check of x
-and of `A x`, computed here in the LP's own scale, because HiGHS measures
-feasibility on its scaled model and its row values agree with that model.
+feasibility tolerance, _FEASIBILITY, and one check of x and of `A x`,
+computed here in the LP's own scale, because HiGHS measures feasibility on
+its scaled model and its row values agree with that model.
 An optimum that breaks the LP by more than the feasibility tolerance is
 solved once more, from scratch and unscaled.
 
@@ -50,13 +50,12 @@ from .errors import InternalInvariantError
 # linprog's post-solve check: x and every row within their limits to
 # sqrt(1e-9) * 10
 _CHECK_TOL = np.sqrt(1e-9) * 10
-# HiGHS's feasibility tolerances are at most this: at its default of 1e-7 an
+# HiGHS's primal and dual feasibility tolerances: at its default of 1e-7 an
 # x that breaks rows by up to 1e-7 can put the LP value above the integral
-# optimum
+# optimum. `Params.validate` keeps every lp_tolerance at least 10 times this
 _FEASIBILITY = 1e-9
 _DUAL_SIMPLEX = int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 _DEFAULTS = HighsOptions()
-_TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
 _SCALING = "simplex_scale_strategy"
 # one HiGHS object per thread, made by `_solver` on the thread's first solve
 _local = threading.local()
@@ -85,26 +84,19 @@ class Solution:
     iterations: int          # simplex iterations
 
 
-def solve(lp: LP, tolerance: float) -> Solution:
+def solve(lp: LP) -> Solution:
     """Solve lp by HiGHS's dual simplex with presolve off and no output.
 
     Presolve would move the assignment LP off its all-zero start (see
     `lp._Frame`), and it ended some rounding LPs with model status Unknown.
-    Both of HiGHS's feasibility tolerances are min(tolerance, _FEASIBILITY),
-    and an optimum whose x, or A x, breaks a bound or a row of lp by more
-    than that is solved again with scaling off (iterations then counts both
-    runs). Any model status but optimal raises InternalInvariantError, and
-    so does an optimum with a NaN or one that breaks a bound or a row by more
-    than _CHECK_TOL.
+    An optimum whose x, or A x, breaks a bound or a row of lp by more than
+    the feasibility tolerance, _FEASIBILITY, is solved again with scaling
+    off (iterations then counts both runs). Any model status but optimal
+    raises InternalInvariantError, and so does an optimum with a NaN or one
+    that breaks a bound or a row by more than _CHECK_TOL.
     """
-    feasibility = min(tolerance, _FEASIBILITY)
     highs = _solver()
     highs.clearModel()
-    for name in _TOLERANCES:
-        if highs.setOptionValue(name, feasibility) == HighsStatus.kError:
-            raise InternalInvariantError(
-                f"HiGHS rejected {name} = {feasibility:g}"
-            )
     num_col, num_row = len(lp.cost), len(lp.row_upper)
     # this overload reads num_col entries of the starts and of the
     # integrality, which must be given: 0 is a continuous column
@@ -129,7 +121,7 @@ def solve(lp: LP, tolerance: float) -> Solution:
         _raise_for(highs, HighsModelStatus.kModelError)
     res, excess = _run(highs, lp)
     # a NaN fails every comparison
-    if not excess <= feasibility:
+    if not excess <= _FEASIBILITY:
         iterations = res.iterations
         highs.clearSolver()
         highs.setOptionValue(_SCALING, 0)
@@ -153,6 +145,8 @@ def _solver() -> _Highs:
         options = HighsOptions()
         options.presolve = "off"
         options.simplex_strategy = _DUAL_SIMPLEX
+        options.primal_feasibility_tolerance = _FEASIBILITY
+        options.dual_feasibility_tolerance = _FEASIBILITY
         options.output_flag = False
         options.log_to_console = False
         highs = _Highs()

@@ -16,8 +16,7 @@ from .model import Instance, check_k
 class CenterSet:
     """Centers with the score that chose them.
 
-    restart_scores and restart_iterations hold each restart's score and its
-    number of assignment passes; a single run is one restart.
+    restart_scores holds each restart's score; a single run is one restart.
     best_of_restarts keeps its first restart's centers as first_centers.
     A set given to a run may carry a NaN score: the run reads only its
     centers and provenance.
@@ -27,7 +26,6 @@ class CenterSet:
     provenance: str
     score: float
     restart_scores: list[float] | None = None
-    restart_iterations: list[int] | None = None
     first_centers: np.ndarray | None = None
 
 
@@ -117,23 +115,21 @@ _TOL = 1e-6
 
 def _alternate(
     instance: Instance, k: int, w: np.ndarray, seed: int, update, score
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float]:
     """Lloyd's loop from a k-means++ start drawn with point weights w: each
     pass assigns points to their nearest center (ties to the lowest index),
     scores that with score(dsel) from the squared distances and moves the
     centers to update(assign), or reseeds empty clusters (_repair_empty on
     w * dsel). It stops when the score improves by at most _TOL relative, or
     at a fixed point (an assignment equal to the previous one, whose update
-    gives the current centers again). Returns the centers, their score and
-    the number of passes; after _MAX_ITERS updates one more pass scores them.
+    gives the current centers again). Returns the centers and their score;
+    after _MAX_ITERS updates one more pass scores them.
     """
     X = instance.features
     centers = kmeanspp_init(instance, k, w, seed)
     prev_cost = math.inf
     prev_assign = None
-    passes = 0
     for _ in range(_MAX_ITERS):
-        passes += 1
         assign, dsel = _assign(centers, X)
         cost = score(dsel)
         empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist()
@@ -152,10 +148,9 @@ def _alternate(
         prev_assign = assign
         centers = update(assign)
     else:
-        passes += 1
         _, dsel = _assign(centers, X)
         cost = score(dsel)
-    return centers, cost, passes
+    return centers, cost
 
 
 def lloyd(instance: Instance, k: int, weights: np.ndarray, seed: int) -> CenterSet:
@@ -172,8 +167,8 @@ def lloyd(instance: Instance, k: int, weights: np.ndarray, seed: int) -> CenterS
     def score(dsel):
         return float((w * dsel).sum())
 
-    centers, cost, passes = _alternate(instance, k, w, seed, update, score)
-    return CenterSet(centers, f"lloyd(seed={seed})", cost, [cost], [passes])
+    centers, cost = _alternate(instance, k, w, seed, update, score)
+    return CenterSet(centers, f"lloyd(seed={seed})", cost, [cost])
 
 
 # the socially-fair center step stops at this relative duality gap; the caps
@@ -319,10 +314,8 @@ def socially_fair_centers(instance: Instance, k: int, seed: int) -> CenterSet:
     def score(dsel):
         return float((np.bincount(colors, dsel, minlength=H) / counts).max())
 
-    centers, cost, passes = _alternate(
-        instance, k, np.ones(instance.n), seed, update, score
-    )
-    return CenterSet(centers, f"socially_fair(seed={seed})", cost, [cost], [passes])
+    centers, cost = _alternate(instance, k, np.ones(instance.n), seed, update, score)
+    return CenterSet(centers, f"socially_fair(seed={seed})", cost, [cost])
 
 
 # the center heuristics, in the order a sweep reports their baselines
@@ -353,6 +346,5 @@ def best_of_restarts(
         f"{method}(restarts={restarts},seed={seed})",
         best.score,
         restart_scores=[cs.score for cs in runs],
-        restart_iterations=[i for cs in runs for i in cs.restart_iterations],
         first_centers=runs[0].centers,
     )

@@ -370,13 +370,14 @@ def gap_report(path: str) -> int:
     """Print the per-run rounding gaps; exit status 3 on a hard violation.
 
     A run is HARD when its flags cell, `;`-separated, holds the pipeline's
-    GAP_FLAG: the verdict the run recorded, not one made again here. An
-    empty cell is clean; any other cell is a DataError.
+    GAP_FLAG or LP_FLAG: the verdict the run recorded, not one made again
+    here. An empty cell is clean; any other cell is a DataError.
     """
     rows = _read_results(
         path, ("method", "objective", "k", "lambda", "gap", "bound", "flags")
     )
     algorithms = pipeline.ALGORITHMS.values()
+    known = (pipeline.GAP_FLAG, pipeline.LP_FLAG)
     hard = 0
     runs = 0
     print(f"{'objective':<12} {'k':>3} {'lambda':>7} {'gap':>13} {'bound':>13} flag")
@@ -389,10 +390,10 @@ def gap_report(path: str) -> int:
         bound = _number(row["bound"] or "nan", f"{where} 'bound'")
         lam = _number(row["lambda"], f"{where} 'lambda'")
         flags = row["flags"].split(";") if row["flags"] else []
-        if any(f != pipeline.GAP_FLAG for f in flags):
+        if any(f not in known for f in flags):
             raise DataError(
                 f"{where} 'flags' is {row['flags']!r}, not empty or "
-                f"{pipeline.GAP_FLAG!r}"
+                + " or ".join(map(repr, known))
             )
         hard += bool(flags)
         print(

@@ -215,8 +215,8 @@ class HighsSolver:
     however many left-out columns price slightly below 0. Otherwise the
     left-out columns whose reduced cost is below -tolerance join, or, when
     there are none, those below 0, and HiGHS solves again. tolerance is
-    model.params.lp_tolerance; `_highs.solve` makes it HiGHS's feasibility
-    tolerance and row check, as for the rounding LP. solve returns the LP's
+    model.params.lp_tolerance, at least 10 times the feasibility tolerance
+    `_highs.solve` gives HiGHS for both LPs. solve returns the LP's
     variables, its value, the simplex iterations summed over the pricing
     rounds, the number of rounds, and the last round's lower bound.
     """
@@ -230,7 +230,7 @@ class HighsSolver:
         while True:
             rounds += 1
             lp, row_ids = frame.restrict(keep)
-            res = _highs.solve(lp, tolerance)
+            res = _highs.solve(lp)
             iterations += res.iterations
             duals = np.zeros(len(frame.b_ub))
             duals[row_ids] = res.row_dual
@@ -421,7 +421,7 @@ def _initial_columns(model: LPModel, frame: _Frame) -> np.ndarray:
 
 
 def solve_lp(model: LPModel) -> FractionalSolution:
-    """Solve the model with HiGHS (`HighsSolver`, at the tolerance
+    """Solve the model with HiGHS (`HighsSolver`, pricing to the tolerance
     model.params.lp_tolerance) and return a cleaned fractional assignment.
 
     x entries below 1e-12 are snapped to zero. The reported objective is the

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ParamError
-from .model import Instance, Params, Solution
+from .model import Instance, Params
 
 
 def pairwise_pow(X: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
@@ -61,7 +61,6 @@ class GroupReport:
     disu: np.ndarray        # (lam * D_h + (1 - lam) * V_h) / n_h
     R: float                # max_h disu_h
     U: float                # sum_h disu_h
-    delta: np.ndarray       # (k, H) violation matrix
     cost: float             # plain clustering cost, sum of d^p over all points
 
 
@@ -76,9 +75,7 @@ def report_from_distances(
     dsel = dist_pow[np.arange(instance.n), assignment]
     D = np.bincount(colors, weights=dsel, minlength=H)
     mass = np.bincount(assignment * H + colors, minlength=k * H).reshape(k, H)
-    t, V, disu = disutilities(instance, params, mass, D)
-    sizes = mass.sum(axis=1, keepdims=True)
-    delta = np.divide(t, sizes, out=np.zeros_like(t), where=sizes > 0)
+    _, V, disu = disutilities(instance, params, mass, D)
     return GroupReport(
         color_names=list(instance.color_names),
         D=D,
@@ -86,15 +83,8 @@ def report_from_distances(
         disu=disu,
         R=float(disu.max()),
         U=float(disu.sum()),
-        delta=delta,
         cost=float(dsel.sum()),
     )
-
-
-def group_costs(instance: Instance, solution: Solution, params: Params) -> GroupReport:
-    """Evaluate distance and violation welfare of an integral solution."""
-    dist = pairwise_pow(instance.features, solution.centers, params.p)
-    return report_from_distances(instance, params, dist, solution.assignment)
 
 
 def additive_constants(instance: Instance, params: Params) -> tuple[float, float]:

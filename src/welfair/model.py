@@ -17,7 +17,8 @@ class Instance:
 
     features: (n, d) float array, d >= 1, all finite.
     colors: (n,) int array, values in [0, num_colors), every color present.
-    color_names: name per color id, in first-appearance order of the source.
+    color_names: name per color id, in first-appearance order of the source;
+    at least two of them.
     Data breaking these rules raises DataError.
     """
 
@@ -42,6 +43,11 @@ class Instance:
                 f"({self.features.shape[0]},), got {self.colors.shape}"
             )
         H = len(self.color_names)
+        if H < 2:
+            raise DataError(
+                f"got {H} color name(s) {list(self.color_names)!r}; "
+                "need at least two groups"
+            )
         bad = np.nonzero((self.colors < 0) | (self.colors >= H))[0]
         if bad.size:
             j = int(bad[0])
@@ -89,10 +95,7 @@ class Instance:
             return self
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(self.n, size=size, replace=False))
-        sub = Instance(self.features[idx], self.colors[idx], list(self.color_names))
-        if len(np.unique(sub.colors)) < 2:
-            raise _single_color("<subsample>", sub.color_names[int(sub.colors[0])])
-        return sub
+        return Instance(self.features[idx], self.colors[idx], list(self.color_names))
 
 
 def load_instance(
@@ -143,19 +146,15 @@ def load_instance(
             names.append(g)
         colors[j] = ids[g]
     if len(names) < 2:
-        raise _single_color(group_column, names[0])
+        raise DataError(
+            f"group column {group_column!r} holds a single distinct value "
+            f"{names[0]!r}; need at least two groups"
+        )
     return Instance(np.asarray(rows, dtype=np.float64), colors, names)
 
 
 def _at(column: str, row: int) -> str:
     return f"in column {column!r} at data row {row}"
-
-
-def _single_color(column: str, color: str) -> DataError:
-    return DataError(
-        f"group column {column!r} holds a single distinct value {color!r}; "
-        "need at least two groups"
-    )
 
 
 # default Params.lp_tolerance
@@ -180,9 +179,10 @@ class Params:
     alpha[h] loosens the upper proportion bound for color h, beta[h] the lower
     one; both must be finite and nonnegative. lp_tolerance is how far the
     LP value may lie above its Lagrangian lower bound when pricing stops
-    (see `lp.HighsSolver`), the slack by which a rounding gap may exceed its
-    bound, and what sets HiGHS's feasibility tolerance for both LPs (see
-    `_highs.solve`). It must be finite and at least 1e-10. `validate`
+    (see `lp.HighsSolver`), and the slack by which a rounding gap may exceed
+    its bound or fall below 0. It must be finite and at least 1e-8, 10 times
+    the feasibility tolerance HiGHS solves both LPs at
+    (`_highs._FEASIBILITY`). `validate`
     checks these rules against an instance, and `check_centers` a center
     array: k finite centers in the instance's dimension.
     """
@@ -240,12 +240,13 @@ class Params:
             )
         if np.any(self.alpha < 0) or np.any(self.beta < 0):
             raise ParamError("alpha and beta must be nonnegative")
-        # HiGHS ignores feasibility tolerances below 1e-10 and keeps its
-        # default, while pricing and the gap rule would use the tiny value
+        # pricing stops once the LP value is within lp_tolerance of a
+        # Lagrangian bound that HiGHS's 1e-9 feasibility tolerance can put
+        # up to about 1e-9 too high, so lp_tolerance keeps 10 times that
         tol = self.lp_tolerance
-        if not (math.isfinite(tol) and tol >= 1e-10):
+        if not (math.isfinite(tol) and tol >= 1e-8):
             raise ParamError(
-                f"lp_tolerance must be finite and at least 1e-10, got {tol}"
+                f"lp_tolerance must be finite and at least 1e-8, got {tol}"
             )
         r = instance.proportions
         bad = np.nonzero(r + self.alpha > 1.0 + 1e-12)[0]

@@ -49,8 +49,11 @@ CENTER_METHODS = {"rawlsian": "socially_fair", "utilitarian": "weighted"}
 # the method name of each objective's algorithm
 ALGORITHMS = {"rawlsian": "RawlsianAlg", "utilitarian": "UtilitarianAlg"}
 # the flag of a run whose rounding gap broke its additive bound by more than
-# the LP tolerance; results.csv's flags column is the one record of it
+# the LP tolerance, and of one whose LP value lies above its rounded value by
+# more than it (the rounded assignment is a point of the LP, so that shows a
+# fault); results.csv's flags column is the one record of either
 GAP_FLAG = "gap_bound_exceeded"
+LP_FLAG = "lp_above_rounded"
 
 
 def score(report: GroupReport, objective: str) -> float:
@@ -102,7 +105,8 @@ def _lp_pipeline(
     c_r, c_u = additive_constants(instance, params)
     bound = (1.0 - params.lam) * (c_r if rawlsian else c_u)
     gap = score(report, kind) - frac.objective
-    flags = [GAP_FLAG] if gap > bound + params.lp_tolerance else []
+    tol = params.lp_tolerance
+    flags = [GAP_FLAG] if gap > bound + tol else [LP_FLAG] if gap < -tol else []
     return RunResult(
         method=ALGORITHMS[kind],
         params=params,

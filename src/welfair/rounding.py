@@ -43,7 +43,6 @@ def _floor_ceil(v):
 class IntegralAssignment:
     assignment: np.ndarray
     color_mass: np.ndarray
-    cluster_sizes: np.ndarray
     report: GroupReport      # the welfare report of assignment
 
 
@@ -83,10 +82,9 @@ def _solve_support(
     dist_pow: np.ndarray,
     support: Support,
     joint: bool,
-    tolerance: float,
 ) -> np.ndarray:
     """Assignment of every point: the fixed ones from support, the fractional
-    ones from the rounding LP at tolerance, with cluster-size rows when joint."""
+    ones from the rounding LP, with cluster-size rows when joint."""
     assignment = support.assignment.copy()
     m = len(support.frac)
     if m == 0:
@@ -124,7 +122,7 @@ def _solve_support(
     )
     # x itself satisfies every row, so a failed solve is an
     # InternalInvariantError
-    res = _highs.solve(lp, tolerance)
+    res = _highs.solve(lp)
     off = np.abs(res.x - np.round(res.x)).max()
     if off > _INTEGRAL_EPS:
         raise InternalInvariantError(
@@ -158,9 +156,7 @@ def _round(
     """Split, solve the rounding LP, then check the masses of the result;
     joint adds the cluster-size rows and their check."""
     support = split_support(xfrac, instance)
-    assignment = _solve_support(
-        xfrac, instance, dist_pow, support, joint, params.lp_tolerance
-    )
+    assignment = _solve_support(xfrac, instance, dist_pow, support, joint)
     if np.any(assignment < 0):
         raise InternalInvariantError("point left unassigned by rounding")
     k = params.k
@@ -168,15 +164,15 @@ def _round(
     color_mass = np.bincount(
         assignment * H + instance.colors, minlength=k * H
     ).reshape(k, H)
-    cluster_sizes = np.bincount(assignment, minlength=k)
     _check_within(color_mass, support.col_lo, support.col_hi, "(cluster, color) mass")
     if joint:
-        _check_within(cluster_sizes, support.clu_lo, support.clu_hi, "cluster size")
+        _check_within(
+            color_mass.sum(axis=1), support.clu_lo, support.clu_hi, "cluster size"
+        )
     report = report_from_distances(instance, params, dist_pow, assignment)
     return IntegralAssignment(
         assignment=assignment,
         color_mass=color_mass,
-        cluster_sizes=cluster_sizes,
         report=report,
     )
 

@@ -17,7 +17,6 @@ from welfair.centers import best_of_restarts
 from welfair.lp import brute_force_assignment
 from welfair.metrics import (
     additive_constants,
-    group_costs,
     pairwise_pow,
     report_from_distances,
 )
@@ -325,7 +324,7 @@ def test_06_lambda_one_matches_plain_objectives():
         dist = pairwise_pow(inst.features, cs.centers, p)
         sol = Solution(cs.centers, np.argmin(dist, axis=1))
         params = Params(k=k, lam=1.0, p=p, alpha=np.zeros(H), beta=np.zeros(H))
-        rep = group_costs(inst, sol, params)
+        rep = report_from_distances(inst, params, dist, sol.assignment)
         dsel = dist[np.arange(n), sol.assignment]
         sf = max(dsel[inst.colors == h].mean() for h in range(H))
         wc = float((dsel / inst.counts[inst.colors]).sum())

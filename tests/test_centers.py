@@ -11,6 +11,7 @@ from datagen import adult_like, census_like, random_instance
 
 from welfair import centers as centers_mod
 from welfair.centers import (
+    _assign,
     _fair_update,
     _repair_empty,
     best_of_restarts,
@@ -558,16 +559,33 @@ _REPAIR_SOCIAL = Instance(
 )
 
 
+def _count_passes(monkeypatch):
+    """A list that grows by one per assignment pass (`centers._assign` call)
+    of the center runs made after this."""
+    calls = []
+
+    def spy(centers, X):
+        calls.append(None)
+        return _assign(centers, X)
+
+    monkeypatch.setattr(centers_mod, "_assign", spy)
+    return calls
+
+
 def _assert_lloyd_matches(monkeypatch, inst, k, w, seed, max_iters=100, tol=1e-6):
+    """lloyd's run against the reference's: the centers, the score, and
+    lloyd's passes, at most the reference's. Returns the run, its passes and
+    the reference's."""
     monkeypatch.setattr(centers_mod, "_MAX_ITERS", max_iters)
     monkeypatch.setattr(centers_mod, "_TOL", tol)
+    calls = _count_passes(monkeypatch)
     cs = lloyd(inst, k, w, seed)
     centers, score, passes = _ref_lloyd(inst, k, w, seed, max_iters, tol)
     assert np.array_equal(cs.centers, centers)
     assert cs.score == score
     assert cs.restart_scores == [cs.score]
-    assert 1 <= cs.restart_iterations[0] <= passes
-    return cs, passes
+    assert 1 <= len(calls) <= passes
+    return cs, len(calls), passes
 
 
 class TestMatchesReference:
@@ -604,10 +622,10 @@ class TestMatchesReference:
         # one more assignment pass to score them
         inst = random_instance(60, 3, 3, seed=0)
         for tol in (1e-6, 0.0):
-            cs, passes = _assert_lloyd_matches(
+            _, got, passes = _assert_lloyd_matches(
                 monkeypatch, inst, 3, np.ones(inst.n), 0, tol=tol
             )
-            assert cs.restart_iterations[0] == passes - 2
+            assert got == passes - 2
 
     def test_lloyd_stops_at_relative_tolerance(self, monkeypatch):
         # here the score improves by at most _TOL relative while points still
@@ -616,30 +634,39 @@ class TestMatchesReference:
         # pass more
         inst = adult_like(10000, seed=11)
         ones = np.ones(inst.n)
-        cs, passes = _assert_lloyd_matches(monkeypatch, inst, 4, ones, 0)
-        assert cs.restart_iterations[0] == passes - 1
-        fixed, passes = _assert_lloyd_matches(monkeypatch, inst, 4, ones, 0, tol=0.0)
-        assert fixed.restart_iterations[0] == passes - 2
-        assert cs.restart_iterations[0] < fixed.restart_iterations[0]
+        cs, got, passes = _assert_lloyd_matches(monkeypatch, inst, 4, ones, 0)
+        assert got == passes - 1
+        fixed, got_fixed, passes = _assert_lloyd_matches(
+            monkeypatch, inst, 4, ones, 0, tol=0.0
+        )
+        assert got_fixed == passes - 2
+        assert got < got_fixed
         assert fixed.score <= cs.score
 
     @pytest.mark.parametrize("method", ["vanilla", "weighted", "socially_fair"])
-    def test_best_of_restarts(self, small_instance, method):
+    def test_best_of_restarts(self, small_instance, method, monkeypatch):
         inst = small_instance
+        calls = _count_passes(monkeypatch)
         got = best_of_restarts(inst, 4, method, 3, seed=5)
+        total = len(calls)
         refs = []
         for s in range(5, 8):
+            calls.clear()
             if method == "socially_fair":
                 # no reference loop: each restart is one run
                 cs = socially_fair_centers(inst, 4, s)
-                refs.append((cs.centers, cs.score, cs.restart_iterations[0]))
+                refs.append((cs.centers, cs.score, len(calls)))
             else:
                 w = np.ones(inst.n)
                 if method == "weighted":
                     w = 1.0 / inst.counts[inst.colors]
-                refs.append(_ref_lloyd(inst, 4, w, s))
+                lloyd(inst, 4, w, s)
+                ran = len(calls)
+                centers, score, passes = _ref_lloyd(inst, 4, w, s)
+                assert 1 <= ran <= passes
+                refs.append((centers, score, ran))
         assert got.restart_scores == [score for _, score, _ in refs]
-        assert len(got.restart_iterations) == 3
-        assert all(1 <= it <= p for it, (_, _, p) in zip(got.restart_iterations, refs))
+        # the restarts are these three runs, pass for pass
+        assert total == sum(ran for _, _, ran in refs)
         best = min(range(3), key=lambda r: refs[r][1])
         assert np.array_equal(got.centers, refs[best][0]) and got.score == refs[best][1]

@@ -14,6 +14,7 @@ import pytest
 from datagen import random_instance, separated_instance, write_csv
 
 from welfair import _highs, centers, cli, pipeline
+from welfair import lp as lp_mod
 from welfair.cli import (
     ExperimentConfig,
     _parse_floats,
@@ -555,6 +556,14 @@ class TestRunExperiment:
 
 
 class TestPlot:
+    def test_main_writes_the_chart(self, finished_run, tmp_path, capsys):
+        _, out_csv = finished_run
+        out = tmp_path / "chart.svg"
+        argv = ["plot", "--results", out_csv, "--objective", "utilitarian"]
+        assert main(argv + ["--lam", "0.7", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert ET.parse(out).getroot().tag.endswith("svg")
+
     def test_svg_output(self, finished_run, tmp_path):
         _, out_csv = finished_run
         out = tmp_path / "chart.svg"
@@ -662,7 +671,9 @@ class TestGapReport:
         ids=["no-metadata", "tol-1e-5", "tol-1e-9", "not-json"],
     )
     @pytest.mark.parametrize(
-        "flags, code", [("", 0), ("gap_bound_exceeded", 3)], ids=["clean", "flagged"]
+        "flags, code",
+        [("", 0), ("gap_bound_exceeded", 3), ("lp_above_rounded", 3)],
+        ids=["clean", "flagged", "lp-flagged"],
     )
     def test_verdict_is_the_flags_column(self, tmp_path, capsys, flags, code, meta):
         # gap - bound = 5e-6: a --lp-tol 1e-5 run leaves it unflagged and a
@@ -693,9 +704,42 @@ class TestGapReport:
         err = capsys.readouterr().err
         assert (
             f"{path} line 3, column 'flags' is {flags!r}, not empty or "
-            "'gap_bound_exceeded'"
+            "'gap_bound_exceeded' or 'lp_above_rounded'\n"
         ) in err
         assert "Traceback" not in err
+
+    def test_lp_above_rounded_run_is_hard(self, dataset, tmp_path, monkeypatch, capsys):
+        # a run whose solve reports its LP value 1 too high writes the flag,
+        # and gapreport marks each such run HARD
+        real = lp_mod.solve_lp
+
+        def raised(model):
+            frac = real(model)
+            return lp_mod.FractionalSolution(frac.x, frac.objective + 1.0)
+
+        monkeypatch.setattr(lp_mod, "solve_lp", raised)
+        path, feats = dataset
+        config = ExperimentConfig(
+            data=path,
+            feature_columns=feats,
+            group_column="group",
+            k_range=[2],
+            lambdas=[0.5],
+            restarts=1,
+            out_dir=str(tmp_path / "out"),
+        )
+        out_csv = run_experiment(config)
+        with open(out_csv, newline="") as fh:
+            rows = [
+                r for r in csv.DictReader(fh)
+                if r["method"] in pipeline.ALGORITHMS.values()
+            ]
+        assert [r["flags"] for r in rows] == [pipeline.LP_FLAG] * 2
+        capsys.readouterr()
+        assert main(["gapreport", "--results", out_csv]) == 3
+        out = capsys.readouterr().out
+        assert out.count("HARD") == 2
+        assert out.endswith("runs: 2, hard violations: 2\n")
 
     def test_non_numeric_cell_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
@@ -715,6 +759,24 @@ class TestOracleCheck:
         assert oracle_check(seed=0, count=2) == 0
         out = capsys.readouterr().out
         assert "2/2 passed" in out
+
+    def test_lp_above_brute_force_fails(self, monkeypatch, capsys):
+        # a brute-force optimum 1 below the true one puts every trial's LP
+        # value above it
+        real = cli.brute_force_assignment
+
+        def lowered(*args):
+            assignment, best = real(*args)
+            return assignment, best - 1.0
+
+        monkeypatch.setattr(cli, "brute_force_assignment", lowered)
+        assert main(["oracle-check", "--count", "2"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out[:2]] == [
+            "FAIL trial 0",
+            "FAIL trial 1",
+        ]
+        assert out[2:] == ["oracle-check: 0/2 passed"]
 
 
     @pytest.mark.parametrize("count", [-1, 0])
@@ -905,7 +967,7 @@ class TestMain:
     ):
         # both LPs are feasible by construction, so a failed HiGHS solve is
         # an invariant violation, reported without a traceback
-        def fail(lp, tolerance):
+        def fail(lp):
             raise InternalInvariantError("HiGHS model status Solve error")
 
         monkeypatch.setattr(_highs, "solve", fail)
@@ -1066,6 +1128,7 @@ class TestMain:
             (["--delta", "5"], {}, "r_h + alpha_h > 1"),
             (["--lp-tol", "0"], {}, "lp_tolerance must be finite"),
             ([], {"p": 3}, "p must be 1 or 2, got 3"),
+            (["--lp-tol", "5e-10"], {}, "at least 1e-8, got 5e-10"),
         ],
     )
     def test_bad_params_exit_one_before_centers(

@@ -26,8 +26,8 @@ from welfair.lp import (
     build_utilitarian_lp,
     solve_lp,
 )
-from welfair.metrics import additive_constants, group_costs, pairwise_pow
-from welfair.model import Instance, Params, Solution
+from welfair.metrics import additive_constants, pairwise_pow, report_from_distances
+from welfair.model import Instance, Params
 from welfair.rounding import _floor_ceil, rawlsian_round, utilitarian_round
 
 
@@ -220,7 +220,8 @@ class TestObjectiveEncoding:
         t = np.maximum(np.maximum(u, o), 0.0)
         # z = 0, so each Rawlsian disu_h row evaluates to disu_h itself
         v = np.concatenate([x.ravel(), t.ravel(), [0.0] * (kind == "rawlsian")])
-        rep = group_costs(inst, Solution(centers, assign), params)
+        dist = pairwise_pow(inst.features, centers, params.p)
+        rep = report_from_distances(inst, params, dist, assign)
         if kind == "utilitarian":
             assert m.objective @ v == pytest.approx(rep.U, abs=1e-12)
         else:
@@ -299,8 +300,8 @@ def _solve_spy(monkeypatch):
         keeps.append(keep.copy())
         return restrict(frame, keep)
 
-    def spy(lp, tolerance):
-        res = real(lp, tolerance)
+    def spy(lp):
+        res = real(lp)
         # every frame row is an upper bound
         assert np.all(lp.row_lower == -np.inf)
         A_ub = sp.csc_matrix(
@@ -609,13 +610,13 @@ class TestHighsPricing:
         assert rc[at_zero].min() >= -params.lp_tolerance
 
     def test_tolerance_reaches_highs(self, monkeypatch):
-        # HiGHS's feasibility tolerances are lp_tolerance capped at 1e-9 for
-        # the assignment LP and its rounding LP alike, with presolve off and
-        # the dual simplex
+        # HiGHS's feasibility tolerances are 1e-9 for the assignment LP and
+        # its rounding LP alike, whatever the accepted lp_tolerance, with
+        # presolve off and the dual simplex
         inst, params, centers = _setup(n=60, k=4, H=2, lam=0.3, seed=4)
         dist = pairwise_pow(inst.features, centers, params.p)
         record = fake_highs(monkeypatch)
-        for tolerance, feasibility in ((1e-6, 1e-9), (5e-10, 5e-10)):
+        for tolerance in (1e-6, 1e-8):
             tuned = replace(params, lp_tolerance=tolerance)
             tuned.validate(inst)
             record.options.clear()
@@ -627,8 +628,8 @@ class TestHighsPricing:
                 assert options.presolve == "off"
                 assert options.simplex_strategy == _highs._DUAL_SIMPLEX
                 assert not options.output_flag and not options.log_to_console
-                assert options.primal_feasibility_tolerance == feasibility
-                assert options.dual_feasibility_tolerance == feasibility
+                assert options.primal_feasibility_tolerance == 1e-9
+                assert options.dual_feasibility_tolerance == 1e-9
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     def test_status_counts_iterations(self, monkeypatch, kind):
@@ -642,6 +643,25 @@ class TestHighsPricing:
         assert type(iterations) is int and type(rounds) is int
         assert rounds == len(calls)
         assert iterations == sum(res.iterations for _, res in calls) > 0
+
+    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
+    def test_stops_when_no_column_is_left_out(self, monkeypatch, kind):
+        # every column is in the first LP (k <= _CANDIDATES, every class
+        # whole), so none can enter: pricing stops after one round even when
+        # the bound says the gap is open, with the value it has
+        inst, params, centers = _setup(n=40, k=4, H=2, lam=0.4, seed=2)
+        build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+        m = build(inst, params, centers)
+        monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1.0)
+        assert m.k <= lp_mod._CANDIDATES
+        _, want, _, _, bound = HighsSolver().solve(m)
+        assert bound > -np.inf
+        monkeypatch.setattr(
+            lp_mod._Frame, "lagrangian_bound", lambda frame, duals, rc: -np.inf
+        )
+        _, got, _, rounds, bound = HighsSolver().solve(m)
+        assert rounds == 1 and bound == -np.inf
+        assert got == want
 
 
 class TestLambdaOneReductions:
@@ -747,6 +767,7 @@ class TestBruteForce:
         ):
             monkeypatch.setattr(lp_mod, "_BRUTE_BATCH", batch)
             inst, params, centers = _setup(n=n, k=k, H=H, lam=0.6, seed=seed)
+            dist = pairwise_pow(inst.features, centers, params.p)
             for kind in ("rawlsian", "utilitarian"):
                 got_assign, got_val = brute_force_assignment(
                     inst, params, centers, kind
@@ -754,9 +775,7 @@ class TestBruteForce:
                 best_val = np.inf
                 best_assign = None
                 for assign in itertools.product(range(k), repeat=inst.n):
-                    rep = group_costs(
-                        inst, Solution(centers, np.array(assign)), params
-                    )
+                    rep = report_from_distances(inst, params, dist, np.array(assign))
                     val = rep.R if kind == "rawlsian" else rep.U
                     if val < best_val - 1e-15:
                         best_val = val
@@ -903,14 +922,14 @@ def _unbounded_lp():
 
 
 def _pipeline_lps(monkeypatch):
-    """Every (LP, tolerance) that `_highs.solve` gets from the assignment
-    LPs and the roundings of both objectives on one small instance."""
+    """Every LP that `_highs.solve` gets from the assignment LPs and the
+    roundings of both objectives on one small instance."""
     real = _highs.solve
     calls = []
 
-    def spy(lp, tolerance):
-        calls.append((lp, tolerance))
-        return real(lp, tolerance)
+    def spy(lp):
+        calls.append(lp)
+        return real(lp)
 
     monkeypatch.setattr(_highs, "solve", spy)
     inst, params, centers = _setup(n=60, k=4, H=2, lam=0.3, seed=4)
@@ -963,7 +982,7 @@ class TestHighsAdapter:
 
     def test_small_lp(self):
         # the array overload of passModel, the solution and the row duals
-        res = _highs.solve(_small_lp(), 1e-9)
+        res = _highs.solve(_small_lp())
         np.testing.assert_allclose(res.x, [0.5, 1.0])
         np.testing.assert_allclose(res.row_dual, [-1.0])
         assert res.objective == pytest.approx(-2.5)
@@ -974,16 +993,16 @@ class TestHighsAdapter:
         # after other solves, one of them raised, is the fresh object's
         calls = _pipeline_lps(monkeypatch)
         # the frame LP's rows are all upper bounds, the rounding LP's not
-        kinds = {bool(np.isfinite(lp.row_lower).any()) for lp, _ in calls}
+        kinds = {bool(np.isfinite(lp.row_lower).any()) for lp in calls}
         assert kinds == {False, True}
         fresh = []
-        for lp, tolerance in calls:
+        for lp in calls:
             monkeypatch.setattr(_highs._local, "highs", None, raising=False)
-            fresh.append(_highs.solve(lp, tolerance))
-        for (lp, tolerance), want in reversed(list(zip(calls, fresh))):
+            fresh.append(_highs.solve(lp))
+        for lp, want in reversed(list(zip(calls, fresh))):
             with pytest.raises(InternalInvariantError):
-                _highs.solve(_unbounded_lp(), 1e-9)
-            got = _highs.solve(lp, tolerance)
+                _highs.solve(_unbounded_lp())
+            got = _highs.solve(lp)
             assert np.array_equal(got.x, want.x)
             assert np.array_equal(got.row_dual, want.row_dual)
             assert got.objective == want.objective
@@ -995,7 +1014,7 @@ class TestHighsAdapter:
 
         def work(name):
             solver = _highs._solver()
-            seen[name] = (solver, _highs.solve(_small_lp(), 1e-9), _highs._solver())
+            seen[name] = (solver, _highs.solve(_small_lp()), _highs._solver())
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
         for thread in threads:
@@ -1011,10 +1030,10 @@ class TestHighsAdapter:
     def test_solve_prints_nothing(self, monkeypatch, capfd):
         # the solver is made here, so its options are the ones passed once
         monkeypatch.setattr(_highs._local, "highs", None, raising=False)
-        for tolerance in (1e-7, 5e-10):
-            _highs.solve(_small_lp(), tolerance)
+        for _ in range(2):
+            _highs.solve(_small_lp())
         with pytest.raises(InternalInvariantError):
-            _highs.solve(_unbounded_lp(), 1e-9)
+            _highs.solve(_unbounded_lp())
         assert capfd.readouterr() == ("", "")
 
 
@@ -1040,7 +1059,8 @@ def test_solve_lp_property(seed, lam, delta):
     assert frac.objective >= -1e-12
     # nearest-center integral assignment upper-bounds the LP optimum
     nearest = np.argmin(m.dist_pow, axis=1)
-    rep = group_costs(inst, Solution(centers, nearest), params)
+    dist = pairwise_pow(inst.features, centers, params.p)
+    rep = report_from_distances(inst, params, dist, nearest)
     assert frac.objective <= rep.U + 1e-7
 
 

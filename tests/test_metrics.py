@@ -11,7 +11,6 @@ from welfair.errors import ParamError
 from welfair.metrics import (
     additive_constants,
     disutilities,
-    group_costs,
     pairwise_pow,
     report_from_distances,
 )
@@ -52,46 +51,53 @@ def _six_point_instance():
     return Instance(X, [0, 0, 0, 0, 1, 1], ["a", "b"])
 
 
+def _masses(instance, assignment, k):
+    """(k, H) (cluster, color) masses of an integral assignment."""
+    H = instance.num_colors
+    idx = np.asarray(assignment) * H + instance.colors
+    return np.bincount(idx, minlength=k * H).reshape(k, H)
+
+
 class TestViolation:
     # r = [2/3, 1/3]; assignment [0,0,0, 1,1,1]: cluster 0 pure color a,
-    # cluster 1 one a and two b. delta[i, h] is color h's violation in
-    # cluster i.
+    # cluster 1 one a and two b, both of size 3. t[i, h] is |C_i| times
+    # color h's violation in cluster i.
 
     @staticmethod
-    def _delta(params, assignment):
+    def _t(params, assignment):
         inst = _six_point_instance()
-        dist = np.zeros((inst.n, params.k))
-        return report_from_distances(inst, params, dist, np.asarray(assignment)).delta
+        mass = _masses(inst, assignment, params.k)
+        return disutilities(inst, params, mass, np.zeros(inst.num_colors))[0]
 
     def test_zero_slack_values(self):
         params = Params(k=2, lam=0.5, alpha=np.zeros(2), beta=np.zeros(2))
-        delta = self._delta(params, [0, 0, 0, 1, 1, 1])
-        assert delta[0, 0] == pytest.approx(1 / 3)
-        assert delta[0, 1] == pytest.approx(1 / 3)
-        assert delta[1, 0] == pytest.approx(1 / 3)
-        assert delta[1, 1] == pytest.approx(1 / 3)
+        t = self._t(params, [0, 0, 0, 1, 1, 1])
+        assert t[0, 0] == pytest.approx(3 * 1 / 3)
+        assert t[0, 1] == pytest.approx(3 * 1 / 3)
+        assert t[1, 0] == pytest.approx(3 * 1 / 3)
+        assert t[1, 1] == pytest.approx(3 * 1 / 3)
 
     def test_slack_absorbs_violation(self):
         params = Params(
             k=2, lam=0.5, alpha=np.full(2, 1 / 3), beta=np.full(2, 1 / 3)
         )
-        delta = self._delta(params, [0, 0, 0, 1, 1, 1])
+        t = self._t(params, [0, 0, 0, 1, 1, 1])
         for h in range(2):
             for i in range(2):
-                assert delta[i, h] == 0.0
+                assert t[i, h] == 0.0
 
     def test_empty_cluster_is_zero(self):
         params = Params(k=2, lam=0.5, alpha=np.zeros(2), beta=np.zeros(2))
-        delta = self._delta(params, [0, 0, 0, 0, 0, 0])
-        assert delta[1, 0] == 0.0
-        assert delta[1, 1] == 0.0
+        t = self._t(params, [0, 0, 0, 0, 0, 0])
+        assert t[1, 0] == 0.0
+        assert t[1, 1] == 0.0
 
     def test_one_sided(self):
         # only the under side binds when beta is zero but alpha is large
         params = Params(k=2, lam=0.5, alpha=np.full(2, 0.33), beta=np.zeros(2))
-        delta = self._delta(params, [0, 0, 0, 1, 1, 1])
-        assert delta[0, 1] == pytest.approx(1 / 3)
-        assert delta[0, 0] == pytest.approx(1 / 3 - 0.33)
+        t = self._t(params, [0, 0, 0, 1, 1, 1])
+        assert t[0, 1] == pytest.approx(3 * 1 / 3)
+        assert t[0, 0] == pytest.approx(3 * (1 / 3 - 0.33))
 
 
 def _report_oracle(instance, params, dist, assignment):
@@ -117,7 +123,8 @@ class TestGroupReport:
         inst = _six_point_instance()
         sol = Solution(np.zeros((2, 1)), [0, 0, 0, 1, 1, 1])
         params = Params(k=2, lam=0.5, alpha=np.zeros(2), beta=np.zeros(2))
-        rep = group_costs(inst, sol, params)
+        dist = pairwise_pow(inst.features, sol.centers, params.p)
+        rep = report_from_distances(inst, params, dist, sol.assignment)
         np.testing.assert_allclose(rep.D, [0.0, 0.0])
         np.testing.assert_allclose(rep.V, [2.0, 2.0])
         np.testing.assert_allclose(rep.disu, [0.25, 0.5])
@@ -132,11 +139,14 @@ class TestGroupReport:
         centers = rng.normal(size=(k, small_instance.dim))
         sol = Solution(centers, assignment)
         params = Params.with_delta(small_instance, k, 0.4, 0.05)
-        rep = group_costs(small_instance, sol, params)
+        mass = _masses(small_instance, assignment, k)
+        D = np.zeros(small_instance.num_colors)
+        t = disutilities(small_instance, params, mass, D)[0]
+        sizes = np.bincount(assignment, minlength=k)
         for h in range(small_instance.num_colors):
             for i in range(k):
-                assert rep.delta[i, h] == pytest.approx(
-                    violation(small_instance, sol, params, h, i)
+                assert t[i, h] == pytest.approx(
+                    sizes[i] * violation(small_instance, sol, params, h, i)
                 )
 
     @settings(max_examples=40, deadline=None)
@@ -220,7 +230,9 @@ class TestAggregateCosts:
         sol = Solution(np.array([[0.0]]), [0, 0, 0, 0])
         params = Params(k=1, lam=1.0, alpha=np.zeros(2), beta=np.zeros(2))
         # color a: (0 + 1)/2 = 0.5; color b: (16 + 81)/2 = 48.5
-        assert group_costs(inst, sol, params).R == pytest.approx(48.5)
+        dist = pairwise_pow(inst.features, sol.centers, params.p)
+        rep = report_from_distances(inst, params, dist, sol.assignment)
+        assert rep.R == pytest.approx(48.5)
 
 
 class TestConstants:

@@ -181,11 +181,14 @@ class TestInstance:
             Instance(X, [0, 1, 0], ["a", "b"])
 
     def test_subsample_of_one_group(self):
-        # an Instance may hold one color; a subsample of it is no clustering
-        # instance for welfair, as a one-group CSV is not
-        inst = Instance(np.arange(10.0)[:, None], np.zeros(10), ["a"])
-        with pytest.raises(DataError, match="single distinct value 'a'"):
-            inst.subsample(5, seed=0)
+        # a one-group instance is no clustering instance for welfair, as a
+        # one-group CSV is not: it is rejected when built, before a subsample
+        # or a run could take it
+        with pytest.raises(
+            DataError,
+            match=r"^got 1 color name\(s\) \['a'\]; need at least two groups$",
+        ):
+            Instance(np.arange(10.0)[:, None], np.zeros(10), ["a"])
 
     def test_subsample_deterministic(self):
         inst = random_instance(50, 2, 3, seed=1)
@@ -289,13 +292,16 @@ class TestParams:
         with pytest.raises(ParamError):  # r_b - beta_b = -0.25 < 0
             params.validate(inst)
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-7, 1e-3])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-3])
     def test_lp_tolerance_accepted(self, tiny_instance, tol):
         params = Params.with_delta(tiny_instance, 2, 0.5, lp_tolerance=tol)
         params.validate(tiny_instance)
 
-    @pytest.mark.parametrize("tol", [1e-12, 0.0, -1e-7, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "tol", [5e-10, 1e-12, 0.0, -1e-7, float("nan"), float("inf")]
+    )
     def test_lp_tolerance_rejected(self, tiny_instance, tol):
+        # at least 1e-8, 10 times HiGHS's feasibility tolerance
         params = Params.with_delta(tiny_instance, 2, 0.5, lp_tolerance=tol)
         with pytest.raises(ParamError, match="lp_tolerance"):
             params.validate(tiny_instance)

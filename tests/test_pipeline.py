@@ -7,7 +7,7 @@ from datagen import adult_like, random_instance
 
 from welfair.centers import CenterSet, best_of_restarts
 from welfair.errors import ParamError
-from welfair.metrics import group_costs, pairwise_pow
+from welfair.metrics import pairwise_pow, report_from_distances
 from welfair.model import Params
 from welfair.pipeline import (
     dominance_check,
@@ -37,7 +37,8 @@ class TestAlgorithms:
         assert res.gap_bound > 0
         assert res.solution.assignment.shape == (inst.n,)
         assert np.all(res.solution.assignment >= 0)
-        rep = group_costs(inst, res.solution, params)
+        dist = pairwise_pow(inst.features, res.solution.centers, params.p)
+        rep = report_from_distances(inst, params, dist, res.solution.assignment)
         assert rep.R == pytest.approx(res.report.R)
         assert res.objective_value == pytest.approx(value)
         assert "restarts=3" in res.solution.provenance
@@ -107,6 +108,26 @@ class TestAlgorithms:
             assert res.gap_bound == 0.0
             assert res.gap <= params.lp_tolerance
             assert res.flags == []
+
+    @pytest.mark.parametrize("alg", [rawlsian_alg, utilitarian_alg])
+    def test_lp_value_above_rounded_is_flagged(self, monkeypatch, alg):
+        # the rounded assignment is a point of the LP, so an LP value more
+        # than lp_tolerance above the rounded value shows a fault: here a
+        # solve that reports its value 1 too high
+        from welfair import lp, pipeline
+
+        real = lp.solve_lp
+
+        def raised(model):
+            frac = real(model)
+            return lp.FractionalSolution(frac.x, frac.objective + 1.0)
+
+        monkeypatch.setattr(lp, "solve_lp", raised)
+        inst = _inst(seed=2)
+        params = Params.with_delta(inst, 3, 0.5, 0.1)
+        res = alg(inst, params, seed=0, restarts=1)
+        assert res.gap < -params.lp_tolerance
+        assert res.flags == [pipeline.LP_FLAG]
 
     def test_lp_objective_lower_bounds_value(self):
         inst = _inst(n=28, seed=9)
