@@ -13,6 +13,7 @@ from .errors import DataError, InternalInvariantError, ParamError, WelfairError
 from .lp import (
     FractionalSolution,
     LPModel,
+    LPSetup,
     brute_force_assignment,
     build_rawlsian_lp,
     build_utilitarian_lp,
@@ -56,6 +57,7 @@ __all__ = [
     "IntegralAssignment",
     "InternalInvariantError",
     "LPModel",
+    "LPSetup",
     "ParamError",
     "Params",
     "RunResult",

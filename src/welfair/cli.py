@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, centers, pipeline, svgchart
 from .errors import DataError, InternalInvariantError, ParamError
-from .lp import brute_force_assignment
+from .lp import LPSetup, brute_force_assignment
 from .model import (
     LP_TOLERANCE,
     Instance,
@@ -200,13 +200,9 @@ def run_experiment(config: ExperimentConfig) -> str:
                 }
                 for k, by_method in center_sets.items()
             }
-        tasks = [
-            (obj, inst, k, lam, sets[k])
-            for k in config.k_range
-            for lam in config.lambdas
-        ]
-        for group in _run_tasks(tasks, config):
-            rows += [_result_row(res, obj, config, f) for res in group]
+        for k in config.k_range:
+            for group in _run_k(obj, inst, k, sets[k], config):
+                rows += [_result_row(res, obj, config, f) for res in group]
     out_csv = os.path.join(config.out_dir, "results.csv")
     cols = list(rows[0])
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
@@ -272,19 +268,38 @@ def _check_run_params(config: ExperimentConfig) -> None:
             raise ParamError(f"{name} {repeat} appears more than once in the sweep")
 
 
+def _run_k(obj, inst, k, cache, config: ExperimentConfig):
+    """The results of every lambda's cell of objective obj at k. Each center
+    set's LP set-up, the algorithm's built for its LP, is built here and
+    shared by every lambda's cell, so a cell does only lambda's work; the
+    set-ups are dropped before the next k's are built."""
+    params = Params.with_delta(
+        inst, k, config.lambdas[0], config.delta, config.p, config.lp_tolerance
+    )
+    ours = pipeline.CENTER_METHODS[obj]
+    setups = {
+        m: LPSetup(inst, params, cs.centers, obj if m == ours else None)
+        for m, cs in cache.items()
+    }
+    tasks = [(obj, inst, k, lam, cache, setups) for lam in config.lambdas]
+    return _run_tasks(tasks, config)
+
+
 def _run_one(task, config: ExperimentConfig) -> list[pipeline.RunResult]:
-    obj, inst, k, lam, cache = task
+    obj, inst, k, lam, cache, setups = task
     params = Params.with_delta(
         inst, k, lam, config.delta, config.p, config.lp_tolerance
     )
     alg = pipeline.rawlsian_alg if obj == "rawlsian" else pipeline.utilitarian_alg
+    ours = pipeline.CENTER_METHODS[obj]
     out = [
         alg(
             inst,
             params,
             seed=config.seed,
             restarts=config.restarts,
-            center_set=cache[pipeline.CENTER_METHODS[obj]],
+            center_set=cache[ours],
+            setup=setups[ours],
         )
     ]
     for method, center_set in cache.items():
@@ -296,6 +311,7 @@ def _run_one(task, config: ExperimentConfig) -> list[pipeline.RunResult]:
                 seed=config.seed,
                 restarts=config.restarts,
                 center_set=center_set,
+                setup=setups[method],
             )
         )
     return out

@@ -38,9 +38,216 @@ class Row:
     vals: np.ndarray
 
 
+class LPSetup:
+    """What the assignment LP of one (instance, k, center set) has that does
+    not depend on lambda, built once for the LPs of every lambda.
+
+    It holds the (n, k) d^p matrix dist_pow and each point's nearest center
+    near (ties to the lowest index); built for an LP kind, "rawlsian" or
+    "utilitarian", also that LP's frame (`_Frame`) without lambda: the
+    under/over tables, the right-hand sides of the under/over and point
+    rows, one x-column template per (center, nearest center, color), and
+    the first restriction `first` with its CSC matrix. Within a class (a,
+    h) every delta scales by the same lambda / n_h, so `first`, ranked at
+    lambda = 1, serves every lambda > 0; at lambda = 0 every delta is 0 and
+    pricing brings in what the ranking left out. Only the Rawlsian matrix
+    depends on lambda: its deltas (at `first_delta_at`) and t costs (at
+    `tail_scaled`) in the disu rows. Built with kind None it holds what a
+    baseline reads, the distances and the nearest centers.
+
+    The constructor applies params.validate and params.check_centers;
+    `check` compares a call's arguments with the set-up's own.
+    """
+
+    def __init__(
+        self,
+        instance: Instance,
+        params: Params,
+        centers: np.ndarray,
+        kind: str | None = None,
+    ):
+        if kind not in (None, "rawlsian", "utilitarian"):
+            raise ParamError(f"unknown objective {kind!r}")
+        params.validate(instance)
+        params.check_centers(instance, centers)
+        self.instance, self.params, self.kind = instance, params, kind
+        self.centers = np.asarray(centers, dtype=np.float64)
+        self.dist_pow = pairwise_pow(instance.features, self.centers, params.p)
+        self.near = np.argmin(self.dist_pow, axis=1)
+        if kind is not None:
+            self._frame(kind == "rawlsian")
+
+    def check(
+        self,
+        instance: Instance,
+        params: Params,
+        centers: np.ndarray,
+        kind: str | None = None,
+    ) -> None:
+        """ParamError unless params' scalars pass `Params.check_scalars` and
+        the set-up was built for instance, params' k, p and slacks, centers
+        and (if given) kind; the rest of `Params.validate` held when it was
+        built."""
+        params.check_scalars(instance.n)
+        own = self.params
+        if not (
+            instance is self.instance
+            and params.k == own.k
+            and params.p == own.p
+            and np.array_equal(params.alpha, own.alpha)
+            and np.array_equal(params.beta, own.beta)
+            and np.array_equal(centers, self.centers)
+        ):
+            raise ParamError(
+                "the set-up was built for another instance, k, p, slack or "
+                "center set"
+            )
+        if kind is not None and kind != self.kind:
+            raise ParamError(
+                f"the set-up was built for the {self.kind} LP, not the {kind} one"
+            )
+
+    def _frame(self, rawlsian: bool) -> None:
+        inst, params, near = self.instance, self.params, self.near
+        k, n, H = params.k, inst.n, inst.num_colors
+        colors, points = inst.colors, np.arange(n)
+        self.rawlsian = rawlsian
+        self.num_rows = 2 * k * H + H * rawlsian
+        self.point_counts = inst.counts[colors]
+        self.dist_t = np.ascontiguousarray(self.dist_pow.T)
+        self.columns = np.ones((k, n), dtype=bool)
+        self.columns[near, points] = False
+        # t_ih bounds the under- and over-representation of color h in cluster i:
+        # (r_h - beta_h) size_i - size_ih <= t_ih and
+        # size_ih - (r_h + alpha_h) size_i <= t_ih, written out in x
+        r, eye = inst.proportions, np.eye(H)
+        self.under = (r - params.beta)[:, None] - eye
+        self.over = eye - (r + params.alpha)[:, None]
+        # minus the rows' coefficients of the eliminated columns, summed in
+        # point order; each LP sets those of the Rawlsian disu rows
+        b_rows = [
+            np.column_stack(
+                [
+                    np.bincount(near, weights=coef[g, colors], minlength=k)
+                    for g in range(H)
+                ]
+            ).ravel()
+            for coef in (self.under, self.over)
+        ]
+        self.b_ub = np.concatenate(
+            [-np.concatenate(b_rows), np.zeros(H * rawlsian), np.ones(n)]
+        )
+        # x[i, j]'s entries in the under and over rows by (i, a(j), color of
+        # j), rows ascending: the lower-numbered cluster's block first, with
+        # sign +1 if that cluster is i
+        c = np.arange(k)
+        lo = np.minimum.outer(c, c)[:, :, None, None]
+        hi = np.maximum.outer(c, c)[:, :, None, None]
+        sign = np.where(c[:, None] < c, 1.0, -1.0)[:, :, None, None]
+        g = np.arange(H)
+        rows = np.concatenate(
+            [lo * H + g, hi * H + g, k * H + lo * H + g, k * H + hi * H + g], axis=-1
+        )
+        under, over = self.under.T, self.over.T
+        vals = np.concatenate(
+            [sign * under, -sign * under, sign * over, -sign * over], axis=-1
+        )
+        self.template_rows = np.broadcast_to(rows, vals.shape).reshape(-1, 4 * H)
+        self.template_vals = vals.reshape(-1, 4 * H)
+        self.template_counts = np.count_nonzero(self.template_vals, axis=1)
+        # flat positions of each point's nearest column in (k, n) and of its
+        # (nearest center, color) class in (k, H)
+        self.near_flat = near * n + points
+        self.near_color = near * H + colors
+        # the t and z columns' bounds and CSC parts: t_i_h has -1 in
+        # under_i_h and over_i_h and, Rawlsian, its cost in disu_h, third of
+        # its entries, which each LP sets; the free z has -1 in every disu
+        # row
+        t = np.arange(k * H)
+        t_rows = [t, k * H + t] + [2 * k * H + t % H] * rawlsian
+        width = len(t_rows)
+        self.tail_start = np.arange(0, width * k * H + 1, width)
+        self.tail_index = np.column_stack(t_rows).ravel()
+        self.tail_value = np.full(width * k * H, -1.0)
+        self.tail_lower = np.zeros(k * H)
+        self.tail_upper = np.full(k * H, np.inf)
+        if rawlsian:
+            self.tail_scaled = 3 * t + 2
+            self.tail_start = np.append(self.tail_start, width * k * H + H)
+            self.tail_index = np.append(self.tail_index, 2 * k * H + np.arange(H))
+            self.tail_value = np.append(self.tail_value, np.full(H, -1.0))
+            self.tail_lower = np.append(self.tail_lower, -np.inf)
+            self.tail_upper = np.append(self.tail_upper, np.inf)
+        self._first()
+
+    def _first(self) -> None:
+        """The first restricted LP: the frame columns of each point's
+        min(k, _CANDIDATES) nearest centers that rank in the cheapest
+        ceil(_CLASS_SHARE * |class|) of their (a, h, i) class by delta at
+        lambda = 1, and its CSC matrix."""
+        inst, near = self.instance, self.near
+        k, n, H = self.params.k, inst.n, inst.num_colors
+        points = np.arange(n)
+        width = min(k, _CANDIDATES)
+        top = np.zeros((k, n), dtype=bool)
+        nearest = np.argpartition(self.dist_pow, width - 1, axis=1)
+        top[nearest[:, :width].T, points] = True
+        share = (1.0 / self.point_counts) * self.dist_t
+        delta = share - share[near, points]
+        cls = self.near_color
+        size = np.bincount(cls, minlength=k * H)
+        prefix = np.zeros((k, n), dtype=bool)
+        rows = np.arange(k)[:, None]
+        # each class's points in point order, sorted stably by delta at every
+        # center, so ties stay in point order
+        for members in np.split(np.argsort(cls, kind="stable"), np.cumsum(size)[:-1]):
+            first = np.argsort(delta[:, members], axis=1, kind="stable")
+            cut = int(np.ceil(_CLASS_SHARE * len(members)))
+            prefix[rows, members[first[:, :cut]]] = True
+        self.first = self.columns & top & prefix
+        self.first_left = self.columns & ~self.first
+        self.first_flat = np.flatnonzero(self.first)
+        i, j = np.divmod(self.first_flat, n)
+        # a placeholder 1 keeps each Rawlsian delta entry, which follows its
+        # column's nonzero template entries; each LP sets it
+        x = self.x_columns(i, j, np.ones(len(j)))
+        self.first_start, self.first_index, self.first_value, self.first_shared = x
+        t = (i * k + near[j]) * H + inst.colors[j]
+        self.first_delta_at = self.first_start[:-1] + self.template_counts[t]
+
+    def x_columns(
+        self, i: np.ndarray, j: np.ndarray, delta: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The CSC parts (start, index, value) of the frame's x columns
+        x[i, j], in order: their template's nonzero under/over entries,
+        delta in the Rawlsian disu_h row unless it is 0, and 1 in j's own row
+        if j has at least 2 of the columns (else its row is its bound
+        x <= 1); and the ids of the points with such a row."""
+        k, n, H = self.params.k, self.instance.n, self.instance.num_colors
+        h = self.instance.colors[j]
+        t = (i * k + self.near[j]) * H + h
+        width = 4 * H + self.rawlsian + 1
+        rows = np.empty((len(j), width), dtype=np.int64)
+        vals = np.empty((len(j), width))
+        rows[:, : 4 * H] = self.template_rows.take(t, axis=0)
+        vals[:, : 4 * H] = self.template_vals.take(t, axis=0)
+        counts = self.template_counts.take(t)
+        if self.rawlsian:
+            rows[:, 4 * H] = 2 * k * H + h
+            vals[:, 4 * H] = delta
+            counts = counts + (delta != 0)
+        shared = np.bincount(j, minlength=n) >= 2
+        own = shared.take(j)
+        rows[:, -1] = self.num_rows + np.cumsum(shared).take(j) - 1
+        vals[:, -1] = own
+        nonzero = vals != 0
+        start = np.concatenate([[0], np.cumsum(counts + own)])
+        return start, rows[nonzero], vals[nonzero], np.flatnonzero(shared)
+
+
 @dataclass
 class LPModel:
-    """The assignment LP of one welfare objective.
+    """The assignment LP of one welfare objective at one lambda.
 
     Variables, in order: x_i_j, point j's share of center i in [0, 1], at
     i * n + j; t_i_h >= 0, color h's proportion violation in cluster i, at
@@ -51,22 +258,20 @@ class LPModel:
     under_i_h and over_i_h for every (cluster, color), then, for the
     Rawlsian objective, disu_h for every color.
 
-    The builder forms the coefficient tables once; the objective and HiGHS's
-    frame (`_Frame`) read them, and rows is written from them when first
-    read. x[i, j] (j of color h) has under[g, h] in under_i_g, over[g, h] in
-    over_i_g, share[i, j] in disu_h and share[i, j] as its Utilitarian cost;
-    t_i_h has t_cost[h] in disu_h and as its Utilitarian cost.
+    The set-up (`LPSetup`) holds what does not depend on lambda, the builder
+    forms share and t_cost, and HiGHS's frame (`_Frame`) reads them; rows
+    and objective are written from them when first read. x[i, j] (j of
+    color h) has under[g, h] in under_i_g, over[g, h] in over_i_g, share[i,
+    j] in disu_h and share[i, j] as its Utilitarian cost; t_i_h has
+    t_cost[h] in disu_h and as its Utilitarian cost.
     """
 
     kind: str                   # "rawlsian" or "utilitarian"
     instance: Instance
     params: Params
-    dist_pow: np.ndarray        # (n, k) d(x_j, c_i)^p
+    setup: LPSetup
     share: np.ndarray           # (k, n) lam / n_h * d^p(x_j, c_i), j of color h
-    under: np.ndarray           # (H, H) [g, h]: r_g - beta_g - [g = h]
-    over: np.ndarray            # (H, H) [g, h]: [g = h] - r_g - alpha_g
     t_cost: np.ndarray          # (H,) (1 - lam) / n_h
-    objective: np.ndarray
 
     @property
     def k(self) -> int:
@@ -81,9 +286,30 @@ class LPModel:
         return self.instance.num_colors
 
     @property
+    def dist_pow(self) -> np.ndarray:  # (n, k) d(x_j, c_i)^p
+        return self.setup.dist_pow
+
+    @property
+    def under(self) -> np.ndarray:  # (H, H) [g, h]: r_g - beta_g - [g = h]
+        return self.setup.under
+
+    @property
+    def over(self) -> np.ndarray:  # (H, H) [g, h]: [g = h] - r_g - alpha_g
+        return self.setup.over
+
+    @property
     def num_rows(self) -> int:
         """len(rows), without writing them."""
         return 2 * self.k * self.H + self.H * (self.kind == "rawlsian")
+
+    @cached_property
+    def objective(self) -> np.ndarray:
+        """The cost of every variable; the solve reads share and t_cost."""
+        if self.kind == "rawlsian":
+            objective = np.zeros(self.num_vars)
+            objective[-1] = 1.0
+            return objective
+        return np.concatenate([self.share.ravel(), np.tile(self.t_cost, self.k)])
 
     @cached_property
     def rows(self) -> list[Row]:
@@ -138,57 +364,54 @@ class LPModel:
 
 @dataclass
 class FractionalSolution:
-    """Cleaned LP optimum: x (k, n) and the objective evaluated on it."""
+    """Cleaned LP optimum: x (k, n), the objective evaluated on it, and its
+    (k, H) (cluster, color) masses (`metrics.color_masses`)."""
 
     x: np.ndarray
     objective: float
+    mass: np.ndarray
 
 
-def _build(kind: str, instance: Instance, params: Params, centers, dist_pow) -> LPModel:
-    """Check the inputs, form the coefficient tables, and write the
-    objective of the LP of kind from them."""
-    params.validate(instance)
-    params.check_centers(instance, centers)
-    n, H, k = instance.n, instance.num_colors, params.k
-    if dist_pow is None:
-        dist_pow = pairwise_pow(instance.features, centers, params.p)
-    colors, counts, lam = instance.colors, instance.counts, params.lam
-    # t_ih bounds the under- and over-representation of color h in cluster i:
-    # (r_h - beta_h) size_i - size_ih <= t_ih and
-    # size_ih - (r_h + alpha_h) size_i <= t_ih, written out in x
-    r, eye = instance.proportions, np.eye(H)
-    under = (r - params.beta)[:, None] - eye
-    over = eye - (r + params.alpha)[:, None]
-    share = (lam / counts[colors]) * dist_pow.T
-    t_cost = (1.0 - lam) / counts
-    if kind == "rawlsian":
-        objective = np.zeros(k * (n + H) + 1)
-        objective[-1] = 1.0
+def _build(
+    kind: str,
+    instance: Instance,
+    params: Params,
+    centers: np.ndarray,
+    setup: LPSetup | None,
+) -> LPModel:
+    """The LP of kind at params.lam on setup, which is checked against the
+    other arguments, or on a set-up built from them, which checks them."""
+    if setup is None:
+        setup = LPSetup(instance, params, centers, kind)
     else:
-        objective = np.concatenate([share.ravel(), np.tile(t_cost, k)])
-    return LPModel(
-        kind, instance, params, dist_pow, share, under, over, t_cost, objective
-    )
+        setup.check(instance, params, centers, kind)
+    lam = params.lam
+    share = (lam / setup.point_counts) * setup.dist_t
+    t_cost = (1.0 - lam) / instance.counts
+    return LPModel(kind, instance, params, setup, share, t_cost)
 
 
 def build_rawlsian_lp(
     instance: Instance,
     params: Params,
     centers: np.ndarray,
-    dist_pow: np.ndarray | None = None,
+    setup: LPSetup | None = None,
 ) -> LPModel:
-    """Min-max LP: z bounds every color's fractional disutility from above."""
-    return _build("rawlsian", instance, params, centers, dist_pow)
+    """Min-max LP: z bounds every color's fractional disutility from above.
+    Its lambda-free part comes from setup, an `LPSetup` built for the
+    "rawlsian" LP, or from one built here from centers."""
+    return _build("rawlsian", instance, params, centers, setup)
 
 
 def build_utilitarian_lp(
     instance: Instance,
     params: Params,
     centers: np.ndarray,
-    dist_pow: np.ndarray | None = None,
+    setup: LPSetup | None = None,
 ) -> LPModel:
-    """Sum-of-disutilities LP: same constraints, objective in the costs."""
-    return _build("utilitarian", instance, params, centers, dist_pow)
+    """Sum-of-disutilities LP: same constraints, objective in the costs;
+    setup as for `build_rawlsian_lp`, built for the "utilitarian" LP."""
+    return _build("utilitarian", instance, params, centers, setup)
 
 
 class HighsSolver:
@@ -202,11 +425,12 @@ class HighsSolver:
     The LP is solved by column generation. Within a class (a(j), color of
     j) the frame columns at a center i differ only in their cost delta_ij,
     so the LP moves the cheap end of each (a, h, i) class first. The first
-    LP keeps the columns of each point's min(k, _CANDIDATES) nearest centers
-    that rank in the cheapest ceil(_CLASS_SHARE * |class (a, h)|) of their
-    (a, h, i) class. Each restricted LP holds point j's row only when j has
-    at least 2 kept columns: with fewer the row is implied by the bounds
-    x <= 1, its dual 0 is optimal, and pricing reads 0 for it.
+    LP, built by the set-up (`LPSetup.first`), keeps the columns of each
+    point's min(k, _CANDIDATES) nearest centers that rank in the cheapest
+    ceil(_CLASS_SHARE * |class (a, h)|) of their (a, h, i) class. Each
+    restricted LP holds point j's row only when j has at least 2 kept
+    columns: with fewer the row is implied by the bounds x <= 1, its dual 0
+    is optimal, and pricing reads 0 for it.
 
     After each round the restricted LP's duals give a Lagrangian lower
     bound on the full LP's optimum (`_Frame.lagrangian_bound`). Pricing
@@ -223,13 +447,13 @@ class HighsSolver:
 
     def solve(self, model: LPModel) -> tuple[np.ndarray, float, int, int, float]:
         tolerance = model.params.lp_tolerance
+        setup = model.setup
         frame = _Frame(model)
-        keep = _initial_columns(model, frame)
-        left = frame.columns & ~keep
+        keep, left = setup.first, setup.first_left
+        lp, row_ids = frame.first_lp()
         rounds = iterations = 0
         while True:
             rounds += 1
-            lp, row_ids = frame.restrict(keep)
             res = _highs.solve(lp)
             iterations += res.iterations
             duals = np.zeros(len(frame.b_ub))
@@ -243,12 +467,14 @@ class HighsSolver:
                 enter = left & (rc < 0)
             if not enter.any():
                 break
-            keep |= enter
-            left &= ~enter
-        nx = np.count_nonzero(keep)
+            keep = keep | enter
+            left = left & ~enter
+            lp, row_ids = frame.restrict(keep)
+        nx = len(res.x) - len(frame.tail_cost)
+        flat = setup.first_flat if rounds == 1 else np.flatnonzero(keep)
         x = np.zeros((model.k, model.n))
-        x[keep] = res.x[:nx]
-        x[frame.near, np.arange(model.n)] = 1.0 - x.sum(axis=0)
+        x.put(flat, res.x[:nx])
+        x.put(setup.near_flat, 1.0 - x.sum(axis=0))
         return (
             np.concatenate([x.ravel(), res.x[nx:]]),
             float(res.objective) + frame.offset,
@@ -271,93 +497,74 @@ class _Frame:
     Rawlsian disu_h and 1 in j's row, and the cost cost[i, j] -
     cost[a(j), j], where delta_ij = share[i, j] - share[a(j), j].
     The t and z columns are the model's; the constants move into b_ub and an
-    objective offset. A restricted LP (`restrict`) holds point j's row only
-    when at least 2 of j's columns are kept.
+    objective offset. A restricted LP holds point j's row only when at least
+    2 of j's columns are kept. The set-up (`LPSetup`) holds all of this that
+    does not depend on lambda, the first restricted LP's matrix among it;
+    the frame adds the model's lambda.
     """
 
     def __init__(self, model: LPModel):
-        k, n, H = model.k, model.n, model.H
-        self.k, self.n, self.H = k, n, H
-        self.rawlsian = model.kind == "rawlsian"
-        self.num_rows = model.num_rows
-        self.colors = model.instance.colors
-        self.near = np.argmin(model.dist_pow, axis=1)
-        points = np.arange(n)
-        self.columns = np.ones((k, n), dtype=bool)
-        self.columns[self.near, points] = False
-        self.under, self.over = model.under, model.over
+        setup = self.setup = model.setup
+        points = np.arange(model.n)
         share = model.share
-        self.delta = share - share[self.near, points]
-        cost = model.objective[: k * n].reshape(k, n)
-        self.cost = cost - cost[self.near, points]
-        self.offset = float(cost[self.near, points].sum())
-        # minus the rows' coefficients of the eliminated columns, summed in
-        # point order
-        b_rows = [
-            np.column_stack(
-                [
-                    np.bincount(self.near, weights=coef[g, self.colors], minlength=k)
-                    for g in range(H)
-                ]
-            ).ravel()
-            for coef in (self.under, self.over)
-        ]
-        if self.rawlsian:
-            b_rows.append(
-                np.bincount(self.colors, weights=share[self.near, points], minlength=H)
+        near_share = share[setup.near, points]
+        self.delta = share - near_share
+        self.b_ub = setup.b_ub
+        t_cost = np.tile(model.t_cost, model.k)
+        tail_value = setup.tail_value
+        if setup.rawlsian:
+            self.cost = np.zeros_like(share)
+            self.offset = 0.0
+            self.tail_cost = np.zeros(len(setup.tail_lower))
+            self.tail_cost[-1] = 1.0
+            tail_value = tail_value.copy()
+            tail_value[setup.tail_scaled] = t_cost
+            self.b_ub = self.b_ub.copy()
+            R = setup.num_rows
+            self.b_ub[R - model.H: R] = -np.bincount(
+                model.instance.colors, weights=near_share, minlength=model.H
             )
-        self.b_ub = np.concatenate([-np.concatenate(b_rows), np.ones(n)])
-        # the t and z columns: costs, bounds and CSC parts
-        self.tail_cost = model.objective[k * n:]
-        self.tail_lower = model.lower[k * n:]
-        self.tail_upper = model.upper[k * n:]
-        t = np.arange(k * H)
-        t_rows = [t, k * H + t]
-        t_vals = [np.full(k * H, -1.0), np.full(k * H, -1.0)]
-        if self.rawlsian:
-            t_rows.append(2 * k * H + t % H)
-            t_vals.append(np.tile(model.t_cost, k))
-        self.tail = _compress(np.column_stack(t_rows), np.column_stack(t_vals))
-        if self.rawlsian:
-            z = ([H], 2 * k * H + np.arange(H), np.full(H, -1.0))
-            self.tail = [np.concatenate(pair) for pair in zip(self.tail, z)]
+        else:
+            self.cost = self.delta
+            self.offset = float(near_share.sum())
+            self.tail_cost = t_cost
+        self.tail = _drop_zeros(setup.tail_start, setup.tail_index, tail_value)
+
+    def first_lp(self) -> tuple[_highs.LP, np.ndarray]:
+        """`restrict` of the set-up's first restriction, from its matrix."""
+        setup = self.setup
+        value = setup.first_value
+        if setup.rawlsian:
+            value = value.copy()
+            value[setup.first_delta_at] = self.delta.take(setup.first_flat)
+        x = _drop_zeros(setup.first_start, setup.first_index, value)
+        return self._lp(setup.first_flat, x, setup.first_shared)
 
     def restrict(self, keep: np.ndarray) -> tuple[_highs.LP, np.ndarray]:
         """The frame LP over the x columns in keep ((k, n), in column order
         i * n + j) and the t and z columns, and the ids of the frame rows it
         holds: the model's rows and the rows of the points with at least 2
         kept x columns, in order."""
-        k, n, H = self.k, self.n, self.H
-        i, j = np.nonzero(keep)
-        a, h = self.near[j], self.colors[j]
-        # each column's rows ascending: the lower-numbered cluster's block of
-        # under rows first, with sign +1 if that cluster is i
-        lo, hi = np.minimum(i, a)[:, None], np.maximum(i, a)[:, None]
-        sign = np.where(i < a, 1.0, -1.0)[:, None]
-        under, over = self.under[:, h].T, self.over[:, h].T
-        g = np.arange(H)
-        rows = [lo * H + g, hi * H + g, k * H + lo * H + g, k * H + hi * H + g]
-        vals = [sign * under, -sign * under, sign * over, -sign * over]
-        if self.rawlsian:
-            rows.append(2 * k * H + h[:, None])
-            vals.append(self.delta[i, j][:, None])
-        # a point with one kept column has the row x <= 1, its bound, and
-        # one with none has 0 <= 1: their zero entries are compressed away
-        shared = np.bincount(j, minlength=n) >= 2
-        rows.append(self.num_rows + np.cumsum(shared)[j, None] - 1)
-        vals.append(shared[j, None].astype(float))
-        parts = zip(_compress(np.hstack(rows), np.hstack(vals)), self.tail)
-        counts, indices, data = (np.concatenate(pair) for pair in parts)
-        row_ids = np.concatenate(
-            [np.arange(self.num_rows), self.num_rows + np.flatnonzero(shared)]
-        )
+        flat = np.flatnonzero(keep)
+        i, j = np.divmod(flat, keep.shape[1])
+        delta = self.delta.take(flat) if self.setup.rawlsian else None
+        *x, shared = self.setup.x_columns(i, j, delta)
+        return self._lp(flat, x, shared)
+
+    def _lp(self, flat, x, shared) -> tuple[_highs.LP, np.ndarray]:
+        """The LP over the x columns at flat positions, CSC parts x, and the
+        t and z columns, and the ids of its rows, shared being the points
+        with one."""
+        setup = self.setup
+        (start, index, value), (t_start, t_index, t_value) = x, self.tail
+        row_ids = np.concatenate([np.arange(setup.num_rows), setup.num_rows + shared])
         lp = _highs.LP(
-            cost=np.concatenate([self.cost[i, j], self.tail_cost]),
-            start=np.concatenate([[0], np.cumsum(counts)]),
-            index=indices,
-            value=data,
-            col_lower=np.concatenate([np.zeros(len(j)), self.tail_lower]),
-            col_upper=np.concatenate([np.ones(len(j)), self.tail_upper]),
+            cost=np.concatenate([self.cost.take(flat), self.tail_cost]),
+            start=np.concatenate([start, start[-1] + t_start[1:]]),
+            index=np.concatenate([index, t_index]),
+            value=np.concatenate([value, t_value]),
+            col_lower=np.concatenate([np.zeros(len(flat)), setup.tail_lower]),
+            col_upper=np.concatenate([np.ones(len(flat)), setup.tail_upper]),
             row_lower=np.full(len(row_ids), -np.inf),
             row_upper=self.b_ub[row_ids],
         )
@@ -367,15 +574,17 @@ class _Frame:
         """(k, n) reduced costs of every x column of the frame LP, in closed
         form from the duals of all its rows, 0 for a row a restricted LP
         left out."""
-        k, H = self.k, self.H
+        setup = self.setup
+        k, H = setup.params.k, len(setup.under)
+        R = setup.num_rows
         # [i, h]: dual price of a color-h share's under/over coefficients in
         # cluster i
-        G = duals[: k * H].reshape(k, H) @ self.under
-        G += duals[k * H: 2 * k * H].reshape(k, H) @ self.over
-        h = self.colors
-        rc = self.cost - G[:, h] + (G[self.near, h] - duals[self.num_rows:])
-        if self.rawlsian:
-            rc -= duals[2 * k * H: 2 * k * H + H][h] * self.delta
+        G = duals[: k * H].reshape(k, H) @ setup.under
+        G += duals[k * H: 2 * k * H].reshape(k, H) @ setup.over
+        h = setup.instance.colors
+        rc = self.cost - G.take(h, axis=1) + (G.take(setup.near_color) - duals[R:])
+        if setup.rawlsian:
+            rc -= duals[2 * k * H: R].take(h) * self.delta
         return rc
 
     def lagrangian_bound(self, duals: np.ndarray, rc: np.ndarray) -> float:
@@ -386,38 +595,23 @@ class _Frame:
         least of 0 and its columns' costs with its own row dual added back.
         The t and z columns, held by every restricted LP, add 0: at its
         optimum their reduced costs are at least 0, and 0 for the free z."""
-        R = self.num_rows
-        own = (rc + duals[R:]).min(axis=0, where=self.columns, initial=0.0)
-        return float(self.offset + duals[:R] @ self.b_ub[:R] + own.sum())
+        R = self.setup.num_rows
+        # each point's least cost over its frame columns and 0, the 0 put at
+        # its eliminated nearest column
+        own = rc + duals[R:]
+        own.put(self.setup.near_flat, 0.0)
+        return float(self.offset + duals[:R] @ self.b_ub[:R] + own.min(axis=0).sum())
 
 
-def _compress(rows: np.ndarray, vals: np.ndarray):
-    """Per-column entry counts, row indices and values of the nonzero
-    entries of columns given as (columns, width) arrays."""
-    nonzero = vals != 0
-    return np.count_nonzero(nonzero, axis=1), rows[nonzero], vals[nonzero]
-
-
-def _initial_columns(model: LPModel, frame: _Frame) -> np.ndarray:
-    """(k, n) x-column mask of the first LP: the frame columns of each
-    point's min(k, _CANDIDATES) nearest centers that rank in the cheapest
-    ceil(_CLASS_SHARE * |class|) of their (a, h, i) class by delta."""
-    k, n, H = frame.k, frame.n, frame.H
-    width = min(k, _CANDIDATES)
-    top = np.zeros((k, n), dtype=bool)
-    nearest = np.argpartition(model.dist_pow, width - 1, axis=1)
-    top[nearest[:, :width].T, np.arange(n)] = True
-    cls = frame.near * H + frame.colors
-    size = np.bincount(cls, minlength=k * H)
-    prefix = np.zeros((k, n), dtype=bool)
-    rows = np.arange(k)[:, None]
-    # each class's points in point order, sorted stably by delta at every
-    # center, so ties stay in point order
-    for members in np.split(np.argsort(cls, kind="stable"), np.cumsum(size)[:-1]):
-        first = np.argsort(frame.delta[:, members], axis=1, kind="stable")
-        cut = int(np.ceil(_CLASS_SHARE * len(members)))
-        prefix[rows, members[first[:, :cut]]] = True
-    return frame.columns & top & prefix
+def _drop_zeros(start: np.ndarray, index: np.ndarray, value: np.ndarray):
+    """A CSC matrix (start, index, value) without its zero entries: lambda
+    = 0 zeroes the Rawlsian deltas, lambda = 1 the t costs, and a tie the
+    delta of its column."""
+    nonzero = value != 0
+    if nonzero.all():
+        return start, index, value
+    kept = np.concatenate([[0], np.cumsum(nonzero)])
+    return kept[start], index[nonzero], value[nonzero]
 
 
 def solve_lp(model: LPModel) -> FractionalSolution:
@@ -430,16 +624,18 @@ def solve_lp(model: LPModel) -> FractionalSolution:
     """
     xvec = HighsSolver().solve(model)[0]
     k, n, inst = model.k, model.n, model.instance
-    x = np.asarray(xvec[: k * n], dtype=np.float64).reshape(k, n).copy()
-    np.clip(x, 0.0, 1.0, out=x)
-    x[x < _SNAP] = 0.0
+    x = np.array(xvec[: k * n], dtype=np.float64).reshape(k, n)
+    # clipped to [0, 1], then snapped
+    np.putmask(x, x < _SNAP, 0.0)
+    np.minimum(x, 1.0, out=x)
     col = np.abs(x.sum(axis=0) - 1.0).max(initial=0.0)
     if col > 1e-5:
         raise InternalInvariantError(f"assignment column sum off by {col:g}")
+    mass = color_masses(x, inst)
     D = color_masses((x * model.dist_pow.T).sum(axis=0), inst)
-    _, _, disu = disutilities(inst, model.params, color_masses(x, inst), D)
+    _, _, disu = disutilities(inst, model.params, mass, D)
     value = disu.max() if model.kind == "rawlsian" else disu.sum()
-    return FractionalSolution(x, float(value))
+    return FractionalSolution(x, float(value), mass)
 
 
 def brute_force_assignment(

@@ -72,7 +72,7 @@ def report_from_distances(
 ) -> GroupReport:
     """GroupReport from a precomputed (n, k) d^p matrix and an assignment."""
     k, H, colors = dist_pow.shape[1], instance.num_colors, instance.colors
-    dsel = dist_pow[np.arange(instance.n), assignment]
+    dsel = dist_pow.take(np.arange(instance.n) * k + assignment)
     D = np.bincount(colors, weights=dsel, minlength=H)
     mass = np.bincount(assignment * H + colors, minlength=k * H).reshape(k, H)
     _, V, disu = disutilities(instance, params, mass, D)

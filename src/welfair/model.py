@@ -108,17 +108,27 @@ def load_instance(
     Color ids follow first appearance order of the group column.
     """
     with open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        # as csv.DictReader reads it: a name given twice names its last
+        # column, a cell past a short row's end is empty, and a blank line
+        # is no data row
+        at = {name: i for i, name in enumerate(next(reader, []))}
         for col in list(feature_columns) + [group_column]:
-            if col not in header:
+            if col not in at:
                 raise DataError(f"column {col!r} not found in header")
+        features = [(col, at[col]) for col in feature_columns]
+        group = at[group_column]
         rows = []
         groups = []
-        for rownum, rec in enumerate(reader, start=1):
+        rownum = 0
+        for rec in reader:
+            if not rec:
+                continue
+            rownum += 1
+            width = len(rec)
             vals = []
-            for col in feature_columns:
-                cell = (rec[col] or "").strip()
+            for col, i in features:
+                cell = rec[i].strip() if i < width else ""
                 if cell == "":
                     raise DataError(f"empty cell {_at(col, rownum)}")
                 try:
@@ -130,7 +140,7 @@ def load_instance(
                 if not math.isfinite(val):
                     raise DataError(f"non-finite value {cell!r} {_at(col, rownum)}")
                 vals.append(val)
-            gcell = (rec[group_column] or "").strip()
+            gcell = rec[group].strip() if group < width else ""
             if gcell == "":
                 raise DataError(f"empty cell {_at(group_column, rownum)}")
             rows.append(vals)
@@ -221,11 +231,7 @@ class Params:
 
     def validate(self, instance: Instance) -> None:
         H = instance.num_colors
-        if self.p not in (1, 2):
-            raise ParamError(f"p must be 1 or 2, got {self.p}")
-        if not (0.0 <= self.lam <= 1.0):
-            raise ParamError(f"lambda must lie in [0, 1], got {self.lam}")
-        check_k(self.k, instance.n)
+        self.check_scalars(instance.n)
         if self.alpha.shape != (H,) or self.beta.shape != (H,):
             raise ParamError(
                 f"alpha/beta must have one entry per color ({H}), "
@@ -240,14 +246,6 @@ class Params:
             )
         if np.any(self.alpha < 0) or np.any(self.beta < 0):
             raise ParamError("alpha and beta must be nonnegative")
-        # pricing stops once the LP value is within lp_tolerance of a
-        # Lagrangian bound that HiGHS's 1e-9 feasibility tolerance can put
-        # up to about 1e-9 too high, so lp_tolerance keeps 10 times that
-        tol = self.lp_tolerance
-        if not (math.isfinite(tol) and tol >= 1e-8):
-            raise ParamError(
-                f"lp_tolerance must be finite and at least 1e-8, got {tol}"
-            )
         r = instance.proportions
         bad = np.nonzero(r + self.alpha > 1.0 + 1e-12)[0]
         if bad.size:
@@ -260,6 +258,25 @@ class Params:
             h = int(bad[0])
             raise ParamError(
                 f"r_h - beta_h < 0 for color {instance.color_names[h]!r}"
+            )
+
+    def check_scalars(self, n: int) -> None:
+        """`validate`'s rules for p, lam, k (against n points) and
+        lp_tolerance; a bool is neither a p nor a lam."""
+        if isinstance(self.p, (bool, np.bool_)) or self.p not in (1, 2):
+            raise ParamError(f"p must be 1 or 2, got {self.p}")
+        if isinstance(self.lam, (bool, np.bool_)):
+            raise ParamError(f"lambda must be a number, got {self.lam}")
+        if not (0.0 <= self.lam <= 1.0):
+            raise ParamError(f"lambda must lie in [0, 1], got {self.lam}")
+        check_k(self.k, n)
+        # pricing stops once the LP value is within lp_tolerance of a
+        # Lagrangian bound that HiGHS's 1e-9 feasibility tolerance can put
+        # up to about 1e-9 too high, so lp_tolerance keeps 10 times that
+        tol = self.lp_tolerance
+        if not (math.isfinite(tol) and tol >= 1e-8):
+            raise ParamError(
+                f"lp_tolerance must be finite and at least 1e-8, got {tol}"
             )
 
     def check_centers(self, instance: Instance, centers: np.ndarray) -> None:

@@ -5,18 +5,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import centers as centers_mod
 from . import lp as lp_mod
 from . import rounding as rounding_mod
 from .errors import ParamError
-from .metrics import (
-    GroupReport,
-    additive_constants,
-    pairwise_pow,
-    report_from_distances,
-)
+from .metrics import GroupReport, additive_constants, report_from_distances
 from .model import Instance, Params, Solution
 
 
@@ -69,9 +62,16 @@ def _center_set(
     seed: int,
     restarts: int,
     center_set: centers_mod.CenterSet | None,
+    setup: lp_mod.LPSetup | None,
 ) -> centers_mod.CenterSet:
-    """center_set, after params.check_centers, or the best of restarts of
-    method (looked up on `centers` at call time); params.validate first."""
+    """center_set, after params.validate and params.check_centers, or the
+    best of restarts of method (looked up on `centers` at call time). A
+    set-up comes with the center set it was built for, and its check
+    (`LPSetup.check`, which the caller makes) stands in for both."""
+    if setup is not None:
+        if center_set is None:
+            raise ParamError("a set-up needs the center set it was built for")
+        return center_set
     params.validate(instance)
     if center_set is None:
         return centers_mod.best_of_restarts(instance, params.k, method, restarts, seed)
@@ -86,19 +86,23 @@ def _lp_pipeline(
     restarts: int,
     kind: str,
     center_set: centers_mod.CenterSet | None,
+    setup: lp_mod.LPSetup | None,
 ) -> RunResult:
-    """Centers, the LP of kind, its rounding and the gap check. The builder,
-    the solve and the rounder are looked up on their modules at call time."""
+    """Centers, the LP of kind on setup (the builder makes one if it is
+    None), its rounding and the gap check. The builder, the solve and the
+    rounder are looked up on their modules at call time."""
     rawlsian = kind == "rawlsian"
     t0 = time.perf_counter()
-    cs = _center_set(instance, params, CENTER_METHODS[kind], seed, restarts, center_set)
+    cs = _center_set(
+        instance, params, CENTER_METHODS[kind], seed, restarts, center_set, setup
+    )
     t1 = time.perf_counter()
-    dist_pow = pairwise_pow(instance.features, cs.centers, params.p)
     build = lp_mod.build_rawlsian_lp if rawlsian else lp_mod.build_utilitarian_lp
-    frac = lp_mod.solve_lp(build(instance, params, cs.centers, dist_pow))
+    model = build(instance, params, cs.centers, setup=setup)
+    frac = lp_mod.solve_lp(model)
     t2 = time.perf_counter()
     rounder = rounding_mod.rawlsian_round if rawlsian else rounding_mod.utilitarian_round
-    integral = rounder(frac.x, instance, params, dist_pow)
+    integral = rounder(frac.x, instance, params, model.dist_pow, frac.mass)
     t3 = time.perf_counter()
     solution = Solution(cs.centers, integral.assignment, provenance=cs.provenance)
     report = integral.report
@@ -132,9 +136,15 @@ def rawlsian_alg(
     seed: int = 0,
     restarts: int = 10,
     center_set: centers_mod.CenterSet | None = None,
+    setup: lp_mod.LPSetup | None = None,
 ) -> RunResult:
-    """Socially-fair centers, min-max LP, rounding of each (cluster, color) mass."""
-    return _lp_pipeline(instance, params, seed, restarts, "rawlsian", center_set)
+    """Socially-fair centers, min-max LP, rounding of each (cluster, color)
+    mass. setup, an `lp.LPSetup` of instance, params and center_set's
+    centers built for the "rawlsian" LP, is what the LP of every lambda
+    shares; without it the call builds its own."""
+    return _lp_pipeline(
+        instance, params, seed, restarts, "rawlsian", center_set, setup
+    )
 
 
 def utilitarian_alg(
@@ -143,9 +153,13 @@ def utilitarian_alg(
     seed: int = 0,
     restarts: int = 10,
     center_set: centers_mod.CenterSet | None = None,
+    setup: lp_mod.LPSetup | None = None,
 ) -> RunResult:
-    """Weighted-Lloyd centers, sum LP, rounding of the masses and cluster sizes."""
-    return _lp_pipeline(instance, params, seed, restarts, "utilitarian", center_set)
+    """Weighted-Lloyd centers, sum LP, rounding of the masses and cluster
+    sizes; setup as for `rawlsian_alg`, built for the "utilitarian" LP."""
+    return _lp_pipeline(
+        instance, params, seed, restarts, "utilitarian", center_set, setup
+    )
 
 
 def evaluate_baseline(
@@ -155,17 +169,23 @@ def evaluate_baseline(
     seed: int = 0,
     restarts: int = 10,
     center_set: centers_mod.CenterSet | None = None,
+    setup: lp_mod.LPSetup | None = None,
 ) -> RunResult:
-    """Cluster with a center heuristic and nearest assignment, then report."""
+    """Cluster with a center heuristic and nearest assignment, then report.
+    The distances and the nearest centers come from setup, an `lp.LPSetup`
+    of instance, params and center_set's centers, or from one the call
+    builds."""
     if method not in centers_mod.METHODS:
         raise ParamError(f"method must be one of {centers_mod.METHODS}, got {method!r}")
     t0 = time.perf_counter()
-    cs = _center_set(instance, params, method, seed, restarts, center_set)
-    dist = pairwise_pow(instance.features, cs.centers, params.p)
-    assignment = np.argmin(dist, axis=1)
+    cs = _center_set(instance, params, method, seed, restarts, center_set, setup)
+    if setup is None:
+        setup = lp_mod.LPSetup(instance, params, cs.centers)
+    else:
+        setup.check(instance, params, cs.centers)
     t1 = time.perf_counter()
-    solution = Solution(cs.centers, assignment, provenance=cs.provenance)
-    report = report_from_distances(instance, params, dist, assignment)
+    solution = Solution(cs.centers, setup.near.copy(), provenance=cs.provenance)
+    report = report_from_distances(instance, params, setup.dist_pow, setup.near)
     return RunResult(
         method=method,
         params=params,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _highs
 from .errors import InternalInvariantError
-from .metrics import GroupReport, color_masses, report_from_distances
+from .metrics import GroupReport, report_from_distances
 from .model import Instance, Params
 
 _MASS_EPS = 1e-9
@@ -59,15 +59,20 @@ class Support:
     clu_hi: np.ndarray       # (k,) ceil of each cluster size
 
 
-def split_support(xfrac: np.ndarray, instance: Instance) -> Support:
+def split_support(xfrac: np.ndarray, mass: np.ndarray) -> Support:
     """Fix every point whose x column has exactly one positive entry: the
-    rounding LP has a single variable for it, which its row sets to 1."""
-    pos = xfrac > 0.0
-    is_fixed = np.count_nonzero(pos, axis=0) == 1
-    col_lo, col_hi = _floor_ceil(color_masses(xfrac, instance))
+    rounding LP has a single variable for it, which its row sets to 1. mass
+    is xfrac's (k, H) (cluster, color) masses, `metrics.color_masses` of it,
+    as `lp.solve_lp` returns them."""
+    k = len(xfrac)
+    # per point: its number of positive entries, and the sum of their
+    # centers, the center itself at a point with one
+    count, center = np.stack([np.ones(k), np.arange(k)]) @ (xfrac > 0.0)
+    is_fixed = count == 1
+    col_lo, col_hi = _floor_ceil(mass)
     clu_lo, clu_hi = _floor_ceil(xfrac.sum(axis=1))
     return Support(
-        assignment=np.where(is_fixed, pos.argmax(axis=0), -1),
+        assignment=np.where(is_fixed, center.astype(np.int64), -1),
         frac=np.nonzero(~is_fixed)[0],
         col_lo=col_lo,
         col_hi=col_hi,
@@ -151,11 +156,12 @@ def _round(
     instance: Instance,
     params: Params,
     dist_pow: np.ndarray,
+    mass: np.ndarray,
     joint: bool,
 ) -> IntegralAssignment:
     """Split, solve the rounding LP, then check the masses of the result;
     joint adds the cluster-size rows and their check."""
-    support = split_support(xfrac, instance)
+    support = split_support(xfrac, mass)
     assignment = _solve_support(xfrac, instance, dist_pow, support, joint)
     if np.any(assignment < 0):
         raise InternalInvariantError("point left unassigned by rounding")
@@ -182,10 +188,12 @@ def rawlsian_round(
     instance: Instance,
     params: Params,
     dist_pow: np.ndarray,
+    mass: np.ndarray,
 ) -> IntegralAssignment:
     """Round keeping each (cluster, color) mass; the colors share no row, so
-    one LP rounds each of them optimally."""
-    return _round(xfrac, instance, params, dist_pow, joint=False)
+    one LP rounds each of them optimally. mass is xfrac's (k, H) masses
+    (`split_support`)."""
+    return _round(xfrac, instance, params, dist_pow, mass, joint=False)
 
 
 def utilitarian_round(
@@ -193,6 +201,8 @@ def utilitarian_round(
     instance: Instance,
     params: Params,
     dist_pow: np.ndarray,
+    mass: np.ndarray,
 ) -> IntegralAssignment:
-    """Round all colors jointly, preserving cluster sizes within floor/ceil."""
-    return _round(xfrac, instance, params, dist_pow, joint=True)
+    """Round all colors jointly, preserving cluster sizes within floor/ceil;
+    mass as for `rawlsian_round`."""
+    return _round(xfrac, instance, params, dist_pow, mass, joint=True)

@@ -17,6 +17,7 @@ from welfair.centers import best_of_restarts
 from welfair.lp import brute_force_assignment
 from welfair.metrics import (
     additive_constants,
+    color_masses,
     pairwise_pow,
     report_from_distances,
 )
@@ -234,7 +235,7 @@ def test_04_rounding_invariants_random_fractional():
             ("rawlsian", rawlsian_round),
             ("utilitarian", utilitarian_round),
         ):
-            a = rounder(x, inst, params, dist).assignment
+            a = rounder(x, inst, params, dist, color_masses(x, inst)).assignment
             assert a.shape == (n,) and a.min() >= 0 and a.max() < k
             dsel = dist[np.arange(n), a]
             for i in range(k):

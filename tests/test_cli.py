@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import weakref
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import asdict, fields, replace
@@ -439,6 +440,41 @@ class TestRunExperiment:
         assert len(calls) == 3 * len(config.k_range)
         assert Counter(calls) == Counter({key: 1 for key in per_k})
 
+    def test_one_k_of_set_ups_alive_at_a_time(self, dataset, tmp_path, monkeypatch):
+        # a sweep builds each k's LP set-ups right before that k's cells and
+        # drops them after, so no other k's set-up is alive while a cell runs
+        path, feats = dataset
+        built, others = [], []
+        real_init = lp_mod.LPSetup.__init__
+
+        def init(setup, instance, params, *a):
+            real_init(setup, instance, params, *a)
+            built.append((params.k, weakref.ref(setup)))
+
+        def spy(alg):
+            def run(inst, params, *a, **kw):
+                others.append([k for k, ref in built if ref() and k != params.k])
+                return alg(inst, params, *a, **kw)
+
+            return run
+
+        monkeypatch.setattr(lp_mod.LPSetup, "__init__", init)
+        for name in ("rawlsian_alg", "utilitarian_alg"):
+            monkeypatch.setattr(pipeline, name, spy(getattr(pipeline, name)))
+        config = ExperimentConfig(
+            data=path,
+            feature_columns=feats,
+            group_column="group",
+            objective="both",
+            k_range=[2, 3],
+            lambdas=[0.4, 0.8],
+            restarts=1,
+            out_dir=str(tmp_path),
+        )
+        run_experiment(config)
+        assert len(built) == 2 * 2 * len(centers.METHODS)
+        assert others == [[]] * 8
+
     @pytest.fixture(scope="class")
     def sweeps(self, dataset, tmp_path_factory):
         """results.csv rows of each objective setting, normalized or not."""
@@ -715,7 +751,7 @@ class TestGapReport:
 
         def raised(model):
             frac = real(model)
-            return lp_mod.FractionalSolution(frac.x, frac.objective + 1.0)
+            return lp_mod.FractionalSolution(frac.x, frac.objective + 1.0, frac.mass)
 
         monkeypatch.setattr(lp_mod, "solve_lp", raised)
         path, feats = dataset

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import threading
 from dataclasses import replace
 
@@ -26,8 +27,10 @@ from welfair.lp import (
     build_utilitarian_lp,
     solve_lp,
 )
+from welfair.centers import CenterSet
 from welfair.metrics import additive_constants, pairwise_pow, report_from_distances
 from welfair.model import Instance, Params
+from welfair.pipeline import rawlsian_alg, utilitarian_alg
 from welfair.rounding import _floor_ceil, rawlsian_round, utilitarian_round
 
 
@@ -88,10 +91,12 @@ class TestBuilders:
             assert len(set(names)) == len(names)
 
     def test_dist_pow_passthrough(self):
+        # a model built on a set-up reads the set-up's distances
         inst, params, centers = _setup()
-        dist = pairwise_pow(inst.features, centers, params.p)
+        setup = lp_mod.LPSetup(inst, params, centers, "rawlsian")
         a = build_rawlsian_lp(inst, params, centers)
-        b = build_rawlsian_lp(inst, params, centers, dist)
+        b = build_rawlsian_lp(inst, params, centers, setup=setup)
+        assert b.dist_pow is setup.dist_pow
         np.testing.assert_array_equal(a.objective, b.objective)
         for ra, rb in zip(a.rows, b.rows):
             np.testing.assert_array_equal(ra.vals, rb.vals)
@@ -180,7 +185,7 @@ class TestCoefficientTables:
             )
 
     def test_distances_through_the_module_global(self, monkeypatch):
-        # tracers wrap welfair.lp.pairwise_pow; each build without dist_pow
+        # tracers wrap welfair.lp.pairwise_pow; each build without a set-up
         # computes the distances once, through it
         inst, params, centers = _setup(n=9, k=2, H=2)
         calls = []
@@ -292,9 +297,16 @@ def _solve_spy(monkeypatch):
     """Record every `_highs.solve` call HighsSolver makes: (call, solution),
     the call holding the frame LP's costs as c, its matrix as the sparse
     A_ub, its right-hand sides as b_ub and, as keep, the (k, n) x-column
-    mask that `_Frame.restrict` was given."""
-    real, restrict = _highs.solve, lp_mod._Frame.restrict
+    mask of the LP: the set-up's first restriction for the first LP
+    (`_Frame.first_lp`), the mask `_Frame.restrict` was given for each later
+    one."""
+    real = _highs.solve
+    first_lp, restrict = lp_mod._Frame.first_lp, lp_mod._Frame.restrict
     calls, keeps = [], []
+
+    def first_spy(frame):
+        keeps.append(frame.setup.first.copy())
+        return first_lp(frame)
 
     def restrict_spy(frame, keep):
         keeps.append(keep.copy())
@@ -311,6 +323,7 @@ def _solve_spy(monkeypatch):
         calls.append((call, res))
         return res
 
+    monkeypatch.setattr(lp_mod._Frame, "first_lp", first_spy)
     monkeypatch.setattr(lp_mod._Frame, "restrict", restrict_spy)
     monkeypatch.setattr(_highs, "solve", spy)
     return calls
@@ -355,11 +368,14 @@ def _reduced_costs(model, call, res):
 
 
 def _all_columns(monkeypatch, model):
-    """The LP value HiGHS reaches with every column in the first LP."""
+    """The LP value HiGHS reaches with every column in the first LP: the
+    model built again, its set-up's first restriction taking them all."""
+    build = build_rawlsian_lp if model.kind == "rawlsian" else build_utilitarian_lp
     with monkeypatch.context() as mp:
         mp.setattr(lp_mod, "_CANDIDATES", model.k)
         mp.setattr(lp_mod, "_CLASS_SHARE", 1.0)
-        return HighsSolver().solve(model)[1]
+        whole = build(model.instance, model.params, model.setup.centers)
+        return HighsSolver().solve(whole)[1]
 
 
 def _pricing_spy(monkeypatch):
@@ -454,18 +470,16 @@ class TestHighsPricing:
         params = Params.with_delta(inst, 7, 0.5, 0.1)
         centers = inst.features[np.random.default_rng(H).choice(20, 7, replace=False)]
         m = build_rawlsian_lp(inst, params, centers)
-        np.testing.assert_array_equal(
-            lp_mod._initial_columns(m, lp_mod._Frame(m)), _class_prefix(m)
-        )
+        np.testing.assert_array_equal(m.setup.first, _class_prefix(m))
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     @pytest.mark.parametrize("H", [2, 3])
     def test_one_column_per_class_prices_in_the_rest(self, monkeypatch, kind, H):
         inst, params, centers = _setup(n=60, k=6, H=H, lam=0.2, seed=4)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
         # ceil(share * |class|) = 1: each (a, h, i) class keeps one column
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
+        m = build(inst, params, centers)
         calls = _solve_spy(monkeypatch)
         xvec, obj, _, rounds, _ = HighsSolver().solve(m)
         assert rounds >= 2 and len(calls) == rounds
@@ -505,13 +519,13 @@ class TestHighsPricing:
         # in every round
         inst, params, centers = _setup(n=60, k=6, H=H, lam=0.4, seed=7)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
+        m = build(inst, params, centers)
         calls = _solve_spy(monkeypatch)
         priced = _pricing_spy(monkeypatch)
         HighsSolver().solve(m)
         assert len(priced) == len(calls) >= 2
-        columns = lp_mod._Frame(m).columns
+        columns = m.setup.columns
         for (call, res), (duals, got) in zip(calls, priced):
             np.testing.assert_array_equal(duals, _frame_duals(m, call, res))
             want = _reduced_costs(m, call, res)[: m.k * m.n].reshape(m.k, m.n)
@@ -527,8 +541,8 @@ class TestHighsPricing:
         # exactly for the points j with at least 2 kept x columns, in order
         inst, params, centers = _setup(n=60, k=k, H=2, lam=0.4, seed=7)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
+        m = build(inst, params, centers)
         calls = _solve_spy(monkeypatch)
         HighsSolver().solve(m)
         R = len(m.rows)
@@ -553,8 +567,8 @@ class TestHighsPricing:
 
     def test_all_columns_switches_off_both_restrictions(self, monkeypatch):
         inst, params, centers = _setup(n=60, k=6, H=2, lam=0.2, seed=4)
-        m = build_utilitarian_lp(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
+        m = build_utilitarian_lp(inst, params, centers)
         calls = _solve_spy(monkeypatch)
         _all_columns(monkeypatch, m)
         # one solve over every column but the n eliminated nearest ones
@@ -591,8 +605,8 @@ class TestHighsPricing:
         if tolerance is not None:
             params = replace(params, lp_tolerance=tolerance)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CANDIDATES", 1)
+        m = build(inst, params, centers)
         calls = _solve_spy(monkeypatch)
         xvec, obj, _, rounds, _ = HighsSolver().solve(m)
         assert rounds >= 2 and len(calls) == rounds
@@ -620,9 +634,9 @@ class TestHighsPricing:
             tuned = replace(params, lp_tolerance=tolerance)
             tuned.validate(inst)
             record.options.clear()
-            frac = solve_lp(build_rawlsian_lp(inst, tuned, centers, dist))
+            frac = solve_lp(build_rawlsian_lp(inst, tuned, centers))
             assignment_runs = len(record.options)
-            rawlsian_round(frac.x, inst, tuned, dist)
+            rawlsian_round(frac.x, inst, tuned, dist, frac.mass)
             assert 0 < assignment_runs < len(record.options)
             for options in record.options:
                 assert options.presolve == "off"
@@ -651,8 +665,8 @@ class TestHighsPricing:
         # the bound says the gap is open, with the value it has
         inst, params, centers = _setup(n=40, k=4, H=2, lam=0.4, seed=2)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1.0)
+        m = build(inst, params, centers)
         assert m.k <= lp_mod._CANDIDATES
         _, want, _, _, bound = HighsSolver().solve(m)
         assert bound > -np.inf
@@ -938,8 +952,8 @@ def _pipeline_lps(monkeypatch):
         (build_rawlsian_lp, rawlsian_round),
         (build_utilitarian_lp, utilitarian_round),
     ):
-        frac = solve_lp(build(inst, params, centers, dist))
-        rounder(frac.x, inst, params, dist)
+        frac = solve_lp(build(inst, params, centers))
+        rounder(frac.x, inst, params, dist, frac.mass)
     monkeypatch.setattr(_highs, "solve", real)
     return calls
 
@@ -1098,10 +1112,10 @@ def test_lp_brute_rounding_sandwich_property(seed, H, n, k, p, lam, delta, kind)
     dist = pairwise_pow(inst.features, centers, p)
     build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
     rounder = rawlsian_round if kind == "rawlsian" else utilitarian_round
-    model = build(inst, params, centers, dist)
+    model = build(inst, params, centers)
     frac = solve_lp(model)
     _, brute = brute_force_assignment(inst, params, centers, kind)
-    integral = rounder(frac.x, inst, params, dist)
+    integral = rounder(frac.x, inst, params, dist, frac.mass)
     c_r, c_u = additive_constants(inst, params)
     bound = (1.0 - lam) * (c_r if kind == "rawlsian" else c_u)
     value = integral.report.R if kind == "rawlsian" else integral.report.U
@@ -1209,3 +1223,71 @@ def test_lagrangian_bound_brackets_ipm_property(seed, H, k, lam, dup, kind):
     tol = m.params.lp_tolerance
     assert bound <= ref.fun + tol
     assert ref.fun <= value + tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    H=st.integers(2, 4),
+    k=st.integers(2, 6),
+    p=st.sampled_from([1, 2]),
+    lams=st.lists(
+        st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3
+    ),
+    kind=st.sampled_from(["rawlsian", "utilitarian"]),
+)
+# HiGHS ends this one's LP at lambda = 5.96e-8 with model status Unknown
+@example(seed=5, H=2, k=5, p=1, lams=[5.960464477539063e-08], kind="rawlsian")
+# lambda / n_h * d^p is 0 at every point: ranked at this lambda, each class
+# would keep its points in point order
+@example(seed=0, H=2, k=2, p=1, lams=[5e-324], kind="rawlsian")
+def test_shared_setup_matches_lone_calls_property(seed, H, k, p, lams, kind):
+    # one set-up, built at the first lambda, serves the calls of every
+    # lambda: each returns the assignment, LP value and report of a lone
+    # call, which builds its own; the first restriction, ranked at lambda =
+    # 1, is the class prefix at every lambda of at least 1e-3 (k is at most
+    # and above _CANDIDATES). Below that lambda / n_h * d^p can round
+    # distinct deltas to one value, as lambda = 0 rounds them all to 0, and
+    # there, as at lambda = 1, where the t costs vanish, the LP value is
+    # the full LP's to lp_tolerance
+    rng = np.random.default_rng(seed)
+    base = random_instance(
+        int(rng.integers(2 * H + k, 30)), 2, H, int(rng.integers(0, 10_000))
+    )
+    # every point twice: a class holds runs of equal delta, and the prefix
+    # cut falls inside them
+    inst = Instance(
+        np.tile(base.features, (2, 1)), np.tile(base.colors, 2), base.color_names
+    )
+    drawn = inst.features[np.sort(rng.choice(base.n, size=k, replace=False))]
+    cs = CenterSet(drawn, "drawn", math.nan)
+    alg = rawlsian_alg if kind == "rawlsian" else utilitarian_alg
+    build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+    setup = None
+    for lam in [*lams, 0.0, 1.0]:
+        params = Params.with_delta(inst, k, lam, 0.01, p)
+        if setup is None:
+            setup = lp_mod.LPSetup(inst, params, cs.centers, kind)
+        try:
+            lone = alg(inst, params, center_set=cs)
+        except InternalInvariantError as e:
+            # HiGHS ends a few LPs at lambda near 1e-7 with model status
+            # Unknown, with a set-up or without; the shared call must fail
+            # as the lone one does
+            with pytest.raises(InternalInvariantError, match=re.escape(str(e))):
+                alg(inst, params, center_set=cs, setup=setup)
+            continue
+        shared = alg(inst, params, center_set=cs, setup=setup)
+        np.testing.assert_array_equal(
+            shared.solution.assignment, lone.solution.assignment
+        )
+        assert shared.lp_objective == lone.lp_objective
+        np.testing.assert_array_equal(shared.report.disu, lone.report.disu)
+        assert (shared.report.R, shared.report.U) == (lone.report.R, lone.report.U)
+        m = build(inst, params, cs.centers, setup=setup)
+        if lam >= 1e-3:
+            np.testing.assert_array_equal(setup.first, _class_prefix(m))
+        if lam < 1e-3 or lam == 1.0:
+            _, _, ref = _reference(m)
+            value = HighsSolver().solve(m)[1]
+            assert value == pytest.approx(ref.fun, abs=params.lp_tolerance)

@@ -67,6 +67,36 @@ class TestLoadInstance:
         ):
             load_instance(path, ["x", "y"], "g")
 
+    def test_short_row_reads_an_empty_cell(self, tmp_path):
+        # a row that ends before a selected column has that cell empty
+        path = _write(tmp_path, "x,y,g\n1,2,a\n3\n")
+        with pytest.raises(
+            DataError, match="^empty cell in column 'y' at data row 2$"
+        ):
+            load_instance(path, ["x", "y"], "g")
+
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        path = _write(tmp_path, "x,g\n\n1,a\n\n\n2,b\n\n")
+        inst = load_instance(path, ["x"], "g")
+        np.testing.assert_array_equal(inst.features[:, 0], [1.0, 2.0])
+        path = _write(tmp_path, "x,g\n\n1,a\n\n2,b\n\nnope,a\n")
+        with pytest.raises(
+            DataError,
+            match="^non-numeric value 'nope' in column 'x' at data row 3$",
+        ):
+            load_instance(path, ["x"], "g")
+
+    def test_repeated_header_name_reads_its_last_column(self, tmp_path):
+        path = _write(tmp_path, "x,g,x,g\n1,a,5,c\n2,b,6,d\n3,a,7\n")
+        with pytest.raises(
+            DataError, match="^empty cell in column 'g' at data row 3$"
+        ):
+            load_instance(path, ["x"], "g")
+        path = _write(tmp_path, "x,g,x,g\n1,a,5,c\n2,b,6,d\n")
+        inst = load_instance(path, ["x"], "g")
+        np.testing.assert_array_equal(inst.features[:, 0], [5.0, 6.0])
+        assert inst.color_names == ["c", "d"]
+
     def test_empty_group_cell(self, tmp_path):
         path = _write(tmp_path, "x,g\n1,a\n2, \n")
         with pytest.raises(
@@ -228,6 +258,22 @@ class TestParams:
         params.p = p
         with pytest.raises(ParamError):
             params.validate(tiny_instance)
+
+    @pytest.mark.parametrize("field", ["p", "lam"])
+    @pytest.mark.parametrize(
+        "value", [True, np.True_, False], ids=["bool", "numpy-bool", "false"]
+    )
+    def test_bool_p_or_lambda_rejected(self, tiny_instance, field, value):
+        # True == 1 and False == 0, so a bool used to pass as p = 1 or as
+        # lambda = 1 or 0
+        params = Params(k=3, lam=0.5, p=2, alpha=np.zeros(2), beta=np.zeros(2))
+        setattr(params, field, value)
+        name = "p must be 1 or 2" if field == "p" else "lambda must be a number"
+        message = f"^{name}, got {value}$"
+        with pytest.raises(ParamError, match=message):
+            params.validate(tiny_instance)
+        with pytest.raises(ParamError, match=message):
+            rawlsian_alg(tiny_instance, params)
 
     @pytest.mark.parametrize("lam", [-0.1, 1.1])
     def test_bad_lambda(self, tiny_instance, lam):

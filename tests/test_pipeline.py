@@ -7,6 +7,7 @@ from datagen import adult_like, random_instance
 
 from welfair.centers import CenterSet, best_of_restarts
 from welfair.errors import ParamError
+from welfair.lp import LPSetup
 from welfair.metrics import pairwise_pow, report_from_distances
 from welfair.model import Params
 from welfair.pipeline import (
@@ -120,7 +121,7 @@ class TestAlgorithms:
 
         def raised(model):
             frac = real(model)
-            return lp.FractionalSolution(frac.x, frac.objective + 1.0)
+            return lp.FractionalSolution(frac.x, frac.objective + 1.0, frac.mass)
 
         monkeypatch.setattr(lp, "solve_lp", raised)
         inst = _inst(seed=2)
@@ -272,3 +273,63 @@ class TestDominance:
     def test_bad_objective(self):
         with pytest.raises(ParamError, match="unknown objective 'maximin'"):
             dominance_check([], "maximin")
+
+
+class TestSetup:
+    """One `lp.LPSetup` per (instance, k, center set) serves the calls of
+    every lambda; a call checks that it was built for its arguments."""
+
+    def test_baseline_reads_the_setup(self):
+        inst = _inst(seed=7)
+        cs = best_of_restarts(inst, 3, "vanilla", 2, 0)
+        setup = LPSetup(inst, Params.with_delta(inst, 3, 0.1, 0.1), cs.centers)
+        for lam in (0.3, 0.9):
+            params = Params.with_delta(inst, 3, lam, 0.1)
+            shared = evaluate_baseline(
+                inst, params, "vanilla", center_set=cs, setup=setup
+            )
+            lone = evaluate_baseline(inst, params, "vanilla", center_set=cs)
+            np.testing.assert_array_equal(
+                shared.solution.assignment, lone.solution.assignment
+            )
+            np.testing.assert_array_equal(shared.report.disu, lone.report.disu)
+        # the result owns its assignment
+        assert shared.solution.assignment is not setup.near
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("k", "built for another"),
+            ("centers", "built for another"),
+            ("instance", "built for another"),
+            ("delta", "built for another"),
+            ("p", "built for another"),
+            ("kind", "built for the utilitarian LP, not the rawlsian one"),
+            ("no center set", "needs the center set it was built for"),
+            ("bool lambda", "lambda must be a number, got True"),
+        ],
+    )
+    def test_mismatched_setup_rejected(self, change, message):
+        inst = _inst(seed=8)
+        cs = best_of_restarts(inst, 3, "socially_fair", 2, 0)
+        params = Params.with_delta(inst, 3, 0.5, 0.1)
+        kind = "utilitarian" if change == "kind" else "rawlsian"
+        setup = LPSetup(inst, params, cs.centers, kind)
+        center_set = cs
+        if change == "k":
+            cs2 = best_of_restarts(inst, 2, "socially_fair", 2, 0)
+            params, center_set = Params.with_delta(inst, 2, 0.5, 0.1), cs2
+        elif change == "centers":
+            center_set = CenterSet(cs.centers + 1.0, "moved", float("nan"))
+        elif change == "instance":
+            inst = _inst(seed=8)
+        elif change == "delta":
+            params = Params.with_delta(inst, 3, 0.5, 0.2)
+        elif change == "p":
+            params = Params.with_delta(inst, 3, 0.5, 0.1, p=1)
+        elif change == "no center set":
+            center_set = None
+        elif change == "bool lambda":
+            params = Params.with_delta(inst, 3, True, 0.1)
+        with pytest.raises(ParamError, match=message):
+            rawlsian_alg(inst, params, center_set=center_set, setup=setup)

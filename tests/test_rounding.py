@@ -16,7 +16,7 @@ from datagen import random_instance
 
 from welfair import _highs
 from welfair.errors import InternalInvariantError
-from welfair.metrics import pairwise_pow
+from welfair.metrics import color_masses, pairwise_pow
 from welfair import rounding
 from welfair.model import Instance, Params
 from welfair.rounding import (
@@ -95,7 +95,7 @@ class TestNetworkConstruction:
             ]
         )
         calls = _solve_spy(monkeypatch)
-        rawlsian_round(x, inst, params, dist)
+        rawlsian_round(x, inst, params, dist, color_masses(x, inst))
         # one LP for both colors; only points 0 and 5 are fractional
         assert len(calls) == 1
         c, A, lo, hi, _ = calls[0]
@@ -131,7 +131,7 @@ class TestNetworkConstruction:
         )
         calls = _solve_spy(monkeypatch)
         for rounder in (rawlsian_round, utilitarian_round):
-            rounder(x, inst, params, dist)
+            rounder(x, inst, params, dist, color_masses(x, inst))
         for _, _, lo, hi, _ in calls:
             assert lo.tolist() == hi.tolist()
         # cells (0, 0) and (1, 0) each take one of the two split points;
@@ -154,7 +154,7 @@ class TestNetworkConstruction:
         )
         x = np.abs(x)
         calls = _solve_spy(monkeypatch)
-        out = rawlsian_round(x, inst, params, dist)
+        out = rawlsian_round(x, inst, params, dist, color_masses(x, inst))
         # color 0: mass [2, eps] snaps to floors = ceils = [2, 0]; point 1 is
         # fixed to center 0, so points 0, 2 and 3 are rounded with cells
         # (0, 0) at exactly 1 and (1, 0) at exactly 0
@@ -167,7 +167,7 @@ class TestNetworkConstruction:
         # groups of 9 and 3 points, so the 1/n_h arc costs differ
         inst, params, dist, x = _case(n=12, k=2, H=2, seed=4)
         calls = _solve_spy(monkeypatch)
-        utilitarian_round(x, inst, params, dist)
+        utilitarian_round(x, inst, params, dist, color_masses(x, inst))
         c, A, lo, hi, _ = calls[0]
         n, k, H = 12, 2, 2
         # the expected layout, written out point by point
@@ -212,7 +212,7 @@ class TestMinCostFlow:
             ("rawlsian", rawlsian_round),
             ("utilitarian", utilitarian_round),
         ):
-            out = rounder(x, inst, params, dist)
+            out = rounder(x, inst, params, dist, color_masses(x, inst))
             assert _cost(inst, dist, out.assignment) == pytest.approx(
                 _transport_optimum(x, inst, dist, kind), abs=1e-9
             )
@@ -226,8 +226,8 @@ class TestMinCostFlow:
         hot = np.nonzero(rng.random(inst.n) < 0.6)[0]
         x[:, hot] = 0.0
         x[rng.integers(0, params.k, size=len(hot)), hot] = 1.0
-        out = utilitarian_round(x, inst, params, dist)
-        support = split_support(x, inst)
+        out = utilitarian_round(x, inst, params, dist, color_masses(x, inst))
+        support = split_support(x, color_masses(x, inst))
         frac = support.frac
         assert 0 < len(frac) <= 9
         best = _cost(inst, dist, out.assignment)
@@ -247,7 +247,7 @@ class TestMinCostFlow:
         # the vertex HiGHS returns is a 0/1 flow that meets every row
         inst, params, dist, x = _case(n=18, k=3, H=2, seed=12)
         calls = _solve_spy(monkeypatch)
-        utilitarian_round(x, inst, params, dist)
+        utilitarian_round(x, inst, params, dist, color_masses(x, inst))
         _, A, lo, hi, res = calls[0]
         y = np.round(res.x)
         np.testing.assert_allclose(res.x, y, atol=1e-6)
@@ -284,7 +284,7 @@ class TestMinCostFlow:
             solution.col_value = y
 
         record = fake_highs(monkeypatch, edit=edit)
-        ra = rawlsian_round(x, inst, params, dist)
+        ra = rawlsian_round(x, inst, params, dist, color_masses(x, inst))
         assert sorted(ra.color_mass[:, 0]) == sorted(ra.color_mass[:, 1]) == [1, 2]
         scaling = _highs._DEFAULTS.simplex_scale_strategy
         assert [o.simplex_scale_strategy for o in record.options] == [scaling, 0]
@@ -297,14 +297,14 @@ class TestMinCostFlow:
         params = Params.with_delta(inst, 2, 0.5)
         x = np.full((2, 6), 0.5)
 
-        def tight(x, inst, _split=split_support):
-            support = _split(x, inst)
+        def tight(x, mass, _split=split_support):
+            support = _split(x, mass)
             support.col_lo[:, 0] = support.col_hi[:, 0] = 2
             return support
 
         monkeypatch.setattr(rounding, "split_support", tight)
         with pytest.raises(InternalInvariantError, match="model status Infeasible"):
-            rawlsian_round(x, inst, params, np.ones((6, 2)))
+            rawlsian_round(x, inst, params, np.ones((6, 2)), color_masses(x, inst))
 
 
 class TestRoundingBounds:
@@ -316,7 +316,7 @@ class TestRoundingBounds:
         inst, params, dist, x = _case(
             n=24, k=4, H=3, seed=seed, lam=[0.2, 0.5, 0.9][seed % 3]
         )
-        out = rawlsian_round(x, inst, params, dist)
+        out = rawlsian_round(x, inst, params, dist, color_masses(x, inst))
         counts = inst.counts
         for h in range(inst.num_colors):
             jh = np.nonzero(inst.colors == h)[0]
@@ -335,7 +335,7 @@ class TestRoundingBounds:
         inst, params, dist, x = _case(
             n=24, k=4, H=3, seed=50 + seed, lam=[0.2, 0.5, 0.9][seed % 3]
         )
-        out = utilitarian_round(x, inst, params, dist)
+        out = utilitarian_round(x, inst, params, dist, color_masses(x, inst))
         counts = inst.counts
         frac_cost = 0.0
         for h in range(inst.num_colors):
@@ -357,7 +357,7 @@ class TestRoundingBounds:
     def test_every_point_assigned_once(self):
         inst, params, dist, x = _case(n=30, k=3, H=2, seed=77)
         for rounder in (rawlsian_round, utilitarian_round):
-            out = rounder(x, inst, params, dist)
+            out = rounder(x, inst, params, dist, color_masses(x, inst))
             assert np.all(out.assignment >= 0)
             assert np.all(out.assignment < params.k)
             assert np.bincount(out.assignment, minlength=params.k).sum() == inst.n
@@ -373,16 +373,16 @@ class TestRoundingBounds:
         x = np.zeros((params.k, inst.n))
         x[assign, np.arange(inst.n)] = 1.0
         for rounder in (rawlsian_round, utilitarian_round):
-            out = rounder(x, inst, params, dist)
+            out = rounder(x, inst, params, dist, color_masses(x, inst))
             np.testing.assert_array_equal(out.assignment, assign)
 
     def test_deterministic(self):
         inst, params, dist, x = _case(n=26, k=3, H=3, seed=13)
-        a = rawlsian_round(x, inst, params, dist)
-        b = rawlsian_round(x, inst, params, dist)
+        a = rawlsian_round(x, inst, params, dist, color_masses(x, inst))
+        b = rawlsian_round(x, inst, params, dist, color_masses(x, inst))
         np.testing.assert_array_equal(a.assignment, b.assignment)
-        c = utilitarian_round(x, inst, params, dist)
-        d = utilitarian_round(x, inst, params, dist)
+        c = utilitarian_round(x, inst, params, dist, color_masses(x, inst))
+        d = utilitarian_round(x, inst, params, dist, color_masses(x, inst))
         np.testing.assert_array_equal(c.assignment, d.assignment)
 
     def test_objective_matches_report_kind(self):
@@ -390,10 +390,10 @@ class TestRoundingBounds:
         from welfair.metrics import report_from_distances
 
         # each rounder's report is the report of its own assignment
-        ra = rawlsian_round(x, inst, params, dist)
+        ra = rawlsian_round(x, inst, params, dist, color_masses(x, inst))
         rep = report_from_distances(inst, params, dist, ra.assignment)
         assert ra.report.R == pytest.approx(rep.R)
-        ua = utilitarian_round(x, inst, params, dist)
+        ua = utilitarian_round(x, inst, params, dist, color_masses(x, inst))
         rep = report_from_distances(inst, params, dist, ua.assignment)
         assert ua.report.U == pytest.approx(rep.U)
 
@@ -402,21 +402,21 @@ class TestExtractGuards:
     def test_unassigned_point_detected(self, monkeypatch):
         # a solve that rounds no fractional point leaves them at -1
         inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
-        assert np.any(split_support(x, inst).assignment < 0)
+        assert np.any(split_support(x, color_masses(x, inst)).assignment < 0)
         monkeypatch.setattr(
             rounding,
             "_solve_support",
             lambda x, inst, dist, support, joint: support.assignment.copy(),
         )
         with pytest.raises(InternalInvariantError, match="unassigned"):
-            rawlsian_round(x, inst, params, dist)
+            rawlsian_round(x, inst, params, dist, color_masses(x, inst))
 
     def test_solver_failure_detected(self, monkeypatch):
         inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
         fake_highs(monkeypatch, status=HighsModelStatus.kTimeLimit)
         for rounder in (rawlsian_round, utilitarian_round):
             with pytest.raises(InternalInvariantError, match="Time limit"):
-                rounder(x, inst, params, dist)
+                rounder(x, inst, params, dist, color_masses(x, inst))
 
     def test_non_integral_vertex_detected(self, monkeypatch):
         inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
@@ -430,7 +430,7 @@ class TestExtractGuards:
         monkeypatch.setattr(_highs, "solve", halved)
         for rounder in (rawlsian_round, utilitarian_round):
             with pytest.raises(InternalInvariantError, match="integral"):
-                rounder(x, inst, params, dist)
+                rounder(x, inst, params, dist, color_masses(x, inst))
 
     @pytest.mark.parametrize(
         "rounder, share, what",
@@ -458,11 +458,15 @@ class TestExtractGuards:
             rounding,
             "_solve_support",
             lambda _x, inst, dist, _s, joint: solve(
-                skewed, inst, dist, split_support(skewed, inst), joint
+                skewed,
+                inst,
+                dist,
+                split_support(skewed, color_masses(skewed, inst)),
+                joint,
             ),
         )
         with pytest.raises(InternalInvariantError, match=re.escape(f"rounded {what}")):
-            rounder(x, inst, params, dist)
+            rounder(x, inst, params, dist, color_masses(x, inst))
 
 
 def _transport_optimum(x, inst, dist, kind):
@@ -524,7 +528,7 @@ def test_restricted_rounding_matches_transportation_lp(seed, H, k, n, one_hot, k
     x[rng.integers(0, k, size=len(hot)), hot] = 1.0
     params = Params.with_delta(inst, k, 0.5)
     rounder = rawlsian_round if kind == "rawlsian" else utilitarian_round
-    out = rounder(x, inst, params, dist)
+    out = rounder(x, inst, params, dist, color_masses(x, inst))
     single = (x > 0).sum(axis=0) == 1
     np.testing.assert_array_equal(
         out.assignment[single], np.argmax(x[:, single] > 0, axis=0)
