@@ -35,6 +35,7 @@ from .pipeline import (
     dominance_check,
     evaluate_baseline,
     rawlsian_alg,
+    sweep,
     utilitarian_alg,
 )
 from .rounding import (
@@ -83,6 +84,7 @@ __all__ = [
     "socially_fair_centers",
     "solve_lp",
     "split_support",
+    "sweep",
     "utilitarian_alg",
     "utilitarian_round",
 ]

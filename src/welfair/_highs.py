@@ -7,9 +7,9 @@ small LPs of a sweep that cost more than HiGHS's own solve. Here the model
 goes to HiGHS as arrays, and the solution is checked as `linprog` checks it.
 
 Each thread keeps one HiGHS object, made on its first solve with the fixed
-options (presolve off, the dual simplex, both feasibility tolerances at
-_FEASIBILITY, no output) passed once; building and freeing one per solve
-cost more than HiGHS's own `run()` on the small LPs of a sweep. Every solve
+options (presolve off, the dual simplex, feasibility tolerances _FEASIBILITY,
+entries down to 1e-12, no output) passed once; building and freeing one per
+solve cost more than HiGHS's own `run()` on the small LPs of a sweep. Every solve
 clears the previous model, with its basis and solution, before it passes
 its own, so no solve starts from another's basis and the results are those
 of a fresh object. An idle solver keeps the capacity of the largest LP it
@@ -147,6 +147,10 @@ def _solver() -> _Highs:
         options.simplex_strategy = _DUAL_SIMPLEX
         options.primal_feasibility_tolerance = _FEASIBILITY
         options.dual_feasibility_tolerance = _FEASIBILITY
+        # HiGHS drops matrix entries below this, 1e-9 by default, as the
+        # Rawlsian rows' lambda / n_h * (d_i - d_a) are at small lambda; a
+        # solve without them ended with model status Unknown at lambda = 1e-6
+        options.small_matrix_value = 1e-12
         options.output_flag = False
         options.log_to_console = False
         highs = _Highs()

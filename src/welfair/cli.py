@@ -16,22 +16,14 @@ import os
 import sys
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import InitVar, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__, centers, pipeline, svgchart
 from .errors import DataError, InternalInvariantError, ParamError
-from .lp import LPSetup, brute_force_assignment
-from .model import (
-    LP_TOLERANCE,
-    Instance,
-    Params,
-    apply_normalization,
-    load_instance,
-    normalization_factors,
-)
+from .lp import brute_force_assignment
+from .model import LP_TOLERANCE, Instance, Params, load_instance
 
 _OBJECTIVES = tuple(pipeline.CENTER_METHODS)
 
@@ -42,10 +34,8 @@ class ExperimentConfig:
     feature_columns: list[str]
     group_column: str
     objective: str = "both"
-    k_range: list[int] = field(default_factory=lambda: list(range(4, 16)))
-    lambdas: list[float] = field(
-        default_factory=lambda: [round(0.1 * i, 1) for i in range(1, 10)]
-    )
+    k_range: list[int] = field(default_factory=lambda: list(pipeline.K_RANGE))
+    lambdas: list[float] = field(default_factory=lambda: list(pipeline.LAMBDAS))
     delta: float = 0.01
     p: int = 2
     restarts: int = 10
@@ -54,7 +44,13 @@ class ExperimentConfig:
     lp_tolerance: float = LP_TOLERANCE
     subsample: int | None = None
     normalize: bool = True
-    workers: int = 1
+    # not a field, so not a config key; benchmark/workloads.py still passes
+    # workers=1, and this goes with its next change
+    workers: InitVar[int] = 1
+
+    def __post_init__(self, workers: int) -> None:
+        if workers != 1:
+            raise ParamError(f"workers must be 1, got {workers}")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -150,59 +146,22 @@ def _result_row(
 
 def run_experiment(config: ExperimentConfig) -> str:
     """Execute the configured sweep; returns the results CSV path."""
-    _check_run_params(config)
+    # the fields named after `pipeline.sweep`'s keywords, its settings
+    settings = {name: getattr(config, name) for name in pipeline.sweep.__kwdefaults__}
+    pipeline.check_sweep(**settings)
+    if config.subsample is not None and config.subsample < 1:
+        raise ParamError(f"subsample must be at least 1, got {config.subsample}")
     instance = load_instance(config.data, config.feature_columns, config.group_column)
     if config.subsample:
         instance = instance.subsample(config.subsample, config.seed)
-    for k in config.k_range:
-        for lam in config.lambdas:
-            Params.with_delta(
-                instance, k, lam, config.delta, config.p, config.lp_tolerance
-            ).validate(instance)
     # made before the sweep, so an --out that names a file fails first
     os.makedirs(config.out_dir, exist_ok=True)
-    objectives = (
-        list(_OBJECTIVES) if config.objective == "both" else [config.objective]
-    )
-    # each k's center sets, computed once on the raw data; our method's
-    # centers, pipeline.CENTER_METHODS[obj], are one of them. The vanilla
-    # sets' first restarts give the factors, so a zero one fails first
-    def center_set(k, method):
-        return centers.best_of_restarts(
-            instance, k, method, config.restarts, config.seed
-        )
-
-    vanilla = {k: center_set(k, "vanilla") for k in config.k_range}
-    if config.normalize:
-        both = normalization_factors(
-            instance, [vanilla[k].first_centers for k in config.k_range], config.p
-        )
-        factors = {obj: both[obj] for obj in objectives}
-    else:
-        factors = dict.fromkeys(objectives, float("nan"))
-    center_sets = {
-        k: {"vanilla": vanilla[k]} | {m: center_set(k, m) for m in centers.METHODS[1:]}
-        for k in config.k_range
-    }
-    rows: list[dict] = []
-    for obj, f in factors.items():
-        inst, sets = instance, center_sets
-        if config.normalize:
-            # every d^p of inst is the raw one divided by f, and the
-            # heuristics are scale-equivariant, so its center sets are the raw
-            # ones times f^(-1/p); a run reads only centers and provenance
-            inst = apply_normalization(instance, f, config.p)
-            scale = math.sqrt(1.0 / f) if config.p == 2 else 1.0 / f
-            sets = {
-                k: {
-                    m: centers.CenterSet(cs.centers * scale, cs.provenance, math.nan)
-                    for m, cs in by_method.items()
-                }
-                for k, by_method in center_sets.items()
-            }
-        for k in config.k_range:
-            for group in _run_k(obj, inst, k, sets[k], config):
-                rows += [_result_row(res, obj, config, f) for res in group]
+    factors, cells = pipeline.sweep(instance, **settings)
+    rows = [
+        _result_row(res, obj, config, factors[obj])
+        for obj, results in cells
+        for res in results
+    ]
     out_csv = os.path.join(config.out_dir, "results.csv")
     cols = list(rows[0])
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
@@ -227,103 +186,6 @@ def run_experiment(config: ExperimentConfig) -> str:
     ) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
     return out_csv
-
-
-def _check_run_params(config: ExperimentConfig) -> None:
-    """Reject sweep settings that would fail only deep inside the run."""
-    if config.objective not in _OBJECTIVES + ("both",):
-        raise ParamError(
-            "objective must be rawlsian, utilitarian or both, "
-            f"got {config.objective!r}"
-        )
-    if not config.k_range:
-        raise ParamError("k range is empty")
-    bad = [k for k in config.k_range if k < 1]
-    if bad:
-        raise ParamError(f"k must be at least 1, got {bad[0]}")
-    if config.restarts < 1:
-        raise ParamError(f"restarts must be at least 1, got {config.restarts}")
-    if config.workers < 1:
-        raise ParamError(f"workers must be at least 1, got {config.workers}")
-    if config.seed < 0:
-        raise ParamError(f"seed must be at least 0, got {config.seed}")
-    if config.subsample is not None and config.subsample < 1:
-        raise ParamError(f"subsample must be at least 1, got {config.subsample}")
-    if not math.isfinite(config.delta):
-        raise ParamError(f"delta must be finite, got {config.delta}")
-    if config.delta < 0:
-        raise ParamError(
-            f"delta must be at least 0, got {config.delta}: alpha and beta "
-            "must be nonnegative, and alpha_h = beta_h = delta * r_h"
-        )
-    if not config.lambdas:
-        raise ParamError("lambda list is empty")
-    for lam in config.lambdas:
-        if not 0.0 <= lam <= 1.0:
-            raise ParamError(f"lambda must lie in [0, 1], got {lam}")
-    # a repeated value would run its cells twice and write each row twice
-    for name, values in (("k", config.k_range), ("lambda", config.lambdas)):
-        repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)
-        if repeat is not None:
-            raise ParamError(f"{name} {repeat} appears more than once in the sweep")
-
-
-def _run_k(obj, inst, k, cache, config: ExperimentConfig):
-    """The results of every lambda's cell of objective obj at k. Each center
-    set's LP set-up, the algorithm's built for its LP, is built here and
-    shared by every lambda's cell, so a cell does only lambda's work; the
-    set-ups are dropped before the next k's are built."""
-    params = Params.with_delta(
-        inst, k, config.lambdas[0], config.delta, config.p, config.lp_tolerance
-    )
-    ours = pipeline.CENTER_METHODS[obj]
-    setups = {
-        m: LPSetup(inst, params, cs.centers, obj if m == ours else None)
-        for m, cs in cache.items()
-    }
-    tasks = [(obj, inst, k, lam, cache, setups) for lam in config.lambdas]
-    return _run_tasks(tasks, config)
-
-
-def _run_one(task, config: ExperimentConfig) -> list[pipeline.RunResult]:
-    obj, inst, k, lam, cache, setups = task
-    params = Params.with_delta(
-        inst, k, lam, config.delta, config.p, config.lp_tolerance
-    )
-    alg = pipeline.rawlsian_alg if obj == "rawlsian" else pipeline.utilitarian_alg
-    ours = pipeline.CENTER_METHODS[obj]
-    out = [
-        alg(
-            inst,
-            params,
-            seed=config.seed,
-            restarts=config.restarts,
-            center_set=cache[ours],
-            setup=setups[ours],
-        )
-    ]
-    for method, center_set in cache.items():
-        out.append(
-            pipeline.evaluate_baseline(
-                inst,
-                params,
-                method,
-                seed=config.seed,
-                restarts=config.restarts,
-                center_set=center_set,
-                setup=setups[method],
-            )
-        )
-    return out
-
-
-def _run_tasks(tasks, config: ExperimentConfig):
-    if config.workers <= 1:
-        return [_run_one(t, config) for t in tasks]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [pool.submit(_run_one, t, config) for t in tasks]
-        # collect in submission order so output order ignores completion order
-        return [f.result() for f in futures]
 
 
 def _read_results(path: str, columns: tuple[str, ...]) -> list[dict]:
@@ -515,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--no-normalize", dest="normalize", action="store_false", default=None
     )
-    run.add_argument("--workers", type=int)
 
     plot = sub.add_parser("plot", help="render an objective-vs-k SVG chart")
     plot.add_argument("--results", required=True)

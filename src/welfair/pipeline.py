@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import centers as centers_mod
 from . import lp as lp_mod
+from . import model as model_mod
 from . import rounding as rounding_mod
+from .centers import CenterSet
 from .errors import ParamError
 from .metrics import GroupReport, additive_constants, report_from_distances
-from .model import Instance, Params, Solution
+from .model import LP_TOLERANCE, Instance, Params, Solution
 
 
 @dataclass
@@ -47,6 +51,9 @@ ALGORITHMS = {"rawlsian": "RawlsianAlg", "utilitarian": "UtilitarianAlg"}
 # fault); results.csv's flags column is the one record of either
 GAP_FLAG = "gap_bound_exceeded"
 LP_FLAG = "lp_above_rounded"
+# the k and lambda values `sweep` runs by default
+K_RANGE = tuple(range(4, 16))
+LAMBDAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
 def score(report: GroupReport, objective: str) -> float:
@@ -194,6 +201,131 @@ def evaluate_baseline(
         report=report,
         timings={"centers": t1 - t0, "lp": 0.0, "round": 0.0, "total": t1 - t0},
     )
+
+
+def check_sweep(objective, k_range, lambdas, delta, restarts, seed, **rest):
+    """Reject `sweep` settings that would fail only deep inside the run; the
+    rest are `Params.validate`'s to check once there is an instance."""
+    if objective not in (*CENTER_METHODS, "both"):
+        raise ParamError(
+            f"objective must be rawlsian, utilitarian or both, got {objective!r}"
+        )
+    if not k_range:
+        raise ParamError("k range is empty")
+    bad = [k for k in k_range if k < 1]
+    if bad:
+        raise ParamError(f"k must be at least 1, got {bad[0]}")
+    if restarts < 1:
+        raise ParamError(f"restarts must be at least 1, got {restarts}")
+    if seed < 0:
+        raise ParamError(f"seed must be at least 0, got {seed}")
+    if not math.isfinite(delta):
+        raise ParamError(f"delta must be finite, got {delta}")
+    if delta < 0:
+        raise ParamError(
+            f"delta must be at least 0, got {delta}: alpha and beta "
+            "must be nonnegative, and alpha_h = beta_h = delta * r_h"
+        )
+    if not lambdas:
+        raise ParamError("lambda list is empty")
+    for lam in lambdas:
+        if not 0.0 <= lam <= 1.0:
+            raise ParamError(f"lambda must lie in [0, 1], got {lam}")
+    # a repeated value would run its cells twice
+    for name, values in (("k", k_range), ("lambda", lambdas)):
+        repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeat is not None:
+            raise ParamError(f"{name} {repeat} appears more than once in the sweep")
+
+
+def sweep(
+    instance: Instance,
+    *,
+    objective: str = "both",
+    k_range: Sequence[int] = K_RANGE,
+    lambdas: Sequence[float] = LAMBDAS,
+    delta: float = 0.01,
+    p: int = 2,
+    restarts: int = 10,
+    seed: int = 0,
+    lp_tolerance: float = LP_TOLERANCE,
+    normalize: bool = True,
+) -> tuple[dict[str, float], list[tuple[str, list[RunResult]]]]:
+    """The paper's experiment on instance: one cell per objective ("both"
+    is rawlsian, then utilitarian), k and lambda, in that order. A cell runs
+    the objective's algorithm, then `evaluate_baseline` for each of
+    `centers.METHODS`, all looked up on this module at call time. Returns
+    each objective's normalization factor (NaN without normalize) and the
+    cells as (objective, [the algorithm's result, then the baselines']).
+    Every setting is checked before any centers are computed."""
+    check_sweep(objective, k_range, lambdas, delta, restarts, seed)
+    for k in k_range:
+        for lam in lambdas:
+            params = Params.with_delta(instance, k, lam, delta, p, lp_tolerance)
+            params.validate(instance)
+    objectives = list(CENTER_METHODS) if objective == "both" else [objective]
+    # each k's center sets, computed once on the raw data; our method's
+    # centers, CENTER_METHODS[obj], are one of them. The vanilla sets'
+    # first restarts give the factors, so a zero one fails first
+    def center_set(k, method):
+        return centers_mod.best_of_restarts(instance, k, method, restarts, seed)
+
+    vanilla = {k: center_set(k, "vanilla") for k in k_range}
+    factors = dict.fromkeys(objectives, math.nan)
+    if normalize:
+        both = model_mod.normalization_factors(
+            instance, [vanilla[k].first_centers for k in k_range], p
+        )
+        factors = {obj: both[obj] for obj in objectives}
+    center_sets = {
+        k: {"vanilla": vanilla[k]}
+        | {m: center_set(k, m) for m in centers_mod.METHODS[1:]}
+        for k in k_range
+    }
+    cells = []
+    for obj, f in factors.items():
+        inst, sets = instance, center_sets
+        if normalize:
+            # every d^p of inst is the raw one divided by f, and the
+            # heuristics are scale-equivariant, so its center sets are the raw
+            # ones times f^(-1/p); a run reads only centers and provenance
+            inst = model_mod.apply_normalization(instance, f, p)
+            scale = math.sqrt(1.0 / f) if p == 2 else 1.0 / f
+            sets = {
+                k: {
+                    m: CenterSet(cs.centers * scale, cs.provenance, math.nan)
+                    for m, cs in by_method.items()
+                }
+                for k, by_method in center_sets.items()
+            }
+        ours = CENTER_METHODS[obj]
+        for k in k_range:
+            # each center set's LP set-up, the algorithm's built for its LP,
+            # is shared by every lambda's cell, so a cell does only lambda's
+            # work; it is dropped before the next k's are built
+            params = Params.with_delta(inst, k, lambdas[0], delta, p, lp_tolerance)
+            setups = {
+                m: lp_mod.LPSetup(inst, params, cs.centers, obj if m == ours else None)
+                for m, cs in sets[k].items()
+            }
+            for lam in lambdas:
+                params = Params.with_delta(inst, k, lam, delta, p, lp_tolerance)
+                alg = rawlsian_alg if obj == "rawlsian" else utilitarian_alg
+                results = [
+                    alg(
+                        inst, params, seed=seed, center_set=sets[k][ours],
+                        setup=setups[ours],
+                    )
+                ]
+                for m, cs in sets[k].items():
+                    results.append(
+                        evaluate_baseline(
+                            inst, params, m, seed=seed, center_set=cs, setup=setups[m]
+                        )
+                    )
+                cells.append((obj, results))
+            del setups
+    return factors, cells
 
 
 @dataclass

@@ -14,7 +14,7 @@ import pytest
 
 from datagen import random_instance, separated_instance, write_csv
 
-from welfair import _highs, centers, cli, pipeline
+from welfair import _highs, centers, cli, model, pipeline
 from welfair import lp as lp_mod
 from welfair.cli import (
     ExperimentConfig,
@@ -65,7 +65,6 @@ class TestConfig:
             group_column="g",
             k_range=[2, 3, 4],
             lambdas=[0.5],
-            workers=2,
         )
         back = json.loads(json.dumps(asdict(config)))
         assert ExperimentConfig(**back) == config
@@ -95,7 +94,22 @@ class TestConfig:
         assert config.k_range == list(range(4, 16))
         assert config.lambdas == pytest.approx([0.1 * i for i in range(1, 10)])
         assert config.delta == 0.01 and config.p == 2
-        assert config.normalize and config.workers == 1
+        assert config.normalize
+
+    def test_workers_other_than_one_rejected(self):
+        # workers is no field: the sweep runs its cells in turn
+        kw = {"data": "d.csv", "feature_columns": ["a"], "group_column": "g"}
+        assert "workers" not in asdict(ExperimentConfig(**kw, workers=1))
+        with pytest.raises(ParamError, match="workers must be 1, got 2"):
+            ExperimentConfig(**kw, workers=2)
+
+    def test_sweep_settings_are_fields_with_the_same_defaults(self):
+        config = ExperimentConfig(
+            data="d.csv", feature_columns=["a"], group_column="g"
+        )
+        for name, default in pipeline.sweep.__kwdefaults__.items():
+            value = getattr(config, name)
+            assert value == (list(default) if isinstance(default, tuple) else default)
 
     def test_parse_helpers(self):
         assert _parse_ints("4:6") == [4, 5, 6]
@@ -118,6 +132,13 @@ class TestConfigErrors:
         code, err = self._run(tmp_path, json.dumps(raw), capsys)
         assert code == 1
         assert "unknown key(s) 'solver'" in err
+
+    def test_workers_key_named(self, tmp_path, capsys):
+        raw = {"data": "d.csv", "feature_columns": ["a"], "group_column": "g"}
+        raw["workers"] = 1
+        code, err = self._run(tmp_path, json.dumps(raw), capsys)
+        assert code == 1
+        assert "unknown key(s) 'workers'" in err and "Traceback" not in err
 
     def test_unknown_keys_all_named(self, tmp_path, capsys):
         raw = {"data": "d.csv", "feature_columns": ["a"], "group_column": "g"}
@@ -191,7 +212,6 @@ _FLAGS = [
     (["--lp-tol", "1e-6"], "lp_tolerance", 1e-6),
     (["--subsample", "50"], "subsample", 50),
     (["--no-normalize"], "normalize", False),
-    (["--workers", "2"], "workers", 2),
 ]
 
 
@@ -350,30 +370,33 @@ class TestRunExperiment:
                 if key not in skip:
                     assert ra[key] == rb[key], key
 
-    def test_workers_match_serial(self, dataset, tmp_path):
-        path, feats = dataset
-        outs = []
-        for workers, d in ((1, "serial"), (3, "pool")):
-            config = ExperimentConfig(
-                data=path,
-                feature_columns=feats,
-                group_column="group",
-                objective="utilitarian",
-                k_range=[2, 3],
-                lambdas=[0.4, 0.8],
-                restarts=2,
-                out_dir=str(tmp_path / d),
-                workers=workers,
-            )
-            out_csv = run_experiment(config)
-            with open(out_csv, newline="") as fh:
-                outs.append(list(csv.DictReader(fh)))
-        skip = {"time_centers_s", "time_lp_s", "time_round_s", "time_total_s"}
-        assert len(outs[0]) == len(outs[1])
-        for ra, rb in zip(outs[0], outs[1]):
-            for key in ra:
-                if key not in skip:
-                    assert ra[key] == rb[key], key
+    def test_rows_are_the_sweeps_results(self, finished_run):
+        # run_experiment writes one row per result of pipeline.sweep, in order
+        config, out_csv = finished_run
+        inst = load_instance(config.data, config.feature_columns, "group")
+        factors, cells = pipeline.sweep(
+            inst,
+            objective=config.objective,
+            k_range=config.k_range,
+            lambdas=config.lambdas,
+            restarts=config.restarts,
+        )
+        want = [
+            cli._result_row(res, obj, config, factors[obj])
+            for obj, results in cells
+            for res in results
+        ]
+        with open(out_csv, newline="") as fh:
+            got = list(csv.DictReader(fh))
+
+        def untimed(rows):
+            return [
+                {key: str(v) for key, v in row.items() if not key.startswith("time_")}
+                for row in rows
+            ]
+
+        assert len(got) == 2 * 2 * 2 * 4
+        assert untimed(got) == untimed(want)
 
     def test_normalization_runs_one_lloyd_per_k(
         self, dataset, tmp_path, monkeypatch
@@ -920,7 +943,7 @@ class TestMain:
         def sweep(*a, **kw):
             pytest.fail("the sweep started")
 
-        monkeypatch.setattr(cli, "normalization_factors", sweep)
+        monkeypatch.setattr(model, "normalization_factors", sweep)
         monkeypatch.setattr(centers, "best_of_restarts", sweep)
         path, feats = dataset
         out_file = tmp_path / "taken"
@@ -1146,8 +1169,6 @@ class TestMain:
             (["--delta", "nan"], "delta must be finite, got nan"),
             (["--delta", "inf"], "delta must be finite, got inf"),
             (["--delta", "-0.1"], "delta must be at least 0, got -0.1"),
-            (["--workers", "0"], "workers must be at least 1, got 0"),
-            (["--workers", "-3"], "workers must be at least 1, got -3"),
         ],
     )
     def test_bad_run_params_exit_one_before_loading(self, flags, message, capsys):

@@ -5,15 +5,18 @@ import pytest
 
 from datagen import adult_like, random_instance
 
+from welfair import centers
 from welfair.centers import CenterSet, best_of_restarts
 from welfair.errors import ParamError
 from welfair.lp import LPSetup
 from welfair.metrics import pairwise_pow, report_from_distances
 from welfair.model import Params
 from welfair.pipeline import (
+    ALGORITHMS,
     dominance_check,
     evaluate_baseline,
     rawlsian_alg,
+    sweep,
     utilitarian_alg,
 )
 
@@ -333,3 +336,91 @@ class TestSetup:
             params = Params.with_delta(inst, 3, True, 0.1)
         with pytest.raises(ParamError, match=message):
             rawlsian_alg(inst, params, center_set=center_set, setup=setup)
+
+
+def _untimed(cells, objective, lam=None):
+    """repr of everything but the timings of the results of objective's
+    cells (at lam, if given): a NaN equals a NaN, and a float only itself."""
+    return [
+        repr(
+            [
+                (
+                    r.method, r.params.k, r.params.lam, r.seed,
+                    r.solution.centers.tolist(), r.solution.assignment.tolist(),
+                    r.solution.provenance, r.report.disu.tolist(), r.report.R,
+                    r.report.U, r.lp_objective, r.gap, r.gap_bound, r.flags,
+                )
+                for r in results
+            ]
+        )
+        for obj, results in cells
+        if obj == objective and lam in (None, results[0].params.lam)
+    ]
+
+
+class TestSweep:
+    """`sweep` runs each (objective, k, lambda) cell: the objective's
+    algorithm, then the three baselines."""
+
+    inst = random_instance(60, 2, 2, seed=14)
+
+    def test_cells_in_order(self):
+        factors, cells = sweep(
+            self.inst, k_range=[2, 3], lambdas=[0.3, 0.7], restarts=1
+        )
+        assert list(factors) == ["rawlsian", "utilitarian"]
+        assert all(f > 0 for f in factors.values())
+        assert [(obj, rs[0].params.k, rs[0].params.lam) for obj, rs in cells] == [
+            (obj, k, lam)
+            for obj in ("rawlsian", "utilitarian")
+            for k in (2, 3)
+            for lam in (0.3, 0.7)
+        ]
+        for obj, results in cells:
+            assert [r.method for r in results] == [ALGORITHMS[obj], *centers.METHODS]
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_both_equals_each_objective_alone(self, normalize):
+        # each k's center sets are computed once on the raw data, and each
+        # objective rescales them by its own factor
+        kw = {"k_range": [2, 3], "lambdas": [0.5], "restarts": 2}
+        factors, both = sweep(self.inst, normalize=normalize, **kw)
+        for objective in ("rawlsian", "utilitarian"):
+            alone_factors, alone = sweep(
+                self.inst, objective=objective, normalize=normalize, **kw
+            )
+            assert repr(alone_factors) == repr({objective: factors[objective]})
+            assert len(_untimed(both, objective)) == 2
+            assert _untimed(both, objective) == _untimed(alone, objective)
+
+    def test_lambda_cells_equal_a_lone_lambda(self):
+        # every lambda's cells share their (objective, k)'s LP set-up
+        kw = {"k_range": [2, 3], "restarts": 1}
+        _, three = sweep(self.inst, lambdas=[0.1, 0.5, 0.9], **kw)
+        _, one = sweep(self.inst, lambdas=[0.5], **kw)
+        for objective in ("rawlsian", "utilitarian"):
+            assert len(_untimed(one, objective)) == 2
+            assert _untimed(three, objective, 0.5) == _untimed(one, objective)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"k_range": []}, "k range is empty"),
+            ({"objective": "fair"}, "objective must be"),
+            ({"lambdas": [0.5, 1.5]}, "lambda must lie in"),
+            ({"k_range": [2, 2]}, "k 2 appears more than once"),
+            ({"k_range": [2, 61]}, "k=61 must lie in"),
+            ({"p": 3}, "p must be 1 or 2"),
+            ({"delta": 5.0}, "alpha_h > 1"),
+        ],
+    )
+    def test_bad_settings_rejected_before_centers(
+        self, settings, message, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            centers, "best_of_restarts", lambda *a, **kw: calls.append(a)
+        )
+        with pytest.raises(ParamError, match=message):
+            sweep(self.inst, **{"lambdas": [0.5], **settings})
+        assert calls == []
