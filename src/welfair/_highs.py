@@ -88,7 +88,7 @@ def solve(lp: LP) -> Solution:
     """Solve lp by HiGHS's dual simplex with presolve off and no output.
 
     Presolve would move the assignment LP off its all-zero start (see
-    `lp._Frame`), and it ended some rounding LPs with model status Unknown.
+    `lp.LPModel`), and it ended some rounding LPs with model status Unknown.
     An optimum whose x, or A x, breaks a bound or a row of lp by more than
     the feasibility tolerance, _FEASIBILITY, is solved again with scaling
     off (iterations then counts both runs). Any model status but optimal

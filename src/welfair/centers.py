@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, ParamError
-from .model import Instance, check_k
+from .model import Instance, check_int, check_k
 
 
 @dataclass
@@ -50,13 +50,13 @@ def kmeanspp_init(
 ) -> np.ndarray:
     """D^2-weighted seeding scaled by point weights; returns (k, d) centers.
 
-    Raises ParamError for a negative seed, for a k that is not an integer
-    in [1, n] (`model.check_k`), and for weights that are not
+    Raises ParamError for a seed that is not an integer of at least 0
+    (`model.check_int`), for a k that is not an integer in [1, n]
+    (`model.check_k`), and for weights that are not
     one finite, nonnegative value per point with a positive total, naming
     the first bad point.
     """
-    if seed < 0:
-        raise ParamError(f"seed must be at least 0, got {seed}")
+    check_int("seed", seed, 0)
     X = instance.features
     n = instance.n
     w = np.asarray(weights, dtype=np.float64)
@@ -326,11 +326,12 @@ def best_of_restarts(
     instance: Instance, k: int, method: str, restarts: int, seed: int
 ) -> CenterSet:
     """Run `method` with seeds seed .. seed+restarts-1, keep the best score;
-    first_centers are the centers of the restart at seed itself."""
+    first_centers are the centers of the restart at seed itself. restarts
+    and seed are integers (`model.check_int`) of at least 1 and 0."""
     if method not in METHODS:
         raise ParamError(f"method must be one of {METHODS}, got {method!r}")
-    if restarts < 1:
-        raise ParamError(f"restarts must be at least 1, got {restarts}")
+    check_int("restarts", restarts, 1)
+    check_int("seed", seed, 0)
     runs = []
     for s in range(seed, seed + restarts):
         if method == "vanilla":

@@ -275,7 +275,7 @@ def gap_report(path: str) -> int:
             )
         hard += bool(flags)
         print(
-            f"{row['objective']:<12} {row['k']:>3} {lam:>7.2f} "
+            f"{row['objective']:<12} {row['k']:>3} {lam:>7.3g} "
             f"{gap:>13.6g} {bound:>13.6g} {'HARD' if flags else ''}"
         )
     print(f"runs: {runs}, hard violations: {hard}")

@@ -44,7 +44,7 @@ class LPSetup:
 
     It holds the (n, k) d^p matrix dist_pow and each point's nearest center
     near (ties to the lowest index); built for an LP kind, "rawlsian" or
-    "utilitarian", also that LP's frame (`_Frame`) without lambda: the
+    "utilitarian", also that LP's frame (`LPModel`) without lambda: the
     under/over tables, the right-hand sides of the under/over and point
     rows, one x-column template per (center, nearest center, color), and
     the first restriction `first` with its CSC matrix. Within a class (a,
@@ -247,75 +247,68 @@ class LPSetup:
 
 @dataclass
 class LPModel:
-    """The assignment LP of one welfare objective at one lambda.
+    """The assignment LP of one welfare objective at one lambda, in the
+    nearest-center frame that HiGHS solves.
 
     Variables, in order: x_i_j, point j's share of center i in [0, 1], at
     i * n + j; t_i_h >= 0, color h's proportion violation in cluster i, at
     k * n + i * H + h; and, for the Rawlsian objective, the free z last. The
     LP minimizes objective . v subject to every point's x column summing to 1
-    and every row in rows being <= 0. The assignment equalities are part of
-    the model's definition, so rows holds only the coupling rows:
-    under_i_h and over_i_h for every (cluster, color), then, for the
-    Rawlsian objective, disu_h for every color.
+    and every coupling row in rows being <= 0: under_i_h and over_i_h for
+    every (cluster, color), then, for the Rawlsian objective, disu_h for
+    every color. x[i, j] (j of color h) has under[g, h] in under_i_g,
+    over[g, h] in over_i_g, and share[i, j] = lam / n_h * d^p(x_j, c_i) in
+    disu_h and as its Utilitarian cost; t_i_h has (1 - lam) / n_h in both.
+    rows, objective, lower and upper write the model out from the set-up and
+    lambda when first read; the solve reads none of them.
 
-    The set-up (`LPSetup`) holds what does not depend on lambda, the builder
-    forms share and t_cost, and HiGHS's frame (`_Frame`) reads them; rows
-    and objective are written from them when first read. x[i, j] (j of
-    color h) has under[g, h] in under_i_g, over[g, h] in over_i_g, share[i,
-    j] in disu_h and share[i, j] as its Utilitarian cost; t_i_h has
-    t_cost[h] in disu_h and as its Utilitarian cost.
+    The frame eliminates the x column of point j's nearest center a(j) (ties
+    to the lowest index) through j's assignment equality, x[a(j), j] = 1 -
+    sum over i != a(j) of x[i, j]. Its rows are the model's rows, in order,
+    then j's equality as the row sum over i != a(j) of x[i, j] <= 1, point
+    by point. Its column x[i, j] (i != a(j), j of color h) has under[g, h]
+    in under_i_g and -under[g, h] in under_a(j)_g, the same with over,
+    delta_ij = share[i, j] - share[a(j), j] in the Rawlsian disu_h and 1 in
+    j's row, and the cost cost[i, j] - cost[a(j), j]. The t and z columns
+    are the model's; the constants move into b_ub and an objective offset.
+    A restricted LP holds point j's row only when at least 2 of j's columns
+    are kept. The set-up (`LPSetup`) holds all of this that does not depend
+    on lambda; the fields below add the model's lambda.
     """
 
     kind: str                   # "rawlsian" or "utilitarian"
     instance: Instance
     params: Params
     setup: LPSetup
-    share: np.ndarray           # (k, n) lam / n_h * d^p(x_j, c_i), j of color h
-    t_cost: np.ndarray          # (H,) (1 - lam) / n_h
+    delta: np.ndarray           # (k, n) delta_ij, 0 at the nearest column
+    cost: np.ndarray            # (k, n) frame x-column costs
+    offset: float               # objective constant of the nearest columns
+    b_ub: np.ndarray            # right-hand sides of every frame row
+    tail_cost: np.ndarray       # costs of the t and z columns
+    tail: tuple                 # their CSC parts (start, index, value)
 
-    @property
-    def k(self) -> int:
-        return self.params.k
-
-    @property
-    def n(self) -> int:
-        return self.instance.n
-
-    @property
-    def H(self) -> int:
-        return self.instance.num_colors
-
-    @property
-    def dist_pow(self) -> np.ndarray:  # (n, k) d(x_j, c_i)^p
-        return self.setup.dist_pow
-
-    @property
-    def under(self) -> np.ndarray:  # (H, H) [g, h]: r_g - beta_g - [g = h]
-        return self.setup.under
-
-    @property
-    def over(self) -> np.ndarray:  # (H, H) [g, h]: [g = h] - r_g - alpha_g
-        return self.setup.over
-
-    @property
-    def num_rows(self) -> int:
-        """len(rows), without writing them."""
-        return 2 * self.k * self.H + self.H * (self.kind == "rawlsian")
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k, n) share and (H,) (1 - lam) / n_h."""
+        lam = self.params.lam
+        share = (lam / self.setup.point_counts) * self.setup.dist_t
+        return share, (1.0 - lam) / self.instance.counts
 
     @cached_property
     def objective(self) -> np.ndarray:
-        """The cost of every variable; the solve reads share and t_cost."""
+        """The cost of every variable; the solve reads the frame's costs."""
         if self.kind == "rawlsian":
             objective = np.zeros(self.num_vars)
             objective[-1] = 1.0
             return objective
-        return np.concatenate([self.share.ravel(), np.tile(self.t_cost, self.k)])
+        share, t_cost = self._tables()
+        return np.concatenate([share.ravel(), np.tile(t_cost, self.params.k)])
 
     @cached_property
     def rows(self) -> list[Row]:
-        """The coupling rows; the solve reads the tables instead."""
-        k, n, H = self.k, self.n, self.H
-        colors = self.instance.colors
+        """The coupling rows; the solve reads the frame's matrix instead."""
+        inst, setup = self.instance, self.setup
+        k, n, H = self.params.k, inst.n, inst.num_colors
+        colors = inst.colors
         allj = np.arange(n)
         rows = [
             Row(
@@ -324,21 +317,22 @@ class LPModel:
                 np.concatenate([coef[g], [-1.0]]),
             )
             for tag, coef in (
-                ("under", self.under[:, colors]),
-                ("over", self.over[:, colors]),
+                ("under", setup.under[:, colors]),
+                ("over", setup.over[:, colors]),
             )
             for i in range(k)
             for g in range(H)
         ]
         if self.kind == "rawlsian":
             # z bounds every color's fractional disutility from above
+            share, t_cost = self._tables()
             z = k * (n + H)
             clusters = np.arange(k)
             for h in range(H):
                 jh = np.flatnonzero(colors == h)
                 xcols = (clusters[:, None] * n + jh).ravel()
                 cols = [xcols, k * n + clusters * H + h, [z]]
-                vals = [self.share[:, jh].ravel(), np.full(k, self.t_cost[h]), [-1.0]]
+                vals = [share[:, jh].ravel(), np.full(k, t_cost[h]), [-1.0]]
                 rows.append(
                     Row(f"disu_{h}", np.concatenate(cols), np.concatenate(vals))
                 )
@@ -346,7 +340,8 @@ class LPModel:
 
     @property
     def num_vars(self) -> int:
-        return self.k * (self.n + self.H) + (self.kind == "rawlsian")
+        k, inst = self.params.k, self.instance
+        return k * (inst.n + inst.num_colors) + (self.kind == "rawlsian")
 
     @property
     def lower(self) -> np.ndarray:
@@ -358,177 +353,8 @@ class LPModel:
     @property
     def upper(self) -> np.ndarray:
         upper = np.full(self.num_vars, np.inf)
-        upper[: self.k * self.n] = 1.0
+        upper[: self.params.k * self.instance.n] = 1.0
         return upper
-
-
-@dataclass
-class FractionalSolution:
-    """Cleaned LP optimum: x (k, n), the objective evaluated on it, and its
-    (k, H) (cluster, color) masses (`metrics.color_masses`)."""
-
-    x: np.ndarray
-    objective: float
-    mass: np.ndarray
-
-
-def _build(
-    kind: str,
-    instance: Instance,
-    params: Params,
-    centers: np.ndarray,
-    setup: LPSetup | None,
-) -> LPModel:
-    """The LP of kind at params.lam on setup, which is checked against the
-    other arguments, or on a set-up built from them, which checks them."""
-    if setup is None:
-        setup = LPSetup(instance, params, centers, kind)
-    else:
-        setup.check(instance, params, centers, kind)
-    lam = params.lam
-    share = (lam / setup.point_counts) * setup.dist_t
-    t_cost = (1.0 - lam) / instance.counts
-    return LPModel(kind, instance, params, setup, share, t_cost)
-
-
-def build_rawlsian_lp(
-    instance: Instance,
-    params: Params,
-    centers: np.ndarray,
-    setup: LPSetup | None = None,
-) -> LPModel:
-    """Min-max LP: z bounds every color's fractional disutility from above.
-    Its lambda-free part comes from setup, an `LPSetup` built for the
-    "rawlsian" LP, or from one built here from centers."""
-    return _build("rawlsian", instance, params, centers, setup)
-
-
-def build_utilitarian_lp(
-    instance: Instance,
-    params: Params,
-    centers: np.ndarray,
-    setup: LPSetup | None = None,
-) -> LPModel:
-    """Sum-of-disutilities LP: same constraints, objective in the costs;
-    setup as for `build_rawlsian_lp`, built for the "utilitarian" LP."""
-    return _build("utilitarian", instance, params, centers, setup)
-
-
-class HighsSolver:
-    """HiGHS's dual simplex, called through `_highs`.
-
-    The LP is solved in each point's nearest-center frame (`_Frame`), where
-    HiGHS's all-zero start, with presolve off, is the nearest-center
-    assignment, a few dozen dual-simplex iterations from the optimum instead
-    of about n.
-
-    The LP is solved by column generation. Within a class (a(j), color of
-    j) the frame columns at a center i differ only in their cost delta_ij,
-    so the LP moves the cheap end of each (a, h, i) class first. The first
-    LP, built by the set-up (`LPSetup.first`), keeps the columns of each
-    point's min(k, _CANDIDATES) nearest centers that rank in the cheapest
-    ceil(_CLASS_SHARE * |class (a, h)|) of their (a, h, i) class. Each
-    restricted LP holds point j's row only when j has at least 2 kept
-    columns: with fewer the row is implied by the bounds x <= 1, its dual 0
-    is optimal, and pricing reads 0 for it.
-
-    After each round the restricted LP's duals give a Lagrangian lower
-    bound on the full LP's optimum (`_Frame.lagrangian_bound`). Pricing
-    stops when the restricted optimum is within tolerance of that bound, so
-    the value returned is at most tolerance above the full LP's optimum
-    however many left-out columns price slightly below 0. Otherwise the
-    left-out columns whose reduced cost is below -tolerance join, or, when
-    there are none, those below 0, and HiGHS solves again. tolerance is
-    model.params.lp_tolerance, at least 10 times the feasibility tolerance
-    `_highs.solve` gives HiGHS for both LPs. solve returns the LP's
-    variables, its value, the simplex iterations summed over the pricing
-    rounds, the number of rounds, and the last round's lower bound.
-    """
-
-    def solve(self, model: LPModel) -> tuple[np.ndarray, float, int, int, float]:
-        tolerance = model.params.lp_tolerance
-        setup = model.setup
-        frame = _Frame(model)
-        keep, left = setup.first, setup.first_left
-        lp, row_ids = frame.first_lp()
-        rounds = iterations = 0
-        while True:
-            rounds += 1
-            res = _highs.solve(lp)
-            iterations += res.iterations
-            duals = np.zeros(len(frame.b_ub))
-            duals[row_ids] = res.row_dual
-            rc = frame.reduced_costs(duals)
-            bound = frame.lagrangian_bound(duals, rc)
-            if res.objective + frame.offset - bound <= tolerance:
-                break
-            enter = left & (rc < -tolerance)
-            if not enter.any():
-                enter = left & (rc < 0)
-            if not enter.any():
-                break
-            keep = keep | enter
-            left = left & ~enter
-            lp, row_ids = frame.restrict(keep)
-        nx = len(res.x) - len(frame.tail_cost)
-        flat = setup.first_flat if rounds == 1 else np.flatnonzero(keep)
-        x = np.zeros((model.k, model.n))
-        x.put(flat, res.x[:nx])
-        x.put(setup.near_flat, 1.0 - x.sum(axis=0))
-        return (
-            np.concatenate([x.ravel(), res.x[nx:]]),
-            float(res.objective) + frame.offset,
-            iterations,
-            rounds,
-            bound,
-        )
-
-
-class _Frame:
-    """The assignment LP in the nearest-center frame, written from arrays.
-
-    The x column of point j's nearest center a(j) (ties to the lowest index)
-    is eliminated through j's assignment equality, x[a(j), j] = 1 - sum over
-    i != a(j) of x[i, j]. The frame's rows are the model's rows, in order,
-    then j's assignment equality as the row sum over i != a(j) of
-    x[i, j] <= 1, point by point. Its column x[i, j] (i != a(j), j of color
-    h) has the coefficients under[g, h] in under_i_g and -under[g, h] in
-    under_a(j)_g, the same with over in the over rows, delta_ij in the
-    Rawlsian disu_h and 1 in j's row, and the cost cost[i, j] -
-    cost[a(j), j], where delta_ij = share[i, j] - share[a(j), j].
-    The t and z columns are the model's; the constants move into b_ub and an
-    objective offset. A restricted LP holds point j's row only when at least
-    2 of j's columns are kept. The set-up (`LPSetup`) holds all of this that
-    does not depend on lambda, the first restricted LP's matrix among it;
-    the frame adds the model's lambda.
-    """
-
-    def __init__(self, model: LPModel):
-        setup = self.setup = model.setup
-        points = np.arange(model.n)
-        share = model.share
-        near_share = share[setup.near, points]
-        self.delta = share - near_share
-        self.b_ub = setup.b_ub
-        t_cost = np.tile(model.t_cost, model.k)
-        tail_value = setup.tail_value
-        if setup.rawlsian:
-            self.cost = np.zeros_like(share)
-            self.offset = 0.0
-            self.tail_cost = np.zeros(len(setup.tail_lower))
-            self.tail_cost[-1] = 1.0
-            tail_value = tail_value.copy()
-            tail_value[setup.tail_scaled] = t_cost
-            self.b_ub = self.b_ub.copy()
-            R = setup.num_rows
-            self.b_ub[R - model.H: R] = -np.bincount(
-                model.instance.colors, weights=near_share, minlength=model.H
-            )
-        else:
-            self.cost = self.delta
-            self.offset = float(near_share.sum())
-            self.tail_cost = t_cost
-        self.tail = _drop_zeros(setup.tail_start, setup.tail_index, tail_value)
 
     def first_lp(self) -> tuple[_highs.LP, np.ndarray]:
         """`restrict` of the set-up's first restriction, from its matrix."""
@@ -603,6 +429,145 @@ class _Frame:
         return float(self.offset + duals[:R] @ self.b_ub[:R] + own.min(axis=0).sum())
 
 
+@dataclass
+class FractionalSolution:
+    """Cleaned LP optimum: x (k, n), the objective evaluated on it, and its
+    (k, H) (cluster, color) masses (`metrics.color_masses`)."""
+
+    x: np.ndarray
+    objective: float
+    mass: np.ndarray
+
+
+def _build(
+    kind: str,
+    instance: Instance,
+    params: Params,
+    centers: np.ndarray,
+    setup: LPSetup | None,
+) -> LPModel:
+    """The LP of kind at params.lam on setup, which is checked against the
+    other arguments, or on a set-up built from them, which checks them."""
+    if setup is None:
+        setup = LPSetup(instance, params, centers, kind)
+    else:
+        setup.check(instance, params, centers, kind)
+    lam = params.lam
+    share = (lam / setup.point_counts) * setup.dist_t
+    near_share = share[setup.near, np.arange(instance.n)]
+    delta = share - near_share
+    b_ub = setup.b_ub
+    t_cost = np.tile((1.0 - lam) / instance.counts, params.k)
+    tail_value = setup.tail_value
+    if setup.rawlsian:
+        cost, offset = np.zeros_like(share), 0.0
+        tail_cost = np.zeros(len(setup.tail_lower))
+        tail_cost[-1] = 1.0
+        tail_value = tail_value.copy()
+        tail_value[setup.tail_scaled] = t_cost
+        b_ub = b_ub.copy()
+        R, H = setup.num_rows, instance.num_colors
+        b_ub[R - H: R] = -np.bincount(instance.colors, weights=near_share, minlength=H)
+    else:
+        cost, offset, tail_cost = delta, float(near_share.sum()), t_cost
+    tail = _drop_zeros(setup.tail_start, setup.tail_index, tail_value)
+    return LPModel(
+        kind, instance, params, setup, delta, cost, offset, b_ub, tail_cost, tail
+    )
+
+
+def build_rawlsian_lp(
+    instance: Instance,
+    params: Params,
+    centers: np.ndarray,
+    setup: LPSetup | None = None,
+) -> LPModel:
+    """Min-max LP: z bounds every color's fractional disutility from above.
+    Its lambda-free part comes from setup, an `LPSetup` built for the
+    "rawlsian" LP, or from one built here from centers."""
+    return _build("rawlsian", instance, params, centers, setup)
+
+
+def build_utilitarian_lp(
+    instance: Instance,
+    params: Params,
+    centers: np.ndarray,
+    setup: LPSetup | None = None,
+) -> LPModel:
+    """Sum-of-disutilities LP: same constraints, objective in the costs;
+    setup as for `build_rawlsian_lp`, built for the "utilitarian" LP."""
+    return _build("utilitarian", instance, params, centers, setup)
+
+
+class HighsSolver:
+    """HiGHS's dual simplex, called through `_highs`.
+
+    The LP is solved in each point's nearest-center frame (`LPModel`), where
+    HiGHS's all-zero start, with presolve off, is the nearest-center
+    assignment, a few dozen dual-simplex iterations from the optimum instead
+    of about n.
+
+    The LP is solved by column generation. Within a class (a(j), color of
+    j) the frame columns at a center i differ only in their cost delta_ij,
+    so the LP moves the cheap end of each (a, h, i) class first. The first
+    LP, built by the set-up (`LPSetup.first`), keeps the columns of each
+    point's min(k, _CANDIDATES) nearest centers that rank in the cheapest
+    ceil(_CLASS_SHARE * |class (a, h)|) of their (a, h, i) class. Each
+    restricted LP holds point j's row only when j has at least 2 kept
+    columns: with fewer the row is implied by the bounds x <= 1, its dual 0
+    is optimal, and pricing reads 0 for it.
+
+    After each round the restricted LP's duals give a Lagrangian lower
+    bound on the full LP's optimum (`LPModel.lagrangian_bound`). Pricing
+    stops when the restricted optimum is within tolerance of that bound, so
+    the value returned is at most tolerance above the full LP's optimum
+    however many left-out columns price slightly below 0. Otherwise the
+    left-out columns whose reduced cost is below -tolerance join, or, when
+    there are none, those below 0, and HiGHS solves again. tolerance is
+    model.params.lp_tolerance, at least 10 times the feasibility tolerance
+    `_highs.solve` gives HiGHS for both LPs. solve returns the LP's
+    variables, its value, the simplex iterations summed over the pricing
+    rounds, the number of rounds, and the last round's lower bound.
+    """
+
+    def solve(self, model: LPModel) -> tuple[np.ndarray, float, int, int, float]:
+        tolerance = model.params.lp_tolerance
+        setup = model.setup
+        keep, left = setup.first, setup.first_left
+        lp, row_ids = model.first_lp()
+        rounds = iterations = 0
+        while True:
+            rounds += 1
+            res = _highs.solve(lp)
+            iterations += res.iterations
+            duals = np.zeros(len(model.b_ub))
+            duals[row_ids] = res.row_dual
+            rc = model.reduced_costs(duals)
+            bound = model.lagrangian_bound(duals, rc)
+            if res.objective + model.offset - bound <= tolerance:
+                break
+            enter = left & (rc < -tolerance)
+            if not enter.any():
+                enter = left & (rc < 0)
+            if not enter.any():
+                break
+            keep = keep | enter
+            left = left & ~enter
+            lp, row_ids = model.restrict(keep)
+        nx = len(res.x) - len(model.tail_cost)
+        flat = setup.first_flat if rounds == 1 else np.flatnonzero(keep)
+        x = np.zeros((model.params.k, model.instance.n))
+        x.put(flat, res.x[:nx])
+        x.put(setup.near_flat, 1.0 - x.sum(axis=0))
+        return (
+            np.concatenate([x.ravel(), res.x[nx:]]),
+            float(res.objective) + model.offset,
+            iterations,
+            rounds,
+            bound,
+        )
+
+
 def _drop_zeros(start: np.ndarray, index: np.ndarray, value: np.ndarray):
     """A CSC matrix (start, index, value) without its zero entries: lambda
     = 0 zeroes the Rawlsian deltas, lambda = 1 the t costs, and a tie the
@@ -623,7 +588,7 @@ def solve_lp(model: LPModel) -> FractionalSolution:
     masses), in which each t_ih takes its least feasible value.
     """
     xvec = HighsSolver().solve(model)[0]
-    k, n, inst = model.k, model.n, model.instance
+    k, n, inst = model.params.k, model.instance.n, model.instance
     x = np.array(xvec[: k * n], dtype=np.float64).reshape(k, n)
     # clipped to [0, 1], then snapped
     np.putmask(x, x < _SNAP, 0.0)
@@ -632,7 +597,7 @@ def solve_lp(model: LPModel) -> FractionalSolution:
     if col > 1e-5:
         raise InternalInvariantError(f"assignment column sum off by {col:g}")
     mass = color_masses(x, inst)
-    D = color_masses((x * model.dist_pow.T).sum(axis=0), inst)
+    D = color_masses((x * model.setup.dist_t).sum(axis=0), inst)
     _, _, disu = disutilities(inst, model.params, mass, D)
     value = disu.max() if model.kind == "rawlsian" else disu.sum()
     return FractionalSolution(x, float(value), mass)

@@ -88,9 +88,10 @@ class Instance:
         return self.counts / float(self.n)
 
     def subsample(self, size: int, seed: int) -> "Instance":
-        """Uniform subsample without replacement, keeping color ids stable."""
-        if seed < 0:
-            raise ParamError(f"seed must be at least 0, got {seed}")
+        """Uniform subsample without replacement, keeping color ids stable;
+        size and seed are integers (`check_int`) of at least 1 and 0."""
+        check_int("subsample", size, 1)
+        check_int("seed", seed, 0)
         if size >= self.n:
             return self
         rng = np.random.default_rng(seed)
@@ -171,14 +172,27 @@ def _at(column: str, row: int) -> str:
 LP_TOLERANCE = 1e-7
 
 
+def check_int(name: str, value, least: int | None = None) -> None:
+    """ParamError naming the setting unless value is an integer, of at least
+    least if given: a bool is not one; numpy integers are."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParamError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ParamError(f"{name} must be at least {least}, got {value}")
+
+
 def check_k(k, n: int) -> None:
-    """ParamError unless k is an integer in [1, n]: a bool is not one; numpy
-    integers are. `Params.validate` and `centers.kmeanspp_init` both apply
-    it."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ParamError(f"k must be an integer, got {k!r}")
+    """ParamError unless k is an integer (`check_int`) in [1, n].
+    `Params.validate` and `centers.kmeanspp_init` both apply it."""
+    check_int("k", k)
     if not 1 <= k <= n:
         raise ParamError(f"k={k} must lie in [1, n={n}]")
+
+
+def check_p(p) -> None:
+    """ParamError unless p is 1 or 2; a bool is neither."""
+    if isinstance(p, (bool, np.bool_)) or p not in (1, 2):
+        raise ParamError(f"p must be 1 or 2, got {p}")
 
 
 @dataclass
@@ -263,8 +277,7 @@ class Params:
     def check_scalars(self, n: int) -> None:
         """`validate`'s rules for p, lam, k (against n points) and
         lp_tolerance; a bool is neither a p nor a lam."""
-        if isinstance(self.p, (bool, np.bool_)) or self.p not in (1, 2):
-            raise ParamError(f"p must be 1 or 2, got {self.p}")
+        check_p(self.p)
         if isinstance(self.lam, (bool, np.bool_)):
             raise ParamError(f"lambda must be a number, got {self.lam}")
         if not (0.0 <= self.lam <= 1.0):
@@ -338,10 +351,12 @@ def normalization_factors(
     the result is the mean over the sets. The numerator of "rawlsian" is
     the overall mean of d^p, that of "utilitarian" the sum over colors of
     per-color average d^p. A mean of 0, every point on its center at every
-    k, leaves no distance scale and raises DataError.
+    k, leaves no distance scale and raises DataError; p is checked by
+    `check_p`.
     """
     from . import metrics as _metrics
 
+    check_p(p)
     if not centers_by_k:
         raise ParamError("need the vanilla centers of at least one k")
     factors: dict[str, list[float]] = {"rawlsian": [], "utilitarian": []}
@@ -369,7 +384,9 @@ def normalization_factors(
 
 
 def apply_normalization(instance: Instance, factor: float, p: int = 2) -> Instance:
-    """Divide coordinates by factor^(1/p), so that every d^p divides by factor."""
+    """Divide coordinates by factor^(1/p), so that every d^p divides by factor;
+    p is checked by `check_p`."""
+    check_p(p)
     if not (factor > 0.0) or not math.isfinite(factor):
         raise ParamError(f"normalization factor must be positive finite, got {factor}")
     return Instance(

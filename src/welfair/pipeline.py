@@ -14,7 +14,7 @@ from . import rounding as rounding_mod
 from .centers import CenterSet
 from .errors import ParamError
 from .metrics import GroupReport, additive_constants, report_from_distances
-from .model import LP_TOLERANCE, Instance, Params, Solution
+from .model import LP_TOLERANCE, Instance, Params, Solution, check_int
 
 
 @dataclass
@@ -109,7 +109,7 @@ def _lp_pipeline(
     frac = lp_mod.solve_lp(model)
     t2 = time.perf_counter()
     rounder = rounding_mod.rawlsian_round if rawlsian else rounding_mod.utilitarian_round
-    integral = rounder(frac.x, instance, params, model.dist_pow, frac.mass)
+    integral = rounder(frac.x, instance, params, model.setup.dist_pow, frac.mass)
     t3 = time.perf_counter()
     solution = Solution(cs.centers, integral.assignment, provenance=cs.provenance)
     report = integral.report
@@ -212,13 +212,10 @@ def check_sweep(objective, k_range, lambdas, delta, restarts, seed, **rest):
         )
     if not k_range:
         raise ParamError("k range is empty")
-    bad = [k for k in k_range if k < 1]
-    if bad:
-        raise ParamError(f"k must be at least 1, got {bad[0]}")
-    if restarts < 1:
-        raise ParamError(f"restarts must be at least 1, got {restarts}")
-    if seed < 0:
-        raise ParamError(f"seed must be at least 0, got {seed}")
+    for k in k_range:
+        check_int("k", k, 1)
+    check_int("restarts", restarts, 1)
+    check_int("seed", seed, 0)
     if not math.isfinite(delta):
         raise ParamError(f"delta must be finite, got {delta}")
     if delta < 0:

@@ -133,6 +133,28 @@ class TestKmeansppInit:
         with pytest.raises(ParamError, match="seed must be at least 0, got -1"):
             run(tiny_instance)
 
+    @pytest.mark.parametrize("value", [1.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "name, run",
+        [
+            ("seed", lambda inst, s: kmeanspp_init(inst, 2, np.ones(inst.n), s)),
+            ("seed", lambda inst, s: lloyd(inst, 2, np.ones(inst.n), s)),
+            ("seed", lambda inst, s: socially_fair_centers(inst, 2, s)),
+            ("seed", lambda inst, s: best_of_restarts(inst, 2, "vanilla", 2, s)),
+            ("restarts", lambda inst, r: best_of_restarts(inst, 2, "vanilla", r, 0)),
+        ],
+        ids=["kmeanspp_init", "lloyd", "socially_fair", "restarts-seed", "restarts"],
+    )
+    def test_seed_and_restarts_must_be_integers(self, tiny_instance, name, run, value):
+        # numpy raised a bare TypeError on a float seed, range() one on a
+        # float seed or restart count, and a bool seed ran; numpy integers
+        # pass
+        message = rf"^{name} must be an integer, got {value!r}$"
+        with pytest.raises(ParamError, match=message):
+            run(tiny_instance, value)
+        got = run(tiny_instance, np.int64(1))
+        assert getattr(got, "centers", got).shape == (2, tiny_instance.dim)
+
 
 class TestLloyd:
     def test_two_blob_optimum(self):

@@ -751,6 +751,20 @@ class TestGapReport:
         assert ("HARD" in out) == bool(flags) and "soft" not in out
         assert out.endswith(f"\nruns: 1, hard violations: {int(bool(flags))}\n")
 
+    def test_lambda_column_shows_small_values(self, tmp_path, capsys):
+        # two decimals printed lambda = 1e-6 as 0.00, like lambda = 0
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "method,objective,k,lambda,gap,bound,flags\n"
+            + "".join(
+                f"RawlsianAlg,rawlsian,2,{lam},0.1,0.1,\n"
+                for lam in ("0", "1e-06", "0.5")
+            )
+        )
+        assert gap_report(str(path)) == 0
+        lines = capsys.readouterr().out.splitlines()[1:4]
+        assert [line.split()[2] for line in lines] == ["0", "1e-06", "0.5"]
+
     @pytest.mark.parametrize("flags", ["oops", "gap_bound_exceeded;oops", ";"])
     def test_unknown_flags_cell_is_data_error(self, tmp_path, capsys, flags):
         path = tmp_path / "results.csv"

@@ -49,7 +49,7 @@ class TestBuilders:
         assert m.num_vars == k * n + k * H + 1
         # kH under + kH over + H disu; the n assignment rows are implied
         assert len(m.rows) == 2 * k * H + H
-        assert (m.k, m.n, m.H) == (k, n, H)
+        assert (m.params.k, m.instance.n, m.instance.num_colors) == (k, n, H)
         assert m.kind == "rawlsian"
 
     def test_utilitarian_shape(self):
@@ -69,7 +69,7 @@ class TestBuilders:
         m = build(inst, params, centers)
         solve_lp(m)
         assert "rows" not in vars(m)
-        assert m.num_rows == len(m.rows)
+        assert m.setup.num_rows == len(m.rows)
         assert m.rows is m.rows
 
     def test_bounds(self):
@@ -95,7 +95,7 @@ class TestBuilders:
         setup = lp_mod.LPSetup(inst, params, centers, "rawlsian")
         a = build_rawlsian_lp(inst, params, centers)
         b = build_rawlsian_lp(inst, params, centers, setup=setup)
-        assert b.dist_pow is setup.dist_pow
+        assert b.setup.dist_pow is setup.dist_pow
         np.testing.assert_array_equal(a.objective, b.objective)
         for ra, rb in zip(a.rows, b.rows):
             np.testing.assert_array_equal(ra.vals, rb.vals)
@@ -147,17 +147,16 @@ class TestCoefficientTables:
         k, n, H = params.k, inst.n, inst.num_colors
         colors, counts, r = inst.colors, inst.counts, inst.proportions
         dist = pairwise_pow(inst.features, centers, params.p)
-        np.testing.assert_allclose(
-            m.share, params.lam / counts[colors] * dist.T, rtol=1e-15
-        )
+        share = params.lam / counts[colors] * dist.T
+        t_cost = (1 - params.lam) / counts
+        under, over = m.setup.under, m.setup.over
         eye = np.eye(H)
-        np.testing.assert_allclose(m.under, (r - params.beta)[:, None] - eye)
-        np.testing.assert_allclose(m.over, eye - (r + params.alpha)[:, None])
-        np.testing.assert_allclose(m.t_cost, (1 - params.lam) / counts, rtol=1e-15)
+        np.testing.assert_allclose(under, (r - params.beta)[:, None] - eye)
+        np.testing.assert_allclose(over, eye - (r + params.alpha)[:, None])
         rows = {row.name: row for row in m.rows}
         for i in range(k):
             for g in range(H):
-                for tag, table in (("under", m.under), ("over", m.over)):
+                for tag, table in (("under", under), ("over", over)):
                     row = rows[f"{tag}_{i}_{g}"]
                     np.testing.assert_array_equal(
                         row.cols, np.r_[i * n + np.arange(n), k * n + i * H + g]
@@ -172,15 +171,15 @@ class TestCoefficientTables:
                 dense[row.cols] = row.vals
                 np.testing.assert_array_equal(
                     dense[: k * n].reshape(k, n),
-                    np.where(colors == h, m.share, 0.0),
+                    np.where(colors == h, share, 0.0),
                 )
                 t = dense[k * n : -1].reshape(k, H)
-                np.testing.assert_array_equal(t[:, h], m.t_cost[h])
+                np.testing.assert_array_equal(t[:, h], t_cost[h])
                 assert not np.delete(t, h, axis=1).any()
                 assert dense[-1] == -1.0
         else:
             np.testing.assert_array_equal(
-                m.objective, np.r_[m.share.ravel(), np.tile(m.t_cost, k)]
+                m.objective, np.r_[share.ravel(), np.tile(t_cost, k)]
             )
 
     def test_distances_through_the_module_global(self, monkeypatch):
@@ -197,7 +196,7 @@ class TestCoefficientTables:
         monkeypatch.setattr(lp_mod, "pairwise_pow", spy)
         for build in (lp_mod.build_rawlsian_lp, lp_mod.build_utilitarian_lp):
             m = build(inst, params, centers)
-            np.testing.assert_array_equal(m.dist_pow, real(*calls[-1]))
+            np.testing.assert_array_equal(m.setup.dist_pow, real(*calls[-1]))
         assert len(calls) == 2
 
 
@@ -272,7 +271,7 @@ def _reference(model):
     """The model written out densely, its rows <= 0 and every point's x
     column summing to 1, and its optimum by HiGHS's interior-point method at
     tight tolerances: (A_ub, A_eq, result)."""
-    k, n = model.k, model.n
+    k, n = model.params.k, model.instance.n
     A_ub = np.zeros((len(model.rows), model.num_vars))
     for r, row in enumerate(model.rows):
         A_ub[r, row.cols] = row.vals
@@ -297,19 +296,19 @@ def _solve_spy(monkeypatch):
     the call holding the frame LP's costs as c, its matrix as the sparse
     A_ub, its right-hand sides as b_ub and, as keep, the (k, n) x-column
     mask of the LP: the set-up's first restriction for the first LP
-    (`_Frame.first_lp`), the mask `_Frame.restrict` was given for each later
-    one."""
+    (`LPModel.first_lp`), the mask `LPModel.restrict` was given for each
+    later one."""
     real = _highs.solve
-    first_lp, restrict = lp_mod._Frame.first_lp, lp_mod._Frame.restrict
+    first_lp, restrict = lp_mod.LPModel.first_lp, lp_mod.LPModel.restrict
     calls, keeps = [], []
 
-    def first_spy(frame):
-        keeps.append(frame.setup.first.copy())
-        return first_lp(frame)
+    def first_spy(model):
+        keeps.append(model.setup.first.copy())
+        return first_lp(model)
 
-    def restrict_spy(frame, keep):
+    def restrict_spy(model, keep):
         keeps.append(keep.copy())
-        return restrict(frame, keep)
+        return restrict(model, keep)
 
     def spy(lp):
         res = real(lp)
@@ -322,8 +321,8 @@ def _solve_spy(monkeypatch):
         calls.append((call, res))
         return res
 
-    monkeypatch.setattr(lp_mod._Frame, "first_lp", first_spy)
-    monkeypatch.setattr(lp_mod._Frame, "restrict", restrict_spy)
+    monkeypatch.setattr(lp_mod.LPModel, "first_lp", first_spy)
+    monkeypatch.setattr(lp_mod.LPModel, "restrict", restrict_spy)
     monkeypatch.setattr(_highs, "solve", spy)
     return calls
 
@@ -336,7 +335,7 @@ def _frame_duals(model, call, res):
     marginals = res.row_dual
     shared = np.flatnonzero(call["keep"].sum(axis=0) >= 2)
     assert len(marginals) == R + len(shared)
-    duals = np.zeros(R + model.n)
+    duals = np.zeros(R + model.instance.n)
     duals[:R] = marginals[:R]
     duals[R + shared] = marginals[R:]
     return duals
@@ -357,8 +356,8 @@ def _reduced_costs(model, call, res):
     rc = model.objective.copy()
     for row, y in zip(rows, duals[: len(rows)]):
         np.add.at(rc, row.cols, -y * row.vals)
-    k, n = model.k, model.n
-    near = np.argmin(model.dist_pow, axis=1) * n + np.arange(n)
+    k, n = model.params.k, model.instance.n
+    near = np.argmin(model.setup.dist_pow, axis=1) * n + np.arange(n)
     mu = duals[len(rows):]
     # assignment equality j holds x[i, j] for every i, at column i * n + j
     rc[: k * n] -= np.tile(rc[near] + mu, k)
@@ -371,37 +370,37 @@ def _all_columns(monkeypatch, model):
     model built again, its set-up's first restriction taking them all."""
     build = build_rawlsian_lp if model.kind == "rawlsian" else build_utilitarian_lp
     with monkeypatch.context() as mp:
-        mp.setattr(lp_mod, "_CANDIDATES", model.k)
+        mp.setattr(lp_mod, "_CANDIDATES", model.params.k)
         mp.setattr(lp_mod, "_CLASS_SHARE", 1.0)
         whole = build(model.instance, model.params, model.setup.centers)
         return HighsSolver().solve(whole)[1]
 
 
 def _pricing_spy(monkeypatch):
-    """Record every `_Frame.reduced_costs` call: (duals, reduced costs)."""
-    real = lp_mod._Frame.reduced_costs
+    """Record every `LPModel.reduced_costs` call: (duals, reduced costs)."""
+    real = lp_mod.LPModel.reduced_costs
     calls = []
 
-    def spy(frame, duals):
-        rc = real(frame, duals)
+    def spy(model, duals):
+        rc = real(model, duals)
         calls.append((duals.copy(), rc))
         return rc
 
-    monkeypatch.setattr(lp_mod._Frame, "reduced_costs", spy)
+    monkeypatch.setattr(lp_mod.LPModel, "reduced_costs", spy)
     return calls
 
 
 def _x_columns(model, call):
     """(k, n) mask of the x columns of one frame LP call: the keep mask
-    `_Frame.restrict` was given, checked against the call's matrix, whose
+    `LPModel.restrict` was given, checked against the call's matrix, whose
     first columns are those x columns in order i * n + j, column x[i, j]
     with entries in the under/over rows of clusters i and a(j) only."""
-    k, H = model.k, model.H
+    k, H = model.params.k, model.instance.num_colors
     keep = call["keep"]
     A = call["A_ub"].tocsc()
-    near = np.argmin(model.dist_pow, axis=1)
+    near = np.argmin(model.setup.dist_pow, axis=1)
     xi, xj = np.nonzero(keep)
-    assert A.shape[1] == len(xi) + model.num_vars - k * model.n
+    assert A.shape[1] == len(xi) + model.num_vars - k * model.instance.n
     for col, (i, j) in enumerate(zip(xi, xj)):
         rows = A.indices[A.indptr[col]: A.indptr[col + 1]]
         assert set((rows[rows < 2 * k * H] % (k * H)) // H) - {near[j]} == {i}
@@ -413,8 +412,8 @@ def _class_prefix(model):
     those of j's _CANDIDATES nearest centers i != a(j) at which j ranks in
     the cheapest ceil(_CLASS_SHARE * |class|) of its class (a(j), color of
     j), ranked by delta at i, ties by point id."""
-    k, n = model.k, model.n
-    d = model.dist_pow
+    k, n = model.params.k, model.instance.n
+    d = model.setup.dist_pow
     colors = model.instance.colors
     near = d.argmin(axis=1)
     share = (model.params.lam / model.instance.counts[colors])[:, None] * d
@@ -453,7 +452,7 @@ class TestHighsPricing:
         np.testing.assert_array_equal(got, want)
         # the prefix cuts the top columns: the first LP has fewer
         assert 0 < want.sum() < inst.n * (min(k, lp_mod._CANDIDATES) - 1)
-        assert len(calls[0][0]["c"]) == want.sum() + m.num_vars - m.k * m.n
+        assert len(calls[0][0]["c"]) == want.sum() + m.num_vars - params.k * inst.n
         assert xvec.shape == (m.num_vars,)
         want = _all_columns(monkeypatch, m)
         assert obj == pytest.approx(want, abs=params.lp_tolerance)
@@ -483,18 +482,19 @@ class TestHighsPricing:
         xvec, obj, _, rounds, _ = HighsSolver().solve(m)
         assert rounds >= 2 and len(calls) == rounds
         first = _x_columns(m, calls[0][0])
-        near = np.argmin(m.dist_pow, axis=1)
+        near = np.argmin(m.setup.dist_pow, axis=1)
         i, j = np.nonzero(first)
+        k, H = params.k, inst.num_colors
         per_class = np.bincount(
-            (near[j] * m.H + inst.colors[j]) * m.k + i, minlength=m.k * m.H * m.k
+            (near[j] * H + inst.colors[j]) * k + i, minlength=k * H * k
         )
         assert per_class.max() == 1
         # each round adds exactly the left-out columns that price below
         # -tolerance under the model's own duals, or, if none does, below 0
-        frame_columns = np.ones((m.k, m.n), dtype=bool)
-        frame_columns[near, np.arange(m.n)] = False
+        frame_columns = np.ones((params.k, inst.n), dtype=bool)
+        frame_columns[near, np.arange(inst.n)] = False
         for (call, res), (after, _) in zip(calls, calls[1:]):
-            rc = _reduced_costs(m, call, res)[: m.k * m.n].reshape(m.k, m.n)
+            rc = _reduced_costs(m, call, res)[: k * inst.n].reshape(k, inst.n)
             enter = frame_columns & (rc < -params.lp_tolerance)
             if not enter.any():
                 enter = frame_columns & (rc < 0)
@@ -506,7 +506,7 @@ class TestHighsPricing:
         # no x column at zero, the ones the last LP left out among them,
         # prices below -tolerance under the model's own duals
         rc = _reduced_costs(m, *calls[-1])
-        at_zero = np.flatnonzero(xvec[: m.k * m.n] == 0.0)
+        at_zero = np.flatnonzero(xvec[: params.k * inst.n] == 0.0)
         assert len(at_zero) >= m.num_vars - inst.n - len(calls[-1][0]["c"])
         assert rc[at_zero].min() >= -params.lp_tolerance
 
@@ -527,7 +527,8 @@ class TestHighsPricing:
         columns = m.setup.columns
         for (call, res), (duals, got) in zip(calls, priced):
             np.testing.assert_array_equal(duals, _frame_duals(m, call, res))
-            want = _reduced_costs(m, call, res)[: m.k * m.n].reshape(m.k, m.n)
+            want = _reduced_costs(m, call, res)[: params.k * inst.n]
+            want = want.reshape(params.k, inst.n)
             np.testing.assert_allclose(
                 got[columns], want[columns], rtol=0, atol=1e-12
             )
@@ -545,7 +546,7 @@ class TestHighsPricing:
         calls = _solve_spy(monkeypatch)
         HighsSolver().solve(m)
         R = len(m.rows)
-        b_rows = lp_mod._Frame(m).b_ub[:R]
+        b_rows = m.b_ub[:R]
         widths = set()
         for call, _ in calls:
             keep = _x_columns(m, call)
@@ -611,14 +612,14 @@ class TestHighsPricing:
         assert rounds >= 2 and len(calls) == rounds
         # the one candidate per point is its nearest center, whose column the
         # frame eliminates: the first LP holds no x column at all
-        assert len(calls[0][0]["c"]) == m.num_vars - m.k * inst.n
+        assert len(calls[0][0]["c"]) == m.num_vars - params.k * inst.n
         want = _all_columns(monkeypatch, m)
         assert obj == pytest.approx(want, abs=params.lp_tolerance)
         # every non-eliminated column the last LP left out sits at zero; none
         # of them (nor any other x column at zero) prices below -tolerance
         # under the model's own duals
         rc = _reduced_costs(m, *calls[-1])
-        at_zero = np.flatnonzero(xvec[: m.k * m.n] == 0.0)
+        at_zero = np.flatnonzero(xvec[: params.k * inst.n] == 0.0)
         assert len(at_zero) >= m.num_vars - inst.n - len(calls[-1][0]["c"])
         assert rc[at_zero].min() >= -params.lp_tolerance
 
@@ -666,11 +667,11 @@ class TestHighsPricing:
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1.0)
         m = build(inst, params, centers)
-        assert m.k <= lp_mod._CANDIDATES
+        assert params.k <= lp_mod._CANDIDATES
         _, want, _, _, bound = HighsSolver().solve(m)
         assert bound > -np.inf
         monkeypatch.setattr(
-            lp_mod._Frame, "lagrangian_bound", lambda frame, duals, rc: -np.inf
+            lp_mod.LPModel, "lagrangian_bound", lambda model, duals, rc: -np.inf
         )
         _, got, _, rounds, bound = HighsSolver().solve(m)
         assert rounds == 1 and bound == -np.inf
@@ -1071,7 +1072,7 @@ def test_solve_lp_property(seed, lam, delta):
     np.testing.assert_allclose(frac.x.sum(axis=0), 1.0, atol=1e-6)
     assert frac.objective >= -1e-12
     # nearest-center integral assignment upper-bounds the LP optimum
-    nearest = np.argmin(m.dist_pow, axis=1)
+    nearest = np.argmin(m.setup.dist_pow, axis=1)
     dist = pairwise_pow(inst.features, centers, params.p)
     rep = report_from_distances(inst, params, dist, nearest)
     assert frac.objective <= rep.U + 1e-7
@@ -1199,7 +1200,7 @@ def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
     # solved by HiGHS's interior-point method at tight tolerances, and its
     # x, rebuilt in the model's variables, meets every model row
     m = _frame_lp(seed, H, k, lam, dup, kind)
-    params, n = m.params, m.n
+    params, n = m.params, m.instance.n
     xvec, obj, _, _, _ = HighsSolver().solve(m)
     A_ub, A_eq, ref = _reference(m)
     assert obj == pytest.approx(ref.fun, abs=params.lp_tolerance)

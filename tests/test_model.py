@@ -241,6 +241,25 @@ class TestInstance:
             inst.subsample(size, -1)
 
 
+    @pytest.mark.parametrize(
+        "size, seed, message",
+        [
+            (0, 0, "subsample must be at least 1, got 0"),
+            (-1, 0, "subsample must be at least 1, got -1"),
+            (2.5, 0, "subsample must be an integer, got 2.5"),
+            (True, 0, "subsample must be an integer, got True"),
+            (10, 1.5, "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_subsample_size_and_seed_are_integers(self, size, seed, message):
+        # numpy raised a bare ValueError on a negative size, and a size of 0
+        # drew no point of any color
+        inst = random_instance(20, 2, 2, seed=0)
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+            inst.subsample(size, seed)
+        assert inst.subsample(np.int64(10), np.int64(1)).n == 10
+
+
 class TestParams:
     def test_with_delta_sets_proportional_slack(self):
         inst = Instance(np.zeros((4, 1)), [0, 0, 0, 1], ["a", "b"])
@@ -426,6 +445,20 @@ class TestNormalization:
         got = normalization_factors(inst, first, p)
         for mode in ("rawlsian", "utilitarian"):
             assert got[mode] == normalization_factor(inst, ks, p, mode, 2)
+
+    @pytest.mark.parametrize("p", [0, 3, True])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda inst, p: apply_normalization(inst, 2.0, p),
+            lambda inst, p: normalization_factors(inst, [inst.features[:2]], p),
+        ],
+        ids=["apply", "factors"],
+    )
+    def test_bad_p_rejected(self, tiny_instance, run, p):
+        # Params.validate's rule: p = 0 divided by zero, and p = 3 returned
+        with pytest.raises(ParamError, match=f"^p must be 1 or 2, got {p}$"):
+            run(tiny_instance, p)
 
     def test_apply_rejects_bad_factor(self, tiny_instance):
         with pytest.raises(ParamError):

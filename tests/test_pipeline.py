@@ -412,6 +412,8 @@ class TestSweep:
             ({"k_range": [2, 61]}, "k=61 must lie in"),
             ({"p": 3}, "p must be 1 or 2"),
             ({"delta": 5.0}, "alpha_h > 1"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"restarts": 1.5}, "restarts must be an integer, got 1.5"),
         ],
     )
     def test_bad_settings_rejected_before_centers(
