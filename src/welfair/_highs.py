@@ -149,7 +149,9 @@ def _solver() -> _Highs:
         options.dual_feasibility_tolerance = _FEASIBILITY
         # HiGHS drops matrix entries below this, 1e-9 by default, as the
         # Rawlsian rows' lambda / n_h * (d_i - d_a) are at small lambda; a
-        # solve without them ended with model status Unknown at lambda = 1e-6
+        # solve without them ended with model status Unknown at lambda = 1e-6.
+        # It also drops the frame LP's exact zeros, its Rawlsian deltas at
+        # lambda = 0 or a distance tie and its t costs at lambda = 1
         options.small_matrix_value = 1e-12
         options.output_flag = False
         options.log_to_console = False

@@ -23,7 +23,9 @@ import numpy as np
 from . import __version__, centers, pipeline, svgchart
 from .errors import DataError, InternalInvariantError, ParamError
 from .lp import brute_force_assignment
-from .model import LP_TOLERANCE, Instance, Params, load_instance
+from .model import (
+    LP_TOLERANCE, Instance, Params, check_int, check_objective, load_instance,
+)
 
 _OBJECTIVES = tuple(pipeline.CENTER_METHODS)
 
@@ -211,6 +213,7 @@ def _number(text, where: str, kind=float):
 
 
 def plot_results(path: str, objective: str, lam: float, out_path: str) -> None:
+    check_objective(objective)
     if not math.isfinite(lam):
         raise ParamError(f"lambda must be finite, got {lam}")
     ycol = "R" if objective == "rawlsian" else "U"
@@ -287,10 +290,8 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
     utilitarian_alg on drawn centers: the LP value lower-bounds brute force
     and the rounded value obeys the additive bound. Prints one line per
     check."""
-    if count < 1:
-        raise ParamError(f"--count must be at least 1, got {count}")
-    if seed < 0:
-        raise ParamError(f"--seed must be at least 0, got {seed}")
+    check_int("--count", count, 1)
+    check_int("--seed", seed, 0)
     rng = np.random.default_rng(seed)
     failures = 0
     for trial in range(count):

@@ -11,7 +11,7 @@ import numpy as np
 from . import _highs
 from .errors import InternalInvariantError, ParamError
 from .metrics import color_masses, disutilities, pairwise_pow
-from .model import Instance, Params
+from .model import Instance, Params, check_objective
 
 _SNAP = 1e-12
 # x columns per point that HiGHS's first restricted LP may keep, the
@@ -66,8 +66,8 @@ class LPSetup:
         centers: np.ndarray,
         kind: str | None = None,
     ):
-        if kind not in (None, "rawlsian", "utilitarian"):
-            raise ParamError(f"unknown objective {kind!r}")
+        if kind is not None:
+            check_objective(kind)
         params.validate(instance)
         params.check_centers(instance, centers)
         self.instance, self.params, self.kind = instance, params, kind
@@ -276,8 +276,6 @@ class LPModel:
     on lambda; the fields below add the model's lambda.
     """
 
-    kind: str                   # "rawlsian" or "utilitarian"
-    instance: Instance
     params: Params
     setup: LPSetup
     delta: np.ndarray           # (k, n) delta_ij, 0 at the nearest column
@@ -291,12 +289,12 @@ class LPModel:
         """(k, n) share and (H,) (1 - lam) / n_h."""
         lam = self.params.lam
         share = (lam / self.setup.point_counts) * self.setup.dist_t
-        return share, (1.0 - lam) / self.instance.counts
+        return share, (1.0 - lam) / self.setup.instance.counts
 
     @cached_property
     def objective(self) -> np.ndarray:
         """The cost of every variable; the solve reads the frame's costs."""
-        if self.kind == "rawlsian":
+        if self.setup.rawlsian:
             objective = np.zeros(self.num_vars)
             objective[-1] = 1.0
             return objective
@@ -306,7 +304,7 @@ class LPModel:
     @cached_property
     def rows(self) -> list[Row]:
         """The coupling rows; the solve reads the frame's matrix instead."""
-        inst, setup = self.instance, self.setup
+        inst, setup = self.setup.instance, self.setup
         k, n, H = self.params.k, inst.n, inst.num_colors
         colors = inst.colors
         allj = np.arange(n)
@@ -323,7 +321,7 @@ class LPModel:
             for i in range(k)
             for g in range(H)
         ]
-        if self.kind == "rawlsian":
+        if self.setup.rawlsian:
             # z bounds every color's fractional disutility from above
             share, t_cost = self._tables()
             z = k * (n + H)
@@ -340,20 +338,20 @@ class LPModel:
 
     @property
     def num_vars(self) -> int:
-        k, inst = self.params.k, self.instance
-        return k * (inst.n + inst.num_colors) + (self.kind == "rawlsian")
+        k, inst = self.params.k, self.setup.instance
+        return k * (inst.n + inst.num_colors) + self.setup.rawlsian
 
     @property
     def lower(self) -> np.ndarray:
         lower = np.zeros(self.num_vars)
-        if self.kind == "rawlsian":
+        if self.setup.rawlsian:
             lower[-1] = -np.inf
         return lower
 
     @property
     def upper(self) -> np.ndarray:
         upper = np.full(self.num_vars, np.inf)
-        upper[: self.params.k * self.instance.n] = 1.0
+        upper[: self.params.k * self.setup.instance.n] = 1.0
         return upper
 
     def first_lp(self) -> tuple[_highs.LP, np.ndarray]:
@@ -363,7 +361,7 @@ class LPModel:
         if setup.rawlsian:
             value = value.copy()
             value[setup.first_delta_at] = self.delta.take(setup.first_flat)
-        x = _drop_zeros(setup.first_start, setup.first_index, value)
+        x = setup.first_start, setup.first_index, value
         return self._lp(setup.first_flat, x, setup.first_shared)
 
     def restrict(self, keep: np.ndarray) -> tuple[_highs.LP, np.ndarray]:
@@ -470,10 +468,8 @@ def _build(
         b_ub[R - H: R] = -np.bincount(instance.colors, weights=near_share, minlength=H)
     else:
         cost, offset, tail_cost = delta, float(near_share.sum()), t_cost
-    tail = _drop_zeros(setup.tail_start, setup.tail_index, tail_value)
-    return LPModel(
-        kind, instance, params, setup, delta, cost, offset, b_ub, tail_cost, tail
-    )
+    tail = setup.tail_start, setup.tail_index, tail_value
+    return LPModel(params, setup, delta, cost, offset, b_ub, tail_cost, tail)
 
 
 def build_rawlsian_lp(
@@ -556,7 +552,7 @@ class HighsSolver:
             lp, row_ids = model.restrict(keep)
         nx = len(res.x) - len(model.tail_cost)
         flat = setup.first_flat if rounds == 1 else np.flatnonzero(keep)
-        x = np.zeros((model.params.k, model.instance.n))
+        x = np.zeros((model.params.k, setup.instance.n))
         x.put(flat, res.x[:nx])
         x.put(setup.near_flat, 1.0 - x.sum(axis=0))
         return (
@@ -568,17 +564,6 @@ class HighsSolver:
         )
 
 
-def _drop_zeros(start: np.ndarray, index: np.ndarray, value: np.ndarray):
-    """A CSC matrix (start, index, value) without its zero entries: lambda
-    = 0 zeroes the Rawlsian deltas, lambda = 1 the t costs, and a tie the
-    delta of its column."""
-    nonzero = value != 0
-    if nonzero.all():
-        return start, index, value
-    kept = np.concatenate([[0], np.cumsum(nonzero)])
-    return kept[start], index[nonzero], value[nonzero]
-
-
 def solve_lp(model: LPModel) -> FractionalSolution:
     """Solve the model with HiGHS (`HighsSolver`, pricing to the tolerance
     model.params.lp_tolerance) and return a cleaned fractional assignment.
@@ -588,8 +573,8 @@ def solve_lp(model: LPModel) -> FractionalSolution:
     masses), in which each t_ih takes its least feasible value.
     """
     xvec = HighsSolver().solve(model)[0]
-    k, n, inst = model.params.k, model.instance.n, model.instance
-    x = np.array(xvec[: k * n], dtype=np.float64).reshape(k, n)
+    k, inst = model.params.k, model.setup.instance
+    x = np.array(xvec[: k * inst.n], dtype=np.float64).reshape(k, inst.n)
     # clipped to [0, 1], then snapped
     np.putmask(x, x < _SNAP, 0.0)
     np.minimum(x, 1.0, out=x)
@@ -599,7 +584,7 @@ def solve_lp(model: LPModel) -> FractionalSolution:
     mass = color_masses(x, inst)
     D = color_masses((x * model.setup.dist_t).sum(axis=0), inst)
     _, _, disu = disutilities(inst, model.params, mass, D)
-    value = disu.max() if model.kind == "rawlsian" else disu.sum()
+    value = disu.max() if model.setup.rawlsian else disu.sum()
     return FractionalSolution(x, float(value), mass)
 
 
@@ -616,8 +601,7 @@ def brute_force_assignment(
     """
     params.validate(instance)
     params.check_centers(instance, centers)
-    if objective not in ("rawlsian", "utilitarian"):
-        raise ParamError(f"unknown objective {objective!r}")
+    check_objective(objective)
     n = instance.n
     k = params.k
     if float(k) ** n > _BRUTE_LIMIT:

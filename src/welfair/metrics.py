@@ -18,10 +18,8 @@ def pairwise_pow(X: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
     if X.shape[1] != C.shape[1]:
         raise ParamError(f"dimension mismatch: {X.shape[1]} vs {C.shape[1]}")
     if p == 2:
-        d = cdist(X, C, "sqeuclidean")
-    else:
-        d = cdist(X, C, "euclidean") ** p
-    return np.ascontiguousarray(d)
+        return cdist(X, C, "sqeuclidean")
+    return cdist(X, C, "euclidean") ** p
 
 
 def color_masses(x: np.ndarray, instance: Instance) -> np.ndarray:

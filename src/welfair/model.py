@@ -195,6 +195,19 @@ def check_p(p) -> None:
         raise ParamError(f"p must be 1 or 2, got {p}")
 
 
+def check_not_bool(name: str, value) -> None:
+    """ParamError naming the setting if value is a bool, numpy's included:
+    a bool is not a number."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ParamError(f"{name} must be a number, got {value}")
+
+
+def check_objective(objective) -> None:
+    """ParamError unless objective is "rawlsian" or "utilitarian"."""
+    if objective not in ("rawlsian", "utilitarian"):
+        raise ParamError(f"unknown objective {objective!r}")
+
+
 @dataclass
 class Params:
     """Objective parameters: exponent p, tradeoff lambda, k, slack vectors.
@@ -276,10 +289,10 @@ class Params:
 
     def check_scalars(self, n: int) -> None:
         """`validate`'s rules for p, lam, k (against n points) and
-        lp_tolerance; a bool is neither a p nor a lam."""
+        lp_tolerance; a bool is none of p, lam and lp_tolerance."""
         check_p(self.p)
-        if isinstance(self.lam, (bool, np.bool_)):
-            raise ParamError(f"lambda must be a number, got {self.lam}")
+        check_not_bool("lambda", self.lam)
+        check_not_bool("lp_tolerance", self.lp_tolerance)
         if not (0.0 <= self.lam <= 1.0):
             raise ParamError(f"lambda must lie in [0, 1], got {self.lam}")
         check_k(self.k, n)
@@ -333,8 +346,8 @@ def normalization_factor(
     k_range, lloyd(instance, k, ones, seed)."""
     from .centers import lloyd
 
-    if mode not in ("rawlsian", "utilitarian"):
-        raise ParamError(f"unknown normalization mode {mode!r}")
+    check_objective(mode)
+    check_p(p)
     vanilla = [lloyd(instance, k, np.ones(instance.n), seed).centers for k in k_range]
     return normalization_factors(instance, vanilla, p)[mode]
 

@@ -14,7 +14,10 @@ from . import rounding as rounding_mod
 from .centers import CenterSet
 from .errors import ParamError
 from .metrics import GroupReport, additive_constants, report_from_distances
-from .model import LP_TOLERANCE, Instance, Params, Solution, check_int
+from .model import (
+    LP_TOLERANCE, Instance, Params, Solution, check_int, check_not_bool,
+    check_objective,
+)
 
 
 @dataclass
@@ -203,7 +206,7 @@ def evaluate_baseline(
     )
 
 
-def check_sweep(objective, k_range, lambdas, delta, restarts, seed, **rest):
+def check_sweep(objective, k_range, lambdas, delta, restarts, seed, normalize, **rest):
     """Reject `sweep` settings that would fail only deep inside the run; the
     rest are `Params.validate`'s to check once there is an instance."""
     if objective not in (*CENTER_METHODS, "both"):
@@ -216,6 +219,9 @@ def check_sweep(objective, k_range, lambdas, delta, restarts, seed, **rest):
         check_int("k", k, 1)
     check_int("restarts", restarts, 1)
     check_int("seed", seed, 0)
+    if not isinstance(normalize, bool):
+        raise ParamError(f"normalize must be True or False, got {normalize!r}")
+    check_not_bool("delta", delta)
     if not math.isfinite(delta):
         raise ParamError(f"delta must be finite, got {delta}")
     if delta < 0:
@@ -255,7 +261,7 @@ def sweep(
     each objective's normalization factor (NaN without normalize) and the
     cells as (objective, [the algorithm's result, then the baselines']).
     Every setting is checked before any centers are computed."""
-    check_sweep(objective, k_range, lambdas, delta, restarts, seed)
+    check_sweep(objective, k_range, lambdas, delta, restarts, seed, normalize)
     for k in k_range:
         for lam in lambdas:
             params = Params.with_delta(instance, k, lam, delta, p, lp_tolerance)
@@ -327,30 +333,16 @@ def sweep(
 
 @dataclass
 class DominanceReport:
-    objective: str
-    rows: list[tuple[str, float]]
-    dominated: dict[str, bool]
     all_dominated: bool
 
 
 def dominance_check(results: list[RunResult], objective: str) -> DominanceReport:
-    """Compare our method's objective value against every baseline's."""
-    if objective not in ALGORITHMS:
-        raise ParamError(f"unknown objective {objective!r}")
+    """Whether our method's objective value is at most every baseline's."""
+    check_objective(objective)
     ours_name = ALGORITHMS[objective]
     ours = [r for r in results if r.method == ours_name]
     if len(ours) != 1:
         raise ParamError(f"need exactly one {ours_name} result, got {len(ours)}")
-    rows = [(r.method, score(r.report, objective)) for r in results]
     ours_val = score(ours[0].report, objective)
-    dominated = {
-        r.method: bool(ours_val <= score(r.report, objective))
-        for r in results
-        if r.method != ours_name
-    }
-    return DominanceReport(
-        objective=objective,
-        rows=rows,
-        dominated=dominated,
-        all_dominated=all(dominated.values()) if dominated else True,
-    )
+    others = (score(r.report, objective) for r in results if r.method != ours_name)
+    return DominanceReport(all(ours_val <= v for v in others))

@@ -681,6 +681,14 @@ class TestPlot:
         assert f"{path} line 3, column 'k' is 'two', not a number" in err
         assert not out.exists()
 
+    def test_unknown_objective_is_param_error(self, finished_run, tmp_path):
+        # a bad parameter, not a results file without its rows
+        _, out_csv = finished_run
+        out = tmp_path / "c.svg"
+        with pytest.raises(ParamError, match="^unknown objective 'foo'$"):
+            plot_results(out_csv, "foo", 0.5, str(out))
+        assert not out.exists()
+
 
 class TestGapReport:
     def test_clean_results_pass(self, finished_run, capsys):
@@ -858,6 +866,19 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert f"--count must be at least 1, got {count}" in captured.err
         assert "passed" not in captured.out
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": 1.5, "count": 1}, "--seed must be an integer, got 1.5"),
+            ({"seed": True, "count": 1}, "--seed must be an integer, got True"),
+            ({"count": 2.5}, "--count must be an integer, got 2.5"),
+        ],
+    )
+    def test_library_call_checks_its_integers(self, kwargs, message, capsys):
+        with pytest.raises(ParamError, match=f"^{message}$"):
+            oracle_check(**kwargs)
+        assert capsys.readouterr().out == ""
 
     def test_runs_the_pipeline_on_drawn_centers(self, monkeypatch, capsys):
         calls = {"rawlsian_alg": [], "utilitarian_alg": []}

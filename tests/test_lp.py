@@ -49,8 +49,9 @@ class TestBuilders:
         assert m.num_vars == k * n + k * H + 1
         # kH under + kH over + H disu; the n assignment rows are implied
         assert len(m.rows) == 2 * k * H + H
-        assert (m.params.k, m.instance.n, m.instance.num_colors) == (k, n, H)
-        assert m.kind == "rawlsian"
+        built = m.setup.instance
+        assert (m.params.k, built.n, built.num_colors) == (k, n, H)
+        assert m.setup.kind == "rawlsian"
 
     def test_utilitarian_shape(self):
         inst, params, centers = _setup(n=10, k=3, H=2)
@@ -58,7 +59,7 @@ class TestBuilders:
         k, n, H = 3, 10, 2
         assert m.num_vars == k * n + k * H
         assert len(m.rows) == 2 * k * H
-        assert m.kind == "utilitarian"
+        assert m.setup.kind == "utilitarian"
 
     @pytest.mark.parametrize("H", [2, 3])
     @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
@@ -164,7 +165,7 @@ class TestCoefficientTables:
                     np.testing.assert_array_equal(
                         row.vals, np.r_[table[g, colors], -1.0]
                     )
-        if m.kind == "rawlsian":
+        if m.setup.kind == "rawlsian":
             for h in range(H):
                 dense = np.zeros(m.num_vars)
                 row = rows[f"disu_{h}"]
@@ -271,7 +272,7 @@ def _reference(model):
     """The model written out densely, its rows <= 0 and every point's x
     column summing to 1, and its optimum by HiGHS's interior-point method at
     tight tolerances: (A_ub, A_eq, result)."""
-    k, n = model.params.k, model.instance.n
+    k, n = model.params.k, model.setup.instance.n
     A_ub = np.zeros((len(model.rows), model.num_vars))
     for r, row in enumerate(model.rows):
         A_ub[r, row.cols] = row.vals
@@ -335,7 +336,7 @@ def _frame_duals(model, call, res):
     marginals = res.row_dual
     shared = np.flatnonzero(call["keep"].sum(axis=0) >= 2)
     assert len(marginals) == R + len(shared)
-    duals = np.zeros(R + model.instance.n)
+    duals = np.zeros(R + model.setup.instance.n)
     duals[:R] = marginals[:R]
     duals[R + shared] = marginals[R:]
     return duals
@@ -356,7 +357,7 @@ def _reduced_costs(model, call, res):
     rc = model.objective.copy()
     for row, y in zip(rows, duals[: len(rows)]):
         np.add.at(rc, row.cols, -y * row.vals)
-    k, n = model.params.k, model.instance.n
+    k, n = model.params.k, model.setup.instance.n
     near = np.argmin(model.setup.dist_pow, axis=1) * n + np.arange(n)
     mu = duals[len(rows):]
     # assignment equality j holds x[i, j] for every i, at column i * n + j
@@ -368,11 +369,12 @@ def _reduced_costs(model, call, res):
 def _all_columns(monkeypatch, model):
     """The LP value HiGHS reaches with every column in the first LP: the
     model built again, its set-up's first restriction taking them all."""
-    build = build_rawlsian_lp if model.kind == "rawlsian" else build_utilitarian_lp
+    rawlsian = model.setup.kind == "rawlsian"
+    build = build_rawlsian_lp if rawlsian else build_utilitarian_lp
     with monkeypatch.context() as mp:
         mp.setattr(lp_mod, "_CANDIDATES", model.params.k)
         mp.setattr(lp_mod, "_CLASS_SHARE", 1.0)
-        whole = build(model.instance, model.params, model.setup.centers)
+        whole = build(model.setup.instance, model.params, model.setup.centers)
         return HighsSolver().solve(whole)[1]
 
 
@@ -395,12 +397,12 @@ def _x_columns(model, call):
     `LPModel.restrict` was given, checked against the call's matrix, whose
     first columns are those x columns in order i * n + j, column x[i, j]
     with entries in the under/over rows of clusters i and a(j) only."""
-    k, H = model.params.k, model.instance.num_colors
+    k, H = model.params.k, model.setup.instance.num_colors
     keep = call["keep"]
     A = call["A_ub"].tocsc()
     near = np.argmin(model.setup.dist_pow, axis=1)
     xi, xj = np.nonzero(keep)
-    assert A.shape[1] == len(xi) + model.num_vars - k * model.instance.n
+    assert A.shape[1] == len(xi) + model.num_vars - k * model.setup.instance.n
     for col, (i, j) in enumerate(zip(xi, xj)):
         rows = A.indices[A.indptr[col]: A.indptr[col + 1]]
         assert set((rows[rows < 2 * k * H] % (k * H)) // H) - {near[j]} == {i}
@@ -412,11 +414,11 @@ def _class_prefix(model):
     those of j's _CANDIDATES nearest centers i != a(j) at which j ranks in
     the cheapest ceil(_CLASS_SHARE * |class|) of its class (a(j), color of
     j), ranked by delta at i, ties by point id."""
-    k, n = model.params.k, model.instance.n
+    k, n = model.params.k, model.setup.instance.n
     d = model.setup.dist_pow
-    colors = model.instance.colors
+    colors = model.setup.instance.colors
     near = d.argmin(axis=1)
-    share = (model.params.lam / model.instance.counts[colors])[:, None] * d
+    share = (model.params.lam / model.setup.instance.counts[colors])[:, None] * d
     delta = share - share[np.arange(n), near][:, None]
     want = np.zeros((k, n), dtype=bool)
     for j in range(n):
@@ -1200,7 +1202,7 @@ def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
     # solved by HiGHS's interior-point method at tight tolerances, and its
     # x, rebuilt in the model's variables, meets every model row
     m = _frame_lp(seed, H, k, lam, dup, kind)
-    params, n = m.params, m.instance.n
+    params, n = m.params, m.setup.instance.n
     xvec, obj, _, _, _ = HighsSolver().solve(m)
     A_ub, A_eq, ref = _reference(m)
     assert obj == pytest.approx(ref.fun, abs=params.lp_tolerance)

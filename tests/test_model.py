@@ -13,6 +13,7 @@ from datagen import (
     write_csv,
 )
 
+from welfair import centers
 from welfair.errors import DataError, ParamError
 from welfair.centers import best_of_restarts, lloyd
 from welfair.metrics import pairwise_pow
@@ -278,16 +279,20 @@ class TestParams:
         with pytest.raises(ParamError):
             params.validate(tiny_instance)
 
-    @pytest.mark.parametrize("field", ["p", "lam"])
+    @pytest.mark.parametrize("field", ["p", "lam", "lp_tolerance"])
     @pytest.mark.parametrize(
         "value", [True, np.True_, False], ids=["bool", "numpy-bool", "false"]
     )
     def test_bool_p_or_lambda_rejected(self, tiny_instance, field, value):
-        # True == 1 and False == 0, so a bool used to pass as p = 1 or as
-        # lambda = 1 or 0
+        # True == 1 and False == 0, so a bool used to pass as p = 1, as
+        # lambda = 1 or 0, or as an lp_tolerance of 1
         params = Params(k=3, lam=0.5, p=2, alpha=np.zeros(2), beta=np.zeros(2))
         setattr(params, field, value)
-        name = "p must be 1 or 2" if field == "p" else "lambda must be a number"
+        name = {
+            "p": "p must be 1 or 2",
+            "lam": "lambda must be a number",
+            "lp_tolerance": "lp_tolerance must be a number",
+        }[field]
         message = f"^{name}, got {value}$"
         with pytest.raises(ParamError, match=message):
             params.validate(tiny_instance)
@@ -510,9 +515,15 @@ class TestNormalization:
         for mode, f in got.items():
             assert normalization_factor(inst, [2, 3], mode=mode) == f
 
-    def test_unknown_mode_rejected(self, tiny_instance):
-        with pytest.raises(ParamError, match="^unknown normalization mode 'both'$"):
+    def test_unknown_mode_rejected(self, tiny_instance, monkeypatch):
+        calls = []
+        monkeypatch.setattr(centers, "lloyd", lambda *a: calls.append(a))
+        with pytest.raises(ParamError, match="^unknown objective 'both'$"):
             normalization_factor(tiny_instance, [2], mode="both")
+        # a bad p is rejected before any k-means run
+        with pytest.raises(ParamError, match="^p must be 1 or 2, got 3$"):
+            normalization_factor(tiny_instance, [2, 3], p=3)
+        assert calls == []
 
     def test_empty_k_range_rejected(self, tiny_instance):
         with pytest.raises(ParamError):
