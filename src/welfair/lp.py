@@ -42,18 +42,18 @@ class LPSetup:
     """What the assignment LP of one (instance, k, center set) has that does
     not depend on lambda, built once for the LPs of every lambda.
 
-    It holds the (n, k) d^p matrix dist_pow and each point's nearest center
-    near (ties to the lowest index); built for an LP kind, "rawlsian" or
-    "utilitarian", also that LP's frame (`LPModel`) without lambda: the
-    under/over tables, the right-hand sides of the under/over and point
-    rows, one x-column template per (center, nearest center, color), and
-    the first restriction `first` with its CSC matrix. Within a class (a,
-    h) every delta scales by the same lambda / n_h, so `first`, ranked at
-    lambda = 1, serves every lambda > 0; at lambda = 0 every delta is 0 and
-    pricing brings in what the ranking left out. Only the Rawlsian matrix
-    depends on lambda: its deltas (at `first_delta_at`) and t costs (at
-    `tail_scaled`) in the disu rows. Built with kind None it holds what a
-    baseline reads, the distances and the nearest centers.
+    It holds the (k, n) d^p matrix dist_t, whose transpose is the (n, k)
+    dist_pow a rounder reads, and each point's nearest center near (ties to
+    the lowest index); built for an LP kind, "rawlsian" or "utilitarian",
+    also that LP's frame (`LPModel`) without lambda: the under/over tables,
+    the right-hand sides of the under/over and point rows, one x-column
+    template per (center, nearest center, color), and the first restriction
+    `first` with its CSC matrix. Within a class (a, h) every delta scales by
+    the same lambda / n_h, so `first`, ranked at lambda = 1, serves every
+    lambda > 0; at lambda = 0 every delta is 0 and pricing brings in what the
+    ranking left out. Only the Rawlsian matrix depends on lambda: its deltas
+    and t costs (at `tail_scaled`) in the disu rows. Built with kind None it
+    is a baseline's, holding the distances and the nearest centers.
 
     The constructor applies params.validate and params.check_centers;
     `check` compares a call's arguments with the set-up's own.
@@ -72,10 +72,14 @@ class LPSetup:
         params.check_centers(instance, centers)
         self.instance, self.params, self.kind = instance, params, kind
         self.centers = np.asarray(centers, dtype=np.float64)
-        self.dist_pow = pairwise_pow(instance.features, self.centers, params.p)
-        self.near = np.argmin(self.dist_pow, axis=1)
+        self.dist_t = pairwise_pow(self.centers, instance.features, params.p)
+        self.near = np.argmin(self.dist_t, axis=0)
         if kind is not None:
-            self._frame(kind == "rawlsian")
+            self._frame()
+
+    @property
+    def rawlsian(self) -> bool:
+        return self.kind == "rawlsian"
 
     def check(
         self,
@@ -103,20 +107,15 @@ class LPSetup:
                 "center set"
             )
         if kind is not None and kind != self.kind:
-            raise ParamError(
-                f"the set-up was built for the {self.kind} LP, not the {kind} one"
-            )
+            was = f"for the {self.kind} LP," if self.kind else "without an LP kind,"
+            raise ParamError(f"the set-up was built {was} not the {kind} one")
 
-    def _frame(self, rawlsian: bool) -> None:
+    def _frame(self) -> None:
         inst, params, near = self.instance, self.params, self.near
         k, n, H = params.k, inst.n, inst.num_colors
         colors, points = inst.colors, np.arange(n)
-        self.rawlsian = rawlsian
-        self.num_rows = 2 * k * H + H * rawlsian
+        self.num_rows = 2 * k * H + H * self.rawlsian
         self.point_counts = inst.counts[colors]
-        self.dist_t = np.ascontiguousarray(self.dist_pow.T)
-        self.columns = np.ones((k, n), dtype=bool)
-        self.columns[near, points] = False
         # t_ih bounds the under- and over-representation of color h in cluster i:
         # (r_h - beta_h) size_i - size_ih <= t_ih and
         # size_ih - (r_h + alpha_h) size_i <= t_ih, written out in x
@@ -135,7 +134,7 @@ class LPSetup:
             for coef in (self.under, self.over)
         ]
         self.b_ub = np.concatenate(
-            [-np.concatenate(b_rows), np.zeros(H * rawlsian), np.ones(n)]
+            [-np.concatenate(b_rows), np.zeros(H * self.rawlsian), np.ones(n)]
         )
         # x[i, j]'s entries in the under and over rows by (i, a(j), color of
         # j), rows ascending: the lower-numbered cluster's block first, with
@@ -164,14 +163,14 @@ class LPSetup:
         # its entries, which each LP sets; the free z has -1 in every disu
         # row
         t = np.arange(k * H)
-        t_rows = [t, k * H + t] + [2 * k * H + t % H] * rawlsian
+        t_rows = [t, k * H + t] + [2 * k * H + t % H] * self.rawlsian
         width = len(t_rows)
         self.tail_start = np.arange(0, width * k * H + 1, width)
         self.tail_index = np.column_stack(t_rows).ravel()
         self.tail_value = np.full(width * k * H, -1.0)
         self.tail_lower = np.zeros(k * H)
         self.tail_upper = np.full(k * H, np.inf)
-        if rawlsian:
+        if self.rawlsian:
             self.tail_scaled = 3 * t + 2
             self.tail_start = np.append(self.tail_start, width * k * H + H)
             self.tail_index = np.append(self.tail_index, 2 * k * H + np.arange(H))
@@ -188,10 +187,11 @@ class LPSetup:
         inst, near = self.instance, self.near
         k, n, H = self.params.k, inst.n, inst.num_colors
         points = np.arange(n)
+        columns = np.arange(k)[:, None] != near
         width = min(k, _CANDIDATES)
         top = np.zeros((k, n), dtype=bool)
-        nearest = np.argpartition(self.dist_pow, width - 1, axis=1)
-        top[nearest[:, :width].T, points] = True
+        nearest = np.argpartition(self.dist_t, width - 1, axis=0)
+        top[nearest[:width], points] = True
         share = (1.0 / self.point_counts) * self.dist_t
         delta = share - share[near, points]
         cls = self.near_color
@@ -204,16 +204,16 @@ class LPSetup:
             first = np.argsort(delta[:, members], axis=1, kind="stable")
             cut = int(np.ceil(_CLASS_SHARE * len(members)))
             prefix[rows, members[first[:, :cut]]] = True
-        self.first = self.columns & top & prefix
-        self.first_left = self.columns & ~self.first
-        self.first_flat = np.flatnonzero(self.first)
-        i, j = np.divmod(self.first_flat, n)
-        # a placeholder 1 keeps each Rawlsian delta entry, which follows its
-        # column's nonzero template entries; each LP sets it
+        self.first = columns & top & prefix
+        self.first_left = columns & ~self.first
+        flat = np.flatnonzero(self.first)
+        i, j = np.divmod(flat, n)
+        # first's flat positions, `x_columns` parts and delta entries, read by
+        # `restrict`: a placeholder 1 keeps each Rawlsian delta entry (after
+        # its column's nonzero template entries), which each LP sets
         x = self.x_columns(i, j, np.ones(len(j)))
-        self.first_start, self.first_index, self.first_value, self.first_shared = x
         t = (i * k + near[j]) * H + inst.colors[j]
-        self.first_delta_at = self.first_start[:-1] + self.template_counts[t]
+        self.first_columns = flat, x, x[0][:-1] + self.template_counts[t]
 
     def x_columns(
         self, i: np.ndarray, j: np.ndarray, delta: np.ndarray | None
@@ -354,33 +354,23 @@ class LPModel:
         upper[: self.params.k * self.setup.instance.n] = 1.0
         return upper
 
-    def first_lp(self) -> tuple[_highs.LP, np.ndarray]:
-        """`restrict` of the set-up's first restriction, from its matrix."""
+    def restrict(self, keep: np.ndarray) -> tuple[_highs.LP, np.ndarray, np.ndarray]:
+        """The frame LP over the x columns in keep ((k, n), order i * n + j;
+        the set-up's `first` itself from its cached matrix) and the t and z
+        columns, the x columns' flat positions, and the ids of its frame rows:
+        the model's, then those of the points with 2 or more kept x columns."""
         setup = self.setup
-        value = setup.first_value
-        if setup.rawlsian:
-            value = value.copy()
-            value[setup.first_delta_at] = self.delta.take(setup.first_flat)
-        x = setup.first_start, setup.first_index, value
-        return self._lp(setup.first_flat, x, setup.first_shared)
-
-    def restrict(self, keep: np.ndarray) -> tuple[_highs.LP, np.ndarray]:
-        """The frame LP over the x columns in keep ((k, n), in column order
-        i * n + j) and the t and z columns, and the ids of the frame rows it
-        holds: the model's rows and the rows of the points with at least 2
-        kept x columns, in order."""
-        flat = np.flatnonzero(keep)
-        i, j = np.divmod(flat, keep.shape[1])
-        delta = self.delta.take(flat) if self.setup.rawlsian else None
-        *x, shared = self.setup.x_columns(i, j, delta)
-        return self._lp(flat, x, shared)
-
-    def _lp(self, flat, x, shared) -> tuple[_highs.LP, np.ndarray]:
-        """The LP over the x columns at flat positions, CSC parts x, and the
-        t and z columns, and the ids of its rows, shared being the points
-        with one."""
-        setup = self.setup
-        (start, index, value), (t_start, t_index, t_value) = x, self.tail
+        if keep is setup.first:
+            flat, (start, index, value, shared), delta_at = setup.first_columns
+            if setup.rawlsian:
+                value = value.copy()
+                value[delta_at] = self.delta.take(flat)
+        else:
+            flat = np.flatnonzero(keep)
+            i, j = np.divmod(flat, keep.shape[1])
+            delta = self.delta.take(flat) if setup.rawlsian else None
+            start, index, value, shared = setup.x_columns(i, j, delta)
+        t_start, t_index, t_value = self.tail
         row_ids = np.concatenate([np.arange(setup.num_rows), setup.num_rows + shared])
         lp = _highs.LP(
             cost=np.concatenate([self.cost.take(flat), self.tail_cost]),
@@ -392,7 +382,7 @@ class LPModel:
             row_lower=np.full(len(row_ids), -np.inf),
             row_upper=self.b_ub[row_ids],
         )
-        return lp, row_ids
+        return lp, flat, row_ids
 
     def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
         """(k, n) reduced costs of every x column of the frame LP, in closed
@@ -528,12 +518,11 @@ class HighsSolver:
 
     def solve(self, model: LPModel) -> tuple[np.ndarray, float, int, int, float]:
         tolerance = model.params.lp_tolerance
-        setup = model.setup
-        keep, left = setup.first, setup.first_left
-        lp, row_ids = model.first_lp()
+        keep, left = model.setup.first, model.setup.first_left
         rounds = iterations = 0
         while True:
             rounds += 1
+            lp, flat, row_ids = model.restrict(keep)
             res = _highs.solve(lp)
             iterations += res.iterations
             duals = np.zeros(len(model.b_ub))
@@ -549,14 +538,11 @@ class HighsSolver:
                 break
             keep = keep | enter
             left = left & ~enter
-            lp, row_ids = model.restrict(keep)
-        nx = len(res.x) - len(model.tail_cost)
-        flat = setup.first_flat if rounds == 1 else np.flatnonzero(keep)
-        x = np.zeros((model.params.k, setup.instance.n))
-        x.put(flat, res.x[:nx])
-        x.put(setup.near_flat, 1.0 - x.sum(axis=0))
+        x = np.zeros(keep.shape)
+        x.put(flat, res.x[: len(flat)])
+        x.put(model.setup.near_flat, 1.0 - x.sum(axis=0))
         return (
-            np.concatenate([x.ravel(), res.x[nx:]]),
+            np.concatenate([x.ravel(), res.x[len(flat):]]),
             float(res.objective) + model.offset,
             iterations,
             rounds,

@@ -12,7 +12,7 @@ from .model import Instance, Params
 
 
 def pairwise_pow(X: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
-    """(n, k) matrix of Euclidean d(x_j, c_i)^p."""
+    """(len(X), len(C)) matrix of Euclidean d(x, c)^p, x and c rows of X and C."""
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     if X.shape[1] != C.shape[1]:
@@ -70,7 +70,7 @@ def report_from_distances(
 ) -> GroupReport:
     """GroupReport from a precomputed (n, k) d^p matrix and an assignment."""
     k, H, colors = dist_pow.shape[1], instance.num_colors, instance.colors
-    dsel = dist_pow.take(np.arange(instance.n) * k + assignment)
+    dsel = dist_pow[np.arange(instance.n), assignment]
     D = np.bincount(colors, weights=dsel, minlength=H)
     mass = np.bincount(assignment * H + colors, minlength=k * H).reshape(k, H)
     _, V, disu = disutilities(instance, params, mass, D)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -16,7 +17,7 @@ class Instance:
     """A clustering instance: points with a group label per point.
 
     features: (n, d) float array, d >= 1, all finite.
-    colors: (n,) int array, values in [0, num_colors), every color present.
+    colors: (n,) integer ids (whole floats too) in [0, num_colors), every color present.
     color_names: name per color id, in first-appearance order of the source;
     at least two of them.
     Data breaking these rules raises DataError.
@@ -27,8 +28,16 @@ class Instance:
     color_names: list[str]
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.colors = np.asarray(self.colors, dtype=np.int64)
+        try:
+            self.features = np.asarray(self.features, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise DataError(f"features must be numbers: {err}") from None
+        colors = np.asarray(self.colors)
+        if colors.dtype.kind not in "biu":
+            for j, c in enumerate(colors.ravel().tolist()):
+                if not (isinstance(c, Real) and float(c).is_integer()):
+                    raise DataError(f"point {j} has color id {c!r}, not an integer")
+        self.colors = colors.astype(np.int64)
         if self.features.ndim != 2:
             raise DataError(
                 f"features must be a 2-d array, got shape {self.features.shape}"
@@ -189,17 +198,21 @@ def check_k(k, n: int) -> None:
         raise ParamError(f"k={k} must lie in [1, n={n}]")
 
 
+def _shown(value) -> str:
+    """repr of value, a numpy scalar as the Python one it holds."""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
 def check_p(p) -> None:
     """ParamError unless p is 1 or 2; a bool is neither."""
     if isinstance(p, (bool, np.bool_)) or p not in (1, 2):
-        raise ParamError(f"p must be 1 or 2, got {p}")
+        raise ParamError(f"p must be 1 or 2, got {_shown(p)}")
 
 
-def check_not_bool(name: str, value) -> None:
-    """ParamError naming the setting if value is a bool, numpy's included:
-    a bool is not a number."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ParamError(f"{name} must be a number, got {value}")
+def check_number(name: str, value) -> None:
+    """ParamError unless value is a real number, numpy's too; a bool is none."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
+        raise ParamError(f"{name} must be a number, got {_shown(value)}")
 
 
 def check_objective(objective) -> None:
@@ -232,8 +245,11 @@ class Params:
     lp_tolerance: float = LP_TOLERANCE
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.beta = np.asarray(self.beta, dtype=np.float64)
+        try:
+            self.alpha = np.asarray(self.alpha, dtype=np.float64)
+            self.beta = np.asarray(self.beta, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise ParamError(f"alpha and beta must be numbers: {err}") from None
 
     @classmethod
     def with_delta(
@@ -289,10 +305,10 @@ class Params:
 
     def check_scalars(self, n: int) -> None:
         """`validate`'s rules for p, lam, k (against n points) and
-        lp_tolerance; a bool is none of p, lam and lp_tolerance."""
+        lp_tolerance; lam and lp_tolerance are numbers (`check_number`)."""
         check_p(self.p)
-        check_not_bool("lambda", self.lam)
-        check_not_bool("lp_tolerance", self.lp_tolerance)
+        check_number("lambda", self.lam)
+        check_number("lp_tolerance", self.lp_tolerance)
         if not (0.0 <= self.lam <= 1.0):
             raise ParamError(f"lambda must lie in [0, 1], got {self.lam}")
         check_k(self.k, n)

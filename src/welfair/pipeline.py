@@ -15,7 +15,7 @@ from .centers import CenterSet
 from .errors import ParamError
 from .metrics import GroupReport, additive_constants, report_from_distances
 from .model import (
-    LP_TOLERANCE, Instance, Params, Solution, check_int, check_not_bool,
+    LP_TOLERANCE, Instance, Params, Solution, check_int, check_number,
     check_objective,
 )
 
@@ -74,19 +74,15 @@ def _center_set(
     center_set: centers_mod.CenterSet | None,
     setup: lp_mod.LPSetup | None,
 ) -> centers_mod.CenterSet:
-    """center_set, after params.validate and params.check_centers, or the
-    best of restarts of method (looked up on `centers` at call time). A
-    set-up comes with the center set it was built for, and its check
-    (`LPSetup.check`, which the caller makes) stands in for both."""
-    if setup is not None:
-        if center_set is None:
-            raise ParamError("a set-up needs the center set it was built for")
+    """center_set as given, left to the caller's `LPSetup` to check, or the
+    best of restarts of method (looked up on `centers` at call time) after
+    params.validate. A set-up needs the center set it was built for."""
+    if center_set is not None:
         return center_set
+    if setup is not None:
+        raise ParamError("a set-up needs the center set it was built for")
     params.validate(instance)
-    if center_set is None:
-        return centers_mod.best_of_restarts(instance, params.k, method, restarts, seed)
-    params.check_centers(instance, center_set.centers)
-    return center_set
+    return centers_mod.best_of_restarts(instance, params.k, method, restarts, seed)
 
 
 def _lp_pipeline(
@@ -112,7 +108,7 @@ def _lp_pipeline(
     frac = lp_mod.solve_lp(model)
     t2 = time.perf_counter()
     rounder = rounding_mod.rawlsian_round if rawlsian else rounding_mod.utilitarian_round
-    integral = rounder(frac.x, instance, params, model.setup.dist_pow, frac.mass)
+    integral = rounder(frac.x, instance, params, model.setup.dist_t.T, frac.mass)
     t3 = time.perf_counter()
     solution = Solution(cs.centers, integral.assignment, provenance=cs.provenance)
     report = integral.report
@@ -195,7 +191,7 @@ def evaluate_baseline(
         setup.check(instance, params, cs.centers)
     t1 = time.perf_counter()
     solution = Solution(cs.centers, setup.near.copy(), provenance=cs.provenance)
-    report = report_from_distances(instance, params, setup.dist_pow, setup.near)
+    report = report_from_distances(instance, params, setup.dist_t.T, setup.near)
     return RunResult(
         method=method,
         params=params,
@@ -221,7 +217,7 @@ def check_sweep(objective, k_range, lambdas, delta, restarts, seed, normalize, *
     check_int("seed", seed, 0)
     if not isinstance(normalize, bool):
         raise ParamError(f"normalize must be True or False, got {normalize!r}")
-    check_not_bool("delta", delta)
+    check_number("delta", delta)
     if not math.isfinite(delta):
         raise ParamError(f"delta must be finite, got {delta}")
     if delta < 0:
@@ -232,6 +228,7 @@ def check_sweep(objective, k_range, lambdas, delta, restarts, seed, normalize, *
     if not lambdas:
         raise ParamError("lambda list is empty")
     for lam in lambdas:
+        check_number("lambda", lam)
         if not 0.0 <= lam <= 1.0:
             raise ParamError(f"lambda must lie in [0, 1], got {lam}")
     # a repeated value would run its cells twice

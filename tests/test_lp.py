@@ -96,7 +96,7 @@ class TestBuilders:
         setup = lp_mod.LPSetup(inst, params, centers, "rawlsian")
         a = build_rawlsian_lp(inst, params, centers)
         b = build_rawlsian_lp(inst, params, centers, setup=setup)
-        assert b.setup.dist_pow is setup.dist_pow
+        assert b.setup.dist_t is setup.dist_t
         np.testing.assert_array_equal(a.objective, b.objective)
         for ra, rb in zip(a.rows, b.rows):
             np.testing.assert_array_equal(ra.vals, rb.vals)
@@ -197,7 +197,7 @@ class TestCoefficientTables:
         monkeypatch.setattr(lp_mod, "pairwise_pow", spy)
         for build in (lp_mod.build_rawlsian_lp, lp_mod.build_utilitarian_lp):
             m = build(inst, params, centers)
-            np.testing.assert_array_equal(m.setup.dist_pow, real(*calls[-1]))
+            np.testing.assert_array_equal(m.setup.dist_t, real(*calls[-1]))
         assert len(calls) == 2
 
 
@@ -296,16 +296,10 @@ def _solve_spy(monkeypatch):
     """Record every `_highs.solve` call HighsSolver makes: (call, solution),
     the call holding the frame LP's costs as c, its matrix as the sparse
     A_ub, its right-hand sides as b_ub and, as keep, the (k, n) x-column
-    mask of the LP: the set-up's first restriction for the first LP
-    (`LPModel.first_lp`), the mask `LPModel.restrict` was given for each
-    later one."""
+    mask `LPModel.restrict` was given for the LP."""
     real = _highs.solve
-    first_lp, restrict = lp_mod.LPModel.first_lp, lp_mod.LPModel.restrict
+    restrict = lp_mod.LPModel.restrict
     calls, keeps = [], []
-
-    def first_spy(model):
-        keeps.append(model.setup.first.copy())
-        return first_lp(model)
 
     def restrict_spy(model, keep):
         keeps.append(keep.copy())
@@ -322,7 +316,6 @@ def _solve_spy(monkeypatch):
         calls.append((call, res))
         return res
 
-    monkeypatch.setattr(lp_mod.LPModel, "first_lp", first_spy)
     monkeypatch.setattr(lp_mod.LPModel, "restrict", restrict_spy)
     monkeypatch.setattr(_highs, "solve", spy)
     return calls
@@ -358,7 +351,7 @@ def _reduced_costs(model, call, res):
     for row, y in zip(rows, duals[: len(rows)]):
         np.add.at(rc, row.cols, -y * row.vals)
     k, n = model.params.k, model.setup.instance.n
-    near = np.argmin(model.setup.dist_pow, axis=1) * n + np.arange(n)
+    near = np.argmin(model.setup.dist_t.T, axis=1) * n + np.arange(n)
     mu = duals[len(rows):]
     # assignment equality j holds x[i, j] for every i, at column i * n + j
     rc[: k * n] -= np.tile(rc[near] + mu, k)
@@ -400,7 +393,7 @@ def _x_columns(model, call):
     k, H = model.params.k, model.setup.instance.num_colors
     keep = call["keep"]
     A = call["A_ub"].tocsc()
-    near = np.argmin(model.setup.dist_pow, axis=1)
+    near = np.argmin(model.setup.dist_t.T, axis=1)
     xi, xj = np.nonzero(keep)
     assert A.shape[1] == len(xi) + model.num_vars - k * model.setup.instance.n
     for col, (i, j) in enumerate(zip(xi, xj)):
@@ -415,7 +408,7 @@ def _class_prefix(model):
     the cheapest ceil(_CLASS_SHARE * |class|) of its class (a(j), color of
     j), ranked by delta at i, ties by point id."""
     k, n = model.params.k, model.setup.instance.n
-    d = model.setup.dist_pow
+    d = model.setup.dist_t.T
     colors = model.setup.instance.colors
     near = d.argmin(axis=1)
     share = (model.params.lam / model.setup.instance.counts[colors])[:, None] * d
@@ -484,7 +477,7 @@ class TestHighsPricing:
         xvec, obj, _, rounds, _ = HighsSolver().solve(m)
         assert rounds >= 2 and len(calls) == rounds
         first = _x_columns(m, calls[0][0])
-        near = np.argmin(m.setup.dist_pow, axis=1)
+        near = np.argmin(m.setup.dist_t.T, axis=1)
         i, j = np.nonzero(first)
         k, H = params.k, inst.num_colors
         per_class = np.bincount(
@@ -526,7 +519,7 @@ class TestHighsPricing:
         priced = _pricing_spy(monkeypatch)
         HighsSolver().solve(m)
         assert len(priced) == len(calls) >= 2
-        columns = m.setup.columns
+        columns = m.setup.first | m.setup.first_left
         for (call, res), (duals, got) in zip(calls, priced):
             np.testing.assert_array_equal(duals, _frame_duals(m, call, res))
             want = _reduced_costs(m, call, res)[: params.k * inst.n]
@@ -659,6 +652,40 @@ class TestHighsPricing:
         assert type(iterations) is int and type(rounds) is int
         assert rounds == len(calls)
         assert iterations == sum(res.iterations for _, res in calls) > 0
+
+    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
+    @pytest.mark.parametrize("H", [2, 3])
+    @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.5, 1.0])
+    def test_cached_first_lp_equals_the_gathered_one(self, kind, H, lam):
+        # restrict writes the set-up's first restriction from its cached
+        # matrix and any other mask, an equal copy of it included, through
+        # LPSetup.x_columns; the two LPs differ only in explicit zeros (the
+        # Rawlsian deltas at lambda = 0; both hold the t costs, 0 at lambda =
+        # 1), which HiGHS drops
+        inst, params, centers = _setup(n=60, k=6, H=H, lam=lam, seed=H)
+        build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+        m = build(inst, params, centers)
+        (cached, flat, rows), (gathered, flat2, rows2) = (
+            m.restrict(m.setup.first), m.restrict(m.setup.first.copy())
+        )
+        np.testing.assert_array_equal(flat, flat2)
+        np.testing.assert_array_equal(rows, rows2)
+        for field in ("cost", "col_lower", "col_upper", "row_lower", "row_upper"):
+            np.testing.assert_array_equal(
+                getattr(cached, field), getattr(gathered, field)
+            )
+        shape = len(rows), len(cached.cost)
+        A, B = (
+            sp.csc_matrix((lp.value, lp.index, lp.start), shape=shape, copy=True)
+            for lp in (cached, gathered)
+        )
+        assert B.nnz <= A.nnz
+        A.eliminate_zeros()
+        B.eliminate_zeros()
+        assert (A != B).nnz == 0
+        a, b = _highs.solve(cached), _highs.solve(gathered)
+        np.testing.assert_array_equal(a.x, b.x)
+        assert (a.objective, a.iterations) == (b.objective, b.iterations)
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     def test_stops_when_no_column_is_left_out(self, monkeypatch, kind):
@@ -1074,7 +1101,7 @@ def test_solve_lp_property(seed, lam, delta):
     np.testing.assert_allclose(frac.x.sum(axis=0), 1.0, atol=1e-6)
     assert frac.objective >= -1e-12
     # nearest-center integral assignment upper-bounds the LP optimum
-    nearest = np.argmin(m.setup.dist_pow, axis=1)
+    nearest = np.argmin(m.setup.dist_t.T, axis=1)
     dist = pairwise_pow(inst.features, centers, params.p)
     rep = report_from_distances(inst, params, dist, nearest)
     assert frac.objective <= rep.U + 1e-7

@@ -193,6 +193,38 @@ class TestInstance:
         with pytest.raises(DataError, match="color id -1"):
             Instance(np.zeros((3, 1)), [0, -1, 1], ["a", "b"])
 
+    @pytest.mark.parametrize(
+        "colors, point, shown",
+        [
+            ([0, 1.9, 1], 1, "1.9"),
+            ([0, np.nan, 1], 1, "nan"),
+            (["a", "b", "a"], 0, "'a'"),
+            ([0, None, 1], 1, "None"),
+        ],
+        ids=["fraction", "nan", "str", "none"],
+    )
+    def test_color_id_not_an_integer(self, colors, point, shown):
+        # a float id used to be truncated, 1.9 to 1, and a NaN or a string
+        # one, or None, raised a bare numpy error
+        with pytest.raises(
+            DataError, match=f"^point {point} has color id {shown}, not an integer$"
+        ):
+            Instance(np.zeros((3, 1)), colors, ["a", "b"])
+
+    def test_whole_float_color_ids(self):
+        inst = Instance(np.zeros((3, 1)), [0.0, 1.0, 1.0], ["a", "b"])
+        assert inst.colors.dtype == np.int64
+        assert inst.colors.tolist() == [0, 1, 1]
+
+    def test_non_numeric_features(self):
+        with pytest.raises(DataError, match="^features must be numbers: .*'x'"):
+            Instance([[0.0], ["x"], [1.0]], [0, 1, 1], ["a", "b"])
+
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    def test_non_numeric_slack(self, side):
+        with pytest.raises(ParamError, match="^alpha and beta must be numbers: .*'x'"):
+            Params(2, 0.5, **{side: "x"})
+
     def test_declared_color_without_points(self):
         with pytest.raises(DataError, match="'c' has no points"):
             Instance(np.zeros((3, 1)), [0, 1, 0], ["a", "b", "c"])
@@ -281,11 +313,14 @@ class TestParams:
 
     @pytest.mark.parametrize("field", ["p", "lam", "lp_tolerance"])
     @pytest.mark.parametrize(
-        "value", [True, np.True_, False], ids=["bool", "numpy-bool", "false"]
+        "value, shown",
+        [(True, "True"), (np.True_, "True"), (False, "False"), ("0.5", "'0.5'")],
+        ids=["bool", "numpy-bool", "false", "str"],
     )
-    def test_bool_p_or_lambda_rejected(self, tiny_instance, field, value):
+    def test_bool_p_or_lambda_rejected(self, tiny_instance, field, value, shown):
         # True == 1 and False == 0, so a bool used to pass as p = 1, as
-        # lambda = 1 or 0, or as an lp_tolerance of 1
+        # lambda = 1 or 0, or as an lp_tolerance of 1; a string used to
+        # fail with a bare TypeError
         params = Params(k=3, lam=0.5, p=2, alpha=np.zeros(2), beta=np.zeros(2))
         setattr(params, field, value)
         name = {
@@ -293,7 +328,7 @@ class TestParams:
             "lam": "lambda must be a number",
             "lp_tolerance": "lp_tolerance must be a number",
         }[field]
-        message = f"^{name}, got {value}$"
+        message = f"^{name}, got {shown}$"
         with pytest.raises(ParamError, match=message):
             params.validate(tiny_instance)
         with pytest.raises(ParamError, match=message):

@@ -304,6 +304,7 @@ class TestSetup:
             ("delta", "built for another"),
             ("p", "built for another"),
             ("kind", "built for the utilitarian LP, not the rawlsian one"),
+            ("no kind", "built without an LP kind, not the rawlsian one"),
             ("no center set", "needs the center set it was built for"),
             ("bool lambda", "lambda must be a number, got True"),
         ],
@@ -312,8 +313,10 @@ class TestSetup:
         inst = _inst(seed=8)
         cs = best_of_restarts(inst, 3, "socially_fair", 2, 0)
         params = Params.with_delta(inst, 3, 0.5, 0.1)
-        kind = "utilitarian" if change == "kind" else "rawlsian"
+        kind = {"kind": "utilitarian", "no kind": None}.get(change, "rawlsian")
         setup = LPSetup(inst, params, cs.centers, kind)
+        # a baseline's set-up, built without a kind, is no Rawlsian one
+        assert setup.rawlsian is (kind == "rawlsian")
         center_set = cs
         if change == "k":
             cs2 = best_of_restarts(inst, 2, "socially_fair", 2, 0)
@@ -413,6 +416,10 @@ class TestSweep:
             ({"delta": True}, "delta must be a number, got True"),
             ({"normalize": "no"}, "normalize must be True or False, got 'no'"),
             ({"lp_tolerance": True}, "lp_tolerance must be a number, got True"),
+            ({"lambdas": ["0.5"]}, "lambda must be a number, got '0.5'"),
+            ({"delta": "0.1"}, "delta must be a number, got '0.1'"),
+            ({"lp_tolerance": "1e-7"}, "lp_tolerance must be a number, got '1e-7'"),
+            ({"p": "2"}, "p must be 1 or 2, got '2'"),
         ],
     )
     def test_bad_settings_rejected_before_centers(
