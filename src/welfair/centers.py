@@ -9,7 +9,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, ParamError
-from .model import Instance, check_int, check_k
+from .metrics import nearest
+from .model import Instance, check_int, check_k, real_array
 
 
 @dataclass
@@ -19,7 +20,7 @@ class CenterSet:
     restart_scores holds each restart's score; a single run is one restart.
     best_of_restarts keeps its first restart's centers as first_centers.
     A set given to a run may carry a NaN score: the run reads only its
-    centers and provenance.
+    centers.
     """
 
     centers: np.ndarray
@@ -29,7 +30,10 @@ class CenterSet:
     first_centers: np.ndarray | None = None
 
 
-def _check_weights(w: np.ndarray, n: int) -> None:
+def _check_weights(weights, n: int) -> np.ndarray:
+    """weights as a float64 array (`model.real_array`), checked as
+    `kmeanspp_init` says."""
+    w = real_array("weights", weights)
     if w.shape != (n,):
         raise ParamError(f"weights have shape {w.shape}; need one per point, ({n},)")
     bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))
@@ -43,6 +47,7 @@ def _check_weights(w: np.ndarray, n: int) -> None:
         total = float(w.sum())
     if not 0.0 < total < math.inf:
         raise ParamError(f"weights sum to {total!r}; need a positive finite total")
+    return w
 
 
 def kmeanspp_init(
@@ -59,8 +64,7 @@ def kmeanspp_init(
     check_int("seed", seed, 0)
     X = instance.features
     n = instance.n
-    w = np.asarray(weights, dtype=np.float64)
-    _check_weights(w, n)
+    w = _check_weights(weights, n)
     check_k(k, n)
     rng = np.random.default_rng(seed)
     chosen = np.empty(k, dtype=np.int64)
@@ -77,13 +81,8 @@ def kmeanspp_init(
 
 
 def _assign(centers: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's nearest center (ties to the lowest index) and its squared
-    distance to it, from one (k, n) distance matrix. The first index of each
-    column's minimum equals argmin(axis=0), which copies the matrix to scan
-    it by rows."""
-    dist = cdist(centers, X, "sqeuclidean")
-    dsel = dist.min(axis=0)
-    return (dist == dsel).argmax(axis=0), dsel
+    """Each point's nearest center and its squared distance to it."""
+    return nearest(cdist(centers, X, "sqeuclidean"))
 
 
 def _repair_empty(
@@ -158,7 +157,7 @@ def lloyd(instance: Instance, k: int, weights: np.ndarray, seed: int) -> CenterS
     center moves to the weighted centroid of its points. Score is the
     weighted cost at p=2 of the returned centers."""
     Xt = np.ascontiguousarray(instance.features.T)
-    w = np.asarray(weights, dtype=np.float64)
+    w = real_array("weights", weights)
 
     def update(assign):
         wsum = np.bincount(assign, w, minlength=k)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import _highs
 from .errors import InternalInvariantError, ParamError
-from .metrics import color_masses, disutilities, pairwise_pow
+from .metrics import color_masses, disutilities, nearest, pairwise_pow
 from .model import Instance, Params, check_objective
 
 _SNAP = 1e-12
@@ -69,11 +69,10 @@ class LPSetup:
         if kind is not None:
             check_objective(kind)
         params.validate(instance)
-        params.check_centers(instance, centers)
+        self.centers = params.check_centers(instance, centers)
         self.instance, self.params, self.kind = instance, params, kind
-        self.centers = np.asarray(centers, dtype=np.float64)
         self.dist_t = pairwise_pow(self.centers, instance.features, params.p)
-        self.near = np.argmin(self.dist_t, axis=0)
+        self.near = nearest(self.dist_t)[0]
         if kind is not None:
             self._frame()
 
@@ -586,7 +585,7 @@ def brute_force_assignment(
     Ties resolve to the lexicographically smallest assignment vector.
     """
     params.validate(instance)
-    params.check_centers(instance, centers)
+    centers = params.check_centers(instance, centers)
     check_objective(objective)
     n = instance.n
     k = params.k

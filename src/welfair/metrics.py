@@ -22,6 +22,14 @@ def pairwise_pow(X: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
     return cdist(X, C, "euclidean") ** p
 
 
+def nearest(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's first minimum index in a (k, n) distance matrix, and
+    that minimum: argmin(axis=0) and min(axis=0), without the copy argmin
+    makes to scan the matrix by rows."""
+    dmin = dist.min(axis=0)
+    return (dist == dmin).argmax(axis=0), dmin
+
+
 def color_masses(x: np.ndarray, instance: Instance) -> np.ndarray:
     """Per-color sums over the last axis of x, (..., n) -> (..., H): the
     (cluster, color) masses of a (k, n) assignment."""

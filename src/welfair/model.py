@@ -19,7 +19,7 @@ class Instance:
     features: (n, d) float array, d >= 1, all finite.
     colors: (n,) integer ids (whole floats too) in [0, num_colors), every color present.
     color_names: name per color id, in first-appearance order of the source;
-    at least two of them.
+    at least two of them, no two alike.
     Data breaking these rules raises DataError.
     """
 
@@ -57,6 +57,10 @@ class Instance:
                 f"got {H} color name(s) {list(self.color_names)!r}; "
                 "need at least two groups"
             )
+        names = list(self.color_names)
+        repeat = next((v for i, v in enumerate(names) if v in names[:i]), None)
+        if repeat is not None:
+            raise DataError(f"color name {repeat!r} appears more than once")
         bad = np.nonzero((self.colors < 0) | (self.colors >= H))[0]
         if bad.size:
             j = int(bad[0])
@@ -215,6 +219,19 @@ def check_number(name: str, value) -> None:
         raise ParamError(f"{name} must be a number, got {_shown(value)}")
 
 
+def real_array(name: str, value) -> np.ndarray:
+    """value as a float64 array, converted as numpy converts it; ParamError
+    naming the argument if numpy cannot (a string that is no number, a
+    ragged list) or if it holds complex values."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind != "c":
+            return array.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as err:
+        raise ParamError(f"{name} must be real numbers: {err}") from None
+    raise ParamError(f"{name} must be real numbers, got complex ones")
+
+
 def check_objective(objective) -> None:
     """ParamError unless objective is "rawlsian" or "utilitarian"."""
     if objective not in ("rawlsian", "utilitarian"):
@@ -321,10 +338,10 @@ class Params:
                 f"lp_tolerance must be finite and at least 1e-8, got {tol}"
             )
 
-    def check_centers(self, instance: Instance, centers: np.ndarray) -> None:
-        """ParamError unless centers holds k finite centers in the
-        instance's dimension."""
-        centers = np.asarray(centers, dtype=np.float64)
+    def check_centers(self, instance: Instance, centers: np.ndarray) -> np.ndarray:
+        """centers as a float64 array (`real_array`); ParamError unless it
+        holds k finite centers in the instance's dimension."""
+        centers = real_array("centers", centers)
         want = (self.k, instance.dim)
         if centers.shape != want:
             raise ParamError(
@@ -336,6 +353,7 @@ class Params:
             raise ParamError(
                 f"coordinate {c} of center {i} is {centers[i, c]}, not finite"
             )
+        return centers
 
 
 @dataclass
@@ -344,7 +362,6 @@ class Solution:
 
     centers: np.ndarray
     assignment: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
@@ -374,8 +391,10 @@ def normalization_factors(
     """Scale factors balancing distance and violation terms, for both modes:
     {"rawlsian": ..., "utilitarian": ...}.
 
-    centers_by_k holds one vanilla k-means center set (k, dim) per k, and
-    each point goes to its nearest center. The factor for that k is
+    centers_by_k holds one vanilla k-means center set (k, dim) per k, each
+    checked as a set-up checks its centers (`Params.validate` and
+    `Params.check_centers`), and each point goes to its nearest
+    center (`metrics.nearest`). The factor for that k is
     distance numerator / violation denominator with alpha = beta = 0, and
     the result is the mean over the sets. The numerator of "rawlsian" is
     the overall mean of d^p, that of "utilitarian" the sum over colors of
@@ -390,11 +409,14 @@ def normalization_factors(
         raise ParamError("need the vanilla centers of at least one k")
     factors: dict[str, list[float]] = {"rawlsian": [], "utilitarian": []}
     for centers in centers_by_k:
-        k = len(centers)
-        dist = _metrics.pairwise_pow(instance.features, centers, p)
+        centers = real_array("centers", centers)
+        k = len(centers) if centers.ndim else 0
         params0 = Params.with_delta(instance, k, 0.0, p=p)
+        params0.validate(instance)
+        params0.check_centers(instance, centers)
+        dist = _metrics.pairwise_pow(centers, instance.features, p)
         rep = _metrics.report_from_distances(
-            instance, params0, dist, np.argmin(dist, axis=1)
+            instance, params0, dist.T, _metrics.nearest(dist)[0]
         )
         # U at lambda = 0 is sum_h V_h / n_h
         den = rep.U
@@ -416,6 +438,7 @@ def apply_normalization(instance: Instance, factor: float, p: int = 2) -> Instan
     """Divide coordinates by factor^(1/p), so that every d^p divides by factor;
     p is checked by `check_p`."""
     check_p(p)
+    check_number("normalization factor", factor)
     if not (factor > 0.0) or not math.isfinite(factor):
         raise ParamError(f"normalization factor must be positive finite, got {factor}")
     return Instance(

@@ -7,11 +7,12 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import centers as centers_mod
 from . import lp as lp_mod
 from . import model as model_mod
 from . import rounding as rounding_mod
-from .centers import CenterSet
 from .errors import ParamError
 from .metrics import GroupReport, additive_constants, report_from_distances
 from .model import (
@@ -73,16 +74,19 @@ def _center_set(
     restarts: int,
     center_set: centers_mod.CenterSet | None,
     setup: lp_mod.LPSetup | None,
-) -> centers_mod.CenterSet:
-    """center_set as given, left to the caller's `LPSetup` to check, or the
-    best of restarts of method (looked up on `centers` at call time) after
-    params.validate. A set-up needs the center set it was built for."""
+) -> np.ndarray:
+    """The run's centers: center_set's, left to the `LPSetup` the run is
+    given or builds to check; else setup's; else those of the best of
+    restarts of method (looked up on `centers` at call time) after
+    params.validate."""
     if center_set is not None:
-        return center_set
+        return center_set.centers
     if setup is not None:
-        raise ParamError("a set-up needs the center set it was built for")
+        return setup.centers
     params.validate(instance)
-    return centers_mod.best_of_restarts(instance, params.k, method, restarts, seed)
+    return centers_mod.best_of_restarts(
+        instance, params.k, method, restarts, seed
+    ).centers
 
 
 def _lp_pipeline(
@@ -99,18 +103,18 @@ def _lp_pipeline(
     rounder are looked up on their modules at call time."""
     rawlsian = kind == "rawlsian"
     t0 = time.perf_counter()
-    cs = _center_set(
+    centers = _center_set(
         instance, params, CENTER_METHODS[kind], seed, restarts, center_set, setup
     )
     t1 = time.perf_counter()
     build = lp_mod.build_rawlsian_lp if rawlsian else lp_mod.build_utilitarian_lp
-    model = build(instance, params, cs.centers, setup=setup)
+    model = build(instance, params, centers, setup=setup)
     frac = lp_mod.solve_lp(model)
     t2 = time.perf_counter()
     rounder = rounding_mod.rawlsian_round if rawlsian else rounding_mod.utilitarian_round
     integral = rounder(frac.x, instance, params, model.setup.dist_t.T, frac.mass)
     t3 = time.perf_counter()
-    solution = Solution(cs.centers, integral.assignment, provenance=cs.provenance)
+    solution = Solution(centers, integral.assignment)
     report = integral.report
     c_r, c_u = additive_constants(instance, params)
     bound = (1.0 - params.lam) * (c_r if rawlsian else c_u)
@@ -145,9 +149,10 @@ def rawlsian_alg(
     setup: lp_mod.LPSetup | None = None,
 ) -> RunResult:
     """Socially-fair centers, min-max LP, rounding of each (cluster, color)
-    mass. setup, an `lp.LPSetup` of instance, params and center_set's
-    centers built for the "rawlsian" LP, is what the LP of every lambda
-    shares; without it the call builds its own."""
+    mass. setup, an `lp.LPSetup` of instance and params built for the
+    "rawlsian" LP, is what the LP of every lambda shares and gives the run
+    its centers (a center_set given too must hold them); without it the
+    call builds its own."""
     return _lp_pipeline(
         instance, params, seed, restarts, "rawlsian", center_set, setup
     )
@@ -178,19 +183,19 @@ def evaluate_baseline(
     setup: lp_mod.LPSetup | None = None,
 ) -> RunResult:
     """Cluster with a center heuristic and nearest assignment, then report.
-    The distances and the nearest centers come from setup, an `lp.LPSetup`
-    of instance, params and center_set's centers, or from one the call
-    builds."""
+    The centers, distances and nearest centers come from setup, an
+    `lp.LPSetup` of instance and params (center_set, if given too, must
+    hold its centers), or from one the call builds."""
     if method not in centers_mod.METHODS:
         raise ParamError(f"method must be one of {centers_mod.METHODS}, got {method!r}")
     t0 = time.perf_counter()
-    cs = _center_set(instance, params, method, seed, restarts, center_set, setup)
+    centers = _center_set(instance, params, method, seed, restarts, center_set, setup)
     if setup is None:
-        setup = lp_mod.LPSetup(instance, params, cs.centers)
+        setup = lp_mod.LPSetup(instance, params, centers)
     else:
-        setup.check(instance, params, cs.centers)
+        setup.check(instance, params, centers)
     t1 = time.perf_counter()
-    solution = Solution(cs.centers, setup.near.copy(), provenance=cs.provenance)
+    solution = Solution(centers, setup.near.copy())
     report = report_from_distances(instance, params, setup.dist_t.T, setup.near)
     return RunResult(
         method=method,
@@ -259,10 +264,13 @@ def sweep(
     cells as (objective, [the algorithm's result, then the baselines']).
     Every setting is checked before any centers are computed."""
     check_sweep(objective, k_range, lambdas, delta, restarts, seed, normalize)
+    # normalization keeps the colors, so each (k, lambda)'s Params serves
+    # every objective
+    params = {}
     for k in k_range:
         for lam in lambdas:
-            params = Params.with_delta(instance, k, lam, delta, p, lp_tolerance)
-            params.validate(instance)
+            params[k, lam] = Params.with_delta(instance, k, lam, delta, p, lp_tolerance)
+            params[k, lam].validate(instance)
     objectives = list(CENTER_METHODS) if objective == "both" else [objective]
     # each k's center sets, computed once on the raw data; our method's
     # centers, CENTER_METHODS[obj], are one of them. The vanilla sets'
@@ -284,45 +292,32 @@ def sweep(
     }
     cells = []
     for obj, f in factors.items():
-        inst, sets = instance, center_sets
+        inst, scale = instance, 1.0
         if normalize:
             # every d^p of inst is the raw one divided by f, and the
             # heuristics are scale-equivariant, so its center sets are the raw
-            # ones times f^(-1/p); a run reads only centers and provenance
+            # ones times f^(-1/p)
             inst = model_mod.apply_normalization(instance, f, p)
             scale = math.sqrt(1.0 / f) if p == 2 else 1.0 / f
-            sets = {
-                k: {
-                    m: CenterSet(cs.centers * scale, cs.provenance, math.nan)
-                    for m, cs in by_method.items()
-                }
-                for k, by_method in center_sets.items()
-            }
         ours = CENTER_METHODS[obj]
+        alg = rawlsian_alg if obj == "rawlsian" else utilitarian_alg
         for k in k_range:
             # each center set's LP set-up, the algorithm's built for its LP,
             # is shared by every lambda's cell, so a cell does only lambda's
             # work; it is dropped before the next k's are built
-            params = Params.with_delta(inst, k, lambdas[0], delta, p, lp_tolerance)
             setups = {
-                m: lp_mod.LPSetup(inst, params, cs.centers, obj if m == ours else None)
-                for m, cs in sets[k].items()
+                m: lp_mod.LPSetup(
+                    inst, params[k, lambdas[0]], cs.centers * scale,
+                    obj if m == ours else None,
+                )
+                for m, cs in center_sets[k].items()
             }
             for lam in lambdas:
-                params = Params.with_delta(inst, k, lam, delta, p, lp_tolerance)
-                alg = rawlsian_alg if obj == "rawlsian" else utilitarian_alg
-                results = [
-                    alg(
-                        inst, params, seed=seed, center_set=sets[k][ours],
-                        setup=setups[ours],
-                    )
+                results = [alg(inst, params[k, lam], seed=seed, setup=setups[ours])]
+                results += [
+                    evaluate_baseline(inst, params[k, lam], m, seed=seed, setup=s)
+                    for m, s in setups.items()
                 ]
-                for m, cs in sets[k].items():
-                    results.append(
-                        evaluate_baseline(
-                            inst, params, m, seed=seed, center_set=cs, setup=setups[m]
-                        )
-                    )
                 cells.append((obj, results))
             del setups
     return factors, cells

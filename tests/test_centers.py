@@ -115,6 +115,9 @@ class TestKmeansppInit:
         w = np.full(n, 1e308)
         with pytest.raises(ParamError, match="sum to inf"):
             kmeanspp_init(tiny_instance, 2, w, 0)
+        for run in (kmeanspp_init, lloyd):
+            with pytest.raises(ParamError, match="^weights must be real numbers"):
+                run(tiny_instance, 2, ["a"] * n, 0)
 
     @pytest.mark.parametrize(
         "run",

@@ -552,15 +552,15 @@ class TestRunExperiment:
 
     def test_rescaled_center_set(self, dataset, tmp_path, monkeypatch):
         # each objective's center sets, rescaled from the raw ones, are those
-        # computed on its normalized data, at p = 1 and 2, in what a run reads
-        # of them: the centers and the provenance
+        # computed on its normalized data, at p = 1 and 2: the centers of
+        # the set-up each baseline is given
         path, feats = dataset
         inst = load_instance(path, feats, "group")
         given = []
         real = pipeline.evaluate_baseline
 
         def spy(inst, params, method, **kw):
-            given.append((method, kw["center_set"]))
+            given.append((method, kw["setup"].centers))
             return real(inst, params, method, **kw)
 
         monkeypatch.setattr(pipeline, "evaluate_baseline", spy)
@@ -586,8 +586,7 @@ class TestRunExperiment:
             for obj, (method, got) in zip(objectives, given):
                 scaled = apply_normalization(inst, factors[obj], p)
                 want = centers.best_of_restarts(scaled, 3, method, 3, 5)
-                np.testing.assert_allclose(got.centers, want.centers, rtol=1e-12)
-                assert got.provenance == want.provenance
+                np.testing.assert_allclose(got, want.centers, rtol=1e-12)
 
     def test_subsample_and_no_normalize(self, dataset, tmp_path):
         path, feats = dataset

@@ -844,6 +844,12 @@ class TestBruteForce:
     )
     def test_non_finite_centers(self, run):
         inst, params, centers = _setup(n=5, k=2, H=2)
+        # a coordinate that is no real number, in a list numpy converts
+        for bad, message in [("x", ": could not convert"), (1j, ", got complex")]:
+            given = centers.tolist()
+            given[1][1] = bad
+            with pytest.raises(ParamError, match=f"must be real numbers{message}"):
+                run(inst, params, given)
         centers[1, 1] = np.nan
         with pytest.raises(ParamError, match="coordinate 1 of center 1 is nan"):
             run(inst, params, centers)

@@ -11,6 +11,7 @@ from welfair.errors import ParamError
 from welfair.metrics import (
     additive_constants,
     disutilities,
+    nearest,
     pairwise_pow,
     report_from_distances,
 )
@@ -44,6 +45,20 @@ class TestPairwisePow:
     def test_dimension_mismatch(self):
         with pytest.raises(ParamError, match="dimension mismatch: 2 vs 3"):
             pairwise_pow(np.zeros((3, 2)), np.zeros((2, 3)), 2)
+
+
+class TestNearest:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_first_minimum_of_each_column(self, seed, p):
+        # rounded coordinates and centers drawn from the points tie often
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, size=(40, 2)).astype(np.float64)
+        dist = pairwise_pow(X[rng.choice(40, 6)], X, p)
+        idx, dmin = nearest(dist)
+        assert ((dist == dmin).sum(axis=0) > 1).any()
+        np.testing.assert_array_equal(idx, dist.argmin(axis=0))
+        np.testing.assert_array_equal(dmin, dist.min(axis=0))
 
 
 def _six_point_instance():

@@ -183,6 +183,11 @@ class TestInstance:
         with pytest.raises(DataError, match=r"\(3, 1\).*\(3, 1\)"):
             Instance(np.zeros((3, 1)), [[0], [1], [1]], ["a", "b"])
 
+    def test_repeated_color_name(self):
+        # each group's results.csv columns are keyed by its name
+        with pytest.raises(DataError, match="^color name 'a' appears more than once$"):
+            Instance(np.zeros((3, 1)), [0, 1, 0], ["a", "a"])
+
     def test_no_feature_columns(self):
         with pytest.raises(DataError, match="features have no columns"):
             Instance(np.zeros((3, 0)), [0, 1, 0], ["a", "b"])
@@ -505,6 +510,15 @@ class TestNormalization:
             apply_normalization(tiny_instance, 0.0)
         with pytest.raises(ParamError):
             apply_normalization(tiny_instance, float("nan"))
+        with pytest.raises(ParamError, match="factor must be a number, got '2'"):
+            apply_normalization(tiny_instance, "2")
+
+    def test_factors_check_each_center_set(self, tiny_instance):
+        bad = np.array([["x", "0"], ["1", "2"]])
+        with pytest.raises(ParamError, match="^centers must be real numbers"):
+            normalization_factors(tiny_instance, [bad])
+        with pytest.raises(ParamError, match="^k=0 must lie in"):
+            normalization_factors(tiny_instance, [np.zeros((0, 2))])
 
     def test_balanced_instance_raises(self):
         # perfectly color-balanced mirror-image data: every vanilla cluster

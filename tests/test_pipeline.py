@@ -13,6 +13,7 @@ from welfair.metrics import pairwise_pow, report_from_distances
 from welfair.model import Params
 from welfair.pipeline import (
     ALGORITHMS,
+    CENTER_METHODS,
     dominance_check,
     evaluate_baseline,
     rawlsian_alg,
@@ -46,7 +47,6 @@ class TestAlgorithms:
         rep = report_from_distances(inst, params, dist, res.solution.assignment)
         assert rep.R == pytest.approx(res.report.R)
         assert res.objective_value == pytest.approx(value)
-        assert "restarts=3" in res.solution.provenance
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
@@ -240,6 +240,23 @@ class TestCenterSetShape:
         with pytest.raises(ParamError, match=f"coordinate 0 of center 1 is {bad}"):
             run(inst, params, center_set=cs)
 
+    @_each_run
+    @pytest.mark.parametrize(
+        "ctrs, message",
+        [
+            (np.array([["x", "0"], ["1", "2"], ["3", "4"]]), "could not convert"),
+            ([[1, 2], [3], [4, 5]], "inhomogeneous shape"),
+            ([[1, 2], [3, 4j], [5, 6]], "got complex ones"),
+        ],
+        ids=["string", "ragged", "complex"],
+    )
+    def test_non_numbers_rejected(self, run, ctrs, message):
+        inst = _inst(seed=8)
+        params = Params.with_delta(inst, 3, 0.5, 0.1)
+        cs = CenterSet(ctrs, "given", float("nan"))
+        with pytest.raises(ParamError, match=f"^centers must be real.*{message}"):
+            run(inst, params, center_set=cs)
+
 
 class TestDominance:
     def _results(self, objective):
@@ -305,7 +322,6 @@ class TestSetup:
             ("p", "built for another"),
             ("kind", "built for the utilitarian LP, not the rawlsian one"),
             ("no kind", "built without an LP kind, not the rawlsian one"),
-            ("no center set", "needs the center set it was built for"),
             ("bool lambda", "lambda must be a number, got True"),
         ],
     )
@@ -329,12 +345,40 @@ class TestSetup:
             params = Params.with_delta(inst, 3, 0.5, 0.2)
         elif change == "p":
             params = Params.with_delta(inst, 3, 0.5, 0.1, p=1)
-        elif change == "no center set":
-            center_set = None
         elif change == "bool lambda":
             params = Params.with_delta(inst, 3, True, 0.1)
         with pytest.raises(ParamError, match=message):
             rawlsian_alg(inst, params, center_set=center_set, setup=setup)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
+    def test_setup_alone_gives_the_centers(self, kind, lam):
+        # a run and a baseline given a set-up alone take its centers, and
+        # equal the same calls given its center set as well; a center set
+        # holding other centers beside it still raises
+        inst = _inst(seed=8)
+        method = CENTER_METHODS[kind]
+        cs = best_of_restarts(inst, 3, method, 2, 0)
+        params = Params.with_delta(inst, 3, lam, 0.1)
+        alg = rawlsian_alg if kind == "rawlsian" else utilitarian_alg
+
+        def baseline(*args, **kw):
+            return evaluate_baseline(*args, method, **kw)
+
+        runs = [
+            (alg, LPSetup(inst, params, cs.centers, kind)),
+            (baseline, LPSetup(inst, params, cs.centers)),
+        ]
+        moved = CenterSet(cs.centers + 1.0, "moved", float("nan"))
+        for run, setup in runs:
+            alone = run(inst, params, setup=setup)
+            both = run(inst, params, center_set=cs, setup=setup)
+            np.testing.assert_array_equal(alone.solution.centers, cs.centers)
+            assert _untimed([(kind, [alone])], kind) == _untimed(
+                [(kind, [both])], kind
+            )
+            with pytest.raises(ParamError, match="built for another"):
+                run(inst, params, center_set=moved, setup=setup)
 
 
 def _untimed(cells, objective, lam=None):
@@ -346,7 +390,7 @@ def _untimed(cells, objective, lam=None):
                 (
                     r.method, r.params.k, r.params.lam, r.seed,
                     r.solution.centers.tolist(), r.solution.assignment.tolist(),
-                    r.solution.provenance, r.report.disu.tolist(), r.report.R,
+                    r.report.disu.tolist(), r.report.R,
                     r.report.U, r.lp_objective, r.gap, r.gap_bound, r.flags,
                 )
                 for r in results
