@@ -97,13 +97,10 @@ def _repair_empty(
         costs[j] = -np.inf
 
 
-def _bin_sums(
-    idx: np.ndarray, Xt: np.ndarray, size: int, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """(size, d) sums of the points (times weights) falling in each bin, from
-    the (d, n) features Xt."""
-    cols = Xt if weights is None else weights * Xt
-    return np.stack([np.bincount(idx, c, minlength=size) for c in cols], axis=1)
+def _bin_sums(idx: np.ndarray, Xt: np.ndarray, size: int) -> np.ndarray:
+    """(size, d) sums of the points falling in each bin, from the (d, n)
+    features Xt (weighted or not)."""
+    return np.stack([np.bincount(idx, c, minlength=size) for c in Xt], axis=1)
 
 
 # Lloyd's loop stops after _MAX_ITERS center updates, or once the score
@@ -156,12 +153,12 @@ def lloyd(instance: Instance, k: int, weights: np.ndarray, seed: int) -> CenterS
     """Weighted Lloyd iteration (_alternate) from a k-means++ start: each
     center moves to the weighted centroid of its points. Score is the
     weighted cost at p=2 of the returned centers."""
-    Xt = np.ascontiguousarray(instance.features.T)
-    w = real_array("weights", weights)
+    w = _check_weights(weights, instance.n)
+    wXt = w * np.ascontiguousarray(instance.features.T)  # (d, n), weighted once
 
     def update(assign):
         wsum = np.bincount(assign, w, minlength=k)
-        return _bin_sums(assign, Xt, k, w) / wsum[:, None]
+        return _bin_sums(assign, wXt, k) / wsum[:, None]
 
     def score(dsel):
         return float((w * dsel).sum())
@@ -268,6 +265,7 @@ def _fair_update(
         # delta . f - sum_i |v_i|^2 t (tot_i + u_i) / u_i^2 and its derivative
         # -2 sum_i |v_i|^2 tot_i^2 / u_i^3
         slope = start = float(delta @ f)
+        tot2 = tot**2
         t, lo, hi, hi_known = 0.0, 0.0, float(ratio[edge]), False
         for _ in range(_MAX_NEWTON):
             if abs(slope) <= _GAP * top or (slope > 0.0 and t == hi):
@@ -276,7 +274,7 @@ def _fair_update(
                 lo = t
             else:
                 hi, hi_known = t, True
-            curv = 2.0 * float(vv @ (tot**2 * inv**3))
+            curv = 2.0 * float(vv @ (tot2 * inv**3))
             nxt = t + slope / curv if curv > 0.0 else math.inf
             if nxt >= hi and not hi_known:
                 nxt = hi

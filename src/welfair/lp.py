@@ -56,7 +56,10 @@ class LPSetup:
     is a baseline's, holding the distances and the nearest centers.
 
     The constructor applies params.validate and params.check_centers;
-    `check` compares a call's arguments with the set-up's own.
+    `check` compares a call's arguments with the set-up's own. The set-up
+    holds its own copy of the centers; it and dist_t and near are read-only,
+    so a run given the set-up alone, whose result holds those centers,
+    cannot change them for the set-up's other runs.
     """
 
     def __init__(
@@ -69,10 +72,12 @@ class LPSetup:
         if kind is not None:
             check_objective(kind)
         params.validate(instance)
-        self.centers = params.check_centers(instance, centers)
+        self.centers = params.check_centers(instance, centers).copy()
         self.instance, self.params, self.kind = instance, params, kind
         self.dist_t = pairwise_pow(self.centers, instance.features, params.p)
         self.near = nearest(self.dist_t)[0]
+        for held in (self.centers, self.dist_t, self.near):
+            held.setflags(write=False)
         if kind is not None:
             self._frame()
 

@@ -24,10 +24,16 @@ def pairwise_pow(X: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
 
 def nearest(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column's first minimum index in a (k, n) distance matrix, and
-    that minimum: argmin(axis=0) and min(axis=0), without the copy argmin
-    makes to scan the matrix by rows."""
+    that minimum: argmin(axis=0) and min(axis=0), for a dist free of NaN
+    (a NaN column minimum matches no entry, so its index would read k).
+    Row i of the mask of column minima is weighted k - i, so a column's
+    first minimum weighs most; one max over axis 0 reads the mask by rows,
+    where argmin would copy the matrix to scan it by columns."""
+    k = len(dist)
     dmin = dist.min(axis=0)
-    return (dist == dmin).argmax(axis=0), dmin
+    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    first = np.multiply(dist == dmin, rank).max(axis=0)
+    return np.subtract(k, first, dtype=np.intp), dmin
 
 
 def color_masses(x: np.ndarray, instance: Instance) -> np.ndarray:

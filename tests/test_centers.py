@@ -10,6 +10,7 @@ from scipy.spatial.distance import cdist
 from datagen import adult_like, census_like, random_instance
 
 from welfair import centers as centers_mod
+from welfair import lp as lp_mod
 from welfair.centers import (
     _assign,
     _fair_update,
@@ -20,8 +21,9 @@ from welfair.centers import (
     socially_fair_centers,
 )
 from welfair.errors import DataError, ParamError
+from welfair.lp import LPSetup
 from welfair.metrics import pairwise_pow
-from welfair.model import Instance, normalization_factor
+from welfair.model import Instance, Params, normalization_factor
 
 
 class TestKmeansppInit:
@@ -695,3 +697,43 @@ class TestMatchesReference:
         assert total == sum(ran for _, _, ran in refs)
         best = min(range(3), key=lambda r: refs[r][1])
         assert np.array_equal(got.centers, refs[best][0]) and got.score == refs[best][1]
+
+
+def _argmin_nearest(dist):
+    return dist.argmin(axis=0), dist.min(axis=0)
+
+
+class TestNearestInContext:
+    """The Lloyd loops and the set-ups give the same bytes when the modules
+    that read `metrics.nearest` read the argmin/min reference instead."""
+
+    @staticmethod
+    def _instance(name):
+        if name == "adult":
+            return adult_like(600, seed=3)
+        if name == "census":
+            return census_like(600, 3, seed=4)
+        # integer coordinates: many points tie between centers
+        inst = census_like(400, 3, seed=5)
+        return Instance(np.round(inst.features), inst.colors, inst.color_names)
+
+    @staticmethod
+    def _runs(inst, k):
+        out = []
+        for seed in (0, 1):
+            for w in (np.ones(inst.n), 1.0 / inst.counts[inst.colors]):
+                cs = lloyd(inst, k, w, seed)
+                out += [cs.centers, np.array(cs.score)]
+            cs = socially_fair_centers(inst, k, seed)
+            setup = LPSetup(inst, Params.with_delta(inst, k, 0.5, 0.01), cs.centers)
+            out += [cs.centers, np.array(cs.score), setup.near]
+        return [(a.dtype, a.shape, a.tobytes()) for a in out]
+
+    @pytest.mark.parametrize("k", [1, 4, 9, 15])
+    @pytest.mark.parametrize("data", ["adult", "census", "integer"])
+    def test_same_bytes_as_argmin(self, monkeypatch, data, k):
+        inst = self._instance(data)
+        got = self._runs(inst, k)
+        monkeypatch.setattr(centers_mod, "nearest", _argmin_nearest)
+        monkeypatch.setattr(lp_mod, "nearest", _argmin_nearest)
+        assert self._runs(inst, k) == got

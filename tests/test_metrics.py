@@ -60,6 +60,26 @@ class TestNearest:
         np.testing.assert_array_equal(idx, dist.argmin(axis=0))
         np.testing.assert_array_equal(dmin, dist.min(axis=0))
 
+    @pytest.mark.parametrize("k", [1, 2, 255, 256, 300])
+    def test_rank_dtype_edges(self, k):
+        # the row ranks k, ..., 1 are uint8 up to k = 255 and uint16 from
+        # 256; columns of ties, of one value, with +inf or -inf entries, and
+        # with the minimum only in the last row
+        rng = np.random.default_rng(k)
+        dist = rng.integers(0, 3, size=(k, 60)).astype(np.float64)
+        dist[rng.random(dist.shape) < 0.2] = np.inf
+        dist[:, 0] = 7.0
+        dist[:, 1] = np.inf
+        dist[:, 2] = 5.0
+        dist[-1, 2] = 4.0
+        dist[k // 2 :, 3] = -np.inf
+        dist[rng.integers(k), 4] = -np.inf
+        idx, dmin = nearest(dist)
+        assert idx.dtype == np.intp
+        np.testing.assert_array_equal(idx, dist.argmin(axis=0))
+        np.testing.assert_array_equal(dmin, dist.min(axis=0))
+        assert idx[0] == idx[1] == 0 and idx[2] == k - 1 and idx[3] == k // 2
+
 
 def _six_point_instance():
     X = np.zeros((6, 1))

@@ -380,6 +380,36 @@ class TestSetup:
             with pytest.raises(ParamError, match="built for another"):
                 run(inst, params, center_set=moved, setup=setup)
 
+    def test_setup_keeps_its_own_read_only_centers(self):
+        # the set-up copies the caller's centers and marks its arrays
+        # read-only; the caller's own array stays writable
+        inst = _inst(seed=9)
+        cs = best_of_restarts(inst, 3, "vanilla", 1, 0)
+        params = Params.with_delta(inst, 3, 0.5, 0.1)
+        setup = LPSetup(inst, params, cs.centers, "rawlsian")
+        assert not np.shares_memory(setup.centers, cs.centers)
+        for held in (setup.centers, setup.dist_t, setup.near):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0
+        built = cs.centers.copy()
+        cs.centers[0, 0] += 1.0
+        np.testing.assert_array_equal(setup.centers, built)
+        with pytest.raises(ParamError, match="built for another"):
+            setup.check(inst, params, cs.centers)
+
+    def test_sweep_results_cannot_edit_the_shared_centers(self):
+        # every lambda's results of one (objective, k) hold their set-up's
+        # centers, so an in-place edit of one raises
+        inst = _inst(seed=9)
+        _, cells = sweep(inst, k_range=[2], lambdas=[0.3, 0.7], restarts=1)
+        for results in (cells[0][1], cells[1][1]):
+            for r in results:
+                with pytest.raises(ValueError, match="read-only"):
+                    r.solution.centers[0, 0] += 1.0
+        np.testing.assert_array_equal(
+            cells[0][1][0].solution.centers, cells[1][1][0].solution.centers
+        )
+
 
 def _untimed(cells, objective, lam=None):
     """repr of everything but the timings of the results of objective's
