@@ -48,12 +48,13 @@ class LPSetup:
     also that LP's frame (`LPModel`) without lambda: the under/over tables,
     the right-hand sides of the under/over and point rows, one x-column
     template per (center, nearest center, color), and the first restriction
-    `first` with its CSC matrix. Within a class (a, h) every delta scales by
-    the same lambda / n_h, so `first`, ranked at lambda = 1, serves every
-    lambda > 0; at lambda = 0 every delta is 0 and pricing brings in what the
-    ranking left out. Only the Rawlsian matrix depends on lambda: its deltas
-    and t costs (at `tail_scaled`) in the disu rows. Built with kind None it
-    is a baseline's, holding the distances and the nearest centers.
+    `first` with its `x_columns`. Within a class (a, h) every delta scales
+    by the same lambda / n_h (`shares`), so `first`, ranked at lambda = 1,
+    serves every lambda > 0; at lambda = 0 every delta is 0 and pricing
+    brings in what the ranking left out. Only the Rawlsian matrix depends on
+    lambda: its deltas (at the placeholders of `x_columns`) and t costs (at
+    `tail_scaled`) in the disu rows. Built with kind None it is a
+    baseline's, holding the distances and the nearest centers.
 
     The constructor applies params.validate and params.check_centers;
     `check` compares a call's arguments with the set-up's own. The set-up
@@ -157,7 +158,6 @@ class LPSetup:
         )
         self.template_rows = np.broadcast_to(rows, vals.shape).reshape(-1, 4 * H)
         self.template_vals = vals.reshape(-1, 4 * H)
-        self.template_counts = np.count_nonzero(self.template_vals, axis=1)
         # flat positions of each point's nearest column in (k, n) and of its
         # (nearest center, color) class in (k, H)
         self.near_flat = near * n + points
@@ -183,11 +183,19 @@ class LPSetup:
             self.tail_upper = np.append(self.tail_upper, np.inf)
         self._first()
 
+    def shares(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """At lambda lam: the (k, n) share[i, j] = lam / n_h * d^p(x_j, c_i)
+        (j of color h), each point's share of its nearest center, and their
+        (k, n) difference delta, 0 at the nearest column."""
+        share = (lam / self.point_counts) * self.dist_t
+        near_share = share[self.near, np.arange(self.instance.n)]
+        return share, near_share, share - near_share
+
     def _first(self) -> None:
         """The first restricted LP: the frame columns of each point's
         min(k, _CANDIDATES) nearest centers that rank in the cheapest
         ceil(_CLASS_SHARE * |class|) of their (a, h, i) class by delta at
-        lambda = 1, and its CSC matrix."""
+        lambda = 1, with their flat positions and `x_columns`."""
         inst, near = self.instance, self.near
         k, n, H = self.params.k, inst.n, inst.num_colors
         points = np.arange(n)
@@ -196,8 +204,7 @@ class LPSetup:
         top = np.zeros((k, n), dtype=bool)
         nearest = np.argpartition(self.dist_t, width - 1, axis=0)
         top[nearest[:width], points] = True
-        share = (1.0 / self.point_counts) * self.dist_t
-        delta = share - share[near, points]
+        delta = self.shares(1.0)[2]
         cls = self.near_color
         size = np.bincount(cls, minlength=k * H)
         prefix = np.zeros((k, n), dtype=bool)
@@ -211,22 +218,17 @@ class LPSetup:
         self.first = columns & top & prefix
         self.first_left = columns & ~self.first
         flat = np.flatnonzero(self.first)
-        i, j = np.divmod(flat, n)
-        # first's flat positions, `x_columns` parts and delta entries, read by
-        # `restrict`: a placeholder 1 keeps each Rawlsian delta entry (after
-        # its column's nonzero template entries), which each LP sets
-        x = self.x_columns(i, j, np.ones(len(j)))
-        t = (i * k + near[j]) * H + inst.colors[j]
-        self.first_columns = flat, x, x[0][:-1] + self.template_counts[t]
+        self.first_columns = flat, self.x_columns(*np.divmod(flat, n))
 
     def x_columns(
-        self, i: np.ndarray, j: np.ndarray, delta: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        self, i: np.ndarray, j: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The CSC parts (start, index, value) of the frame's x columns
-        x[i, j], in order: their template's nonzero under/over entries,
-        delta in the Rawlsian disu_h row unless it is 0, and 1 in j's own row
-        if j has at least 2 of the columns (else its row is its bound
-        x <= 1); and the ids of the points with such a row."""
+        x[i, j], in order: their template's nonzero under/over entries, a
+        placeholder 1 in the Rawlsian disu_h row, and 1 in j's own row if j
+        has at least 2 of the columns (else its row is its bound x <= 1);
+        the ids of the points with such a row; and the placeholders'
+        positions in value."""
         k, n, H = self.params.k, self.instance.n, self.instance.num_colors
         h = self.instance.colors[j]
         t = (i * k + self.near[j]) * H + h
@@ -235,18 +237,18 @@ class LPSetup:
         vals = np.empty((len(j), width))
         rows[:, : 4 * H] = self.template_rows.take(t, axis=0)
         vals[:, : 4 * H] = self.template_vals.take(t, axis=0)
-        counts = self.template_counts.take(t)
         if self.rawlsian:
             rows[:, 4 * H] = 2 * k * H + h
-            vals[:, 4 * H] = delta
-            counts = counts + (delta != 0)
+            vals[:, 4 * H] = 1.0
         shared = np.bincount(j, minlength=n) >= 2
         own = shared.take(j)
         rows[:, -1] = self.num_rows + np.cumsum(shared).take(j) - 1
         vals[:, -1] = own
         nonzero = vals != 0
-        start = np.concatenate([[0], np.cumsum(counts + own)])
-        return start, rows[nonzero], vals[nonzero], np.flatnonzero(shared)
+        start = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+        # each placeholder is its column's last entry but the own-row 1
+        delta_at = start[1:] - 1 - own if self.rawlsian else start[:0]
+        return start, rows[nonzero], vals[nonzero], np.flatnonzero(shared), delta_at
 
 
 @dataclass
@@ -264,7 +266,7 @@ class LPModel:
     over[g, h] in over_i_g, and share[i, j] = lam / n_h * d^p(x_j, c_i) in
     disu_h and as its Utilitarian cost; t_i_h has (1 - lam) / n_h in both.
     rows, objective, lower and upper write the model out from the set-up and
-    lambda when first read; the solve reads none of them.
+    the share and t-cost tables when first read; the solve reads none of them.
 
     The frame eliminates the x column of point j's nearest center a(j) (ties
     to the lowest index) through j's assignment equality, x[a(j), j] = 1 -
@@ -282,18 +284,14 @@ class LPModel:
 
     params: Params
     setup: LPSetup
+    share: np.ndarray           # (k, n) share[i, j]
+    t_cost: np.ndarray          # (H,) (1 - lam) / n_h
     delta: np.ndarray           # (k, n) delta_ij, 0 at the nearest column
     cost: np.ndarray            # (k, n) frame x-column costs
     offset: float               # objective constant of the nearest columns
     b_ub: np.ndarray            # right-hand sides of every frame row
     tail_cost: np.ndarray       # costs of the t and z columns
     tail: tuple                 # their CSC parts (start, index, value)
-
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k, n) share and (H,) (1 - lam) / n_h."""
-        lam = self.params.lam
-        share = (lam / self.setup.point_counts) * self.setup.dist_t
-        return share, (1.0 - lam) / self.setup.instance.counts
 
     @cached_property
     def objective(self) -> np.ndarray:
@@ -302,8 +300,7 @@ class LPModel:
             objective = np.zeros(self.num_vars)
             objective[-1] = 1.0
             return objective
-        share, t_cost = self._tables()
-        return np.concatenate([share.ravel(), np.tile(t_cost, self.params.k)])
+        return np.concatenate([self.share.ravel(), self.tail_cost])
 
     @cached_property
     def rows(self) -> list[Row]:
@@ -327,8 +324,7 @@ class LPModel:
         ]
         if self.setup.rawlsian:
             # z bounds every color's fractional disutility from above
-            share, t_cost = self._tables()
-            z = k * (n + H)
+            share, t_cost, z = self.share, self.t_cost, k * (n + H)
             clusters = np.arange(k)
             for h in range(H):
                 jh = np.flatnonzero(colors == h)
@@ -359,28 +355,30 @@ class LPModel:
         return upper
 
     def restrict(self, keep: np.ndarray) -> tuple[_highs.LP, np.ndarray, np.ndarray]:
-        """The frame LP over the x columns in keep ((k, n), order i * n + j;
-        the set-up's `first` itself from its cached matrix) and the t and z
-        columns, the x columns' flat positions, and the ids of its frame rows:
-        the model's, then those of the points with 2 or more kept x columns."""
+        """The frame LP over the x columns in keep ((k, n), order i * n + j)
+        and the t and z columns, the x columns' flat positions, and the ids of
+        its frame rows: the model's, then those of the points with 2 or more
+        kept x columns. The x columns are `LPSetup.x_columns`, the set-up's
+        kept ones when keep is its `first`, with this lambda's Rawlsian
+        deltas, zeros included, written over their placeholders."""
         setup = self.setup
         if keep is setup.first:
-            flat, (start, index, value, shared), delta_at = setup.first_columns
-            if setup.rawlsian:
-                value = value.copy()
-                value[delta_at] = self.delta.take(flat)
+            flat, (start, index, value, shared, delta_at) = setup.first_columns
         else:
             flat = np.flatnonzero(keep)
-            i, j = np.divmod(flat, keep.shape[1])
-            delta = self.delta.take(flat) if setup.rawlsian else None
-            start, index, value, shared = setup.x_columns(i, j, delta)
+            start, index, value, shared, delta_at = setup.x_columns(
+                *np.divmod(flat, keep.shape[1])
+            )
         t_start, t_index, t_value = self.tail
+        value = np.concatenate([value, t_value])
+        if setup.rawlsian:
+            value[delta_at] = self.delta.take(flat)
         row_ids = np.concatenate([np.arange(setup.num_rows), setup.num_rows + shared])
         lp = _highs.LP(
             cost=np.concatenate([self.cost.take(flat), self.tail_cost]),
             start=np.concatenate([start, start[-1] + t_start[1:]]),
             index=np.concatenate([index, t_index]),
-            value=np.concatenate([value, t_value]),
+            value=value,
             col_lower=np.concatenate([np.zeros(len(flat)), setup.tail_lower]),
             col_upper=np.concatenate([np.ones(len(flat)), setup.tail_upper]),
             row_lower=np.full(len(row_ids), -np.inf),
@@ -444,26 +442,26 @@ def _build(
         setup = LPSetup(instance, params, centers, kind)
     else:
         setup.check(instance, params, centers, kind)
-    lam = params.lam
-    share = (lam / setup.point_counts) * setup.dist_t
-    near_share = share[setup.near, np.arange(instance.n)]
-    delta = share - near_share
+    share, near_share, delta = setup.shares(params.lam)
+    t_cost = (1.0 - params.lam) / instance.counts
+    t_costs = np.tile(t_cost, params.k)
     b_ub = setup.b_ub
-    t_cost = np.tile((1.0 - lam) / instance.counts, params.k)
     tail_value = setup.tail_value
     if setup.rawlsian:
         cost, offset = np.zeros_like(share), 0.0
         tail_cost = np.zeros(len(setup.tail_lower))
         tail_cost[-1] = 1.0
         tail_value = tail_value.copy()
-        tail_value[setup.tail_scaled] = t_cost
+        tail_value[setup.tail_scaled] = t_costs
         b_ub = b_ub.copy()
         R, H = setup.num_rows, instance.num_colors
         b_ub[R - H: R] = -np.bincount(instance.colors, weights=near_share, minlength=H)
     else:
-        cost, offset, tail_cost = delta, float(near_share.sum()), t_cost
+        cost, offset, tail_cost = delta, float(near_share.sum()), t_costs
     tail = setup.tail_start, setup.tail_index, tail_value
-    return LPModel(params, setup, delta, cost, offset, b_ub, tail_cost, tail)
+    return LPModel(
+        params, setup, share, t_cost, delta, cost, offset, b_ub, tail_cost, tail
+    )
 
 
 def build_rawlsian_lp(

@@ -9,6 +9,7 @@ from numbers import Real
 
 import numpy as np
 
+from . import _highs
 from .errors import DataError, ParamError
 
 
@@ -330,10 +331,10 @@ class Params:
             raise ParamError(f"lambda must lie in [0, 1], got {self.lam}")
         check_k(self.k, n)
         # pricing stops once the LP value is within lp_tolerance of a
-        # Lagrangian bound that HiGHS's 1e-9 feasibility tolerance can put
-        # up to about 1e-9 too high, so lp_tolerance keeps 10 times that
+        # Lagrangian bound that HiGHS's feasibility tolerance can put up to
+        # about that much too high, so lp_tolerance keeps 10 times it
         tol = self.lp_tolerance
-        if not (math.isfinite(tol) and tol >= 1e-8):
+        if not (math.isfinite(tol) and tol >= 10 * _highs._FEASIBILITY):
             raise ParamError(
                 f"lp_tolerance must be finite and at least 1e-8, got {tol}"
             )
@@ -405,7 +406,7 @@ def normalization_factors(
     from . import metrics as _metrics
 
     check_p(p)
-    if not centers_by_k:
+    if len(centers_by_k) == 0:
         raise ParamError("need the vanilla centers of at least one k")
     factors: dict[str, list[float]] = {"rawlsian": [], "utilitarian": []}
     for centers in centers_by_k:

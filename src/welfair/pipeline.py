@@ -214,7 +214,7 @@ def check_sweep(objective, k_range, lambdas, delta, restarts, seed, normalize, *
         raise ParamError(
             f"objective must be rawlsian, utilitarian or both, got {objective!r}"
         )
-    if not k_range:
+    if len(k_range) == 0:
         raise ParamError("k range is empty")
     for k in k_range:
         check_int("k", k, 1)
@@ -230,7 +230,7 @@ def check_sweep(objective, k_range, lambdas, delta, restarts, seed, normalize, *
             f"delta must be at least 0, got {delta}: alpha and beta "
             "must be nonnegative, and alpha_h = beta_h = delta * r_h"
         )
-    if not lambdas:
+    if len(lambdas) == 0:
         raise ParamError("lambda list is empty")
     for lam in lambdas:
         check_number("lambda", lam)

@@ -657,11 +657,11 @@ class TestHighsPricing:
     @pytest.mark.parametrize("H", [2, 3])
     @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.5, 1.0])
     def test_cached_first_lp_equals_the_gathered_one(self, kind, H, lam):
-        # restrict writes the set-up's first restriction from its cached
-        # matrix and any other mask, an equal copy of it included, through
-        # LPSetup.x_columns; the two LPs differ only in explicit zeros (the
-        # Rawlsian deltas at lambda = 0; both hold the t costs, 0 at lambda =
-        # 1), which HiGHS drops
+        # restrict writes the set-up's first restriction from its memo of
+        # LPSetup.x_columns and any other mask, an equal copy of it included,
+        # through x_columns itself: the two LPs are the same arrays, explicit
+        # zeros included (the Rawlsian deltas at lambda = 0; the t costs at
+        # lambda = 1), which HiGHS drops
         inst, params, centers = _setup(n=60, k=6, H=H, lam=lam, seed=H)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         m = build(inst, params, centers)
@@ -670,22 +670,45 @@ class TestHighsPricing:
         )
         np.testing.assert_array_equal(flat, flat2)
         np.testing.assert_array_equal(rows, rows2)
-        for field in ("cost", "col_lower", "col_upper", "row_lower", "row_upper"):
+        for field in (
+            "cost", "start", "index", "value",
+            "col_lower", "col_upper", "row_lower", "row_upper",
+        ):
             np.testing.assert_array_equal(
                 getattr(cached, field), getattr(gathered, field)
             )
-        shape = len(rows), len(cached.cost)
-        A, B = (
-            sp.csc_matrix((lp.value, lp.index, lp.start), shape=shape, copy=True)
-            for lp in (cached, gathered)
-        )
-        assert B.nnz <= A.nnz
-        A.eliminate_zeros()
-        B.eliminate_zeros()
-        assert (A != B).nnz == 0
         a, b = _highs.solve(cached), _highs.solve(gathered)
         np.testing.assert_array_equal(a.x, b.x)
         assert (a.objective, a.iterations) == (b.objective, b.iterations)
+
+    @pytest.mark.parametrize("H", [2, 3])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_every_kept_column_holds_its_delta(self, H, lam):
+        # a later round's restriction, the first plus left-out columns, has
+        # in each kept Rawlsian column one disu entry, in its color's row,
+        # equal to the model's delta, zeros included; the set-up's memo keeps
+        # its placeholder 1s
+        inst, params, centers = _setup(n=60, k=6, H=H, lam=lam, seed=H)
+        m = build_rawlsian_lp(inst, params, centers)
+        setup, k = m.setup, params.k
+        extra = np.zeros_like(setup.first_left)
+        extra.flat[np.flatnonzero(setup.first_left)[::2]] = True
+        assert extra.any()
+        lp, flat, _ = m.restrict(setup.first | extra)
+        assert len(flat) == setup.first.sum() + extra.sum()
+        disu = 2 * k * H
+        for col, (i, j) in enumerate(zip(*np.divmod(flat, inst.n))):
+            part = slice(lp.start[col], lp.start[col + 1])
+            rows, vals = lp.index[part], lp.value[part]
+            at = (rows >= disu) & (rows < setup.num_rows)
+            np.testing.assert_array_equal(rows[at], [disu + inst.colors[j]])
+            assert vals[at][0] == m.delta[i, j]
+        if lam == 0.0:
+            assert not m.delta.any()
+        m.restrict(setup.first)
+        _, (_, _, value, _, delta_at) = setup.first_columns
+        assert len(delta_at) == setup.first.sum()
+        assert (value[delta_at] == 1.0).all()
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     def test_stops_when_no_column_is_left_out(self, monkeypatch, kind):

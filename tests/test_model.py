@@ -13,7 +13,7 @@ from datagen import (
     write_csv,
 )
 
-from welfair import centers
+from welfair import _highs, centers
 from welfair.errors import DataError, ParamError
 from welfair.centers import best_of_restarts, lloyd
 from welfair.metrics import pairwise_pow
@@ -412,6 +412,7 @@ class TestParams:
     )
     def test_lp_tolerance_rejected(self, tiny_instance, tol):
         # at least 1e-8, 10 times HiGHS's feasibility tolerance
+        assert 10 * _highs._FEASIBILITY == 1e-8
         params = Params.with_delta(tiny_instance, 2, 0.5, lp_tolerance=tol)
         with pytest.raises(ParamError, match="lp_tolerance"):
             params.validate(tiny_instance)
@@ -490,6 +491,19 @@ class TestNormalization:
         got = normalization_factors(inst, first, p)
         for mode in ("rawlsian", "utilitarian"):
             assert got[mode] == normalization_factor(inst, ks, p, mode, 2)
+        # an (m, k, dim) array of m equal-k sets gives what their list does
+        same_k = [
+            best_of_restarts(inst, 4, "vanilla", 1, s).first_centers for s in (1, 2)
+        ]
+        assert normalization_factors(inst, np.stack(same_k), p) == (
+            normalization_factors(inst, same_k, p)
+        )
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 3, 2))], ids=["list", "array"])
+    def test_factors_need_a_center_set(self, tiny_instance, empty):
+        message = "^need the vanilla centers of at least one k$"
+        with pytest.raises(ParamError, match=message):
+            normalization_factors(tiny_instance, empty)
 
     @pytest.mark.parametrize("p", [0, 3, True])
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -466,6 +468,24 @@ class TestSweep:
             assert len(_untimed(both, objective)) == 2
             assert _untimed(both, objective) == _untimed(alone, objective)
 
+    def test_arrays_equal_lists(self):
+        # k and lambda arrays run the cells of the equal lists
+        kw = {"restarts": 1}
+        _, lists = sweep(self.inst, k_range=[2, 3], lambdas=[0.3, 0.7], **kw)
+        _, arrays = sweep(
+            self.inst, k_range=np.array([2, 3]), lambdas=np.array([0.3, 0.7]), **kw
+        )
+        # the arrays' numpy scalars reach each result's k, lambda and gap
+        # bound; as Python numbers they are the lists' own
+        for _, results in arrays:
+            for r in results:
+                k, lam = int(r.params.k), float(r.params.lam)
+                r.params = replace(r.params, k=k, lam=lam)
+                r.gap_bound = float(r.gap_bound)
+        for objective in ("rawlsian", "utilitarian"):
+            assert len(_untimed(arrays, objective)) == 4
+            assert _untimed(arrays, objective) == _untimed(lists, objective)
+
     def test_lambda_cells_equal_a_lone_lambda(self):
         # every lambda's cells share their (objective, k)'s LP set-up
         kw = {"k_range": [2, 3], "restarts": 1}
@@ -494,6 +514,11 @@ class TestSweep:
             ({"delta": "0.1"}, "delta must be a number, got '0.1'"),
             ({"lp_tolerance": "1e-7"}, "lp_tolerance must be a number, got '1e-7'"),
             ({"p": "2"}, "p must be 1 or 2, got '2'"),
+            ({"k_range": np.array([], dtype=int)}, "k range is empty"),
+            ({"lambdas": []}, "lambda list is empty"),
+            ({"lambdas": np.array([])}, "lambda list is empty"),
+            ({"k_range": np.array([2, 2])}, "k 2 appears more than once"),
+            ({"lambdas": np.array([0.5, 1.5])}, "lambda must lie in"),
         ],
     )
     def test_bad_settings_rejected_before_centers(
