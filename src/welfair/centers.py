@@ -59,7 +59,8 @@ def kmeanspp_init(
     (`model.check_int`), for a k that is not an integer in [1, n]
     (`model.check_k`), and for weights that are not
     one finite, nonnegative value per point with a positive total, naming
-    the first bad point.
+    the first bad point. Raises DataError where squared distances overflow,
+    or where k exceeds the distinct points of positive weight.
     """
     check_int("seed", seed, 0)
     X = instance.features
@@ -68,14 +69,19 @@ def kmeanspp_init(
     check_k(k, n)
     rng = np.random.default_rng(seed)
     chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.choice(n, p=w / w.sum())
-    d2 = cdist(X[chosen[:1]], X, "sqeuclidean")[0]
-    for t in range(1, k):
-        prob = w * d2
+    d2 = np.full(n, np.inf)
+    for t in range(k):
+        prob = w * d2 if t else w
         total = prob.sum()
+        if not total < math.inf:  # NaN too: 0 * inf
+            raise DataError("squared distances overflow; rescale the features")
         if total <= 0.0:
             raise DataError(f"k={k} exceeds the number of distinct candidate points")
-        chosen[t] = rng.choice(n, p=prob / total)
+        # rng.choice(n, p=prob / total) without its checks on p: the same
+        # arithmetic, so the same draws
+        cdf = (prob / total).cumsum()
+        cdf /= cdf[-1]
+        chosen[t] = cdf.searchsorted(rng.random(), side="right")
         d2 = np.minimum(d2, cdist(X[chosen[t : t + 1]], X, "sqeuclidean")[0])
     return X[chosen].copy()
 
@@ -115,11 +121,11 @@ def _alternate(
     """Lloyd's loop from a k-means++ start drawn with point weights w: each
     pass assigns points to their nearest center (ties to the lowest index),
     scores that with score(dsel) from the squared distances and moves the
-    centers to update(assign), or reseeds empty clusters (_repair_empty on
-    w * dsel). It stops when the score improves by at most _TOL relative, or
-    at a fixed point (an assignment equal to the previous one, whose update
-    gives the current centers again). Returns the centers and their score;
-    after _MAX_ITERS updates one more pass scores them.
+    centers to update(assign, dsel, centers), or reseeds empty clusters
+    (_repair_empty on w * dsel). It stops when the score improves by at most
+    _TOL relative, or at a fixed point (an assignment equal to the previous
+    one, whose update gives the current centers again). Returns the centers
+    and their score; after _MAX_ITERS updates one more pass scores them.
     """
     X = instance.features
     centers = kmeanspp_init(instance, k, w, seed)
@@ -142,7 +148,7 @@ def _alternate(
             break
         prev_cost = cost
         prev_assign = assign
-        centers = update(assign)
+        centers = update(assign, dsel, centers)
     else:
         _, dsel = _assign(centers, X)
         cost = score(dsel)
@@ -156,7 +162,7 @@ def lloyd(instance: Instance, k: int, weights: np.ndarray, seed: int) -> CenterS
     w = _check_weights(weights, instance.n)
     wXt = w * np.ascontiguousarray(instance.features.T)  # (d, n), weighted once
 
-    def update(assign):
+    def update(assign, dsel, centers):
         wsum = np.bincount(assign, w, minlength=k)
         return _bin_sums(assign, wXt, k) / wsum[:, None]
 
@@ -175,18 +181,21 @@ _MAX_NEWTON = 60
 
 
 def _fair_update(
-    X: np.ndarray,
     Xt: np.ndarray,
     colors: np.ndarray,
     counts: np.ndarray,
     assign: np.ndarray,
+    dsel: np.ndarray,
+    ref: np.ndarray,
     k: int,
 ) -> np.ndarray:
     """(k, d) centers minimizing the max group cost max_h f_h of a full
-    assignment, from the features X (n, d) and their (d, n) copy Xt.
+    assignment, from the (d, n) features Xt and each point's squared
+    distance dsel to its center in the (k, d) centers ref.
 
     f_h(C) = sum_i (sse_ih + m_ih |c_i - mu_ih|^2) / n_h, from the count m_ih,
-    mean mu_ih and squared deviations sse_ih of group h in cluster i, is
+    mean mu_ih and squared deviations sse_ih of group h in cluster i, so the
+    spread sum_i sse_ih / n_h is f_h(ref), by dsel, less its m_ih terms. f_h is
     convex: the min-max is the max over the H-simplex of the concave dual
     g(w) = min_C w . f(C) (Ghadiri, Samadi and Vempala, FAccT 2021). For
     fixed w, center i is the mean of its points with group h weighted by
@@ -205,13 +214,11 @@ def _fair_update(
     idx = assign * H + colors
     m = np.bincount(idx, minlength=k * H)
     mu = _bin_sums(idx, Xt, k * H) / np.maximum(m, 1)[:, None]
-    # each point's squared distance to its own (cluster, group) mean: the
-    # sum of |x|^2 - m |mu|^2 would cancel badly
-    dev = X - mu.take(idx, axis=0)
-    sse = np.einsum("jd,jd->j", dev, dev)
-    spread = np.bincount(colors, sse, minlength=H) / counts  # sum_i sse_ih / n_h
     m, mu = m.reshape(k, H), mu.reshape(k, H, -1)
     share = m / counts  # m_ih / n_h
+    off = mu - ref[:, None]
+    spread = np.bincount(colors, dsel, minlength=H) / counts
+    spread -= (share * np.einsum("ihd,ihd->ih", off, off)).sum(axis=0)
     plain = np.einsum("ih,ihd->id", m, mu) / m.sum(axis=1)[:, None]
 
     def solve(w):
@@ -301,12 +308,11 @@ def socially_fair_centers(instance: Instance, k: int, seed: int) -> CenterSet:
     clusters never raise a group's cost, so the score never increases by
     more than the update's relative duality gap, _GAP.
     """
-    X = instance.features
-    Xt = np.ascontiguousarray(X.T)
+    Xt = np.ascontiguousarray(instance.features.T)
     counts, colors, H = instance.counts, instance.colors, instance.num_colors
 
-    def update(assign):
-        return _fair_update(X, Xt, colors, counts, assign, k)
+    def update(assign, dsel, centers):
+        return _fair_update(Xt, colors, counts, assign, dsel, centers, k)
 
     def score(dsel):
         return float((np.bincount(colors, dsel, minlength=H) / counts).max())

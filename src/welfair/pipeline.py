@@ -269,7 +269,10 @@ def sweep(
     params = {}
     for k in k_range:
         for lam in lambdas:
-            params[k, lam] = Params.with_delta(instance, k, lam, delta, p, lp_tolerance)
+            # Python numbers, so array arguments give what equal lists do
+            params[k, lam] = Params.with_delta(
+                instance, int(k), float(lam), delta, p, lp_tolerance
+            )
             params[k, lam].validate(instance)
     objectives = list(CENTER_METHODS) if objective == "both" else [objective]
     # each k's center sets, computed once on the raw data; our method's

@@ -47,6 +47,32 @@ class TestKmeansppInit:
             C = kmeanspp_init(inst, 1, w, seed)
             assert C[0, 0] != 0.0
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_draws_are_numpy_choice(self, seed):
+        # every center is the point rng.choice(n, p=...) draws, at weights
+        # of many scales, with zero weights, and with k = n
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        X = rng.normal(size=(n, 3))
+        w = rng.random(n) ** 3 * 10.0 ** rng.uniform(-6, 6)
+        if seed % 2:
+            w[rng.random(n) < 0.4] = 0.0
+            w[rng.integers(n)] = 1.0
+        live = int(np.count_nonzero(w))
+        inst = Instance(X, np.arange(n) % 2, ["a", "b"])
+        for s in range(5):
+            k = live if s == 0 else int(rng.integers(1, live + 1))
+            np.testing.assert_array_equal(
+                kmeanspp_init(inst, k, w, s), _ref_kmeanspp(X, k, w, s)
+            )
+
+    def test_overflowing_distances(self):
+        # numpy's choice raised a bare ValueError on the NaN probabilities
+        X = np.array([[0.0], [1e160], [-1e160], [2e160]])
+        inst = Instance(X, [0, 1, 0, 1], ["a", "b"])
+        with pytest.raises(DataError, match="squared distances overflow"):
+            kmeanspp_init(inst, 2, np.ones(4), 0)
+
     def test_k_exceeds_n(self, tiny_instance):
         n = tiny_instance.n
         with pytest.raises(ParamError, match=rf"^k={n + 1} must lie in \[1, n={n}\]$"):
@@ -241,17 +267,25 @@ def _group_costs(X, colors, assign, counts, centers):
     return np.bincount(colors, d2, minlength=len(counts)) / counts
 
 
+def _fair_step(X, colors, counts, assign, k, ref):
+    """_fair_update of the assignment, given each point's squared distance
+    to its center in the (k, d) reference centers ref."""
+    dsel = cdist(X, ref, "sqeuclidean")[np.arange(len(X)), assign]
+    return _fair_update(
+        np.ascontiguousarray(X.T), colors, counts, assign, dsel, ref, k
+    )
+
+
 def _one_cluster_center(a, b, n_a, n_b):
     """The fair step's center of one cluster holding the points a of group 0
     and b of group 1, with group sizes n_a and n_b, and its position gamma on
     the segment gamma * mean(a) + (1 - gamma) * mean(b) (nan where the two
-    means coincide)."""
+    means coincide). The distances are measured to the cluster's first
+    point."""
     X = np.vstack([a, b])
     colors = np.repeat([0, 1], [len(a), len(b)])
-    c = _fair_update(
-        X, np.ascontiguousarray(X.T), colors, np.array([n_a, n_b]),
-        np.zeros(len(X), dtype=np.int64), 1,
-    )[0]
+    assign = np.zeros(len(X), dtype=np.int64)
+    c = _fair_step(X, colors, np.array([n_a, n_b]), assign, 1, X[:1])[0]
     gap = a.mean(axis=0) - b.mean(axis=0)
     gamma = float((c - b.mean(axis=0)) @ gap / (gap @ gap)) if gap.any() else math.nan
     return c, gamma
@@ -382,7 +416,8 @@ class TestFairUpdate:
         X, colors, assign = make(rng, H)
         k = int(assign.max()) + 1
         counts = np.bincount(colors, minlength=H)
-        got = _fair_update(X, np.ascontiguousarray(X.T), colors, counts, assign, k)
+        ref = X[rng.choice(len(X), k, replace=False)]
+        got = _fair_step(X, colors, counts, assign, k, ref)
         costs = _group_costs(X, colors, assign, counts, got)
         want = _epigraph_reference(X, colors, assign, counts, k)
         assert costs.max() == pytest.approx(want, rel=1e-9)
@@ -395,6 +430,33 @@ class TestFairUpdate:
         if draw == "idle":
             # the idle group's cost is below the optimum, so its weight is 0
             assert costs[H - 1] < 0.5 * want
+
+    @pytest.mark.parametrize(
+        "data", ["mixed-2", "mixed-3", "mixed-4", "idle-2", "idle-3", "idle-4", "census"]
+    )
+    def test_same_centers_whichever_reference(self, data):
+        # each group's spread is its cost at the reference centers less the
+        # part its (cluster, group) means' offsets carry, whatever the
+        # reference: k-means++ starts, the cluster means or random points
+        rng = np.random.default_rng(7)
+        if data == "census":
+            inst = census_like(600, 3, seed=2)
+            X, colors, k = inst.features, inst.colors, 6
+            assign, _ = _assign(kmeanspp_init(inst, k, np.ones(inst.n), 0), X)
+        else:
+            draw, H = data.split("-")
+            make = _mixed_clusters if draw == "mixed" else _idle_group_clusters
+            X, colors, assign = make(rng, int(H))
+            k = int(assign.max()) + 1
+        H = int(colors.max()) + 1
+        counts = np.bincount(colors, minlength=H)
+        inst = Instance(X, colors, [f"g{h}" for h in range(H)])
+        refs = [kmeanspp_init(inst, k, np.ones(inst.n), s) for s in range(3)]
+        refs.append(np.array([X[assign == i].mean(axis=0) for i in range(k)]))
+        refs += [X[rng.choice(len(X), k, replace=False)] for _ in range(3)]
+        got = [_fair_step(X, colors, counts, assign, k, ref) for ref in refs]
+        for c in got[1:]:
+            np.testing.assert_allclose(c, got[0], rtol=0.0, atol=1e-12)
 
 
 class TestSociallyFairCenters:
@@ -454,6 +516,23 @@ class TestSociallyFairCenters:
                 scores.append(socially_fair_centers(inst, k, seed).score)
             for before, after in zip(scores, scores[1:]):
                 assert after <= before * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [census_like(400, 3, seed=1)]
+        + [random_instance(300, 3, H, seed=H) for H in range(3, 7)],
+        ids=["census", "random-3", "random-4", "random-5", "random-6"],
+    )
+    def test_no_update_reaches_the_search_cap(self, inst, monkeypatch):
+        # on nearest-center assignments every update closes its duality gap
+        # within _MAX_SEARCHES, so a higher cap changes no byte
+        for k in (3, 6, 10):
+            capped = socially_fair_centers(inst, k, 0)
+            monkeypatch.setattr(centers_mod, "_MAX_SEARCHES", 1000)
+            free = socially_fair_centers(inst, k, 0)
+            monkeypatch.undo()
+            assert free.centers.tobytes() == capped.centers.tobytes()
+            assert free.score == capped.score
 
 
 class TestBestOfRestarts:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import json
 
 import numpy as np
 import pytest
@@ -475,13 +475,12 @@ class TestSweep:
         _, arrays = sweep(
             self.inst, k_range=np.array([2, 3]), lambdas=np.array([0.3, 0.7]), **kw
         )
-        # the arrays' numpy scalars reach each result's k, lambda and gap
-        # bound; as Python numbers they are the lists' own
+        # every result holds Python numbers, as the lists' do
         for _, results in arrays:
             for r in results:
-                k, lam = int(r.params.k), float(r.params.lam)
-                r.params = replace(r.params, k=k, lam=lam)
-                r.gap_bound = float(r.gap_bound)
+                assert type(r.params.k) is int and type(r.params.lam) is float
+                assert type(r.gap_bound) is float
+                json.dumps([r.params.k, r.params.lam, r.gap_bound])
         for objective in ("rawlsian", "utilitarian"):
             assert len(_untimed(arrays, objective)) == 4
             assert _untimed(arrays, objective) == _untimed(lists, objective)
