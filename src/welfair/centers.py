@@ -173,9 +173,12 @@ def lloyd(instance: Instance, k: int, weights: np.ndarray, seed: int) -> CenterS
     return CenterSet(centers, f"lloyd(seed={seed})", cost, [cost])
 
 
-# the socially-fair center step stops at this relative duality gap; the caps
-# bound its line searches and the Newton steps of each
+# the socially-fair center step stops at this duality gap relative to the max
+# group cost or, where that is more, to _EPS times the points' variance (the
+# costs' rounding level); the caps bound its line searches and the Newton
+# steps of each
 _GAP = 1e-12
+_EPS = float(np.finfo(float).eps)
 _MAX_SEARCHES = 100
 _MAX_NEWTON = 60
 
@@ -188,10 +191,12 @@ def _fair_update(
     dsel: np.ndarray,
     ref: np.ndarray,
     k: int,
+    var: float,
 ) -> np.ndarray:
     """(k, d) centers minimizing the max group cost max_h f_h of a full
-    assignment, from the (d, n) features Xt and each point's squared
-    distance dsel to its center in the (k, d) centers ref.
+    assignment, from the (d, n) features Xt, their variance var (summed over
+    the d features) and each point's squared distance dsel to its center in
+    the (k, d) centers ref.
 
     f_h(C) = sum_i (sse_ih + m_ih |c_i - mu_ih|^2) / n_h, from the count m_ih,
     mean mu_ih and squared deviations sse_ih of group h in cluster i, so the
@@ -206,7 +211,8 @@ def _fair_update(
     the face of the weighted groups and the costliest one, if that face has
     three or more groups and it ascends into the simplex, else weight from
     the cheapest weighted group to the costliest. It stops at a duality gap
-    max f - w . f of at most _GAP * max f. Where the optimal weights are 0 on
+    max f - w . f of at most _GAP * max f, or _GAP * _EPS * var where that is
+    more (max f is then rounding noise). Where the optimal weights are 0 on
     every group of a cluster holding two or more groups, that cluster's plain
     mean need not be optimal, and the gap can stay open for _MAX_SEARCHES.
     """
@@ -239,7 +245,8 @@ def _fair_update(
     c, diff, f, tot = solve(w)
     for _ in range(_MAX_SEARCHES):
         top = float(f.max())
-        if top - float(w @ f) <= _GAP * top:
+        stop = _GAP * max(top, _EPS * var)
+        if top - float(w @ f) <= stop:
             break
         a = int(f.argmax())
         B = share[:, :, None] * diff
@@ -275,7 +282,7 @@ def _fair_update(
         tot2 = tot**2
         t, lo, hi, hi_known = 0.0, 0.0, float(ratio[edge]), False
         for _ in range(_MAX_NEWTON):
-            if abs(slope) <= _GAP * top or (slope > 0.0 and t == hi):
+            if abs(slope) <= stop or (slope > 0.0 and t == hi):
                 break
             if slope > 0.0:
                 lo = t
@@ -309,10 +316,11 @@ def socially_fair_centers(instance: Instance, k: int, seed: int) -> CenterSet:
     more than the update's relative duality gap, _GAP.
     """
     Xt = np.ascontiguousarray(instance.features.T)
+    var = float(Xt.var(axis=1).sum())
     counts, colors, H = instance.counts, instance.colors, instance.num_colors
 
     def update(assign, dsel, centers):
-        return _fair_update(Xt, colors, counts, assign, dsel, centers, k)
+        return _fair_update(Xt, colors, counts, assign, dsel, centers, k, var)
 
     def score(dsel):
         return float((np.bincount(colors, dsel, minlength=H) / counts).max())

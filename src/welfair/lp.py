@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from . import _highs
 from .errors import InternalInvariantError, ParamError
@@ -31,9 +32,8 @@ _BRUTE_LIMIT = 1e7
 
 @dataclass
 class Row:
-    """One coupling row of the assignment LP: vals . v[cols] <= 0."""
+    """One row of a frame LP: vals . v[cols] <= its right-hand side."""
 
-    name: str
     cols: np.ndarray
     vals: np.ndarray
 
@@ -256,36 +256,33 @@ class LPModel:
     """The assignment LP of one welfare objective at one lambda, in the
     nearest-center frame that HiGHS solves.
 
-    Variables, in order: x_i_j, point j's share of center i in [0, 1], at
-    i * n + j; t_i_h >= 0, color h's proportion violation in cluster i, at
-    k * n + i * H + h; and, for the Rawlsian objective, the free z last. The
-    LP minimizes objective . v subject to every point's x column summing to 1
-    and every coupling row in rows being <= 0: under_i_h and over_i_h for
+    The LP's variables are x_i_j, point j's share of center i in [0, 1];
+    t_i_h >= 0, color h's proportion violation in cluster i; and, for the
+    Rawlsian objective, the free z. Its rows are under_i_h and over_i_h for
     every (cluster, color), then, for the Rawlsian objective, disu_h for
-    every color. x[i, j] (j of color h) has under[g, h] in under_i_g,
-    over[g, h] in over_i_g, and share[i, j] = lam / n_h * d^p(x_j, c_i) in
-    disu_h and as its Utilitarian cost; t_i_h has (1 - lam) / n_h in both.
-    rows, objective, lower and upper write the model out from the set-up and
-    the share and t-cost tables when first read; the solve reads none of them.
+    every color, all <= 0, and every point's assignment equality. x[i, j]
+    (j of color h) has under[g, h] in under_i_g, over[g, h] in over_i_g,
+    and share[i, j] = lam / n_h * d^p(x_j, c_i) in disu_h and as its
+    Utilitarian cost; t_i_h has (1 - lam) / n_h in both.
 
     The frame eliminates the x column of point j's nearest center a(j) (ties
     to the lowest index) through j's assignment equality, x[a(j), j] = 1 -
-    sum over i != a(j) of x[i, j]. Its rows are the model's rows, in order,
+    sum over i != a(j) of x[i, j]. Its rows are the coupling rows, in order,
     then j's equality as the row sum over i != a(j) of x[i, j] <= 1, point
     by point. Its column x[i, j] (i != a(j), j of color h) has under[g, h]
     in under_i_g and -under[g, h] in under_a(j)_g, the same with over,
     delta_ij = share[i, j] - share[a(j), j] in the Rawlsian disu_h and 1 in
     j's row, and the cost cost[i, j] - cost[a(j), j]. The t and z columns
-    are the model's; the constants move into b_ub and an objective offset.
+    are the LP's; the constants move into b_ub and an objective offset.
     A restricted LP holds point j's row only when at least 2 of j's columns
     are kept. The set-up (`LPSetup`) holds all of this that does not depend
-    on lambda; the fields below add the model's lambda.
+    on lambda; the fields below add lambda. The vector `HighsSolver.solve`
+    returns holds x at i * n + j, t at k * n + i * H + h and z last
+    (`num_vars` entries); `rows` writes the frame out when first read.
     """
 
     params: Params
     setup: LPSetup
-    share: np.ndarray           # (k, n) share[i, j]
-    t_cost: np.ndarray          # (H,) (1 - lam) / n_h
     delta: np.ndarray           # (k, n) delta_ij, 0 at the nearest column
     cost: np.ndarray            # (k, n) frame x-column costs
     offset: float               # objective constant of the nearest columns
@@ -294,71 +291,28 @@ class LPModel:
     tail: tuple                 # their CSC parts (start, index, value)
 
     @cached_property
-    def objective(self) -> np.ndarray:
-        """The cost of every variable; the solve reads the frame's costs."""
-        if self.setup.rawlsian:
-            objective = np.zeros(self.num_vars)
-            objective[-1] = 1.0
-            return objective
-        return np.concatenate([self.share.ravel(), self.tail_cost])
-
-    @cached_property
     def rows(self) -> list[Row]:
-        """The coupling rows; the solve reads the frame's matrix instead."""
-        inst, setup = self.setup.instance, self.setup
-        k, n, H = self.params.k, inst.n, inst.num_colors
-        colors = inst.colors
-        allj = np.arange(n)
-        rows = [
-            Row(
-                f"{tag}_{i}_{g}",
-                np.concatenate([i * n + allj, [k * n + i * H + g]]),
-                np.concatenate([coef[g], [-1.0]]),
-            )
-            for tag, coef in (
-                ("under", setup.under[:, colors]),
-                ("over", setup.over[:, colors]),
-            )
-            for i in range(k)
-            for g in range(H)
-        ]
-        if self.setup.rawlsian:
-            # z bounds every color's fractional disutility from above
-            share, t_cost, z = self.share, self.t_cost, k * (n + H)
-            clusters = np.arange(k)
-            for h in range(H):
-                jh = np.flatnonzero(colors == h)
-                xcols = (clusters[:, None] * n + jh).ravel()
-                cols = [xcols, k * n + clusters * H + h, [z]]
-                vals = [share[:, jh].ravel(), np.full(k, t_cost[h]), [-1.0]]
-                rows.append(
-                    Row(f"disu_{h}", np.concatenate(cols), np.concatenate(vals))
-                )
-        return rows
+        """The rows of `restrict` over every frame column: the coupling rows,
+        then those of the points with 2 or more frame columns; the solve
+        reads none of them."""
+        setup = self.setup
+        lp = self.restrict(setup.first | setup.first_left)[0]
+        A = sparse.csc_matrix(
+            (lp.value, lp.index, lp.start), shape=(len(lp.row_upper), len(lp.cost))
+        ).tocsr()
+        cut = A.indptr[1:-1]
+        return list(map(Row, np.split(A.indices, cut), np.split(A.data, cut)))
 
     @property
     def num_vars(self) -> int:
         k, inst = self.params.k, self.setup.instance
         return k * (inst.n + inst.num_colors) + self.setup.rawlsian
 
-    @property
-    def lower(self) -> np.ndarray:
-        lower = np.zeros(self.num_vars)
-        if self.setup.rawlsian:
-            lower[-1] = -np.inf
-        return lower
-
-    @property
-    def upper(self) -> np.ndarray:
-        upper = np.full(self.num_vars, np.inf)
-        upper[: self.params.k * self.setup.instance.n] = 1.0
-        return upper
-
     def restrict(self, keep: np.ndarray) -> tuple[_highs.LP, np.ndarray, np.ndarray]:
         """The frame LP over the x columns in keep ((k, n), order i * n + j)
         and the t and z columns, the x columns' flat positions, and the ids of
-        its frame rows: the model's, then those of the points with 2 or more
-        kept x columns. The x columns are `LPSetup.x_columns`, the set-up's
+        its frame rows: the coupling rows, then those of the points with 2 or
+        more kept x columns. The x columns are `LPSetup.x_columns`, the set-up's
         kept ones when keep is its `first`, with this lambda's Rawlsian
         deltas, zeros included, written over their placeholders."""
         setup = self.setup
@@ -406,7 +360,7 @@ class LPModel:
     def lagrangian_bound(self, duals: np.ndarray, rc: np.ndarray) -> float:
         """A lower bound on the frame LP's optimum from the duals of a
         restricted LP and the reduced costs rc they give (Lubbecke &
-        Desrosiers, Oper. Res. 53(6), 2005): the model's rows are relaxed
+        Desrosiers, Oper. Res. 53(6), 2005): the coupling rows are relaxed
         with their duals and each point's row is kept, so point j adds the
         least of 0 and its columns' costs with its own row dual added back.
         The t and z columns, held by every restricted LP, add 0: at its
@@ -443,8 +397,7 @@ def _build(
     else:
         setup.check(instance, params, centers, kind)
     share, near_share, delta = setup.shares(params.lam)
-    t_cost = (1.0 - params.lam) / instance.counts
-    t_costs = np.tile(t_cost, params.k)
+    t_costs = np.tile((1.0 - params.lam) / instance.counts, params.k)
     b_ub = setup.b_ub
     tail_value = setup.tail_value
     if setup.rawlsian:
@@ -459,9 +412,7 @@ def _build(
     else:
         cost, offset, tail_cost = delta, float(near_share.sum()), t_costs
     tail = setup.tail_start, setup.tail_index, tail_value
-    return LPModel(
-        params, setup, share, t_cost, delta, cost, offset, b_ub, tail_cost, tail
-    )
+    return LPModel(params, setup, delta, cost, offset, b_ub, tail_cost, tail)
 
 
 def build_rawlsian_lp(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import threading
@@ -15,6 +16,7 @@ from scipy.optimize._highspy._core import HighsModelStatus
 
 from conftest import fake_highs
 from datagen import random_instance
+from written_lp import WrittenLP
 
 from welfair import _highs
 from welfair import lp as lp_mod
@@ -48,7 +50,7 @@ class TestBuilders:
         k, n, H = 3, 10, 2
         assert m.num_vars == k * n + k * H + 1
         # kH under + kH over + H disu; the n assignment rows are implied
-        assert len(m.rows) == 2 * k * H + H
+        assert len(WrittenLP(m).rows) == 2 * k * H + H
         built = m.setup.instance
         assert (m.params.k, built.n, built.num_colors) == (k, n, H)
         assert m.setup.kind == "rawlsian"
@@ -58,26 +60,77 @@ class TestBuilders:
         m = build_utilitarian_lp(inst, params, centers)
         k, n, H = 3, 10, 2
         assert m.num_vars == k * n + k * H
-        assert len(m.rows) == 2 * k * H
+        assert len(WrittenLP(m).rows) == 2 * k * H
         assert m.setup.kind == "utilitarian"
 
     @pytest.mark.parametrize("H", [2, 3])
     @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
     def test_rows_written_on_first_read(self, build, H):
-        # the solve needs only the row count; the rows are written from the
-        # tables when something reads them
+        # the solve writes only restricted LPs; the frame's rows over every
+        # column are written when something reads them
         inst, params, centers = _setup(n=12, k=3, H=H)
         m = build(inst, params, centers)
         solve_lp(m)
         assert "rows" not in vars(m)
-        assert m.setup.num_rows == len(m.rows)
+        assert m.setup.num_rows < len(m.rows)
         assert m.rows is m.rows
+
+    @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
+    @pytest.mark.parametrize("H", [2, 3])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_rows_are_the_frame_over_every_column(self, kind, H, k):
+        # rows is the LP restrict writes over every frame column, row by row:
+        # its count, nonzeros (explicit zeros included) and entries
+        inst, params, centers = _setup(n=30, k=k, H=H, lam=0.4, seed=H)
+        build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+        m = build(inst, params, centers)
+        lp, _, row_ids = m.restrict(m.setup.first | m.setup.first_left)
+        # at k >= 3 every point has k - 1 >= 2 frame columns and its row
+        assert len(m.rows) == len(row_ids) == m.setup.num_rows + inst.n * (k > 2)
+        assert sum(len(row.cols) for row in m.rows) == len(lp.index)
+        column = np.repeat(np.arange(len(lp.cost)), np.diff(lp.start))
+        for r, row in enumerate(m.rows):
+            np.testing.assert_array_equal(row.cols, column[lp.index == r])
+            np.testing.assert_array_equal(row.vals, lp.value[lp.index == r])
+
+    # sha256 prefixes of each written-out model's rows (name, cols, vals),
+    # objective, lower and upper bytes as LPModel wrote them before the
+    # written-out model moved to the tests' helper
+    @pytest.mark.parametrize(
+        "case, kind, digest",
+        [
+            (dict(n=10, k=3, H=2), "rawlsian", "04fdcb3dfc4b412b"),
+            (dict(n=10, k=3, H=2), "utilitarian", "9d60ebb4a5ad0dbd"),
+            (dict(n=12, k=3, H=2), "rawlsian", "27e75b64580c3e7e"),
+            (dict(n=12, k=3, H=2), "utilitarian", "ce0eafa3fe0b6791"),
+            (dict(n=12, k=3, H=3), "rawlsian", "2ed5f3c91318db6f"),
+            (dict(n=12, k=3, H=3), "utilitarian", "b5a5c0db4423cef3"),
+            ({}, "rawlsian", "595eb845ab3dd238"),
+            ({}, "utilitarian", "c76005874d5f32f4"),
+            (dict(n=6, k=2, H=2), "rawlsian", "6d44947db185c744"),
+            (dict(n=6, k=2, H=2), "utilitarian", "16adae57a94df4e3"),
+            (dict(n=12, k=3, H=3, delta=0.2, seed=5), "rawlsian", "0b910170cd279964"),
+            (dict(n=12, k=3, H=3, delta=0.2, seed=5), "utilitarian", "89934651d4cbf5a5"),
+        ],
+    )
+    def test_written_model_bytes(self, case, kind, digest):
+        build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+        m = WrittenLP(build(*_setup(**case)))
+        h = hashlib.sha256()
+        for row in m.rows:
+            h.update(row.name.encode())
+            h.update(row.cols.astype(np.int64).tobytes())
+            h.update(row.vals.tobytes())
+        for table in (m.objective, m.lower, m.upper):
+            h.update(table.tobytes())
+        assert h.hexdigest()[:16] == digest
 
     def test_bounds(self):
         inst, params, centers = _setup()
         m = build_rawlsian_lp(inst, params, centers)
         kn = t0 = params.k * inst.n
         z = t0 + params.k * inst.num_colors
+        m = WrittenLP(m)
         assert np.all(m.lower[:kn] == 0) and np.all(m.upper[:kn] == 1)
         assert z == m.num_vars - 1
         assert np.all(m.lower[t0:z] == 0) and np.all(np.isposinf(m.upper[t0:z]))
@@ -87,7 +140,7 @@ class TestBuilders:
         inst, params, centers = _setup(n=6, k=2, H=2)
         for build in (build_rawlsian_lp, build_utilitarian_lp):
             m = build(inst, params, centers)
-            names = [row.name for row in m.rows]
+            names = [row.name for row in WrittenLP(m).rows]
             assert len(set(names)) == len(names)
 
     def test_dist_pow_passthrough(self):
@@ -97,6 +150,7 @@ class TestBuilders:
         a = build_rawlsian_lp(inst, params, centers)
         b = build_rawlsian_lp(inst, params, centers, setup=setup)
         assert b.setup.dist_t is setup.dist_t
+        a, b = WrittenLP(a), WrittenLP(b)
         np.testing.assert_array_equal(a.objective, b.objective)
         for ra, rb in zip(a.rows, b.rows):
             np.testing.assert_array_equal(ra.vals, rb.vals)
@@ -118,7 +172,7 @@ class TestBuilders:
         o = size_h - (r + params.alpha)[None, :] * sizes[:, None]
         v = np.zeros(m.num_vars)
         v[: k * n] = x.ravel()
-        rows = {row.name: row for row in m.rows}
+        rows = {row.name: row for row in WrittenLP(m).rows}
         for i in range(k):
             for h in range(H):
                 for tag, want in (("under", u[i, h]), ("over", o[i, h])):
@@ -127,7 +181,7 @@ class TestBuilders:
         v[k * n : k * n + k * H] = np.maximum(
             np.maximum(u, o), 0.0
         ).ravel()
-        for row in m.rows:
+        for row in rows.values():
             if row.name.startswith(("under_", "over_")):
                 assert row.vals @ v[row.cols] <= 1e-12
 
@@ -138,13 +192,13 @@ class TestBuilders:
 
 
 class TestCoefficientTables:
-    """The model's tables hold the LP's coefficients, and its rows and
-    objective are written from them."""
+    """The set-up's tables hold the LP's coefficients, and the written-out
+    model's rows and objective are written from them."""
 
     @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
     def test_tables_reproduce_rows_and_objective(self, build):
         inst, params, centers = _setup(n=13, k=3, H=3, lam=0.35, delta=0.2, seed=4)
-        m = build(inst, params, centers)
+        m = WrittenLP(build(inst, params, centers))
         k, n, H = params.k, inst.n, inst.num_colors
         colors, counts, r = inst.colors, inst.counts, inst.proportions
         dist = pairwise_pow(inst.features, centers, params.p)
@@ -226,6 +280,7 @@ class TestObjectiveEncoding:
         v = np.concatenate([x.ravel(), t.ravel(), [0.0] * (kind == "rawlsian")])
         dist = pairwise_pow(inst.features, centers, params.p)
         rep = report_from_distances(inst, params, dist, assign)
+        m = WrittenLP(m)
         if kind == "utilitarian":
             assert m.objective @ v == pytest.approx(rep.U, abs=1e-12)
         else:
@@ -273,6 +328,7 @@ def _reference(model):
     column summing to 1, and its optimum by HiGHS's interior-point method at
     tight tolerances: (A_ub, A_eq, result)."""
     k, n = model.params.k, model.setup.instance.n
+    model = WrittenLP(model)
     A_ub = np.zeros((len(model.rows), model.num_vars))
     for r, row in enumerate(model.rows):
         A_ub[r, row.cols] = row.vals
@@ -322,10 +378,10 @@ def _solve_spy(monkeypatch):
 
 
 def _frame_duals(model, call, res):
-    """The duals of every frame row from one restricted LP: the model's rows'
-    own, then point j's row dual if j has at least 2 kept x columns, and 0
-    for the rows of the others, which the LP leaves out."""
-    R = len(model.rows)
+    """The duals of every frame row from one restricted LP: the coupling
+    rows' own, then point j's row dual if j has at least 2 kept x columns,
+    and 0 for the rows of the others, which the LP leaves out."""
+    R = model.setup.num_rows
     marginals = res.row_dual
     shared = np.flatnonzero(call["keep"].sum(axis=0) >= 2)
     assert len(marginals) == R + len(shared)
@@ -345,9 +401,10 @@ def _reduced_costs(model, call, res):
     j's assignment equality gets the dual that leaves the eliminated column
     x[a(j), j] with reduced cost -mu_j >= 0. At a frame column x[i, j] this
     is c - A^T y of the full frame matrix."""
-    rows = model.rows
+    written = WrittenLP(model)
+    rows = written.rows
     duals = _frame_duals(model, call, res)
-    rc = model.objective.copy()
+    rc = written.objective.copy()
     for row, y in zip(rows, duals[: len(rows)]):
         np.add.at(rc, row.cols, -y * row.vals)
     k, n = model.params.k, model.setup.instance.n
@@ -540,7 +597,7 @@ class TestHighsPricing:
         m = build(inst, params, centers)
         calls = _solve_spy(monkeypatch)
         HighsSolver().solve(m)
-        R = len(m.rows)
+        R = m.setup.num_rows
         b_rows = m.b_ub[:R]
         widths = set()
         for call, _ in calls:
@@ -819,6 +876,7 @@ class TestGolden:
         for model, golden in zip(
             _golden_models(), (_GOLDEN_RAWLSIAN, _GOLDEN_UTILITARIAN)
         ):
+            model = WrittenLP(model)
             rows = [(r.name, r.cols.tolist(), r.vals.tolist()) for r in model.rows]
             assert rows == golden["rows"]
             for name in ("objective", "lower", "upper"):
@@ -1262,10 +1320,12 @@ def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
     xvec, obj, _, _, _ = HighsSolver().solve(m)
     A_ub, A_eq, ref = _reference(m)
     assert obj == pytest.approx(ref.fun, abs=params.lp_tolerance)
-    assert float(m.objective @ xvec) == pytest.approx(obj, abs=1e-12)
+    written = WrittenLP(m)
+    assert float(written.objective @ xvec) == pytest.approx(obj, abs=1e-12)
     np.testing.assert_allclose(A_eq @ xvec, 1.0, atol=1e-8)
     assert (A_ub @ xvec).max() <= 1e-8
-    assert (xvec >= m.lower - 1e-8).all() and (xvec <= m.upper + 1e-8).all()
+    assert (xvec >= written.lower - 1e-8).all()
+    assert (xvec <= written.upper + 1e-8).all()
     np.testing.assert_allclose(
         xvec[: k * n].reshape(k, n).sum(axis=0), 1.0, atol=1e-12
     )
