@@ -38,13 +38,7 @@ from .pipeline import (
     sweep,
     utilitarian_alg,
 )
-from .rounding import (
-    IntegralAssignment,
-    Support,
-    rawlsian_round,
-    split_support,
-    utilitarian_round,
-)
+from .rounding import IntegralAssignment, rawlsian_round, utilitarian_round
 
 __version__ = "0.1.0"
 
@@ -63,7 +57,6 @@ __all__ = [
     "Params",
     "RunResult",
     "Solution",
-    "Support",
     "WelfairError",
     "additive_constants",
     "apply_normalization",
@@ -83,7 +76,6 @@ __all__ = [
     "rawlsian_round",
     "socially_fair_centers",
     "solve_lp",
-    "split_support",
     "sweep",
     "utilitarian_alg",
     "utilitarian_round",

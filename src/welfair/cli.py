@@ -318,7 +318,7 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
         ):
             res = alg(inst, params, center_set=drawn)
             _, best = brute_force_assignment(inst, params, drawn.centers, kind)
-            tol = params.lp_tolerance
+            tol = pipeline.gap_slack(params, res.lp_objective)
             ok &= res.lp_objective <= best + tol
             ok &= res.objective_value <= best + res.gap_bound + tol
         print(

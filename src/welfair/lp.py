@@ -15,6 +15,8 @@ from .metrics import color_masses, disutilities, nearest, pairwise_pow
 from .model import Instance, Params, check_objective
 
 _SNAP = 1e-12
+# the most by which a column of solve_lp's x may sum away from 1
+COLUMN_SUM_TOL = 1e-5
 # x columns per point that HiGHS's first restricted LP may keep, the
 # eliminated nearest one included; at n = 3000, k = 12 width 4 needed one
 # round where width 3 needed two or three
@@ -518,7 +520,7 @@ def solve_lp(model: LPModel) -> FractionalSolution:
     np.putmask(x, x < _SNAP, 0.0)
     np.minimum(x, 1.0, out=x)
     col = np.abs(x.sum(axis=0) - 1.0).max(initial=0.0)
-    if col > 1e-5:
+    if col > COLUMN_SUM_TOL:
         raise InternalInvariantError(f"assignment column sum off by {col:g}")
     mass = color_masses(x, inst)
     D = color_masses((x * model.setup.dist_t).sum(axis=0), inst)

@@ -247,10 +247,11 @@ class Params:
     alpha[h] loosens the upper proportion bound for color h, beta[h] the lower
     one; both must be finite and nonnegative. lp_tolerance is how far the
     LP value may lie above its Lagrangian lower bound when pricing stops
-    (see `lp.HighsSolver`), and the slack by which a rounding gap may exceed
-    its bound or fall below 0. It must be finite and at least 1e-8, 10 times
-    the feasibility tolerance HiGHS solves both LPs at
-    (`_highs._FEASIBILITY`). `validate`
+    (see `lp.HighsSolver`), an absolute amount, and the slack by which a
+    rounding gap may exceed its bound or fall below 0 before the run is
+    flagged, relative to the LP value (`pipeline.gap_slack`). It must be
+    finite and at least 1e-8, 10 times the feasibility tolerance HiGHS
+    solves both LPs at (`_highs._FEASIBILITY`). `validate`
     checks these rules against an instance, and `check_centers` a center
     array: k finite centers in the instance's dimension.
     """

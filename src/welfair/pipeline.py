@@ -50,7 +50,7 @@ CENTER_METHODS = {"rawlsian": "socially_fair", "utilitarian": "weighted"}
 # the method name of each objective's algorithm
 ALGORITHMS = {"rawlsian": "RawlsianAlg", "utilitarian": "UtilitarianAlg"}
 # the flag of a run whose rounding gap broke its additive bound by more than
-# the LP tolerance, and of one whose LP value lies above its rounded value by
+# its `gap_slack`, and of one whose LP value lies above its rounded value by
 # more than it (the rounded assignment is a point of the LP, so that shows a
 # fault); results.csv's flags column is the one record of either
 GAP_FLAG = "gap_bound_exceeded"
@@ -58,6 +58,15 @@ LP_FLAG = "lp_above_rounded"
 # the k and lambda values `sweep` runs by default
 K_RANGE = tuple(range(4, 16))
 LAMBDAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
+
+
+def gap_slack(params: Params, lp_value: float) -> float:
+    """How far a rounded value may lie above the LP value plus the additive
+    bound, or below the LP value, before the run is flagged: lp_tolerance
+    times the LP value's size, or lp_tolerance itself where that size is
+    below 1. Float rounding alone once put an LP value of 1.3e10 7.6e-6
+    above its rounded value."""
+    return params.lp_tolerance * max(1.0, abs(lp_value))
 
 
 def score(report: GroupReport, objective: str) -> float:
@@ -119,7 +128,7 @@ def _lp_pipeline(
     c_r, c_u = additive_constants(instance, params)
     bound = (1.0 - params.lam) * (c_r if rawlsian else c_u)
     gap = score(report, kind) - frac.objective
-    tol = params.lp_tolerance
+    tol = gap_slack(params, frac.objective)
     flags = [GAP_FLAG] if gap > bound + tol else [LP_FLAG] if gap < -tol else []
     return RunResult(
         method=ALGORITHMS[kind],

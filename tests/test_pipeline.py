@@ -12,7 +12,7 @@ from welfair.centers import CenterSet, best_of_restarts
 from welfair.errors import ParamError
 from welfair.lp import LPSetup
 from welfair.metrics import pairwise_pow, report_from_distances
-from welfair.model import Params
+from welfair.model import Instance, Params
 from welfair.pipeline import (
     ALGORITHMS,
     CENTER_METHODS,
@@ -135,6 +135,28 @@ class TestAlgorithms:
         res = alg(inst, params, seed=0, restarts=1)
         assert res.gap < -params.lp_tolerance
         assert res.flags == [pipeline.LP_FLAG]
+
+    @pytest.mark.parametrize("scale", [3e3, 1e4])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_large_units_draw_no_flag(self, scale, seed):
+        # unnormalized, LP values on these features run to 1e9 at p = 2,
+        # where float rounding alone left 2-5 rows of each p = 2 sweep
+        # beyond an absolute lp_tolerance; a slack relative to the LP value
+        # flags none
+        inst = adult_like(300, seed)
+        inst = Instance(inst.features * scale, inst.colors, inst.color_names)
+        for p in (1, 2):
+            _, cells = sweep(
+                inst, k_range=[3, 5, 8], lambdas=[1e-3, 0.5], p=p, restarts=1,
+                normalize=False,
+            )
+            flagged = [
+                (r.method, r.params.k, r.params.lam, r.flags)
+                for _, results in cells
+                for r in results
+                if r.flags
+            ]
+            assert flagged == []
 
     def test_lp_objective_lower_bounds_value(self):
         inst = _inst(n=28, seed=9)

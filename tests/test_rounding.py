@@ -15,17 +15,10 @@ from conftest import fake_highs, random_fractional_x
 from datagen import random_instance
 
 from welfair import _highs
-from welfair.errors import InternalInvariantError
+from welfair.errors import InternalInvariantError, ParamError
 from welfair.metrics import color_masses, pairwise_pow
-from welfair import rounding
 from welfair.model import Instance, Params
-from welfair.rounding import (
-    _floor_ceil,
-    rawlsian_round,
-    snap_mass,
-    split_support,
-    utilitarian_round,
-)
+from welfair.rounding import _floor_ceil, rawlsian_round, utilitarian_round
 
 
 def _case(n=20, k=3, H=2, seed=0, delta=0.1, lam=0.5):
@@ -63,18 +56,17 @@ def _cost(inst, dist, assignment):
 
 
 class TestSnapping:
-    def test_snap_mass(self):
-        assert snap_mass(2.9999999995) == 3.0
-        assert snap_mass(3.0000000004) == 3.0
-        assert snap_mass(2.5) == 2.5
-        assert snap_mass(-1e-10) == 0.0
-
     def test_floor_ceil(self):
+        # a mass within 1e-9 of an integer floors and ceils to it
         assert _floor_ceil(2.9999999995) == (3, 3)
+        assert _floor_ceil(3.0000000004) == (3, 3)
         assert _floor_ceil(2.5) == (2, 3)
         assert _floor_ceil(3.0) == (3, 3)
         assert _floor_ceil(-1e-10) == (0, 0)
         assert _floor_ceil(0.4) == (0, 1)
+        lo, hi = _floor_ceil(np.array([[2.9999999995, 2.5], [-1e-10, 0.4]]))
+        assert lo.tolist() == [[3, 2], [0, 0]]
+        assert hi.tolist() == [[3, 3], [0, 1]]
 
 
 class TestNetworkConstruction:
@@ -227,19 +219,23 @@ class TestMinCostFlow:
         x[:, hot] = 0.0
         x[rng.integers(0, params.k, size=len(hot)), hot] = 1.0
         out = utilitarian_round(x, inst, params, dist, color_masses(x, inst))
-        support = split_support(x, color_masses(x, inst))
-        frac = support.frac
+        # the points with one positive entry keep its center; the others
+        # take every combination of theirs
+        single = (x > 0).sum(axis=0) == 1
+        frac = np.flatnonzero(~single)
         assert 0 < len(frac) <= 9
+        col_lo, col_hi = _floor_ceil(color_masses(x, inst))
+        clu_lo, clu_hi = _floor_ceil(x.sum(axis=1))
         best = _cost(inst, dist, out.assignment)
-        a = support.assignment.copy()
+        a = np.where(single, np.argmax(x > 0, axis=0), -1)
         for choice in itertools.product(*[np.nonzero(x[:, j])[0] for j in frac]):
             a[frac] = choice
             mass = np.zeros((params.k, inst.num_colors), dtype=np.int64)
             np.add.at(mass, (a, inst.colors), 1)
             size = mass.sum(axis=1)
             if (
-                np.all((support.col_lo <= mass) & (mass <= support.col_hi))
-                and np.all((support.clu_lo <= size) & (size <= support.clu_hi))
+                np.all((col_lo <= mass) & (mass <= col_hi))
+                and np.all((clu_lo <= size) & (size <= clu_hi))
             ):
                 assert _cost(inst, dist, a) >= best - 1e-12
 
@@ -291,18 +287,20 @@ class TestMinCostFlow:
         assert _highs._solver().getOptions().simplex_scale_strategy == scaling
 
     def test_infeasible_raises(self, monkeypatch):
-        # every cell of color 0 asks for 2 of its 3 points
+        # every cell of color 0 asks for 2 of its 3 points: all 6 points are
+        # fractional, so the LP's 6 point rows come first, and the cells
+        # (0, 0) and (1, 0) are rows 6 and 8
         inst = random_instance(6, 2, 2, seed=1)
         inst.colors[:] = [0, 0, 0, 1, 1, 1]
         params = Params.with_delta(inst, 2, 0.5)
         x = np.full((2, 6), 0.5)
+        real = _highs.solve
 
-        def tight(x, mass, _split=split_support):
-            support = _split(x, mass)
-            support.col_lo[:, 0] = support.col_hi[:, 0] = 2
-            return support
+        def tight(lp):
+            lp.row_lower[[6, 8]] = lp.row_upper[[6, 8]] = 2
+            return real(lp)
 
-        monkeypatch.setattr(rounding, "split_support", tight)
+        monkeypatch.setattr(_highs, "solve", tight)
         with pytest.raises(InternalInvariantError, match="model status Infeasible"):
             rawlsian_round(x, inst, params, np.ones((6, 2)), color_masses(x, inst))
 
@@ -402,12 +400,15 @@ class TestExtractGuards:
     def test_unassigned_point_detected(self, monkeypatch):
         # a solve that rounds no fractional point leaves them at -1
         inst, params, dist, x = _case(n=10, k=2, H=2, seed=6)
-        assert np.any(split_support(x, color_masses(x, inst)).assignment < 0)
-        monkeypatch.setattr(
-            rounding,
-            "_solve_support",
-            lambda x, inst, dist, support, joint: support.assignment.copy(),
-        )
+        assert np.any((x > 0).sum(axis=0) > 1)
+        real = _highs.solve
+
+        def none_on(lp):
+            res = real(lp)
+            res.x[:] = 0.0
+            return res
+
+        monkeypatch.setattr(_highs, "solve", none_on)
         with pytest.raises(InternalInvariantError, match="unassigned"):
             rawlsian_round(x, inst, params, dist, color_masses(x, inst))
 
@@ -445,7 +446,10 @@ class TestExtractGuards:
         # LP is feasible, but what it rounds leaves x's floor/ceil. Under x
         # every (cluster, color) mass is 1.5 (floor 1, ceil 2) and every
         # cluster size 3; under the skewed x the cheap center 0 gets 3 points
-        # of each color at share 0.99, and 2 (size 4) at share 0.6
+        # of each color at share 0.99, and 2 (size 4) at share 0.6. Every
+        # point is fractional under both, so the LPs differ only in the
+        # bounds of their cell rows and cluster rows, which follow the
+        # 6 point rows
         inst = random_instance(6, 2, 2, seed=1)
         inst.colors[:] = [0, 0, 0, 1, 1, 1]
         params = Params.with_delta(inst, 2, 0.5)
@@ -453,20 +457,51 @@ class TestExtractGuards:
         dist[:, 1] = 1.0
         x = np.full((2, 6), 0.5)
         skewed = np.array([[share] * 6, [1.0 - share] * 6])
-        solve = rounding._solve_support
-        monkeypatch.setattr(
-            rounding,
-            "_solve_support",
-            lambda _x, inst, dist, _s, joint: solve(
-                skewed,
-                inst,
-                dist,
-                split_support(skewed, color_masses(skewed, inst)),
-                joint,
-            ),
-        )
+        col_lo, col_hi = _floor_ceil(color_masses(skewed, inst).ravel())
+        clu_lo, clu_hi = _floor_ceil(skewed.sum(axis=1))
+        real = _highs.solve
+
+        def skewed_rows(lp):
+            rows = len(lp.row_upper)
+            lp.row_lower = np.concatenate([np.ones(6), col_lo, clu_lo])[:rows]
+            lp.row_upper = np.concatenate([np.ones(6), col_hi, clu_hi])[:rows]
+            return real(lp)
+
+        monkeypatch.setattr(_highs, "solve", skewed_rows)
         with pytest.raises(InternalInvariantError, match=re.escape(f"rounded {what}")):
             rounder(x, inst, params, dist, color_masses(x, inst))
+
+
+class TestInputChecks:
+    """The rounders are public: a malformed array is the caller's error, a
+    ParamError naming the argument, not a numpy error deep inside or an
+    InternalInvariantError."""
+
+    @pytest.mark.parametrize("rounder", [rawlsian_round, utilitarian_round])
+    @pytest.mark.parametrize(
+        "malform, name",
+        [
+            pytest.param(lambda x, d, m: (x[:, :19], d, m), "xfrac", id="19-columns"),
+            pytest.param(lambda x, d, m: (x, d.T, m), "dist_pow", id="k-by-n-dist"),
+            pytest.param(lambda x, d, m: (x[:2], d, m), "xfrac", id="2-rows"),
+            pytest.param(
+                lambda x, d, m: (np.where(np.arange(20) == 4, 0.0, x), d, m),
+                "xfrac",
+                id="zero-column",
+            ),
+            pytest.param(
+                lambda x, d, m: (np.where(np.arange(20) == 7, np.nan, x), d, m),
+                "xfrac",
+                id="nan",
+            ),
+            pytest.param(lambda x, d, m: (x, d, m.T), "mass", id="H-by-k-mass"),
+        ],
+    )
+    def test_malformed_array_raises_param_error(self, rounder, malform, name):
+        inst, params, dist, x = _case(n=20, k=3, H=2, seed=0)
+        bad = malform(x, dist, color_masses(x, inst))
+        with pytest.raises(ParamError, match=name):
+            rounder(bad[0], inst, params, bad[1], bad[2])
 
 
 def _transport_optimum(x, inst, dist, kind):
