@@ -56,10 +56,16 @@ def _cost(inst, dist, assignment):
 
 
 class TestSnapping:
-    def test_floor_ceil(self):
-        # a mass within 1e-9 of an integer floors and ceils to it
+    def test_snap_mass(self):
+        # a mass within 1e-9 of an integer floors and ceils to it; others
+        # keep their fractional part
         assert _floor_ceil(2.9999999995) == (3, 3)
         assert _floor_ceil(3.0000000004) == (3, 3)
+        assert _floor_ceil(2.5) == (2, 3)
+        assert _floor_ceil(-1e-10) == (0, 0)
+
+    def test_floor_ceil(self):
+        assert _floor_ceil(2.9999999995) == (3, 3)
         assert _floor_ceil(2.5) == (2, 3)
         assert _floor_ceil(3.0) == (3, 3)
         assert _floor_ceil(-1e-10) == (0, 0)
