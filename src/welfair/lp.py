@@ -3,7 +3,7 @@ a brute-force oracle for tiny instances."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -88,34 +88,26 @@ class LPSetup:
     def rawlsian(self) -> bool:
         return self.kind == "rawlsian"
 
-    def check(
-        self,
-        instance: Instance,
-        params: Params,
-        centers: np.ndarray,
-        kind: str | None = None,
-    ) -> None:
+    def check(self, instance: Instance, params: Params, centers: np.ndarray) -> None:
         """ParamError unless params' scalars pass `Params.check_scalars` and
-        the set-up was built for instance, params' k, p and slacks, centers
-        and (if given) kind; the rest of `Params.validate` held when it was
-        built."""
+        the set-up was built for instance, params' k, p, slacks and
+        lp_tolerance, and centers; the rest of `Params.validate` held when it
+        was built."""
         params.check_scalars(instance.n)
         own = self.params
         if not (
             instance is self.instance
             and params.k == own.k
             and params.p == own.p
+            and params.lp_tolerance == own.lp_tolerance
             and np.array_equal(params.alpha, own.alpha)
             and np.array_equal(params.beta, own.beta)
             and np.array_equal(centers, self.centers)
         ):
             raise ParamError(
-                "the set-up was built for another instance, k, p, slack or "
-                "center set"
+                "the set-up was built for another instance, k, p, slack, LP "
+                "tolerance or center set"
             )
-        if kind is not None and kind != self.kind:
-            was = f"for the {self.kind} LP," if self.kind else "without an LP kind,"
-            raise ParamError(f"the set-up was built {was} not the {kind} one")
 
     def _frame(self) -> None:
         inst, params, near = self.instance, self.params, self.near
@@ -377,29 +369,23 @@ class LPModel:
 
 @dataclass
 class FractionalSolution:
-    """Cleaned LP optimum: x (k, n), the objective evaluated on it, and its
-    (k, H) (cluster, color) masses (`metrics.color_masses`)."""
+    """Cleaned LP optimum: x (k, n) and the objective evaluated on it."""
 
     x: np.ndarray
     objective: float
-    mass: np.ndarray
 
 
-def _build(
-    kind: str,
-    instance: Instance,
-    params: Params,
-    centers: np.ndarray,
-    setup: LPSetup | None,
-) -> LPModel:
-    """The LP of kind at params.lam on setup, which is checked against the
-    other arguments, or on a set-up built from them, which checks them."""
-    if setup is None:
-        setup = LPSetup(instance, params, centers, kind)
-    else:
-        setup.check(instance, params, centers, kind)
-    share, near_share, delta = setup.shares(params.lam)
-    t_costs = np.tile((1.0 - params.lam) / instance.counts, params.k)
+def _build(kind: str, setup: LPSetup, lam: float) -> LPModel:
+    """The LP of kind on setup at lambda lam, with the set-up's other
+    parameters; ParamError unless setup was built for kind and lam passes
+    `Params.check_scalars`."""
+    if kind != setup.kind:
+        was = f"for the {setup.kind} LP," if setup.kind else "without an LP kind,"
+        raise ParamError(f"the set-up was built {was} not the {kind} one")
+    instance, params = setup.instance, replace(setup.params, lam=lam)
+    params.check_scalars(instance.n)
+    share, near_share, delta = setup.shares(lam)
+    t_costs = np.tile((1.0 - lam) / instance.counts, params.k)
     b_ub = setup.b_ub
     tail_value = setup.tail_value
     if setup.rawlsian:
@@ -417,27 +403,17 @@ def _build(
     return LPModel(params, setup, delta, cost, offset, b_ub, tail_cost, tail)
 
 
-def build_rawlsian_lp(
-    instance: Instance,
-    params: Params,
-    centers: np.ndarray,
-    setup: LPSetup | None = None,
-) -> LPModel:
-    """Min-max LP: z bounds every color's fractional disutility from above.
-    Its lambda-free part comes from setup, an `LPSetup` built for the
-    "rawlsian" LP, or from one built here from centers."""
-    return _build("rawlsian", instance, params, centers, setup)
+def build_rawlsian_lp(setup: LPSetup, lam: float) -> LPModel:
+    """Min-max LP at lambda lam: z bounds every color's fractional
+    disutility from above. setup, an `LPSetup` built for the "rawlsian"
+    LP, gives its lambda-free part and its other parameters."""
+    return _build("rawlsian", setup, lam)
 
 
-def build_utilitarian_lp(
-    instance: Instance,
-    params: Params,
-    centers: np.ndarray,
-    setup: LPSetup | None = None,
-) -> LPModel:
+def build_utilitarian_lp(setup: LPSetup, lam: float) -> LPModel:
     """Sum-of-disutilities LP: same constraints, objective in the costs;
     setup as for `build_rawlsian_lp`, built for the "utilitarian" LP."""
-    return _build("utilitarian", instance, params, centers, setup)
+    return _build("utilitarian", setup, lam)
 
 
 class HighsSolver:
@@ -522,11 +498,10 @@ def solve_lp(model: LPModel) -> FractionalSolution:
     col = np.abs(x.sum(axis=0) - 1.0).max(initial=0.0)
     if col > COLUMN_SUM_TOL:
         raise InternalInvariantError(f"assignment column sum off by {col:g}")
-    mass = color_masses(x, inst)
     D = color_masses((x * model.setup.dist_t).sum(axis=0), inst)
-    _, _, disu = disutilities(inst, model.params, mass, D)
+    _, _, disu = disutilities(inst, model.params, color_masses(x, inst), D)
     value = disu.max() if model.setup.rawlsian else disu.sum()
-    return FractionalSolution(x, float(value), mass)
+    return FractionalSolution(x, float(value))
 
 
 def brute_force_assignment(

@@ -12,9 +12,13 @@ from .model import Instance, Params
 
 
 def pairwise_pow(X: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
-    """(len(X), len(C)) matrix of Euclidean d(x, c)^p, x and c rows of X and C."""
+    """(len(X), len(C)) matrix of Euclidean d(x, c)^p, x and c rows of the
+    2-d arrays X and C."""
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
+    for name, A in (("X", X), ("C", C)):
+        if A.ndim != 2:
+            raise ParamError(f"{name} must be a 2-d array, got shape {A.shape}")
     if X.shape[1] != C.shape[1]:
         raise ParamError(f"dimension mismatch: {X.shape[1]} vs {C.shape[1]}")
     if p == 2:

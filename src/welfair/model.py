@@ -280,7 +280,9 @@ class Params:
         p: int = 2,
         lp_tolerance: float = LP_TOLERANCE,
     ) -> "Params":
-        """Proportional slacks alpha_h = beta_h = delta * r_h."""
+        """Proportional slacks alpha_h = beta_h = delta * r_h; delta is a
+        number (`check_number`)."""
+        check_number("delta", delta)
         r = instance.proportions
         return cls(
             k=k,

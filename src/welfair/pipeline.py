@@ -75,27 +75,33 @@ def score(report: GroupReport, objective: str) -> float:
     return report.R if objective == "rawlsian" else report.U
 
 
-def _center_set(
+def _setup(
     instance: Instance,
     params: Params,
+    kind: str | None,
     method: str,
     seed: int,
     restarts: int,
     center_set: centers_mod.CenterSet | None,
     setup: lp_mod.LPSetup | None,
-) -> np.ndarray:
-    """The run's centers: center_set's, left to the `LPSetup` the run is
-    given or builds to check; else setup's; else those of the best of
-    restarts of method (looked up on `centers` at call time) after
-    params.validate."""
-    if center_set is not None:
-        return center_set.centers
+) -> lp_mod.LPSetup:
+    """The run's set-up: setup, checked against instance, params and
+    center_set's centers if given, else its own; or one built for the LP
+    kind (None for a baseline's) from center_set's centers, else from those
+    of the best of restarts of method (looked up on `centers` at call time)
+    after params.validate."""
     if setup is not None:
-        return setup.centers
-    params.validate(instance)
-    return centers_mod.best_of_restarts(
-        instance, params.k, method, restarts, seed
-    ).centers
+        centers = setup.centers if center_set is None else center_set.centers
+        setup.check(instance, params, centers)
+        return setup
+    if center_set is not None:
+        centers = center_set.centers
+    else:
+        params.validate(instance)
+        centers = centers_mod.best_of_restarts(
+            instance, params.k, method, restarts, seed
+        ).centers
+    return lp_mod.LPSetup(instance, params, centers, kind)
 
 
 def _lp_pipeline(
@@ -107,23 +113,22 @@ def _lp_pipeline(
     center_set: centers_mod.CenterSet | None,
     setup: lp_mod.LPSetup | None,
 ) -> RunResult:
-    """Centers, the LP of kind on setup (the builder makes one if it is
-    None), its rounding and the gap check. The builder, the solve and the
-    rounder are looked up on their modules at call time."""
+    """The set-up, the LP of kind on it at params.lam, its rounding and the
+    gap check. The builder, the solve and the rounder are looked up on
+    their modules at call time."""
     rawlsian = kind == "rawlsian"
     t0 = time.perf_counter()
-    centers = _center_set(
-        instance, params, CENTER_METHODS[kind], seed, restarts, center_set, setup
+    setup = _setup(
+        instance, params, kind, CENTER_METHODS[kind], seed, restarts, center_set, setup
     )
     t1 = time.perf_counter()
     build = lp_mod.build_rawlsian_lp if rawlsian else lp_mod.build_utilitarian_lp
-    model = build(instance, params, centers, setup=setup)
-    frac = lp_mod.solve_lp(model)
+    frac = lp_mod.solve_lp(build(setup, params.lam))
     t2 = time.perf_counter()
     rounder = rounding_mod.rawlsian_round if rawlsian else rounding_mod.utilitarian_round
-    integral = rounder(frac.x, instance, params, model.setup.dist_t.T, frac.mass)
+    integral = rounder(frac.x, instance, params, setup.dist_t.T)
     t3 = time.perf_counter()
-    solution = Solution(centers, integral.assignment)
+    solution = Solution(setup.centers, integral.assignment)
     report = integral.report
     c_r, c_u = additive_constants(instance, params)
     bound = (1.0 - params.lam) * (c_r if rawlsian else c_u)
@@ -198,13 +203,9 @@ def evaluate_baseline(
     if method not in centers_mod.METHODS:
         raise ParamError(f"method must be one of {centers_mod.METHODS}, got {method!r}")
     t0 = time.perf_counter()
-    centers = _center_set(instance, params, method, seed, restarts, center_set, setup)
-    if setup is None:
-        setup = lp_mod.LPSetup(instance, params, centers)
-    else:
-        setup.check(instance, params, centers)
+    setup = _setup(instance, params, None, method, seed, restarts, center_set, setup)
     t1 = time.perf_counter()
-    solution = Solution(centers, setup.near.copy())
+    solution = Solution(setup.centers, setup.near.copy())
     report = report_from_distances(instance, params, setup.dist_t.T, setup.near)
     return RunResult(
         method=method,
@@ -223,6 +224,14 @@ def check_sweep(objective, k_range, lambdas, delta, restarts, seed, normalize, *
         raise ParamError(
             f"objective must be rawlsian, utilitarian or both, got {objective!r}"
         )
+    for name, values in (("k_range", k_range), ("lambdas", lambdas)):
+        if not (
+            isinstance(values, (list, tuple, range))
+            or isinstance(values, np.ndarray) and values.ndim == 1
+        ):
+            raise ParamError(
+                f"{name} must be a list, tuple, range or 1-d array, got {values!r}"
+            )
     if len(k_range) == 0:
         raise ParamError("k range is empty")
     for k in k_range:

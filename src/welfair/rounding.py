@@ -19,7 +19,7 @@ import numpy as np
 from . import _highs
 from .errors import InternalInvariantError, ParamError
 from .lp import COLUMN_SUM_TOL
-from .metrics import GroupReport, report_from_distances
+from .metrics import GroupReport, color_masses, report_from_distances
 from .model import Instance, Params
 
 _MASS_EPS = 1e-9
@@ -61,19 +61,16 @@ def _round(
     instance: Instance,
     params: Params,
     dist_pow: np.ndarray,
-    mass: np.ndarray,
     joint: bool,
 ) -> IntegralAssignment:
     """Fix the points with one positive x entry, round the rest by the
     transportation LP, then check the masses of the result; joint adds the
     cluster-size rows and their check. ParamError unless xfrac is a (k, n)
     fractional assignment, finite and nonnegative with every column summing
-    to 1, dist_pow its (n, k) d^p and mass its (k, H) masses."""
+    to 1, and dist_pow its (n, k) d^p."""
     k, n, H = params.k, instance.n, instance.num_colors
     for name, value, shape in (
-        ("xfrac", xfrac, (k, n)),
-        ("dist_pow", dist_pow, (n, k)),
-        ("mass", mass, (k, H)),
+        ("xfrac", xfrac, (k, n)), ("dist_pow", dist_pow, (n, k))
     ):
         if np.shape(value) != shape:
             raise ParamError(f"{name} must have shape {shape}, got {np.shape(value)}")
@@ -92,7 +89,7 @@ def _round(
     fixed = count == 1
     assignment = np.where(fixed, center.astype(np.int64), -1)
     frac = np.flatnonzero(~fixed)
-    col_lo, col_hi = _floor_ceil(mass)
+    col_lo, col_hi = _floor_ceil(color_masses(xfrac, instance))
     clu_lo, clu_hi = _floor_ceil(xfrac.sum(axis=1))
     m = len(frac)
     if m:
@@ -150,14 +147,11 @@ def rawlsian_round(
     instance: Instance,
     params: Params,
     dist_pow: np.ndarray,
-    mass: np.ndarray,
 ) -> IntegralAssignment:
     """Round keeping each (cluster, color) mass; the colors share no row, so
     one LP rounds each of them optimally. xfrac is the LP's (k, n)
-    assignment, dist_pow its (n, k) d^p, and mass xfrac's (k, H)
-    (cluster, color) masses, `metrics.color_masses` of it, as `lp.solve_lp`
-    returns them."""
-    return _round(xfrac, instance, params, dist_pow, mass, joint=False)
+    assignment and dist_pow its (n, k) d^p."""
+    return _round(xfrac, instance, params, dist_pow, joint=False)
 
 
 def utilitarian_round(
@@ -165,8 +159,7 @@ def utilitarian_round(
     instance: Instance,
     params: Params,
     dist_pow: np.ndarray,
-    mass: np.ndarray,
 ) -> IntegralAssignment:
     """Round all colors jointly, preserving cluster sizes within floor/ceil;
     the arguments as for `rawlsian_round`."""
-    return _round(xfrac, instance, params, dist_pow, mass, joint=True)
+    return _round(xfrac, instance, params, dist_pow, joint=True)

@@ -235,7 +235,7 @@ def test_04_rounding_invariants_random_fractional():
             ("rawlsian", rawlsian_round),
             ("utilitarian", utilitarian_round),
         ):
-            a = rounder(x, inst, params, dist, color_masses(x, inst)).assignment
+            a = rounder(x, inst, params, dist).assignment
             assert a.shape == (n,) and a.min() >= 0 and a.max() < k
             dsel = dist[np.arange(n), a]
             for i in range(k):

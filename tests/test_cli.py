@@ -795,7 +795,7 @@ class TestGapReport:
 
         def raised(model):
             frac = real(model)
-            return lp_mod.FractionalSolution(frac.x, frac.objective + 1.0, frac.mass)
+            return lp_mod.FractionalSolution(frac.x, frac.objective + 1.0)
 
         monkeypatch.setattr(lp_mod, "solve_lp", raised)
         path, feats = dataset

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -35,6 +36,13 @@ from welfair.pipeline import rawlsian_alg, utilitarian_alg
 from welfair.rounding import _floor_ceil, rawlsian_round, utilitarian_round
 
 
+def _model(build, inst, params, centers):
+    """build's LP at params.lam on a set-up of its own kind built from
+    inst, params and centers."""
+    kind = "rawlsian" if build is build_rawlsian_lp else "utilitarian"
+    return build(lp_mod.LPSetup(inst, params, centers, kind), params.lam)
+
+
 def _setup(n=14, k=2, H=2, lam=0.5, delta=0.1, seed=0):
     inst = random_instance(n, 2, H, seed)
     params = Params.with_delta(inst, k, lam, delta)
@@ -46,7 +54,7 @@ def _setup(n=14, k=2, H=2, lam=0.5, delta=0.1, seed=0):
 class TestBuilders:
     def test_rawlsian_shape(self):
         inst, params, centers = _setup(n=10, k=3, H=2)
-        m = build_rawlsian_lp(inst, params, centers)
+        m = _model(build_rawlsian_lp, inst, params, centers)
         k, n, H = 3, 10, 2
         assert m.num_vars == k * n + k * H + 1
         # kH under + kH over + H disu; the n assignment rows are implied
@@ -57,7 +65,7 @@ class TestBuilders:
 
     def test_utilitarian_shape(self):
         inst, params, centers = _setup(n=10, k=3, H=2)
-        m = build_utilitarian_lp(inst, params, centers)
+        m = _model(build_utilitarian_lp, inst, params, centers)
         k, n, H = 3, 10, 2
         assert m.num_vars == k * n + k * H
         assert len(WrittenLP(m).rows) == 2 * k * H
@@ -69,7 +77,7 @@ class TestBuilders:
         # the solve writes only restricted LPs; the frame's rows over every
         # column are written when something reads them
         inst, params, centers = _setup(n=12, k=3, H=H)
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         solve_lp(m)
         assert "rows" not in vars(m)
         assert m.setup.num_rows < len(m.rows)
@@ -83,7 +91,7 @@ class TestBuilders:
         # its count, nonzeros (explicit zeros included) and entries
         inst, params, centers = _setup(n=30, k=k, H=H, lam=0.4, seed=H)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         lp, _, row_ids = m.restrict(m.setup.first | m.setup.first_left)
         # at k >= 3 every point has k - 1 >= 2 frame columns and its row
         assert len(m.rows) == len(row_ids) == m.setup.num_rows + inst.n * (k > 2)
@@ -115,7 +123,7 @@ class TestBuilders:
     )
     def test_written_model_bytes(self, case, kind, digest):
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = WrittenLP(build(*_setup(**case)))
+        m = WrittenLP(_model(build, *_setup(**case)))
         h = hashlib.sha256()
         for row in m.rows:
             h.update(row.name.encode())
@@ -127,7 +135,7 @@ class TestBuilders:
 
     def test_bounds(self):
         inst, params, centers = _setup()
-        m = build_rawlsian_lp(inst, params, centers)
+        m = _model(build_rawlsian_lp, inst, params, centers)
         kn = t0 = params.k * inst.n
         z = t0 + params.k * inst.num_colors
         m = WrittenLP(m)
@@ -139,7 +147,7 @@ class TestBuilders:
     def test_row_names_unique(self):
         inst, params, centers = _setup(n=6, k=2, H=2)
         for build in (build_rawlsian_lp, build_utilitarian_lp):
-            m = build(inst, params, centers)
+            m = _model(build, inst, params, centers)
             names = [row.name for row in WrittenLP(m).rows]
             assert len(set(names)) == len(names)
 
@@ -147,8 +155,8 @@ class TestBuilders:
         # a model built on a set-up reads the set-up's distances
         inst, params, centers = _setup()
         setup = lp_mod.LPSetup(inst, params, centers, "rawlsian")
-        a = build_rawlsian_lp(inst, params, centers)
-        b = build_rawlsian_lp(inst, params, centers, setup=setup)
+        a = _model(build_rawlsian_lp, inst, params, centers)
+        b = build_rawlsian_lp(setup, params.lam)
         assert b.setup.dist_t is setup.dist_t
         a, b = WrittenLP(a), WrittenLP(b)
         np.testing.assert_array_equal(a.objective, b.objective)
@@ -160,7 +168,7 @@ class TestBuilders:
         # at t = 0 the under_i_h / over_i_h rows read the cluster's under- and
         # over-representation; at t = max(u, o, 0) every one of them holds
         inst, params, centers = _setup(n=12, k=3, H=3, delta=0.2, seed=5)
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         k, n, H = params.k, inst.n, inst.num_colors
         rng = np.random.default_rng(8)
         x = rng.random((k, n))
@@ -188,7 +196,23 @@ class TestBuilders:
     def test_center_count_mismatch(self):
         inst, params, centers = _setup(k=2)
         with pytest.raises(ParamError, match=r"need \(k, dim\) = \(2, 2\)"):
-            build_rawlsian_lp(inst, params, centers[:1])
+            lp_mod.LPSetup(inst, params, centers[:1], "rawlsian")
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [(1.5, "lambda must lie in"), (True, "lambda must be a number, got True")],
+    )
+    def test_builder_checks_lambda(self, lam, message):
+        # the set-up's kind is checked in tests/test_pipeline.py's TestSetup
+        inst, params, centers = _setup()
+        setup = lp_mod.LPSetup(inst, params, centers, "rawlsian")
+        with pytest.raises(ParamError, match=message):
+            build_rawlsian_lp(setup, lam)
+
+    def test_builder_takes_the_setups_other_parameters(self):
+        inst, params, centers = _setup(lam=0.5)
+        m = build_rawlsian_lp(lp_mod.LPSetup(inst, params, centers, "rawlsian"), 0.2)
+        assert m.params == replace(params, lam=0.2)
 
 
 class TestCoefficientTables:
@@ -198,7 +222,7 @@ class TestCoefficientTables:
     @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
     def test_tables_reproduce_rows_and_objective(self, build):
         inst, params, centers = _setup(n=13, k=3, H=3, lam=0.35, delta=0.2, seed=4)
-        m = WrittenLP(build(inst, params, centers))
+        m = WrittenLP(_model(build, inst, params, centers))
         k, n, H = params.k, inst.n, inst.num_colors
         colors, counts, r = inst.colors, inst.counts, inst.proportions
         dist = pairwise_pow(inst.features, centers, params.p)
@@ -238,8 +262,8 @@ class TestCoefficientTables:
             )
 
     def test_distances_through_the_module_global(self, monkeypatch):
-        # tracers wrap welfair.lp.pairwise_pow; each build without a set-up
-        # computes the distances once, through it
+        # tracers wrap welfair.lp.pairwise_pow; each set-up computes the
+        # distances once, through it
         inst, params, centers = _setup(n=9, k=2, H=2)
         calls = []
         real = lp_mod.pairwise_pow
@@ -250,7 +274,7 @@ class TestCoefficientTables:
 
         monkeypatch.setattr(lp_mod, "pairwise_pow", spy)
         for build in (lp_mod.build_rawlsian_lp, lp_mod.build_utilitarian_lp):
-            m = build(inst, params, centers)
+            m = _model(build, inst, params, centers)
             np.testing.assert_array_equal(m.setup.dist_t, real(*calls[-1]))
         assert len(calls) == 2
 
@@ -263,7 +287,7 @@ class TestObjectiveEncoding:
     def test_integral_point_matches_report(self, kind, seed):
         inst, params, centers = _setup(n=16, k=3, H=2, lam=0.35, seed=seed)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         rng = np.random.default_rng(seed + 50)
         assign = rng.integers(0, params.k, size=inst.n)
         x = np.zeros((params.k, inst.n))
@@ -296,7 +320,7 @@ class TestSolveLp:
     def test_cleanup_invariants(self, kind):
         inst, params, centers = _setup(n=20, k=3, H=3, seed=3)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         frac = solve_lp(m)
         assert frac.x.shape == (params.k, inst.n)
         assert np.all(frac.x >= 0.0) and np.all(frac.x <= 1.0)
@@ -308,7 +332,7 @@ class TestSolveLp:
     def test_lp_lower_bounds_brute_force(self, kind):
         inst, params, centers = _setup(n=7, k=2, H=2, lam=0.4, seed=9)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        frac = solve_lp(build(inst, params, centers))
+        frac = solve_lp(_model(build, inst, params, centers))
         _, best = brute_force_assignment(inst, params, centers, kind)
         assert frac.objective <= best + 1e-7
 
@@ -424,7 +448,7 @@ def _all_columns(monkeypatch, model):
     with monkeypatch.context() as mp:
         mp.setattr(lp_mod, "_CANDIDATES", model.params.k)
         mp.setattr(lp_mod, "_CLASS_SHARE", 1.0)
-        whole = build(model.setup.instance, model.params, model.setup.centers)
+        whole = _model(build, model.setup.instance, model.params, model.setup.centers)
         return HighsSolver().solve(whole)[1]
 
 
@@ -497,7 +521,7 @@ class TestHighsPricing:
         # class prefix restricts the first LP
         inst, params, centers = _setup(n=80, k=k, H=H, lam=0.5, seed=H)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         calls = _solve_spy(monkeypatch)
         xvec, obj, _, _, _ = HighsSolver().solve(m)
         got, want = _x_columns(m, calls[0][0]), _class_prefix(m)
@@ -519,7 +543,7 @@ class TestHighsPricing:
         )
         params = Params.with_delta(inst, 7, 0.5, 0.1)
         centers = inst.features[np.random.default_rng(H).choice(20, 7, replace=False)]
-        m = build_rawlsian_lp(inst, params, centers)
+        m = _model(build_rawlsian_lp, inst, params, centers)
         np.testing.assert_array_equal(m.setup.first, _class_prefix(m))
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
@@ -529,7 +553,7 @@ class TestHighsPricing:
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         # ceil(share * |class|) = 1: each (a, h, i) class keeps one column
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         calls = _solve_spy(monkeypatch)
         xvec, obj, _, rounds, _ = HighsSolver().solve(m)
         assert rounds >= 2 and len(calls) == rounds
@@ -571,7 +595,7 @@ class TestHighsPricing:
         inst, params, centers = _setup(n=60, k=6, H=H, lam=0.4, seed=7)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         calls = _solve_spy(monkeypatch)
         priced = _pricing_spy(monkeypatch)
         HighsSolver().solve(m)
@@ -594,7 +618,7 @@ class TestHighsPricing:
         inst, params, centers = _setup(n=60, k=k, H=2, lam=0.4, seed=7)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         calls = _solve_spy(monkeypatch)
         HighsSolver().solve(m)
         R = m.setup.num_rows
@@ -620,7 +644,7 @@ class TestHighsPricing:
     def test_all_columns_switches_off_both_restrictions(self, monkeypatch):
         inst, params, centers = _setup(n=60, k=6, H=2, lam=0.2, seed=4)
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
-        m = build_utilitarian_lp(inst, params, centers)
+        m = _model(build_utilitarian_lp, inst, params, centers)
         calls = _solve_spy(monkeypatch)
         _all_columns(monkeypatch, m)
         # one solve over every column but the n eliminated nearest ones
@@ -634,7 +658,7 @@ class TestHighsPricing:
             n=60, k=6, H=2 + seed % 2, lam=[0.2, 0.5, 0.8][seed], seed=seed
         )
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         calls = _solve_spy(monkeypatch)
         got = HighsSolver().solve(m)[1]
         assert len(calls[0][0]["c"]) < m.num_vars  # the restriction was used
@@ -658,7 +682,7 @@ class TestHighsPricing:
             params = replace(params, lp_tolerance=tolerance)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         monkeypatch.setattr(lp_mod, "_CANDIDATES", 1)
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         calls = _solve_spy(monkeypatch)
         xvec, obj, _, rounds, _ = HighsSolver().solve(m)
         assert rounds >= 2 and len(calls) == rounds
@@ -686,9 +710,9 @@ class TestHighsPricing:
             tuned = replace(params, lp_tolerance=tolerance)
             tuned.validate(inst)
             record.options.clear()
-            frac = solve_lp(build_rawlsian_lp(inst, tuned, centers))
+            frac = solve_lp(_model(build_rawlsian_lp, inst, tuned, centers))
             assignment_runs = len(record.options)
-            rawlsian_round(frac.x, inst, tuned, dist, frac.mass)
+            rawlsian_round(frac.x, inst, tuned, dist)
             assert 0 < assignment_runs < len(record.options)
             for options in record.options:
                 assert options.presolve == "off"
@@ -703,7 +727,7 @@ class TestHighsPricing:
         # and the number of rounds
         inst, params, centers = _setup(n=60, k=6, H=2, lam=0.2, seed=4)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         calls = _solve_spy(monkeypatch)
         _, _, iterations, rounds, _ = HighsSolver().solve(m)
         assert type(iterations) is int and type(rounds) is int
@@ -721,7 +745,7 @@ class TestHighsPricing:
         # lambda = 1), which HiGHS drops
         inst, params, centers = _setup(n=60, k=6, H=H, lam=lam, seed=H)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         (cached, flat, rows), (gathered, flat2, rows2) = (
             m.restrict(m.setup.first), m.restrict(m.setup.first.copy())
         )
@@ -746,7 +770,7 @@ class TestHighsPricing:
         # equal to the model's delta, zeros included; the set-up's memo keeps
         # its placeholder 1s
         inst, params, centers = _setup(n=60, k=6, H=H, lam=lam, seed=H)
-        m = build_rawlsian_lp(inst, params, centers)
+        m = _model(build_rawlsian_lp, inst, params, centers)
         setup, k = m.setup, params.k
         extra = np.zeros_like(setup.first_left)
         extra.flat[np.flatnonzero(setup.first_left)[::2]] = True
@@ -775,7 +799,7 @@ class TestHighsPricing:
         inst, params, centers = _setup(n=40, k=4, H=2, lam=0.4, seed=2)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1.0)
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         assert params.k <= lp_mod._CANDIDATES
         _, want, _, _, bound = HighsSolver().solve(m)
         assert bound > -np.inf
@@ -793,7 +817,7 @@ class TestLambdaOneReductions:
     @pytest.mark.parametrize("seed", range(4))
     def test_utilitarian_reduces_to_weighted_nearest(self, seed):
         inst, params, centers = _setup(n=15, k=3, H=2, lam=1.0, seed=seed)
-        m = build_utilitarian_lp(inst, params, centers)
+        m = _model(build_utilitarian_lp, inst, params, centers)
         frac = solve_lp(m)
         dist = pairwise_pow(inst.features, centers, params.p)
         want = float(
@@ -806,7 +830,7 @@ class TestLambdaOneReductions:
         # colors occupy disjoint x columns, so each color independently
         # routes every point to its nearest center
         inst, params, centers = _setup(n=15, k=3, H=2, lam=1.0, seed=seed + 10)
-        m = build_rawlsian_lp(inst, params, centers)
+        m = _model(build_rawlsian_lp, inst, params, centers)
         frac = solve_lp(m)
         dist = pairwise_pow(inst.features, centers, params.p)
         dmin = dist.min(axis=1)
@@ -865,8 +889,8 @@ def _golden_models():
     params = Params.with_delta(inst, 2, 0.3, 0.1)
     centers = np.array([[0.0, 0.5], [2.0, 1.0]])
     return (
-        build_rawlsian_lp(inst, params, centers),
-        build_utilitarian_lp(inst, params, centers),
+        _model(build_rawlsian_lp, inst, params, centers),
+        _model(build_utilitarian_lp, inst, params, centers),
     )
 
 
@@ -924,6 +948,9 @@ class TestBruteForce:
         "run", [brute_force_assignment, build_rawlsian_lp, build_utilitarian_lp]
     )
     def test_non_finite_centers(self, run):
+        # a builder's LP takes its centers from its set-up, which checks them
+        if run is not brute_force_assignment:
+            run = functools.partial(_model, run)
         inst, params, centers = _setup(n=5, k=2, H=2)
         # a coordinate that is no real number, in a list numpy converts
         for bad, message in [("x", ": could not convert"), (1j, ", got complex")]:
@@ -954,7 +981,7 @@ class TestHighsStatus:
     @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
     def test_status_raises(self, monkeypatch, build, status):
         inst, params, centers = _setup(n=8, k=2, H=2)
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
         record = fake_highs(monkeypatch, status=status)
         name = _highs._Highs().modelStatusToString(status)
         with pytest.raises(
@@ -971,9 +998,10 @@ class TestHighsStatus:
     @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
     def test_post_solve_check(self, monkeypatch, build, broken, raises):
         # an optimum with a NaN, or a bound or a row broken by more than
-        # linprog's sqrt(1e-9) * 10, raises; a row broken by less does not
+        # linprog's sqrt(1e-9) * 10, a row in its own units, raises; a row
+        # broken by less does not
         inst, params, centers = _setup(n=20, k=3, H=2, seed=2)
-        m = build(inst, params, centers)
+        m = _model(build, inst, params, centers)
 
         def edit(solution, model):
             x = np.array(solution.col_value)
@@ -1005,19 +1033,21 @@ class TestHighsStatus:
 
 def _break_row(x, model, excess):
     """x with one column moved within its bounds so that A x, in the LP's
-    own scale, breaks one row by excess and no row by more; model holds
-    the `passModel` arguments."""
+    own scale, breaks one row by excess times max(1, the row's largest
+    |coefficient|), the row's own units, and no row by more in its own
+    units; model holds the `passModel` arguments."""
     num_col, num_row, nnz = model[:3]
     col_lower, col_upper, row_upper = model[7], model[8], model[10]
     start = np.append(model[11], nnz)
     A = sp.csc_matrix((model[13], model[12], start), shape=(num_row, num_col))
+    units = np.maximum(1.0, abs(A).max(axis=1).toarray().ravel())
     slack = row_upper - A @ x
     for v in range(num_col):
         col = A[:, [v]]
         for r, a in zip(col.indices, col.data):
             moved = x.copy()
-            moved[v] += (slack[r] + excess) / a
-            worst = (A @ moved - row_upper).max()
+            moved[v] += (slack[r] + excess * units[r]) / a
+            worst = ((A @ moved - row_upper) / units).max()
             if col_lower[v] <= moved[v] <= col_upper[v] and np.isclose(worst, excess):
                 return moved
     raise AssertionError("no column breaks a row within its bounds")
@@ -1068,8 +1098,8 @@ def _pipeline_lps(monkeypatch):
         (build_rawlsian_lp, rawlsian_round),
         (build_utilitarian_lp, utilitarian_round),
     ):
-        frac = solve_lp(build(inst, params, centers))
-        rounder(frac.x, inst, params, dist, frac.mass)
+        frac = solve_lp(_model(build, inst, params, centers))
+        rounder(frac.x, inst, params, dist)
     monkeypatch.setattr(_highs, "solve", real)
     return calls
 
@@ -1183,7 +1213,7 @@ def test_solve_lp_property(seed, lam, delta):
     delta = min(delta, (1.0 - rmax) / rmax)  # keep r_h + alpha_h <= 1
     params = Params.with_delta(inst, k, lam, delta)
     centers = inst.features[rng.choice(n, size=k, replace=False)]
-    m = build_utilitarian_lp(inst, params, centers)
+    m = _model(build_utilitarian_lp, inst, params, centers)
     frac = solve_lp(m)
     np.testing.assert_allclose(frac.x.sum(axis=0), 1.0, atol=1e-6)
     assert frac.objective >= -1e-12
@@ -1228,10 +1258,10 @@ def test_lp_brute_rounding_sandwich_property(seed, H, n, k, p, lam, delta, kind)
     dist = pairwise_pow(inst.features, centers, p)
     build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
     rounder = rawlsian_round if kind == "rawlsian" else utilitarian_round
-    model = build(inst, params, centers)
+    model = _model(build, inst, params, centers)
     frac = solve_lp(model)
     _, brute = brute_force_assignment(inst, params, centers, kind)
-    integral = rounder(frac.x, inst, params, dist, frac.mass)
+    integral = rounder(frac.x, inst, params, dist)
     c_r, c_u = additive_constants(inst, params)
     bound = (1.0 - lam) * (c_r if kind == "rawlsian" else c_u)
     value = integral.report.R if kind == "rawlsian" else integral.report.U
@@ -1306,7 +1336,7 @@ def _frame_lp(seed, H, k, lam, dup, kind):
         # equal centers tie every point's distances to them
         centers[rng.integers(1, k)] = centers[0]
     build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
-    return build(inst, params, centers)
+    return _model(build, inst, params, centers)
 
 
 @_frame_draws
@@ -1406,7 +1436,7 @@ def test_shared_setup_matches_lone_calls_property(seed, H, k, p, lams, kind):
         assert shared.lp_objective == lone.lp_objective
         np.testing.assert_array_equal(shared.report.disu, lone.report.disu)
         assert (shared.report.R, shared.report.U) == (lone.report.R, lone.report.U)
-        m = build(inst, params, cs.centers, setup=setup)
+        m = build(setup, lam)
         if lam >= 1e-3:
             np.testing.assert_array_equal(setup.first, _class_prefix(m))
         if lam < 1e-3 or lam == 1.0:

@@ -127,7 +127,7 @@ class TestAlgorithms:
 
         def raised(model):
             frac = real(model)
-            return lp.FractionalSolution(frac.x, frac.objective + 1.0, frac.mass)
+            return lp.FractionalSolution(frac.x, frac.objective + 1.0)
 
         monkeypatch.setattr(lp, "solve_lp", raised)
         inst = _inst(seed=2)
@@ -136,13 +136,16 @@ class TestAlgorithms:
         assert res.gap < -params.lp_tolerance
         assert res.flags == [pipeline.LP_FLAG]
 
-    @pytest.mark.parametrize("scale", [3e3, 1e4])
+    @pytest.mark.parametrize("scale", [3e3, 1e4, 1e5, 1e6, 1e7])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_large_units_draw_no_flag(self, scale, seed):
         # unnormalized, LP values on these features run to 1e9 at p = 2,
         # where float rounding alone left 2-5 rows of each p = 2 sweep
         # beyond an absolute lp_tolerance; a slack relative to the LP value
-        # flags none
+        # flags none. From 1e5 up, float rounding breaks rows of large
+        # coefficients by more than HiGHS's feasibility tolerance; measured
+        # in absolute units, that sent LPs to the unscaled solve, which
+        # stopped with "Solve error"
         inst = adult_like(300, seed)
         inst = Instance(inst.features * scale, inst.colors, inst.color_names)
         for p in (1, 2):
@@ -344,6 +347,7 @@ class TestSetup:
             ("instance", "built for another"),
             ("delta", "built for another"),
             ("p", "built for another"),
+            ("lp_tolerance", "built for another"),
             ("kind", "built for the utilitarian LP, not the rawlsian one"),
             ("no kind", "built without an LP kind, not the rawlsian one"),
             ("bool lambda", "lambda must be a number, got True"),
@@ -369,6 +373,8 @@ class TestSetup:
             params = Params.with_delta(inst, 3, 0.5, 0.2)
         elif change == "p":
             params = Params.with_delta(inst, 3, 0.5, 0.1, p=1)
+        elif change == "lp_tolerance":
+            params = Params.with_delta(inst, 3, 0.5, 0.1, lp_tolerance=1e-6)
         elif change == "bool lambda":
             params = Params.with_delta(inst, 3, True, 0.1)
         with pytest.raises(ParamError, match=message):
@@ -552,3 +558,26 @@ class TestSweep:
         with pytest.raises(ParamError, match=message):
             sweep(self.inst, **{"lambdas": [0.5], **settings})
         assert calls == []
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda inst: Params.with_delta(inst, 3, 0.5, "x"), "delta"),
+        (lambda inst: Params.with_delta(inst, 3, 0.5, None), "delta"),
+        (lambda inst: sweep(inst, k_range=3), "k_range"),
+        (lambda inst: sweep(inst, k_range=None), "k_range"),
+        (lambda inst: sweep(inst, k_range={2, 3}), "k_range"),
+        (lambda inst: sweep(inst, lambdas=0.5), "lambdas"),
+        (lambda inst: sweep(inst, lambdas={0.5}), "lambdas"),
+        (lambda inst: pairwise_pow(np.ones(3), np.ones((2, 3)), 2), "X"),
+    ],
+    ids=[
+        "delta-string", "delta-none", "k-int", "k-none", "k-set",
+        "lambda-float", "lambda-set", "1-d-points",
+    ],
+)
+def test_bare_errors_name_the_argument(call, name):
+    # each of these once escaped as numpy's or Python's own error
+    with pytest.raises(ParamError, match=rf"^{name} must"):
+        call(_inst())
