@@ -56,7 +56,8 @@ from .errors import InternalInvariantError
 _CHECK_TOL = np.sqrt(1e-9) * 10
 # HiGHS's primal and dual feasibility tolerances: at its default of 1e-7 an
 # x that breaks rows by up to 1e-7 can put the LP value above the integral
-# optimum. `Params.validate` keeps every lp_tolerance at least 10 times this
+# optimum. `model.LP_TOLERANCE`, the least slack of an LP value, is 10 times
+# this
 _FEASIBILITY = 1e-9
 _DUAL_SIMPLEX = int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 _DEFAULTS = HighsOptions()

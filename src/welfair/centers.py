@@ -121,11 +121,12 @@ def _alternate(
     """Lloyd's loop from a k-means++ start drawn with point weights w: each
     pass assigns points to their nearest center (ties to the lowest index),
     scores that with score(dsel) from the squared distances and moves the
-    centers to update(assign, dsel, centers), or reseeds empty clusters
-    (_repair_empty on w * dsel). It stops when the score improves by at most
-    _TOL relative, or at a fixed point (an assignment equal to the previous
-    one, whose update gives the current centers again). Returns the centers
-    and their score; after _MAX_ITERS updates one more pass scores them.
+    centers to update(assign, dsel, centers), or reseeds empty clusters,
+    those of weight 0, whose weighted centroid would be 0 / 0 (_repair_empty
+    on w * dsel). It stops when the score improves by at most _TOL
+    relative, or at a fixed point (an assignment equal to the previous one,
+    whose update gives the current centers again). Returns the centers and
+    their score; after _MAX_ITERS updates one more pass scores them.
     """
     X = instance.features
     centers = kmeanspp_init(instance, k, w, seed)
@@ -134,7 +135,7 @@ def _alternate(
     for _ in range(_MAX_ITERS):
         assign, dsel = _assign(centers, X)
         cost = score(dsel)
-        empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist()
+        empties = np.flatnonzero(np.bincount(assign, w, minlength=k) == 0).tolist()
         if empties:
             _repair_empty(centers, X, w * dsel, empties)
             prev_cost = math.inf

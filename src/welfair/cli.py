@@ -24,7 +24,7 @@ from . import __version__, centers, pipeline, svgchart
 from .errors import DataError, InternalInvariantError, ParamError
 from .lp import brute_force_assignment
 from .model import (
-    LP_TOLERANCE, Instance, Params, check_int, check_objective, load_instance,
+    LP_TOLERANCE, Instance, Params, check_int, check_objective, load_instance, slack,
 )
 
 _OBJECTIVES = tuple(pipeline.CENTER_METHODS)
@@ -43,12 +43,12 @@ class ExperimentConfig:
     restarts: int = 10
     seed: int = 0
     out_dir: str = "results"
-    lp_tolerance: float = LP_TOLERANCE
     subsample: int | None = None
     normalize: bool = True
-    # not a field, so not a config key; benchmark/workloads.py still passes
-    # workers=1, and this goes with its next change
+    # not fields, so not config keys; benchmark/workloads.py still passes
+    # workers=1 and reads lp_tolerance, and these go with its next change
     workers: InitVar[int] = 1
+    lp_tolerance: typing.ClassVar[float] = LP_TOLERANCE
 
     def __post_init__(self, workers: int) -> None:
         if workers != 1:
@@ -311,14 +311,16 @@ def oracle_check(seed: int = 0, count: int = 10) -> int:
         lam = [0.3, 0.5, 0.7][trial % 3]
         params = Params.with_delta(inst, k, lam, 0.0, 2)
         idx = rng.choice(n, size=k, replace=False)
-        drawn = centers.CenterSet(X[np.sort(idx)], "oracle-check", float("nan"))
+        drawn = centers.CenterSet(
+            centers=X[np.sort(idx)], provenance="oracle-check", score=float("nan")
+        )
         ok = True
         for kind, alg in zip(
             _OBJECTIVES, (pipeline.rawlsian_alg, pipeline.utilitarian_alg)
         ):
             res = alg(inst, params, center_set=drawn)
             _, best = brute_force_assignment(inst, params, drawn.centers, kind)
-            tol = pipeline.gap_slack(params, res.lp_objective)
+            tol = slack(res.lp_objective)
             ok &= res.lp_objective <= best + tol
             ok &= res.objective_value <= best + res.gap_bound + tol
         print(
@@ -373,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--restarts", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--out", dest="out_dir", help="output directory")
-    run.add_argument("--lp-tol", type=float, dest="lp_tolerance")
     run.add_argument("--subsample", type=int)
     run.add_argument(
         "--no-normalize", dest="normalize", action="store_false", default=None

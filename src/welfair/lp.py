@@ -12,7 +12,7 @@ from scipy import sparse
 from . import _highs
 from .errors import InternalInvariantError, ParamError
 from .metrics import color_masses, disutilities, nearest, pairwise_pow
-from .model import Instance, Params, check_objective
+from .model import Instance, Params, check_objective, slack
 
 _SNAP = 1e-12
 # the most by which a column of solve_lp's x may sum away from 1
@@ -90,23 +90,21 @@ class LPSetup:
 
     def check(self, instance: Instance, params: Params, centers: np.ndarray) -> None:
         """ParamError unless params' scalars pass `Params.check_scalars` and
-        the set-up was built for instance, params' k, p, slacks and
-        lp_tolerance, and centers; the rest of `Params.validate` held when it
-        was built."""
+        the set-up was built for instance, params' k, p and slacks, and
+        centers; the rest of `Params.validate` held when it was built."""
         params.check_scalars(instance.n)
         own = self.params
         if not (
             instance is self.instance
             and params.k == own.k
             and params.p == own.p
-            and params.lp_tolerance == own.lp_tolerance
             and np.array_equal(params.alpha, own.alpha)
             and np.array_equal(params.beta, own.beta)
             and np.array_equal(centers, self.centers)
         ):
             raise ParamError(
-                "the set-up was built for another instance, k, p, slack, LP "
-                "tolerance or center set"
+                "the set-up was built for another instance, k, p, slack or "
+                "center set"
             )
 
     def _frame(self) -> None:
@@ -436,19 +434,17 @@ class HighsSolver:
 
     After each round the restricted LP's duals give a Lagrangian lower
     bound on the full LP's optimum (`LPModel.lagrangian_bound`). Pricing
-    stops when the restricted optimum is within tolerance of that bound, so
-    the value returned is at most tolerance above the full LP's optimum
-    however many left-out columns price slightly below 0. Otherwise the
-    left-out columns whose reduced cost is below -tolerance join, or, when
-    there are none, those below 0, and HiGHS solves again. tolerance is
-    model.params.lp_tolerance, at least 10 times the feasibility tolerance
-    `_highs.solve` gives HiGHS for both LPs. solve returns the LP's
+    stops when the restricted optimum is within its slack (`model.slack`,
+    relative to the optimum's size) of that bound, so the value returned is
+    at most that slack above the full LP's optimum however many left-out
+    columns price slightly below 0. Otherwise the left-out columns whose
+    reduced cost is below minus the slack join, or, when there are none,
+    those below 0, and HiGHS solves again. solve returns the LP's
     variables, its value, the simplex iterations summed over the pricing
     rounds, the number of rounds, and the last round's lower bound.
     """
 
     def solve(self, model: LPModel) -> tuple[np.ndarray, float, int, int, float]:
-        tolerance = model.params.lp_tolerance
         keep, left = model.setup.first, model.setup.first_left
         rounds = iterations = 0
         while True:
@@ -460,7 +456,9 @@ class HighsSolver:
             duals[row_ids] = res.row_dual
             rc = model.reduced_costs(duals)
             bound = model.lagrangian_bound(duals, rc)
-            if res.objective + model.offset - bound <= tolerance:
+            value = res.objective + model.offset
+            tolerance = slack(value)
+            if value - bound <= tolerance:
                 break
             enter = left & (rc < -tolerance)
             if not enter.any():
@@ -474,7 +472,7 @@ class HighsSolver:
         x.put(model.setup.near_flat, 1.0 - x.sum(axis=0))
         return (
             np.concatenate([x.ravel(), res.x[len(flat):]]),
-            float(res.objective) + model.offset,
+            float(value),
             iterations,
             rounds,
             bound,
@@ -482,8 +480,8 @@ class HighsSolver:
 
 
 def solve_lp(model: LPModel) -> FractionalSolution:
-    """Solve the model with HiGHS (`HighsSolver`, pricing to the tolerance
-    model.params.lp_tolerance) and return a cleaned fractional assignment.
+    """Solve the model with HiGHS (`HighsSolver`, pricing to the LP value's
+    `model.slack`) and return a cleaned fractional assignment.
 
     x entries below 1e-12 are snapped to zero. The reported objective is the
     welfare evaluation of that x (`metrics.disutilities` on its fractional

@@ -6,10 +6,10 @@ import csv
 import math
 from dataclasses import dataclass, field
 from numbers import Real
+from typing import ClassVar
 
 import numpy as np
 
-from . import _highs
 from .errors import DataError, ParamError
 
 
@@ -182,8 +182,20 @@ def _at(column: str, row: int) -> str:
     return f"in column {column!r} at data row {row}"
 
 
-# default Params.lp_tolerance
+# the relative tolerance of every LP value (`slack`); it keeps 10 times the
+# feasibility tolerance HiGHS solves both LPs at (`_highs._FEASIBILITY`),
+# which can put a Lagrangian bound up to about that much too high
 LP_TOLERANCE = 1e-7
+
+
+def slack(value: float) -> float:
+    """How far an LP value may be off: LP_TOLERANCE times its size, or
+    LP_TOLERANCE itself where that size is below 1. Pricing stops once the
+    LP value is within it of its Lagrangian bound (`lp.HighsSolver`), and a
+    run is flagged when its rounded value lies more than it above the LP
+    value plus the additive bound, or below the LP value. Float rounding
+    alone once put an LP value of 1.3e10 7.6e-6 above its rounded value."""
+    return LP_TOLERANCE * max(1.0, abs(value))
 
 
 def check_int(name: str, value, least: int | None = None) -> None:
@@ -245,15 +257,10 @@ class Params:
 
     k must be an integer (a bool is not one; numpy integers are) in [1, n].
     alpha[h] loosens the upper proportion bound for color h, beta[h] the lower
-    one; both must be finite and nonnegative. lp_tolerance is how far the
-    LP value may lie above its Lagrangian lower bound when pricing stops
-    (see `lp.HighsSolver`), an absolute amount, and the slack by which a
-    rounding gap may exceed its bound or fall below 0 before the run is
-    flagged, relative to the LP value (`pipeline.gap_slack`). It must be
-    finite and at least 1e-8, 10 times the feasibility tolerance HiGHS
-    solves both LPs at (`_highs._FEASIBILITY`). `validate`
-    checks these rules against an instance, and `check_centers` a center
-    array: k finite centers in the instance's dimension.
+    one; both must be finite and nonnegative. `validate` checks these rules
+    against an instance, and `check_centers` a center array: k finite
+    centers in the instance's dimension. No parameter sets the LP
+    tolerance: each LP value's is its `slack`.
     """
 
     k: int
@@ -261,7 +268,8 @@ class Params:
     p: int = 2
     alpha: np.ndarray = field(default_factory=lambda: np.zeros(0))
     beta: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    lp_tolerance: float = LP_TOLERANCE
+    # no setting, only the constant: benchmark/workloads.py reads it here
+    lp_tolerance: ClassVar[float] = LP_TOLERANCE
 
     def __post_init__(self):
         try:
@@ -278,20 +286,12 @@ class Params:
         lam: float,
         delta: float = 0.0,
         p: int = 2,
-        lp_tolerance: float = LP_TOLERANCE,
     ) -> "Params":
         """Proportional slacks alpha_h = beta_h = delta * r_h; delta is a
         number (`check_number`)."""
         check_number("delta", delta)
         r = instance.proportions
-        return cls(
-            k=k,
-            lam=lam,
-            p=p,
-            alpha=delta * r,
-            beta=delta * r,
-            lp_tolerance=lp_tolerance,
-        )
+        return cls(k=k, lam=lam, p=p, alpha=delta * r, beta=delta * r)
 
     def validate(self, instance: Instance) -> None:
         H = instance.num_colors
@@ -325,22 +325,13 @@ class Params:
             )
 
     def check_scalars(self, n: int) -> None:
-        """`validate`'s rules for p, lam, k (against n points) and
-        lp_tolerance; lam and lp_tolerance are numbers (`check_number`)."""
+        """`validate`'s rules for p, lam and k (against n points); lam is
+        a number (`check_number`)."""
         check_p(self.p)
         check_number("lambda", self.lam)
-        check_number("lp_tolerance", self.lp_tolerance)
         if not (0.0 <= self.lam <= 1.0):
             raise ParamError(f"lambda must lie in [0, 1], got {self.lam}")
         check_k(self.k, n)
-        # pricing stops once the LP value is within lp_tolerance of a
-        # Lagrangian bound that HiGHS's feasibility tolerance can put up to
-        # about that much too high, so lp_tolerance keeps 10 times it
-        tol = self.lp_tolerance
-        if not (math.isfinite(tol) and tol >= 10 * _highs._FEASIBILITY):
-            raise ParamError(
-                f"lp_tolerance must be finite and at least 1e-8, got {tol}"
-            )
 
     def check_centers(self, instance: Instance, centers: np.ndarray) -> np.ndarray:
         """centers as a float64 array (`real_array`); ParamError unless it

@@ -16,8 +16,7 @@ from . import rounding as rounding_mod
 from .errors import ParamError
 from .metrics import GroupReport, additive_constants, report_from_distances
 from .model import (
-    LP_TOLERANCE, Instance, Params, Solution, check_int, check_number,
-    check_objective,
+    Instance, Params, Solution, check_int, check_number, check_objective, slack,
 )
 
 
@@ -50,23 +49,15 @@ CENTER_METHODS = {"rawlsian": "socially_fair", "utilitarian": "weighted"}
 # the method name of each objective's algorithm
 ALGORITHMS = {"rawlsian": "RawlsianAlg", "utilitarian": "UtilitarianAlg"}
 # the flag of a run whose rounding gap broke its additive bound by more than
-# its `gap_slack`, and of one whose LP value lies above its rounded value by
-# more than it (the rounded assignment is a point of the LP, so that shows a
-# fault); results.csv's flags column is the one record of either
+# its LP value's `model.slack`, and of one whose LP value lies above its
+# rounded value by more than it (the rounded assignment is a point of the
+# LP, so that shows a fault); results.csv's flags column is the one record
+# of either
 GAP_FLAG = "gap_bound_exceeded"
 LP_FLAG = "lp_above_rounded"
 # the k and lambda values `sweep` runs by default
 K_RANGE = tuple(range(4, 16))
 LAMBDAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
-
-
-def gap_slack(params: Params, lp_value: float) -> float:
-    """How far a rounded value may lie above the LP value plus the additive
-    bound, or below the LP value, before the run is flagged: lp_tolerance
-    times the LP value's size, or lp_tolerance itself where that size is
-    below 1. Float rounding alone once put an LP value of 1.3e10 7.6e-6
-    above its rounded value."""
-    return params.lp_tolerance * max(1.0, abs(lp_value))
 
 
 def score(report: GroupReport, objective: str) -> float:
@@ -133,7 +124,7 @@ def _lp_pipeline(
     c_r, c_u = additive_constants(instance, params)
     bound = (1.0 - params.lam) * (c_r if rawlsian else c_u)
     gap = score(report, kind) - frac.objective
-    tol = gap_slack(params, frac.objective)
+    tol = slack(frac.objective)
     flags = [GAP_FLAG] if gap > bound + tol else [LP_FLAG] if gap < -tol else []
     return RunResult(
         method=ALGORITHMS[kind],
@@ -271,7 +262,6 @@ def sweep(
     p: int = 2,
     restarts: int = 10,
     seed: int = 0,
-    lp_tolerance: float = LP_TOLERANCE,
     normalize: bool = True,
 ) -> tuple[dict[str, float], list[tuple[str, list[RunResult]]]]:
     """The paper's experiment on instance: one cell per objective ("both"
@@ -288,9 +278,7 @@ def sweep(
     for k in k_range:
         for lam in lambdas:
             # Python numbers, so array arguments give what equal lists do
-            params[k, lam] = Params.with_delta(
-                instance, int(k), float(lam), delta, p, lp_tolerance
-            )
+            params[k, lam] = Params.with_delta(instance, int(k), float(lam), delta, p)
             params[k, lam].validate(instance)
     objectives = list(CENTER_METHODS) if objective == "both" else [objective]
     # each k's center sets, computed once on the raw data; our method's

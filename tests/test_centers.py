@@ -223,6 +223,18 @@ class TestLloyd:
         # centroid sits essentially at the heavy point
         assert abs(cs.centers[0, 0] - 2.0) < 0.01
 
+    def test_zero_weight_cluster_is_reseeded(self):
+        # a cluster holding only zero-weight points has no weighted
+        # centroid: counted as nonempty, it took the NaN of 0 / 0, with a
+        # RuntimeWarning, and so did the score
+        rng = np.random.default_rng(127)
+        X = rng.normal(size=(12, 1)) * 3
+        w = (rng.random(12) < 0.5).astype(float)
+        cs = lloyd(Instance(X, np.arange(12) % 2, ["a", "b"]), 3, w, 127)
+        assert np.isfinite(cs.centers).all() and math.isfinite(cs.score)
+        dsel = pairwise_pow(X, cs.centers, 2).min(axis=1)
+        assert cs.score == pytest.approx(float((w * dsel).sum()))
+
 
 class TestLloydUpdate:
     @pytest.mark.parametrize("seed", range(4))

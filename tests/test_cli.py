@@ -140,6 +140,14 @@ class TestConfigErrors:
         assert code == 1
         assert "unknown key(s) 'workers'" in err and "Traceback" not in err
 
+    def test_lp_tolerance_key_named(self, tmp_path, capsys):
+        # the LP tolerance is a constant, no setting
+        raw = {"data": "d.csv", "feature_columns": ["a"], "group_column": "g"}
+        raw["lp_tolerance"] = 1e-6
+        code, err = self._run(tmp_path, json.dumps(raw), capsys)
+        assert code == 1
+        assert "unknown key(s) 'lp_tolerance'" in err and "Traceback" not in err
+
     def test_unknown_keys_all_named(self, tmp_path, capsys):
         raw = {"data": "d.csv", "feature_columns": ["a"], "group_column": "g"}
         raw.update(colour="x", kk=[2])
@@ -181,7 +189,7 @@ class TestConfigErrors:
 
     def test_ints_are_numbers(self, tmp_path):
         raw = {"data": "d.csv", "feature_columns": ["a"], "group_column": "g"}
-        raw.update(lambdas=[0, 1], delta=0, lp_tolerance=1, subsample=None)
+        raw.update(lambdas=[0, 1], delta=0, subsample=None)
         cpath = tmp_path / "config.json"
         cpath.write_text(json.dumps(raw), encoding="utf-8")
         config = ExperimentConfig.from_json(str(cpath))
@@ -209,7 +217,6 @@ _FLAGS = [
     (["--restarts", "3"], "restarts", 3),
     (["--seed", "7"], "seed", 7),
     (["--out", "o"], "out_dir", "o"),
-    (["--lp-tol", "1e-6"], "lp_tolerance", 1e-6),
     (["--subsample", "50"], "subsample", 50),
     (["--no-normalize"], "normalize", False),
 ]
@@ -742,9 +749,10 @@ class TestGapReport:
         ids=["clean", "flagged", "lp-flagged"],
     )
     def test_verdict_is_the_flags_column(self, tmp_path, capsys, flags, code, meta):
-        # gap - bound = 5e-6: a --lp-tol 1e-5 run leaves it unflagged and a
-        # 1e-9 run flags it, so only the run's own flags cell can tell; a
-        # metadata.json beside the CSV is not read
+        # gap - bound = 5e-6: whether it is flagged depends on the run's LP
+        # value and tolerance, so only the run's own flags cell can tell; a
+        # metadata.json beside the CSV, such as an older run's holding its
+        # own lp_tolerance, is not read
         path = tmp_path / "results.csv"
         path.write_text(
             "method,objective,k,lambda,gap,bound,flags\n"
@@ -1217,9 +1225,8 @@ class TestMain:
         [
             (["--delta", "-0.1"], {}, "alpha and beta must be nonnegative"),
             (["--delta", "5"], {}, "r_h + alpha_h > 1"),
-            (["--lp-tol", "0"], {}, "lp_tolerance must be finite"),
+            (["--k", "2,61"], {}, "k=61 must lie in [1, n=60]"),
             ([], {"p": 3}, "p must be 1 or 2, got 3"),
-            (["--lp-tol", "5e-10"], {}, "at least 1e-8, got 5e-10"),
         ],
     )
     def test_bad_params_exit_one_before_centers(
@@ -1298,6 +1305,14 @@ class TestMain:
         with pytest.raises(SystemExit) as ei:
             main(["run", "--solver", "highs"])
         assert ei.value.code == 1
+
+    def test_parser_has_no_lp_tol_flag(self, capsys):
+        # the LP tolerance is a constant, no setting
+        with pytest.raises(SystemExit) as ei:
+            main(["run", "--data", "d.csv", "--lp-tol", "1e-6"])
+        assert ei.value.code == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --lp-tol" in err and "Traceback" not in err
 
     def test_parser_help_lists_subcommands(self):
         ap = build_parser()

@@ -21,6 +21,7 @@ from written_lp import WrittenLP
 
 from welfair import _highs
 from welfair import lp as lp_mod
+from welfair import model as model_mod
 from welfair.errors import InternalInvariantError, ParamError
 from welfair.lp import (
     HighsSolver,
@@ -31,7 +32,7 @@ from welfair.lp import (
 )
 from welfair.centers import CenterSet
 from welfair.metrics import additive_constants, pairwise_pow, report_from_distances
-from welfair.model import Instance, Params
+from welfair.model import LP_TOLERANCE, Instance, Params, slack
 from welfair.pipeline import rawlsian_alg, utilitarian_alg
 from welfair.rounding import _floor_ceil, rawlsian_round, utilitarian_round
 
@@ -531,7 +532,7 @@ class TestHighsPricing:
         assert len(calls[0][0]["c"]) == want.sum() + m.num_vars - params.k * inst.n
         assert xvec.shape == (m.num_vars,)
         want = _all_columns(monkeypatch, m)
-        assert obj == pytest.approx(want, abs=params.lp_tolerance)
+        assert obj == pytest.approx(want, abs=LP_TOLERANCE)
 
     @pytest.mark.parametrize("H", [2, 3])
     def test_class_prefix_ties_in_point_order(self, H):
@@ -566,25 +567,26 @@ class TestHighsPricing:
         )
         assert per_class.max() == 1
         # each round adds exactly the left-out columns that price below
-        # -tolerance under the model's own duals, or, if none does, below 0
+        # minus the slack of its LP value under the model's own duals, or, if
+        # none does, below 0
         frame_columns = np.ones((params.k, inst.n), dtype=bool)
         frame_columns[near, np.arange(inst.n)] = False
         for (call, res), (after, _) in zip(calls, calls[1:]):
             rc = _reduced_costs(m, call, res)[: k * inst.n].reshape(k, inst.n)
-            enter = frame_columns & (rc < -params.lp_tolerance)
+            enter = frame_columns & (rc < -slack(res.objective + m.offset))
             if not enter.any():
                 enter = frame_columns & (rc < 0)
             np.testing.assert_array_equal(
                 _x_columns(m, after), _x_columns(m, call) | enter
             )
         _, _, ref = _reference(m)
-        assert obj == pytest.approx(ref.fun, abs=params.lp_tolerance)
+        assert obj == pytest.approx(ref.fun, abs=slack(obj))
         # no x column at zero, the ones the last LP left out among them,
-        # prices below -tolerance under the model's own duals
+        # prices below minus the slack under the model's own duals
         rc = _reduced_costs(m, *calls[-1])
         at_zero = np.flatnonzero(xvec[: params.k * inst.n] == 0.0)
         assert len(at_zero) >= m.num_vars - inst.n - len(calls[-1][0]["c"])
-        assert rc[at_zero].min() >= -params.lp_tolerance
+        assert rc[at_zero].min() >= -slack(obj)
 
     @pytest.mark.parametrize("kind", ["rawlsian", "utilitarian"])
     @pytest.mark.parametrize("H", [2, 3])
@@ -663,10 +665,10 @@ class TestHighsPricing:
         got = HighsSolver().solve(m)[1]
         assert len(calls[0][0]["c"]) < m.num_vars  # the restriction was used
         want = _all_columns(monkeypatch, m)
-        assert got == pytest.approx(want, abs=params.lp_tolerance)
+        assert got == pytest.approx(want, abs=LP_TOLERANCE)
 
-    # pricing enters the columns below -lp_tolerance, the default or a
-    # looser one
+    # pricing enters the columns below minus the LP value's slack, at the
+    # tolerance LP_TOLERANCE or a looser one
     @pytest.mark.parametrize(
         "kind,tolerance",
         [
@@ -679,7 +681,8 @@ class TestHighsPricing:
     def test_one_candidate_prices_in_the_rest(self, monkeypatch, kind, tolerance):
         inst, params, centers = _setup(n=60, k=5, H=2, lam=0.2, seed=4)
         if tolerance is not None:
-            params = replace(params, lp_tolerance=tolerance)
+            # slack reads it at call time
+            monkeypatch.setattr(model_mod, "LP_TOLERANCE", tolerance)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         monkeypatch.setattr(lp_mod, "_CANDIDATES", 1)
         m = _model(build, inst, params, centers)
@@ -690,29 +693,28 @@ class TestHighsPricing:
         # frame eliminates: the first LP holds no x column at all
         assert len(calls[0][0]["c"]) == m.num_vars - params.k * inst.n
         want = _all_columns(monkeypatch, m)
-        assert obj == pytest.approx(want, abs=params.lp_tolerance)
+        assert obj == pytest.approx(want, abs=slack(obj))
         # every non-eliminated column the last LP left out sits at zero; none
-        # of them (nor any other x column at zero) prices below -tolerance
-        # under the model's own duals
+        # of them (nor any other x column at zero) prices below minus the
+        # slack under the model's own duals
         rc = _reduced_costs(m, *calls[-1])
         at_zero = np.flatnonzero(xvec[: params.k * inst.n] == 0.0)
         assert len(at_zero) >= m.num_vars - inst.n - len(calls[-1][0]["c"])
-        assert rc[at_zero].min() >= -params.lp_tolerance
+        assert rc[at_zero].min() >= -slack(obj)
 
     def test_tolerance_reaches_highs(self, monkeypatch):
         # HiGHS's feasibility tolerances are 1e-9 for the assignment LP and
-        # its rounding LP alike, whatever the accepted lp_tolerance, with
-        # presolve off and the dual simplex
+        # its rounding LP alike, whatever the LP tolerance, with presolve off
+        # and the dual simplex
         inst, params, centers = _setup(n=60, k=4, H=2, lam=0.3, seed=4)
         dist = pairwise_pow(inst.features, centers, params.p)
         record = fake_highs(monkeypatch)
         for tolerance in (1e-6, 1e-8):
-            tuned = replace(params, lp_tolerance=tolerance)
-            tuned.validate(inst)
+            monkeypatch.setattr(model_mod, "LP_TOLERANCE", tolerance)
             record.options.clear()
-            frac = solve_lp(_model(build_rawlsian_lp, inst, tuned, centers))
+            frac = solve_lp(_model(build_rawlsian_lp, inst, params, centers))
             assignment_runs = len(record.options)
-            rawlsian_round(frac.x, inst, tuned, dist)
+            rawlsian_round(frac.x, inst, params, dist)
             assert 0 < assignment_runs < len(record.options)
             for options in record.options:
                 assert options.presolve == "off"
@@ -1265,7 +1267,7 @@ def test_lp_brute_rounding_sandwich_property(seed, H, n, k, p, lam, delta, kind)
     c_r, c_u = additive_constants(inst, params)
     bound = (1.0 - lam) * (c_r if kind == "rawlsian" else c_u)
     value = integral.report.R if kind == "rawlsian" else integral.report.U
-    tol = params.lp_tolerance
+    tol = slack(frac.objective)
     assert HighsSolver().solve(model)[4] <= brute + tol
     assert frac.objective <= brute + tol
     assert brute <= value + 1e-12
@@ -1293,7 +1295,7 @@ def _frame_draws(test):
         # unscaled re-solve breaks them by under 1e-9
         example(seed=619720325, H=3, k=5, lam=1e-09, dup=True, kind="rawlsian"),
         # column costs of about 1e-8: pricing stopped when no left-out column
-        # priced below -lp_tolerance, after 2 rounds and 1.009e-7 above the
+        # priced below -1e-7, after 2 rounds and 1.009e-7 above the
         # reference; stopping on the Lagrangian bound takes a third round
         example(
             seed=5, H=3, k=5, lam=4.777344337132615e-08, dup=True, kind="rawlsian"
@@ -1349,7 +1351,7 @@ def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
     params, n = m.params, m.setup.instance.n
     xvec, obj, _, _, _ = HighsSolver().solve(m)
     A_ub, A_eq, ref = _reference(m)
-    assert obj == pytest.approx(ref.fun, abs=params.lp_tolerance)
+    assert obj == pytest.approx(ref.fun, abs=LP_TOLERANCE)
     written = WrittenLP(m)
     assert float(written.objective @ xvec) == pytest.approx(obj, abs=1e-12)
     np.testing.assert_allclose(A_eq @ xvec, 1.0, atol=1e-8)
@@ -1364,11 +1366,11 @@ def test_nearest_frame_matches_ipm_property(seed, H, k, lam, dup, kind):
 @_frame_draws
 def test_lagrangian_bound_brackets_ipm_property(seed, H, k, lam, dup, kind):
     # the bound the solve stops on lies at or below the full LP's optimum,
-    # which lies at or below the value returned, each to lp_tolerance
+    # which lies at or below the value returned, each to the value's slack
     m = _frame_lp(seed, H, k, lam, dup, kind)
     _, value, _, _, bound = HighsSolver().solve(m)
     ref = _reference(m)[2]
-    tol = m.params.lp_tolerance
+    tol = slack(value)
     assert bound <= ref.fun + tol
     assert ref.fun <= value + tol
 
@@ -1409,7 +1411,7 @@ def test_shared_setup_matches_lone_calls_property(seed, H, k, p, lams, kind):
     # and above _CANDIDATES). Below that lambda / n_h * d^p can round
     # distinct deltas to one value, as lambda = 0 rounds them all to 0, and
     # there, as at lambda = 1, where the t costs vanish, the LP value is
-    # the full LP's to lp_tolerance
+    # the full LP's to LP_TOLERANCE
     rng = np.random.default_rng(seed)
     base = random_instance(
         int(rng.integers(2 * H + k, 30)), 2, H, int(rng.integers(0, 10_000))
@@ -1442,4 +1444,4 @@ def test_shared_setup_matches_lone_calls_property(seed, H, k, p, lams, kind):
         if lam < 1e-3 or lam == 1.0:
             _, _, ref = _reference(m)
             value = HighsSolver().solve(m)[1]
-            assert value == pytest.approx(ref.fun, abs=params.lp_tolerance)
+            assert value == pytest.approx(ref.fun, abs=LP_TOLERANCE)

@@ -19,6 +19,7 @@ from welfair.centers import best_of_restarts, lloyd
 from welfair.metrics import pairwise_pow
 from welfair.pipeline import rawlsian_alg
 from welfair.model import (
+    LP_TOLERANCE,
     Instance,
     Params,
     Solution,
@@ -26,6 +27,7 @@ from welfair.model import (
     load_instance,
     normalization_factor,
     normalization_factors,
+    slack,
 )
 
 
@@ -316,23 +318,18 @@ class TestParams:
         with pytest.raises(ParamError):
             params.validate(tiny_instance)
 
-    @pytest.mark.parametrize("field", ["p", "lam", "lp_tolerance"])
+    @pytest.mark.parametrize("field", ["p", "lam"])
     @pytest.mark.parametrize(
         "value, shown",
         [(True, "True"), (np.True_, "True"), (False, "False"), ("0.5", "'0.5'")],
         ids=["bool", "numpy-bool", "false", "str"],
     )
     def test_bool_p_or_lambda_rejected(self, tiny_instance, field, value, shown):
-        # True == 1 and False == 0, so a bool used to pass as p = 1, as
-        # lambda = 1 or 0, or as an lp_tolerance of 1; a string used to
-        # fail with a bare TypeError
+        # True == 1 and False == 0, so a bool used to pass as p = 1 or as
+        # lambda = 1 or 0; a string used to fail with a bare TypeError
         params = Params(k=3, lam=0.5, p=2, alpha=np.zeros(2), beta=np.zeros(2))
         setattr(params, field, value)
-        name = {
-            "p": "p must be 1 or 2",
-            "lam": "lambda must be a number",
-            "lp_tolerance": "lp_tolerance must be a number",
-        }[field]
+        name = {"p": "p must be 1 or 2", "lam": "lambda must be a number"}[field]
         message = f"^{name}, got {shown}$"
         with pytest.raises(ParamError, match=message):
             params.validate(tiny_instance)
@@ -402,20 +399,29 @@ class TestParams:
         with pytest.raises(ParamError):  # r_b - beta_b = -0.25 < 0
             params.validate(inst)
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-3])
-    def test_lp_tolerance_accepted(self, tiny_instance, tol):
-        params = Params.with_delta(tiny_instance, 2, 0.5, lp_tolerance=tol)
-        params.validate(tiny_instance)
 
+class TestSlack:
     @pytest.mark.parametrize(
-        "tol", [5e-10, 1e-12, 0.0, -1e-7, float("nan"), float("inf")]
+        "value, want",
+        [(0.0, 1e-7), (0.5, 1e-7), (-3.0, 3e-7), (1e6, 0.1)],
     )
-    def test_lp_tolerance_rejected(self, tiny_instance, tol):
-        # at least 1e-8, 10 times HiGHS's feasibility tolerance
-        assert 10 * _highs._FEASIBILITY == 1e-8
-        params = Params.with_delta(tiny_instance, 2, 0.5, lp_tolerance=tol)
-        with pytest.raises(ParamError, match="lp_tolerance"):
-            params.validate(tiny_instance)
+    def test_relative_above_one(self, value, want):
+        # LP_TOLERANCE times |value|, and LP_TOLERANCE itself below 1
+        assert slack(value) == pytest.approx(want, rel=1e-15)
+
+    def test_tolerance_keeps_ten_times_highs_feasibility(self):
+        # pricing stops once the LP value is within its slack of a
+        # Lagrangian bound that HiGHS's feasibility tolerance can put up to
+        # about that much too high
+        assert LP_TOLERANCE >= 10 * _highs._FEASIBILITY
+
+    def test_no_tolerance_setting(self, tiny_instance):
+        # the tolerance is the constant alone: no Params field or keyword
+        with pytest.raises(TypeError, match="lp_tolerance"):
+            Params(k=2, lam=0.5, lp_tolerance=1e-6)
+        with pytest.raises(TypeError, match="lp_tolerance"):
+            Params.with_delta(tiny_instance, 2, 0.5, lp_tolerance=1e-6)
+        assert Params.lp_tolerance == LP_TOLERANCE
 
 
 class TestNormalization:

@@ -12,7 +12,7 @@ from welfair.centers import CenterSet, best_of_restarts
 from welfair.errors import ParamError
 from welfair.lp import LPSetup
 from welfair.metrics import pairwise_pow, report_from_distances
-from welfair.model import Instance, Params
+from welfair.model import Instance, Params, slack
 from welfair.pipeline import (
     ALGORITHMS,
     CENTER_METHODS,
@@ -57,7 +57,7 @@ class TestAlgorithms:
         params = Params.with_delta(inst, 3, lam, 0.05)
         for alg in (rawlsian_alg, utilitarian_alg):
             res = alg(inst, params, seed=seed, restarts=2)
-            assert res.gap <= res.gap_bound + params.lp_tolerance
+            assert res.gap <= res.gap_bound + slack(res.lp_objective)
             assert res.flags == []
 
     @pytest.mark.parametrize("alg", [rawlsian_alg, utilitarian_alg])
@@ -113,13 +113,13 @@ class TestAlgorithms:
         for alg in (rawlsian_alg, utilitarian_alg):
             res = alg(inst, params, seed=0, restarts=2)
             assert res.gap_bound == 0.0
-            assert res.gap <= params.lp_tolerance
+            assert res.gap <= slack(res.lp_objective)
             assert res.flags == []
 
     @pytest.mark.parametrize("alg", [rawlsian_alg, utilitarian_alg])
     def test_lp_value_above_rounded_is_flagged(self, monkeypatch, alg):
         # the rounded assignment is a point of the LP, so an LP value more
-        # than lp_tolerance above the rounded value shows a fault: here a
+        # than its slack above the rounded value shows a fault: here a
         # solve that reports its value 1 too high
         from welfair import lp, pipeline
 
@@ -133,7 +133,7 @@ class TestAlgorithms:
         inst = _inst(seed=2)
         params = Params.with_delta(inst, 3, 0.5, 0.1)
         res = alg(inst, params, seed=0, restarts=1)
-        assert res.gap < -params.lp_tolerance
+        assert res.gap < -slack(res.lp_objective)
         assert res.flags == [pipeline.LP_FLAG]
 
     @pytest.mark.parametrize("scale", [3e3, 1e4, 1e5, 1e6, 1e7])
@@ -141,7 +141,7 @@ class TestAlgorithms:
     def test_large_units_draw_no_flag(self, scale, seed):
         # unnormalized, LP values on these features run to 1e9 at p = 2,
         # where float rounding alone left 2-5 rows of each p = 2 sweep
-        # beyond an absolute lp_tolerance; a slack relative to the LP value
+        # beyond an absolute 1e-7; a slack relative to the LP value
         # flags none. From 1e5 up, float rounding breaks rows of large
         # coefficients by more than HiGHS's feasibility tolerance; measured
         # in absolute units, that sent LPs to the unscaled solve, which
@@ -165,7 +165,7 @@ class TestAlgorithms:
         inst = _inst(n=28, seed=9)
         params = Params.with_delta(inst, 3, 0.4, 0.1)
         res = rawlsian_alg(inst, params, seed=0, restarts=2)
-        assert res.lp_objective <= res.report.R + params.lp_tolerance
+        assert res.lp_objective <= res.report.R + slack(res.lp_objective)
 
     def test_center_set_passthrough(self):
         inst = _inst(seed=4)
@@ -347,7 +347,6 @@ class TestSetup:
             ("instance", "built for another"),
             ("delta", "built for another"),
             ("p", "built for another"),
-            ("lp_tolerance", "built for another"),
             ("kind", "built for the utilitarian LP, not the rawlsian one"),
             ("no kind", "built without an LP kind, not the rawlsian one"),
             ("bool lambda", "lambda must be a number, got True"),
@@ -373,8 +372,6 @@ class TestSetup:
             params = Params.with_delta(inst, 3, 0.5, 0.2)
         elif change == "p":
             params = Params.with_delta(inst, 3, 0.5, 0.1, p=1)
-        elif change == "lp_tolerance":
-            params = Params.with_delta(inst, 3, 0.5, 0.1, lp_tolerance=1e-6)
         elif change == "bool lambda":
             params = Params.with_delta(inst, 3, True, 0.1)
         with pytest.raises(ParamError, match=message):
@@ -536,10 +533,10 @@ class TestSweep:
             ({"restarts": 1.5}, "restarts must be an integer, got 1.5"),
             ({"delta": True}, "delta must be a number, got True"),
             ({"normalize": "no"}, "normalize must be True or False, got 'no'"),
-            ({"lp_tolerance": True}, "lp_tolerance must be a number, got True"),
+            ({"lambdas": [True]}, "lambda must be a number, got True"),
             ({"lambdas": ["0.5"]}, "lambda must be a number, got '0.5'"),
             ({"delta": "0.1"}, "delta must be a number, got '0.1'"),
-            ({"lp_tolerance": "1e-7"}, "lp_tolerance must be a number, got '1e-7'"),
+            ({"p": True}, "p must be 1 or 2, got True"),
             ({"p": "2"}, "p must be 1 or 2, got '2'"),
             ({"k_range": np.array([], dtype=int)}, "k range is empty"),
             ({"lambdas": []}, "lambda list is empty"),
