@@ -15,16 +15,13 @@ its own, so no solve starts from another's basis and the results are those
 of a fresh object. An idle solver keeps the capacity of the largest LP it
 solved (3.4 MB of resident memory after an n = 3000 assignment LP).
 
-Both LPs, the assignment LP and the rounding LP, run down one path: one
-feasibility tolerance, _FEASIBILITY, and one check of x and of `A x`,
-computed here in the LP's own scale, because HiGHS measures feasibility on
-its scaled model and its row values agree with that model.
-An optimum that breaks the LP by more than the feasibility tolerance is
-solved once more, from scratch and unscaled. Once some row breaks by more
-than it, each row's break counts in the row's own units, divided by max(1,
-its largest |coefficient|): on unnormalized p = 2 data in units of 1e5,
-float rounding alone broke rows by up to 6e-5, which sent such LPs to the
-unscaled solve, and there HiGHS stopped with "Solve error".
+Both LPs, the assignment LP and the rounding LP, run down one path: costs
+divided by `unit`, so that each reaches HiGHS in units of about 1 whatever
+the data's units; one feasibility tolerance, _FEASIBILITY; and one absolute
+check of x and of `A x`, computed here on the LP as given, because HiGHS
+measures feasibility on its scaled model. An optimum that breaks the LP by
+more than the feasibility tolerance is solved once more, from scratch and
+unscaled.
 
 Both LPs are feasible and bounded by construction (the nearest assignment
 and the fractional x are feasible points), so every failure raises an
@@ -66,6 +63,13 @@ _SCALING = "simplex_scale_strategy"
 _local = threading.local()
 
 
+def unit(cost: float) -> float:
+    """The unit of an LP whose feasible start costs cost: the least power of
+    two at or above cost, which keeps every ratio exact; 1 for cost <= 1."""
+    mantissa, exponent = np.frexp(cost)
+    return float(np.ldexp(1.0, exponent - (mantissa == 0.5))) if cost > 1.0 else 1.0
+
+
 @dataclass
 class LP:
     """min cost . x subject to row_lower <= A x <= row_upper and
@@ -94,9 +98,9 @@ def solve(lp: LP) -> Solution:
 
     Presolve would move the assignment LP off its all-zero start (see
     `lp.LPModel`), and it ended some rounding LPs with model status Unknown.
-    An optimum whose x, or A x, breaks a bound or a row of lp by more than
-    the feasibility tolerance, _FEASIBILITY, is solved again with scaling
-    off (iterations then counts both runs); `_run` measures a row's break.
+    An optimum whose x, or A x, breaks a bound or a row of lp, in units of
+    about 1 (`unit`), by more than _FEASIBILITY is solved again with
+    scaling off (iterations then counts both runs).
     Any model status but optimal raises InternalInvariantError, and so does
     an optimum with a NaN or one that breaks a bound or a row by more than
     _CHECK_TOL.
@@ -170,9 +174,8 @@ def _solver() -> _Highs:
 
 def _run(highs: _Highs, lp: LP) -> tuple[Solution, float]:
     """Run HiGHS on the model it holds. Return the optimum and the most by
-    which its x breaks a bound of lp or A x, computed here in lp's own
-    scale, a row. When some row breaks by more than _FEASIBILITY, every
-    row's break is divided by max(1, the row's largest |coefficient|)."""
+    which its x breaks a bound of lp or A x, computed here, a row: one
+    absolute rule, lp being in units of about 1 (`unit`)."""
     highs.run()
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
@@ -182,16 +185,8 @@ def _run(highs: _Highs, lp: LP) -> tuple[Solution, float]:
     x = np.array(solution.col_value, dtype=np.float64)
     ax = np.zeros(len(lp.row_upper))
     csc_matvec(len(ax), len(x), lp.start, lp.index, lp.value, x, ax)
-    broken = np.maximum(lp.row_lower - ax, ax - lp.row_upper)
-    row_excess = np.maximum.reduce(broken, initial=0.0)
-    # a NaN fails every comparison
-    if not row_excess <= _FEASIBILITY:
-        # float rounding alone breaks a row in proportion to its
-        # coefficients
-        scale = np.ones(len(ax))
-        np.maximum.at(scale, lp.index, np.abs(lp.value))
-        row_excess = np.maximum.reduce(broken / scale, initial=0.0)
-    excess = np.maximum(_excess(lp.col_lower, x, lp.col_upper), row_excess)
+    rows = _excess(lp.row_lower, ax, lp.row_upper)
+    excess = np.maximum(_excess(lp.col_lower, x, lp.col_upper), rows)
     res = Solution(
         x,
         np.array(solution.row_dual, dtype=np.float64),

@@ -271,10 +271,13 @@ class LPModel:
     on lambda; the fields below add lambda. The vector `HighsSolver.solve`
     returns holds x at i * n + j, t at k * n + i * H + h and z last
     (`num_vars` entries); `rows` writes the frame out when first read.
+    The lambda fields are in units of sigma, `_highs.unit` of the nearest
+    assignment's cost sum(share[a(j), j]); so are z and the LP's value.
     """
 
     params: Params
     setup: LPSetup
+    sigma: float                # the unit of the fields below
     delta: np.ndarray           # (k, n) delta_ij, 0 at the nearest column
     cost: np.ndarray            # (k, n) frame x-column costs
     offset: float               # objective constant of the nearest columns
@@ -383,7 +386,9 @@ def _build(kind: str, setup: LPSetup, lam: float) -> LPModel:
     instance, params = setup.instance, replace(setup.params, lam=lam)
     params.check_scalars(instance.n)
     share, near_share, delta = setup.shares(lam)
-    t_costs = np.tile((1.0 - lam) / instance.counts, params.k)
+    sigma = _highs.unit(near_share.sum())
+    delta, near_share = delta / sigma, near_share / sigma
+    t_costs = np.tile((1.0 - lam) / instance.counts, params.k) / sigma
     b_ub = setup.b_ub
     tail_value = setup.tail_value
     if setup.rawlsian:
@@ -398,7 +403,7 @@ def _build(kind: str, setup: LPSetup, lam: float) -> LPModel:
     else:
         cost, offset, tail_cost = delta, float(near_share.sum()), t_costs
     tail = setup.tail_start, setup.tail_index, tail_value
-    return LPModel(params, setup, delta, cost, offset, b_ub, tail_cost, tail)
+    return LPModel(params, setup, sigma, delta, cost, offset, b_ub, tail_cost, tail)
 
 
 def build_rawlsian_lp(setup: LPSetup, lam: float) -> LPModel:
@@ -441,11 +446,13 @@ class HighsSolver:
     reduced cost is below minus the slack join, or, when there are none,
     those below 0, and HiGHS solves again. solve returns the LP's
     variables, its value, the simplex iterations summed over the pricing
-    rounds, the number of rounds, and the last round's lower bound.
+    rounds, the number of rounds, and the last round's lower bound; the
+    slack, the value, the bound and z in the LP's units, not sigma's.
     """
 
     def solve(self, model: LPModel) -> tuple[np.ndarray, float, int, int, float]:
         keep, left = model.setup.first, model.setup.first_left
+        sigma = model.sigma
         rounds = iterations = 0
         while True:
             rounds += 1
@@ -457,7 +464,7 @@ class HighsSolver:
             rc = model.reduced_costs(duals)
             bound = model.lagrangian_bound(duals, rc)
             value = res.objective + model.offset
-            tolerance = slack(value)
+            tolerance = slack(value * sigma) / sigma
             if value - bound <= tolerance:
                 break
             enter = left & (rc < -tolerance)
@@ -470,13 +477,10 @@ class HighsSolver:
         x = np.zeros(keep.shape)
         x.put(flat, res.x[: len(flat)])
         x.put(model.setup.near_flat, 1.0 - x.sum(axis=0))
-        return (
-            np.concatenate([x.ravel(), res.x[len(flat):]]),
-            float(value),
-            iterations,
-            rounds,
-            bound,
-        )
+        xvec = np.concatenate([x.ravel(), res.x[len(flat):]])
+        if model.setup.rawlsian:
+            xvec[-1] *= sigma
+        return xvec, float(value * sigma), iterations, rounds, bound * sigma
 
 
 def solve_lp(model: LPModel) -> FractionalSolution:

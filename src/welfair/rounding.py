@@ -2,12 +2,12 @@
 
 A point whose LP column has a single positive entry can only go to that
 center, so it is fixed first; an LP vertex leaves few other points. Those
-are rounded by one LP with a variable per positive x entry, costing
-d^p / n_h: each point's variables sum to 1, each (cluster, color) mass, and
-for the sum objective each cluster size, stays within the floor/ceil of its
-fractional mass less the fixed points it already holds. The constraint
-matrix is totally unimodular, so the HiGHS vertex is integral; both rounders
-check that and the floor/ceil masses at the end.
+are rounded by one LP with a variable per positive x entry, costing d^p /
+n_h in units of x's cost (`_highs.unit`): each point's variables sum to 1,
+each (cluster, color) mass, and for the sum objective each cluster size,
+stays within the floor/ceil of its fractional mass less the fixed points it
+already holds. The constraint matrix is totally unimodular, so the HiGHS
+vertex is integral; both rounders check that and the floor/ceil masses.
 """
 
 from __future__ import annotations
@@ -110,8 +110,9 @@ def _round(
             hi.append(clu_hi - clu_fixed)
         # each variable's rows, ascending: one CSC column per variable
         rows = np.stack(rows, axis=1)
+        cost = dist_pow[pts, centers] / instance.counts[colors]
         lp = _highs.LP(
-            cost=dist_pow[pts, centers] / instance.counts[colors],
+            cost=cost / _highs.unit(cost @ xfrac[centers, pts]),
             start=np.arange(0, rows.size + 1, rows.shape[1]),
             index=rows.ravel(),
             value=np.ones(rows.size),

@@ -425,14 +425,20 @@ def _reduced_costs(model, call, res):
     the restricted LP left out). The model's rows keep their duals; point
     j's assignment equality gets the dual that leaves the eliminated column
     x[a(j), j] with reduced cost -mu_j >= 0. At a frame column x[i, j] this
-    is c - A^T y of the full frame matrix."""
+    is c - A^T y of the full frame matrix.
+
+    HiGHS solved the frame in units of model.sigma, the objective and the
+    disu rows divided by sigma: those rows' duals are the model's, and
+    every other row's is the model's divided by sigma."""
     written = WrittenLP(model)
     rows = written.rows
-    duals = _frame_duals(model, call, res)
+    k, n, H = model.params.k, model.setup.instance.n, model.setup.instance.num_colors
+    units = np.full(len(model.b_ub), model.sigma)
+    units[2 * k * H: model.setup.num_rows] = 1.0
+    duals = _frame_duals(model, call, res) * units
     rc = written.objective.copy()
     for row, y in zip(rows, duals[: len(rows)]):
         np.add.at(rc, row.cols, -y * row.vals)
-    k, n = model.params.k, model.setup.instance.n
     near = np.argmin(model.setup.dist_t.T, axis=1) * n + np.arange(n)
     mu = duals[len(rows):]
     # assignment equality j holds x[i, j] for every i, at column i * n + j
@@ -568,12 +574,14 @@ class TestHighsPricing:
         assert per_class.max() == 1
         # each round adds exactly the left-out columns that price below
         # minus the slack of its LP value under the model's own duals, or, if
-        # none does, below 0
+        # none does, below 0; the value and the reduced costs in the model's
+        # own units
         frame_columns = np.ones((params.k, inst.n), dtype=bool)
         frame_columns[near, np.arange(inst.n)] = False
         for (call, res), (after, _) in zip(calls, calls[1:]):
             rc = _reduced_costs(m, call, res)[: k * inst.n].reshape(k, inst.n)
-            enter = frame_columns & (rc < -slack(res.objective + m.offset))
+            value = (res.objective + m.offset) * m.sigma
+            enter = frame_columns & (rc < -slack(value))
             if not enter.any():
                 enter = frame_columns & (rc < 0)
             np.testing.assert_array_equal(
@@ -593,7 +601,7 @@ class TestHighsPricing:
     def test_closed_form_reduced_costs(self, monkeypatch, kind, H):
         # the frame's closed-form pricing of the duals the solve hands it
         # equals c - A^T y over the model's own rows at every frame column,
-        # in every round
+        # in every round, both in the units of sigma HiGHS solves in
         inst, params, centers = _setup(n=60, k=6, H=H, lam=0.4, seed=7)
         build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
         monkeypatch.setattr(lp_mod, "_CLASS_SHARE", 1e-9)
@@ -605,7 +613,7 @@ class TestHighsPricing:
         columns = m.setup.first | m.setup.first_left
         for (call, res), (duals, got) in zip(calls, priced):
             np.testing.assert_array_equal(duals, _frame_duals(m, call, res))
-            want = _reduced_costs(m, call, res)[: params.k * inst.n]
+            want = _reduced_costs(m, call, res)[: params.k * inst.n] / m.sigma
             want = want.reshape(params.k, inst.n)
             np.testing.assert_allclose(
                 got[columns], want[columns], rtol=0, atol=1e-12
@@ -1000,8 +1008,7 @@ class TestHighsStatus:
     @pytest.mark.parametrize("build", [build_rawlsian_lp, build_utilitarian_lp])
     def test_post_solve_check(self, monkeypatch, build, broken, raises):
         # an optimum with a NaN, or a bound or a row broken by more than
-        # linprog's sqrt(1e-9) * 10, a row in its own units, raises; a row
-        # broken by less does not
+        # linprog's sqrt(1e-9) * 10, raises; a row broken by less does not
         inst, params, centers = _setup(n=20, k=3, H=2, seed=2)
         m = _model(build, inst, params, centers)
 
@@ -1035,21 +1042,19 @@ class TestHighsStatus:
 
 def _break_row(x, model, excess):
     """x with one column moved within its bounds so that A x, in the LP's
-    own scale, breaks one row by excess times max(1, the row's largest
-    |coefficient|), the row's own units, and no row by more in its own
-    units; model holds the `passModel` arguments."""
+    own scale, breaks one row by excess and no row by more; model holds
+    the `passModel` arguments."""
     num_col, num_row, nnz = model[:3]
     col_lower, col_upper, row_upper = model[7], model[8], model[10]
     start = np.append(model[11], nnz)
     A = sp.csc_matrix((model[13], model[12], start), shape=(num_row, num_col))
-    units = np.maximum(1.0, abs(A).max(axis=1).toarray().ravel())
     slack = row_upper - A @ x
     for v in range(num_col):
         col = A[:, [v]]
         for r, a in zip(col.indices, col.data):
             moved = x.copy()
-            moved[v] += (slack[r] + excess * units[r]) / a
-            worst = ((A @ moved - row_upper) / units).max()
+            moved[v] += (slack[r] + excess) / a
+            worst = (A @ moved - row_upper).max()
             if col_lower[v] <= moved[v] <= col_upper[v] and np.isclose(worst, excess):
                 return moved
     raise AssertionError("no column breaks a row within its bounds")
@@ -1149,6 +1154,14 @@ class TestHighsAdapter:
         np.testing.assert_allclose(res.row_dual, [-1.0])
         assert res.objective == pytest.approx(-2.5)
         assert res.iterations > 0
+
+    def test_unit_is_the_least_power_of_two_at_or_above(self):
+        # 1 up to a cost of 1, then the least power of two at or above it
+        for cost, want in [
+            (0.0, 1.0), (0.3, 1.0), (1.0, 1.0), (1.5, 2.0), (2.0, 2.0), (3.0, 4.0),
+            (2.0**70, 2.0**70), (np.nextafter(2.0**70, np.inf), 2.0**71),
+        ]:
+            assert _highs.unit(cost) == want
 
     def test_shared_solver_matches_a_fresh_one(self, monkeypatch):
         # the thread's solver clears each model with its basis, so a solve

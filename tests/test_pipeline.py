@@ -136,16 +136,17 @@ class TestAlgorithms:
         assert res.gap < -slack(res.lp_objective)
         assert res.flags == [pipeline.LP_FLAG]
 
-    @pytest.mark.parametrize("scale", [3e3, 1e4, 1e5, 1e6, 1e7])
+    @pytest.mark.parametrize(
+        "scale", [1e-12, 1e-6, 3e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e10, 1e12]
+    )
     @pytest.mark.parametrize("seed", [1, 2])
     def test_large_units_draw_no_flag(self, scale, seed):
-        # unnormalized, LP values on these features run to 1e9 at p = 2,
-        # where float rounding alone left 2-5 rows of each p = 2 sweep
-        # beyond an absolute 1e-7; a slack relative to the LP value
-        # flags none. From 1e5 up, float rounding breaks rows of large
-        # coefficients by more than HiGHS's feasibility tolerance; measured
-        # in absolute units, that sent LPs to the unscaled solve, which
-        # stopped with "Solve error"
+        # unnormalized, LP values grow with the square of the units at p =
+        # 2: to 1e9 at 1e4, where float rounding alone left 2-5 rows of each
+        # p = 2 sweep beyond an absolute 1e-7; a slack relative to the LP
+        # value flags none. Each LP reaches HiGHS in units of about 1
+        # (`_highs.unit`); solved in the data's units, from 1e8 up LPs
+        # stopped HiGHS with "Model error", "Solve error" or "Unknown"
         inst = adult_like(300, seed)
         inst = Instance(inst.features * scale, inst.colors, inst.color_names)
         for p in (1, 2):
@@ -160,6 +161,21 @@ class TestAlgorithms:
                 if r.flags
             ]
             assert flagged == []
+
+    def test_normalized_units_give_one_assignment(self):
+        # normalized, every result's assignment is the same whatever the
+        # data's units
+        inst = adult_like(300, 1)
+        first = {}
+        for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+            scaled = Instance(inst.features * scale, inst.colors, inst.color_names)
+            for p in (1, 2):
+                _, cells = sweep(
+                    scaled, k_range=[3, 5, 8], lambdas=[1e-3, 0.5], p=p, restarts=1
+                )
+                got = [r.solution.assignment for _, results in cells for r in results]
+                assert len(got) == 48
+                np.testing.assert_array_equal(got, first.setdefault(p, got))
 
     def test_lp_objective_lower_bounds_value(self):
         inst = _inst(n=28, seed=9)

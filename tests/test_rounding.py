@@ -181,7 +181,11 @@ class TestNetworkConstruction:
             want[m + k * H + i, a] = 1
         np.testing.assert_array_equal(A, want)
         assert inst.counts.tolist() == [9, 3]
-        assert c.tolist() == [dist[j, i] / inst.counts[inst.colors[j]] for i, j in arcs]
+        # the costs d^p / n_h, in the units of x's own cost
+        cost = np.array([dist[j, i] / inst.counts[inst.colors[j]] for i, j in arcs])
+        unit = _highs.unit(cost @ np.array([x[i, j] for i, j in arcs]))
+        assert unit > 1.0
+        assert c.tolist() == (cost / unit).tolist()
         cell_lo, cell_hi, clu_lo, clu_hi = [], [], [], []
         for i in range(k):
             for h in range(H):
@@ -379,6 +383,17 @@ class TestRoundingBounds:
         for rounder in (rawlsian_round, utilitarian_round):
             out = rounder(x, inst, params, dist)
             np.testing.assert_array_equal(out.assignment, assign)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_units_round_alike(self, seed):
+        # costs in units of 2^70 reach HiGHS in units of about 1, divided by
+        # a power of two, and round as the costs themselves do; undivided,
+        # from units of 1e20 HiGHS stopped with model status Unknown
+        inst, params, dist, x = _case(n=26, k=3, H=2 + seed % 2, seed=seed)
+        for rounder in (rawlsian_round, utilitarian_round):
+            want = rounder(x, inst, params, dist).assignment
+            got = rounder(x, inst, params, dist * 2.0**70).assignment
+            np.testing.assert_array_equal(got, want)
 
     def test_deterministic(self):
         inst, params, dist, x = _case(n=26, k=3, H=3, seed=13)
