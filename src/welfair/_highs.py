@@ -65,9 +65,11 @@ _local = threading.local()
 
 def unit(cost: float) -> float:
     """The unit of an LP whose feasible start costs cost: the least power of
-    two at or above cost, which keeps every ratio exact; 1 for cost <= 1."""
+    two at or above cost, which keeps every ratio exact; 1 for cost <= 1,
+    and 2**1023, the largest finite power of two, for cost above it."""
     mantissa, exponent = np.frexp(cost)
-    return float(np.ldexp(1.0, exponent - (mantissa == 0.5))) if cost > 1.0 else 1.0
+    exponent = min(exponent - (mantissa == 0.5), 1023)
+    return float(np.ldexp(1.0, exponent)) if cost > 1.0 else 1.0
 
 
 @dataclass

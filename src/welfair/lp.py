@@ -47,10 +47,10 @@ class LPSetup:
     It holds the (k, n) d^p matrix dist_t, whose transpose is the (n, k)
     dist_pow a rounder reads, and each point's nearest center near (ties to
     the lowest index); built for an LP kind, "rawlsian" or "utilitarian",
-    also that LP's frame (`LPModel`) without lambda: the under/over tables,
-    the right-hand sides of the under/over and point rows, one x-column
-    template per (center, nearest center, color), and the first restriction
-    `first` with its `x_columns`. Within a class (a, h) every delta scales
+    also that LP's frame (`LPModel`) without lambda: the (H, H) under/over
+    tables, from which `x_columns` writes any x column, the right-hand sides
+    of the under/over and point rows, and the first restriction `first`
+    with its `x_columns`. Within a class (a, h) every delta scales
     by the same lambda / n_h (`shares`), so `first`, ranked at lambda = 1,
     serves every lambda > 0; at lambda = 0 every delta is 0 and pricing
     brings in what the ranking left out. Only the Rawlsian matrix depends on
@@ -133,23 +133,6 @@ class LPSetup:
         self.b_ub = np.concatenate(
             [-np.concatenate(b_rows), np.zeros(H * self.rawlsian), np.ones(n)]
         )
-        # x[i, j]'s entries in the under and over rows by (i, a(j), color of
-        # j), rows ascending: the lower-numbered cluster's block first, with
-        # sign +1 if that cluster is i
-        c = np.arange(k)
-        lo = np.minimum.outer(c, c)[:, :, None, None]
-        hi = np.maximum.outer(c, c)[:, :, None, None]
-        sign = np.where(c[:, None] < c, 1.0, -1.0)[:, :, None, None]
-        g = np.arange(H)
-        rows = np.concatenate(
-            [lo * H + g, hi * H + g, k * H + lo * H + g, k * H + hi * H + g], axis=-1
-        )
-        under, over = self.under.T, self.over.T
-        vals = np.concatenate(
-            [sign * under, -sign * under, sign * over, -sign * over], axis=-1
-        )
-        self.template_rows = np.broadcast_to(rows, vals.shape).reshape(-1, 4 * H)
-        self.template_vals = vals.reshape(-1, 4 * H)
         # flat positions of each point's nearest column in (k, n) and of its
         # (nearest center, color) class in (k, H)
         self.near_flat = near * n + points
@@ -216,31 +199,37 @@ class LPSetup:
         self, i: np.ndarray, j: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The CSC parts (start, index, value) of the frame's x columns
-        x[i, j], in order: their template's nonzero under/over entries, a
-        placeholder 1 in the Rawlsian disu_h row, and 1 in j's own row if j
-        has at least 2 of the columns (else its row is its bound x <= 1);
-        the ids of the points with such a row; and the placeholders'
-        positions in value."""
+        x[i, j], in order: their nonzero under/over entries, rows ascending
+        (the lower-numbered of clusters i and a(j) first, with sign +1 if
+        that cluster is i, times the `under` and `over` tables' entries of
+        j's color), a placeholder 1 in the Rawlsian disu_h row, and 1 in j's
+        own row if j has at least 2 of the columns (else its row is its
+        bound x <= 1); the ids of the points with such a row; and the
+        placeholders' positions in value."""
         k, n, H = self.params.k, self.instance.n, self.instance.num_colors
-        h = self.instance.colors[j]
-        t = (i * k + self.near[j]) * H + h
-        width = 4 * H + self.rawlsian + 1
-        rows = np.empty((len(j), width), dtype=np.int64)
-        vals = np.empty((len(j), width))
-        rows[:, : 4 * H] = self.template_rows.take(t, axis=0)
-        vals[:, : 4 * H] = self.template_vals.take(t, axis=0)
-        if self.rawlsian:
-            rows[:, 4 * H] = 2 * k * H + h
-            vals[:, 4 * H] = 1.0
+        a, h = self.near[j], self.instance.colors[j]
         shared = np.bincount(j, minlength=n) >= 2
         own = shared.take(j)
-        rows[:, -1] = self.num_rows + np.cumsum(shared).take(j) - 1
-        vals[:, -1] = own
+        g = np.arange(H)[:, None]
+        lo, hi = np.minimum(i, a) * H + g, np.maximum(i, a) * H + g
+        sign = np.where(i < a, 1.0, -1.0)
+        under = sign * self.under.take(h, axis=1)
+        over = sign * self.over.take(h, axis=1)
+        # one column of rows and vals per x column, read column by column
+        rows = np.vstack(
+            [lo, hi, k * H + lo, k * H + hi]
+            + [2 * k * H + h] * self.rawlsian
+            + [self.num_rows + np.cumsum(shared).take(j) - 1]
+        )
+        vals = np.vstack(
+            [under, -under, over, -over] + [np.ones(len(j))] * self.rawlsian + [own]
+        )
         nonzero = vals != 0
-        start = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+        start = np.concatenate([[0], np.cumsum(nonzero.sum(axis=0))])
         # each placeholder is its column's last entry but the own-row 1
         delta_at = start[1:] - 1 - own if self.rawlsian else start[:0]
-        return start, rows[nonzero], vals[nonzero], np.flatnonzero(shared), delta_at
+        index, value = rows.T[nonzero.T], vals.T[nonzero.T]
+        return start, index, value, np.flatnonzero(shared), delta_at
 
 
 @dataclass

@@ -123,27 +123,19 @@ def load_instance(
     Color ids follow first appearance order of the group column.
     """
     with open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        # as csv.DictReader reads it: a name given twice names its last
-        # column, a cell past a short row's end is empty, and a blank line
-        # is no data row
-        at = {name: i for i, name in enumerate(next(reader, []))}
+        # a name given twice names its last column, a cell past a short
+        # row's end is empty, and a blank line is no data row
+        reader = csv.DictReader(fh, restval="")
+        header = reader.fieldnames or []
         for col in list(feature_columns) + [group_column]:
-            if col not in at:
+            if col not in header:
                 raise DataError(f"column {col!r} not found in header")
-        features = [(col, at[col]) for col in feature_columns]
-        group = at[group_column]
         rows = []
         groups = []
-        rownum = 0
-        for rec in reader:
-            if not rec:
-                continue
-            rownum += 1
-            width = len(rec)
+        for rownum, rec in enumerate(reader, start=1):
             vals = []
-            for col, i in features:
-                cell = rec[i].strip() if i < width else ""
+            for col in feature_columns:
+                cell = rec[col].strip()
                 if cell == "":
                     raise DataError(f"empty cell {_at(col, rownum)}")
                 try:
@@ -155,21 +147,17 @@ def load_instance(
                 if not math.isfinite(val):
                     raise DataError(f"non-finite value {cell!r} {_at(col, rownum)}")
                 vals.append(val)
-            gcell = rec[group].strip() if group < width else ""
+            gcell = rec[group_column].strip()
             if gcell == "":
                 raise DataError(f"empty cell {_at(group_column, rownum)}")
             rows.append(vals)
             groups.append(gcell)
     if not groups:
         raise DataError(f"{csv_path} has a header but no data rows")
-    names: list[str] = []
-    ids = {}
-    colors = np.empty(len(groups), dtype=np.int64)
-    for j, g in enumerate(groups):
-        if g not in ids:
-            ids[g] = len(names)
-            names.append(g)
-        colors[j] = ids[g]
+    # each name's id, in order of first appearance
+    ids: dict[str, int] = {}
+    colors = np.array([ids.setdefault(g, len(ids)) for g in groups], dtype=np.int64)
+    names = list(ids)
     if len(names) < 2:
         raise DataError(
             f"group column {group_column!r} holds a single distinct value "

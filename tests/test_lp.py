@@ -1156,10 +1156,14 @@ class TestHighsAdapter:
         assert res.iterations > 0
 
     def test_unit_is_the_least_power_of_two_at_or_above(self):
-        # 1 up to a cost of 1, then the least power of two at or above it
+        # 1 up to a cost of 1, then the least power of two at or above it, up
+        # to 2**1023, the largest finite one, which every larger finite cost
+        # gets without an overflow warning
         for cost, want in [
             (0.0, 1.0), (0.3, 1.0), (1.0, 1.0), (1.5, 2.0), (2.0, 2.0), (3.0, 4.0),
             (2.0**70, 2.0**70), (np.nextafter(2.0**70, np.inf), 2.0**71),
+            (2.0**1023, 2.0**1023), (1e308, 2.0**1023),
+            (np.finfo(float).max, 2.0**1023),
         ]:
             assert _highs.unit(cost) == want
 
@@ -1458,3 +1462,41 @@ def test_shared_setup_matches_lone_calls_property(seed, H, k, p, lams, kind):
             _, _, ref = _reference(m)
             value = HighsSolver().solve(m)[1]
             assert value == pytest.approx(ref.fun, abs=LP_TOLERANCE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    H=st.integers(2, 8),
+    k=st.integers(2, 12),
+    lam=st.floats(0.0, 1.0),
+    delta=st.sampled_from([0.0, 0.01, 0.2]),
+    kind=st.sampled_from(["rawlsian", "utilitarian"]),
+)
+def test_frame_columns_are_written_column_differences_property(
+    seed, H, k, lam, delta, kind
+):
+    # every x column x[i, j] that restrict writes over all frame columns
+    # holds, on the under, over and Rawlsian disu rows, the written LP's
+    # column at (i, j) minus its column at (a(j), j), which the frame
+    # eliminates; the disu rows in units of sigma
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(max(2 * H, k), 41))
+    inst = random_instance(n, 2, H, seed)
+    rmax = float(inst.proportions.max())
+    params = Params.with_delta(inst, k, lam, min(delta, (1.0 - rmax) / rmax))
+    centers = inst.features[rng.choice(n, size=k, replace=False)]
+    build = build_rawlsian_lp if kind == "rawlsian" else build_utilitarian_lp
+    m = _model(build, inst, params, centers)
+    setup, R = m.setup, m.setup.num_rows
+    written = np.zeros((R, m.num_vars))
+    for r, row in enumerate(WrittenLP(m).rows):
+        written[r, row.cols] = row.vals
+    lp, flat, _ = m.restrict(setup.first | setup.first_left)
+    A = sp.csc_matrix(
+        (lp.value, lp.index, lp.start), shape=(len(lp.row_upper), len(lp.cost))
+    ).toarray()
+    j = flat % n
+    want = written[:, flat] - written[:, setup.near[j] * n + j]
+    want[2 * k * H:] /= m.sigma
+    np.testing.assert_array_equal(A[:R, : len(flat)], want)

@@ -89,6 +89,19 @@ class TestLoadInstance:
         ):
             load_instance(path, ["x"], "g")
 
+    @pytest.mark.parametrize("text", ["", "\nx,g\n1,a\n2,b\n"])
+    def test_no_header_on_the_first_line(self, tmp_path, text):
+        # an empty file, or a blank first line, has an empty header
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError, match="^column 'x' not found in header$"):
+            load_instance(path, ["x"], "g")
+
+    def test_long_row_ignores_its_extra_cells(self, tmp_path):
+        path = _write(tmp_path, "x,g\n1,a,9,extra\n2,b\n")
+        inst = load_instance(path, ["x"], "g")
+        np.testing.assert_array_equal(inst.features[:, 0], [1.0, 2.0])
+        assert inst.color_names == ["a", "b"]
+
     def test_repeated_header_name_reads_its_last_column(self, tmp_path):
         path = _write(tmp_path, "x,g,x,g\n1,a,5,c\n2,b,6,d\n3,a,7\n")
         with pytest.raises(
